@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/defense/ ./internal/prog/ ./internal/fleet/ ./internal/s
 COVER_GATE_PKGS := ./internal/heapsim/ ./internal/campaign/ ./internal/defense/ ./internal/shadow/ ./internal/mem/ ./internal/telemetry/ ./internal/fleet/ ./internal/serve/
 COVER_MIN := 80
 
-.PHONY: all build test race vet fmt-check bench bench-json bench-campaign bench-campaign-json bench-fleet bench-policy bench-policy-json bench-serve bench-serve-json bench-vm bench-compiled bench-encoding bench-smoke bench-telemetry check cover corpus fuzz-smoke
+.PHONY: all build test race vet fmt-check bench bench-json bench-campaign bench-campaign-json bench-fleet bench-policy bench-policy-json bench-serve bench-serve-json bench-compiled bench-encoding bench-smoke bench-telemetry check cover corpus fuzz-smoke
 
 all: check
 
@@ -59,20 +59,15 @@ bench-serve:
 bench-serve-json:
 	$(GO) run ./cmd/htp-bench -exp serve -json
 
-# Interpreter engine benchmarks: tree-walker vs bytecode VM plus the
-# one-time compile cost. BENCHTIME=1x gives a fast smoke run.
+# Compiled engine: the promotion-parity and zero-alloc pins, the
+# tree-vs-compiled engine benchmarks (pin workload plus the one-time
+# compile cost), the encoded-call benchmarks on the tree and both
+# Machine tiers, and the tierup experiment's tree-vs-compiled geomean
+# table. BENCHTIME=1x gives a fast smoke run.
 BENCHTIME ?= 1s
-bench-vm:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngines|BenchmarkCompile' -benchmem \
-		-benchtime $(BENCHTIME) ./internal/prog/
-
-# Tier-up compiled engine: the encoded-call benchmarks across all
-# three engines, the promotion-parity and zero-alloc pins, and the
-# tierup experiment's three-engine geomean table (the committed
-# BENCH_*.json baseline requires >= 1.5x geomean over the VM).
 bench-compiled:
 	$(GO) test -run 'Machine|EncodedCall' -count 1 -v ./internal/prog/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
-	$(GO) test -run '^$$' -bench 'BenchmarkEncodedCall' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngines|BenchmarkCompile|BenchmarkEncodedCall' -benchmem \
 		-benchtime $(BENCHTIME) ./internal/prog/
 	$(GO) run ./cmd/htp-bench -exp tierup
 

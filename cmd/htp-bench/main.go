@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	htp-bench [-exp all|encoding|table2|table3|table4|fig8|fig9|services|ablation|guard|fleet|serve|campaign|telemetry|policy|vm|tierup] [-quick] [-scale N] [-engine tree|vm|compiled] [-tierup N]
+//	htp-bench [-exp all|encoding|table2|table3|table4|fig8|fig9|services|ablation|guard|fleet|serve|campaign|telemetry|policy|tierup] [-quick] [-scale N] [-engine tree|compiled] [-tierup N]
 package main
 
 import (
@@ -29,11 +29,11 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("htp-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment to run: all, encoding, table2, table3, table4, fig8, fig9, services, concurrent, ablation, stackoffset, scaling, guard, fleet, serve, campaign, telemetry, policy, vm, tierup")
+	exp := fs.String("exp", "all", "experiment to run: all, encoding, table2, table3, table4, fig8, fig9, services, concurrent, ablation, stackoffset, scaling, guard, fleet, serve, campaign, telemetry, policy, tierup")
 	quick := fs.Bool("quick", false, "trim sweeps for a fast run")
 	scale := fs.Uint64("scale", 0, "divisor for Table IV allocation counts (default 10000)")
 	jsonOut := fs.Bool("json", false, "emit per-experiment wall time and allocations as JSON instead of rendered tables")
-	engineName := fs.String("engine", "vm", "execution engine for measured runs: tree, vm, or compiled (results are bit-identical; vm and compiled are faster)")
+	engineName := fs.String("engine", "compiled", "execution engine for measured runs: tree or compiled (results are bit-identical; compiled is faster)")
 	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold in calls (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -48,10 +48,8 @@ func run(args []string) error {
 		name string
 		fn   func() (fmt.Stringer, error)
 	}
-	// vmResult / tierUpResult capture the engine comparisons so -json
-	// can record the speedups and zero-alloc pins alongside the wall
-	// time.
-	var vmResult *experiments.VMComparisonResult
+	// tierUpResult captures the engine comparison so -json can record
+	// the speedup and zero-alloc pin alongside the wall time.
 	var tierUpResult *experiments.TierUpComparisonResult
 	var campaignResult *experiments.CampaignThroughputResult
 	var serveResult *experiments.ServeThroughputResult
@@ -127,13 +125,6 @@ func run(args []string) error {
 			}
 			return r, err
 		})},
-		{"vm", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			r, err := experiments.VMComparison(c)
-			if err == nil {
-				vmResult = r
-			}
-			return r, err
-		})},
 		{"tierup", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
 			r, err := experiments.TierUpComparison(c)
 			if err == nil {
@@ -179,15 +170,8 @@ func run(args []string) error {
 				AllocsOp:   after.Mallocs - before.Mallocs,
 				BytesAlloc: after.TotalAlloc - before.TotalAlloc,
 			}
-			if r.name == "vm" && vmResult != nil {
-				br.Detail = map[string]float64{
-					"geomean_speedup":        vmResult.GeomeanSpeedup,
-					"steady_state_allocs_op": vmResult.SteadyStateAllocs,
-				}
-			}
 			if r.name == "tierup" && tierUpResult != nil {
 				br.Detail = map[string]float64{
-					"geomean_vs_vm":          tierUpResult.GeomeanVsVM,
 					"geomean_vs_tree":        tierUpResult.GeomeanVsTree,
 					"tierup_threshold":       float64(tierUpResult.Threshold),
 					"steady_state_allocs_op": tierUpResult.SteadyStateAllocs,
@@ -279,8 +263,9 @@ type benchResult struct {
 	NsOp       int64  `json:"ns_op"`
 	AllocsOp   uint64 `json:"allocs_op"`
 	BytesAlloc uint64 `json:"bytes_alloc"`
-	// Detail carries experiment-specific headline numbers (currently
-	// the vm experiment's geomean speedup and zero-alloc pin).
+	// Detail carries experiment-specific headline numbers (the tierup
+	// experiment's geomean speedup and zero-alloc pin, and the serve,
+	// policy, and campaign throughput summaries).
 	Detail map[string]float64 `json:"detail,omitempty"`
 }
 

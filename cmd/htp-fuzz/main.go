@@ -1,6 +1,6 @@
 // Command htp-fuzz runs the generative campaign: seeded random
 // programs with injected heap vulnerabilities, each driven through
-// the full differential matrix (tree-walker vs VM vs tier-up engine,
+// the full differential matrix (tree-walker vs tier-up compiled engine,
 // boundary-tag heap vs pool allocator, native vs shadow-analyzed vs
 // defended) with the heap-invariant walker attached, and every cell
 // checked against the injected ground truth.
@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seeds      = fs.Uint64("seeds", 100, "number of seeds to campaign over")
 		start      = fs.Uint64("start", 0, "first seed")
 		kindsFlag  = fs.String("kinds", "", "comma-separated vulnerability kinds (default: all)")
-		engines    = fs.String("engines", "", "comma-separated engines: tree,vm,compiled (default: all)")
+		engines    = fs.String("engines", "", "comma-separated engines: tree,compiled (default: all)")
 		allocs     = fs.String("allocators", "", "comma-separated allocators: heap,pool (default: all)")
 		policies   = fs.String("policy", "", `comma-separated defense policy families: ht,shadowbound,mesh, or "all" (default: ht)`)
 		workers    = fs.Int("workers", 0, "parallel oracle workbenches (0 = GOMAXPROCS)")

@@ -100,7 +100,7 @@ func TestRunSummaryThroughput(t *testing.T) {
 func TestRunKindAndMatrixSelection(t *testing.T) {
 	code, _, stderr := runCLI(t,
 		"-seeds", "3", "-kinds", "uaf-read,double-free",
-		"-engines", "vm", "-allocators", "heap")
+		"-engines", "compiled", "-allocators", "heap")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}

@@ -23,7 +23,7 @@ func TestGolden(t *testing.T) {
 		args []string
 	}{
 		{"native-heartbleed", []string{"-case", "heartbleed"}},
-		{"native-heartbleed-vm", []string{"-case", "heartbleed", "-engine", "vm"}},
+		{"native-heartbleed-compiled", []string{"-case", "heartbleed", "-engine", "compiled"}},
 		{"native-wavpack-benign", []string{"-case", "wavpack", "-benign", "0"}},
 		{"defended-heartbleed", []string{"-case", "heartbleed", "-patches", hbPatches}},
 		{"defended-heartbleed-telemetry-table", []string{"-case", "heartbleed", "-patches", hbPatches, "-telemetry", "table"}},

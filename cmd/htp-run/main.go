@@ -56,7 +56,7 @@ func run(args []string, stdout io.Writer) error {
 	benign := fs.Int("benign", -1, "use the N-th built-in benign input instead of the attack")
 	threads := fs.Int("threads", 1, "run N copies concurrently over one shared heap")
 	encoderName := fs.String("encoder", "PCC", "calling-context encoder; must match the one htp-patchgen used")
-	engineName := fs.String("engine", "tree", "execution engine: tree (reference interpreter), vm (bytecode), or compiled (tier-up closures)")
+	engineName := fs.String("engine", "tree", "execution engine: tree (reference interpreter) or compiled (bytecode with tier-up to closures)")
 	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold in calls (0 = default)")
 	policyName := fs.String("policy", "ht", "defense policy family for defended runs: ht, shadowbound, or mesh")
 	telemetryFmt := fs.String("telemetry", "", `append a telemetry report after the run: "table" or "json"`)

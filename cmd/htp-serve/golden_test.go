@@ -25,7 +25,7 @@ func TestGolden(t *testing.T) {
 		args []string
 	}{
 		{"demo-nginx-tree", []string{"-demo", "-service", "nginx", "-workers", "1", "-telemetry"}},
-		{"demo-nginx-vm", []string{"-demo", "-service", "nginx", "-workers", "2", "-engine", "vm"}},
+		{"demo-nginx-compiled", []string{"-demo", "-service", "nginx", "-workers", "2", "-engine", "compiled"}},
 		{"demo-mysql-compiled", []string{"-demo", "-service", "mysql", "-workers", "1", "-engine", "compiled"}},
 	}
 	for _, c := range cases {

@@ -9,7 +9,7 @@
 //
 //	htp-serve -service nginx -addr 127.0.0.1:8470    # live server (SIGTERM drains)
 //	htp-serve -service nginx -demo                   # scripted rollout demonstration
-//	htp-serve -service mysql -engine vm -workers 8 -telemetry
+//	htp-serve -service mysql -engine compiled -workers 8 -telemetry
 package main
 
 import (
@@ -56,7 +56,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("htp-serve", flag.ContinueOnError)
 	serviceName := fs.String("service", "nginx", "vulnerable service stand-in: nginx or mysql")
-	engineName := fs.String("engine", "tree", "execution engine: tree, vm, or compiled")
+	engineName := fs.String("engine", "tree", "execution engine: tree or compiled")
 	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold in calls (0 = default)")
 	policyName := fs.String("policy", "ht", "defense policy family for every tenant: ht, shadowbound, or mesh")
 	workers := fs.Int("workers", 4, "worker goroutines, one defended tenant context each")

@@ -60,8 +60,8 @@ type Analyzer struct {
 	ShadowConfig shadow.Config
 	// MaxSteps bounds the replay (0 = interpreter default).
 	MaxSteps uint64
-	// Engine selects the replay substrate (tree interpreter, bytecode
-	// VM, or tier-up machine); all record identical warning streams.
+	// Engine selects the replay substrate (tree interpreter or tier-up
+	// compiled machine); both record identical warning streams.
 	Engine prog.Engine
 	// TierUp is the compiled engine's promotion threshold (0 = default).
 	TierUp uint64

@@ -3,7 +3,7 @@
 // known ground truth, a heap-invariant walker that audits allocator
 // and page-table state between interpreter quanta, a differential
 // oracle that runs every generated program across the full execution
-// matrix (tree-walker vs VM engine, boundary-tag heap vs pool
+// matrix (tree-walker vs compiled engine, boundary-tag heap vs pool
 // allocator, native vs shadow-analyzed vs defended-with-generated-
 // patches), and a minimizing reducer that shrinks failing programs
 // while preserving the failure signature.

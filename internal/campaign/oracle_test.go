@@ -11,8 +11,8 @@ func TestOracleCleanSeeds(t *testing.T) {
 	o := Oracle{}
 	seeds := uint64(30)
 	if raceEnabled {
-		// The compiled engine widened the matrix from 20 to 30 cells
-		// per seed; scale the raced band down accordingly.
+		// Every seed runs the full 20-cell matrix; scale the raced
+		// band down.
 		seeds = 5
 	}
 	for seed := uint64(0); seed < seeds; seed++ {

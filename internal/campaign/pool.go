@@ -19,15 +19,15 @@ import (
 // Workbench is the pooled oracle: it runs the same differential matrix
 // as Oracle.Check, but over recycled substrate. Oracle.Check rebuilds
 // every space, allocator, backend, telemetry collector, and executor
-// for each of the 30 cells of every seed — ~114 MB and ~6700
-// allocations per seed, almost all of it construction. The workbench
-// keeps one substrate instance per cell class alive across seeds and
-// recycles it through the proven Reset contracts (mem.Space's
-// dirty-page reset, the shadow backend's plane watermark, the
-// Defender's table re-establishment, the allocators' arena resets) —
-// the fleet runtime's pooled-context idiom applied to the whole oracle
-// matrix. The program also compiles once per seed, with the immutable
-// Compiled shared by every VM and tier-up cell.
+// for each of the 20 cells of every seed, so almost all of its memory
+// and allocations are construction. The workbench keeps one substrate
+// instance per cell class alive across seeds and recycles it through
+// the proven Reset contracts (mem.Space's dirty-page reset, the shadow
+// backend's plane watermark, the Defender's table re-establishment,
+// the allocators' arena resets) — the fleet runtime's pooled-context
+// idiom applied to the whole oracle matrix. The program is also
+// prepared once per (seed, engine), so every compiled-engine cell
+// shares one immutable bytecode and one closure cache.
 //
 // A Workbench is NOT safe for concurrent use; the sharded campaign
 // runtime (shard.go) gives each worker goroutine its own.
@@ -102,25 +102,23 @@ func (w *Workbench) Check(g *Generated) *Report {
 	}
 	coder := sys.Coder()
 
-	// One compile per seed, shared by every bytecode-engine cell. A
-	// program the system accepted but the compiler rejects is outside
-	// the pooled fast path; the fresh oracle reports it cell by cell.
-	var compiled *prog.Compiled
+	// One Prepare per (seed, engine), shared by every cell on that
+	// engine. A program the system accepted but the compiler rejects is
+	// outside the pooled fast path; the fresh oracle reports it cell by
+	// cell.
+	prepared := make(map[prog.Engine]*prog.Prepared, len(o.Engines))
 	for _, e := range o.Engines {
-		if e == prog.EngineVM || e == prog.EngineCompiled {
-			c, cerr := prog.Compile(g.Program, coder)
-			if cerr != nil {
-				return o.Check(g)
-			}
-			compiled = c
-			break
+		pp, err := prog.Prepare(g.Program, prog.Config{Coder: coder, MaxSteps: o.MaxSteps, Engine: e})
+		if err != nil {
+			return o.Check(g)
 		}
+		prepared[e] = pp
 	}
 
 	var attackRep *analysis.Report
 	for _, e := range o.Engines {
 		for _, attack := range []bool{false, true} {
-			out, r := w.runShadowCell(g, coder, compiled, e, attack)
+			out, r := w.runShadowCell(g, coder, prepared[e], e, attack)
 			if attack && attackRep == nil && r != nil {
 				attackRep = r
 			}
@@ -137,12 +135,12 @@ func (w *Workbench) Check(g *Generated) *Report {
 		for _, e := range o.Engines {
 			for _, attack := range []bool{false, true} {
 				cell := Cell{Mode: ModeNative, Alloc: alloc, Engine: e, Attack: attack}
-				rep.Outcomes = append(rep.Outcomes, w.runPooledCell(g, coder, compiled, cell, nil))
+				rep.Outcomes = append(rep.Outcomes, w.runPooledCell(g, prepared[e], cell, nil))
 				if patches != nil {
 					cell.Mode = ModeDefended
 					for _, pol := range o.Policies {
 						cell.Policy = pol
-						rep.Outcomes = append(rep.Outcomes, w.runPooledCell(g, coder, compiled, cell, patches))
+						rep.Outcomes = append(rep.Outcomes, w.runPooledCell(g, prepared[e], cell, patches))
 					}
 				}
 			}
@@ -157,25 +155,12 @@ func (w *Workbench) Check(g *Generated) *Report {
 	return rep
 }
 
-// execOn builds the cell's executor: the tree interpreter from the
-// AST, the VM and tier-up machine from the seed's shared Compiled.
-func execOn(p *prog.Program, compiled *prog.Compiled, cfg prog.Config) (prog.Exec, error) {
-	switch cfg.Engine {
-	case prog.EngineVM:
-		return prog.NewVM(compiled, cfg)
-	case prog.EngineCompiled:
-		return prog.NewMachine(compiled, cfg)
-	default:
-		return prog.NewExec(p, cfg)
-	}
-}
-
 // runShadowCell is the pooled counterpart of the shadow-cell body in
 // Oracle.Check: same analyzer, same report distillation, but over the
-// recycled shadow substrate and shared Compiled. The error strings
-// mirror analysis.Analyze's wrapping so error outcomes stay
+// recycled shadow substrate and the seed's shared Prepared. The error
+// strings mirror analysis.Analyze's wrapping so error outcomes stay
 // signature-identical too.
-func (w *Workbench) runShadowCell(g *Generated, coder *encoding.Coder, compiled *prog.Compiled, e prog.Engine, attack bool) (*Outcome, *analysis.Report) {
+func (w *Workbench) runShadowCell(g *Generated, coder *encoding.Coder, pp *prog.Prepared, e prog.Engine, attack bool) (*Outcome, *analysis.Report) {
 	o := w.oracle
 	out := &Outcome{Cell: Cell{Mode: ModeShadow, Engine: e, Attack: attack}}
 	if w.shadowBack == nil {
@@ -197,12 +182,7 @@ func (w *Workbench) runShadowCell(g *Generated, coder *encoding.Coder, compiled 
 			return out, nil
 		}
 	}
-	ex, err := execOn(g.Program, compiled, prog.Config{
-		Backend:  w.shadowBack,
-		Coder:    coder,
-		MaxSteps: o.MaxSteps,
-		Engine:   e,
-	})
+	ex, err := pp.NewExec(w.shadowBack)
 	if err != nil {
 		out.RunErr = fmt.Sprintf("analysis: building interpreter: %v", err)
 		return out, nil
@@ -228,7 +208,7 @@ func (w *Workbench) runShadowCell(g *Generated, coder *encoding.Coder, compiled 
 // runPooledCell is the pooled counterpart of Oracle.runCell: identical
 // cell semantics (walker attachment, panic recovery, stats and
 // telemetry capture) over recycled substrate.
-func (w *Workbench) runPooledCell(g *Generated, coder *encoding.Coder, compiled *prog.Compiled, cell Cell, patches *patch.Set) *Outcome {
+func (w *Workbench) runPooledCell(g *Generated, pp *prog.Prepared, cell Cell, patches *patch.Set) *Outcome {
 	o := w.oracle
 	out := &Outcome{Cell: cell}
 	fail := func(err error) *Outcome { out.RunErr = err.Error(); return out }
@@ -254,12 +234,7 @@ func (w *Workbench) runPooledCell(g *Generated, coder *encoding.Coder, compiled 
 		space, under, backend = nb.space, nb.under, nb.backend
 	}
 
-	ex, err := execOn(g.Program, compiled, prog.Config{
-		Backend:  backend,
-		Coder:    coder,
-		MaxSteps: o.MaxSteps,
-		Engine:   cell.Engine,
-	})
+	ex, err := pp.NewExec(backend)
 	if err != nil {
 		return fail(err)
 	}

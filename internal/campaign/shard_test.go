@@ -231,7 +231,7 @@ func TestRunMatrixSelection(t *testing.T) {
 		Workers: 2,
 		Gen:     GenConfig{Kinds: []VulnKind{DoubleFree}},
 		Oracle: Oracle{
-			Engines:    []prog.Engine{prog.EngineTree, prog.EngineVM},
+			Engines:    []prog.Engine{prog.EngineCompiled},
 			Allocators: []AllocKind{AllocPool},
 		},
 	})

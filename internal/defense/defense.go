@@ -822,8 +822,8 @@ func (d *Defender) Cycles() uint64 { return d.cycles }
 // TableGeneration returns the patch-table epoch: a counter that changes
 // whenever the table is (re)established — at construction and on every
 // Reset. A cached per-{FUN, CCID} verdict is valid exactly as long as
-// the generation it was probed under; consumers (the bytecode VM's
-// per-site inline caches) re-probe when the epoch moves. The count is
+// the generation it was probed under; consumers (the compiled
+// engine's per-site inline caches) re-probe when the epoch moves. The count is
 // bumped even when a Reset re-materializes identical patches: epoch
 // comparison is O(1) and never wrong, content comparison is neither.
 func (d *Defender) TableGeneration() uint64 { return d.gen }
@@ -836,7 +836,7 @@ func (d *Defender) SharedTable() *SealedTable { return d.shared }
 // table — the code-less patch rollout primitive. The old table is
 // untouched (other workers may still be probing it) and the swap bumps
 // the table generation, so every generation-keyed verdict cache (the
-// VM's and the compiled engine's per-site inline caches) revalidates
+// compiled engine's per-site inline caches) revalidates
 // against the new table on its next probe.
 //
 // Contract: only the owning goroutine may call this (the swap mutates

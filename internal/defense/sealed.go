@@ -97,7 +97,7 @@ func (t *SealedTable) Lookup(k patch.Key) (patch.TypeMask, int) {
 
 // Probe is Lookup minus the per-slot hit tally: the side-effect-free
 // variant backing Defender.ProbePatched. Verdict-cache revalidation in
-// the VM and compiled engines probes the table once per generation
+// the compiled engine probes the table once per generation
 // bump; counting those probes in the fleet-wide per-patch hit tally
 // would make the tally engine-dependent (it must count defended
 // allocations, which only the allocation-path Lookup performs).

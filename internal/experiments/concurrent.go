@@ -51,11 +51,11 @@ func ConcurrentServices(cfg Config) (*ConcurrentServicesResult, error) {
 				inputs[i] = []byte{byte(i)}
 			}
 
-			nat, err := runThreadsTotal(cfg.Engine, p, nil, false, inputs)
+			nat, err := runThreadsTotal(cfg.exec(), p, nil, false, inputs)
 			if err != nil {
 				return nil, err
 			}
-			def, err := runThreadsTotal(cfg.Engine, p, coder, true, inputs)
+			def, err := runThreadsTotal(cfg.exec(), p, coder, true, inputs)
 			if err != nil {
 				return nil, err
 			}
@@ -72,7 +72,7 @@ func ConcurrentServices(cfg Config) (*ConcurrentServicesResult, error) {
 // runThreadsTotal executes the program on n threads over one shared
 // backend and returns the aggregate cycle cost (per-thread interpreter
 // cycles plus the shared backend's total).
-func runThreadsTotal(engine prog.Engine, p *prog.Program, coder *encoding.Coder, defended bool, inputs [][]byte) (uint64, error) {
+func runThreadsTotal(ec prog.Config, p *prog.Program, coder *encoding.Coder, defended bool, inputs [][]byte) (uint64, error) {
 	space, err := mem.NewSpace(mem.Config{})
 	if err != nil {
 		return 0, err
@@ -91,7 +91,7 @@ func runThreadsTotal(engine prog.Engine, p *prog.Program, coder *encoding.Coder,
 		}
 		backend = nb
 	}
-	results, err := prog.RunThreads(p, prog.Config{Backend: backend, Coder: coder, Engine: engine}, inputs, prog.DefaultQuantum)
+	results, err := prog.RunThreads(p, prog.Config{Backend: backend, Coder: coder, Engine: ec.Engine, TierUp: ec.TierUp}, inputs, prog.DefaultQuantum)
 	if err != nil {
 		return 0, err
 	}

@@ -45,7 +45,7 @@ func EncodingOverhead(cfg Config) (*EncodingOverheadResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := newWorkbench(cfg.Engine, p)
+		w := newWorkbench(cfg.exec(), p)
 		base, err := w.runNative(nil)
 		if err != nil {
 			return nil, err

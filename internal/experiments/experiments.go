@@ -35,9 +35,9 @@ type Config struct {
 	Scale uint64
 	// Quick trims parameter sweeps for fast runs.
 	Quick bool
-	// Engine selects the execution substrate (tree interpreter,
-	// bytecode VM, or tier-up compiled machine). All three produce
-	// bit-identical measurements — locked in by
+	// Engine selects the execution substrate (tree interpreter or
+	// tier-up compiled machine). Both produce bit-identical
+	// measurements at any tier-up threshold — locked in by
 	// TestExperimentsEngineIndependent — so the choice only affects
 	// wall-clock time of the experiment harness itself.
 	Engine prog.Engine
@@ -45,6 +45,12 @@ type Config struct {
 	// a function is lowered to closure code); 0 means prog.DefaultTierUp.
 	// Only the tierup experiment and EngineCompiled runs consult it.
 	TierUp uint64
+}
+
+// exec is the executor configuration measured runs are built from: the
+// engine and its tier-up threshold.
+func (c Config) exec() prog.Config {
+	return prog.Config{Engine: c.Engine, TierUp: c.TierUp}
 }
 
 func (c Config) programConfig() workload.ProgramConfig {
@@ -69,7 +75,7 @@ type measured struct {
 
 // runOnce executes p on input with the given substrate and optional
 // coder, on a fresh address space.
-func runOnce(engine prog.Engine, p *prog.Program, coder *encoding.Coder, kind backendKind, patches *patch.Set, input []byte) (*measured, error) {
+func runOnce(ec prog.Config, p *prog.Program, coder *encoding.Coder, kind backendKind, patches *patch.Set, input []byte) (*measured, error) {
 	space, err := mem.NewSpace(mem.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: creating space: %w", err)
@@ -100,7 +106,7 @@ func runOnce(engine prog.Engine, p *prog.Program, coder *encoding.Coder, kind ba
 	default:
 		return nil, fmt.Errorf("experiments: unknown backend kind %d", kind)
 	}
-	it, err := execFor(engine, p, coder, backend)
+	it, err := execFor(ec, p, coder, backend)
 	if err != nil {
 		return nil, err
 	}
@@ -165,9 +171,9 @@ type rankedCCID struct {
 // the ordering the paper's median-frequency patch-selection protocol
 // indexes into. Profiling is deterministic, so one ranking serves
 // every deployment level of an experiment.
-func profileCCIDs(engine prog.Engine, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend) ([]rankedCCID, error) {
+func profileCCIDs(ec prog.Config, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend) ([]rankedCCID, error) {
 	rec := &ccidRecorder{HeapBackend: backend, counts: make(map[patch.Key]uint64)}
-	it, err := execFor(engine, p, coder, rec)
+	it, err := execFor(ec, p, coder, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +220,7 @@ func selectMedianPatches(ranked []rankedCCID, n int) *patch.Set {
 
 // medianCCIDPatches profiles p on a fresh native substrate and selects
 // n median-frequency patches (profileCCIDs + selectMedianPatches).
-func medianCCIDPatches(engine prog.Engine, p *prog.Program, coder *encoding.Coder, n int) (*patch.Set, error) {
+func medianCCIDPatches(ec prog.Config, p *prog.Program, coder *encoding.Coder, n int) (*patch.Set, error) {
 	space, err := mem.NewSpace(mem.Config{})
 	if err != nil {
 		return nil, err
@@ -223,7 +229,7 @@ func medianCCIDPatches(engine prog.Engine, p *prog.Program, coder *encoding.Code
 	if err != nil {
 		return nil, err
 	}
-	ranked, err := profileCCIDs(engine, p, coder, nb)
+	ranked, err := profileCCIDs(ec, p, coder, nb)
 	if err != nil {
 		return nil, err
 	}

@@ -49,7 +49,7 @@ func Figure8(cfg Config) (*Figure8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := newWorkbench(cfg.Engine, p)
+		w := newWorkbench(cfg.exec(), p)
 		base, err := w.runNative(nil)
 		if err != nil {
 			return nil, err
@@ -188,11 +188,11 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		natAvg, natPeak, err := runSampled(cfg.Engine, p, nil, backendNative)
+		natAvg, natPeak, err := runSampled(cfg.exec(), p, nil, backendNative)
 		if err != nil {
 			return nil, err
 		}
-		defAvg, defPeak, err := runSampled(cfg.Engine, p, coder, backendFull)
+		defAvg, defPeak, err := runSampled(cfg.exec(), p, coder, backendFull)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +209,7 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 
 // runSampled executes p with footprint sampling and returns the
 // average and peak live-heap bytes.
-func runSampled(engine prog.Engine, p *prog.Program, coder *encoding.Coder, kind backendKind) (avg, peak uint64, err error) {
+func runSampled(ec prog.Config, p *prog.Program, coder *encoding.Coder, kind backendKind) (avg, peak uint64, err error) {
 	space, err := mem.NewSpace(mem.Config{})
 	if err != nil {
 		return 0, 0, err
@@ -232,7 +232,7 @@ func runSampled(engine prog.Engine, p *prog.Program, coder *encoding.Coder, kind
 		inner, heap = db, db.Defender().Heap()
 	}
 	sampler := &rssSampler{HeapBackend: inner, heap: heap}
-	it, err := execFor(engine, p, coder, sampler)
+	it, err := execFor(ec, p, coder, sampler)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -267,5 +267,5 @@ func (r *Figure9Result) Render() string {
 // Figure8PatchSelection exposes the median-CCID patch-selection
 // protocol for external harnesses (bench_test.go).
 func Figure8PatchSelection(p *prog.Program, coder *encoding.Coder, n int) (*patch.Set, error) {
-	return medianCCIDPatches(prog.EngineTree, p, coder, n)
+	return medianCCIDPatches(prog.Config{}, p, coder, n)
 }

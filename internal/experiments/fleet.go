@@ -64,7 +64,7 @@ func Fleet(cfg Config) (*FleetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	patches, err := medianCCIDPatches(cfg.Engine, p, coder, 4)
+	patches, err := medianCCIDPatches(cfg.exec(), p, coder, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func Fleet(cfg Config) (*FleetResult, error) {
 
 	var defendedBase float64
 	for _, w := range workerCounts {
-		native, err := measure(fleet.New(fleet.Config{Workers: w, Engine: cfg.Engine}))
+		native, err := measure(fleet.New(fleet.Config{Workers: w, Engine: cfg.Engine, TierUp: cfg.TierUp}))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fleet native w=%d: %w", w, err)
 		}
@@ -100,6 +100,7 @@ func Fleet(cfg Config) (*FleetResult, error) {
 			Defended: true,
 			Patches:  patches,
 			Engine:   cfg.Engine,
+			TierUp:   cfg.TierUp,
 		}))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fleet defended w=%d: %w", w, err)

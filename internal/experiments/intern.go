@@ -47,9 +47,11 @@ type coderKey struct {
 	kind   encoding.EncoderKind
 }
 
-type compiledKey struct {
-	p     *prog.Program
-	coder *encoding.Coder
+type preparedKey struct {
+	p      *prog.Program
+	coder  *encoding.Coder
+	engine prog.Engine
+	tierUp uint64
 }
 
 type graphEntry struct {
@@ -69,7 +71,7 @@ var intern = struct {
 	graphs   map[string]graphEntry
 	plans    map[planKey]*encoding.Plan
 	coders   map[coderKey]*encoding.Coder
-	compiled map[compiledKey]*prog.Compiled
+	prepared map[preparedKey]*prog.Prepared
 }{
 	planner:  encoding.NewPlanner(),
 	programs: make(map[progKey]*prog.Program),
@@ -77,7 +79,7 @@ var intern = struct {
 	graphs:   make(map[string]graphEntry),
 	plans:    make(map[planKey]*encoding.Plan),
 	coders:   make(map[coderKey]*encoding.Coder),
-	compiled: make(map[compiledKey]*prog.Compiled),
+	prepared: make(map[preparedKey]*prog.Prepared),
 }
 
 // internedProgram returns the shared program for (benchmark, scale,
@@ -166,53 +168,44 @@ func internedCoder(g *callgraph.Graph, targets []callgraph.NodeID, scheme encodi
 	return c, nil
 }
 
-// internedCompiled returns bytecode for (program, coder), cached when
-// the program is itself interned; ad-hoc programs compile fresh so the
-// cache holds only the benchmark set.
-func internedCompiled(p *prog.Program, coder *encoding.Coder) (*prog.Compiled, error) {
-	key := compiledKey{p: p, coder: coder}
+// internedPrepared returns p prepared for coder and ec's engine and
+// tier-up threshold, cached when the program is itself interned;
+// ad-hoc programs prepare fresh so the cache holds only the benchmark
+// set.
+func internedPrepared(p *prog.Program, coder *encoding.Coder, ec prog.Config) (*prog.Prepared, error) {
+	key := preparedKey{p: p, coder: coder, engine: ec.Engine, tierUp: ec.TierUp}
 	intern.mu.Lock()
 	cached := intern.progSet[p]
 	if cached {
-		if c, ok := intern.compiled[key]; ok {
+		if pp, ok := intern.prepared[key]; ok {
 			intern.mu.Unlock()
-			return c, nil
+			return pp, nil
 		}
 	}
 	intern.mu.Unlock()
-	c, err := prog.Compile(p, coder)
+	pp, err := prog.Prepare(p, prog.Config{Coder: coder, Engine: ec.Engine, TierUp: ec.TierUp})
 	if err != nil {
 		return nil, err
 	}
 	if cached {
 		intern.mu.Lock()
-		intern.compiled[key] = c
+		intern.prepared[key] = pp
 		intern.mu.Unlock()
 	}
-	return c, nil
+	return pp, nil
 }
 
-// execFor builds an executor like prog.NewExec but routes the bytecode
-// engines through the compiled-bytecode cache, so repeated runs of the
-// same (program, coder) pair compile once. The tier-up machine uses
-// the default promotion threshold; experiments that sweep thresholds
-// construct their machines directly.
-func execFor(engine prog.Engine, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend) (prog.Exec, error) {
-	switch engine {
-	case prog.EngineTree:
-		return prog.New(p, prog.Config{Backend: backend, Coder: coder})
-	case prog.EngineVM, prog.EngineCompiled:
-		c, err := internedCompiled(p, coder)
-		if err != nil {
-			return nil, err
-		}
-		if engine == prog.EngineCompiled {
-			return prog.NewMachine(c, prog.Config{Backend: backend, Coder: coder})
-		}
-		return prog.NewVM(c, prog.Config{Backend: backend, Coder: coder})
-	default:
-		return nil, fmt.Errorf("experiments: unknown engine %v", engine)
+// execFor builds an executor like prog.NewExec but through the
+// prepared-program cache, so repeated runs of the same (program,
+// coder) pair compile once and share one closure cache. The tier-up
+// machine uses the default promotion threshold; experiments that
+// sweep thresholds prepare their own programs.
+func execFor(ec prog.Config, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend) (prog.Exec, error) {
+	pp, err := internedPrepared(p, coder, ec)
+	if err != nil {
+		return nil, err
 	}
+	return pp.NewExec(backend)
 }
 
 // workbench recycles the mutable execution substrate — address
@@ -222,8 +215,8 @@ func execFor(engine prog.Engine, p *prog.Program, coder *encoding.Coder, backend
 // bit-identically to a fresh one, so only construction cost is
 // eliminated, never measurement.
 type workbench struct {
-	engine prog.Engine
-	p      *prog.Program
+	ec prog.Config // engine and tier-up threshold
+	p  *prog.Program
 
 	space  *mem.Space
 	native *prog.NativeBackend
@@ -232,8 +225,8 @@ type workbench struct {
 	dspace *mem.Space
 }
 
-func newWorkbench(engine prog.Engine, p *prog.Program) *workbench {
-	return &workbench{engine: engine, p: p, execs: make(map[*encoding.Coder]prog.Exec)}
+func newWorkbench(ec prog.Config, p *prog.Program) *workbench {
+	return &workbench{ec: ec, p: p, execs: make(map[*encoding.Coder]prog.Exec)}
 }
 
 // nativeBackend returns the recycled native backend, reset and ready
@@ -267,7 +260,7 @@ func (w *workbench) runNative(coder *encoding.Coder) (*measured, error) {
 	}
 	it, ok := w.execs[coder]
 	if !ok {
-		it, err = execFor(w.engine, w.p, coder, nb)
+		it, err = execFor(w.ec, w.p, coder, nb)
 		if err != nil {
 			return nil, err
 		}
@@ -301,7 +294,7 @@ func (w *workbench) runDefended(coder *encoding.Coder, mode defense.Mode, patche
 	if err != nil {
 		return nil, err
 	}
-	it, err := execFor(w.engine, w.p, coder, db)
+	it, err := execFor(w.ec, w.p, coder, db)
 	if err != nil {
 		return nil, err
 	}
@@ -322,5 +315,5 @@ func (w *workbench) profile(coder *encoding.Coder) ([]rankedCCID, error) {
 	if err != nil {
 		return nil, err
 	}
-	return profileCCIDs(w.engine, w.p, coder, nb)
+	return profileCCIDs(w.ec, w.p, coder, nb)
 }

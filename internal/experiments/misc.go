@@ -34,7 +34,7 @@ func TableIV(cfg Config) (*TableIVResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := runOnce(cfg.Engine, p, nil, backendNative, nil, nil)
+		m, err := runOnce(cfg.exec(), p, nil, backendNative, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -107,11 +107,11 @@ func Services(cfg Config) (*ServicesResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			base, err := runOnce(cfg.Engine, p, nil, backendNative, nil, nil)
+			base, err := runOnce(cfg.exec(), p, nil, backendNative, nil, nil)
 			if err != nil {
 				return nil, err
 			}
-			m, err := runOnce(cfg.Engine, p, coder, backendFull, nil, nil)
+			m, err := runOnce(cfg.exec(), p, coder, backendFull, nil, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -54,7 +54,7 @@ func TelemetryOverhead(cfg Config) (*TelemetryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	patches, err := medianCCIDPatches(cfg.Engine, p, coder, 4)
+	patches, err := medianCCIDPatches(cfg.exec(), p, coder, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func TelemetryOverhead(cfg Config) (*TelemetryResult, error) {
 		return best, nil
 	}
 
-	base := fleet.Config{Workers: workers, Defended: true, Patches: patches, Engine: cfg.Engine}
+	base := fleet.Config{Workers: workers, Defended: true, Patches: patches, Engine: cfg.Engine, TierUp: cfg.TierUp}
 	disabled, err := measure(fleet.New(base))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: telemetry disabled pass: %w", err)

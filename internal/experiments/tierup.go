@@ -11,38 +11,34 @@ import (
 	"heaptherapy/internal/prog"
 )
 
-// TierUpRow is one benchmark's three-engine comparison.
+// TierUpRow is one benchmark's two-engine comparison.
 type TierUpRow struct {
 	Bench string
 	// Per-run wall-clock nanoseconds on each engine, measured at steady
 	// state (the compiled machine is warmed past its promotion threshold
 	// before timing, so the row reports the closure tier, not compilation).
 	TreeNsOp     float64
-	VMNsOp       float64
 	CompiledNsOp float64
-	// SpeedupVsTree / SpeedupVsVM are the compiled engine's ratios.
+	// SpeedupVsTree is the compiled engine's ratio.
 	SpeedupVsTree float64
-	SpeedupVsVM   float64
 	// Promotions is how many functions the machine lowered to closures.
 	Promotions uint64
 	// Cycles is the engine-independent virtual-cycle cost of one run;
-	// the harness asserts all three engines report exactly this value.
+	// the harness asserts both engines report exactly this value.
 	Cycles uint64
 }
 
 // TierUpComparisonResult reports the tier-up compiled engine's
-// wall-clock advantage over the bytecode VM and the tree-walker on
-// encoded-call-heavy workloads: programs whose inner loops are
+// wall-clock advantage over the tree-walker on encoded-call-heavy
+// workloads: programs whose inner loops are
 // dominated by instrumented call dispatch (every call pays a
 // SiteUpdate) with the simulated allocator kept cold, so the spread
 // between engines is pure interpretation overhead — the dimension the
 // closure tier is built to compress.
 type TierUpComparisonResult struct {
 	Rows []TierUpRow
-	// GeomeanVsVM / GeomeanVsTree are geometric-mean compiled-engine
-	// speedups across benchmarks. The committed baseline requires
-	// GeomeanVsVM >= 1.5 on this suite.
-	GeomeanVsVM   float64
+	// GeomeanVsTree is the geometric-mean compiled-engine speedup
+	// across benchmarks.
 	GeomeanVsTree float64
 	// Threshold is the promotion threshold the machines ran with.
 	Threshold uint64
@@ -181,8 +177,8 @@ func tierUpBackend() (*prog.NativeBackend, error) {
 	return prog.NewNativeBackend(space)
 }
 
-// TierUpComparison times all three engines on the encoded-call suite
-// at steady state and cross-checks their virtual-cycle accounts.
+// TierUpComparison times both engines on the encoded-call suite at
+// steady state and cross-checks their virtual-cycle accounts.
 func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 	threshold := cfg.TierUp
 	if threshold == 0 {
@@ -193,65 +189,35 @@ func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 		reps = 5
 	}
 	out := &TierUpComparisonResult{Threshold: threshold}
-	logVM, logTree, n := 0.0, 0.0, 0
+	logTree, n := 0.0, 0
 	for _, b := range tierUpBenchmarks(cfg.Quick) {
 		coder, err := tierUpCoder(b.p)
-		if err != nil {
-			return nil, err
-		}
-		compiled, err := prog.Compile(b.p, coder)
 		if err != nil {
 			return nil, err
 		}
 
 		// One executor per engine, one warmup run (past the promotion
 		// threshold for the machine), then timed steady-state reps.
-		type timedRun struct {
-			run func(*prog.Result) error
-		}
-		newEngine := func(engine prog.Engine) (timedRun, *prog.Machine, error) {
-			backend, err := tierUpBackend()
-			if err != nil {
-				return timedRun{}, nil, err
-			}
-			pcfg := prog.Config{Backend: backend, Coder: coder, TierUp: threshold}
-			switch engine {
-			case prog.EngineTree:
-				it, err := prog.New(b.p, pcfg)
-				if err != nil {
-					return timedRun{}, nil, err
-				}
-				return timedRun{func(res *prog.Result) error {
-					r, err := it.Run(nil)
-					if err == nil {
-						*res = *r
-					}
-					return err
-				}}, nil, nil
-			case prog.EngineVM:
-				vm, err := prog.NewVM(compiled, pcfg)
-				if err != nil {
-					return timedRun{}, nil, err
-				}
-				return timedRun{func(res *prog.Result) error { return vm.RunReuse(res, nil) }}, nil, nil
-			default:
-				m, err := prog.NewMachine(compiled, pcfg)
-				if err != nil {
-					return timedRun{}, nil, err
-				}
-				return timedRun{func(res *prog.Result) error { return m.RunReuse(res, nil) }}, m, nil
-			}
-		}
-
 		time1 := func(engine prog.Engine) (float64, uint64, uint64, error) {
-			tr, m, err := newEngine(engine)
+			ex, err := tierUpExec(b.p, coder, engine, threshold)
 			if err != nil {
 				return 0, 0, 0, err
+			}
+			run := func(res *prog.Result) error {
+				r, err := ex.Run(nil)
+				if err == nil {
+					*res = *r
+				}
+				return err
+			}
+			m, _ := ex.(*prog.Machine)
+			if m != nil {
+				run = func(res *prog.Result) error { return m.RunReuse(res, nil) }
 			}
 			var res prog.Result
 			warmups := 1 + int(threshold)
 			for w := 0; w < warmups; w++ {
-				if err := tr.run(&res); err != nil {
+				if err := run(&res); err != nil {
 					return 0, 0, 0, err
 				}
 				if res.Crashed() {
@@ -263,7 +229,7 @@ func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 			}
 			start := time.Now()
 			for r := 0; r < reps; r++ {
-				if err := tr.run(&res); err != nil {
+				if err := run(&res); err != nil {
 					return 0, 0, 0, err
 				}
 			}
@@ -279,31 +245,24 @@ func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		vmNs, vmCyc, _, err := time1(prog.EngineVM)
-		if err != nil {
-			return nil, err
-		}
 		compNs, compCyc, promos, err := time1(prog.EngineCompiled)
 		if err != nil {
 			return nil, err
 		}
-		if treeCyc != vmCyc || treeCyc != compCyc {
-			return nil, fmt.Errorf("experiments: %s: engines disagree on cycles (tree %d, vm %d, compiled %d)",
-				b.name, treeCyc, vmCyc, compCyc)
+		if treeCyc != compCyc {
+			return nil, fmt.Errorf("experiments: %s: engines disagree on cycles (tree %d, compiled %d)",
+				b.name, treeCyc, compCyc)
 		}
-		row := TierUpRow{Bench: b.name, TreeNsOp: treeNs, VMNsOp: vmNs, CompiledNsOp: compNs,
+		row := TierUpRow{Bench: b.name, TreeNsOp: treeNs, CompiledNsOp: compNs,
 			Promotions: promos, Cycles: treeCyc}
 		if compNs > 0 {
 			row.SpeedupVsTree = treeNs / compNs
-			row.SpeedupVsVM = vmNs / compNs
 			logTree += math.Log(row.SpeedupVsTree)
-			logVM += math.Log(row.SpeedupVsVM)
 			n++
 		}
 		out.Rows = append(out.Rows, row)
 	}
 	if n > 0 {
-		out.GeomeanVsVM = math.Exp(logVM / float64(n))
 		out.GeomeanVsTree = math.Exp(logTree / float64(n))
 	}
 	allocs, err := tierUpSteadyStateAllocs(threshold)
@@ -314,6 +273,16 @@ func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 	return out, nil
 }
 
+// tierUpExec builds one executor for p on engine over a fresh native
+// backend.
+func tierUpExec(p *prog.Program, coder *encoding.Coder, engine prog.Engine, threshold uint64) (prog.Exec, error) {
+	backend, err := tierUpBackend()
+	if err != nil {
+		return nil, err
+	}
+	return prog.NewExec(p, prog.Config{Backend: backend, Coder: coder, Engine: engine, TierUp: threshold})
+}
+
 // tierUpSteadyStateAllocs measures Go allocations per fully-promoted
 // machine run on the first suite benchmark.
 func tierUpSteadyStateAllocs(threshold uint64) (float64, error) {
@@ -322,18 +291,11 @@ func tierUpSteadyStateAllocs(threshold uint64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c, err := prog.Compile(b.p, coder)
+	ex, err := tierUpExec(b.p, coder, prog.EngineCompiled, threshold)
 	if err != nil {
 		return 0, err
 	}
-	backend, err := tierUpBackend()
-	if err != nil {
-		return 0, err
-	}
-	m, err := prog.NewMachine(c, prog.Config{Backend: backend, Coder: coder, TierUp: threshold})
-	if err != nil {
-		return 0, err
-	}
+	m := ex.(*prog.Machine)
 	var res prog.Result
 	for w := 0; w < 1+int(threshold); w++ {
 		if err := m.RunReuse(&res, nil); err != nil {
@@ -354,20 +316,18 @@ func tierUpSteadyStateAllocs(threshold uint64) (float64, error) {
 
 // Render prints the comparison.
 func (r *TierUpComparisonResult) Render() string {
-	header := []string{"Benchmark", "tree ns/op", "vm ns/op", "compiled ns/op", "vs vm", "vs tree", "promoted", "cycles (equal)"}
+	header := []string{"Benchmark", "tree ns/op", "compiled ns/op", "vs tree", "promoted", "cycles (equal)"}
 	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			row.Bench,
 			fmt.Sprintf("%.0f", row.TreeNsOp),
-			fmt.Sprintf("%.0f", row.VMNsOp),
 			fmt.Sprintf("%.0f", row.CompiledNsOp),
-			fmt.Sprintf("%.2fx", row.SpeedupVsVM),
 			fmt.Sprintf("%.2fx", row.SpeedupVsTree),
 			fmt.Sprintf("%d", row.Promotions),
 			fmt.Sprintf("%d", row.Cycles),
 		})
 	}
-	return fmt.Sprintf("Tier-up compiled engine on encoded-call-heavy workloads (threshold %d; geomean %.2fx vs vm, %.2fx vs tree; virtual cycles verified equal; steady-state compiled allocs/run %.0f)\n",
-		r.Threshold, r.GeomeanVsVM, r.GeomeanVsTree, r.SteadyStateAllocs) + table(header, rows)
+	return fmt.Sprintf("Tier-up compiled engine on encoded-call-heavy workloads (threshold %d; geomean %.2fx vs tree; virtual cycles verified equal; steady-state compiled allocs/run %.0f)\n",
+		r.Threshold, r.GeomeanVsTree, r.SteadyStateAllocs) + table(header, rows)
 }

@@ -10,11 +10,23 @@ import (
 	"heaptherapy/internal/prog"
 )
 
-// runOnEngine is runOn with an explicit engine: one request on a
-// context, snapshotted.
-func runOnEngine(t *testing.T, engine prog.Engine, ctx *Context, p *prog.Program, coder *encoding.Coder, input []byte) snapshot {
+// neverPromote is a tier-up threshold no test run reaches: a compiled
+// machine configured with it stays on the cold bytecode tier.
+const neverPromote = 1 << 40
+
+// machineTiers are the two compiled-machine configurations every
+// engine cross-test compares with the tree interpreter: cold-only and
+// immediately promoting.
+var machineTiers = []struct {
+	name   string
+	tierUp uint64
+}{{"cold", neverPromote}, {"hot", 1}}
+
+// runOnMachine is runOn on a compiled machine with the given tier-up
+// threshold: one request on a context, snapshotted.
+func runOnMachine(t *testing.T, tierUp uint64, ctx *Context, p *prog.Program, coder *encoding.Coder, input []byte) snapshot {
 	t.Helper()
-	it, err := prog.NewExec(p, prog.Config{Backend: ctx.Backend(), Coder: coder, Engine: engine})
+	it, err := newMachine(ctx, p, coder, tierUp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +37,13 @@ func runOnEngine(t *testing.T, engine prog.Engine, ctx *Context, p *prog.Program
 	return snap(t, res, ctx.Defender())
 }
 
-// TestFleetVMBitIdenticalAcrossReset: requests served by the bytecode
-// VM on a RECYCLED context must be bit-identical to the same requests
+func newMachine(ctx *Context, p *prog.Program, coder *encoding.Coder, tierUp uint64) (prog.Exec, error) {
+	return prog.NewExec(p, prog.Config{Backend: ctx.Backend(), Coder: coder, Engine: prog.EngineCompiled, TierUp: tierUp})
+}
+
+// TestFleetVMBitIdenticalAcrossReset: requests served by the compiled
+// machine — on either tier — on a RECYCLED context must be
+// bit-identical to the same requests
 // served by the tree interpreter on FRESH contexts — the strongest
 // cross-product of the two equivalence claims (engine identity and
 // recycling identity), over both allocators, including the guard-page
@@ -52,31 +69,32 @@ func TestFleetVMBitIdenticalAcrossReset(t *testing.T) {
 			t.Run(kind.String()+"/"+c.name, func(t *testing.T) {
 				cfg := Config{Workers: 1, Defended: true, Patches: c.patches, Alloc: kind}
 
-				// VM over one recycled context.
-				vmFleet := New(cfg)
-				ctx, err := vmFleet.newContext()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var vmSnaps []snapshot
-				for _, in := range c.inputs {
-					vmSnaps = append(vmSnaps, runOnEngine(t, prog.EngineVM, ctx, c.p, c.coder, in))
-					if err := ctx.Reset(); err != nil {
-						t.Fatal(err)
-					}
-				}
-
 				// Tree over fresh contexts.
 				freshFleet := New(cfg)
-				for i, in := range c.inputs {
+				var want []snapshot
+				for _, in := range c.inputs {
 					fresh, err := freshFleet.newContext()
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := runOn(t, fresh, c.p, c.coder, in)
-					if vmSnaps[i] != want {
-						t.Errorf("request %d (%x): recycled VM diverges from fresh tree\nvm:   %+v\ntree: %+v",
-							i, in, vmSnaps[i], want)
+					want = append(want, runOn(t, fresh, c.p, c.coder, in))
+				}
+
+				// Each machine tier over one recycled context.
+				for _, tier := range machineTiers {
+					ctx, err := New(cfg).newContext()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, in := range c.inputs {
+						got := runOnMachine(t, tier.tierUp, ctx, c.p, c.coder, in)
+						if got != want[i] {
+							t.Errorf("request %d (%x): recycled %s machine diverges from fresh tree\n%s: %+v\ntree: %+v",
+								i, in, tier.name, tier.name, got, want[i])
+						}
+						if err := ctx.Reset(); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 			})
@@ -85,7 +103,7 @@ func TestFleetVMBitIdenticalAcrossReset(t *testing.T) {
 }
 
 // TestFleetVMReusedInstanceAcrossReset pins the inline-cache
-// invalidation contract: ONE VM instance kept alive across
+// invalidation contract: ONE compiled machine per tier kept alive across
 // Context.Reset must observe the rebuilt patch table (the defender
 // bumps its generation on Reset) and still produce bit-identical
 // snapshots to fresh tree-interpreter contexts. A stale verdict cache
@@ -95,45 +113,46 @@ func TestFleetVMReusedInstanceAcrossReset(t *testing.T) {
 	coder, patches := analyzeUAF(t, p)
 	cfg := Config{Workers: 1, Defended: true, Patches: patches}
 
-	f := New(cfg)
-	ctx, err := f.newContext()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := prog.NewExec(p, prog.Config{Backend: ctx.Backend(), Coder: coder, Engine: prog.EngineVM})
-	if err != nil {
-		t.Fatal(err)
-	}
 	inputs := [][]byte{{0x00}, {0xEE}, {0x00}, {0xEE}, {0xEE}}
-	var vmSnaps []snapshot
-	for _, in := range inputs {
-		res, err := vm.Run(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vmSnaps = append(vmSnaps, snap(t, res, ctx.Defender()))
-		if err := ctx.Reset(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	freshFleet := New(cfg)
-	for i, in := range inputs {
+	var want []snapshot
+	for _, in := range inputs {
 		fresh, err := freshFleet.newContext()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := runOn(t, fresh, p, coder, in)
-		if vmSnaps[i] != want {
-			t.Errorf("request %d: reused VM across Reset diverges from fresh tree\nvm:   %+v\ntree: %+v",
-				i, vmSnaps[i], want)
+		want = append(want, runOn(t, fresh, p, coder, in))
+	}
+
+	for _, tier := range machineTiers {
+		ctx, err := New(cfg).newContext()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := newMachine(ctx, p, coder, tier.tierUp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, in := range inputs {
+			res, err := m.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := snap(t, res, ctx.Defender()); got != want[i] {
+				t.Errorf("request %d: reused %s machine across Reset diverges from fresh tree\n%s: %+v\ntree: %+v",
+					i, tier.name, tier.name, got, want[i])
+			}
+			if err := ctx.Reset(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
 
 // TestFleetServeEngines: full parallel Serve must return the same
-// per-request results and merged fleet statistics under all three
-// engines. The compiled serve uses a tier-up threshold in the middle
+// per-request results and merged fleet statistics on the tree
+// interpreter and on compiled machines that never promote, promote
+// mid-corpus, or promote immediately. The compiled serve uses a tier-up threshold in the middle
 // of the per-worker request count, so workers promote functions while
 // the corpus is in flight and later requests run on closure code the
 // earlier ones compiled — through the shared fleet-wide cache.
@@ -163,7 +182,7 @@ func TestFleetServeEngines(t *testing.T) {
 		engine prog.Engine
 		tierUp uint64
 	}{
-		{"vm", prog.EngineVM, 0},
+		{"compiled-cold", prog.EngineCompiled, neverPromote},
 		{"compiled-mid-corpus", prog.EngineCompiled, 3},
 		{"compiled-immediate", prog.EngineCompiled, 1},
 	} {

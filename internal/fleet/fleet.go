@@ -87,13 +87,13 @@ type Config struct {
 	// (0 = defense.DefaultQueueQuota).
 	QueueQuota uint64
 	// Engine selects each worker's execution substrate (tree
-	// interpreter, bytecode VM, or tier-up compiled engine). Under
-	// EngineVM and EngineCompiled, Serve compiles the program once and
-	// every worker runs the shared immutable bytecode with its own
-	// private state — the same shape as the sealed patch table: one
-	// read-only artifact, many readers. EngineCompiled additionally
-	// shares one closure cache, so a hot function any worker promotes
-	// is compiled exactly once fleet-wide.
+	// interpreter or tier-up compiled engine). Serve prepares the
+	// program once (prog.Prepare); under EngineCompiled every worker
+	// runs the shared immutable bytecode with its own private state —
+	// the same shape as the sealed patch table: one read-only
+	// artifact, many readers — and shares one closure cache, so a hot
+	// function any worker promotes is compiled exactly once
+	// fleet-wide.
 	Engine prog.Engine
 	// TierUp is the compiled engine's promotion threshold (0 =
 	// prog.DefaultTierUp). Ignored by the other engines.
@@ -299,24 +299,11 @@ func (f *Fleet) Serve(p *prog.Program, coder *encoding.Coder, inputs [][]byte) (
 		workers = n
 	}
 
-	// Under the bytecode engines the program is translated once per
-	// Serve and shared read-only by every worker; the compiled engine
-	// also shares one closure cache so each hot function is lowered at
-	// most once fleet-wide, no matter which worker promotes it first.
-	var compiled *prog.Compiled
-	var closures *prog.ClosureCache
-	switch f.cfg.Engine {
-	case prog.EngineTree:
-	case prog.EngineVM, prog.EngineCompiled:
-		var err error
-		if compiled, err = prog.Compile(p, coder); err != nil {
-			return nil, fmt.Errorf("fleet: compiling program: %w", err)
-		}
-		if f.cfg.Engine == prog.EngineCompiled {
-			closures = prog.NewClosureCache(compiled)
-		}
-	default:
-		return nil, fmt.Errorf("fleet: unknown engine %v", f.cfg.Engine)
+	// The program is prepared once per Serve and shared read-only by
+	// every worker (see Config.Engine).
+	pp, err := prog.Prepare(p, prog.Config{Coder: coder, Engine: f.cfg.Engine, TierUp: f.cfg.TierUp})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: preparing program: %w", err)
 	}
 
 	results := make([]*prog.Result, n)
@@ -327,7 +314,7 @@ func (f *Fleet) Serve(p *prog.Program, coder *encoding.Coder, inputs [][]byte) (
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = f.serveWorker(p, compiled, closures, coder, inputs, results, &next)
+			errs[w] = f.serveWorker(pp, inputs, results, &next)
 		}(w)
 	}
 	wg.Wait()
@@ -342,23 +329,12 @@ func (f *Fleet) Serve(p *prog.Program, coder *encoding.Coder, inputs [][]byte) (
 
 // serveWorker is one worker goroutine's request loop over its private
 // context.
-func (f *Fleet) serveWorker(p *prog.Program, compiled *prog.Compiled, closures *prog.ClosureCache, coder *encoding.Coder, inputs [][]byte, results []*prog.Result, next *atomic.Int64) error {
+func (f *Fleet) serveWorker(pp *prog.Prepared, inputs [][]byte, results []*prog.Result, next *atomic.Int64) error {
 	ctx, err := f.Acquire()
 	if err != nil {
 		return err
 	}
-	var it prog.Exec
-	switch {
-	case closures != nil:
-		it, err = prog.NewMachine(compiled, prog.Config{
-			Backend: ctx.backend, Coder: coder,
-			TierUp: f.cfg.TierUp, Closures: closures,
-		})
-	case compiled != nil:
-		it, err = prog.NewVM(compiled, prog.Config{Backend: ctx.backend, Coder: coder})
-	default:
-		it, err = prog.New(p, prog.Config{Backend: ctx.backend, Coder: coder})
-	}
+	it, err := pp.NewExec(ctx.backend)
 	if err != nil {
 		f.Release(ctx)
 		return fmt.Errorf("fleet: interpreter: %w", err)

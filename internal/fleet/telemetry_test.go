@@ -94,8 +94,9 @@ func TestFleetTelemetryMerge(t *testing.T) {
 // served single-worker so the event stream is deterministic, must
 // produce identical telemetry — counter totals, sealed-table patch-hit
 // tallies, and the full retained event trace, sequence numbers
-// included — whether requests execute on the tree interpreter, the
-// bytecode VM, or the tier-up machine promoting functions mid-corpus.
+// included — whether requests execute on the tree interpreter, a
+// compiled machine that never promotes, or one promoting functions
+// mid-corpus.
 // A compiled closure that skipped an allocator event, double-counted a
 // patch hit, or reordered the trace would diverge here.
 func TestFleetTelemetryEngineParity(t *testing.T) {
@@ -125,7 +126,7 @@ func TestFleetTelemetryEngineParity(t *testing.T) {
 		engine prog.Engine
 		tierUp uint64
 	}{
-		{"vm", prog.EngineVM, 0},
+		{"compiled-cold", prog.EngineCompiled, neverPromote},
 		{"compiled-mid-corpus", prog.EngineCompiled, 3},
 	} {
 		snap, stats := serve(c.engine, c.tierUp)

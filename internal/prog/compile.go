@@ -1,7 +1,8 @@
 package prog
 
-// The bytecode compiler. Compile lowers a linked Program's AST once
-// into a flat instruction stream executed by the register VM (vm.go):
+// The bytecode compiler. compile lowers a linked Program's AST once
+// into a flat instruction stream executed by the compiled engine's
+// Machine (jit.go), whose cold tier interprets it directly:
 //
 //   - every function body becomes a contiguous run of fixed-size
 //     instructions in one shared []instr, with If/While lowered to
@@ -20,14 +21,14 @@ package prog
 //     encoding update precompiled (encoding.Coder.CompileSite), so no
 //     plan lookup happens at run time.
 //
-// The compiled form is immutable and goroutine-safe: one Compiled can
-// back any number of VMs (the fleet shares one across workers). All
-// mutable state lives in the VM.
+// The compiled form is immutable and goroutine-safe: one bytecode can
+// back any number of Machines (a Prepared shares one across workers).
+// All mutable state lives in the Machine.
 //
-// Equivalence contract: for every program the VM must be bit-identical
-// to the tree-walker — outputs, Result fields, heap and defense
-// statistics, fault addresses, crash errors, and cycle counts — for
-// every run that produces a Result. The one sanctioned divergence is
+// Equivalence contract: for every program the Machine must be
+// bit-identical to the tree-walker — outputs, Result fields, heap
+// and defense statistics, fault addresses, crash errors, and cycle
+// counts — for every run that produces a Result. The one sanctioned divergence is
 // invisible in results: expression operands are evaluated by discrete
 // instructions before a statement's superinstruction runs, so when a
 // MALFORMED program aborts with an undefined-variable error mid-
@@ -47,7 +48,7 @@ import (
 	"heaptherapy/internal/heapsim"
 )
 
-// opcode enumerates VM instructions.
+// opcode enumerates bytecode instructions.
 type opcode uint8
 
 const (
@@ -85,7 +86,7 @@ const (
 // opndNone marks an absent optional operand (e.g. a nil Off).
 const opndNone = int32(math.MinInt32)
 
-// instr is one fixed-size VM instruction. Operand slots a, b, c (and
+// instr is one fixed-size bytecode instruction. Operand slots a, b, c (and
 // dst where noted) address the register file when >= 0 and the
 // constant pool as ^v when negative; opndNone means absent. aux is
 // opcode-specific: a jump target, a record index, or a pool index.
@@ -139,10 +140,10 @@ type allocRec struct {
 	realloc bool
 }
 
-// Compiled is an immutable compiled program: share one across any
-// number of VMs (and goroutines — nothing here is written after
-// Compile returns).
-type Compiled struct {
+// bytecode is an immutable compiled program: share one across any
+// number of Machines (and goroutines — nothing here is written after
+// compile returns).
+type bytecode struct {
 	p     *Program
 	coder *encoding.Coder
 
@@ -160,26 +161,16 @@ type Compiled struct {
 	encCycles uint64 // cost of one coder-driven encoding update
 }
 
-// Program returns the source program.
-func (c *Compiled) Program() *Program { return c.p }
-
-// Coder returns the coder the program was compiled against (may be
-// nil); a VM over this Compiled must be configured with the same one.
-func (c *Compiled) Coder() *encoding.Coder { return c.coder }
-
-// NumInstrs returns the flat instruction count (for tests and stats).
-func (c *Compiled) NumInstrs() int { return len(c.code) }
-
-// Compile lowers a linked program for the given coder (nil compiles it
+// compile lowers a linked program for the given coder (nil compiles it
 // uninstrumented, like running the tree-walker with Config.Coder nil).
 // The coder is baked in because site updates are resolved to constants
 // at compile time.
-func Compile(p *Program, coder *encoding.Coder) (*Compiled, error) {
+func compile(p *Program, coder *encoding.Coder) (*bytecode, error) {
 	if p.graph == nil {
 		return nil, fmt.Errorf("prog %s: program is not linked", p.Name)
 	}
 	c := &compiler{
-		out:       &Compiled{p: p, coder: coder},
+		out:       &bytecode{p: p, coder: coder},
 		constIdx:  make(map[uint64]int32),
 		globalIdx: make(map[string]int32),
 		funcIdx:   make(map[string]int32),
@@ -232,7 +223,7 @@ func sortStrings(s []string) {
 
 // compiler holds cross-function compile state.
 type compiler struct {
-	out       *Compiled
+	out       *bytecode
 	constIdx  map[uint64]int32
 	globalIdx map[string]int32
 	funcIdx   map[string]int32
@@ -801,8 +792,8 @@ func (c *compiler) compileStmtInner(s Stmt) error {
 }
 
 // addr compiles the Base+Off operand pair shared by every addressed
-// statement; a nil Off compiles to opndNone so the VM issues exactly
-// one use-point check, like the tree-walker's evalAddr.
+// statement; a nil Off compiles to opndNone so the Machine issues
+// exactly one use-point check, like the tree-walker's evalAddr.
 func (c *compiler) addr(oc *opnds, base, off Expr) (int32, int32, error) {
 	b, err := oc.operand(base)
 	if err != nil {

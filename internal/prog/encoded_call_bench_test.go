@@ -113,8 +113,8 @@ func encodedCallBackend(tb testing.TB) *NativeBackend {
 }
 
 // BenchmarkEncodedCall measures a full instrumented run (256 loop
-// iterations, two encoded calls plus an alloc/free pair each) on both
-// engines. The per-call encoding update itself is a precompiled
+// iterations, two encoded calls plus an alloc/free pair each) on the
+// tree-walker and on both Machine tiers. The per-call encoding update itself is a precompiled
 // SiteUpdate application — branch, multiply, add — with no allocation.
 func BenchmarkEncodedCall(b *testing.B) {
 	const iters = 256
@@ -133,51 +133,28 @@ func BenchmarkEncodedCall(b *testing.B) {
 			}
 		}
 	})
-	b.Run("vm", func(b *testing.B) {
-		p := encodedCallProgram(iters)
-		coder := encodedCallCoder(b, p)
-		c, err := Compile(p, coder)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vm, err := NewVM(c, Config{Backend: encodedCallBackend(b), Coder: coder})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var res Result
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := vm.RunReuse(&res, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		p := encodedCallProgram(iters)
-		coder := encodedCallCoder(b, p)
-		c, err := Compile(p, coder)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := NewMachine(c, Config{Backend: encodedCallBackend(b), Coder: coder, TierUp: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var res Result
-		// Promote every function before the timer starts so the loop
-		// measures the steady-state closure tier, not compilation.
+	b.Run("cold", func(b *testing.B) { benchMachine(b, encodedCallProgram(iters), neverPromote) })
+	b.Run("compiled", func(b *testing.B) { benchMachine(b, encodedCallProgram(iters), 1) })
+}
+
+// benchMachine times steady-state RunReuse of p on a Machine with the
+// given tier-up threshold. One untimed run first warms the buffers
+// and, at threshold 1, promotes every function, so the loop measures
+// the steady-state tier rather than compilation.
+func benchMachine(b *testing.B, p *Program, tierUp uint64) {
+	coder := encodedCallCoder(b, p)
+	m := newTestMachine(b, p, Config{Backend: encodedCallBackend(b), Coder: coder}, tierUp)
+	var res Result
+	if err := m.RunReuse(&res, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if err := m.RunReuse(&res, nil); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := m.RunReuse(&res, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkEncodedCallDense measures the dispatch-bound encoded-call
@@ -202,47 +179,8 @@ func BenchmarkEncodedCallDense(b *testing.B) {
 			}
 		}
 	})
-	b.Run("vm", func(b *testing.B) {
-		coder := encodedCallCoder(b, p)
-		c, err := Compile(p, coder)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vm, err := NewVM(c, Config{Backend: encodedCallBackend(b), Coder: coder})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var res Result
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := vm.RunReuse(&res, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		coder := encodedCallCoder(b, p)
-		c, err := Compile(p, coder)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := NewMachine(c, Config{Backend: encodedCallBackend(b), Coder: coder, TierUp: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var res Result
-		if err := m.RunReuse(&res, nil); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := m.RunReuse(&res, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("cold", func(b *testing.B) { benchMachine(b, p, neverPromote) })
+	b.Run("compiled", func(b *testing.B) { benchMachine(b, p, 1) })
 }
 
 // TestEncodedCallTreeAllocsFlat pins the tree-walker's hot path: once
@@ -274,20 +212,13 @@ func TestEncodedCallTreeAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestEncodedCallVMZeroAlloc pins the VM's encoded-call path at zero:
-// steady-state RunReuse of the instrumented program must not allocate
-// at all.
+// TestEncodedCallVMZeroAlloc pins the cold tier's encoded-call path at
+// zero: steady-state RunReuse of the instrumented program on a
+// never-promoting Machine must not allocate at all.
 func TestEncodedCallVMZeroAlloc(t *testing.T) {
 	p := encodedCallProgram(512)
 	coder := encodedCallCoder(t, p)
-	c, err := Compile(p, coder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := NewVM(c, Config{Backend: encodedCallBackend(t), Coder: coder})
-	if err != nil {
-		t.Fatal(err)
-	}
+	vm := newTestMachine(t, p, Config{Backend: encodedCallBackend(t), Coder: coder}, neverPromote)
 	var res Result
 	if err := vm.RunReuse(&res, nil); err != nil {
 		t.Fatal(err)
@@ -312,14 +243,7 @@ func TestEncodedCallVMZeroAlloc(t *testing.T) {
 func TestEncodedCallMachineZeroAlloc(t *testing.T) {
 	p := encodedCallProgram(512)
 	coder := encodedCallCoder(t, p)
-	c, err := Compile(p, coder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMachine(c, Config{Backend: encodedCallBackend(t), Coder: coder, TierUp: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newTestMachine(t, p, Config{Backend: encodedCallBackend(t), Coder: coder}, 1)
 	var res Result
 	if err := m.RunReuse(&res, nil); err != nil {
 		t.Fatal(err)

@@ -1,15 +1,16 @@
 package prog
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Engine selects the execution substrate for a linked program: the
-// reference tree-walking interpreter, the bytecode VM compiled from
-// the same AST, or the tier-up compiled engine that promotes hot
-// functions from bytecode to closure code at runtime. All three are
-// differentially verified to be bit-identical (results, statistics,
-// crashes, cycle accounting); the tree-walker remains the semantic
-// reference, the VM the portable fast path, the compiled engine the
-// top tier.
+// reference tree-walking interpreter, or the compiled engine that runs
+// the same program as bytecode on a cold tier and promotes hot
+// functions to closure code at runtime. The two are differentially
+// verified to be bit-identical (results, statistics, crashes, cycle
+// accounting); the tree-walker remains the semantic reference.
 type Engine uint8
 
 // Engines.
@@ -17,13 +18,10 @@ const (
 	// EngineTree is the reference tree-walking interpreter (the zero
 	// value, so existing configurations keep their behavior).
 	EngineTree Engine = iota
-	// EngineVM compiles the program once to flat bytecode and executes
-	// it on the register VM (see compile.go / vm.go).
-	EngineVM
-	// EngineCompiled executes the same bytecode on the tier-up
-	// Machine: functions start interpreted and are promoted to
-	// closure-threaded code once hot (see jit.go; Config.TierUp sets
-	// the promotion threshold).
+	// EngineCompiled compiles the program once to flat bytecode and
+	// runs it on the tier-up Machine: functions start on the cold
+	// bytecode tier and are promoted to closure-threaded code once hot
+	// (see jit.go; Config.TierUp sets the promotion threshold).
 	EngineCompiled
 )
 
@@ -31,8 +29,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineTree:
 		return "tree"
-	case EngineVM:
-		return "vm"
 	case EngineCompiled:
 		return "compiled"
 	default:
@@ -41,7 +37,7 @@ func (e Engine) String() string {
 }
 
 // AllEngines lists the engines, reference first.
-func AllEngines() []Engine { return []Engine{EngineTree, EngineVM, EngineCompiled} }
+func AllEngines() []Engine { return []Engine{EngineTree, EngineCompiled} }
 
 // ParseEngine parses an engine name (as printed by String).
 func ParseEngine(s string) (Engine, error) {
@@ -52,23 +48,12 @@ func ParseEngine(s string) (Engine, error) {
 		}
 		names = append(names, e.String())
 	}
-	return 0, fmt.Errorf("prog: unknown engine %q (valid: %s)", s, joinNames(names))
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
+	return 0, fmt.Errorf("prog: unknown engine %q (valid: %s)", s, strings.Join(names, ", "))
 }
 
 // Exec is the engine-independent execution interface: one program
 // instance bound to one backend, runnable many times. Both *Interp and
-// *VM implement it (and the unexported scheduling hook RunThreads
+// *Machine implement it (and the unexported scheduling hook RunThreads
 // needs), so every caller that holds an Exec works identically on
 // either engine.
 type Exec interface {
@@ -100,27 +85,75 @@ func SetQuantumHook(ex Exec, every uint64, fn func()) bool {
 	return true
 }
 
-// NewExec constructs an executor for p per cfg.Engine. EngineTree
-// yields the reference interpreter; EngineVM and EngineCompiled
-// compile p (once per call — share a Compiled via NewVM/NewMachine to
-// amortize across instances) and yield a VM or tier-up Machine.
-func NewExec(p *Program, cfg Config) (Exec, error) {
+// Prepared is a program readied once for one engine configuration,
+// from which any number of executors are built — one per worker,
+// thread, or backend. For EngineCompiled it owns the program's
+// bytecode and the closure cache every executor shares, so the
+// program compiles once and each hot function is lowered to closures
+// at most once per backend shape, no matter which executor promotes it
+// first. For EngineTree it holds only the configuration. A Prepared is
+// immutable apart from its internally locked closure cache, so it is
+// safe for concurrent NewExec calls.
+type Prepared struct {
+	p        *Program
+	cfg      Config // Backend is supplied per executor
+	code     *bytecode
+	closures *closureCache
+}
+
+// Prepare readies p for cfg.Engine. cfg.Backend is ignored: each
+// NewExec call supplies its own.
+func Prepare(p *Program, cfg Config) (*Prepared, error) {
+	cfg.Backend = nil
+	pp := &Prepared{p: p, cfg: cfg}
 	switch cfg.Engine {
 	case EngineTree:
-		return New(p, cfg)
-	case EngineVM:
-		c, err := Compile(p, cfg.Coder)
-		if err != nil {
-			return nil, err
-		}
-		return NewVM(c, cfg)
 	case EngineCompiled:
-		c, err := Compile(p, cfg.Coder)
+		code, err := compile(p, cfg.Coder)
 		if err != nil {
 			return nil, err
 		}
-		return NewMachine(c, cfg)
+		pp.code = code
+		pp.closures = &closureCache{c: code}
 	default:
 		return nil, fmt.Errorf("prog: unknown engine %v", cfg.Engine)
 	}
+	return pp, nil
+}
+
+// NewExec builds one executor bound to backend.
+func (pp *Prepared) NewExec(backend HeapBackend) (Exec, error) {
+	r, err := pp.newRunner(backend)
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+func (pp *Prepared) newRunner(backend HeapBackend) (runner, error) {
+	cfg := pp.cfg
+	cfg.Backend = backend
+	if pp.code != nil {
+		m, err := newMachine(pp.code, pp.closures, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return m, nil
+	}
+	it, err := New(pp.p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// NewExec constructs one executor for p per cfg.Engine: Prepare
+// followed by a single Prepared.NewExec. Callers that build several
+// executors for one program should Prepare once and share it.
+func NewExec(p *Program, cfg Config) (Exec, error) {
+	pp, err := Prepare(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return pp.NewExec(cfg.Backend)
 }

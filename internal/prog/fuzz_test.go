@@ -2,8 +2,9 @@ package prog_test
 
 // FuzzVMvsTree is the randomized arm of the differential suite: any
 // program the textual front end accepts must behave bit-identically on
-// the bytecode VM and the tree-walking interpreter, for any input
-// bytes. Seeds cover the Table II corpus (via progtext.Print) plus
+// the compiled engine's Machine — a never-promoting one on the cold
+// bytecode tier and a threshold-1 one that crosses to closure code —
+// and on the tree-walking interpreter, for any input bytes. Seeds cover the Table II corpus (via progtext.Print) plus
 // hand-written sources that hit the compiler's trickier lowerings
 // (operand check ordering, while-in-while, calls in conditions' arms,
 // explicit-CCID allocations). `go test` replays the seeds;
@@ -66,29 +67,30 @@ func FuzzVMvsTree(f *testing.F) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		compiled, err := prog.Compile(p, nil)
-		if err != nil {
-			t.Fatalf("Compile accepted-by-parser program: %v", err)
+		newMachine := func(tierUp uint64) prog.Exec {
+			mcfg := base
+			mcfg.Engine = prog.EngineCompiled
+			mcfg.TierUp = tierUp
+			pp, err := prog.Prepare(p, mcfg)
+			if err != nil {
+				t.Fatalf("Prepare accepted-by-parser program: %v", err)
+			}
+			m, err := pp.NewExec(mkBackend())
+			if err != nil {
+				t.Fatalf("NewExec: %v", err)
+			}
+			return m
 		}
-		vcfg := base
-		vcfg.Backend = mkBackend()
-		vm, err := prog.NewVM(compiled, vcfg)
-		if err != nil {
-			t.Fatalf("NewVM: %v", err)
-		}
+		// A threshold no run reaches keeps every function on the cold
+		// tier.
+		cold := newMachine(1 << 40)
 		// Tier-up threshold 1: the machine runs each input twice below,
 		// once mostly cold and once on closure code, so any fuzz-found
 		// divergence between the tiers also fails here.
-		mcfg := base
-		mcfg.Backend = mkBackend()
-		mcfg.TierUp = 1
-		mach, err := prog.NewMachine(compiled, mcfg)
-		if err != nil {
-			t.Fatalf("NewMachine: %v", err)
-		}
+		mach := newMachine(1)
 
 		tr, terr := it.Run(input)
-		vr, verr := vm.Run(input)
+		vr, verr := cold.Run(input)
 		check := func(engine string, vr *prog.Result, verr error) {
 			if (terr != nil) != (verr != nil) {
 				t.Fatalf("engines disagree on error: tree %v %s %v\n--- src ---\n%s", terr, engine, verr, src)
@@ -114,7 +116,7 @@ func FuzzVMvsTree(f *testing.F) {
 				t.Fatalf("returned value diverges on %s\n--- src ---\n%s", engine, src)
 			}
 		}
-		check("vm", vr, verr)
+		check("cold", vr, verr)
 		// Round 1: mostly cold tier.
 		mr, merr := mach.Run(input)
 		check("compiled", mr, merr)

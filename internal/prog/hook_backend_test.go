@@ -30,12 +30,20 @@ func hookProgram() *Program {
 }
 
 // TestSetQuantumHook verifies the exported hook shim drives both
-// engines: the hook fires between statements at the requested period,
-// and clearing it stops the callbacks.
+// engines and both Machine tiers: the hook fires between statements
+// at the requested period, and clearing it stops the callbacks.
 func TestSetQuantumHook(t *testing.T) {
 	p := hookProgram()
-	for _, engine := range AllEngines() {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engine Engine
+		tierUp uint64
+	}{
+		{"tree", EngineTree, 0},
+		{"compiled-cold", EngineCompiled, neverPromote},
+		{"compiled", EngineCompiled, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			space, err := mem.NewSpace(mem.Config{})
 			if err != nil {
 				t.Fatal(err)
@@ -44,7 +52,7 @@ func TestSetQuantumHook(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex, err := NewExec(p, Config{Backend: backend, Engine: engine})
+			ex, err := NewExec(p, Config{Backend: backend, Engine: tc.engine, TierUp: tc.tierUp})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,22 +21,15 @@ type Config struct {
 	MaxSteps uint64
 	// MaxDepth bounds call recursion (0 = DefaultMaxDepth).
 	MaxDepth int
-	// Engine selects the execution substrate (tree-walker, bytecode
-	// VM, or tier-up compiled engine) for engine-generic constructors
-	// (NewExec, RunThreads). New ignores it (always the tree-walker),
-	// NewVM/NewMachine require consistency with their Compiled
-	// program.
+	// Engine selects the execution substrate (tree-walker or tier-up
+	// compiled engine) for the engine-generic constructors (Prepare,
+	// NewExec, RunThreads). New ignores it (always the tree-walker).
 	Engine Engine
 	// TierUp is the compiled engine's promotion threshold: how many
 	// times a function executes on the cold bytecode tier before it
 	// is compiled to closures (0 = DefaultTierUp). Only
 	// EngineCompiled reads it.
 	TierUp uint64
-	// Closures optionally shares closure-compiled code across
-	// Machines executing the same Compiled program (fleet workers,
-	// RunThreads groups). Must have been built for that Compiled.
-	// Only EngineCompiled reads it.
-	Closures *ClosureCache
 }
 
 // Interpreter limits.
@@ -672,7 +665,7 @@ func (it *Interp) execBlock(body []Stmt, f *frame) (returned bool, ret Value, er
 
 // loadIntoSlot bulk-loads into a slot's owned buffers, lending the
 // slot's parked shadow capacity to the backend and harvesting any
-// growth back (the tree-walker twin of the VM's loadIntoReg).
+// growth back (the tree-walker twin of the Machine's loadIntoReg).
 func (it *Interp) loadIntoSlot(sl *vslot, addr, n uint64) error {
 	sl.val.Valid = sl.validCap
 	sl.val.Origin = sl.originCap
@@ -1003,8 +996,9 @@ func applyBin(op BinOp, a, b Value) (Value, error) {
 }
 
 // binScalar is the scalar ALU shared by the tree-walker and the
-// bytecode VM; keeping one implementation is what makes "same operator,
-// same bits" a structural property rather than a test obligation.
+// compiled engine; keeping one implementation is what makes "same
+// operator, same bits" a structural property rather than a test
+// obligation.
 func binScalar(op BinOp, x, y uint64) (uint64, error) {
 	var r uint64
 	switch op {

@@ -1,13 +1,12 @@
 package prog
 
-// The tier-up compiled engine (EngineCompiled): the third execution
-// tier after the tree-walker and the bytecode VM. A Machine starts
-// every function on a cold tier that interprets the same flat
-// bytecode the VM executes, counts invocations per function, and —
-// once a function's call count reaches the tier-up threshold —
-// lowers that function's instruction range into a chain of Go
-// closures (threaded code) built once and cached. The closure code
-// bakes in everything that is static at closure-compile time:
+// The compiled engine (EngineCompiled). A Machine starts every
+// function on a cold tier that interprets the flat bytecode compile
+// produces, counts invocations per function, and — once a function's
+// call count reaches the tier-up threshold — lowers that function's
+// instruction range into a chain of Go closures (threaded code) built
+// once and cached. The closure code bakes in everything that is
+// static at closure-compile time:
 //
 //   - operand kinds: register indexes and interned constants are
 //     resolved to direct accessors, so the per-instruction operand
@@ -22,7 +21,7 @@ package prog
 //   - superinstructions: a compare feeding a conditional branch, a
 //     binary op feeding the loop-latch jump, and chained binary-op
 //     pairs fuse into single closures, cutting dispatches on the
-//     loop-head path the VM pays every iteration.
+//     loop-head path the cold tier pays every iteration.
 //
 // The step calling convention is deliberately thin: a step returns
 // only the next step index. Faults are rare, so instead of returning
@@ -30,16 +29,17 @@ package prog
 // the error in Machine.trap and returns the stepFault sentinel; the
 // driver unwraps it off the hot path.
 //
-// The generation-revalidated patch-verdict inline caches are carried
-// over from the VM design unchanged (noteAlloc / siteIC / SiteProfile
-// operate on the same per-machine cache slots from both tiers).
+// Both tiers share one vmState (vm.go): registers, frames, and the
+// generation-revalidated patch-verdict inline caches (noteAlloc /
+// siteIC / SiteProfile operate on the same per-machine cache slots).
 //
 // Everything observable through Run is bit-identical to the
-// tree-walker and the VM — outputs, return values, faults, error text
-// and order, statistics, and cycle accounting — regardless of when
-// (or whether) promotion happens; the differential suites enforce it.
-// Closure code never captures the executing Machine, only immutable
-// Compiled data, so one ClosureCache is shared by any number of
+// tree-walker — outputs, return values, faults, error text and order,
+// statistics, and cycle accounting — regardless of when (or whether)
+// promotion happens; the differential suites enforce it by running
+// never-promoting and immediately-promoting Machines against the
+// tree. Closure code never captures the executing Machine, only
+// immutable bytecode, so one closureCache is shared by any number of
 // Machines (fleet workers, interpreter threads) with the cache lock
 // taken only at promotion time, never on the execution hot path.
 
@@ -77,27 +77,21 @@ type closShape struct {
 	prober   bool
 }
 
-// ClosureCache shares closure-compiled function bodies across every
-// Machine executing the same Compiled program. The cache lock is
-// taken only when a function is promoted (and at most once per
-// (function, backend shape)); executing compiled code never touches
-// it. Fleet workers and RunThreads groups share one cache so a
-// function promoted by one worker is free for all others.
-type ClosureCache struct {
-	c       *Compiled
+// closureCache shares closure-compiled function bodies across every
+// Machine executing the same bytecode (one per Prepared). The cache
+// lock is taken only when a function is promoted (and at most once
+// per (function, backend shape)); executing compiled code never
+// touches it. Fleet workers and RunThreads groups share one cache so
+// a function promoted by one worker is free for all others.
+type closureCache struct {
+	c       *bytecode
 	mu      sync.Mutex
 	byShape map[closShape][][]closStep
 }
 
-// NewClosureCache creates an empty cache for c's functions. Machines
-// using it must execute the same Compiled (NewMachine validates).
-func NewClosureCache(c *Compiled) *ClosureCache {
-	return &ClosureCache{c: c}
-}
-
 // compiledFor returns (compiling on first demand) fn's closure code
 // specialized for the given backend shape.
-func (cc *ClosureCache) compiledFor(shape closShape, fnIdx int32) []closStep {
+func (cc *closureCache) compiledFor(shape closShape, fnIdx int32) []closStep {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	fns := cc.byShape[shape]
@@ -115,16 +109,16 @@ func (cc *ClosureCache) compiledFor(shape closShape, fnIdx int32) []closStep {
 	return fns[fnIdx]
 }
 
-// Machine is the tier-up engine: VM-identical state and semantics,
-// with per-function promotion from bytecode to closure code. Like the
-// VM it is single-goroutine; many Machines can share one Compiled and
-// one ClosureCache.
+// Machine is the compiled engine: a cold bytecode tier plus
+// per-function promotion to closure code. It is single-goroutine;
+// many Machines share one bytecode and one closureCache through their
+// Prepared.
 type Machine struct {
-	vm        VM
+	vm        vmState
 	threshold uint64   // cold executions before a function tiers up
 	calls     []uint64 // per-function invocation counts (across runs)
 	code      [][]closStep
-	cache     *ClosureCache
+	cache     *closureCache
 	shape     closShape
 	promos    uint64
 	retv      *Value // staging between a ret step and its driver
@@ -144,34 +138,25 @@ type Machine struct {
 	tickSlowAt uint64
 }
 
-var _ Exec = (*Machine)(nil)
 var _ runner = (*Machine)(nil)
 
-// NewMachine binds a compiled program to a backend on the tier-up
-// engine. cfg.Coder must be the coder the program was compiled with;
-// cfg.TierUp sets the promotion threshold (0 = DefaultTierUp);
-// cfg.Closures optionally shares compiled closures with other
-// Machines over the same Compiled. cfg.Engine is ignored.
-func NewMachine(c *Compiled, cfg Config) (*Machine, error) {
-	vm, err := NewVM(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Closures != nil && cfg.Closures.c != c {
-		return nil, errors.New("prog: Config.Closures cache was built for a different Compiled program")
+// newMachine binds a compiled program and its shared closure cache to
+// cfg.Backend. cfg.Coder must be the coder c was compiled with
+// (Prepare guarantees it); cfg.TierUp sets the promotion threshold
+// (0 = DefaultTierUp).
+func newMachine(c *bytecode, cache *closureCache, cfg Config) (*Machine, error) {
+	if cfg.Backend == nil {
+		return nil, errors.New("prog: Config.Backend is required")
 	}
 	m := &Machine{
-		vm:        *vm,
+		vm:        newVMState(c, cfg),
 		threshold: cfg.TierUp,
 		calls:     make([]uint64, len(c.funcs)),
 		code:      make([][]closStep, len(c.funcs)),
-		cache:     cfg.Closures,
+		cache:     cache,
 	}
 	if m.threshold == 0 {
 		m.threshold = DefaultTierUp
-	}
-	if m.cache == nil {
-		m.cache = NewClosureCache(c)
 	}
 	m.shape = closShape{
 		checkUse: m.vm.checkUse,
@@ -186,7 +171,8 @@ func NewMachine(c *Compiled, cfg Config) (*Machine, error) {
 // tiers check the hook at every statement tick, so quantum boundaries
 // are identical to the other engines.
 func (m *Machine) setSchedHook(every uint64, fn func()) {
-	m.vm.setSchedHook(every, fn)
+	m.vm.yieldEvery = every
+	m.vm.yield = fn
 	if fn != nil {
 		m.tickSlowAt = 0
 	} else {
@@ -197,7 +183,7 @@ func (m *Machine) setSchedHook(every uint64, fn func()) {
 // SiteProfile reports the per-allocation-site profile; both tiers
 // feed the same verdict inline caches, so the profile is independent
 // of when promotion happened.
-func (m *Machine) SiteProfile() []SiteStats { return m.vm.SiteProfile() }
+func (m *Machine) SiteProfile() []SiteStats { return m.vm.siteProfile() }
 
 // Promotions reports how many functions this Machine has tiered up to
 // closure code so far (monotonic across runs).
@@ -207,7 +193,7 @@ func (m *Machine) Promotions() uint64 { return m.promos }
 func (m *Machine) Threshold() uint64 { return m.threshold }
 
 // Run executes the program on the given input; semantics are
-// identical to Interp.Run and VM.Run.
+// identical to Interp.Run.
 func (m *Machine) Run(input []byte) (*Result, error) {
 	res := &Result{}
 	if err := m.run(res, input); err != nil {
@@ -216,8 +202,12 @@ func (m *Machine) Run(input []byte) (*Result, error) {
 	return res, nil
 }
 
-// RunReuse is Run recycling res's buffers (see VM.RunReuse); the
-// steady-state compiled path allocates nothing.
+// RunReuse is Run recycling res's buffers (Output and Returned
+// capacity), so steady-state re-execution allocates nothing. On a
+// non-nil error (malformed program), res contents are unspecified,
+// mirroring Run's nil result. Data in res from a previous run is
+// overwritten; Returned's buffers are owned by the Machine and are
+// invalidated by the next run.
 func (m *Machine) RunReuse(res *Result, input []byte) error {
 	return m.run(res, input)
 }
@@ -245,7 +235,7 @@ func (m *Machine) run(res *Result, input []byte) error {
 	res.Returned = Value{}
 	startCycles := vm.backend.Cycles()
 
-	f := vm.pushFrame(0, 0, opndNone)
+	f := vm.pushFrame(0)
 	rv, err := m.invoke(0, f)
 	if err == nil {
 		if m.retScalar {
@@ -331,9 +321,9 @@ func (m *Machine) runSteps(steps []closStep, f *frameV) (*Value, error) {
 // mtick is the per-statement bookkeeping both tiers share: step
 // count, step limit, and the cooperative-scheduling hook. It reports
 // false — with the error staged in trap — when the step limit is hit.
-// Unlike the VM's tick block it does NOT charge CycStmt here; run()
-// charges CycStmt*steps once at the end, which is arithmetically
-// identical and keeps this prefix inside the inlining budget.
+// It does NOT charge CycStmt here; run() charges CycStmt*steps once at
+// the end, which is arithmetically identical and keeps this prefix
+// inside the inlining budget.
 func (m *Machine) mtick() bool {
 	m.vm.steps++
 	if m.vm.steps > m.tickSlowAt {
@@ -376,8 +366,8 @@ func (m *Machine) takeTrap() error {
 // callSite executes one call site from frame f — argument fetch
 // through return-value delivery — dispatching the callee through the
 // tier policy. The sequencing (arg errors, arity, depth, V update,
-// cycle charges, prologue cost, V restore) mirrors the VM's opCall +
-// opRet pair exactly.
+// cycle charges, prologue cost, V restore) mirrors the tree-walker's
+// call exactly.
 func (m *Machine) callSite(rec *callRec, f *frameV) error {
 	vm := &m.vm
 	callee := &vm.c.funcs[rec.fnIdx]
@@ -405,7 +395,7 @@ func (m *Machine) callSite(rec *callRec, f *frameV) error {
 		vm.cycles += vm.c.encCycles
 	}
 	vm.cycles += CycCall
-	nf := vm.pushFrame(rec.fnIdx, 0, 0)
+	nf := vm.pushFrame(rec.fnIdx)
 	for i := int32(0); i < callee.nparams; i++ {
 		nf.regs[i].set(args[i])
 	}
@@ -436,10 +426,9 @@ func (m *Machine) callSite(rec *callRec, f *frameV) error {
 }
 
 // interpFrame is the cold tier: one activation interpreted from the
-// flat bytecode. The dispatch is the VM's exec switch confined to a
-// single frame — calls recurse through invoke (where tier selection
-// happens) instead of threading frames through the flat loop, and
-// returns unwind to the caller activation.
+// flat bytecode, one switch over the opcodes confined to a single
+// frame — calls recurse through invoke (where tier selection happens),
+// and returns unwind to the caller activation.
 func (m *Machine) interpFrame(fnIdx int32, f *frameV) (*Value, error) {
 	vm := &m.vm
 	code := vm.c.code
@@ -895,10 +884,10 @@ type opref struct {
 
 // fnCompiler lowers one function's instruction range into closure
 // code for one backend shape. Nothing it builds captures a Machine:
-// closures reference only immutable Compiled data and baked scalars,
+// closures reference only immutable bytecode and baked scalars,
 // receiving the executing Machine and frame as parameters.
 type fnCompiler struct {
-	c     *Compiled
+	c     *bytecode
 	fn    int32
 	shape closShape
 
@@ -917,7 +906,7 @@ func (fc *fnCompiler) ref(o int32) opref {
 // fnRange computes [entry, end) for fn in the flat instruction
 // stream: functions are emitted contiguously, so end is the smallest
 // entry greater than fn's (or the end of the stream).
-func fnRange(c *Compiled, fnIdx int32) (int32, int32) {
+func fnRange(c *bytecode, fnIdx int32) (int32, int32) {
 	entry := c.funcs[fnIdx].entry
 	end := int32(len(c.code))
 	for i := range c.funcs {
@@ -1581,7 +1570,7 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 		}
 
 	default:
-		// Unreachable for Compile-produced bytecode; preserve the VM's
+		// Unreachable for compiled bytecode; preserve the cold tier's
 		// runtime error for hypothetical malformed streams.
 		op := ins.op
 		return func(m *Machine, f *frameV) int32 {
@@ -1595,7 +1584,7 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 }
 
 // buildAddr bakes an effective-address computation (base + optional
-// offset with use-point checks), mirroring VM.effAddr. false means a
+// offset with use-point checks), mirroring vmState.effAddr. false means a
 // fault is staged in trap.
 func (fc *fnCompiler) buildAddr(a, b int32) func(m *Machine, f *frameV) (uint64, bool) {
 	base := fc.ref(a)
@@ -1671,8 +1660,8 @@ func (fc *fnCompiler) buildAddr(a, b int32) func(m *Machine, f *frameV) (uint64,
 // plain integer arithmetic, and the callee's prologue cost. The
 // callee dispatches through invoke, so tier-up applies per function
 // even in the middle of a caller's compiled activation. Arities up to
-// four stage arguments in a stack buffer instead of the VM's shared
-// slice.
+// four stage arguments in a stack buffer instead of the cold tier's
+// shared slice.
 func (fc *fnCompiler) buildCall(ins *instr, tick bool, next int32) closStep {
 	c := fc.c
 	rec := &c.calls[ins.aux]
@@ -1753,7 +1742,7 @@ func (fc *fnCompiler) buildCall(ins *instr, tick bool, next int32) closStep {
 				vm.cycles += encCyc
 			}
 			vm.cycles += CycCall
-			nf := vm.pushFrame(fnIdx, 0, 0)
+			nf := vm.pushFrame(fnIdx)
 			for i := 0; i < argN; i++ {
 				if vbuf[i] == nil {
 					nf.regs[i].setU(ubuf[i])
@@ -1823,7 +1812,7 @@ func (fc *fnCompiler) buildCall(ins *instr, tick bool, next int32) closStep {
 			vm.cycles += encCyc
 		}
 		vm.cycles += CycCall
-		nf := vm.pushFrame(fnIdx, 0, 0)
+		nf := vm.pushFrame(fnIdx)
 		for i := 0; i < argN; i++ {
 			nf.regs[i].set(args[i])
 		}
@@ -1891,7 +1880,7 @@ func (fc *fnCompiler) buildAlloc(ins *instr, tick bool, next int32) closStep {
 		vm := &m.vm
 		// Every operand here is consumed as an integer (the allocator
 		// interface takes uint64s), so the unboxed path applies even
-		// under CheckUse shapes: the VM performs no use-point check on
+		// under CheckUse shapes: the cold tier performs no use-point check on
 		// allocation operands either.
 		var ptrU uint64
 		if realloc {

@@ -48,24 +48,12 @@ func hotProgram(iters uint64) *Program {
 // promotes and to the tree-walker.
 func TestMachinePromotionMidRun(t *testing.T) {
 	p := hotProgram(64)
-	c, err := Compile(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	it, err := New(p, Config{Backend: newNative(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, err := NewMachine(c, Config{Backend: newNative(t), TierUp: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Threshold beyond any call count in this run: stays cold forever.
-	cold, err := NewMachine(c, Config{Backend: newNative(t), TierUp: 1 << 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hot := newTestMachine(t, p, Config{Backend: newNative(t)}, 1)
+	cold := newTestMachine(t, p, Config{Backend: newNative(t)}, neverPromote)
 
 	tr, terr := it.Run(nil)
 	hr, herr := hot.Run(nil)
@@ -91,19 +79,18 @@ func TestMachinePromotionMidRun(t *testing.T) {
 	}
 }
 
-// TestMachineClosureCacheShared: machines sharing one ClosureCache
-// must produce identical runs, and a machine entering after another
-// already promoted (so it starts directly on cached closure code)
-// must be indistinguishable.
+// TestMachineClosureCacheShared: machines built from one Prepared
+// share its closure cache and must produce identical runs, and a
+// machine entering after another already promoted (so it starts
+// directly on cached closure code) must be indistinguishable.
 func TestMachineClosureCacheShared(t *testing.T) {
 	p := hotProgram(32)
-	c, err := Compile(p, nil)
+	pp, err := Prepare(p, Config{Engine: EngineCompiled, TierUp: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewClosureCache(c)
 
-	first, err := NewMachine(c, Config{Backend: newNative(t), TierUp: 1, Closures: cache})
+	first, err := pp.NewExec(newNative(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +110,7 @@ func TestMachineClosureCacheShared(t *testing.T) {
 				errs[g] = errStr("backend construction failed")
 				return
 			}
-			m, err := NewMachine(c, Config{Backend: backend, TierUp: 1, Closures: cache})
+			m, err := pp.NewExec(backend)
 			if err != nil {
 				errs[g] = err
 				return
@@ -149,33 +136,21 @@ func TestMachineClosureCacheShared(t *testing.T) {
 	}
 }
 
-// TestNewMachineValidation covers the construction error paths: nil
-// program, missing backend, coder mismatch, and a closure cache built
-// for a different Compiled.
+// TestNewMachineValidation covers the compiled engine's construction
+// error path (missing backend) and the default threshold.
 func TestNewMachineValidation(t *testing.T) {
-	p := hotProgram(4)
-	c, err := Compile(p, nil)
+	pp, err := Prepare(hotProgram(4), Config{Engine: EngineCompiled})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMachine(nil, Config{Backend: newNative(t)}); err == nil {
-		t.Error("NewMachine(nil) succeeded")
+	if _, err := pp.NewExec(nil); err == nil {
+		t.Error("NewExec without backend succeeded")
 	}
-	if _, err := NewMachine(c, Config{}); err == nil {
-		t.Error("NewMachine without backend succeeded")
-	}
-	other, err := Compile(hotProgram(5), nil)
+	ex, err := pp.NewExec(newNative(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMachine(c, Config{Backend: newNative(t), Closures: NewClosureCache(other)}); err == nil {
-		t.Error("NewMachine with a cache for a different Compiled succeeded")
-	}
-	m, err := NewMachine(c, Config{Backend: newNative(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Threshold() != DefaultTierUp {
+	if m := ex.(*Machine); m.Threshold() != DefaultTierUp {
 		t.Errorf("default threshold = %d, want DefaultTierUp (%d)", m.Threshold(), DefaultTierUp)
 	}
 }
@@ -206,22 +181,15 @@ func TestMachineRunThreadsDuringTierUp(t *testing.T) {
 	}
 }
 
-// TestMachineSteadyStateZeroAlloc extends the VM's zero-allocation
-// pin to the compiled tier: once every function is promoted and the
+// TestMachineSteadyStateZeroAlloc extends the cold tier's
+// zero-allocation pin to the closure tier: once every function is promoted and the
 // buffer pools are warm, RunReuse on closure code allocates nothing.
 func TestMachineSteadyStateZeroAlloc(t *testing.T) {
 	p := pinProgram(64)
 	backend := newNative(t)
 	input := pinSetup(t, backend)
 
-	c, err := Compile(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMachine(c, Config{Backend: backend, TierUp: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newTestMachine(t, p, Config{Backend: backend}, 1)
 	var res Result
 	// Warm the pools and drive every function past the threshold.
 	for i := 0; i < 3; i++ {

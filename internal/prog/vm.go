@@ -1,19 +1,13 @@
 package prog
 
-// The bytecode VM. It executes the flat instruction stream produced by
-// Compile (compile.go) with one tight dispatch loop over fixed-size
-// instructions, a register file per frame, and a frame free list, so
-// steady-state execution allocates nothing: registers own their Value
-// buffers and every write reuses capacity, frames are recycled by
-// depth, and RunReuse recycles the Result's buffers too.
-//
-// The VM is the fast engine behind the Engine seam (engine.go); the
-// tree-walking interpreter (interp.go) remains the semantic reference.
-// Everything observable through Run — output, return value, fault,
-// statistics, and the virtual-cycle account — is bit-identical between
-// the two, which the differential suites (vm_test.go, fuzz_test.go)
-// enforce. See compile.go for the one sanctioned, result-invisible
-// divergence on error-aborted runs.
+// The bytecode engine's mutable state. A Machine (jit.go) executes the
+// flat instruction stream produced by compile (compile.go) with a
+// register file per frame and a frame free list, so steady-state
+// execution allocates nothing: registers own their Value buffers and
+// every write reuses capacity, frames are recycled by depth, and
+// RunReuse recycles the Result's buffers too. Both of the Machine's
+// tiers (the cold bytecode interpreter and the closure code) read and
+// write this one state.
 //
 // Two per-site caches avoid repeated lookups the tree-walker pays on
 // every execution:
@@ -32,14 +26,13 @@ package prog
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"heaptherapy/internal/callgraph"
 	"heaptherapy/internal/heapsim"
 )
 
-// reg is one VM register: a Value the register owns, a definedness
+// reg is one register: a Value the register owns, a definedness
 // flag, and spare shadow-plane capacity kept across scalar writes
 // (setScalar nils val.Valid/val.Origin, so their buffers are parked
 // here for the next shadowed write to reuse).
@@ -48,8 +41,8 @@ import (
 // set, the register's authoritative content is the shadow-free 8-byte
 // scalar u, and val is stale. Only Machine closure code sets uok
 // (reg.setU); every byte-level write clears it, and every reader that
-// hands out *Value (rd, Machine.fetch) materializes first, so the VM
-// and the cold tier observe bit-identical Values.
+// hands out *Value (rd, Machine.fetch) materializes first, so both
+// tiers observe bit-identical Values.
 type reg struct {
 	val       Value
 	def       bool
@@ -176,11 +169,9 @@ func (r *reg) setBin(result uint64, a, b *Value) {
 // its buffers across calls, so re-entering a function at the same
 // depth touches no allocator.
 type frameV struct {
-	regs   []reg
-	fn     int32
-	retPC  int32
-	retDst int32
-	t      uint64 // V at the function prologue (save/restore discipline)
+	regs []reg
+	fn   int32
+	t    uint64 // V at the function prologue (save/restore discipline)
 }
 
 // siteIC is the per-site patch-verdict inline cache plus the site's
@@ -196,7 +187,7 @@ type siteIC struct {
 
 // SiteStats is one allocation site's profile, built from the verdict
 // inline caches: how many allocations it executed and how many hit a
-// defense patch. Counters accumulate across runs of one VM.
+// defense patch. Counters accumulate across runs of one Machine.
 type SiteStats struct {
 	Site          callgraph.SiteID
 	Fn            heapsim.AllocFn
@@ -204,10 +195,10 @@ type SiteStats struct {
 	PatchedAllocs uint64
 }
 
-// VM executes a Compiled program against a backend. Like *Interp it is
-// single-goroutine; unlike *Interp many VMs can share one Compiled.
-type VM struct {
-	c        *Compiled
+// vmState is one Machine's mutable execution state over a shared,
+// immutable bytecode.
+type vmState struct {
+	c        *bytecode
 	backend  HeapBackend
 	bulk     BulkLoader  // non-nil when backend supports LoadInto
 	prober   PatchProber // non-nil when backend exposes patch verdicts
@@ -245,23 +236,9 @@ type VM struct {
 	yieldEvery uint64
 }
 
-var _ Exec = (*VM)(nil)
-
-// NewVM binds a compiled program to a backend. cfg.Coder must be the
-// coder the program was compiled with: site updates were resolved
-// against it at compile time. cfg.Engine is ignored (the engine is, by
-// construction, the VM).
-func NewVM(c *Compiled, cfg Config) (*VM, error) {
-	if c == nil {
-		return nil, errors.New("prog: NewVM with nil Compiled")
-	}
-	if cfg.Backend == nil {
-		return nil, errors.New("prog: Config.Backend is required")
-	}
-	if cfg.Coder != c.coder {
-		return nil, fmt.Errorf("prog %s: Config.Coder does not match the coder the program was compiled with", c.p.Name)
-	}
-	vm := &VM{
+// newVMState binds a compiled program to a backend.
+func newVMState(c *bytecode, cfg Config) vmState {
+	vm := vmState{
 		c:        c,
 		backend:  cfg.Backend,
 		maxSteps: cfg.MaxSteps,
@@ -282,20 +259,12 @@ func NewVM(c *Compiled, cfg Config) (*VM, error) {
 		vm.checkUse = false
 	}
 	vm.prober, _ = cfg.Backend.(PatchProber)
-	return vm, nil
+	return vm
 }
 
-// setSchedHook implements the runner contract (see RunThreads).
-func (vm *VM) setSchedHook(every uint64, fn func()) {
-	vm.yieldEvery = every
-	vm.yield = fn
-}
-
-// SiteProfile reports the per-allocation-site profile accumulated by
-// the verdict inline caches, in compile order. Sites only profile
-// patch verdicts when the backend implements PatchProber; allocation
-// counts accumulate regardless.
-func (vm *VM) SiteProfile() []SiteStats {
+// siteProfile reports the per-allocation-site profile accumulated by
+// the verdict inline caches, in compile order.
+func (vm *vmState) siteProfile() []SiteStats {
 	out := make([]SiteStats, 0, len(vm.c.allocs))
 	for i := range vm.c.allocs {
 		rec := &vm.c.allocs[i]
@@ -310,80 +279,21 @@ func (vm *VM) SiteProfile() []SiteStats {
 	return out
 }
 
-// Run executes the program on the given input; semantics are identical
-// to Interp.Run.
-func (vm *VM) Run(input []byte) (*Result, error) {
-	res := &Result{}
-	if err := vm.run(res, input); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RunReuse is Run recycling res's buffers (Output and Returned
-// capacity), so steady-state re-execution allocates nothing. On a
-// non-nil error (malformed program), res contents are unspecified,
-// mirroring Run's nil result. Data in res from a previous run is
-// overwritten; Returned's buffers are owned by the VM and are
-// invalidated by the next run.
-func (vm *VM) RunReuse(res *Result, input []byte) error {
-	return vm.run(res, input)
-}
-
-func (vm *VM) run(res *Result, input []byte) error {
-	vm.input = input
-	vm.inPos = 0
-	vm.output = res.Output[:0]
-	vm.v = 0
-	vm.steps = 0
-	vm.cycles = 0
-	vm.encUpdates = 0
-	vm.allocs = 0
-	vm.allocsByFn = [8]uint64{}
-	vm.frees = 0
-	vm.fault = nil
-	for i := range vm.globals {
-		vm.globals[i].def = false
-	}
-	vm.nframes = 0
-	res.Returned = Value{}
-	startCycles := vm.backend.Cycles()
-
-	err := vm.exec(res)
-	res.Output = vm.output
-	res.Steps = vm.steps
-	res.EncUpdates = vm.encUpdates
-	res.Allocs = vm.allocs
-	res.AllocsByFn = vm.allocsByFn
-	res.Frees = vm.frees
-	res.InterpCycles = vm.cycles
-	res.Cycles = vm.cycles + (vm.backend.Cycles() - startCycles)
-	res.Fault = nil
-	if err != nil {
-		if errors.Is(err, errCrashed) {
-			res.Fault = vm.fault
-			return nil
-		}
-		return err
-	}
-	return nil
-}
-
 // crash records a fault and returns the crash sentinel (shared with
 // the tree-walker).
-func (vm *VM) crash(err error) error {
+func (vm *vmState) crash(err error) error {
 	vm.fault = err
 	return errCrashed
 }
 
-func (vm *VM) undefVar(name string) error {
+func (vm *vmState) undefVar(name string) error {
 	return fmt.Errorf("prog %s: undefined variable %q", vm.c.p.Name, name)
 }
 
 // rd resolves an operand: a register (definedness-checked, with the
 // tree-walker's exact error) or an interned constant. Error
 // construction is outlined to rdUndef so rd itself stays inlinable.
-func (vm *VM) rd(f *frameV, o int32) (*Value, error) {
+func (vm *vmState) rd(f *frameV, o int32) (*Value, error) {
 	if o >= 0 {
 		r := &f.regs[o]
 		if !r.def {
@@ -398,13 +308,13 @@ func (vm *VM) rd(f *frameV, o int32) (*Value, error) {
 }
 
 //go:noinline
-func (vm *VM) rdUndef(f *frameV, o int32) error {
+func (vm *vmState) rdUndef(f *frameV, o int32) error {
 	return vm.undefVar(vm.c.funcs[f.fn].regNames[o])
 }
 
 // effAddr forms base+off with the address use-point checks, mirroring
 // the tree-walker's evalAddr (one check when off is absent).
-func (vm *VM) effAddr(f *frameV, a, b int32) (uint64, error) {
+func (vm *vmState) effAddr(f *frameV, a, b int32) (uint64, error) {
 	bv, err := vm.rd(f, a)
 	if err != nil {
 		return 0, err
@@ -426,7 +336,7 @@ func (vm *VM) effAddr(f *frameV, a, b int32) (uint64, error) {
 }
 
 // pushFrame activates a recycled (or new) frame for funcs[fnIdx].
-func (vm *VM) pushFrame(fnIdx, retPC, retDst int32) *frameV {
+func (vm *vmState) pushFrame(fnIdx int32) *frameV {
 	vm.nframes++
 	if vm.nframes > len(vm.frames) {
 		vm.frames = append(vm.frames, &frameV{})
@@ -442,8 +352,6 @@ func (vm *VM) pushFrame(fnIdx, retPC, retDst int32) *frameV {
 		}
 	}
 	nf.fn = fnIdx
-	nf.retPC = retPC
-	nf.retDst = retDst
 	nf.t = vm.v
 	return nf
 }
@@ -451,7 +359,7 @@ func (vm *VM) pushFrame(fnIdx, retPC, retDst int32) *frameV {
 // loadIntoReg bulk-loads into a register's owned buffers, lending the
 // register's parked shadow capacity to the backend and harvesting any
 // growth back.
-func (vm *VM) loadIntoReg(r *reg, addr, n uint64) error {
+func (vm *vmState) loadIntoReg(r *reg, addr, n uint64) error {
 	r.val.Valid = r.validCap
 	r.val.Origin = r.originCap
 	err := vm.bulk.LoadInto(&r.val, addr, n, vm.v)
@@ -472,7 +380,7 @@ func (vm *VM) loadIntoReg(r *reg, addr, n uint64) error {
 // noteAlloc maintains one site's verdict inline cache: revalidated by
 // table generation and allocation CCID, probed (side-effect-free) only
 // on a miss.
-func (vm *VM) noteAlloc(rec *allocRec, ccid uint64) {
+func (vm *vmState) noteAlloc(rec *allocRec, ccid uint64) {
 	ic := &vm.ics[rec.ic]
 	gen := vm.prober.PatchTableGeneration()
 	if !ic.valid || ic.gen != gen || ic.ccid != ccid {
@@ -489,410 +397,10 @@ func (vm *VM) noteAlloc(rec *allocRec, ccid uint64) {
 // zeroValue backs void results (a call with a Dst binds Value{}).
 var zeroValue Value
 
-// exec is the dispatch loop.
-func (vm *VM) exec(res *Result) error {
-	code := vm.c.code
-	f := vm.pushFrame(0, 0, opndNone)
-	pc := vm.c.funcs[0].entry
-	for {
-		ins := &code[pc]
-		if ins.tick {
-			vm.steps++
-			vm.cycles += CycStmt
-			if vm.steps > vm.maxSteps {
-				return fmt.Errorf("prog %s: step limit %d exceeded", vm.c.p.Name, vm.maxSteps)
-			}
-			if vm.yield != nil && vm.steps%vm.yieldEvery == 0 {
-				vm.yield()
-			}
-		}
-		switch ins.op {
-		case opNop:
-			// Costs the base step only.
-
-		case opCheckVar:
-			if !f.regs[ins.a].def {
-				return vm.undefVar(vm.c.funcs[f.fn].regNames[ins.a])
-			}
-
-		case opLoadK:
-			f.regs[ins.dst].setScalar(vm.c.constU[^ins.a])
-
-		case opMove:
-			src, err := vm.rd(f, ins.a)
-			if err != nil {
-				return err
-			}
-			f.regs[ins.dst].set(src)
-
-		case opBin:
-			av, err := vm.rd(f, ins.a)
-			if err != nil {
-				return err
-			}
-			bv, err := vm.rd(f, ins.b)
-			if err != nil {
-				return err
-			}
-			r, err := binScalar(ins.bop, av.Uint(), bv.Uint())
-			if err != nil {
-				return err
-			}
-			f.regs[ins.dst].setBin(r, av, bv)
-
-		case opInputLen:
-			f.regs[ins.dst].setScalar(uint64(len(vm.input)))
-
-		case opInputRem:
-			f.regs[ins.dst].setScalar(uint64(len(vm.input) - vm.inPos))
-
-		case opGlobalGet:
-			g := &vm.globals[ins.aux]
-			if g.def {
-				f.regs[ins.dst].set(&g.val)
-			} else {
-				f.regs[ins.dst].setScalar(0)
-			}
-
-		case opGlobalSet:
-			src, err := vm.rd(f, ins.a)
-			if err != nil {
-				return err
-			}
-			vm.globals[ins.aux].set(src)
-
-		case opJump:
-			pc = ins.aux
-			continue
-
-		case opBr:
-			cv, err := vm.rd(f, ins.a)
-			if err != nil {
-				return err
-			}
-			if vm.checkUse {
-				vm.backend.CheckUse(*cv, UseControlFlow, vm.v)
-			}
-			if cv.Uint() == 0 {
-				pc = ins.aux
-				continue
-			}
-
-		case opCall:
-			rec := &vm.c.calls[ins.aux]
-			callee := &vm.c.funcs[rec.fnIdx]
-			if cap(vm.args) < len(rec.args) {
-				vm.args = make([]*Value, len(rec.args))
-			}
-			args := vm.args[:len(rec.args)]
-			for i, o := range rec.args {
-				v, err := vm.rd(f, o)
-				if err != nil {
-					return err
-				}
-				args[i] = v
-			}
-			if len(args) != int(callee.nparams) {
-				return fmt.Errorf("prog %s: call to %s with %d args, want %d",
-					vm.c.p.Name, callee.name, len(args), int(callee.nparams))
-			}
-			if vm.nframes > vm.maxDepth {
-				return fmt.Errorf("prog %s: call depth limit %d exceeded", vm.c.p.Name, vm.maxDepth)
-			}
-			if rec.upd.Instrumented {
-				vm.v = rec.upd.Apply(f.t)
-				vm.encUpdates++
-				vm.cycles += vm.c.encCycles
-			}
-			vm.cycles += CycCall
-			nf := vm.pushFrame(rec.fnIdx, pc+1, rec.dst)
-			for i := int32(0); i < callee.nparams; i++ {
-				nf.regs[i].set(args[i])
-			}
-			if callee.prologue {
-				vm.cycles += CycEncPrologue
-			}
-			f = nf
-			pc = callee.entry
-			continue
-
-		case opRet, opRetVoid:
-			var rv *Value
-			if ins.op == opRet {
-				v, err := vm.rd(f, ins.a)
-				if err != nil {
-					return err
-				}
-				rv = v
-			}
-			if vm.nframes == 1 {
-				vm.setReturned(res, rv)
-				return nil
-			}
-			retPC, retDst := f.retPC, f.retDst
-			vm.nframes--
-			f = vm.frames[vm.nframes-1]
-			// Restore discipline: V returns to the caller's context.
-			vm.v = f.t
-			if retDst != opndNone {
-				if rv == nil {
-					rv = &zeroValue
-				}
-				f.regs[retDst].set(rv)
-			}
-			pc = retPC
-			continue
-
-		case opAlloc, opRealloc:
-			rec := &vm.c.allocs[ins.aux]
-			var ptrOp *Value
-			var err error
-			if ins.op == opRealloc {
-				if ptrOp, err = vm.rd(f, rec.ptr); err != nil {
-					return err
-				}
-			}
-			size, err := vm.rd(f, rec.size)
-			if err != nil {
-				return err
-			}
-			nv, err := vm.rd(f, rec.n)
-			if err != nil {
-				return err
-			}
-			al, err := vm.rd(f, rec.align)
-			if err != nil {
-				return err
-			}
-			ccid := vm.v
-			switch {
-			case rec.ccid != opndNone:
-				cv, err := vm.rd(f, rec.ccid)
-				if err != nil {
-					return err
-				}
-				ccid = cv.Uint()
-				vm.encUpdates++
-				vm.cycles += CycEncUpdatePCC
-			case rec.upd.Instrumented:
-				ccid = rec.upd.Apply(f.t)
-				vm.encUpdates++
-				vm.cycles += vm.c.encCycles
-			}
-			vm.allocs++
-			vm.allocsByFn[rec.byFn]++
-			var ptr uint64
-			var aerr error
-			if ins.op == opRealloc {
-				ptr, aerr = vm.backend.Realloc(ccid, ptrOp.Uint(), size.Uint())
-			} else {
-				ptr, aerr = vm.backend.Alloc(rec.fn, ccid, nv.Uint(), size.Uint(), al.Uint())
-			}
-			if aerr != nil {
-				return vm.crash(aerr)
-			}
-			f.regs[rec.dst].setScalar(ptr)
-			vm.ics[rec.ic].allocs++
-			if vm.prober != nil {
-				vm.noteAlloc(rec, ccid)
-			}
-
-		case opFree:
-			pv, err := vm.rd(f, ins.a)
-			if err != nil {
-				return err
-			}
-			if vm.checkUse {
-				vm.backend.CheckUse(*pv, UseAddress, vm.v)
-			}
-			vm.frees++
-			if ferr := vm.backend.Free(pv.Uint(), vm.v); ferr != nil {
-				return vm.crash(ferr)
-			}
-
-		case opLoad:
-			addr, err := vm.effAddr(f, ins.a, ins.b)
-			if err != nil {
-				return err
-			}
-			nv, err := vm.rd(f, ins.c)
-			if err != nil {
-				return err
-			}
-			r := &f.regs[ins.dst]
-			if vm.bulk != nil {
-				if lerr := vm.loadIntoReg(r, addr, nv.Uint()); lerr != nil {
-					return vm.crash(lerr)
-				}
-			} else {
-				v, lerr := vm.backend.Load(addr, nv.Uint(), vm.v)
-				if lerr != nil {
-					return vm.crash(lerr)
-				}
-				r.val = v
-				r.uok = false
-				r.def = true
-			}
-
-		case opStore:
-			addr, err := vm.effAddr(f, ins.a, ins.b)
-			if err != nil {
-				return err
-			}
-			src, err := vm.rd(f, ins.c)
-			if err != nil {
-				return err
-			}
-			n := uint64(8)
-			if ins.dst != opndNone {
-				nv, err := vm.rd(f, ins.dst)
-				if err != nil {
-					return err
-				}
-				n = nv.Uint()
-				if n > 8 {
-					n = 8
-				}
-			}
-			if serr := vm.backend.Store(addr, src.View(0, int(n)), vm.v); serr != nil {
-				return vm.crash(serr)
-			}
-
-		case opStoreVar:
-			addr, err := vm.effAddr(f, ins.a, ins.b)
-			if err != nil {
-				return err
-			}
-			src, err := vm.rd(f, ins.c)
-			if err != nil {
-				return err
-			}
-			if serr := vm.backend.Store(addr, *src, vm.v); serr != nil {
-				return vm.crash(serr)
-			}
-
-		case opStoreBytes:
-			addr, err := vm.effAddr(f, ins.a, ins.b)
-			if err != nil {
-				return err
-			}
-			if serr := vm.backend.Store(addr, vm.c.datas[ins.aux], vm.v); serr != nil {
-				return vm.crash(serr)
-			}
-
-		case opMemcpy:
-			dst, err := vm.rd(f, ins.a)
-			if err != nil {
-				return err
-			}
-			src, err := vm.rd(f, ins.b)
-			if err != nil {
-				return err
-			}
-			nv, err := vm.rd(f, ins.c)
-			if err != nil {
-				return err
-			}
-			if vm.checkUse {
-				vm.backend.CheckUse(*dst, UseAddress, vm.v)
-				vm.backend.CheckUse(*src, UseAddress, vm.v)
-			}
-			if merr := vm.backend.Memcpy(dst.Uint(), src.Uint(), nv.Uint(), vm.v); merr != nil {
-				return vm.crash(merr)
-			}
-
-		case opMemset:
-			dst, err := vm.rd(f, ins.a)
-			if err != nil {
-				return err
-			}
-			bv, err := vm.rd(f, ins.b)
-			if err != nil {
-				return err
-			}
-			nv, err := vm.rd(f, ins.c)
-			if err != nil {
-				return err
-			}
-			if vm.checkUse {
-				vm.backend.CheckUse(*dst, UseAddress, vm.v)
-			}
-			if merr := vm.backend.Memset(dst.Uint(), byte(bv.Uint()), nv.Uint(), vm.v); merr != nil {
-				return vm.crash(merr)
-			}
-
-		case opReadInput:
-			nv, err := vm.rd(f, ins.a)
-			if err != nil {
-				return err
-			}
-			// Clamp in uint64 space (see the tree-walker's ReadInput).
-			take := len(vm.input) - vm.inPos
-			if nu := nv.Uint(); nu < uint64(take) {
-				take = int(nu)
-			}
-			r := &f.regs[ins.dst]
-			if cap(r.val.Bytes) < take {
-				r.val.Bytes = make([]byte, take)
-			} else {
-				r.val.Bytes = r.val.Bytes[:take]
-			}
-			copy(r.val.Bytes, vm.input[vm.inPos:vm.inPos+take])
-			vm.inPos += take
-			r.val.Valid = nil
-			r.val.Origin = nil
-			r.uok = false
-			r.def = true
-
-		case opOutput:
-			addr, err := vm.effAddr(f, ins.a, ins.b)
-			if err != nil {
-				return err
-			}
-			nv, err := vm.rd(f, ins.c)
-			if err != nil {
-				return err
-			}
-			if vm.bulk != nil {
-				if lerr := vm.bulk.LoadInto(&vm.scratch, addr, nv.Uint(), vm.v); lerr != nil {
-					return vm.crash(lerr)
-				}
-				if vm.checkUse {
-					vm.backend.CheckUse(vm.scratch, UseOutput, vm.v)
-				}
-				vm.output = append(vm.output, vm.scratch.Bytes...)
-				break
-			}
-			v, lerr := vm.backend.Load(addr, nv.Uint(), vm.v)
-			if lerr != nil {
-				return vm.crash(lerr)
-			}
-			if vm.checkUse {
-				vm.backend.CheckUse(v, UseOutput, vm.v)
-			}
-			vm.output = append(vm.output, v.Bytes...)
-
-		case opOutputVar:
-			src, err := vm.rd(f, ins.c)
-			if err != nil {
-				return err
-			}
-			if vm.checkUse {
-				vm.backend.CheckUse(*src, UseOutput, vm.v)
-			}
-			vm.output = append(vm.output, src.Bytes...)
-
-		default:
-			return fmt.Errorf("prog %s: unknown opcode %d", vm.c.p.Name, ins.op)
-		}
-		pc++
-	}
-}
-
 // setReturned stages the entry function's return value into the
-// Result, reusing the VM's staging capacity (rv may point into a
+// Result, reusing the state's staging capacity (rv may point into a
 // register about to be recycled by the next run).
-func (vm *VM) setReturned(res *Result, rv *Value) {
+func (vm *vmState) setReturned(res *Result, rv *Value) {
 	if rv == nil {
 		res.Returned = Value{}
 		return

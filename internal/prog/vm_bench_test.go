@@ -1,10 +1,9 @@
 package prog
 
-// Benchmarks for the tentpole claim: the bytecode VM beats the
-// tree-walking interpreter by >= 3x on interpreter-bound programs and
-// allocates nothing in steady state. `make bench-vm` runs these; the
-// htp-bench "vm" experiment reports the same comparison on the full
-// corpus workloads.
+// Engine benchmarks on the interpreter-bound pin workload: the
+// tree-walker against the compiled engine's promoted closure tier
+// (which allocates nothing in steady state), plus the one-time
+// bytecode translation cost. `make bench-compiled` runs these.
 
 import (
 	"testing"
@@ -65,34 +64,31 @@ func BenchmarkEnginesTree(b *testing.B) {
 	}
 }
 
-func BenchmarkEnginesVM(b *testing.B) {
+func BenchmarkEnginesCompiled(b *testing.B) {
 	p, backend, input := benchSetup(b, 256)
-	c, err := Compile(p, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vm, err := NewVM(c, Config{Backend: backend})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := newTestMachine(b, p, Config{Backend: backend}, 1)
 	var res Result
+	// Promote every function before the timer starts.
+	if err := m.RunReuse(&res, input); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := vm.RunReuse(&res, input); err != nil {
+		if err := m.RunReuse(&res, input); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkCompile measures the one-time translation cost amortized by
-// the VM's speedup.
+// the compiled engine's speedup.
 func BenchmarkCompile(b *testing.B) {
 	p := pinProgram(256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compile(p, nil); err != nil {
+		if _, err := compile(p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

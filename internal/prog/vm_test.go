@@ -1,7 +1,10 @@
 package prog
 
-// Differential verification of the bytecode VM against the
-// tree-walking reference interpreter: every observable of Run —
+// Differential verification of the compiled engine's Machine against
+// the tree-walking reference interpreter, on both of its tiers (a
+// never-promoting Machine runs only the cold bytecode tier, a
+// threshold-1 Machine crosses to closure code mid-corpus): every
+// observable of Run —
 // output, return value, fault, statistics, and both interpreter- and
 // backend-side cycle accounting — must be bit-identical, across
 // backends, encoding schemes and encoders, crash paths, and malformed
@@ -21,6 +24,24 @@ import (
 	"heaptherapy/internal/mem"
 )
 
+// neverPromote is a tier-up threshold no test run reaches: a Machine
+// configured with it executes every function on the cold bytecode
+// tier.
+const neverPromote = 1 << 40
+
+// newTestMachine prepares p for the compiled engine with the given
+// tier-up threshold and builds one Machine over cfg.Backend.
+func newTestMachine(t testing.TB, p *Program, cfg Config, tierUp uint64) *Machine {
+	t.Helper()
+	cfg.Engine = EngineCompiled
+	cfg.TierUp = tierUp
+	ex, err := NewExec(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex.(*Machine)
+}
+
 func newNative(t *testing.T) HeapBackend {
 	t.Helper()
 	space, err := mem.NewSpace(mem.Config{})
@@ -34,70 +55,71 @@ func newNative(t *testing.T) HeapBackend {
 	return backend
 }
 
-// assertSameRun compares one execution across the two engines.
+// assertSameRun compares one execution of the tree-walker (tr) with
+// one of a Machine (vr).
 func assertSameRun(t *testing.T, label string, tr, vr *Result, terr, verr error) {
 	t.Helper()
 	if (terr != nil) != (verr != nil) {
-		t.Fatalf("%s: tree err = %v, vm err = %v", label, terr, verr)
+		t.Fatalf("%s: tree err = %v, machine err = %v", label, terr, verr)
 	}
 	if terr != nil {
 		if terr.Error() != verr.Error() {
-			t.Fatalf("%s: error mismatch\ntree: %v\nvm:   %v", label, terr, verr)
+			t.Fatalf("%s: error mismatch\ntree:    %v\nmachine: %v", label, terr, verr)
 		}
 		return
 	}
 	if !bytes.Equal(tr.Output, vr.Output) {
-		t.Errorf("%s: output mismatch\ntree: %x\nvm:   %x", label, tr.Output, vr.Output)
+		t.Errorf("%s: output mismatch\ntree:    %x\nmachine: %x", label, tr.Output, vr.Output)
 	}
 	if !bytes.Equal(tr.Returned.Bytes, vr.Returned.Bytes) {
-		t.Errorf("%s: returned bytes mismatch: tree %x vm %x", label, tr.Returned.Bytes, vr.Returned.Bytes)
+		t.Errorf("%s: returned bytes mismatch: tree %x machine %x", label, tr.Returned.Bytes, vr.Returned.Bytes)
 	}
 	if !bytes.Equal(tr.Returned.Valid, vr.Returned.Valid) {
-		t.Errorf("%s: returned V-bits mismatch: tree %x vm %x", label, tr.Returned.Valid, vr.Returned.Valid)
+		t.Errorf("%s: returned V-bits mismatch: tree %x machine %x", label, tr.Returned.Valid, vr.Returned.Valid)
 	}
 	if len(tr.Returned.Origin) != len(vr.Returned.Origin) {
-		t.Errorf("%s: returned origin mismatch: tree %v vm %v", label, tr.Returned.Origin, vr.Returned.Origin)
+		t.Errorf("%s: returned origin mismatch: tree %v machine %v", label, tr.Returned.Origin, vr.Returned.Origin)
 	} else {
 		for i := range tr.Returned.Origin {
 			if tr.Returned.Origin[i] != vr.Returned.Origin[i] {
-				t.Errorf("%s: returned origin[%d]: tree %d vm %d", label, i, tr.Returned.Origin[i], vr.Returned.Origin[i])
+				t.Errorf("%s: returned origin[%d]: tree %d machine %d", label, i, tr.Returned.Origin[i], vr.Returned.Origin[i])
 				break
 			}
 		}
 	}
 	if (tr.Fault != nil) != (vr.Fault != nil) {
-		t.Fatalf("%s: fault mismatch: tree %v vm %v", label, tr.Fault, vr.Fault)
+		t.Fatalf("%s: fault mismatch: tree %v machine %v", label, tr.Fault, vr.Fault)
 	}
 	if tr.Fault != nil && tr.Fault.Error() != vr.Fault.Error() {
-		t.Errorf("%s: fault text mismatch\ntree: %v\nvm:   %v", label, tr.Fault, vr.Fault)
+		t.Errorf("%s: fault text mismatch\ntree:    %v\nmachine: %v", label, tr.Fault, vr.Fault)
 	}
 	if tr.Steps != vr.Steps {
-		t.Errorf("%s: steps: tree %d vm %d", label, tr.Steps, vr.Steps)
+		t.Errorf("%s: steps: tree %d machine %d", label, tr.Steps, vr.Steps)
 	}
 	if tr.Cycles != vr.Cycles {
-		t.Errorf("%s: cycles: tree %d vm %d", label, tr.Cycles, vr.Cycles)
+		t.Errorf("%s: cycles: tree %d machine %d", label, tr.Cycles, vr.Cycles)
 	}
 	if tr.InterpCycles != vr.InterpCycles {
-		t.Errorf("%s: interp cycles: tree %d vm %d", label, tr.InterpCycles, vr.InterpCycles)
+		t.Errorf("%s: interp cycles: tree %d machine %d", label, tr.InterpCycles, vr.InterpCycles)
 	}
 	if tr.EncUpdates != vr.EncUpdates {
-		t.Errorf("%s: enc updates: tree %d vm %d", label, tr.EncUpdates, vr.EncUpdates)
+		t.Errorf("%s: enc updates: tree %d machine %d", label, tr.EncUpdates, vr.EncUpdates)
 	}
 	if tr.Allocs != vr.Allocs || tr.Frees != vr.Frees {
-		t.Errorf("%s: allocs/frees: tree %d/%d vm %d/%d", label, tr.Allocs, tr.Frees, vr.Allocs, vr.Frees)
+		t.Errorf("%s: allocs/frees: tree %d/%d machine %d/%d", label, tr.Allocs, tr.Frees, vr.Allocs, vr.Frees)
 	}
 	if tr.AllocsByFn != vr.AllocsByFn {
-		t.Errorf("%s: allocs by fn: tree %v vm %v", label, tr.AllocsByFn, vr.AllocsByFn)
+		t.Errorf("%s: allocs by fn: tree %v machine %v", label, tr.AllocsByFn, vr.AllocsByFn)
 	}
 }
 
-// diffEngines runs the same input sequence through all three engines —
-// each over its own backend from mk, so heap state evolves
-// independently but identically — and requires bit-identical
-// observables, including the backends' total cycle accounts after
-// every request. The tier-up Machine runs with threshold 1, so every
-// function crosses from the cold tier to closure code mid-corpus and
-// both tiers are differentially covered in one sweep.
+// diffEngines runs the same input sequence through the tree-walker, a
+// never-promoting Machine, and a threshold-1 Machine — each over its
+// own backend from mk, so heap state evolves independently but
+// identically — and requires bit-identical observables, including the
+// backends' total cycle accounts after every request. The threshold-1
+// Machine crosses every function from the cold tier to closure code
+// mid-corpus, so both tiers are differentially covered in one sweep.
 func diffEngines(t *testing.T, p *Program, coder *encoding.Coder, cfg Config, mk func(t *testing.T) HeapBackend, inputs [][]byte) {
 	t.Helper()
 	cfg.Coder = coder
@@ -108,38 +130,28 @@ func diffEngines(t *testing.T, p *Program, coder *encoding.Coder, cfg Config, mk
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	c, err := Compile(p, coder)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	vcfg := cfg
-	vcfg.Backend = mk(t)
-	vm, err := NewVM(c, vcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mcfg := cfg
-	mcfg.Backend = mk(t)
-	mcfg.TierUp = 1
-	mach, err := NewMachine(c, mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ccfg := cfg
+	ccfg.Backend = mk(t)
+	cold := newTestMachine(t, p, ccfg, neverPromote)
+	hcfg := cfg
+	hcfg.Backend = mk(t)
+	hot := newTestMachine(t, p, hcfg, 1)
 
 	for i, in := range inputs {
 		tr, terr := it.Run(in)
-		vr, verr := vm.Run(in)
-		mr, merr := mach.Run(in)
+		cr, cerr := cold.Run(in)
+		hr, herr := hot.Run(in)
 		label := strings.TrimSpace(p.Name) + "#" + string(rune('0'+i))
-		assertSameRun(t, label, tr, vr, terr, verr)
-		assertSameRun(t, label+"/compiled", tr, mr, terr, merr)
-		if tc, vc, mc := tcfg.Backend.Cycles(), vcfg.Backend.Cycles(), mcfg.Backend.Cycles(); tc != vc || tc != mc {
-			t.Errorf("%s#%d: backend cycles diverge: tree %d vm %d compiled %d", p.Name, i, tc, vc, mc)
+		assertSameRun(t, label+"/cold", tr, cr, terr, cerr)
+		assertSameRun(t, label+"/hot", tr, hr, terr, herr)
+		if tc, cc, hc := tcfg.Backend.Cycles(), ccfg.Backend.Cycles(), hcfg.Backend.Cycles(); tc != cc || tc != hc {
+			t.Errorf("%s#%d: backend cycles diverge: tree %d cold %d hot %d", p.Name, i, tc, cc, hc)
 		}
 	}
-	if len(inputs) > 1 && mach.Promotions() == 0 {
+	if cold.Promotions() != 0 {
+		t.Errorf("%s: never-promote machine tiered up %d functions", p.Name, cold.Promotions())
+	}
+	if len(inputs) > 1 && hot.Promotions() == 0 {
 		t.Errorf("%s: machine never tiered up over %d inputs (threshold 1)", p.Name, len(inputs))
 	}
 }
@@ -315,7 +327,7 @@ func TestVMDifferentialNative(t *testing.T) {
 // TestVMDifferentialEncoded runs the context-sensitive corpus programs
 // under every scheme x encoder combination and additionally requires
 // the allocation-time CCID streams to be identical (via a recording
-// wrapper that hides the bulk-loader, also covering the VM's
+// wrapper that hides the bulk-loader, also covering the Machine's
 // non-BulkLoader load path).
 func TestVMDifferentialEncoded(t *testing.T) {
 	for _, p := range []*Program{ccidProgram(), diffProgCalls(), diffProgHeap()} {
@@ -341,7 +353,7 @@ func TestVMDifferentialEncoded(t *testing.T) {
 				}
 				tree := recs[0]
 				for ei, eng := range recs[1:] {
-					name := []string{"vm", "compiled"}[ei]
+					name := []string{"cold", "hot"}[ei]
 					if len(tree.ccids) != len(eng.ccids) {
 						t.Fatalf("%s %v/%v: ccid stream lengths differ: tree %d %s %d",
 							p.Name, scheme, kind, len(tree.ccids), name, len(eng.ccids))
@@ -358,7 +370,7 @@ func TestVMDifferentialEncoded(t *testing.T) {
 	}
 }
 
-// TestVMErrorsMatchTree: malformed programs abort both engines with
+// TestVMErrorsMatchTree: malformed programs abort both tiers with
 // the exact same error text, including the evaluation-order-sensitive
 // undefined-variable cases the compiler pins with opCheckVar.
 func TestVMErrorsMatchTree(t *testing.T) {
@@ -410,9 +422,10 @@ func TestVMErrorsMatchTree(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Two identical runs: with the Machine's threshold of 1, the
-			// first hits each error on the cold tier and the second on
-			// closure code, so both tiers must reproduce the exact text.
+			// Two identical runs: the never-promote Machine hits each
+			// error on the cold tier both times; the threshold-1 Machine
+			// hits it on the cold tier first and on closure code second,
+			// so both tiers must reproduce the exact text.
 			diffEngines(t, tc.p, nil, tc.cfg, newNative, [][]byte{nil, nil})
 		})
 	}
@@ -435,36 +448,37 @@ func TestVMDifferentialThreads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(engine Engine) ([]*Result, uint64) {
+	run := func(engine Engine, tierUp uint64) ([]*Result, uint64) {
 		backend := newNative(t)
 		// TierUp 1 makes compiled-engine threads promote functions while
 		// sibling threads are mid-quantum on the cold tier, over one
-		// shared ClosureCache (see RunThreads).
-		res, err := RunThreads(p, Config{Backend: backend, Coder: coder, Engine: engine, TierUp: 1}, inputs, 16)
+		// shared closure cache (see RunThreads).
+		res, err := RunThreads(p, Config{Backend: backend, Coder: coder, Engine: engine, TierUp: tierUp}, inputs, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, backend.Cycles()
 	}
-	tres, tcyc := run(EngineTree)
-	vres, vcyc := run(EngineVM)
-	mres, mcyc := run(EngineCompiled)
+	tres, tcyc := run(EngineTree, 0)
+	cres, ccyc := run(EngineCompiled, neverPromote)
+	hres, hcyc := run(EngineCompiled, 1)
 	for i := range tres {
-		assertSameRun(t, "thread", tres[i], vres[i], nil, nil)
-		assertSameRun(t, "thread/compiled", tres[i], mres[i], nil, nil)
+		assertSameRun(t, "thread/cold", tres[i], cres[i], nil, nil)
+		assertSameRun(t, "thread/hot", tres[i], hres[i], nil, nil)
 	}
-	if tcyc != vcyc || tcyc != mcyc {
-		t.Errorf("shared backend cycles: tree %d vm %d compiled %d", tcyc, vcyc, mcyc)
+	if tcyc != ccyc || tcyc != hcyc {
+		t.Errorf("shared backend cycles: tree %d cold %d hot %d", tcyc, ccyc, hcyc)
 	}
 }
 
-// TestCompiledSharedAcrossGoroutines: one Compiled program must be
-// safely shareable by concurrently-running VMs (each with its own
-// backend) — the fleet's layout. Run under -race this is the data-race
-// proof; in all modes it checks cross-VM result consistency.
+// TestCompiledSharedAcrossGoroutines: one Prepared program's bytecode
+// must be safely shareable by concurrently-running cold-tier Machines
+// (each with its own backend) — the fleet's layout. Run under -race
+// this is the data-race proof; in all modes it checks cross-Machine
+// result consistency.
 func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 	p := diffProgCalls()
-	c, err := Compile(p, nil)
+	pp, err := Prepare(p, Config{Engine: EngineCompiled, TierUp: neverPromote})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,13 +507,13 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 				errs[g] = err
 				return
 			}
-			vm, err := NewVM(c, Config{Backend: backend})
+			m, err := pp.NewExec(backend)
 			if err != nil {
 				errs[g] = err
 				return
 			}
 			for i := 0; i < 50; i++ {
-				res, err := vm.Run([]byte{5})
+				res, err := m.Run([]byte{5})
 				if err != nil {
 					errs[g] = err
 					return
@@ -526,7 +540,7 @@ func (e errStr) Error() string { return string(e) }
 // pinProgram is the interpreter-bound pin workload: it receives a heap
 // address through its input and hammers loads, stores, arithmetic,
 // calls, and output over it — no allocation statements, so the
-// measurement isolates the VM's own steady-state behavior.
+// measurement isolates the Machine's own steady-state behavior.
 func pinProgram(iters uint64) *Program {
 	return MustLink(&Program{
 		Name: "pin",
@@ -579,32 +593,26 @@ func pinSetup(t *testing.T, backend HeapBackend) []byte {
 	return in
 }
 
-// TestVMSteadyStateZeroAlloc pins the tentpole property: once warm,
-// RunReuse allocates nothing — registers, frames, output, and the
-// Result all recycle their buffers.
+// TestVMSteadyStateZeroAlloc pins the cold tier's steady state: once
+// warm, RunReuse on a never-promoting Machine allocates nothing —
+// registers, frames, output, and the Result all recycle their buffers.
+// TestMachineSteadyStateZeroAlloc pins the closure tier.
 func TestVMSteadyStateZeroAlloc(t *testing.T) {
 	p := pinProgram(64)
 	backend := newNative(t)
 	input := pinSetup(t, backend)
 
-	c, err := Compile(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := NewVM(c, Config{Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newTestMachine(t, p, Config{Backend: backend}, neverPromote)
 	var res Result
 	// Warm the buffer pools.
-	if err := vm.RunReuse(&res, input); err != nil {
+	if err := m.RunReuse(&res, input); err != nil {
 		t.Fatal(err)
 	}
 	if res.Crashed() {
 		t.Fatalf("pin run crashed: %v", res.Fault)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := vm.RunReuse(&res, input); err != nil {
+		if err := m.RunReuse(&res, input); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -632,22 +640,19 @@ func TestVMMatchesTreeOnPin(t *testing.T) {
 		return b
 	}
 	tb := mk(t)
-	vb := mk(t)
+	cb := mk(t)
+	hb := mk(t)
 	it, err := New(p, Config{Backend: tb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compile(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := NewVM(c, Config{Backend: vb})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := newTestMachine(t, p, Config{Backend: cb}, neverPromote)
+	hot := newTestMachine(t, p, Config{Backend: hb}, 1)
 	tr, terr := it.Run(inputs[0])
-	vr, verr := vm.Run(inputs[0])
-	assertSameRun(t, "pin", tr, vr, terr, verr)
+	cr, cerr := cold.Run(inputs[0])
+	hr, herr := hot.Run(inputs[0])
+	assertSameRun(t, "pin/cold", tr, cr, terr, cerr)
+	assertSameRun(t, "pin/hot", tr, hr, terr, herr)
 }
 
 func TestParseEngine(t *testing.T) {
@@ -660,8 +665,21 @@ func TestParseEngine(t *testing.T) {
 	// The CLIs forward this error verbatim as their usage message, so
 	// it must list every valid spelling.
 	_, err := ParseEngine("jit")
-	if err == nil || !strings.Contains(err.Error(), "valid: tree, vm, compiled") {
+	if err == nil || !strings.Contains(err.Error(), "valid: tree, compiled") {
 		t.Errorf("ParseEngine(jit) err = %v, want valid-name list", err)
+	}
+}
+
+// TestEngineZeroValueAndRetiredVM: the zero Engine is the reference
+// tree-walker, and the retired "vm" spelling is rejected with the
+// list of engines that remain.
+func TestEngineZeroValueAndRetiredVM(t *testing.T) {
+	if Engine(0) != EngineTree {
+		t.Errorf("Engine(0) = %v, want %v", Engine(0), EngineTree)
+	}
+	_, err := ParseEngine("vm")
+	if err == nil || !strings.Contains(err.Error(), "valid: tree, compiled") {
+		t.Errorf(`ParseEngine("vm") err = %v, want failure listing "tree, compiled"`, err)
 	}
 }
 
@@ -681,32 +699,25 @@ func TestNewExecEngines(t *testing.T) {
 	}
 }
 
-func TestNewVMValidation(t *testing.T) {
-	// diffProgHeap has allocation sites, so an encoding plan exists.
+// TestPrepareValidation covers the construction seam's error paths: an
+// unknown engine, an unlinked program, and a missing backend.
+func TestPrepareValidation(t *testing.T) {
 	p := diffProgHeap()
-	c, err := Compile(p, nil)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Prepare(p, Config{Engine: Engine(99)}); err == nil {
+		t.Error("Prepare with bogus engine succeeded")
 	}
-	if _, err := NewVM(nil, Config{Backend: newNative(t)}); err == nil {
-		t.Error("NewVM(nil) succeeded")
+	unlinked := &Program{Name: "unlinked", Funcs: map[string]*Func{"main": {}}}
+	if _, err := Prepare(unlinked, Config{Engine: EngineCompiled}); err == nil {
+		t.Error("Prepare of unlinked program succeeded")
 	}
-	if _, err := NewVM(c, Config{}); err == nil {
-		t.Error("NewVM without backend succeeded")
-	}
-	plan, err := encoding.NewPlan(encoding.SchemeFCS, p.Graph(), p.Targets())
-	if err != nil {
-		t.Fatal(err)
-	}
-	coder, err := encoding.NewCoder(encoding.EncoderPCC, p.Graph(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewVM(c, Config{Backend: newNative(t), Coder: coder}); err == nil {
-		t.Error("NewVM with mismatched coder succeeded")
-	}
-	if _, err := Compile(&Program{Name: "unlinked", Funcs: map[string]*Func{"main": {}}}, nil); err == nil {
-		t.Error("Compile of unlinked program succeeded")
+	for _, e := range AllEngines() {
+		pp, err := Prepare(p, Config{Engine: e})
+		if err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		if _, err := pp.NewExec(nil); err == nil {
+			t.Errorf("%v: NewExec without backend succeeded", e)
+		}
 	}
 }
 
@@ -714,18 +725,11 @@ func TestNewVMValidation(t *testing.T) {
 // site; without a PatchProber backend, patched counts stay zero.
 func TestVMSiteProfile(t *testing.T) {
 	p := diffProgCalls()
-	c, err := Compile(p, nil)
-	if err != nil {
+	m := newTestMachine(t, p, Config{Backend: newNative(t)}, neverPromote)
+	if _, err := m.Run([]byte{2}); err != nil {
 		t.Fatal(err)
 	}
-	vm, err := NewVM(c, Config{Backend: newNative(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vm.Run([]byte{2}); err != nil {
-		t.Fatal(err)
-	}
-	prof := vm.SiteProfile()
+	prof := m.SiteProfile()
 	if len(prof) == 0 {
 		t.Fatal("no alloc sites profiled")
 	}

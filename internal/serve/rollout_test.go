@@ -24,12 +24,21 @@ import (
 //
 // Run under -race this also proves the swap publication is clean.
 func TestLiveRolloutE2E(t *testing.T) {
-	for _, engine := range []prog.Engine{prog.EngineTree, prog.EngineVM} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engine prog.Engine
+		tierUp uint64
+	}{
+		{"tree", prog.EngineTree, 0},
+		{"compiled-cold", prog.EngineCompiled, 1 << 40},
+		{"compiled", prog.EngineCompiled, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			s, ts, svc := newNginxServer(t, func(c *Config) {
 				c.Workers = 4
 				c.MaxInFlight = 64
-				c.Engine = engine
+				c.Engine = tc.engine
+				c.TierUp = tc.tierUp
 			})
 
 			// Benign traffic, continuous through the whole incident.

@@ -21,6 +21,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -51,7 +52,8 @@ const (
 	OutcomeWild = "wild"
 )
 
-// maxRequestBytes bounds a request body read.
+// maxRequestBytes bounds a request body; a longer body is refused
+// with 413 before it reaches a worker.
 const maxRequestBytes = 1 << 20
 
 // Config configures a Server.
@@ -77,7 +79,7 @@ type Config struct {
 	// Patches is the initial patch configuration (nil = none: the
 	// server starts unpatched and patches itself from live crashes).
 	Patches *patch.Set
-	// Engine selects the execution substrate (tree, vm, compiled).
+	// Engine selects the execution substrate (tree, compiled).
 	Engine prog.Engine
 	// TierUp is the compiled engine's promotion threshold.
 	TierUp uint64
@@ -269,23 +271,12 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// Compile once for the bytecode engines; every worker shares the
-	// immutable artifact (and, for the compiled engine, one closure
-	// cache — the fleet's one-reader-many-writers shape again).
-	var compiled *prog.Compiled
-	var closures *prog.ClosureCache
-	switch cfg.Engine {
-	case prog.EngineTree:
-	case prog.EngineVM, prog.EngineCompiled:
-		var err error
-		if compiled, err = prog.Compile(cfg.Program, coder); err != nil {
-			return nil, fmt.Errorf("serve: compiling program: %w", err)
-		}
-		if cfg.Engine == prog.EngineCompiled {
-			closures = prog.NewClosureCache(compiled)
-		}
-	default:
-		return nil, fmt.Errorf("serve: unknown engine %v", cfg.Engine)
+	// Prepare once; every worker shares the immutable artifact (for
+	// the compiled engine, the bytecode and one closure cache — the
+	// fleet's one-reader-many-writers shape again).
+	pp, err := prog.Prepare(cfg.Program, prog.Config{Coder: coder, MaxSteps: cfg.MaxSteps, Engine: cfg.Engine, TierUp: cfg.TierUp})
+	if err != nil {
+		return nil, fmt.Errorf("serve: preparing program: %w", err)
 	}
 
 	// Build every worker synchronously so New fails cleanly instead of
@@ -295,18 +286,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: tenant context: %w", err)
 		}
-		var it prog.Exec
-		pcfg := prog.Config{Backend: ctx.Backend(), Coder: coder, MaxSteps: cfg.MaxSteps}
-		switch {
-		case closures != nil:
-			pcfg.TierUp = cfg.TierUp
-			pcfg.Closures = closures
-			it, err = prog.NewMachine(compiled, pcfg)
-		case compiled != nil:
-			it, err = prog.NewVM(compiled, pcfg)
-		default:
-			it, err = prog.New(cfg.Program, pcfg)
-		}
+		it, err := pp.NewExec(ctx.Backend())
 		if err != nil {
 			return nil, fmt.Errorf("serve: executor: %w", err)
 		}
@@ -547,8 +527,13 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.inflight.Add(-1)
 
-	input, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
+	input, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "reading request", http.StatusBadRequest)
 		return
 	}

@@ -117,6 +117,33 @@ func TestServeBenign(t *testing.T) {
 	}
 }
 
+// TestServeOversizedBody: a body one byte past maxRequestBytes is
+// refused with 413 instead of being truncated and served; it is never
+// admitted, so no worker runs it. A body of exactly maxRequestBytes is
+// still admitted.
+func TestServeOversizedBody(t *testing.T) {
+	s, _, _ := newNginxServer(t, nil)
+	h := s.Handler()
+	serve := func(n int) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/request", bytes.NewReader(make([]byte, n))))
+		return rec
+	}
+
+	if rec := serve(maxRequestBytes + 1); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d %s, want 413", rec.Code, rec.Body)
+	}
+	if st := s.Stats(); st.Admitted != 0 {
+		t.Errorf("oversized body admitted: %+v", st)
+	}
+	if rec := serve(maxRequestBytes); rec.Code == http.StatusRequestEntityTooLarge {
+		t.Errorf("body of exactly maxRequestBytes refused with 413")
+	}
+	if st := s.Stats(); st.Admitted != 1 {
+		t.Errorf("limit-sized body: admitted %d, want 1", st.Admitted)
+	}
+}
+
 func TestServeHealthz(t *testing.T) {
 	_, ts, _ := newNginxServer(t, nil)
 	resp, err := http.Get(ts.URL + "/healthz")
