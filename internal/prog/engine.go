@@ -123,13 +123,11 @@ func Prepare(p *Program, cfg Config) (*Prepared, error) {
 
 // NewExec builds one executor bound to backend.
 func (pp *Prepared) NewExec(backend HeapBackend) (Exec, error) {
-	r, err := pp.newRunner(backend)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+	return pp.newRunner(backend)
 }
 
+// newRunner builds the executor; on error it returns a nil interface,
+// never a typed nil pointer.
 func (pp *Prepared) newRunner(backend HeapBackend) (runner, error) {
 	cfg := pp.cfg
 	cfg.Backend = backend
