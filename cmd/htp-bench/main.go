@@ -34,7 +34,7 @@ func run(args []string) error {
 	scale := fs.Uint64("scale", 0, "divisor for Table IV allocation counts (default 10000)")
 	jsonOut := fs.Bool("json", false, "emit per-experiment wall time and allocations as JSON instead of rendered tables")
 	engineName := fs.String("engine", "compiled", "execution engine for measured runs: tree or compiled (results are bit-identical; compiled is faster)")
-	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold in calls (0 = default)")
+	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold: a function's cold calls plus cold statements of its own body (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -178,5 +178,6 @@ func profileProgram(p *prog.Program) ([]ccprof.Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ccprof.Profile(p, backend, coder, nil, prog.EngineTree)
+	var engine prog.Engine // the zero value: the default engine
+	return ccprof.Profile(p, backend, coder, nil, engine)
 }

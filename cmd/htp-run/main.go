@@ -56,8 +56,8 @@ func run(args []string, stdout io.Writer) error {
 	benign := fs.Int("benign", -1, "use the N-th built-in benign input instead of the attack")
 	threads := fs.Int("threads", 1, "run N copies concurrently over one shared heap")
 	encoderName := fs.String("encoder", "PCC", "calling-context encoder; must match the one htp-patchgen used")
-	engineName := fs.String("engine", "tree", "execution engine: tree (reference interpreter) or compiled (bytecode with tier-up to closures)")
-	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold in calls (0 = default)")
+	engineName := fs.String("engine", "compiled", "execution engine: compiled (bytecode with tier-up to closures) or tree (reference interpreter)")
+	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold: a function's cold calls plus cold statements of its own body (0 = default)")
 	policyName := fs.String("policy", "ht", "defense policy family for defended runs: ht, shadowbound, or mesh")
 	telemetryFmt := fs.String("telemetry", "", `append a telemetry report after the run: "table" or "json"`)
 	if err := fs.Parse(args); err != nil {

@@ -24,7 +24,7 @@ func TestGolden(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"demo-nginx-tree", []string{"-demo", "-service", "nginx", "-workers", "1", "-telemetry"}},
+		{"demo-nginx-tree", []string{"-demo", "-service", "nginx", "-workers", "1", "-telemetry", "-engine", "tree"}},
 		{"demo-nginx-compiled", []string{"-demo", "-service", "nginx", "-workers", "2", "-engine", "compiled"}},
 		{"demo-mysql-compiled", []string{"-demo", "-service", "mysql", "-workers", "1", "-engine", "compiled"}},
 	}

@@ -9,7 +9,7 @@
 //
 //	htp-serve -service nginx -addr 127.0.0.1:8470    # live server (SIGTERM drains)
 //	htp-serve -service nginx -demo                   # scripted rollout demonstration
-//	htp-serve -service mysql -engine compiled -workers 8 -telemetry
+//	htp-serve -service mysql -engine tree -workers 8 -telemetry
 package main
 
 import (
@@ -56,8 +56,8 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("htp-serve", flag.ContinueOnError)
 	serviceName := fs.String("service", "nginx", "vulnerable service stand-in: nginx or mysql")
-	engineName := fs.String("engine", "tree", "execution engine: tree or compiled")
-	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold in calls (0 = default)")
+	engineName := fs.String("engine", "compiled", "execution engine: compiled (bytecode with tier-up to closures) or tree (reference interpreter)")
+	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold: a function's cold calls plus cold statements of its own body (0 = default)")
 	policyName := fs.String("policy", "ht", "defense policy family for every tenant: ht, shadowbound, or mesh")
 	workers := fs.Int("workers", 4, "worker goroutines, one defended tenant context each")
 	maxInFlight := fs.Int("max-in-flight", 0, "admission bound before 429s (0 = 4*workers)")

@@ -186,6 +186,15 @@ func (r *Report) fail(class string, cell, detail string) {
 	r.Failures = append(r.Failures, Failure{Seed: r.Seed, Kind: r.Kind, Class: class, Cell: cell, Detail: detail})
 }
 
+// cellTierUp is the compiled engine's promotion threshold in every
+// cell of the matrix. Generated programs run a few thousand statements
+// and call each function only a few times, far below
+// prog.DefaultTierUp, so at the default no function would leave the
+// cold tier. Threshold 2 promotes a function on its second call, so
+// one generated run in six still crosses tiers mid-run and both tiers
+// and the crossing stay under the differential check.
+const cellTierUp = 2
+
 // Oracle runs a generated case across the execution matrix and checks
 // every cell against the injected ground truth.
 type Oracle struct {
@@ -272,7 +281,7 @@ func (o Oracle) Check(g *Generated) *Report {
 	for _, e := range o.Engines {
 		for _, attack := range []bool{false, true} {
 			cell := Cell{Mode: ModeShadow, Engine: e, Attack: attack}
-			az := &analysis.Analyzer{Coder: coder, MaxSteps: o.MaxSteps, Engine: e}
+			az := &analysis.Analyzer{Coder: coder, MaxSteps: o.MaxSteps, Engine: e, TierUp: cellTierUp}
 			out := &Outcome{Cell: cell}
 			r, err := az.Analyze(g.Program, g.input(attack))
 			if err != nil {
@@ -405,6 +414,7 @@ func (o Oracle) runCell(g *Generated, coder *encoding.Coder, cell Cell, patches 
 		Coder:    coder,
 		MaxSteps: o.MaxSteps,
 		Engine:   cell.Engine,
+		TierUp:   cellTierUp,
 	})
 	if err != nil {
 		return fail(err)

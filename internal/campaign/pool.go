@@ -108,7 +108,7 @@ func (w *Workbench) Check(g *Generated) *Report {
 	// cell.
 	prepared := make(map[prog.Engine]*prog.Prepared, len(o.Engines))
 	for _, e := range o.Engines {
-		pp, err := prog.Prepare(g.Program, prog.Config{Coder: coder, MaxSteps: o.MaxSteps, Engine: e})
+		pp, err := prog.Prepare(g.Program, prog.Config{Coder: coder, MaxSteps: o.MaxSteps, Engine: e, TierUp: cellTierUp})
 		if err != nil {
 			return o.Check(g)
 		}
@@ -187,7 +187,7 @@ func (w *Workbench) runShadowCell(g *Generated, coder *encoding.Coder, pp *prog.
 		out.RunErr = fmt.Sprintf("analysis: building interpreter: %v", err)
 		return out, nil
 	}
-	az := &analysis.Analyzer{Coder: coder, MaxSteps: o.MaxSteps, Engine: e}
+	az := &analysis.Analyzer{Coder: coder, MaxSteps: o.MaxSteps, Engine: e, TierUp: cellTierUp}
 	r, err := az.AnalyzeWith(g.Program, g.input(attack), w.shadowBack, ex)
 	if err != nil {
 		out.RunErr = err.Error()

@@ -36,13 +36,15 @@ type Options struct {
 	// MaxSteps bounds each execution (0 = interpreter default).
 	MaxSteps uint64
 	// Engine selects the execution substrate for every pipeline stage
-	// (offline analysis, native baseline, defended runs). The engines
-	// are differentially verified bit-identical, so patches generated
-	// under one apply under the other.
+	// (offline analysis, native baseline, defended runs); the zero
+	// value is the compiled engine. The engines are differentially
+	// verified bit-identical, so patches generated under one apply
+	// under the other.
 	Engine prog.Engine
-	// TierUp is the compiled engine's promotion threshold in calls
-	// before a function is lowered to closure code (0 = default; only
-	// consulted when Engine is prog.EngineCompiled).
+	// TierUp is the compiled engine's promotion threshold in heat —
+	// cold invocations plus cold statements of a function's own body —
+	// before the function is lowered to closure code (0 = default;
+	// only consulted when Engine is prog.EngineCompiled).
 	TierUp uint64
 	// Telemetry, when non-nil, instruments every pipeline stage run
 	// through this System: each run binds one scope for its space,
@@ -66,6 +68,12 @@ func (o Options) withDefaults() Options {
 // instrumentation step is one-time (as in the paper); the resulting
 // coder is shared by offline analysis and online defense, which is the
 // property that makes offline CCIDs match online allocations.
+//
+// A System keeps no prog.Prepared: every run compiles its own
+// executor, which lives only as long as that run. Callers hold many
+// Systems at once (one per program of an experiment), and a cached
+// Prepared would keep each program's bytecode and closure code live
+// between runs.
 type System struct {
 	opts    Options
 	program *prog.Program
@@ -139,7 +147,7 @@ func (s *System) RunNative(input []byte) (*prog.Result, error) {
 	if h := backend.Heap(); h != nil {
 		h.SetTelemetry(tel)
 	}
-	it, err := prog.NewExec(s.program, prog.Config{Backend: backend, MaxSteps: s.opts.MaxSteps, Engine: s.opts.Engine, TierUp: s.opts.TierUp})
+	it, err := prog.NewExec(s.program, s.execConfig(backend, nil))
 	if err != nil {
 		return nil, fmt.Errorf("core: building interpreter: %w", err)
 	}
@@ -165,12 +173,25 @@ type DefendedRun struct {
 	HeapErr error
 }
 
-// RunDefended executes the program under the Online Defense Generator
-// with the given patch configuration.
-func (s *System) RunDefended(input []byte, patches *patch.Set) (*DefendedRun, error) {
+// execConfig is the executor configuration of every run: the
+// System's engine options over backend, encoded by coder (nil for the
+// uninstrumented native baseline).
+func (s *System) execConfig(backend prog.HeapBackend, coder *encoding.Coder) prog.Config {
+	return prog.Config{
+		Backend:  backend,
+		Coder:    coder,
+		MaxSteps: s.opts.MaxSteps,
+		Engine:   s.opts.Engine,
+		TierUp:   s.opts.TierUp,
+	}
+}
+
+// defendedBackend builds a fresh defended heap with the System's
+// policy options and the given patches.
+func (s *System) defendedBackend(patches *patch.Set) (*defense.Backend, *telemetry.Scope, error) {
 	space, err := mem.NewSpace(mem.Config{})
 	if err != nil {
-		return nil, fmt.Errorf("core: creating space: %w", err)
+		return nil, nil, fmt.Errorf("core: creating space: %w", err)
 	}
 	tel := s.scope()
 	space.SetTelemetry(tel)
@@ -182,15 +203,19 @@ func (s *System) RunDefended(input []byte, patches *patch.Set) (*DefendedRun, er
 		Telemetry:  tel,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: creating defended backend: %w", err)
+		return nil, nil, fmt.Errorf("core: creating defended backend: %w", err)
 	}
-	it, err := prog.NewExec(s.program, prog.Config{
-		Backend:  backend,
-		Coder:    s.coder,
-		MaxSteps: s.opts.MaxSteps,
-		Engine:   s.opts.Engine,
-		TierUp:   s.opts.TierUp,
-	})
+	return backend, tel, nil
+}
+
+// RunDefended executes the program under the Online Defense Generator
+// with the given patch configuration.
+func (s *System) RunDefended(input []byte, patches *patch.Set) (*DefendedRun, error) {
+	backend, tel, err := s.defendedBackend(patches)
+	if err != nil {
+		return nil, err
+	}
+	it, err := prog.NewExec(s.program, s.execConfig(backend, s.coder))
 	if err != nil {
 		return nil, fmt.Errorf("core: building interpreter: %w", err)
 	}
@@ -242,29 +267,11 @@ func (s *System) HandleAttacks(attackInputs [][]byte) (*patch.Set, []*analysis.R
 // sharing a single defended heap, interleaved deterministically. V is
 // thread-local, exactly as in the paper's multithreaded deployments.
 func (s *System) RunDefendedThreads(inputs [][]byte, patches *patch.Set) ([]*prog.Result, defense.Stats, error) {
-	space, err := mem.NewSpace(mem.Config{})
+	backend, _, err := s.defendedBackend(patches)
 	if err != nil {
-		return nil, defense.Stats{}, fmt.Errorf("core: creating space: %w", err)
+		return nil, defense.Stats{}, err
 	}
-	tel := s.scope()
-	space.SetTelemetry(tel)
-	backend, err := defense.NewBackend(space, defense.Config{
-		Mode:       defense.ModeFull,
-		Family:     s.opts.Family,
-		Patches:    patches,
-		QueueQuota: s.opts.QueueQuota,
-		Telemetry:  tel,
-	})
-	if err != nil {
-		return nil, defense.Stats{}, fmt.Errorf("core: creating defended backend: %w", err)
-	}
-	results, err := prog.RunThreads(s.program, prog.Config{
-		Backend:  backend,
-		Coder:    s.coder,
-		MaxSteps: s.opts.MaxSteps,
-		Engine:   s.opts.Engine,
-		TierUp:   s.opts.TierUp,
-	}, inputs, prog.DefaultQuantum)
+	results, err := prog.RunThreads(s.program, s.execConfig(backend, s.coder), inputs, prog.DefaultQuantum)
 	if err != nil {
 		return nil, defense.Stats{}, fmt.Errorf("core: defended threads: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
+	"heaptherapy/internal/workload"
 )
 
 // leakProgram outputs a buffer without initializing it when the input
@@ -155,5 +156,48 @@ func TestOptionsPropagate(t *testing.T) {
 	}
 	if sys.Coder().Kind() != encoding.EncoderPCCE || sys.Coder().Plan().Scheme != encoding.SchemeFCS {
 		t.Error("options not propagated to coder")
+	}
+}
+
+// TestRunDefendedPromotions pins how many functions one default
+// RunDefended of 400.perlbench lowers to closures: none. Nearly all of
+// its statements run in the entry activation, which is never entered
+// again, and no other function gathers DefaultTierUp heat, so a
+// one-shot run pays no closure compilation at all.
+func TestRunDefendedPromotions(t *testing.T) {
+	b, err := workload.BenchmarkByName("400.perlbench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := b.Program(workload.ProgramConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// RunDefended's own construction, keeping the executor to read.
+	backend, _, err := sys.defendedBackend(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := prog.NewExec(p, sys.execConfig(backend, sys.coder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ex.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Crashed() {
+		t.Fatalf("defended run crashed: %v", res.Fault)
+	}
+	m, ok := ex.(*prog.Machine)
+	if !ok {
+		t.Fatalf("default engine built %T, want *prog.Machine", ex)
+	}
+	if got := m.Promotions(); got != 0 {
+		t.Errorf("one default RunDefended of %s promoted %d functions, want 0", b.Name, got)
 	}
 }

@@ -41,8 +41,9 @@ type Config struct {
 	// TestExperimentsEngineIndependent — so the choice only affects
 	// wall-clock time of the experiment harness itself.
 	Engine prog.Engine
-	// TierUp is the compiled engine's promotion threshold (calls before
-	// a function is lowered to closure code); 0 means prog.DefaultTierUp.
+	// TierUp is the compiled engine's promotion threshold (a function's
+	// cold calls plus cold statements of its own body before it is
+	// lowered to closure code); 0 means prog.DefaultTierUp.
 	// Only the tierup experiment and EngineCompiled runs consult it.
 	TierUp uint64
 }

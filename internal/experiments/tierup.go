@@ -196,8 +196,8 @@ func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 			return nil, err
 		}
 
-		// One executor per engine, one warmup run (past the promotion
-		// threshold for the machine), then timed steady-state reps.
+		// One executor per engine, warmed up (for the machine, until
+		// every function is promoted), then timed steady-state reps.
 		time1 := func(engine prog.Engine) (float64, uint64, uint64, error) {
 			ex, err := tierUpExec(b.p, coder, engine, threshold)
 			if err != nil {
@@ -215,17 +215,16 @@ func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 				run = func(res *prog.Result) error { return m.RunReuse(res, nil) }
 			}
 			var res prog.Result
-			warmups := 1 + int(threshold)
-			for w := 0; w < warmups; w++ {
+			for w := 0; w == 0 || (m != nil && m.Promotions() < uint64(len(b.p.Funcs))); w++ {
+				if w == maxWarmups {
+					return 0, 0, 0, fmt.Errorf("experiments: %s not fully promoted after %d runs at threshold %d", b.name, w, threshold)
+				}
 				if err := run(&res); err != nil {
 					return 0, 0, 0, err
 				}
 				if res.Crashed() {
 					return 0, 0, 0, fmt.Errorf("experiments: %s crashed on %v: %v", b.name, engine, res.Fault)
 				}
-			}
-			if m != nil && m.Promotions() == 0 {
-				return 0, 0, 0, fmt.Errorf("experiments: %s never promoted at threshold %d", b.name, threshold)
 			}
 			start := time.Now()
 			for r := 0; r < reps; r++ {
@@ -273,6 +272,10 @@ func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 	return out, nil
 }
 
+// maxWarmups bounds the runs spent heating a machine until every
+// function is promoted (a few hundred at the default threshold).
+const maxWarmups = 100_000
+
 // tierUpExec builds one executor for p on engine over a fresh native
 // backend.
 func tierUpExec(p *prog.Program, coder *encoding.Coder, engine prog.Engine, threshold uint64) (prog.Exec, error) {
@@ -297,13 +300,13 @@ func tierUpSteadyStateAllocs(threshold uint64) (float64, error) {
 	}
 	m := ex.(*prog.Machine)
 	var res prog.Result
-	for w := 0; w < 1+int(threshold); w++ {
+	for w := 0; m.Promotions() < uint64(len(b.p.Funcs)); w++ {
+		if w == maxWarmups {
+			return 0, fmt.Errorf("pin workload not fully promoted after %d runs at threshold %d", w, threshold)
+		}
 		if err := m.RunReuse(&res, nil); err != nil {
 			return 0, err
 		}
-	}
-	if m.Promotions() == 0 {
-		return 0, fmt.Errorf("pin workload never promoted at threshold %d", threshold)
 	}
 	var runErr error
 	n := testing.AllocsPerRun(20, func() {

@@ -8,6 +8,7 @@ import (
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
+	"heaptherapy/internal/workload"
 )
 
 // neverPromote is a tier-up threshold no test run reaches: a compiled
@@ -149,12 +150,62 @@ func TestFleetVMReusedInstanceAcrossReset(t *testing.T) {
 	}
 }
 
+// TestFleetWorkerPromotesAcrossRequests: at the default threshold, a
+// worker that keeps one compiled machine across requests — recycling
+// its context in between, as Serve and the HTTP front-end do — heats
+// its request handler over many short activations and promotes it,
+// although no single request comes near the threshold.
+func TestFleetWorkerPromotesAcrossRequests(t *testing.T) {
+	svc := workload.Nginx()
+	p, err := svc.VulnerableProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := encoding.NewPlan(encoding.SchemeIncremental, p.Graph(), p.Targets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coder, err := encoding.NewCoder(encoding.EncoderPCC, p.Graph(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(Config{Workers: 1, Defended: true})
+	ctx, err := f.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release(ctx)
+	ex, err := prog.NewExec(p, prog.Config{Backend: ctx.Backend(), Coder: coder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ex.(*prog.Machine)
+	for i := 0; i < 1000; i++ {
+		res, err := m.Run(svc.BenignRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Crashed() {
+			t.Fatalf("request %d crashed: %v", i, res.Fault)
+		}
+		if i == 0 && m.Promotions() != 0 {
+			t.Errorf("first request promoted %d functions; one request is far below the default threshold", m.Promotions())
+		}
+		if err := ctx.Reset(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Promotions() == 0 {
+		t.Error("1,000 requests on one reused machine promoted nothing at the default threshold")
+	}
+}
+
 // TestFleetServeEngines: full parallel Serve must return the same
 // per-request results and merged fleet statistics on the tree
 // interpreter and on compiled machines that never promote, promote
-// mid-corpus, or promote immediately. The compiled serve uses a tier-up threshold in the middle
-// of the per-worker request count, so workers promote functions while
-// the corpus is in flight and later requests run on closure code the
+// mid-corpus, or promote immediately. The mid-corpus threshold is
+// below one request's own statements, so each worker promotes after
+// its first request and later requests run on closure code the
 // earlier ones compiled — through the shared fleet-wide cache.
 func TestFleetServeEngines(t *testing.T) {
 	p := uafProgram()

@@ -86,13 +86,14 @@ type Config struct {
 	// QueueQuota bounds each worker's deferred-free FIFO
 	// (0 = defense.DefaultQueueQuota).
 	QueueQuota uint64
-	// Engine selects each worker's execution substrate (tree
-	// interpreter or tier-up compiled engine). Serve prepares the
-	// program once (prog.Prepare); under EngineCompiled every worker
-	// runs the shared immutable bytecode with its own private state —
-	// the same shape as the sealed patch table: one read-only
-	// artifact, many readers — and shares one closure cache, so a hot
-	// function any worker promotes is compiled exactly once
+	// Engine selects each worker's execution substrate (the tier-up
+	// compiled engine, the zero value, or the tree interpreter). Serve
+	// prepares the program once (prog.Prepare); under EngineCompiled
+	// every worker runs the shared immutable bytecode with its own
+	// private state — the same shape as the sealed patch table: one
+	// read-only artifact, many readers — and shares one closure
+	// cache, so a hot function any worker promotes is compiled exactly
+	// once
 	// fleet-wide.
 	Engine prog.Engine
 	// TierUp is the compiled engine's promotion threshold (0 =

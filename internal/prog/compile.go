@@ -114,14 +114,14 @@ type vmFunc struct {
 	prologue bool     // body contains an instrumented site (CycEncPrologue)
 }
 
-// callRec is the static metadata of one call site.
+// callRec is the static metadata of one call site. Its operands live
+// in the bytecode's shared callArgs pool, so a record is 32 bytes.
 type callRec struct {
-	fnIdx  int32
-	dst    int32   // caller register for the return value, or opndNone
-	args   []int32 // caller-frame operands, in evaluation order
-	upd    encoding.SiteUpdate
-	ic     int32 // inline-cache slot
-	siteID callgraph.SiteID
+	upd   encoding.SiteUpdate
+	fnIdx int32
+	dst   int32 // caller register for the return value, or opndNone
+	args  int32 // first operand in callArgs
+	nargs int32 // caller-frame operands, in evaluation order
 }
 
 // allocRec is the static metadata of one allocation or realloc site.
@@ -135,9 +135,14 @@ type allocRec struct {
 	ccid    int32 // explicit CCID operand, or opndNone
 	byFn    heapsim.AllocFn
 	upd     encoding.SiteUpdate
-	ic      int32
+	ic      int32 // verdict inline-cache slot
 	siteID  callgraph.SiteID
 	realloc bool
+}
+
+// argsOf returns a call site's operands.
+func (b *bytecode) argsOf(rec *callRec) []int32 {
+	return b.callArgs[rec.args : rec.args+rec.nargs]
 }
 
 // bytecode is an immutable compiled program: share one across any
@@ -147,17 +152,18 @@ type bytecode struct {
 	p     *Program
 	coder *encoding.Coder
 
-	code   []instr
-	consts []Value  // interned scalar constants (never mutated)
-	constU []uint64 // parallel scalar view of consts
-	datas  []Value  // StoreBytes payloads (borrow the AST's bytes)
-	funcs  []vmFunc
-	calls  []callRec
-	allocs []allocRec
+	code     []instr
+	consts   []Value  // interned scalar constants (never mutated)
+	constU   []uint64 // parallel scalar view of consts
+	datas    []Value  // StoreBytes payloads (borrow the AST's bytes)
+	funcs    []vmFunc
+	calls    []callRec
+	callArgs []int32 // every call site's operands, indexed by callRec.args
+	allocs   []allocRec
 
 	globalNames []string
 
-	icCount   int32
+	icCount   int32  // one verdict cache per allocation site
 	encCycles uint64 // cost of one coder-driven encoding update
 }
 
@@ -195,7 +201,34 @@ func compile(p *Program, coder *encoding.Coder) (*bytecode, error) {
 			return nil, err
 		}
 	}
+	c.out.trim()
 	return c.out, nil
+}
+
+// trim re-homes every slice in a backing array of exactly its length:
+// the bytecode is immutable from here on and lives as long as its
+// Prepared, so append slack would be held for the program's lifetime.
+func (b *bytecode) trim() {
+	b.code = exact(b.code)
+	b.consts = exact(b.consts)
+	b.constU = exact(b.constU)
+	b.datas = exact(b.datas)
+	b.funcs = exact(b.funcs)
+	for i := range b.funcs {
+		b.funcs[i].regNames = exact(b.funcs[i].regNames)
+	}
+	b.calls = exact(b.calls)
+	b.callArgs = exact(b.callArgs)
+	b.allocs = exact(b.allocs)
+	b.globalNames = exact(b.globalNames)
+}
+
+// exact returns s with len == cap, copying only when s has slack.
+func exact[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // sortedFuncNames returns the entry function first, then the remaining
@@ -751,21 +784,21 @@ func (c *compiler) compileStmtInner(s Stmt) error {
 
 	case Call:
 		oc := opnds{c: c}
-		args := make([]int32, len(st.Args))
-		for i, a := range st.Args {
+		first := int32(len(c.out.callArgs))
+		for _, a := range st.Args {
 			opnd, err := oc.operand(a)
 			if err != nil {
 				return err
 			}
-			args[i] = opnd
+			c.out.callArgs = append(c.out.callArgs, opnd)
 		}
 		dst := opndNone
 		if st.Dst != "" {
 			dst = c.reg(st.Dst)
 		}
 		rec := callRec{
-			fnIdx: c.funcIdx[st.Callee], dst: dst, args: args,
-			siteID: st.site, ic: c.newIC(),
+			fnIdx: c.funcIdx[st.Callee], dst: dst,
+			args: first, nargs: int32(len(st.Args)),
 		}
 		if c.out.coder != nil {
 			rec.upd = c.out.coder.CompileSite(st.site)

@@ -6,23 +6,25 @@ import (
 )
 
 // Engine selects the execution substrate for a linked program: the
-// reference tree-walking interpreter, or the compiled engine that runs
-// the same program as bytecode on a cold tier and promotes hot
-// functions to closure code at runtime. The two are differentially
+// compiled engine that runs the program as bytecode on a cold tier
+// and promotes hot functions to closure code at runtime, or the
+// reference tree-walking interpreter. The two are differentially
 // verified to be bit-identical (results, statistics, crashes, cycle
 // accounting); the tree-walker remains the semantic reference.
 type Engine uint8
 
 // Engines.
 const (
-	// EngineTree is the reference tree-walking interpreter (the zero
-	// value, so existing configurations keep their behavior).
-	EngineTree Engine = iota
 	// EngineCompiled compiles the program once to flat bytecode and
 	// runs it on the tier-up Machine: functions start on the cold
 	// bytecode tier and are promoted to closure-threaded code once hot
-	// (see jit.go; Config.TierUp sets the promotion threshold).
-	EngineCompiled
+	// (see jit.go; Config.TierUp sets the promotion threshold). It is
+	// the zero value, so every configuration that leaves Engine unset
+	// runs it.
+	EngineCompiled Engine = iota
+	// EngineTree is the reference tree-walking interpreter, kept
+	// selectable as the differential reference.
+	EngineTree
 )
 
 func (e Engine) String() string {

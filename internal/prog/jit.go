@@ -1,12 +1,18 @@
 package prog
 
-// The compiled engine (EngineCompiled). A Machine starts every
-// function on a cold tier that interprets the flat bytecode compile
-// produces, counts invocations per function, and — once a function's
-// call count reaches the tier-up threshold — lowers that function's
-// instruction range into a chain of Go closures (threaded code) built
-// once and cached. The closure code bakes in everything that is
-// static at closure-compile time:
+// The compiled engine (EngineCompiled, the default). A Machine starts
+// every function on a cold tier that interprets the flat bytecode
+// compile produces and keeps a heat count per function: one per
+// invocation plus one per statement the cold tier runs in the
+// function's own body (callees count for themselves). The first
+// invocation that finds a function's heat at the tier-up threshold
+// lowers that function's instruction range into a chain of Go
+// closures (threaded code) built once and cached. Counting statements
+// rather than calls promotes where the time goes: a one-shot run
+// whose work sits in a single long activation compiles little, while
+// a handler re-entered on every request of a reused Machine still
+// promotes. The closure code bakes in everything that is static at
+// closure-compile time:
 //
 //   - operand kinds: register indexes and interned constants are
 //     resolved to direct accessors, so the per-instruction operand
@@ -50,10 +56,12 @@ import (
 	"sync"
 )
 
-// DefaultTierUp is the default promotion threshold: the number of
-// times a function executes on the cold (bytecode) tier before it is
-// compiled to closures.
-const DefaultTierUp = 2
+// DefaultTierUp is the default promotion threshold: the heat —
+// cold invocations plus cold statements of the function's own body —
+// a function reaches on the bytecode tier before its next invocation
+// runs compiled closures. Threshold 1 promotes on the second call;
+// a threshold no run reaches (1<<40) never promotes.
+const DefaultTierUp = 1 << 16
 
 // closStep is one compiled step. It executes and returns the index of
 // the next step within the function, stepReturn when the function
@@ -115,8 +123,8 @@ func (cc *closureCache) compiledFor(shape closShape, fnIdx int32) []closStep {
 // Prepared.
 type Machine struct {
 	vm        vmState
-	threshold uint64   // cold executions before a function tiers up
-	calls     []uint64 // per-function invocation counts (across runs)
+	threshold uint64   // heat at which a function tiers up
+	heat      []uint64 // per-function cold invocations + own statements (across runs)
 	code      [][]closStep
 	cache     *closureCache
 	shape     closShape
@@ -151,7 +159,7 @@ func newMachine(c *bytecode, cache *closureCache, cfg Config) (*Machine, error) 
 	m := &Machine{
 		vm:        newVMState(c, cfg),
 		threshold: cfg.TierUp,
-		calls:     make([]uint64, len(c.funcs)),
+		heat:      make([]uint64, len(c.funcs)),
 		code:      make([][]closStep, len(c.funcs)),
 		cache:     cache,
 	}
@@ -274,19 +282,19 @@ func (m *Machine) run(res *Result, input []byte) error {
 
 // invoke runs one activation of funcs[fnIdx] in frame f, choosing the
 // tier: closure code if the function is promoted, promoting it first
-// if its call count just reached the threshold, else the cold
-// bytecode tier. The count increments per invocation, so "threshold
-// N" means N cold executions before the N+1st runs compiled.
+// if its heat has reached the threshold, else the cold bytecode tier.
+// Each cold invocation adds one to the heat and interpFrame adds the
+// statements it ran, so promotion never happens mid-activation: a
+// long-running activation heats its function for the next call.
 func (m *Machine) invoke(fnIdx int32, f *frameV) (*Value, error) {
 	steps := m.code[fnIdx]
 	if steps == nil {
-		if m.calls[fnIdx] < m.threshold {
-			m.calls[fnIdx]++
+		if m.heat[fnIdx] < m.threshold {
+			m.heat[fnIdx]++
 			return m.interpFrame(fnIdx, f)
 		}
 		steps = m.promote(fnIdx)
 	}
-	m.calls[fnIdx]++
 	return m.runSteps(steps, f)
 }
 
@@ -371,11 +379,12 @@ func (m *Machine) takeTrap() error {
 func (m *Machine) callSite(rec *callRec, f *frameV) error {
 	vm := &m.vm
 	callee := &vm.c.funcs[rec.fnIdx]
-	if cap(vm.args) < len(rec.args) {
-		vm.args = make([]*Value, len(rec.args))
+	opnds := vm.c.argsOf(rec)
+	if cap(vm.args) < len(opnds) {
+		vm.args = make([]*Value, len(opnds))
 	}
-	args := vm.args[:len(rec.args)]
-	for i, o := range rec.args {
+	args := vm.args[:len(opnds)]
+	for i, o := range opnds {
 		v, err := vm.rd(f, o)
 		if err != nil {
 			return err
@@ -428,14 +437,18 @@ func (m *Machine) callSite(rec *callRec, f *frameV) error {
 // interpFrame is the cold tier: one activation interpreted from the
 // flat bytecode, one switch over the opcodes confined to a single
 // frame — calls recurse through invoke (where tier selection happens),
-// and returns unwind to the caller activation.
+// and returns unwind to the caller activation. The statements the
+// activation ticks are credited to the function's heat when it
+// returns; an activation that aborts the run credits nothing.
 func (m *Machine) interpFrame(fnIdx int32, f *frameV) (*Value, error) {
 	vm := &m.vm
 	code := vm.c.code
 	pc := vm.c.funcs[fnIdx].entry
+	var own uint64
 	for {
 		ins := &code[pc]
 		if ins.tick {
+			own++
 			if !m.mtick() {
 				return nil, m.takeTrap()
 			}
@@ -518,6 +531,7 @@ func (m *Machine) interpFrame(fnIdx int32, f *frameV) (*Value, error) {
 			}
 
 		case opRet, opRetVoid:
+			m.heat[fnIdx] += own
 			if ins.op == opRet {
 				v, err := vm.rd(f, ins.a)
 				if err != nil {
@@ -1666,8 +1680,9 @@ func (fc *fnCompiler) buildCall(ins *instr, tick bool, next int32) closStep {
 	c := fc.c
 	rec := &c.calls[ins.aux]
 	callee := &c.funcs[rec.fnIdx]
-	argRefs := make([]opref, len(rec.args))
-	for i, o := range rec.args {
+	opnds := c.argsOf(rec)
+	argRefs := make([]opref, len(opnds))
+	for i, o := range opnds {
 		argRefs[i] = fc.ref(o)
 	}
 	fnIdx, dst := rec.fnIdx, rec.dst

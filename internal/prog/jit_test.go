@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"heaptherapy/internal/mem"
 )
@@ -76,6 +77,102 @@ func TestMachinePromotionMidRun(t *testing.T) {
 		if hp[i] != cp[i] {
 			t.Errorf("site %d profile diverges: hot %+v cold %+v", i, hp[i], cp[i])
 		}
+	}
+}
+
+// TestMachineHeatCountsOwnStatements: a cold activation adds one for
+// the invocation plus the statements of its own body to its
+// function's heat; the statements its callees run count for the
+// callees only.
+func TestMachineHeatCountsOwnStatements(t *testing.T) {
+	const iters = 64
+	p := hotProgram(iters)
+	m := newTestMachine(t, p, Config{Backend: newNative(t)}, neverPromote)
+	res, err := m.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	main, work := m.vm.c.funcs[0], m.vm.c.funcs[1]
+	if main.name != "main" || work.name != "work" {
+		t.Fatalf("function order = %s, %s", main.name, work.name)
+	}
+	// work runs its five statements once per loop iteration.
+	workStmts := uint64(5 * iters)
+	if got, want := m.heat[1], iters+workStmts; got != want {
+		t.Errorf("work heat = %d, want %d", got, want)
+	}
+	if got, want := m.heat[0], 1+res.Steps-workStmts; got != want {
+		t.Errorf("main heat = %d, want %d (own statements only)", got, want)
+	}
+}
+
+// TestMachinePromotesOnHeat: promotion happens at the first
+// invocation that finds the heat at the threshold, never inside a
+// running activation — so a single long activation is only promoted
+// when its function is entered again, on the next run.
+func TestMachinePromotesOnHeat(t *testing.T) {
+	p := hotProgram(64)
+	// work gains 6 per call (invocation + 5 statements): calls 1-3 run
+	// cold (heat 6, 12, 18) and call 4 promotes it.
+	m := newTestMachine(t, p, Config{Backend: newNative(t)}, 13)
+	if _, err := m.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if m.code[1] == nil || m.code[0] != nil || m.Promotions() != 1 {
+		t.Errorf("after one run: promoted work=%v main=%v (%d promotions), want work only",
+			m.code[1] != nil, m.code[0] != nil, m.Promotions())
+	}
+	if _, err := m.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if m.code[0] == nil || m.Promotions() != 2 {
+		t.Errorf("after two runs: main promoted=%v (%d promotions), want main promoted",
+			m.code[0] != nil, m.Promotions())
+	}
+}
+
+// TestBytecodeExactlySized: compile leaves no append slack in the
+// immutable bytecode, keeps one verdict cache per allocation site (call
+// sites have none), and packs call records into 32 bytes with their
+// operands in the shared pool.
+func TestBytecodeExactlySized(t *testing.T) {
+	for _, p := range []*Program{hotProgram(8), diffProgCalls(), diffProgHeap(), diffProgArith()} {
+		c, err := compile(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := map[string][2]int{
+			"code":        {len(c.code), cap(c.code)},
+			"consts":      {len(c.consts), cap(c.consts)},
+			"constU":      {len(c.constU), cap(c.constU)},
+			"datas":       {len(c.datas), cap(c.datas)},
+			"funcs":       {len(c.funcs), cap(c.funcs)},
+			"calls":       {len(c.calls), cap(c.calls)},
+			"callArgs":    {len(c.callArgs), cap(c.callArgs)},
+			"allocs":      {len(c.allocs), cap(c.allocs)},
+			"globalNames": {len(c.globalNames), cap(c.globalNames)},
+		}
+		for _, f := range c.funcs {
+			sizes["regNames "+f.name] = [2]int{len(f.regNames), cap(f.regNames)}
+		}
+		for name, lc := range sizes {
+			if lc[0] != lc[1] {
+				t.Errorf("%s: %s len %d cap %d", p.Name, name, lc[0], lc[1])
+			}
+		}
+		if int(c.icCount) != len(c.allocs) {
+			t.Errorf("%s: icCount %d, want one per allocation site (%d)", p.Name, c.icCount, len(c.allocs))
+		}
+		var nargs int32
+		for i := range c.calls {
+			nargs += c.calls[i].nargs
+		}
+		if int(nargs) != len(c.callArgs) {
+			t.Errorf("%s: call records address %d operands, pool holds %d", p.Name, nargs, len(c.callArgs))
+		}
+	}
+	if size := unsafe.Sizeof(callRec{}); size > 32 {
+		t.Errorf("callRec is %d bytes, want at most 32", size)
 	}
 }
 

@@ -670,14 +670,22 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
-// TestEngineZeroValueAndRetiredVM: the zero Engine is the reference
-// tree-walker, and the retired "vm" spelling is rejected with the
-// list of engines that remain.
+// TestEngineZeroValueAndRetiredVM: the zero Engine is the compiled
+// engine, so every configuration that leaves Engine unset runs it,
+// and the retired "vm" spelling is rejected with the list of engines
+// that remain.
 func TestEngineZeroValueAndRetiredVM(t *testing.T) {
-	if Engine(0) != EngineTree {
-		t.Errorf("Engine(0) = %v, want %v", Engine(0), EngineTree)
+	if Engine(0) != EngineCompiled {
+		t.Errorf("Engine(0) = %v, want %v", Engine(0), EngineCompiled)
 	}
-	_, err := ParseEngine("vm")
+	ex, err := NewExec(diffProgArith(), Config{Backend: newNative(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ex.(*Machine); !ok {
+		t.Errorf("zero-value Config builds %T, want *Machine", ex)
+	}
+	_, err = ParseEngine("vm")
 	if err == nil || !strings.Contains(err.Error(), "valid: tree, compiled") {
 		t.Errorf(`ParseEngine("vm") err = %v, want failure listing "tree, compiled"`, err)
 	}

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,6 +81,101 @@ func TestRolloutEmptyAnalysis(t *testing.T) {
 	if s.fleet.Swaps() != 0 {
 		t.Error("empty analysis swapped a table")
 	}
+}
+
+// TestRolloutDedupesIdenticalCrashes: while a re-analysis of an
+// attack input is queued or in flight, more wild crashes with the same
+// input are counted as duplicates — neither analyzed again nor
+// dropped. A crash with a different input still queues, and the hash
+// is released when its rollout ends, so the next identical crash is
+// analyzed again.
+func TestRolloutDedupesIdenticalCrashes(t *testing.T) {
+	const n = 6
+	var calls atomic.Int32
+	gate := make(chan struct{})
+	var open sync.Once
+	s, ts, svc := newNginxServer(t, func(c *Config) {
+		c.Analyze = func(p *prog.Program, attack []byte) (*patch.Set, error) {
+			calls.Add(1)
+			<-gate
+			return nil, errors.New("injected: analysis held, then failed")
+		}
+	})
+	// Cleanups run last-in first-out: the gate opens before Drain.
+	t.Cleanup(func() { open.Do(func() { close(gate) }) })
+	pending := func() int {
+		s.pendingMu.Lock()
+		defer s.pendingMu.Unlock()
+		return len(s.pending)
+	}
+
+	for i := 0; i < n; i++ {
+		resp, _ := post(t, ts, "/request", svc.CrashRequest())
+		if got := resp.Header.Get("X-HTP-Outcome"); got != OutcomeWild {
+			t.Fatalf("crash %d outcome %q, want wild", i, got)
+		}
+	}
+	waitFor(t, "first analysis", func() bool { return calls.Load() == 1 })
+	if st := s.Stats(); st.BundleDuplicates != n-1 || st.BundleDrops != 0 {
+		t.Errorf("after %d identical crashes: duplicates=%d drops=%d, want %d/0",
+			n, st.BundleDuplicates, st.BundleDrops, n-1)
+	}
+
+	// The same crash with a trailing byte hashes differently: it queues
+	// behind the held analysis.
+	post(t, ts, "/request", append(svc.CrashRequest(), 0))
+	if st := s.Stats(); st.BundleDuplicates != n-1 || st.BundleDrops != 0 || pending() != 2 {
+		t.Errorf("distinct crash: duplicates=%d drops=%d pending=%d, want %d/0/2",
+			st.BundleDuplicates, st.BundleDrops, pending(), n-1)
+	}
+
+	open.Do(func() { close(gate) })
+	waitFor(t, "both rollouts to end", func() bool { return s.Stats().RolloutFails == 2 && pending() == 0 })
+	if got := calls.Load(); got != 2 {
+		t.Errorf("analyses = %d, want 2 (one per distinct input)", got)
+	}
+	post(t, ts, "/request", svc.CrashRequest())
+	waitFor(t, "re-analysis after release", func() bool { return s.Stats().RolloutFails == 3 })
+	if got := calls.Load(); got != 3 {
+		t.Errorf("analyses = %d, want 3: a released hash must queue again", got)
+	}
+}
+
+// TestRolloutPendingBound: the pending set holds at most RolloutQueue+1
+// hashes (the queue plus the analysis in flight); distinct crashes
+// beyond that are dropped and counted.
+func TestRolloutPendingBound(t *testing.T) {
+	const queue = 2
+	var calls atomic.Int32
+	gate := make(chan struct{})
+	var open sync.Once
+	s, ts, svc := newNginxServer(t, func(c *Config) {
+		c.RolloutQueue = queue
+		c.Analyze = func(p *prog.Program, attack []byte) (*patch.Set, error) {
+			calls.Add(1)
+			<-gate
+			return nil, errors.New("injected: analysis held, then failed")
+		}
+	})
+	t.Cleanup(func() { open.Do(func() { close(gate) }) })
+
+	// The first crash goes in flight; the next two fill the queue.
+	const distinct = queue + 3
+	for i := 0; i < distinct; i++ {
+		post(t, ts, "/request", append(svc.CrashRequest(), make([]byte, i)...))
+		if i == 0 {
+			waitFor(t, "first analysis", func() bool { return calls.Load() == 1 })
+		}
+	}
+	s.pendingMu.Lock()
+	held := len(s.pending)
+	s.pendingMu.Unlock()
+	if st := s.Stats(); held != queue+1 || st.BundleDrops != distinct-queue-1 || st.BundleDuplicates != 0 {
+		t.Errorf("pending=%d drops=%d duplicates=%d, want %d/%d/0",
+			held, st.BundleDrops, st.BundleDuplicates, queue+1, distinct-queue-1)
+	}
+	open.Do(func() { close(gate) })
+	waitFor(t, "queued rollouts to end", func() bool { return s.Stats().RolloutFails == queue+1 })
 }
 
 // TestSwapRacingDrain: a rollout in flight when Drain begins completes

@@ -21,6 +21,7 @@
 package serve
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -79,9 +80,12 @@ type Config struct {
 	// Patches is the initial patch configuration (nil = none: the
 	// server starts unpatched and patches itself from live crashes).
 	Patches *patch.Set
-	// Engine selects the execution substrate (tree, compiled).
+	// Engine selects the execution substrate (compiled, the zero
+	// value, or tree).
 	Engine prog.Engine
-	// TierUp is the compiled engine's promotion threshold.
+	// TierUp is the compiled engine's promotion threshold
+	// (0 = prog.DefaultTierUp). A worker keeps its executor across
+	// requests, so a handler's heat accumulates request by request.
 	TierUp uint64
 	// MaxSteps bounds each request's execution (0 = engine default).
 	MaxSteps uint64
@@ -104,7 +108,8 @@ type Config struct {
 	Analyze func(p *prog.Program, attack []byte) (*patch.Set, error)
 	// RolloutQueue bounds crash bundles waiting for re-analysis;
 	// further crashes drop their bundles (counted, not fatal) until
-	// the queue drains (0 = 16).
+	// the queue drains (0 = 16). A crash whose attack input matches
+	// one already queued or under analysis is not queued again.
 	RolloutQueue int
 }
 
@@ -128,6 +133,10 @@ type Stats struct {
 	// BundleDrops counts crash bundles dropped on a full rollout
 	// queue.
 	BundleDrops uint64 `json:"bundle_drops"`
+	// BundleDuplicates counts wild crashes not queued because a
+	// re-analysis of the same attack input (same SHA-256) was already
+	// queued or in flight.
+	BundleDuplicates uint64 `json:"bundle_duplicates"`
 	// Draining reports that the server has begun graceful drain.
 	Draining bool `json:"draining"`
 }
@@ -160,7 +169,13 @@ type Server struct {
 	tel   *telemetry.Scope // front-end's own scope (rollout counters)
 
 	jobs    chan *job
-	bundles chan *campaign.Bundle
+	bundles chan rolloutJob
+
+	// pending holds the attack-input hashes of queued and in-flight
+	// re-analyses, at most RolloutQueue+1 of them; an entry is released
+	// when its rollout ends, whether it succeeded or failed.
+	pendingMu sync.Mutex
+	pending   map[[sha256.Size]byte]struct{}
 
 	inflight chan struct{} // admission tokens
 
@@ -192,6 +207,13 @@ type Server struct {
 	rollouts      atomic.Uint64
 	rolloutFails  atomic.Uint64
 	bundleDrops   atomic.Uint64
+	bundleDups    atomic.Uint64
+}
+
+// rolloutJob is one queued crash bundle and its attack-input hash.
+type rolloutJob struct {
+	bundle *campaign.Bundle
+	key    [sha256.Size]byte
 }
 
 // New builds the front-end: a defended fleet, one worker goroutine per
@@ -247,7 +269,8 @@ func New(cfg Config) (*Server, error) {
 		fleet:    f,
 		coder:    coder,
 		jobs:     make(chan *job),
-		bundles:  make(chan *campaign.Bundle, cfg.RolloutQueue),
+		bundles:  make(chan rolloutJob, cfg.RolloutQueue),
+		pending:  make(map[[sha256.Size]byte]struct{}, cfg.RolloutQueue+1),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 		tenants:  make(map[string]*tenantState),
 		patches:  patches,
@@ -357,15 +380,40 @@ func (s *Server) classify(ctx *fleet.Context, fault error) string {
 }
 
 // captureBundle packages a wild crash for off-path re-analysis. The
-// enqueue never blocks the request path: a full rollout queue drops
-// the bundle (the next identical crash will re-capture it).
+// enqueue never blocks the request path: a crash whose attack input is
+// already queued or under analysis is counted as a duplicate, and a
+// full rollout queue drops the bundle (the next identical crash will
+// re-capture it).
 func (s *Server) captureBundle(input []byte, fault error) {
+	key := sha256.Sum256(input)
+	s.pendingMu.Lock()
+	if _, dup := s.pending[key]; dup {
+		s.pendingMu.Unlock()
+		s.bundleDups.Add(1)
+		return
+	}
+	if len(s.pending) > s.cfg.RolloutQueue {
+		s.pendingMu.Unlock()
+		s.bundleDrops.Add(1)
+		return
+	}
+	s.pending[key] = struct{}{}
+	s.pendingMu.Unlock()
+
 	b := campaign.LiveBundle(s.cfg.Program.Name, s.cfg.BenignSample, input, fault.Error(), nil)
 	select {
-	case s.bundles <- b:
+	case s.bundles <- rolloutJob{bundle: b, key: key}:
 	default:
+		s.release(key)
 		s.bundleDrops.Add(1)
 	}
+}
+
+// release forgets a pending attack-input hash.
+func (s *Server) release(key [sha256.Size]byte) {
+	s.pendingMu.Lock()
+	delete(s.pending, key)
+	s.pendingMu.Unlock()
 }
 
 // rolloutWorker drains crash bundles: each one is re-analyzed under
@@ -374,8 +422,9 @@ func (s *Server) captureBundle(input []byte, fault error) {
 // Every failure path leaves the previous table serving.
 func (s *Server) rolloutWorker() {
 	defer s.rollout.Done()
-	for b := range s.bundles {
-		s.runRollout(b)
+	for j := range s.bundles {
+		s.runRollout(j.bundle)
+		s.release(j.key)
 	}
 }
 
@@ -413,15 +462,16 @@ func (s *Server) Stats() Stats {
 	draining := s.draining
 	s.drainMu.Unlock()
 	return Stats{
-		Admitted:      s.admitted.Load(),
-		Rejected:      s.rejected.Load(),
-		QuotaRejected: s.quotaRejected.Load(),
-		Contained:     s.contained.Load(),
-		Wild:          s.wild.Load(),
-		Rollouts:      s.rollouts.Load(),
-		RolloutFails:  s.rolloutFails.Load(),
-		BundleDrops:   s.bundleDrops.Load(),
-		Draining:      draining,
+		Admitted:         s.admitted.Load(),
+		Rejected:         s.rejected.Load(),
+		QuotaRejected:    s.quotaRejected.Load(),
+		Contained:        s.contained.Load(),
+		Wild:             s.wild.Load(),
+		Rollouts:         s.rollouts.Load(),
+		RolloutFails:     s.rolloutFails.Load(),
+		BundleDrops:      s.bundleDrops.Load(),
+		BundleDuplicates: s.bundleDups.Load(),
+		Draining:         draining,
 	}
 }
 
