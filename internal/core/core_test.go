@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -199,5 +200,15 @@ func TestRunDefendedPromotions(t *testing.T) {
 	}
 	if got := m.Promotions(); got != 0 {
 		t.Errorf("one default RunDefended of %s promoted %d functions, want 0", b.Name, got)
+	}
+	// The rebuilt executor must be the one RunDefended runs: same
+	// output, steps and cycles on the same input.
+	run, err := sys.RunDefended(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(run.Result.Output, res.Output) || run.Result.Steps != res.Steps || run.Result.Cycles != res.Cycles {
+		t.Errorf("RunDefended diverges from its rebuilt executor\nRunDefended: steps %d cycles %d\nrebuilt:     steps %d cycles %d",
+			run.Result.Steps, run.Result.Cycles, res.Steps, res.Cycles)
 	}
 }

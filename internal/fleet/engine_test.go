@@ -15,6 +15,25 @@ import (
 // machine configured with it stays on the cold bytecode tier.
 const neverPromote = 1 << 40
 
+// midCorpusTierUp is a tier-up threshold worth a few requests of
+// uafProgram's heat: a machine kept across uafCorpus serves its first
+// requests cold and promotes its handler a few requests in.
+// TestMidCorpusTierUp pins where that lands.
+const midCorpusTierUp = 24
+
+// uafCorpus is n uafProgram requests, every third one the attack.
+func uafCorpus(n int) [][]byte {
+	inputs := make([][]byte, n)
+	for i := range inputs {
+		if i%3 == 0 {
+			inputs[i] = []byte{0xEE}
+		} else {
+			inputs[i] = []byte{0x00}
+		}
+	}
+	return inputs
+}
+
 // machineTiers are the two compiled-machine configurations every
 // engine cross-test compares with the tree interpreter: cold-only and
 // immediately promoting.
@@ -200,25 +219,49 @@ func TestFleetWorkerPromotesAcrossRequests(t *testing.T) {
 	}
 }
 
+// TestMidCorpusTierUp: at midCorpusTierUp, one compiled machine
+// reused across uafCorpus promotes nothing during its first two
+// requests and promotes its handler by the sixth, so the mid-corpus
+// rows below really switch tiers between requests.
+func TestMidCorpusTierUp(t *testing.T) {
+	p := uafProgram()
+	coder, patches := analyzeUAF(t, p)
+	ctx, err := New(Config{Workers: 1, Defended: true, Patches: patches}).newContext()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := newMachine(ctx, p, coder, midCorpusTierUp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ex.(*prog.Machine)
+	for i, in := range uafCorpus(6) {
+		if _, err := m.Run(in); err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 && m.Promotions() != 0 {
+			t.Errorf("request %d promoted %d functions; want the first two requests cold", i, m.Promotions())
+		}
+		if err := ctx.Reset(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Promotions() == 0 {
+		t.Error("six requests on one reused machine promoted nothing at midCorpusTierUp")
+	}
+}
+
 // TestFleetServeEngines: full parallel Serve must return the same
 // per-request results and merged fleet statistics on the tree
 // interpreter and on compiled machines that never promote, promote
-// mid-corpus, or promote immediately. The mid-corpus threshold is
-// below one request's own statements, so each worker promotes after
-// its first request and later requests run on closure code the
-// earlier ones compiled — through the shared fleet-wide cache.
+// mid-corpus, or promote immediately. In the mid-corpus row each
+// worker serves its first requests cold; a worker that gets a few
+// more promotes its handler (TestMidCorpusTierUp) and runs the rest
+// on closure code, through the shared fleet-wide cache.
 func TestFleetServeEngines(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
-
-	inputs := make([][]byte, 24)
-	for i := range inputs {
-		if i%3 == 0 {
-			inputs[i] = []byte{0xEE}
-		} else {
-			inputs[i] = []byte{0x00}
-		}
-	}
+	inputs := uafCorpus(24)
 	serve := func(engine prog.Engine, tierUp uint64) ([]*prog.Result, Stats) {
 		f := New(Config{Workers: 4, Defended: true, Patches: patches, Engine: engine, TierUp: tierUp})
 		res, err := f.Serve(p, coder, inputs)
@@ -234,7 +277,7 @@ func TestFleetServeEngines(t *testing.T) {
 		tierUp uint64
 	}{
 		{"compiled-cold", prog.EngineCompiled, neverPromote},
-		{"compiled-mid-corpus", prog.EngineCompiled, 3},
+		{"compiled-mid-corpus", prog.EngineCompiled, midCorpusTierUp},
 		{"compiled-immediate", prog.EngineCompiled, 1},
 	} {
 		vres, vstats := serve(c.engine, c.tierUp)

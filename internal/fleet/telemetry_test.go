@@ -127,7 +127,7 @@ func TestFleetTelemetryEngineParity(t *testing.T) {
 		tierUp uint64
 	}{
 		{"compiled-cold", prog.EngineCompiled, neverPromote},
-		{"compiled-mid-corpus", prog.EngineCompiled, 3},
+		{"compiled-mid-corpus", prog.EngineCompiled, midCorpusTierUp},
 	} {
 		snap, stats := serve(c.engine, c.tierUp)
 		if !reflect.DeepEqual(tsnap.Counters, snap.Counters) {
