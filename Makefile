@@ -7,9 +7,10 @@ PKGS := ./...
 RACE_PKGS := ./internal/defense/ ./internal/prog/ ./internal/fleet/ ./internal/serve/ ./internal/campaign/ ./internal/telemetry/
 # Packages whose statement coverage is gated in CI: the allocator the
 # campaign walker audits, the campaign rig itself, the runtime layers
-# the telemetry sweep pinned (defense/shadow/mem/telemetry), and the
-# serving stack (fleet + serve front-end).
-COVER_GATE_PKGS := ./internal/heapsim/ ./internal/campaign/ ./internal/defense/ ./internal/shadow/ ./internal/mem/ ./internal/telemetry/ ./internal/fleet/ ./internal/serve/
+# the telemetry sweep pinned (defense/shadow/mem/telemetry), the
+# serving stack (fleet + serve front-end), and the execution engines
+# (prog).
+COVER_GATE_PKGS := ./internal/heapsim/ ./internal/campaign/ ./internal/defense/ ./internal/shadow/ ./internal/mem/ ./internal/telemetry/ ./internal/fleet/ ./internal/serve/ ./internal/prog/
 COVER_MIN := 80
 
 .PHONY: all build test race vet fmt-check bench bench-json bench-campaign bench-campaign-json bench-fleet bench-policy bench-policy-json bench-serve bench-serve-json bench-compiled bench-encoding bench-smoke bench-telemetry check cover corpus fuzz-smoke
@@ -141,9 +142,11 @@ cover:
 corpus:
 	$(GO) run ./cmd/htp-fuzz -emit-corpus testdata/campaign -seeds 20
 
-# Short native-fuzzing shake of the campaign generator and reducer.
+# Short native-fuzzing shake of the campaign generator and reducer,
+# and of the engine differential (tree vs both compiled-engine tiers).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGenerate -fuzztime 10s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz FuzzReduce -fuzztime 10s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz FuzzVMvsTree -fuzztime 10s ./internal/prog/
 
 check: build vet fmt-check test race cover

@@ -37,6 +37,18 @@ import (
 // demoBenign is how many benign requests each demo phase sends.
 const demoBenign = 4
 
+// Live-server timeouts. A client that never finishes its headers
+// (slowloris), trickles its body, stalls reading the reply, or idles on
+// a keep-alive connection is disconnected instead of holding a
+// connection forever. Requests are small and the handler answers in
+// milliseconds, so these bound only misbehaving clients.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // announce prints operational (non-deterministic) notices: the bound
 // listen address. Stdout is reserved for deterministic output so the
 // golden tests can pin it. Tests override this to learn the address.
@@ -158,7 +170,7 @@ func serveLive(s *serve.Server, addr string, stdout io.Writer) error {
 	}
 	announce("listening on http://" + ln.Addr().String())
 
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newHTTPServer(s.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -180,6 +192,17 @@ func serveLive(s *serve.Server, addr string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "drained: %d requests served (%d contained, %d wild), %d rollouts, %d table swaps\n",
 		m.Requests, m.Front.Contained, m.Front.Wild, m.Front.Rollouts, m.TableSwaps)
 	return nil
+}
+
+// newHTTPServer wraps h in the live server with its fixed timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // runDemo drives the whole incident through the real HTTP handler,

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -158,5 +159,49 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := runOut(t, "-addr", "999.999.999.999:0"); err == nil {
 		t.Error("unbindable address accepted")
+	}
+}
+
+// TestSlowHeadersDisconnected: a client that opens a connection and
+// never finishes its request headers (slowloris) is disconnected by the
+// live server once the header timeout passes.
+func TestSlowHeadersDisconnected(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(http.NotFoundHandler())
+	served := make(chan struct{})
+	go func() {
+		srv.Serve(ln) // returns http.ErrServerClosed on Close
+		close(served)
+	}()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	// Headers without the terminating blank line.
+	if _, err := conn.Write([]byte("POST /request HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 3 * time.Second
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + slack)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	elapsed := time.Since(start)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after the headers stalled (header timeout %v)", elapsed, readHeaderTimeout)
+	}
+	if elapsed < readHeaderTimeout-time.Second {
+		t.Errorf("connection closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
 	}
 }

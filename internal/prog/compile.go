@@ -19,7 +19,13 @@ package prog
 //     three to five interface dispatches;
 //   - call/alloc/realloc sites carry metadata records with their
 //     encoding update precompiled (encoding.Coder.CompileSite), so no
-//     plan lookup happens at run time.
+//     plan lookup happens at run time;
+//   - instruction pairs that run as one dispatch are marked once, after
+//     a function's jump targets are final (markFusion): an opBin
+//     feeding the loop-head opBr or the loop-latch opJump, and chained
+//     opBin pairs. The second instruction stays in place, so code
+//     layout, jump targets and site order are those of the unfused
+//     stream; each tier decides per execution whether to honour a mark.
 //
 // The compiled form is immutable and goroutine-safe: one bytecode can
 // back any number of Machines (a Prepared shares one across workers).
@@ -86,17 +92,31 @@ const (
 // opndNone marks an absent optional operand (e.g. a nil Off).
 const opndNone = int32(math.MinInt32)
 
+// fuseKind marks an opBin whose successor can run in the same
+// dispatch. markFusion sets it; the mark lives in instr's padding.
+type fuseKind uint8
+
+const (
+	fuseNone fuseKind = iota
+	fuseBr            // next is an opBr on this opBin's dst (loop head, If)
+	fuseJump          // next is an opJump (loop latch)
+	fuseBin           // next is another opBin (closure tier only)
+)
+
 // instr is one fixed-size bytecode instruction. Operand slots a, b, c (and
 // dst where noted) address the register file when >= 0 and the
 // constant pool as ^v when negative; opndNone means absent. aux is
 // opcode-specific: a jump target, a record index, or a pool index.
 // tick marks the first instruction of a statement (and each loop
 // iteration's condition head): it charges CycStmt, counts a step, and
-// runs the scheduling quantum — exactly the tree-walker's tick.
+// runs the scheduling quantum — exactly the tree-walker's tick. fuse
+// is the compile-time fusion mark (opBin only); it fits the padding
+// after bop, so an instr stays 24 bytes.
 type instr struct {
 	op   opcode
 	tick bool
 	bop  BinOp
+	fuse fuseKind
 	dst  int32 // destination register; opStore reuses it as the N operand
 	a    int32
 	b    int32
@@ -267,6 +287,7 @@ type compiler struct {
 	tempBase int32
 	curTemp  int32
 	maxTemp  int32
+	isTarget []bool // markFusion scratch, reused across functions
 }
 
 // konst interns a scalar constant and returns its operand encoding.
@@ -350,6 +371,7 @@ func (c *compiler) compileFunc(f *Func, prologue bool) error {
 	// Falling off the end returns void without a tick, exactly like the
 	// tree-walker's execBlock running out of statements.
 	c.emit(instr{op: opRetVoid, a: opndNone})
+	c.markFusion(c.out.code[c.fn.entry:], c.fn.entry)
 	c.fn.nregs = c.tempBase + c.maxTemp
 	// Temporaries get placeholder names: they are always defined before
 	// use by construction, so these never reach an error message.
@@ -358,6 +380,43 @@ func (c *compiler) compileFunc(f *Func, prologue bool) error {
 	}
 	c.fn = nil
 	return nil
+}
+
+// markFusion sets the fusion marks of one function's code, whose jump
+// targets are final. A pair never fuses across a jump target (control
+// could enter at its second instruction), and an opBr or opJump fuses
+// only when it carries no tick, so a fused dispatch runs at most the
+// first instruction's tick. The mark is the one fusion rule both tiers
+// read: the cold tier runs marked fuseBr/fuseJump pairs in one
+// dispatch, the closure tier builds one closure per marked pair.
+func (c *compiler) markFusion(code []instr, entry int32) {
+	if cap(c.isTarget) < len(code) {
+		c.isTarget = make([]bool, len(code))
+	}
+	isTarget := c.isTarget[:len(code)]
+	clear(isTarget)
+	for i := range code {
+		switch code[i].op {
+		case opJump, opBr:
+			if t := code[i].aux - entry; t >= 0 && int(t) < len(code) {
+				isTarget[t] = true
+			}
+		}
+	}
+	for i := 0; i+1 < len(code); i++ {
+		ins, nxt := &code[i], &code[i+1]
+		if ins.op != opBin || isTarget[i+1] {
+			continue
+		}
+		switch {
+		case nxt.op == opBr && nxt.a == ins.dst && !nxt.tick:
+			ins.fuse = fuseBr
+		case nxt.op == opJump && !nxt.tick:
+			ins.fuse = fuseJump
+		case nxt.op == opBin:
+			ins.fuse = fuseBin
+		}
+	}
 }
 
 // collectVars pre-registers every named variable in body, in

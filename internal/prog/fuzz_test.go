@@ -7,14 +7,14 @@ package prog_test
 // and on the tree-walking interpreter, for any input bytes. Seeds cover the Table II corpus (via progtext.Print) plus
 // hand-written sources that hit the compiler's trickier lowerings
 // (operand check ordering, while-in-while, calls in conditions' arms,
-// explicit-CCID allocations). `go test` replays the seeds;
+// explicit-CCID allocations) and the quickened-shape conformance rows
+// (quicken_test.go). `go test` replays the seeds;
 // `go test -fuzz=FuzzVMvsTree ./internal/prog` explores.
 
 import (
 	"bytes"
 	"testing"
 
-	"heaptherapy/internal/mem"
 	"heaptherapy/internal/prog"
 	"heaptherapy/internal/progtext"
 	"heaptherapy/internal/vuln"
@@ -35,6 +35,9 @@ func FuzzVMvsTree(f *testing.F) {
 	for _, src := range literals {
 		f.Add(src, []byte{3})
 	}
+	for _, s := range quickenedShapes {
+		f.Add(s.src, []byte{3})
+	}
 	for _, c := range vuln.Named() {
 		f.Add(progtext.Print(c.Program), c.Attack)
 		for _, b := range c.Benign {
@@ -49,20 +52,8 @@ func FuzzVMvsTree(f *testing.F) {
 		// Bound runaway programs identically on both engines.
 		base := prog.Config{MaxSteps: 200000, MaxDepth: 64}
 
-		mkBackend := func() prog.HeapBackend {
-			space, err := mem.NewSpace(mem.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := prog.NewNativeBackend(space)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}
-
 		tcfg := base
-		tcfg.Backend = mkBackend()
+		tcfg.Backend = newNativeBackend(t)
 		it, err := prog.New(p, tcfg)
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -75,7 +66,7 @@ func FuzzVMvsTree(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Prepare accepted-by-parser program: %v", err)
 			}
-			m, err := pp.NewExec(mkBackend())
+			m, err := pp.NewExec(newNativeBackend(t))
 			if err != nil {
 				t.Fatalf("NewExec: %v", err)
 			}

@@ -24,10 +24,16 @@ package prog
 //   - backend shape: CheckUse elision (UseObserver), the bulk-load
 //     path (BulkLoader), and patch-verdict probing (PatchProber) are
 //     decided once per backend shape instead of per instruction;
-//   - superinstructions: a compare feeding a conditional branch, a
-//     binary op feeding the loop-latch jump, and chained binary-op
-//     pairs fuse into single closures, cutting dispatches on the
-//     loop-head path the cold tier pays every iteration.
+//   - superinstructions: the pairs compile marked for fusion (a
+//     compare feeding a conditional branch, a binary op feeding the
+//     loop-latch jump, chained binary ops) become single closures.
+//
+// The cold tier is quickened along the same lines without leaving its
+// switch: clean scalars flow unboxed through vmState.scalarOf and
+// reg.setU, and a marked compare+branch or latch pair whose operands
+// are clean scalars runs in one dispatch. Anything else (shadow
+// planes, undefined operands, a CheckUse that must see a Value) takes
+// the boxed rd/setBin path, instruction by instruction.
 //
 // The step calling convention is deliberately thin: a step returns
 // only the next step index. Faults are rare, so instead of returning
@@ -439,7 +445,9 @@ func (m *Machine) callSite(rec *callRec, f *frameV) error {
 // frame — calls recurse through invoke (where tier selection happens),
 // and returns unwind to the caller activation. The statements the
 // activation ticks are credited to the function's heat when it
-// returns; an activation that aborts the run credits nothing.
+// returns; an activation that aborts the run credits nothing. Clean
+// scalars stay unboxed (scalarOf/setU), and an opBin marked fuseBr or
+// fuseJump dispatches its successor too when its operands are clean.
 func (m *Machine) interpFrame(fnIdx int32, f *frameV) (*Value, error) {
 	vm := &m.vm
 	code := vm.c.code
@@ -463,9 +471,13 @@ func (m *Machine) interpFrame(fnIdx int32, f *frameV) (*Value, error) {
 			}
 
 		case opLoadK:
-			f.regs[ins.dst].setScalar(vm.c.constU[^ins.a])
+			f.regs[ins.dst].setU(vm.c.constU[^ins.a])
 
 		case opMove:
+			if u, ok := vm.scalarOf(f, ins.a); ok {
+				f.regs[ins.dst].setU(u)
+				break
+			}
 			src, err := vm.rd(f, ins.a)
 			if err != nil {
 				return nil, err
@@ -473,25 +485,53 @@ func (m *Machine) interpFrame(fnIdx int32, f *frameV) (*Value, error) {
 			f.regs[ins.dst].set(src)
 
 		case opBin:
-			av, err := vm.rd(f, ins.a)
+			au, aok := vm.scalarOf(f, ins.a)
+			bu, bok := vm.scalarOf(f, ins.b)
+			if !aok || !bok {
+				// Shadow planes, other widths or an undefined operand:
+				// the materialized path, with rd's errors in order and
+				// setBin's shadow propagation. The pair runs unfused.
+				av, err := vm.rd(f, ins.a)
+				if err != nil {
+					return nil, err
+				}
+				bv, err := vm.rd(f, ins.b)
+				if err != nil {
+					return nil, err
+				}
+				r, err := binScalar(ins.bop, av.Uint(), bv.Uint())
+				if err != nil {
+					return nil, err
+				}
+				f.regs[ins.dst].setBin(r, av, bv)
+				break
+			}
+			r, err := binScalar(ins.bop, au, bu)
 			if err != nil {
 				return nil, err
 			}
-			bv, err := vm.rd(f, ins.b)
-			if err != nil {
-				return nil, err
+			f.regs[ins.dst].setU(r)
+			// A marked successor carries no tick and is no jump target,
+			// so it can run in this dispatch. An opBr whose CheckUse must
+			// see the result as a Value runs unfused.
+			if ins.fuse == fuseJump {
+				pc = code[pc+1].aux
+				continue
 			}
-			r, err := binScalar(ins.bop, av.Uint(), bv.Uint())
-			if err != nil {
-				return nil, err
+			if ins.fuse == fuseBr && !vm.checkUse {
+				if r == 0 {
+					pc = code[pc+1].aux
+				} else {
+					pc += 2
+				}
+				continue
 			}
-			f.regs[ins.dst].setBin(r, av, bv)
 
 		case opInputLen:
-			f.regs[ins.dst].setScalar(uint64(len(vm.input)))
+			f.regs[ins.dst].setU(uint64(len(vm.input)))
 
 		case opInputRem:
-			f.regs[ins.dst].setScalar(uint64(len(vm.input) - vm.inPos))
+			f.regs[ins.dst].setU(uint64(len(vm.input) - vm.inPos))
 
 		case opGlobalGet:
 			g := &vm.globals[ins.aux]
@@ -513,14 +553,22 @@ func (m *Machine) interpFrame(fnIdx int32, f *frameV) (*Value, error) {
 			continue
 
 		case opBr:
-			cv, err := vm.rd(f, ins.a)
-			if err != nil {
-				return nil, err
-			}
-			if vm.checkUse {
+			var c uint64
+			if !vm.checkUse {
+				u, err := vm.uintOf(f, ins.a)
+				if err != nil {
+					return nil, err
+				}
+				c = u
+			} else {
+				cv, err := vm.rd(f, ins.a)
+				if err != nil {
+					return nil, err
+				}
 				vm.backend.CheckUse(*cv, UseControlFlow, vm.v)
+				c = cv.Uint()
 			}
-			if cv.Uint() == 0 {
+			if c == 0 {
 				pc = ins.aux
 				continue
 			}
@@ -543,33 +591,33 @@ func (m *Machine) interpFrame(fnIdx int32, f *frameV) (*Value, error) {
 
 		case opAlloc, opRealloc:
 			rec := &vm.c.allocs[ins.aux]
-			var ptrOp *Value
+			// Every operand is consumed as an integer, and no use point
+			// sees one, so all of them take the unboxed read.
+			var ptrOp uint64
 			var err error
 			if ins.op == opRealloc {
-				if ptrOp, err = vm.rd(f, rec.ptr); err != nil {
+				if ptrOp, err = vm.uintOf(f, rec.ptr); err != nil {
 					return nil, err
 				}
 			}
-			size, err := vm.rd(f, rec.size)
+			size, err := vm.uintOf(f, rec.size)
 			if err != nil {
 				return nil, err
 			}
-			nv, err := vm.rd(f, rec.n)
+			nv, err := vm.uintOf(f, rec.n)
 			if err != nil {
 				return nil, err
 			}
-			al, err := vm.rd(f, rec.align)
+			al, err := vm.uintOf(f, rec.align)
 			if err != nil {
 				return nil, err
 			}
 			ccid := vm.v
 			switch {
 			case rec.ccid != opndNone:
-				cv, err := vm.rd(f, rec.ccid)
-				if err != nil {
+				if ccid, err = vm.uintOf(f, rec.ccid); err != nil {
 					return nil, err
 				}
-				ccid = cv.Uint()
 				vm.encUpdates++
 				vm.cycles += CycEncUpdatePCC
 			case rec.upd.Instrumented:
@@ -582,29 +630,37 @@ func (m *Machine) interpFrame(fnIdx int32, f *frameV) (*Value, error) {
 			var ptr uint64
 			var aerr error
 			if ins.op == opRealloc {
-				ptr, aerr = vm.backend.Realloc(ccid, ptrOp.Uint(), size.Uint())
+				ptr, aerr = vm.backend.Realloc(ccid, ptrOp, size)
 			} else {
-				ptr, aerr = vm.backend.Alloc(rec.fn, ccid, nv.Uint(), size.Uint(), al.Uint())
+				ptr, aerr = vm.backend.Alloc(rec.fn, ccid, nv, size, al)
 			}
 			if aerr != nil {
 				return nil, vm.crash(aerr)
 			}
-			f.regs[rec.dst].setScalar(ptr)
+			f.regs[rec.dst].setU(ptr)
 			vm.ics[rec.ic].allocs++
 			if vm.prober != nil {
 				vm.noteAlloc(rec, ccid)
 			}
 
 		case opFree:
-			pv, err := vm.rd(f, ins.a)
-			if err != nil {
-				return nil, err
-			}
-			if vm.checkUse {
+			var ptr uint64
+			if !vm.checkUse {
+				u, err := vm.uintOf(f, ins.a)
+				if err != nil {
+					return nil, err
+				}
+				ptr = u
+			} else {
+				pv, err := vm.rd(f, ins.a)
+				if err != nil {
+					return nil, err
+				}
 				vm.backend.CheckUse(*pv, UseAddress, vm.v)
+				ptr = pv.Uint()
 			}
 			vm.frees++
-			if ferr := vm.backend.Free(pv.Uint(), vm.v); ferr != nil {
+			if ferr := vm.backend.Free(ptr, vm.v); ferr != nil {
 				return nil, vm.crash(ferr)
 			}
 
@@ -613,17 +669,17 @@ func (m *Machine) interpFrame(fnIdx int32, f *frameV) (*Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			nv, err := vm.rd(f, ins.c)
+			n, err := vm.uintOf(f, ins.c)
 			if err != nil {
 				return nil, err
 			}
 			r := &f.regs[ins.dst]
 			if vm.bulk != nil {
-				if lerr := vm.loadIntoReg(r, addr, nv.Uint()); lerr != nil {
+				if lerr := vm.loadIntoReg(r, addr, n); lerr != nil {
 					return nil, vm.crash(lerr)
 				}
 			} else {
-				v, lerr := vm.backend.Load(addr, nv.Uint(), vm.v)
+				v, lerr := vm.backend.Load(addr, n, vm.v)
 				if lerr != nil {
 					return nil, vm.crash(lerr)
 				}
@@ -643,11 +699,9 @@ func (m *Machine) interpFrame(fnIdx int32, f *frameV) (*Value, error) {
 			}
 			n := uint64(8)
 			if ins.dst != opndNone {
-				nv, err := vm.rd(f, ins.dst)
-				if err != nil {
+				if n, err = vm.uintOf(f, ins.dst); err != nil {
 					return nil, err
 				}
-				n = nv.Uint()
 				if n > 8 {
 					n = 8
 				}
@@ -843,8 +897,8 @@ func (m *Machine) fetchScalarSlow(r *reg, o *opref) (uint64, int32) {
 		m.fetchUndef(o)
 		return 0, scalarFault
 	}
-	if r.val.Valid == nil && r.val.Origin == nil && len(r.val.Bytes) == 8 {
-		return binary.LittleEndian.Uint64(r.val.Bytes), scalarOK
+	if u, ok := r.scalar(); ok {
+		return u, scalarOK
 	}
 	return 0, scalarBoxed
 }
@@ -932,23 +986,13 @@ func fnRange(c *bytecode, fnIdx int32) (int32, int32) {
 }
 
 // compile lowers the function. Two passes: the first partitions the
-// range into units (fusing eligible pairs, never across a jump
-// target) and assigns step indexes; the second builds the closures
-// with final next/branch indexes baked in.
+// range into units (a pair the compiler marked for fusion becomes one
+// unit) and assigns step indexes; the second builds the closures with
+// final next/branch indexes baked in.
 func (fc *fnCompiler) compile() []closStep {
 	fc.entry, fc.end = fnRange(fc.c, fc.fn)
 	code := fc.c.code
 	n := int(fc.end - fc.entry)
-
-	isTarget := make([]bool, n)
-	for pc := fc.entry; pc < fc.end; pc++ {
-		switch code[pc].op {
-		case opJump, opBr:
-			if t := code[pc].aux; t >= fc.entry && t < fc.end {
-				isTarget[t-fc.entry] = true
-			}
-		}
-	}
 
 	type unit struct {
 		pc    int32
@@ -957,18 +1001,7 @@ func (fc *fnCompiler) compile() []closStep {
 	var units []unit
 	fc.stepOf = make([]int32, n)
 	for pc := fc.entry; pc < fc.end; {
-		u := unit{pc: pc}
-		if pc+1 < fc.end && !isTarget[pc+1-fc.entry] {
-			ins, nxt := &code[pc], &code[pc+1]
-			switch {
-			case ins.op == opBin && nxt.op == opBr && nxt.a == ins.dst:
-				u.fused = true
-			case ins.op == opBin && nxt.op == opJump:
-				u.fused = true
-			case ins.op == opBin && nxt.op == opBin:
-				u.fused = true
-			}
-		}
+		u := unit{pc: pc, fused: code[pc].fuse != fuseNone}
 		fc.stepOf[pc-fc.entry] = int32(len(units))
 		units = append(units, u)
 		if u.fused {
@@ -1009,10 +1042,10 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 
 	if fused {
 		nxt := &c.code[pc+1]
-		switch nxt.op {
-		case opBr:
+		switch ins.fuse {
+		case fuseBr:
 			return fc.buildBinBr(ins, nxt, next)
-		case opJump:
+		case fuseJump:
 			return fc.buildBinJmp(ins, nxt)
 		default:
 			return fc.buildBinBin(ins, nxt, next)
@@ -1959,11 +1992,12 @@ func (fc *fnCompiler) buildAlloc(ins *instr, tick bool, next int32) closStep {
 
 // buildBinBr fuses a binary op into the conditional branch consuming
 // its result — the loop-head superinstruction (e.g. `i < n` feeding
-// the while branch): one dispatch instead of two per iteration.
+// the while branch): one dispatch instead of two per iteration. The
+// fusion mark guarantees the branch carries no tick.
 func (fc *fnCompiler) buildBinBr(bin, br *instr, next int32) closStep {
 	dst, bop := bin.dst, bin.bop
 	a, b := fc.ref(bin.a), fc.ref(bin.b)
-	tick1, tick2 := bin.tick, br.tick
+	tick1 := bin.tick
 	elseIdx := fc.stepAt(br.aux)
 	cu := fc.shape.checkUse
 	aConst, aku, aIdx := a.k != nil, a.ku, a.idx
@@ -1987,9 +2021,6 @@ func (fc *fnCompiler) buildBinBr(bin, br *instr, next int32) closStep {
 		}
 		dreg := &f.regs[dst]
 		dreg.setBin(r, av, bv)
-		if tick2 && !m.mtick() {
-			return stepFault
-		}
 		if cu {
 			m.vm.backend.CheckUse(dreg.val, UseControlFlow, m.vm.v)
 		}
@@ -2026,9 +2057,6 @@ func (fc *fnCompiler) buildBinBr(bin, br *instr, next int32) closStep {
 		}
 		dreg := &f.regs[dst]
 		dreg.setU(r)
-		if tick2 && !m.mtick() {
-			return stepFault
-		}
 		if cu {
 			dreg.materialize()
 			m.vm.backend.CheckUse(dreg.val, UseControlFlow, m.vm.v)
@@ -2042,11 +2070,12 @@ func (fc *fnCompiler) buildBinBr(bin, br *instr, next int32) closStep {
 
 // buildBinJmp fuses a binary op into the unconditional jump following
 // it — the loop-latch superinstruction (`i = i + 1` feeding the
-// back-edge): one dispatch per iteration instead of two.
+// back-edge): one dispatch per iteration instead of two. The fusion
+// mark guarantees the jump carries no tick.
 func (fc *fnCompiler) buildBinJmp(bin, jmp *instr) closStep {
 	dst, bop := bin.dst, bin.bop
 	a, b := fc.ref(bin.a), fc.ref(bin.b)
-	tick1, tick2 := bin.tick, jmp.tick
+	tick1 := bin.tick
 	tgt := fc.stepAt(jmp.aux)
 	aConst, aku, aIdx := a.k != nil, a.ku, a.idx
 	bConst, bku, bIdx := b.k != nil, b.ku, b.idx
@@ -2066,9 +2095,6 @@ func (fc *fnCompiler) buildBinJmp(bin, jmp *instr) closStep {
 			return stepFault
 		}
 		f.regs[dst].setBin(r, av, bv)
-		if tick2 && !m.mtick() {
-			return stepFault
-		}
 		return tgt
 	}
 
@@ -2097,9 +2123,6 @@ func (fc *fnCompiler) buildBinJmp(bin, jmp *instr) closStep {
 			return stepFault
 		}
 		f.regs[dst].setU(r)
-		if tick2 && !m.mtick() {
-			return stepFault
-		}
 		return tgt
 	}
 }

@@ -8,6 +8,7 @@ package prog
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -173,6 +174,52 @@ func TestBytecodeExactlySized(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(callRec{}); size > 32 {
 		t.Errorf("callRec is %d bytes, want at most 32", size)
+	}
+}
+
+// TestInstrSize: the fusion mark lives in instr's padding, so an
+// instruction stays 24 bytes.
+func TestInstrSize(t *testing.T) {
+	if size := unsafe.Sizeof(instr{}); size != 24 {
+		t.Errorf("instr is %d bytes, want 24", size)
+	}
+}
+
+// TestFusionMarks pins markFusion's rule on each shape it must tell
+// apart: the loop-head compare feeding its branch, the latch feeding
+// the back-edge, chained binary ops, a compare feeding a branch that
+// carries its own statement tick, and a then-arm's last op whose
+// successor is the If's false-edge target.
+func TestFusionMarks(t *testing.T) {
+	p := MustLink(&Program{Name: "marks", Funcs: map[string]*Func{
+		"main": {Body: []Stmt{
+			Assign{Dst: "i", E: C(0)},
+			Assign{Dst: "n", E: C(0)},
+			While{Cond: Lt(V("i"), C(9)), Body: []Stmt{ // fuseBr
+				Assign{Dst: "c", E: Lt(V("i"), C(3))}, // next opBr ticks: none
+				If{Cond: V("c"), Then: []Stmt{
+					Assign{Dst: "n", E: Add(V("n"), C(1))}, // next is a jump target: none
+				}},
+				Assign{Dst: "x", E: Bin{Op: OpMul, A: Add(V("i"), V("n")), B: C(3)}}, // fuseBin twice
+				Assign{Dst: "i", E: Add(V("i"), C(1))},                               // fuseJump
+			}},
+		}},
+	}})
+	c, err := compile(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []fuseKind
+	for _, ins := range c.code {
+		if ins.op == opBin {
+			got = append(got, ins.fuse)
+		} else if ins.fuse != fuseNone {
+			t.Errorf("opcode %d carries fusion mark %d", ins.op, ins.fuse)
+		}
+	}
+	want := []fuseKind{fuseBr, fuseNone, fuseNone, fuseBin, fuseBin, fuseJump}
+	if !slices.Equal(got, want) {
+		t.Errorf("opBin fusion marks %v, want %v", got, want)
 	}
 }
 

@@ -37,12 +37,13 @@ import (
 // (setScalar nils val.Valid/val.Origin, so their buffers are parked
 // here for the next shadowed write to reuse).
 //
-// u/uok are the compiled tier's unboxed-scalar cache: when uok is
-// set, the register's authoritative content is the shadow-free 8-byte
-// scalar u, and val is stale. Only Machine closure code sets uok
-// (reg.setU); every byte-level write clears it, and every reader that
+// u/uok are the unboxed-scalar cache: when uok is set, the register's
+// authoritative content is the shadow-free 8-byte scalar u, and val is
+// stale. Both Machine tiers set uok (reg.setU) for clean scalar
+// results; every byte-level write clears it, and every reader that
 // hands out *Value (rd, Machine.fetch) materializes first, so both
-// tiers observe bit-identical Values.
+// tiers observe bit-identical Values. Integer-only readers
+// (vmState.scalarOf, Machine.fetchScalar) take u without materializing.
 type reg struct {
 	val       Value
 	def       bool
@@ -75,6 +76,18 @@ func (r *reg) setU(v uint64) {
 	r.u = v
 	r.uok = true
 	r.def = true
+}
+
+// scalar reports a defined register's content when it is a
+// shadow-free 8-byte scalar: the cached u, or val's decoded bytes.
+func (r *reg) scalar() (uint64, bool) {
+	if r.uok {
+		return r.u, r.def
+	}
+	if r.def && r.val.Valid == nil && r.val.Origin == nil && len(r.val.Bytes) == 8 {
+		return binary.LittleEndian.Uint64(r.val.Bytes), true
+	}
+	return 0, false
 }
 
 // materialize writes the cached scalar through to val, restoring the
@@ -312,9 +325,44 @@ func (vm *vmState) rdUndef(f *frameV, o int32) error {
 	return vm.undefVar(vm.c.funcs[f.fn].regNames[o])
 }
 
+// scalarOf is the cold tier's unboxed read of an operand: a constant's
+// scalar, a register's cached setU scalar, or the decoded bytes of a
+// defined register holding a shadow-free 8-byte scalar. It never
+// materializes or reports errors: false (undefined registers, shadow
+// planes, other widths) sends the caller to rd, whose error text and
+// order are the tree-walker's.
+func (vm *vmState) scalarOf(f *frameV, o int32) (uint64, bool) {
+	if o < 0 {
+		return vm.c.constU[^o], true
+	}
+	return f.regs[o].scalar()
+}
+
+// uintOf resolves an operand consumed only as an integer (sizes,
+// counts, addresses no CheckUse sees): scalarOf's fast read, else rd.
+func (vm *vmState) uintOf(f *frameV, o int32) (uint64, error) {
+	if u, ok := vm.scalarOf(f, o); ok {
+		return u, nil
+	}
+	v, err := vm.rd(f, o)
+	if err != nil {
+		return 0, err
+	}
+	return v.Uint(), nil
+}
+
 // effAddr forms base+off with the address use-point checks, mirroring
-// the tree-walker's evalAddr (one check when off is absent).
+// the tree-walker's evalAddr (one check when off is absent). Without
+// use-point checks the address operands are plain integers.
 func (vm *vmState) effAddr(f *frameV, a, b int32) (uint64, error) {
+	if !vm.checkUse {
+		base, err := vm.uintOf(f, a)
+		if err != nil || b == opndNone {
+			return base, err
+		}
+		off, err := vm.uintOf(f, b)
+		return base + off, err
+	}
 	bv, err := vm.rd(f, a)
 	if err != nil {
 		return 0, err

@@ -1,9 +1,11 @@
 package prog
 
 // Engine benchmarks on the interpreter-bound pin workload: the
-// tree-walker against the compiled engine's promoted closure tier
-// (which allocates nothing in steady state), plus the one-time
-// bytecode translation cost. `make bench-compiled` runs these.
+// tree-walker against the compiled engine's cold bytecode tier (a
+// never-promoting Machine, the tier one-shot runs execute) and its
+// promoted closure tier, both of which allocate nothing in steady
+// state, plus the one-time bytecode translation cost.
+// `make bench-compiled` runs these.
 
 import (
 	"testing"
@@ -69,6 +71,25 @@ func BenchmarkEnginesCompiled(b *testing.B) {
 	m := newTestMachine(b, p, Config{Backend: backend}, 1)
 	var res Result
 	// Promote every function before the timer starts.
+	if err := m.RunReuse(&res, input); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.RunReuse(&res, input); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEnginesCold times the cold tier alone: the Machine never
+// promotes, so every statement runs through interpFrame.
+func BenchmarkEnginesCold(b *testing.B) {
+	p, backend, input := benchSetup(b, 256)
+	m := newTestMachine(b, p, Config{Backend: backend}, neverPromote)
+	var res Result
+	// Warm the register, frame and output buffers.
 	if err := m.RunReuse(&res, input); err != nil {
 		b.Fatal(err)
 	}

@@ -82,6 +82,19 @@ func corpusCoder(t *testing.T, p *prog.Program) *encoding.Coder {
 	return coder
 }
 
+func newNativeBackend(t *testing.T) prog.HeapBackend {
+	t.Helper()
+	space, err := mem.NewSpace(mem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := prog.NewNativeBackend(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func newShadow(t *testing.T) *shadow.Backend {
 	t.Helper()
 	space, err := mem.NewSpace(mem.Config{})
