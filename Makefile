@@ -60,14 +60,15 @@ bench-serve:
 bench-serve-json:
 	$(GO) run ./cmd/htp-bench -exp serve -json
 
-# Compiled engine: the promotion-parity and zero-alloc pins, the
+# Compiled engine: the steady-state and encoded-call zero-alloc pins
+# and the pin workload's tree-vs-compiled differential, the
 # tree-vs-compiled engine benchmarks (pin workload plus the one-time
-# compile cost), the encoded-call benchmarks on the tree and both
-# Machine tiers, and the tierup experiment's tree-vs-compiled geomean
-# table. BENCHTIME=1x gives a fast smoke run.
+# compile cost), the encoded-call benchmarks on both engines, and the
+# tierup experiment's tree-vs-compiled geomean table. BENCHTIME=1x
+# gives a fast smoke run.
 BENCHTIME ?= 1s
 bench-compiled:
-	$(GO) test -run 'Machine|EncodedCall' -count 1 -v ./internal/prog/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
+	$(GO) test -run 'SteadyStateZeroAlloc|EncodedCall|VMMatchesTreeOnPin' -count 1 -v ./internal/prog/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
 	$(GO) test -run '^$$' -bench 'BenchmarkEngines|BenchmarkCompile|BenchmarkEncodedCall' -benchmem \
 		-benchtime $(BENCHTIME) ./internal/prog/
 	$(GO) run ./cmd/htp-bench -exp tierup

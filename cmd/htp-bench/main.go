@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	htp-bench [-exp all|encoding|table2|table3|table4|fig8|fig9|services|ablation|guard|fleet|serve|campaign|telemetry|policy|tierup] [-quick] [-scale N] [-engine tree|compiled] [-tierup N]
+//	htp-bench [-exp all|encoding|table2|table3|table4|fig8|fig9|services|ablation|guard|fleet|serve|campaign|telemetry|policy|tierup] [-quick] [-scale N] [-engine tree|compiled]
 package main
 
 import (
@@ -34,7 +34,6 @@ func run(args []string) error {
 	scale := fs.Uint64("scale", 0, "divisor for Table IV allocation counts (default 10000)")
 	jsonOut := fs.Bool("json", false, "emit per-experiment wall time and allocations as JSON instead of rendered tables")
 	engineName := fs.String("engine", "compiled", "execution engine for measured runs: tree or compiled (results are bit-identical; compiled is faster)")
-	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold: a function's cold calls plus cold statements of its own body (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -42,7 +41,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := experiments.Config{Quick: *quick, Scale: *scale, Engine: engine, TierUp: *tierUp}
+	cfg := experiments.Config{Quick: *quick, Scale: *scale, Engine: engine}
 
 	type runner struct {
 		name string
@@ -173,7 +172,6 @@ func run(args []string) error {
 			if r.name == "tierup" && tierUpResult != nil {
 				br.Detail = map[string]float64{
 					"geomean_vs_tree":        tierUpResult.GeomeanVsTree,
-					"tierup_threshold":       float64(tierUpResult.Threshold),
 					"steady_state_allocs_op": tierUpResult.SteadyStateAllocs,
 				}
 			}
@@ -224,17 +222,12 @@ func run(args []string) error {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		tierUpRecorded := *tierUp
-		if tierUpRecorded == 0 {
-			tierUpRecorded = prog.DefaultTierUp
-		}
 		return enc.Encode(benchReport{
 			GoVersion:   runtime.Version(),
 			GOOS:        runtime.GOOS,
 			GOARCH:      runtime.GOARCH,
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
 			Engine:      engine.String(),
-			TierUp:      tierUpRecorded,
 			Quick:       *quick,
 			Experiments: results,
 		})
@@ -246,14 +239,11 @@ func run(args []string) error {
 // record per experiment, suitable for committed BENCH_*.json baselines
 // and cross-run comparison.
 type benchReport struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Engine     string `json:"engine"`
-	// TierUp is the compiled engine's promotion threshold in effect for
-	// this report (the resolved default when -tierup was not given).
-	TierUp      uint64        `json:"tierup_threshold"`
+	GoVersion   string        `json:"go_version"`
+	GOOS        string        `json:"goos"`
+	GOARCH      string        `json:"goarch"`
+	GOMAXPROCS  int           `json:"gomaxprocs"`
+	Engine      string        `json:"engine"`
 	Quick       bool          `json:"quick"`
 	Experiments []benchResult `json:"experiments"`
 }

@@ -1,6 +1,6 @@
 // Command htp-fuzz runs the generative campaign: seeded random
 // programs with injected heap vulnerabilities, each driven through
-// the full differential matrix (tree-walker vs tier-up compiled engine,
+// the full differential matrix (tree-walker vs compiled engine,
 // boundary-tag heap vs pool allocator, native vs shadow-analyzed vs
 // defended) with the heap-invariant walker attached, and every cell
 // checked against the injected ground truth.

@@ -56,8 +56,7 @@ func run(args []string, stdout io.Writer) error {
 	benign := fs.Int("benign", -1, "use the N-th built-in benign input instead of the attack")
 	threads := fs.Int("threads", 1, "run N copies concurrently over one shared heap")
 	encoderName := fs.String("encoder", "PCC", "calling-context encoder; must match the one htp-patchgen used")
-	engineName := fs.String("engine", "compiled", "execution engine: compiled (bytecode with tier-up to closures) or tree (reference interpreter)")
-	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold: a function's cold calls plus cold statements of its own body (0 = default)")
+	engineName := fs.String("engine", "compiled", "execution engine: compiled (quickened bytecode) or tree (reference interpreter)")
 	policyName := fs.String("policy", "ht", "defense policy family for defended runs: ht, shadowbound, or mesh")
 	telemetryFmt := fs.String("telemetry", "", `append a telemetry report after the run: "table" or "json"`)
 	if err := fs.Parse(args); err != nil {
@@ -128,7 +127,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sys, err := core.NewSystem(program, core.Options{Encoder: encKind, Engine: engine, TierUp: *tierUp, Family: family, Telemetry: tcol})
+	sys, err := core.NewSystem(program, core.Options{Encoder: encKind, Engine: engine, Family: family, Telemetry: tcol})
 	if err != nil {
 		return err
 	}

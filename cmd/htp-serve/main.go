@@ -68,8 +68,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("htp-serve", flag.ContinueOnError)
 	serviceName := fs.String("service", "nginx", "vulnerable service stand-in: nginx or mysql")
-	engineName := fs.String("engine", "compiled", "execution engine: compiled (bytecode with tier-up to closures) or tree (reference interpreter)")
-	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold: a function's cold calls plus cold statements of its own body (0 = default)")
+	engineName := fs.String("engine", "compiled", "execution engine: compiled (quickened bytecode) or tree (reference interpreter)")
 	policyName := fs.String("policy", "ht", "defense policy family for every tenant: ht, shadowbound, or mesh")
 	workers := fs.Int("workers", 4, "worker goroutines, one defended tenant context each")
 	maxInFlight := fs.Int("max-in-flight", 0, "admission bound before 429s (0 = 4*workers)")
@@ -142,7 +141,6 @@ func run(args []string, stdout io.Writer) error {
 		TenantQuota:  *quota,
 		Patches:      patches,
 		Engine:       engine,
-		TierUp:       *tierUp,
 		Family:       family,
 		Telemetry:    tcol,
 	})

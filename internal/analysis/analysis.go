@@ -60,11 +60,9 @@ type Analyzer struct {
 	ShadowConfig shadow.Config
 	// MaxSteps bounds the replay (0 = interpreter default).
 	MaxSteps uint64
-	// Engine selects the replay substrate (tree interpreter or tier-up
+	// Engine selects the replay substrate (tree interpreter or
 	// compiled machine); both record identical warning streams.
 	Engine prog.Engine
-	// TierUp is the compiled engine's promotion threshold (0 = default).
-	TierUp uint64
 }
 
 // Analyze replays the program on the attack input and generates
@@ -83,7 +81,6 @@ func (a *Analyzer) Analyze(p *prog.Program, attackInput []byte) (*Report, error)
 		Coder:    a.Coder,
 		MaxSteps: a.MaxSteps,
 		Engine:   a.Engine,
-		TierUp:   a.TierUp,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("analysis: building interpreter: %w", err)

@@ -45,7 +45,6 @@ func (a *Analyzer) AnalyzePartitioned(p *prog.Program, attackInput []byte, n int
 			Coder:    a.Coder,
 			MaxSteps: a.MaxSteps,
 			Engine:   a.Engine,
-			TierUp:   a.TierUp,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("analysis: building interpreter: %w", err)

@@ -27,7 +27,7 @@ import (
 // the allocators' arena resets) — the fleet runtime's pooled-context
 // idiom applied to the whole oracle matrix. The program is also
 // prepared once per (seed, engine), so every compiled-engine cell
-// shares one immutable bytecode and one closure cache.
+// shares one immutable bytecode.
 //
 // A Workbench is NOT safe for concurrent use; the sharded campaign
 // runtime (shard.go) gives each worker goroutine its own.
@@ -108,7 +108,7 @@ func (w *Workbench) Check(g *Generated) *Report {
 	// cell.
 	prepared := make(map[prog.Engine]*prog.Prepared, len(o.Engines))
 	for _, e := range o.Engines {
-		pp, err := prog.Prepare(g.Program, prog.Config{Coder: coder, MaxSteps: o.MaxSteps, Engine: e, TierUp: cellTierUp})
+		pp, err := prog.Prepare(g.Program, prog.Config{Coder: coder, MaxSteps: o.MaxSteps, Engine: e})
 		if err != nil {
 			return o.Check(g)
 		}
@@ -187,7 +187,7 @@ func (w *Workbench) runShadowCell(g *Generated, coder *encoding.Coder, pp *prog.
 		out.RunErr = fmt.Sprintf("analysis: building interpreter: %v", err)
 		return out, nil
 	}
-	az := &analysis.Analyzer{Coder: coder, MaxSteps: o.MaxSteps, Engine: e, TierUp: cellTierUp}
+	az := &analysis.Analyzer{Coder: coder, MaxSteps: o.MaxSteps, Engine: e}
 	r, err := az.AnalyzeWith(g.Program, g.input(attack), w.shadowBack, ex)
 	if err != nil {
 		out.RunErr = err.Error()

@@ -41,11 +41,6 @@ type Options struct {
 	// verified bit-identical, so patches generated under one apply
 	// under the other.
 	Engine prog.Engine
-	// TierUp is the compiled engine's promotion threshold in heat —
-	// cold invocations plus cold statements of a function's own body —
-	// before the function is lowered to closure code (0 = default;
-	// only consulted when Engine is prog.EngineCompiled).
-	TierUp uint64
 	// Telemetry, when non-nil, instruments every pipeline stage run
 	// through this System: each run binds one scope for its space,
 	// allocator, and (where applicable) defense or shadow layer, plus
@@ -72,8 +67,7 @@ func (o Options) withDefaults() Options {
 // A System keeps no prog.Prepared: every run compiles its own
 // executor, which lives only as long as that run. Callers hold many
 // Systems at once (one per program of an experiment), and a cached
-// Prepared would keep each program's bytecode and closure code live
-// between runs.
+// Prepared would keep each program's bytecode live between runs.
 type System struct {
 	opts    Options
 	program *prog.Program
@@ -113,7 +107,6 @@ func (s *System) GeneratePatches(attackInput []byte) (*analysis.Report, error) {
 		Coder:        s.coder,
 		MaxSteps:     s.opts.MaxSteps,
 		Engine:       s.opts.Engine,
-		TierUp:       s.opts.TierUp,
 		ShadowConfig: shadow.Config{Telemetry: s.scope()},
 	}
 	return a.Analyze(s.program, attackInput)
@@ -182,7 +175,6 @@ func (s *System) execConfig(backend prog.HeapBackend, coder *encoding.Coder) pro
 		Coder:    coder,
 		MaxSteps: s.opts.MaxSteps,
 		Engine:   s.opts.Engine,
-		TierUp:   s.opts.TierUp,
 	}
 }
 
@@ -286,7 +278,6 @@ func (s *System) GeneratePatchesPartitioned(attackInput []byte, n int) (*analysi
 		Coder:        s.coder,
 		MaxSteps:     s.opts.MaxSteps,
 		Engine:       s.opts.Engine,
-		TierUp:       s.opts.TierUp,
 		ShadowConfig: shadow.Config{Telemetry: s.scope()},
 	}
 	return a.AnalyzePartitioned(s.program, attackInput, n)

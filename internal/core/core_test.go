@@ -160,11 +160,10 @@ func TestOptionsPropagate(t *testing.T) {
 	}
 }
 
-// TestRunDefendedPromotions pins how many functions one default
-// RunDefended of 400.perlbench lowers to closures: none. Nearly all of
-// its statements run in the entry activation, which is never entered
-// again, and no other function gathers DefaultTierUp heat, so a
-// one-shot run pays no closure compilation at all.
+// TestRunDefendedPromotions pins that one default RunDefended of
+// 400.perlbench runs on the compiled engine's Machine, and that the
+// executor rebuilt from RunDefended's own construction is the one it
+// runs.
 func TestRunDefendedPromotions(t *testing.T) {
 	b, err := workload.BenchmarkByName("400.perlbench")
 	if err != nil {
@@ -194,12 +193,8 @@ func TestRunDefendedPromotions(t *testing.T) {
 	if res.Crashed() {
 		t.Fatalf("defended run crashed: %v", res.Fault)
 	}
-	m, ok := ex.(*prog.Machine)
-	if !ok {
+	if _, ok := ex.(*prog.Machine); !ok {
 		t.Fatalf("default engine built %T, want *prog.Machine", ex)
-	}
-	if got := m.Promotions(); got != 0 {
-		t.Errorf("one default RunDefended of %s promoted %d functions, want 0", b.Name, got)
 	}
 	// The rebuilt executor must be the one RunDefended runs: same
 	// output, steps and cycles on the same input.

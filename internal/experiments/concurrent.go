@@ -91,7 +91,7 @@ func runThreadsTotal(ec prog.Config, p *prog.Program, coder *encoding.Coder, def
 		}
 		backend = nb
 	}
-	results, err := prog.RunThreads(p, prog.Config{Backend: backend, Coder: coder, Engine: ec.Engine, TierUp: ec.TierUp}, inputs, prog.DefaultQuantum)
+	results, err := prog.RunThreads(p, prog.Config{Backend: backend, Coder: coder, Engine: ec.Engine}, inputs, prog.DefaultQuantum)
 	if err != nil {
 		return 0, err
 	}

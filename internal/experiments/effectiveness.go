@@ -47,7 +47,7 @@ func TableII(cfg Config) (*TableIIResult, error) {
 	}
 	out := &TableIIResult{}
 	for _, c := range cases {
-		sys, err := core.NewSystem(c.Program, core.Options{Engine: cfg.Engine, TierUp: cfg.TierUp})
+		sys, err := core.NewSystem(c.Program, core.Options{Engine: cfg.Engine})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", c.Name, err)
 		}

@@ -9,10 +9,9 @@ import (
 // TestExperimentsEngineIndependent locks in the claim the Config.Engine
 // doc makes: every deterministic (cycle-axis) experiment renders a
 // bit-identical report whether the programs execute on the tree
-// interpreter, a never-promoting compiled machine (cold bytecode tier
-// only), or an immediately-promoting one (threshold 1). Wall-clock
-// experiments (tierup, and the throughput columns of fleet/concurrent)
-// are excluded by design.
+// interpreter or the compiled machine. Wall-clock experiments (tierup,
+// and the throughput columns of fleet/concurrent) are excluded by
+// design.
 func TestExperimentsEngineIndependent(t *testing.T) {
 	cases := []struct {
 		name string
@@ -53,14 +52,12 @@ func TestExperimentsEngineIndependent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, tierUp := range []uint64{1 << 40, 1} {
-				got, err := c.run(Config{Quick: true, Engine: prog.EngineCompiled, TierUp: tierUp})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tree != got {
-					t.Errorf("render differs across engines\n--- tree ---\n%s\n--- compiled, tier-up %d ---\n%s", tree, tierUp, got)
-				}
+			got, err := c.run(Config{Quick: true, Engine: prog.EngineCompiled})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tree != got {
+				t.Errorf("render differs across engines\n--- tree ---\n%s\n--- compiled ---\n%s", tree, got)
 			}
 		})
 	}

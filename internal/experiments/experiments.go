@@ -36,22 +36,16 @@ type Config struct {
 	// Quick trims parameter sweeps for fast runs.
 	Quick bool
 	// Engine selects the execution substrate (tree interpreter or
-	// tier-up compiled machine). Both produce bit-identical
-	// measurements at any tier-up threshold — locked in by
-	// TestExperimentsEngineIndependent — so the choice only affects
-	// wall-clock time of the experiment harness itself.
+	// compiled machine). Both produce bit-identical measurements —
+	// locked in by TestExperimentsEngineIndependent — so the choice
+	// only affects wall-clock time of the experiment harness itself.
 	Engine prog.Engine
-	// TierUp is the compiled engine's promotion threshold (a function's
-	// cold calls plus cold statements of its own body before it is
-	// lowered to closure code); 0 means prog.DefaultTierUp.
-	// Only the tierup experiment and EngineCompiled runs consult it.
-	TierUp uint64
 }
 
 // exec is the executor configuration measured runs are built from: the
-// engine and its tier-up threshold.
+// engine.
 func (c Config) exec() prog.Config {
-	return prog.Config{Engine: c.Engine, TierUp: c.TierUp}
+	return prog.Config{Engine: c.Engine}
 }
 
 func (c Config) programConfig() workload.ProgramConfig {

@@ -276,10 +276,9 @@ func TestPatchScalingIsFlat(t *testing.T) {
 }
 
 // TestTierUpComparisonShape runs the encoded-call suite in quick mode
-// and pins the structural contracts: every row promoted at least one
-// function, both engines agreed on cycles (TierUpComparison
-// errors otherwise), the threshold is recorded, and the fully-promoted
-// closure tier allocates nothing per run.
+// and pins the structural contracts: both engines agreed on cycles
+// (TierUpComparison errors otherwise), every row is timed, and the warm
+// compiled engine allocates nothing per run.
 func TestTierUpComparisonShape(t *testing.T) {
 	r, err := TierUpComparison(quick)
 	if err != nil {
@@ -289,18 +288,12 @@ func TestTierUpComparisonShape(t *testing.T) {
 		t.Fatal("no rows")
 	}
 	for _, row := range r.Rows {
-		if row.Promotions == 0 {
-			t.Errorf("%s: machine never promoted", row.Bench)
-		}
 		if row.Cycles == 0 {
 			t.Errorf("%s: zero cycles recorded", row.Bench)
 		}
 		if row.CompiledNsOp <= 0 || row.TreeNsOp <= 0 {
 			t.Errorf("%s: non-positive timing: %+v", row.Bench, row)
 		}
-	}
-	if r.Threshold == 0 {
-		t.Error("threshold not recorded")
 	}
 	if r.SteadyStateAllocs != 0 {
 		t.Errorf("steady-state compiled allocs/run = %.1f, want 0", r.SteadyStateAllocs)

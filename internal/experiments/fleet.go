@@ -91,7 +91,7 @@ func Fleet(cfg Config) (*FleetResult, error) {
 
 	var defendedBase float64
 	for _, w := range workerCounts {
-		native, err := measure(fleet.New(fleet.Config{Workers: w, Engine: cfg.Engine, TierUp: cfg.TierUp}))
+		native, err := measure(fleet.New(fleet.Config{Workers: w, Engine: cfg.Engine}))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fleet native w=%d: %w", w, err)
 		}
@@ -100,7 +100,6 @@ func Fleet(cfg Config) (*FleetResult, error) {
 			Defended: true,
 			Patches:  patches,
 			Engine:   cfg.Engine,
-			TierUp:   cfg.TierUp,
 		}))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fleet defended w=%d: %w", w, err)

@@ -51,7 +51,6 @@ type preparedKey struct {
 	p      *prog.Program
 	coder  *encoding.Coder
 	engine prog.Engine
-	tierUp uint64
 }
 
 type graphEntry struct {
@@ -168,12 +167,11 @@ func internedCoder(g *callgraph.Graph, targets []callgraph.NodeID, scheme encodi
 	return c, nil
 }
 
-// internedPrepared returns p prepared for coder and ec's engine and
-// tier-up threshold, cached when the program is itself interned;
+// internedPrepared returns p prepared for coder and ec's engine, cached when the program is itself interned;
 // ad-hoc programs prepare fresh so the cache holds only the benchmark
 // set.
 func internedPrepared(p *prog.Program, coder *encoding.Coder, ec prog.Config) (*prog.Prepared, error) {
-	key := preparedKey{p: p, coder: coder, engine: ec.Engine, tierUp: ec.TierUp}
+	key := preparedKey{p: p, coder: coder, engine: ec.Engine}
 	intern.mu.Lock()
 	cached := intern.progSet[p]
 	if cached {
@@ -183,7 +181,7 @@ func internedPrepared(p *prog.Program, coder *encoding.Coder, ec prog.Config) (*
 		}
 	}
 	intern.mu.Unlock()
-	pp, err := prog.Prepare(p, prog.Config{Coder: coder, Engine: ec.Engine, TierUp: ec.TierUp})
+	pp, err := prog.Prepare(p, prog.Config{Coder: coder, Engine: ec.Engine})
 	if err != nil {
 		return nil, err
 	}
@@ -197,9 +195,7 @@ func internedPrepared(p *prog.Program, coder *encoding.Coder, ec prog.Config) (*
 
 // execFor builds an executor like prog.NewExec but through the
 // prepared-program cache, so repeated runs of the same (program,
-// coder) pair compile once and share one closure cache. The tier-up
-// machine uses the default promotion threshold; experiments that
-// sweep thresholds prepare their own programs.
+// coder) pair compile once.
 func execFor(ec prog.Config, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend) (prog.Exec, error) {
 	pp, err := internedPrepared(p, coder, ec)
 	if err != nil {
@@ -215,7 +211,7 @@ func execFor(ec prog.Config, p *prog.Program, coder *encoding.Coder, backend pro
 // bit-identically to a fresh one, so only construction cost is
 // eliminated, never measurement.
 type workbench struct {
-	ec prog.Config // engine and tier-up threshold
+	ec prog.Config // engine
 	p  *prog.Program
 
 	space  *mem.Space

@@ -91,7 +91,7 @@ func PolicyMatrix(cfg Config) (*PolicyMatrixResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: policy seed %d: %w", seed, err)
 			}
-			sys, err := core.NewSystem(g.Program, core.Options{Engine: cfg.Engine, TierUp: cfg.TierUp})
+			sys, err := core.NewSystem(g.Program, core.Options{Engine: cfg.Engine})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: policy seed %d: %w", seed, err)
 			}
@@ -231,7 +231,6 @@ func policyRun(pc *policyCase, fam defense.Family, patches *patch.Set, attack bo
 		Coder:    pc.sys.Coder(),
 		MaxSteps: 1 << 20,
 		Engine:   cfg.Engine,
-		TierUp:   cfg.TierUp,
 	})
 	if err != nil {
 		return 0, 0, false, err

@@ -93,7 +93,6 @@ func ServeThroughput(cfg Config) (*ServeThroughputResult, error) {
 			Workers:      w,
 			MaxInFlight:  4 * w,
 			Engine:       cfg.Engine,
-			TierUp:       cfg.TierUp,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: serve w=%d: %w", w, err)

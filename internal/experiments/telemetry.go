@@ -82,7 +82,7 @@ func TelemetryOverhead(cfg Config) (*TelemetryResult, error) {
 		return best, nil
 	}
 
-	base := fleet.Config{Workers: workers, Defended: true, Patches: patches, Engine: cfg.Engine, TierUp: cfg.TierUp}
+	base := fleet.Config{Workers: workers, Defended: true, Patches: patches, Engine: cfg.Engine}
 	disabled, err := measure(fleet.New(base))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: telemetry disabled pass: %w", err)

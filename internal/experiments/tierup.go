@@ -15,36 +15,32 @@ import (
 type TierUpRow struct {
 	Bench string
 	// Per-run wall-clock nanoseconds on each engine, measured at steady
-	// state (the compiled machine is warmed past its promotion threshold
-	// before timing, so the row reports the closure tier, not compilation).
+	// state (one untimed warm-up run first, so the row reports
+	// execution, not compilation or buffer growth).
 	TreeNsOp     float64
 	CompiledNsOp float64
 	// SpeedupVsTree is the compiled engine's ratio.
 	SpeedupVsTree float64
-	// Promotions is how many functions the machine lowered to closures.
-	Promotions uint64
 	// Cycles is the engine-independent virtual-cycle cost of one run;
 	// the harness asserts both engines report exactly this value.
 	Cycles uint64
 }
 
-// TierUpComparisonResult reports the tier-up compiled engine's
-// wall-clock advantage over the tree-walker on encoded-call-heavy
-// workloads: programs whose inner loops are
-// dominated by instrumented call dispatch (every call pays a
-// SiteUpdate) with the simulated allocator kept cold, so the spread
-// between engines is pure interpretation overhead — the dimension the
-// closure tier is built to compress.
+// TierUpComparisonResult reports the compiled engine's wall-clock
+// advantage over the tree-walker on encoded-call-heavy workloads:
+// programs whose inner loops are dominated by instrumented call
+// dispatch (every call pays a SiteUpdate) with the simulated allocator
+// kept cold, so the spread between engines is pure interpretation
+// overhead. The experiment keeps its historical name: BENCH files
+// record it as "tierup".
 type TierUpComparisonResult struct {
 	Rows []TierUpRow
 	// GeomeanVsTree is the geometric-mean compiled-engine speedup
 	// across benchmarks.
 	GeomeanVsTree float64
-	// Threshold is the promotion threshold the machines ran with.
-	Threshold uint64
 	// SteadyStateAllocs is testing.AllocsPerRun for Machine.RunReuse on
-	// the first benchmark once fully promoted. The committed baseline
-	// pins 0: the closure tier allocates nothing per run.
+	// the first benchmark once warm. The committed baseline pins 0: the
+	// compiled engine allocates nothing per run.
 	SteadyStateAllocs float64
 }
 
@@ -130,7 +126,7 @@ func tierUpBenchmarks(quick bool) []struct {
 	chain := prog.MustLink(&prog.Program{Name: "dense-chain", Funcs: chainFuncs})
 
 	// branchy: the callee result steers a taken-both-ways branch in the
-	// loop, keeping the fused compare-and-branch closures on the hot path.
+	// loop, keeping the fused compare-and-branch pairs on the hot path.
 	brFuncs := denseCallees(2)
 	brFuncs["main"] = &prog.Func{Body: loop([]prog.Stmt{
 		prog.Call{Dst: "v", Callee: "mix0", Args: []prog.Expr{prog.V("acc"), prog.V("i")}},
@@ -156,8 +152,8 @@ func tierUpBenchmarks(quick bool) []struct {
 }
 
 // tierUpCoder instruments p with the Incremental plan and PCC encoder
-// — the configuration whose SiteUpdates the compiled tier bakes into
-// integer arithmetic.
+// — the configuration whose SiteUpdates the compiled engine runs as
+// precompiled integer arithmetic.
 func tierUpCoder(p *prog.Program) (*encoding.Coder, error) {
 	plan, err := encoding.NewPlan(encoding.SchemeIncremental, p.Graph(), p.Targets())
 	if err != nil {
@@ -180,15 +176,11 @@ func tierUpBackend() (*prog.NativeBackend, error) {
 // TierUpComparison times both engines on the encoded-call suite at
 // steady state and cross-checks their virtual-cycle accounts.
 func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
-	threshold := cfg.TierUp
-	if threshold == 0 {
-		threshold = prog.DefaultTierUp
-	}
 	reps := 30
 	if cfg.Quick {
 		reps = 5
 	}
-	out := &TierUpComparisonResult{Threshold: threshold}
+	out := &TierUpComparisonResult{}
 	logTree, n := 0.0, 0
 	for _, b := range tierUpBenchmarks(cfg.Quick) {
 		coder, err := tierUpCoder(b.p)
@@ -196,12 +188,12 @@ func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 			return nil, err
 		}
 
-		// One executor per engine, warmed up (for the machine, until
-		// every function is promoted), then timed steady-state reps.
-		time1 := func(engine prog.Engine) (float64, uint64, uint64, error) {
-			ex, err := tierUpExec(b.p, coder, engine, threshold)
+		// One executor per engine, one untimed warm-up run, then timed
+		// steady-state reps.
+		time1 := func(engine prog.Engine) (float64, uint64, error) {
+			ex, err := tierUpExec(b.p, coder, engine)
 			if err != nil {
-				return 0, 0, 0, err
+				return 0, 0, err
 			}
 			run := func(res *prog.Result) error {
 				r, err := ex.Run(nil)
@@ -210,41 +202,30 @@ func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 				}
 				return err
 			}
-			m, _ := ex.(*prog.Machine)
-			if m != nil {
+			if m, ok := ex.(*prog.Machine); ok {
 				run = func(res *prog.Result) error { return m.RunReuse(res, nil) }
 			}
 			var res prog.Result
-			for w := 0; w == 0 || (m != nil && m.Promotions() < uint64(len(b.p.Funcs))); w++ {
-				if w == maxWarmups {
-					return 0, 0, 0, fmt.Errorf("experiments: %s not fully promoted after %d runs at threshold %d", b.name, w, threshold)
-				}
-				if err := run(&res); err != nil {
-					return 0, 0, 0, err
-				}
-				if res.Crashed() {
-					return 0, 0, 0, fmt.Errorf("experiments: %s crashed on %v: %v", b.name, engine, res.Fault)
-				}
+			if err := run(&res); err != nil {
+				return 0, 0, err
+			}
+			if res.Crashed() {
+				return 0, 0, fmt.Errorf("experiments: %s crashed on %v: %v", b.name, engine, res.Fault)
 			}
 			start := time.Now()
 			for r := 0; r < reps; r++ {
 				if err := run(&res); err != nil {
-					return 0, 0, 0, err
+					return 0, 0, err
 				}
 			}
-			ns := float64(time.Since(start).Nanoseconds()) / float64(reps)
-			var promos uint64
-			if m != nil {
-				promos = m.Promotions()
-			}
-			return ns, res.Cycles, promos, nil
+			return float64(time.Since(start).Nanoseconds()) / float64(reps), res.Cycles, nil
 		}
 
-		treeNs, treeCyc, _, err := time1(prog.EngineTree)
+		treeNs, treeCyc, err := time1(prog.EngineTree)
 		if err != nil {
 			return nil, err
 		}
-		compNs, compCyc, promos, err := time1(prog.EngineCompiled)
+		compNs, compCyc, err := time1(prog.EngineCompiled)
 		if err != nil {
 			return nil, err
 		}
@@ -252,8 +233,7 @@ func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 			return nil, fmt.Errorf("experiments: %s: engines disagree on cycles (tree %d, compiled %d)",
 				b.name, treeCyc, compCyc)
 		}
-		row := TierUpRow{Bench: b.name, TreeNsOp: treeNs, CompiledNsOp: compNs,
-			Promotions: promos, Cycles: treeCyc}
+		row := TierUpRow{Bench: b.name, TreeNsOp: treeNs, CompiledNsOp: compNs, Cycles: treeCyc}
 		if compNs > 0 {
 			row.SpeedupVsTree = treeNs / compNs
 			logTree += math.Log(row.SpeedupVsTree)
@@ -264,7 +244,7 @@ func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 	if n > 0 {
 		out.GeomeanVsTree = math.Exp(logTree / float64(n))
 	}
-	allocs, err := tierUpSteadyStateAllocs(threshold)
+	allocs, err := tierUpSteadyStateAllocs()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: compiled steady-state pin: %w", err)
 	}
@@ -272,41 +252,32 @@ func TierUpComparison(cfg Config) (*TierUpComparisonResult, error) {
 	return out, nil
 }
 
-// maxWarmups bounds the runs spent heating a machine until every
-// function is promoted (a few hundred at the default threshold).
-const maxWarmups = 100_000
-
 // tierUpExec builds one executor for p on engine over a fresh native
 // backend.
-func tierUpExec(p *prog.Program, coder *encoding.Coder, engine prog.Engine, threshold uint64) (prog.Exec, error) {
+func tierUpExec(p *prog.Program, coder *encoding.Coder, engine prog.Engine) (prog.Exec, error) {
 	backend, err := tierUpBackend()
 	if err != nil {
 		return nil, err
 	}
-	return prog.NewExec(p, prog.Config{Backend: backend, Coder: coder, Engine: engine, TierUp: threshold})
+	return prog.NewExec(p, prog.Config{Backend: backend, Coder: coder, Engine: engine})
 }
 
-// tierUpSteadyStateAllocs measures Go allocations per fully-promoted
-// machine run on the first suite benchmark.
-func tierUpSteadyStateAllocs(threshold uint64) (float64, error) {
+// tierUpSteadyStateAllocs measures Go allocations per warm machine run
+// on the first suite benchmark.
+func tierUpSteadyStateAllocs() (float64, error) {
 	b := tierUpBenchmarks(true)[0]
 	coder, err := tierUpCoder(b.p)
 	if err != nil {
 		return 0, err
 	}
-	ex, err := tierUpExec(b.p, coder, prog.EngineCompiled, threshold)
+	ex, err := tierUpExec(b.p, coder, prog.EngineCompiled)
 	if err != nil {
 		return 0, err
 	}
 	m := ex.(*prog.Machine)
 	var res prog.Result
-	for w := 0; m.Promotions() < uint64(len(b.p.Funcs)); w++ {
-		if w == maxWarmups {
-			return 0, fmt.Errorf("pin workload not fully promoted after %d runs at threshold %d", w, threshold)
-		}
-		if err := m.RunReuse(&res, nil); err != nil {
-			return 0, err
-		}
+	if err := m.RunReuse(&res, nil); err != nil {
+		return 0, err
 	}
 	var runErr error
 	n := testing.AllocsPerRun(20, func() {
@@ -319,7 +290,7 @@ func tierUpSteadyStateAllocs(threshold uint64) (float64, error) {
 
 // Render prints the comparison.
 func (r *TierUpComparisonResult) Render() string {
-	header := []string{"Benchmark", "tree ns/op", "compiled ns/op", "vs tree", "promoted", "cycles (equal)"}
+	header := []string{"Benchmark", "tree ns/op", "compiled ns/op", "vs tree", "cycles (equal)"}
 	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
@@ -327,10 +298,9 @@ func (r *TierUpComparisonResult) Render() string {
 			fmt.Sprintf("%.0f", row.TreeNsOp),
 			fmt.Sprintf("%.0f", row.CompiledNsOp),
 			fmt.Sprintf("%.2fx", row.SpeedupVsTree),
-			fmt.Sprintf("%d", row.Promotions),
 			fmt.Sprintf("%d", row.Cycles),
 		})
 	}
-	return fmt.Sprintf("Tier-up compiled engine on encoded-call-heavy workloads (threshold %d; geomean %.2fx vs tree; virtual cycles verified equal; steady-state compiled allocs/run %.0f)\n",
-		r.Threshold, r.GeomeanVsTree, r.SteadyStateAllocs) + table(header, rows)
+	return fmt.Sprintf("Compiled engine on encoded-call-heavy workloads (geomean %.2fx vs tree; virtual cycles verified equal; steady-state compiled allocs/run %.0f)\n",
+		r.GeomeanVsTree, r.SteadyStateAllocs) + table(header, rows)
 }

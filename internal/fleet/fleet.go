@@ -86,19 +86,13 @@ type Config struct {
 	// QueueQuota bounds each worker's deferred-free FIFO
 	// (0 = defense.DefaultQueueQuota).
 	QueueQuota uint64
-	// Engine selects each worker's execution substrate (the tier-up
-	// compiled engine, the zero value, or the tree interpreter). Serve
-	// prepares the program once (prog.Prepare); under EngineCompiled
-	// every worker runs the shared immutable bytecode with its own
-	// private state — the same shape as the sealed patch table: one
-	// read-only artifact, many readers — and shares one closure
-	// cache, so a hot function any worker promotes is compiled exactly
-	// once
-	// fleet-wide.
+	// Engine selects each worker's execution substrate (the compiled
+	// engine, the zero value, or the tree interpreter). Serve prepares
+	// the program once (prog.Prepare); under EngineCompiled every
+	// worker runs the shared immutable bytecode with its own private
+	// state — the same shape as the sealed patch table: one read-only
+	// artifact, many readers.
 	Engine prog.Engine
-	// TierUp is the compiled engine's promotion threshold (0 =
-	// prog.DefaultTierUp). Ignored by the other engines.
-	TierUp uint64
 	// Telemetry, when non-nil, collects per-worker counters, histograms
 	// (allocation sizes, patch-lookup cost, per-quantum cycles), and
 	// defense trace events. Each worker context binds its own scope, so
@@ -302,7 +296,7 @@ func (f *Fleet) Serve(p *prog.Program, coder *encoding.Coder, inputs [][]byte) (
 
 	// The program is prepared once per Serve and shared read-only by
 	// every worker (see Config.Engine).
-	pp, err := prog.Prepare(p, prog.Config{Coder: coder, Engine: f.cfg.Engine, TierUp: f.cfg.TierUp})
+	pp, err := prog.Prepare(p, prog.Config{Coder: coder, Engine: f.cfg.Engine})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: preparing program: %w", err)
 	}

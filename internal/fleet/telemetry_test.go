@@ -89,16 +89,15 @@ func TestFleetTelemetryMerge(t *testing.T) {
 	}
 }
 
-// TestFleetTelemetryEngineParity pins the promotion-transparency
-// contract at the observability layer: the exact same defended corpus,
-// served single-worker so the event stream is deterministic, must
-// produce identical telemetry — counter totals, sealed-table patch-hit
+// TestFleetTelemetryEngineParity pins the engine-transparency contract
+// at the observability layer: the exact same defended corpus, served
+// single-worker so the event stream is deterministic, must produce
+// identical telemetry — counter totals, sealed-table patch-hit
 // tallies, and the full retained event trace, sequence numbers
-// included — whether requests execute on the tree interpreter, a
-// compiled machine that never promotes, or one promoting functions
-// mid-corpus.
-// A compiled closure that skipped an allocator event, double-counted a
-// patch hit, or reordered the trace would diverge here.
+// included — whether requests execute on the tree interpreter or a
+// compiled machine. A compiled instruction that skipped an allocator
+// event, double-counted a patch hit, or reordered the trace would
+// diverge here.
 func TestFleetTelemetryEngineParity(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
@@ -110,39 +109,34 @@ func TestFleetTelemetryEngineParity(t *testing.T) {
 			inputs[i] = []byte{0x00}
 		}
 	}
-	serve := func(engine prog.Engine, tierUp uint64) (*telemetry.Snapshot, Stats) {
+	serve := func(engine prog.Engine) (*telemetry.Snapshot, Stats) {
 		col := telemetry.New(telemetry.Config{})
 		f := New(Config{Workers: 1, Defended: true, Patches: patches,
-			Engine: engine, TierUp: tierUp, Telemetry: col})
+			Engine: engine, Telemetry: col})
 		if _, err := f.Serve(p, coder, inputs); err != nil {
 			t.Fatal(err)
 		}
 		st := f.Stats()
 		return st.Telemetry, st
 	}
-	tsnap, tstats := serve(prog.EngineTree, 0)
-	for _, c := range []struct {
-		name   string
-		engine prog.Engine
-		tierUp uint64
-	}{
-		{"compiled-cold", prog.EngineCompiled, neverPromote},
-		{"compiled-mid-corpus", prog.EngineCompiled, midCorpusTierUp},
-	} {
-		snap, stats := serve(c.engine, c.tierUp)
+	engines := prog.AllEngines()
+	tsnap, tstats := serve(engines[0])
+	for _, e := range engines[1:] {
+		name := e.String()
+		snap, stats := serve(e)
 		if !reflect.DeepEqual(tsnap.Counters, snap.Counters) {
-			t.Errorf("%s: counters diverge\ntree: %v\n%s:   %v", c.name, tsnap.Counters, c.name, snap.Counters)
+			t.Errorf("%s: counters diverge\ntree: %v\n%s:   %v", name, tsnap.Counters, name, snap.Counters)
 		}
 		if tsnap.EventsTotal != snap.EventsTotal {
-			t.Errorf("%s: events_total %d != tree %d", c.name, snap.EventsTotal, tsnap.EventsTotal)
+			t.Errorf("%s: events_total %d != tree %d", name, snap.EventsTotal, tsnap.EventsTotal)
 		}
 		if !reflect.DeepEqual(tsnap.Events, snap.Events) {
 			t.Errorf("%s: event traces diverge (tree %d events, %s %d events)",
-				c.name, len(tsnap.Events), c.name, len(snap.Events))
+				name, len(tsnap.Events), name, len(snap.Events))
 		}
 		if !reflect.DeepEqual(tstats.PatchHits, stats.PatchHits) {
 			t.Errorf("%s: sealed-table patch hits diverge\ntree: %v\n%s:   %v",
-				c.name, tstats.PatchHits, c.name, stats.PatchHits)
+				name, tstats.PatchHits, name, stats.PatchHits)
 		}
 	}
 }

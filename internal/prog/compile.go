@@ -2,7 +2,7 @@ package prog
 
 // The bytecode compiler. compile lowers a linked Program's AST once
 // into a flat instruction stream executed by the compiled engine's
-// Machine (jit.go), whose cold tier interprets it directly:
+// Machine (jit.go), which interprets it directly:
 //
 //   - every function body becomes a contiguous run of fixed-size
 //     instructions in one shared []instr, with If/While lowered to
@@ -22,10 +22,10 @@ package prog
 //     plan lookup happens at run time;
 //   - instruction pairs that run as one dispatch are marked once, after
 //     a function's jump targets are final (markFusion): an opBin
-//     feeding the loop-head opBr or the loop-latch opJump, and chained
-//     opBin pairs. The second instruction stays in place, so code
-//     layout, jump targets and site order are those of the unfused
-//     stream; each tier decides per execution whether to honour a mark.
+//     feeding the loop-head opBr or the loop-latch opJump. The second
+//     instruction stays in place, so code layout, jump targets and
+//     site order are those of the unfused stream; the Machine decides
+//     per execution whether to honour a mark.
 //
 // The compiled form is immutable and goroutine-safe: one bytecode can
 // back any number of Machines (a Prepared shares one across workers).
@@ -100,7 +100,6 @@ const (
 	fuseNone fuseKind = iota
 	fuseBr            // next is an opBr on this opBin's dst (loop head, If)
 	fuseJump          // next is an opJump (loop latch)
-	fuseBin           // next is another opBin (closure tier only)
 )
 
 // instr is one fixed-size bytecode instruction. Operand slots a, b, c (and
@@ -386,9 +385,8 @@ func (c *compiler) compileFunc(f *Func, prologue bool) error {
 // targets are final. A pair never fuses across a jump target (control
 // could enter at its second instruction), and an opBr or opJump fuses
 // only when it carries no tick, so a fused dispatch runs at most the
-// first instruction's tick. The mark is the one fusion rule both tiers
-// read: the cold tier runs marked fuseBr/fuseJump pairs in one
-// dispatch, the closure tier builds one closure per marked pair.
+// first instruction's tick. The Machine runs a marked pair in one
+// dispatch when the opBin's operands are clean scalars.
 func (c *compiler) markFusion(code []instr, entry int32) {
 	if cap(c.isTarget) < len(code) {
 		c.isTarget = make([]bool, len(code))
@@ -413,8 +411,6 @@ func (c *compiler) markFusion(code []instr, entry int32) {
 			ins.fuse = fuseBr
 		case nxt.op == opJump && !nxt.tick:
 			ins.fuse = fuseJump
-		case nxt.op == opBin:
-			ins.fuse = fuseBin
 		}
 	}
 }

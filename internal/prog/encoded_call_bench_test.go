@@ -114,8 +114,9 @@ func encodedCallBackend(tb testing.TB) *NativeBackend {
 
 // BenchmarkEncodedCall measures a full instrumented run (256 loop
 // iterations, two encoded calls plus an alloc/free pair each) on the
-// tree-walker and on both Machine tiers. The per-call encoding update itself is a precompiled
-// SiteUpdate application — branch, multiply, add — with no allocation.
+// tree-walker and on the compiled engine. The per-call encoding update
+// itself is a precompiled SiteUpdate application — branch, multiply,
+// add — with no allocation.
 func BenchmarkEncodedCall(b *testing.B) {
 	const iters = 256
 	b.Run("tree", func(b *testing.B) {
@@ -133,17 +134,15 @@ func BenchmarkEncodedCall(b *testing.B) {
 			}
 		}
 	})
-	b.Run("cold", func(b *testing.B) { benchMachine(b, encodedCallProgram(iters), neverPromote) })
-	b.Run("compiled", func(b *testing.B) { benchMachine(b, encodedCallProgram(iters), 1) })
+	b.Run("compiled", func(b *testing.B) { benchMachine(b, encodedCallProgram(iters)) })
 }
 
-// benchMachine times steady-state RunReuse of p on a Machine with the
-// given tier-up threshold. One untimed run first warms the buffers
-// and, at threshold 1, promotes every function, so the loop measures
-// the steady-state tier rather than compilation.
-func benchMachine(b *testing.B, p *Program, tierUp uint64) {
+// benchMachine times steady-state RunReuse of p on a Machine. One
+// untimed run first warms the buffers, so the loop measures the steady
+// state rather than compilation.
+func benchMachine(b *testing.B, p *Program) {
 	coder := encodedCallCoder(b, p)
-	m := newTestMachine(b, p, Config{Backend: encodedCallBackend(b), Coder: coder}, tierUp)
+	m := newTestMachine(b, p, Config{Backend: encodedCallBackend(b), Coder: coder})
 	var res Result
 	if err := m.RunReuse(&res, nil); err != nil {
 		b.Fatal(err)
@@ -160,8 +159,7 @@ func benchMachine(b *testing.B, p *Program, tierUp uint64) {
 // BenchmarkEncodedCallDense measures the dispatch-bound encoded-call
 // path (see encodedCallDenseProgram): every call site pays a
 // SiteUpdate, the allocator stays cold, and the spread between the
-// engines is pure interpretation overhead. This is the workload the
-// tier-up engine is built for.
+// engines is pure interpretation overhead.
 func BenchmarkEncodedCallDense(b *testing.B) {
 	const iters = 512
 	p := encodedCallDenseProgram(iters)
@@ -179,8 +177,7 @@ func BenchmarkEncodedCallDense(b *testing.B) {
 			}
 		}
 	})
-	b.Run("cold", func(b *testing.B) { benchMachine(b, p, neverPromote) })
-	b.Run("compiled", func(b *testing.B) { benchMachine(b, p, 1) })
+	b.Run("compiled", func(b *testing.B) { benchMachine(b, p) })
 }
 
 // TestEncodedCallTreeAllocsFlat pins the tree-walker's hot path: once
@@ -212,13 +209,14 @@ func TestEncodedCallTreeAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestEncodedCallVMZeroAlloc pins the cold tier's encoded-call path at
-// zero: steady-state RunReuse of the instrumented program on a
-// never-promoting Machine must not allocate at all.
+// TestEncodedCallVMZeroAlloc pins the compiled engine's encoded-call
+// path at zero: steady-state RunReuse of the instrumented program on a
+// Machine — SiteUpdate arithmetic, frame recycle, alloc/free — must
+// not allocate at all.
 func TestEncodedCallVMZeroAlloc(t *testing.T) {
 	p := encodedCallProgram(512)
 	coder := encodedCallCoder(t, p)
-	vm := newTestMachine(t, p, Config{Backend: encodedCallBackend(t), Coder: coder}, neverPromote)
+	vm := newTestMachine(t, p, Config{Backend: encodedCallBackend(t), Coder: coder})
 	var res Result
 	if err := vm.RunReuse(&res, nil); err != nil {
 		t.Fatal(err)
@@ -236,30 +234,44 @@ func TestEncodedCallVMZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEncodedCallMachineZeroAlloc extends the zero-allocation pin to
-// the tier-up engine: once every function is promoted, the compiled
-// tier's encoded-call path — baked SiteUpdate arithmetic, closure
-// dispatch, frame recycle, alloc/free — must not allocate either.
+// TestEncodedCallMachineZeroAlloc extends the encoded-call pin to the
+// dispatch-bound dense variant, on a Machine handed out by a Prepared
+// that carries the coder (the fleet's shape) after another Machine
+// from it already ran: baked SiteUpdate arithmetic on every call,
+// frame recycle and the cold allocation branch must not allocate.
 func TestEncodedCallMachineZeroAlloc(t *testing.T) {
-	p := encodedCallProgram(512)
+	p := encodedCallDenseProgram(512)
 	coder := encodedCallCoder(t, p)
-	m := newTestMachine(t, p, Config{Backend: encodedCallBackend(t), Coder: coder}, 1)
-	var res Result
-	if err := m.RunReuse(&res, nil); err != nil {
+	pp, err := Prepare(p, Config{Engine: EngineCompiled, Coder: coder})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Crashed() {
-		t.Fatalf("warmup crashed: %v", res.Fault)
+	var res Result
+	var ms [2]*Machine
+	for i := range ms {
+		ex, err := pp.NewExec(encodedCallBackend(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = ex.(*Machine)
+		if err := ms[i].RunReuse(&res, nil); err != nil {
+			t.Fatal(err)
+		}
+		if res.Crashed() {
+			t.Fatalf("warmup crashed: %v", res.Fault)
+		}
 	}
-	if m.Promotions() == 0 {
-		t.Fatal("warmup never promoted; pin would measure the cold tier")
-	}
+	want := res.Returned.Uint()
+	m := ms[1]
 	allocs := testing.AllocsPerRun(20, func() {
 		if err := m.RunReuse(&res, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state compiled encoded RunReuse allocates %.1f objects/run, want 0", allocs)
+		t.Errorf("steady-state dense encoded RunReuse allocates %.1f objects/run, want 0", allocs)
+	}
+	if got := res.Returned.Uint(); got != want {
+		t.Errorf("steady-state run returned %d, want %d", got, want)
 	}
 }

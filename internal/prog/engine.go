@@ -6,8 +6,7 @@ import (
 )
 
 // Engine selects the execution substrate for a linked program: the
-// compiled engine that runs the program as bytecode on a cold tier
-// and promotes hot functions to closure code at runtime, or the
+// compiled engine that runs the program as quickened bytecode, or the
 // reference tree-walking interpreter. The two are differentially
 // verified to be bit-identical (results, statistics, crashes, cycle
 // accounting); the tree-walker remains the semantic reference.
@@ -16,11 +15,8 @@ type Engine uint8
 // Engines.
 const (
 	// EngineCompiled compiles the program once to flat bytecode and
-	// runs it on the tier-up Machine: functions start on the cold
-	// bytecode tier and are promoted to closure-threaded code once hot
-	// (see jit.go; Config.TierUp sets the promotion threshold). It is
-	// the zero value, so every configuration that leaves Engine unset
-	// runs it.
+	// runs it on a Machine (see jit.go). It is the zero value, so every
+	// configuration that leaves Engine unset runs it.
 	EngineCompiled Engine = iota
 	// EngineTree is the reference tree-walking interpreter, kept
 	// selectable as the differential reference.
@@ -90,17 +86,13 @@ func SetQuantumHook(ex Exec, every uint64, fn func()) bool {
 // Prepared is a program readied once for one engine configuration,
 // from which any number of executors are built — one per worker,
 // thread, or backend. For EngineCompiled it owns the program's
-// bytecode and the closure cache every executor shares, so the
-// program compiles once and each hot function is lowered to closures
-// at most once per backend shape, no matter which executor promotes it
-// first. For EngineTree it holds only the configuration. A Prepared is
-// immutable apart from its internally locked closure cache, so it is
-// safe for concurrent NewExec calls.
+// bytecode, which every executor shares, so the program compiles once.
+// For EngineTree it holds only the configuration. A Prepared is
+// immutable, so it is safe for concurrent NewExec calls.
 type Prepared struct {
-	p        *Program
-	cfg      Config // Backend is supplied per executor
-	code     *bytecode
-	closures *closureCache
+	p    *Program
+	cfg  Config // Backend is supplied per executor
+	code *bytecode
 }
 
 // Prepare readies p for cfg.Engine. cfg.Backend is ignored: each
@@ -116,7 +108,6 @@ func Prepare(p *Program, cfg Config) (*Prepared, error) {
 			return nil, err
 		}
 		pp.code = code
-		pp.closures = &closureCache{c: code}
 	default:
 		return nil, fmt.Errorf("prog: unknown engine %v", cfg.Engine)
 	}
@@ -134,7 +125,7 @@ func (pp *Prepared) newRunner(backend HeapBackend) (runner, error) {
 	cfg := pp.cfg
 	cfg.Backend = backend
 	if pp.code != nil {
-		m, err := newMachine(pp.code, pp.closures, cfg)
+		m, err := newMachine(pp.code, cfg)
 		if err != nil {
 			return nil, err
 		}

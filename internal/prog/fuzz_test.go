@@ -2,10 +2,8 @@ package prog_test
 
 // FuzzVMvsTree is the randomized arm of the differential suite: any
 // program the textual front end accepts must behave bit-identically on
-// the compiled engine's Machine — a never-promoting one on the cold
-// bytecode tier and a threshold-1 one that crosses to closure code —
-// and on the tree-walking interpreter, for any input bytes. Seeds cover the Table II corpus (via progtext.Print) plus
-// hand-written sources that hit the compiler's trickier lowerings
+// every engine of prog.EngineConfigs, for any input bytes. Seeds cover
+// the Table II corpus (via progtext.Print) plus hand-written sources that hit the compiler's trickier lowerings
 // (operand check ordering, while-in-while, calls in conditions' arms,
 // explicit-CCID allocations) and the quickened-shape conformance rows
 // (quicken_test.go). `go test` replays the seeds;
@@ -20,19 +18,21 @@ import (
 	"heaptherapy/internal/vuln"
 )
 
+// fuzzLiterals are FuzzVMvsTree's hand-written seed sources.
+var fuzzLiterals = []string{
+	"func main {\n nop\n}\n",
+	"func main {\n let x = inputlen\n let y = inputrem\n outputvar x\n outputvar y\n}\n",
+	"func main {\n alloc p = malloc(64)\n store p, 7, 8\n load v, p, 8\n outputvar v\n free p\n}\n",
+	"func main {\n alloc p = calloc(4, 8)\n memset p, 65, 32\n output p, 32\n free p\n}\n",
+	"func main {\n let i = 0\n while (i < 10) {\n  let j = 0\n  while (j < 3) {\n   let j = (j + 1)\n  }\n  let i = (i + 1)\n }\n outputvar i\n}\n",
+	"func main {\n input n, 1\n call r = f(n)\n outputvar r\n}\n\nfunc f(x) {\n if x {\n  call r = f((x - 1))\n  return (r + x)\n }\n return 0\n}\n",
+	"func main {\n alloc p = malloc(16) ctx 48879\n realloc q = realloc(p, 64)\n free q\n}\n",
+	"func main {\n let a = 1\n let r = (a / 0)\n let s = (a % 0)\n let t = (a << 200)\n outputvar r\n outputvar s\n outputvar t\n}\n",
+	"func main {\n alloc p = memalign(64, 32)\n storevar p, p\n storebytes (p + 8), \"hi\"\n memcpy (p + 16), p, 10\n output (p + 8), 2\n free p\n}\n",
+}
+
 func FuzzVMvsTree(f *testing.F) {
-	literals := []string{
-		"func main {\n nop\n}\n",
-		"func main {\n let x = inputlen\n let y = inputrem\n outputvar x\n outputvar y\n}\n",
-		"func main {\n alloc p = malloc(64)\n store p, 7, 8\n load v, p, 8\n outputvar v\n free p\n}\n",
-		"func main {\n alloc p = calloc(4, 8)\n memset p, 65, 32\n output p, 32\n free p\n}\n",
-		"func main {\n let i = 0\n while (i < 10) {\n  let j = 0\n  while (j < 3) {\n   let j = (j + 1)\n  }\n  let i = (i + 1)\n }\n outputvar i\n}\n",
-		"func main {\n input n, 1\n call r = f(n)\n outputvar r\n}\n\nfunc f(x) {\n if x {\n  call r = f((x - 1))\n  return (r + x)\n }\n return 0\n}\n",
-		"func main {\n alloc p = malloc(16) ctx 48879\n realloc q = realloc(p, 64)\n free q\n}\n",
-		"func main {\n let a = 1\n let r = (a / 0)\n let s = (a % 0)\n let t = (a << 200)\n outputvar r\n outputvar s\n outputvar t\n}\n",
-		"func main {\n alloc p = memalign(64, 32)\n storevar p, p\n storebytes (p + 8), \"hi\"\n memcpy (p + 16), p, 10\n output (p + 8), 2\n free p\n}\n",
-	}
-	for _, src := range literals {
+	for _, src := range fuzzLiterals {
 		f.Add(src, []byte{3})
 	}
 	for _, s := range quickenedShapes {
@@ -52,37 +52,23 @@ func FuzzVMvsTree(f *testing.F) {
 		// Bound runaway programs identically on both engines.
 		base := prog.Config{MaxSteps: 200000, MaxDepth: 64}
 
-		tcfg := base
-		tcfg.Backend = newNativeBackend(t)
-		it, err := prog.New(p, tcfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		newMachine := func(tierUp uint64) prog.Exec {
-			mcfg := base
-			mcfg.Engine = prog.EngineCompiled
-			mcfg.TierUp = tierUp
-			pp, err := prog.Prepare(p, mcfg)
+		newExec := func(engine prog.Engine) prog.Exec {
+			cfg := base
+			cfg.Engine = engine
+			pp, err := prog.Prepare(p, cfg)
 			if err != nil {
-				t.Fatalf("Prepare accepted-by-parser program: %v", err)
+				t.Fatalf("Prepare accepted-by-parser program on %v: %v", engine, err)
 			}
-			m, err := pp.NewExec(newNativeBackend(t))
+			ex, err := pp.NewExec(newNativeBackend(t))
 			if err != nil {
 				t.Fatalf("NewExec: %v", err)
 			}
-			return m
+			return ex
 		}
-		// A threshold no run reaches keeps every function on the cold
-		// tier.
-		cold := newMachine(1 << 40)
-		// Tier-up threshold 1: the machine runs each input twice below,
-		// once mostly cold and once on closure code, so any fuzz-found
-		// divergence between the tiers also fails here.
-		mach := newMachine(1)
-
-		tr, terr := it.Run(input)
-		vr, verr := cold.Run(input)
-		check := func(engine string, vr *prog.Result, verr error) {
+		tr, terr := newExec(prog.EngineConfigs[0].Engine).Run(input)
+		for _, ec := range prog.EngineConfigs[1:] {
+			engine := ec.Name
+			vr, verr := newExec(ec.Engine).Run(input)
 			if (terr != nil) != (verr != nil) {
 				t.Fatalf("engines disagree on error: tree %v %s %v\n--- src ---\n%s", terr, engine, verr, src)
 			}
@@ -90,7 +76,7 @@ func FuzzVMvsTree(f *testing.F) {
 				if terr.Error() != verr.Error() {
 					t.Fatalf("error text diverges:\ntree: %v\n%s:   %v\n--- src ---\n%s", terr, engine, verr, src)
 				}
-				return
+				continue
 			}
 			if !bytes.Equal(tr.Output, vr.Output) {
 				t.Fatalf("output diverges:\ntree: %x\n%s:   %x\n--- src ---\n%s", tr.Output, engine, vr.Output, src)
@@ -107,15 +93,5 @@ func FuzzVMvsTree(f *testing.F) {
 				t.Fatalf("returned value diverges on %s\n--- src ---\n%s", engine, src)
 			}
 		}
-		check("cold", vr, verr)
-		// Round 1: mostly cold tier.
-		mr, merr := mach.Run(input)
-		check("compiled", mr, merr)
-		// Round 2: replay the input on both engines' (identically
-		// evolved) heaps; with threshold 1 the machine now executes
-		// promoted closure code for every function it reached.
-		tr, terr = it.Run(input)
-		mr, merr = mach.Run(input)
-		check("compiled", mr, merr)
 	})
 }

@@ -29,60 +29,73 @@ func hookProgram() *Program {
 	})
 }
 
-// TestSetQuantumHook verifies the exported hook shim drives both
-// engines and both Machine tiers: the hook fires between statements
-// at the requested period, and clearing it stops the callbacks.
+// TestSetQuantumHook verifies the exported hook shim drives every
+// engine: the hook fires between statements at the requested period,
+// and clearing it stops the callbacks. Each engine runs twice: the
+// "-cold" row installs the hook before the executor's first run, the
+// plain row on an executor that has already run once without it.
 func TestSetQuantumHook(t *testing.T) {
 	p := hookProgram()
-	for _, tc := range []struct {
-		name   string
-		engine Engine
-		tierUp uint64
-	}{
-		{"tree", EngineTree, 0},
-		{"compiled-cold", EngineCompiled, neverPromote},
-		{"compiled", EngineCompiled, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			space, err := mem.NewSpace(mem.Config{})
-			if err != nil {
-				t.Fatal(err)
+	for _, ec := range engineConfigs {
+		for _, cold := range []bool{false, true} {
+			name := ec.Name
+			if cold {
+				name += "-cold"
 			}
-			backend, err := NewNativeBackend(space)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ex, err := NewExec(p, Config{Backend: backend, Engine: tc.engine, TierUp: tc.tierUp})
-			if err != nil {
-				t.Fatal(err)
-			}
-			calls := 0
-			if !SetQuantumHook(ex, 10, func() { calls++ }) {
-				t.Fatal("engine does not support quantum hooks")
-			}
-			res, err := ex.Run(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := int(res.Steps / 10)
-			if calls != want {
-				t.Errorf("hook fired %d times over %d steps, want %d", calls, res.Steps, want)
-			}
-			if !SetQuantumHook(ex, 0, nil) {
-				t.Fatal("clearing the hook failed")
-			}
-			space.Reset()
-			if err := backend.Reset(); err != nil {
-				t.Fatal(err)
-			}
-			calls = 0
-			if _, err := ex.Run(nil); err != nil {
-				t.Fatal(err)
-			}
-			if calls != 0 {
-				t.Errorf("cleared hook still fired %d times", calls)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				testQuantumHook(t, p, ec.Engine, cold)
+			})
+		}
+	}
+}
+
+func testQuantumHook(t *testing.T, p *Program, engine Engine, cold bool) {
+	space, err := mem.NewSpace(mem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend, err := NewNativeBackend(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExec(p, Config{Backend: backend, Engine: engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cold {
+		if _, err := ex.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		space.Reset()
+		if err := backend.Reset(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls := 0
+	if !SetQuantumHook(ex, 10, func() { calls++ }) {
+		t.Fatal("engine does not support quantum hooks")
+	}
+	res, err := ex.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int(res.Steps / 10)
+	if calls != want {
+		t.Errorf("hook fired %d times over %d steps, want %d", calls, res.Steps, want)
+	}
+	if !SetQuantumHook(ex, 0, nil) {
+		t.Fatal("clearing the hook failed")
+	}
+	space.Reset()
+	if err := backend.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	calls = 0
+	if _, err := ex.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Errorf("cleared hook still fired %d times", calls)
 	}
 }
 

@@ -21,17 +21,11 @@ type Config struct {
 	MaxSteps uint64
 	// MaxDepth bounds call recursion (0 = DefaultMaxDepth).
 	MaxDepth int
-	// Engine selects the execution substrate (the tier-up compiled
-	// engine, the zero value, or the tree-walker) for the
-	// engine-generic constructors (Prepare, NewExec, RunThreads). New
-	// ignores it (always the tree-walker).
+	// Engine selects the execution substrate (the compiled engine, the
+	// zero value, or the tree-walker) for the engine-generic
+	// constructors (Prepare, NewExec, RunThreads). New ignores it
+	// (always the tree-walker).
 	Engine Engine
-	// TierUp is the compiled engine's promotion threshold: the heat —
-	// cold invocations plus cold statements of the function's own
-	// body — a function accumulates on the bytecode tier before its
-	// next invocation is compiled to closures (0 = DefaultTierUp).
-	// Only EngineCompiled reads it.
-	TierUp uint64
 }
 
 // Interpreter limits.

@@ -1,10 +1,10 @@
 package prog
 
-// Tier-up engine specifics beyond the shared differential sweeps in
-// vm_test.go: promotion timing (mid-run, mid-corpus), profile parity
-// between promoted and never-promoted machines, construction/error
-// paths, closure-cache sharing, and the steady-state zero-allocation
-// pin for the compiled tier.
+// Compiled-engine specifics beyond the shared differential sweeps in
+// vm_test.go: the bytecode's layout (exact sizing, instruction size,
+// fusion marks), the construction error path, one Prepared's bytecode
+// shared by many Machines, and the zero-allocation pins on the shapes
+// fleet workers and RunThreads run.
 
 import (
 	"bytes"
@@ -16,9 +16,7 @@ import (
 	"heaptherapy/internal/mem"
 )
 
-// hotProgram calls one helper repeatedly from a loop, so with a small
-// threshold the helper (and main) promote in the middle of a single
-// run while the loop is executing.
+// hotProgram calls one allocating helper repeatedly from a loop.
 func hotProgram(iters uint64) *Program {
 	return MustLink(&Program{
 		Name: "hot",
@@ -42,94 +40,6 @@ func hotProgram(iters uint64) *Program {
 			}},
 		},
 	})
-}
-
-// TestMachinePromotionMidRun: a function promoted in the middle of a
-// single run must leave every observable — result, statistics, and
-// the per-site allocation profile — identical to a machine that never
-// promotes and to the tree-walker.
-func TestMachinePromotionMidRun(t *testing.T) {
-	p := hotProgram(64)
-	it, err := New(p, Config{Backend: newNative(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := newTestMachine(t, p, Config{Backend: newNative(t)}, 1)
-	cold := newTestMachine(t, p, Config{Backend: newNative(t)}, neverPromote)
-
-	tr, terr := it.Run(nil)
-	hr, herr := hot.Run(nil)
-	cr, cerr := cold.Run(nil)
-	assertSameRun(t, "hot-vs-tree", tr, hr, terr, herr)
-	assertSameRun(t, "cold-vs-tree", tr, cr, terr, cerr)
-
-	if hot.Promotions() == 0 {
-		t.Error("hot machine reported no promotions over a 64-iteration loop")
-	}
-	if cold.Promotions() != 0 {
-		t.Errorf("cold machine promoted %d functions below threshold", cold.Promotions())
-	}
-
-	hp, cp := hot.SiteProfile(), cold.SiteProfile()
-	if len(hp) != len(cp) {
-		t.Fatalf("site profile lengths differ: hot %d cold %d", len(hp), len(cp))
-	}
-	for i := range hp {
-		if hp[i] != cp[i] {
-			t.Errorf("site %d profile diverges: hot %+v cold %+v", i, hp[i], cp[i])
-		}
-	}
-}
-
-// TestMachineHeatCountsOwnStatements: a cold activation adds one for
-// the invocation plus the statements of its own body to its
-// function's heat; the statements its callees run count for the
-// callees only.
-func TestMachineHeatCountsOwnStatements(t *testing.T) {
-	const iters = 64
-	p := hotProgram(iters)
-	m := newTestMachine(t, p, Config{Backend: newNative(t)}, neverPromote)
-	res, err := m.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	main, work := m.vm.c.funcs[0], m.vm.c.funcs[1]
-	if main.name != "main" || work.name != "work" {
-		t.Fatalf("function order = %s, %s", main.name, work.name)
-	}
-	// work runs its five statements once per loop iteration.
-	workStmts := uint64(5 * iters)
-	if got, want := m.heat[1], iters+workStmts; got != want {
-		t.Errorf("work heat = %d, want %d", got, want)
-	}
-	if got, want := m.heat[0], 1+res.Steps-workStmts; got != want {
-		t.Errorf("main heat = %d, want %d (own statements only)", got, want)
-	}
-}
-
-// TestMachinePromotesOnHeat: promotion happens at the first
-// invocation that finds the heat at the threshold, never inside a
-// running activation — so a single long activation is only promoted
-// when its function is entered again, on the next run.
-func TestMachinePromotesOnHeat(t *testing.T) {
-	p := hotProgram(64)
-	// work gains 6 per call (invocation + 5 statements): calls 1-3 run
-	// cold (heat 6, 12, 18) and call 4 promotes it.
-	m := newTestMachine(t, p, Config{Backend: newNative(t)}, 13)
-	if _, err := m.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	if m.code[1] == nil || m.code[0] != nil || m.Promotions() != 1 {
-		t.Errorf("after one run: promoted work=%v main=%v (%d promotions), want work only",
-			m.code[1] != nil, m.code[0] != nil, m.Promotions())
-	}
-	if _, err := m.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	if m.code[0] == nil || m.Promotions() != 2 {
-		t.Errorf("after two runs: main promoted=%v (%d promotions), want main promoted",
-			m.code[0] != nil, m.Promotions())
-	}
 }
 
 // TestBytecodeExactlySized: compile leaves no append slack in the
@@ -187,9 +97,9 @@ func TestInstrSize(t *testing.T) {
 
 // TestFusionMarks pins markFusion's rule on each shape it must tell
 // apart: the loop-head compare feeding its branch, the latch feeding
-// the back-edge, chained binary ops, a compare feeding a branch that
-// carries its own statement tick, and a then-arm's last op whose
-// successor is the If's false-edge target.
+// the back-edge, chained binary ops (never marked), a compare feeding
+// a branch that carries its own statement tick, and a then-arm's last
+// op whose successor is the If's false-edge target.
 func TestFusionMarks(t *testing.T) {
 	p := MustLink(&Program{Name: "marks", Funcs: map[string]*Func{
 		"main": {Body: []Stmt{
@@ -200,7 +110,7 @@ func TestFusionMarks(t *testing.T) {
 				If{Cond: V("c"), Then: []Stmt{
 					Assign{Dst: "n", E: Add(V("n"), C(1))}, // next is a jump target: none
 				}},
-				Assign{Dst: "x", E: Bin{Op: OpMul, A: Add(V("i"), V("n")), B: C(3)}}, // fuseBin twice
+				Assign{Dst: "x", E: Bin{Op: OpMul, A: Add(V("i"), V("n")), B: C(3)}}, // chained: none
 				Assign{Dst: "i", E: Add(V("i"), C(1))},                               // fuseJump
 			}},
 		}},
@@ -217,19 +127,36 @@ func TestFusionMarks(t *testing.T) {
 			t.Errorf("opcode %d carries fusion mark %d", ins.op, ins.fuse)
 		}
 	}
-	want := []fuseKind{fuseBr, fuseNone, fuseNone, fuseBin, fuseBin, fuseJump}
+	want := []fuseKind{fuseBr, fuseNone, fuseNone, fuseNone, fuseNone, fuseJump}
 	if !slices.Equal(got, want) {
 		t.Errorf("opBin fusion marks %v, want %v", got, want)
 	}
 }
 
-// TestMachineClosureCacheShared: machines built from one Prepared
-// share its closure cache and must produce identical runs, and a
-// machine entering after another already promoted (so it starts
-// directly on cached closure code) must be indistinguishable.
+// TestNewMachineValidation covers the compiled engine's construction
+// error path (missing backend).
+func TestNewMachineValidation(t *testing.T) {
+	pp, err := Prepare(hotProgram(4), Config{Engine: EngineCompiled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pp.NewExec(nil); err == nil {
+		t.Error("NewExec without backend succeeded")
+	}
+	if _, err := pp.NewExec(newNative(t)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMachineClosureCacheShared: every Machine built from one Prepared
+// runs the Prepared's bytecode itself (the program compiles once; the
+// test keeps the name it had when that shared artifact was a closure
+// cache), and machines built after another already ran — concurrently,
+// each on its own backend and re-running 20 times — must be
+// indistinguishable from it.
 func TestMachineClosureCacheShared(t *testing.T) {
 	p := hotProgram(32)
-	pp, err := Prepare(p, Config{Engine: EngineCompiled, TierUp: 1})
+	pp, err := Prepare(p, Config{Engine: EngineCompiled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,6 +164,9 @@ func TestMachineClosureCacheShared(t *testing.T) {
 	first, err := pp.NewExec(newNative(t))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if first.(*Machine).c != pp.code {
+		t.Fatal("Machine does not run its Prepared's bytecode")
 	}
 	want, err := first.Run(nil)
 	if err != nil {
@@ -254,19 +184,23 @@ func TestMachineClosureCacheShared(t *testing.T) {
 				errs[g] = errStr("backend construction failed")
 				return
 			}
-			m, err := pp.NewExec(backend)
+			ex, err := pp.NewExec(backend)
 			if err != nil {
 				errs[g] = err
 				return
 			}
+			if ex.(*Machine).c != pp.code {
+				errs[g] = errStr("Machine does not run its Prepared's bytecode")
+				return
+			}
 			for i := 0; i < 20; i++ {
-				res, err := m.Run(nil)
+				res, err := ex.Run(nil)
 				if err != nil {
 					errs[g] = err
 					return
 				}
-				if !bytes.Equal(res.Output, want.Output) || res.Cycles != want.Cycles {
-					errs[g] = errStr("shared-cache machine diverged from reference run")
+				if !bytes.Equal(res.Output, want.Output) || res.Cycles != want.Cycles || res.Steps != want.Steps {
+					errs[g] = errStr("shared-bytecode machine diverged from reference run")
 					return
 				}
 			}
@@ -280,62 +214,40 @@ func TestMachineClosureCacheShared(t *testing.T) {
 	}
 }
 
-// TestNewMachineValidation covers the compiled engine's construction
-// error path (missing backend) and the default threshold.
-func TestNewMachineValidation(t *testing.T) {
-	pp, err := Prepare(hotProgram(4), Config{Engine: EngineCompiled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pp.NewExec(nil); err == nil {
-		t.Error("NewExec without backend succeeded")
-	}
-	ex, err := pp.NewExec(newNative(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := ex.(*Machine); m.Threshold() != DefaultTierUp {
-		t.Errorf("default threshold = %d, want DefaultTierUp (%d)", m.Threshold(), DefaultTierUp)
-	}
-}
-
-// TestMachineRunThreadsDuringTierUp: spawning interpreter threads
-// whose functions tier up mid-schedule must match the tree engine
-// exactly — including when the thread count exceeds the threshold so
-// later threads start on closure code the earlier ones compiled.
-func TestMachineRunThreadsDuringTierUp(t *testing.T) {
-	p := hotProgram(8)
-	inputs := [][]byte{nil, nil, nil, nil, nil, nil}
-
-	run := func(engine Engine) ([]*Result, uint64) {
-		backend := newNative(t)
-		res, err := RunThreads(p, Config{Backend: backend, Engine: engine, TierUp: 2}, inputs, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, backend.Cycles()
-	}
-	tres, tcyc := run(EngineTree)
-	mres, mcyc := run(EngineCompiled)
-	for i := range tres {
-		assertSameRun(t, "tierup-thread", tres[i], mres[i], nil, nil)
-	}
-	if tcyc != mcyc {
-		t.Errorf("shared backend cycles: tree %d compiled %d", tcyc, mcyc)
-	}
-}
-
-// TestMachineSteadyStateZeroAlloc extends the cold tier's
-// zero-allocation pin to the closure tier: once every function is promoted and the
-// buffer pools are warm, RunReuse on closure code allocates nothing.
+// TestMachineSteadyStateZeroAlloc extends TestVMSteadyStateZeroAlloc's
+// pin from a lone Machine to the shape fleet workers and RunThreads
+// run: a Machine handed out by a Prepared that another Machine already
+// ran, with a scheduling hook firing every few statements. Once warm,
+// RunReuse allocates nothing and the hook still fires on schedule.
 func TestMachineSteadyStateZeroAlloc(t *testing.T) {
 	p := pinProgram(64)
+	pp, err := Prepare(p, Config{Engine: EngineCompiled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	other := newNative(t)
+	otherInput := pinSetup(t, other)
+	ex, err := pp.NewExec(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.(*Machine).RunReuse(&res, otherInput); err != nil {
+		t.Fatal(err)
+	}
+
 	backend := newNative(t)
 	input := pinSetup(t, backend)
-
-	m := newTestMachine(t, p, Config{Backend: backend}, 1)
-	var res Result
-	// Warm the pools and drive every function past the threshold.
+	ex, err = pp.NewExec(backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ex.(*Machine)
+	calls := 0
+	if !SetQuantumHook(m, 7, func() { calls++ }) {
+		t.Fatal("Machine does not support quantum hooks")
+	}
+	// Warm the buffer pools.
 	for i := 0; i < 3; i++ {
 		if err := m.RunReuse(&res, input); err != nil {
 			t.Fatal(err)
@@ -344,16 +256,18 @@ func TestMachineSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatalf("pin run crashed: %v", res.Fault)
 		}
 	}
-	if m.Promotions() == 0 {
-		t.Fatal("pin workload never promoted; allocation pin would measure the cold tier")
-	}
+	calls = 0
 	allocs := testing.AllocsPerRun(20, func() {
 		if err := m.RunReuse(&res, input); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state compiled RunReuse allocates %.1f objects/run, want 0", allocs)
+		t.Errorf("steady-state hooked RunReuse allocates %.1f objects/run, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call before its 20 measured ones.
+	if want := 21 * int(res.Steps/7); calls != want {
+		t.Errorf("hook fired %d times over 21 runs of %d steps, want %d", calls, res.Steps, want)
 	}
 }
 

@@ -1,12 +1,11 @@
 package prog_test
 
-// Conformance table for the compiled engine's quickened shapes: the
-// cold tier's unboxed scalar flow and the fused compare+branch and
-// latch pairs. Every row runs on the tree-walker, a never-promoting
-// Machine (cold tier only) and a threshold-1 Machine (cold on the first
-// input, closure code on the second), under the native backend and
-// under the shadow backend, whose use points must fire in the tree's
-// order and number. The textual rows also seed FuzzVMvsTree.
+// Conformance rows for the compiled engine's quickened shapes: the
+// unboxed scalar flow and the fused compare+branch and latch pairs.
+// Every row runs on each engine of prog.EngineConfigs, under the
+// native backend and under the shadow backend, whose use points must
+// fire in the tree's order and number. The textual rows also seed
+// FuzzVMvsTree.
 
 import (
 	"fmt"
@@ -142,6 +141,21 @@ var quickenedShapes = []struct {
  outputvar n
 }
 `},
+	{"moves", `func main {
+ input n, 1
+ let a = n
+ let k = 5
+ let b = k
+ alloc p = malloc(8)
+ load x, p, 8
+ let y = x
+ let a = a
+ outputvar a
+ outputvar b
+ free p
+ return y
+}
+`},
 	{"counted-loop", countedLoopSrc},
 }
 
@@ -178,47 +192,39 @@ func (r *useRecorder) CheckUse(v prog.Value, kind prog.UseKind, ccid uint64) {
 	r.Backend.CheckUse(v, kind, ccid)
 }
 
-// conform runs p on the tree, a never-promoting Machine and a
-// threshold-1 Machine, each over its own backend from mk, twice per
-// input, and requires identical observables and backend cycles. It
+// conform runs p on every engine of prog.EngineConfigs, each over its
+// own backend from mk, twice per input, and requires every engine to
+// match the tree reference's observables and backend cycles. It
 // returns the tree's backend for row-specific checks.
 func conform(t *testing.T, p *prog.Program, cfg prog.Config, mk func(t *testing.T) prog.HeapBackend, inputs [][]byte) prog.HeapBackend {
 	t.Helper()
-	tcfg := cfg
-	tcfg.Backend = mk(t)
-	it, err := prog.New(p, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	machine := func(tierUp uint64) (*prog.Machine, prog.HeapBackend) {
-		mcfg := cfg
-		mcfg.Backend, mcfg.Engine, mcfg.TierUp = mk(t), prog.EngineCompiled, tierUp
-		ex, err := prog.NewExec(p, mcfg)
+	exs := make([]prog.Exec, len(prog.EngineConfigs))
+	backends := make([]prog.HeapBackend, len(prog.EngineConfigs))
+	for i, ec := range prog.EngineConfigs {
+		ecfg := cfg
+		ecfg.Backend, ecfg.Engine = mk(t), ec.Engine
+		ex, err := prog.NewExec(p, ecfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ex.(*prog.Machine), mcfg.Backend
+		exs[i], backends[i] = ex, ecfg.Backend
 	}
-	cold, cb := machine(neverPromote)
-	hot, hb := machine(1)
 	for _, in := range inputs {
 		for round := 0; round < 2; round++ {
-			tr, terr := it.Run(in)
-			cr, cerr := cold.Run(in)
-			hr, herr := hot.Run(in)
-			sameRun(t, fmt.Sprintf("%s/cold/%d", p.Name, round), tr, cr, terr, cerr)
-			sameRun(t, fmt.Sprintf("%s/hot/%d", p.Name, round), tr, hr, terr, herr)
-			if tc, cc, hc := tcfg.Backend.Cycles(), cb.Cycles(), hb.Cycles(); tc != cc || tc != hc {
-				t.Errorf("%s: backend cycles diverge: tree %d cold %d hot %d", p.Name, tc, cc, hc)
+			tr, terr := exs[0].Run(in)
+			for i := 1; i < len(exs); i++ {
+				name := prog.EngineConfigs[i].Name
+				r, err := exs[i].Run(in)
+				sameRun(t, fmt.Sprintf("%s/%s/%d", p.Name, name, round), tr, r, terr, err)
+				if tc, c := backends[0].Cycles(), backends[i].Cycles(); tc != c {
+					t.Errorf("%s: backend cycles diverge: tree %d %s %d", p.Name, tc, name, c)
+				}
 			}
 		}
 	}
-	if cold.Promotions() != 0 {
-		t.Errorf("%s: never-promoting Machine tiered up", p.Name)
-	}
-	if tr, ok := tcfg.Backend.(*useRecorder); ok {
-		for label, b := range map[string]prog.HeapBackend{"cold": cb, "hot": hb} {
-			got := b.(*useRecorder)
+	if tr, ok := backends[0].(*useRecorder); ok {
+		for i := 1; i < len(backends); i++ {
+			label, got := prog.EngineConfigs[i].Name, backends[i].(*useRecorder)
 			if !reflect.DeepEqual(tr.uses, got.uses) {
 				t.Errorf("%s: %s use points diverge\ntree: %v\n%s: %v", p.Name, label, tr.uses, label, got.uses)
 			}
@@ -227,7 +233,7 @@ func conform(t *testing.T, p *prog.Program, cfg prog.Config, mk func(t *testing.
 			}
 		}
 	}
-	return tcfg.Backend
+	return backends[0]
 }
 
 // TestQuickenedShapes is the conformance table (see the file comment).
@@ -333,24 +339,24 @@ func TestQuickenedShapesThreads(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := [][]byte{{3}, {5}, {2}}
-	run := func(engine prog.Engine, tierUp, quantum uint64) ([]*prog.Result, uint64) {
+	run := func(engine prog.Engine, quantum uint64) ([]*prog.Result, uint64) {
 		backend := newNativeBackend(t)
-		res, err := prog.RunThreads(p, prog.Config{Backend: backend, Engine: engine, TierUp: tierUp}, inputs, quantum)
+		res, err := prog.RunThreads(p, prog.Config{Backend: backend, Engine: engine}, inputs, quantum)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, backend.Cycles()
 	}
 	for _, q := range []uint64{1, 2, 3, 5, 7} {
-		tres, tcyc := run(prog.EngineTree, 0, q)
-		cres, ccyc := run(prog.EngineCompiled, neverPromote, q)
-		hres, hcyc := run(prog.EngineCompiled, 1, q)
-		for i := range tres {
-			sameRun(t, fmt.Sprintf("q%d/thread%d/cold", q, i), tres[i], cres[i], nil, nil)
-			sameRun(t, fmt.Sprintf("q%d/thread%d/hot", q, i), tres[i], hres[i], nil, nil)
-		}
-		if tcyc != ccyc || tcyc != hcyc {
-			t.Errorf("quantum %d: shared backend cycles: tree %d cold %d hot %d", q, tcyc, ccyc, hcyc)
+		tres, tcyc := run(prog.EngineConfigs[0].Engine, q)
+		for _, ec := range prog.EngineConfigs[1:] {
+			res, cyc := run(ec.Engine, q)
+			for i := range tres {
+				sameRun(t, fmt.Sprintf("q%d/thread%d/%s", q, i, ec.Name), tres[i], res[i], nil, nil)
+			}
+			if tcyc != cyc {
+				t.Errorf("quantum %d: shared backend cycles: tree %d %s %d", q, tcyc, ec.Name, cyc)
+			}
 		}
 	}
 }

@@ -44,9 +44,7 @@ func RunThreads(p *Program, cfg Config, inputs [][]byte, quantum uint64) ([]*Res
 	// Construct every executor before spawning any goroutine: if a
 	// construction fails mid-loop, no thread goroutine exists yet to be
 	// left blocked on a grant that will never come. The program is
-	// prepared once, so compiled-engine threads share one bytecode and
-	// one closure cache: a function promoted by one thread is already
-	// compiled for the others.
+	// prepared once, so compiled-engine threads share one bytecode.
 	pp, err := Prepare(p, cfg)
 	if err != nil {
 		return nil, err

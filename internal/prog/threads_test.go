@@ -38,36 +38,40 @@ func serverProgram() *Program {
 }
 
 func TestRunThreadsSharedHeap(t *testing.T) {
-	p := serverProgram()
-	space, err := mem.NewSpace(mem.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend, err := NewNativeBackend(space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := [][]byte{{1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}}
-	results, err := RunThreads(p, Config{Backend: backend}, inputs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Crashed() {
-			t.Fatalf("thread %d crashed: %v", i, res.Fault)
-		}
-		// Each thread's data survived the shared-heap interleaving: the
-		// value written into its connection buffer reads back intact.
-		if got := (Value{Bytes: res.Output}).Uint(); got != uint64(i+1) {
-			t.Errorf("thread %d echoed %d, want %d (cross-thread corruption?)", i, got, i+1)
-		}
-	}
-	// The shared heap is consistent and leak-free.
-	if err := backend.Heap().CheckIntegrity(); err != nil {
-		t.Fatalf("shared heap integrity: %v", err)
-	}
-	if backend.Heap().LiveCount() != 0 {
-		t.Errorf("leaked allocations: %d", backend.Heap().LiveCount())
+	for _, ec := range engineConfigs {
+		t.Run(ec.Name, func(t *testing.T) {
+			p := serverProgram()
+			space, err := mem.NewSpace(mem.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			backend, err := NewNativeBackend(space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs := [][]byte{{1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}}
+			results, err := RunThreads(p, Config{Backend: backend, Engine: ec.Engine}, inputs, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, res := range results {
+				if res.Crashed() {
+					t.Fatalf("thread %d crashed: %v", i, res.Fault)
+				}
+				// Each thread's data survived the shared-heap interleaving: the
+				// value written into its connection buffer reads back intact.
+				if got := (Value{Bytes: res.Output}).Uint(); got != uint64(i+1) {
+					t.Errorf("thread %d echoed %d, want %d (cross-thread corruption?)", i, got, i+1)
+				}
+			}
+			// The shared heap is consistent and leak-free.
+			if err := backend.Heap().CheckIntegrity(); err != nil {
+				t.Fatalf("shared heap integrity: %v", err)
+			}
+			if backend.Heap().LiveCount() != 0 {
+				t.Errorf("leaked allocations: %d", backend.Heap().LiveCount())
+			}
+		})
 	}
 }
 
@@ -98,37 +102,41 @@ func TestRunThreadsDeterministic(t *testing.T) {
 // observe the same allocation-time CCID (V is thread-local state, not
 // global), so one patch covers that context across all threads.
 func TestRunThreadsThreadLocalCCID(t *testing.T) {
-	p := serverProgram()
-	plan, err := encoding.NewPlan(encoding.SchemeTCS, p.Graph(), p.Targets())
-	if err != nil {
-		t.Fatal(err)
-	}
-	coder, err := encoding.NewCoder(encoding.EncoderPCC, p.Graph(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	space, _ := mem.NewSpace(mem.Config{})
-	native, _ := NewNativeBackend(space)
-	rb := &recordingBackend{HeapBackend: native}
-	_, err = RunThreads(p, Config{Backend: rb, Coder: coder}, [][]byte{{1}, {2}, {3}}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 threads x 2 allocation sites; per site, all threads must agree.
-	if len(rb.ccids) != 6 {
-		t.Fatalf("recorded %d CCIDs, want 6", len(rb.ccids))
-	}
-	distinct := make(map[uint64]int)
-	for _, c := range rb.ccids {
-		distinct[c]++
-	}
-	if len(distinct) != 2 {
-		t.Fatalf("distinct CCIDs = %d, want 2 (one per allocation site)", len(distinct))
-	}
-	for c, n := range distinct {
-		if n != 3 {
-			t.Errorf("CCID %#x seen %d times, want 3 (once per thread)", c, n)
-		}
+	for _, ec := range engineConfigs {
+		t.Run(ec.Name, func(t *testing.T) {
+			p := serverProgram()
+			plan, err := encoding.NewPlan(encoding.SchemeTCS, p.Graph(), p.Targets())
+			if err != nil {
+				t.Fatal(err)
+			}
+			coder, err := encoding.NewCoder(encoding.EncoderPCC, p.Graph(), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			space, _ := mem.NewSpace(mem.Config{})
+			native, _ := NewNativeBackend(space)
+			rb := &recordingBackend{HeapBackend: native}
+			_, err = RunThreads(p, Config{Backend: rb, Coder: coder, Engine: ec.Engine}, [][]byte{{1}, {2}, {3}}, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 3 threads x 2 allocation sites; per site, all threads must agree.
+			if len(rb.ccids) != 6 {
+				t.Fatalf("recorded %d CCIDs, want 6", len(rb.ccids))
+			}
+			distinct := make(map[uint64]int)
+			for _, c := range rb.ccids {
+				distinct[c]++
+			}
+			if len(distinct) != 2 {
+				t.Fatalf("distinct CCIDs = %d, want 2 (one per allocation site)", len(distinct))
+			}
+			for c, n := range distinct {
+				if n != 3 {
+					t.Errorf("CCID %#x seen %d times, want 3 (once per thread)", c, n)
+				}
+			}
+		})
 	}
 }
 
@@ -268,39 +276,43 @@ func TestRunThreadsNoGoroutineLeak(t *testing.T) {
 // TestRunThreadsCrashIsolation: one thread crashing (fault) ends with
 // its own Result.Fault while other threads complete.
 func TestRunThreadsCrashIsolation(t *testing.T) {
-	p := MustLink(&Program{
-		Name: "crashy-thread",
-		Funcs: map[string]*Func{
-			"main": {Body: []Stmt{
-				ReadInput{Dst: "bad", N: C(1)},
-				Alloc{Dst: "p", Size: C(16)},
-				If{Cond: Eq(And(V("bad"), C(0xFF)), C(1)), Then: []Stmt{
-					// Wild store far outside the arena: SIGSEGV.
-					StoreBytes{Base: V("p"), Off: C(1 << 33), Data: []byte{1}},
-				}},
-				Assign{Dst: "ok", E: C(0xA11600D)},
-				OutputVar{Src: "ok"},
-			}},
-		},
-	})
-	space, _ := mem.NewSpace(mem.Config{})
-	backend, err := NewNativeBackend(space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := RunThreads(p, Config{Backend: backend}, [][]byte{{0}, {1}, {0}}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[1].Fault == nil {
-		t.Error("faulting thread reported no fault")
-	}
-	for _, i := range []int{0, 2} {
-		if results[i].Crashed() {
-			t.Errorf("healthy thread %d crashed: %v", i, results[i].Fault)
-		}
-		if got := (Value{Bytes: results[i].Output}).Uint(); got != 0xA11600D {
-			t.Errorf("thread %d output %#x", i, got)
-		}
+	for _, ec := range engineConfigs {
+		t.Run(ec.Name, func(t *testing.T) {
+			p := MustLink(&Program{
+				Name: "crashy-thread",
+				Funcs: map[string]*Func{
+					"main": {Body: []Stmt{
+						ReadInput{Dst: "bad", N: C(1)},
+						Alloc{Dst: "p", Size: C(16)},
+						If{Cond: Eq(And(V("bad"), C(0xFF)), C(1)), Then: []Stmt{
+							// Wild store far outside the arena: SIGSEGV.
+							StoreBytes{Base: V("p"), Off: C(1 << 33), Data: []byte{1}},
+						}},
+						Assign{Dst: "ok", E: C(0xA11600D)},
+						OutputVar{Src: "ok"},
+					}},
+				},
+			})
+			space, _ := mem.NewSpace(mem.Config{})
+			backend, err := NewNativeBackend(space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := RunThreads(p, Config{Backend: backend, Engine: ec.Engine}, [][]byte{{0}, {1}, {0}}, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if results[1].Fault == nil {
+				t.Error("faulting thread reported no fault")
+			}
+			for _, i := range []int{0, 2} {
+				if results[i].Crashed() {
+					t.Errorf("healthy thread %d crashed: %v", i, results[i].Fault)
+				}
+				if got := (Value{Bytes: results[i].Output}).Uint(); got != 0xA11600D {
+					t.Errorf("thread %d output %#x", i, got)
+				}
+			}
+		})
 	}
 }

@@ -1,13 +1,12 @@
 package prog
 
-// The bytecode engine's mutable state. A Machine (jit.go) executes the
-// flat instruction stream produced by compile (compile.go) with a
-// register file per frame and a frame free list, so steady-state
-// execution allocates nothing: registers own their Value buffers and
-// every write reuses capacity, frames are recycled by depth, and
-// RunReuse recycles the Result's buffers too. Both of the Machine's
-// tiers (the cold bytecode interpreter and the closure code) read and
-// write this one state.
+// The compiled engine's Machine and its mutable state. A Machine
+// executes the flat instruction stream produced by compile
+// (compile.go; the execution loop is in jit.go) with a register file
+// per frame and a frame free list, so steady-state execution allocates
+// nothing: registers own their Value buffers and every write reuses
+// capacity, frames are recycled by depth, and RunReuse recycles the
+// Result's buffers too.
 //
 // Two per-site caches avoid repeated lookups the tree-walker pays on
 // every execution:
@@ -26,6 +25,7 @@ package prog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"heaptherapy/internal/callgraph"
@@ -39,11 +39,10 @@ import (
 //
 // u/uok are the unboxed-scalar cache: when uok is set, the register's
 // authoritative content is the shadow-free 8-byte scalar u, and val is
-// stale. Both Machine tiers set uok (reg.setU) for clean scalar
-// results; every byte-level write clears it, and every reader that
-// hands out *Value (rd, Machine.fetch) materializes first, so both
-// tiers observe bit-identical Values. Integer-only readers
-// (vmState.scalarOf, Machine.fetchScalar) take u without materializing.
+// stale. The Machine sets uok (reg.setU) for clean scalar results;
+// every byte-level write clears it, and every reader that hands out
+// *Value (Machine.rd) materializes first. Integer-only readers
+// (Machine.scalarOf) take u without materializing.
 type reg struct {
 	val       Value
 	def       bool
@@ -70,8 +69,8 @@ func (r *reg) setScalar(v uint64) {
 }
 
 // setU caches a shadow-free 8-byte scalar without materializing its
-// byte representation. Compiled-tier scalar flow stays in uint64s;
-// rd/fetch materialize on the first byte-level read.
+// byte representation. Scalar flow stays in uint64s; rd materializes
+// on the first byte-level read.
 func (r *reg) setU(v uint64) {
 	r.u = v
 	r.uok = true
@@ -208,9 +207,11 @@ type SiteStats struct {
 	PatchedAllocs uint64
 }
 
-// vmState is one Machine's mutable execution state over a shared,
-// immutable bytecode.
-type vmState struct {
+// Machine is the compiled engine: one executor of a shared, immutable
+// bytecode, holding all of the mutable execution state. It is
+// single-goroutine; many Machines share one bytecode through their
+// Prepared.
+type Machine struct {
 	c        *bytecode
 	backend  HeapBackend
 	bulk     BulkLoader  // non-nil when backend supports LoadInto
@@ -247,11 +248,20 @@ type vmState struct {
 	// Cooperative scheduling hook (RunThreads).
 	yield      func()
 	yieldEvery uint64
+
+	// tickSlowAt folds the step-limit and scheduling-hook checks into
+	// one compare on mtick's hot path: maxSteps normally, 0 when a
+	// yield hook is installed (every tick must consider the hook).
+	tickSlowAt uint64
 }
 
-// newVMState binds a compiled program to a backend.
-func newVMState(c *bytecode, cfg Config) vmState {
-	vm := vmState{
+// newMachine binds a compiled program to cfg.Backend. cfg.Coder must
+// be the coder c was compiled with (Prepare guarantees it).
+func newMachine(c *bytecode, cfg Config) (*Machine, error) {
+	if cfg.Backend == nil {
+		return nil, errors.New("prog: Config.Backend is required")
+	}
+	m := &Machine{
 		c:        c,
 		backend:  cfg.Backend,
 		maxSteps: cfg.MaxSteps,
@@ -260,28 +270,29 @@ func newVMState(c *bytecode, cfg Config) vmState {
 		globals:  make([]reg, len(c.globalNames)),
 		ics:      make([]siteIC, c.icCount),
 	}
-	if vm.maxSteps == 0 {
-		vm.maxSteps = DefaultMaxSteps
+	if m.maxSteps == 0 {
+		m.maxSteps = DefaultMaxSteps
 	}
-	if vm.maxDepth == 0 {
-		vm.maxDepth = DefaultMaxDepth
+	if m.maxDepth == 0 {
+		m.maxDepth = DefaultMaxDepth
 	}
-	vm.bulk, _ = cfg.Backend.(BulkLoader)
+	m.bulk, _ = cfg.Backend.(BulkLoader)
 	if obs, ok := cfg.Backend.(UseObserver); ok && !obs.ObservesUse() {
 		// The backend guarantees CheckUse is a no-op: elide the calls.
-		vm.checkUse = false
+		m.checkUse = false
 	}
-	vm.prober, _ = cfg.Backend.(PatchProber)
-	return vm
+	m.prober, _ = cfg.Backend.(PatchProber)
+	m.tickSlowAt = m.maxSteps
+	return m, nil
 }
 
-// siteProfile reports the per-allocation-site profile accumulated by
+// SiteProfile reports the per-allocation-site profile accumulated by
 // the verdict inline caches, in compile order.
-func (vm *vmState) siteProfile() []SiteStats {
-	out := make([]SiteStats, 0, len(vm.c.allocs))
-	for i := range vm.c.allocs {
-		rec := &vm.c.allocs[i]
-		ic := &vm.ics[rec.ic]
+func (m *Machine) SiteProfile() []SiteStats {
+	out := make([]SiteStats, 0, len(m.c.allocs))
+	for i := range m.c.allocs {
+		rec := &m.c.allocs[i]
+		ic := &m.ics[rec.ic]
 		out = append(out, SiteStats{
 			Site:          rec.siteID,
 			Fn:            rec.byFn,
@@ -294,57 +305,57 @@ func (vm *vmState) siteProfile() []SiteStats {
 
 // crash records a fault and returns the crash sentinel (shared with
 // the tree-walker).
-func (vm *vmState) crash(err error) error {
-	vm.fault = err
+func (m *Machine) crash(err error) error {
+	m.fault = err
 	return errCrashed
 }
 
-func (vm *vmState) undefVar(name string) error {
-	return fmt.Errorf("prog %s: undefined variable %q", vm.c.p.Name, name)
+func (m *Machine) undefVar(name string) error {
+	return fmt.Errorf("prog %s: undefined variable %q", m.c.p.Name, name)
 }
 
 // rd resolves an operand: a register (definedness-checked, with the
 // tree-walker's exact error) or an interned constant. Error
 // construction is outlined to rdUndef so rd itself stays inlinable.
-func (vm *vmState) rd(f *frameV, o int32) (*Value, error) {
+func (m *Machine) rd(f *frameV, o int32) (*Value, error) {
 	if o >= 0 {
 		r := &f.regs[o]
 		if !r.def {
-			return nil, vm.rdUndef(f, o)
+			return nil, m.rdUndef(f, o)
 		}
 		if r.uok {
 			r.materialize()
 		}
 		return &r.val, nil
 	}
-	return &vm.c.consts[^o], nil
+	return &m.c.consts[^o], nil
 }
 
 //go:noinline
-func (vm *vmState) rdUndef(f *frameV, o int32) error {
-	return vm.undefVar(vm.c.funcs[f.fn].regNames[o])
+func (m *Machine) rdUndef(f *frameV, o int32) error {
+	return m.undefVar(m.c.funcs[f.fn].regNames[o])
 }
 
-// scalarOf is the cold tier's unboxed read of an operand: a constant's
+// scalarOf is the unboxed read of an operand: a constant's
 // scalar, a register's cached setU scalar, or the decoded bytes of a
 // defined register holding a shadow-free 8-byte scalar. It never
 // materializes or reports errors: false (undefined registers, shadow
 // planes, other widths) sends the caller to rd, whose error text and
 // order are the tree-walker's.
-func (vm *vmState) scalarOf(f *frameV, o int32) (uint64, bool) {
+func (m *Machine) scalarOf(f *frameV, o int32) (uint64, bool) {
 	if o < 0 {
-		return vm.c.constU[^o], true
+		return m.c.constU[^o], true
 	}
 	return f.regs[o].scalar()
 }
 
 // uintOf resolves an operand consumed only as an integer (sizes,
 // counts, addresses no CheckUse sees): scalarOf's fast read, else rd.
-func (vm *vmState) uintOf(f *frameV, o int32) (uint64, error) {
-	if u, ok := vm.scalarOf(f, o); ok {
+func (m *Machine) uintOf(f *frameV, o int32) (uint64, error) {
+	if u, ok := m.scalarOf(f, o); ok {
 		return u, nil
 	}
-	v, err := vm.rd(f, o)
+	v, err := m.rd(f, o)
 	if err != nil {
 		return 0, err
 	}
@@ -354,43 +365,39 @@ func (vm *vmState) uintOf(f *frameV, o int32) (uint64, error) {
 // effAddr forms base+off with the address use-point checks, mirroring
 // the tree-walker's evalAddr (one check when off is absent). Without
 // use-point checks the address operands are plain integers.
-func (vm *vmState) effAddr(f *frameV, a, b int32) (uint64, error) {
-	if !vm.checkUse {
-		base, err := vm.uintOf(f, a)
+func (m *Machine) effAddr(f *frameV, a, b int32) (uint64, error) {
+	if !m.checkUse {
+		base, err := m.uintOf(f, a)
 		if err != nil || b == opndNone {
 			return base, err
 		}
-		off, err := vm.uintOf(f, b)
+		off, err := m.uintOf(f, b)
 		return base + off, err
 	}
-	bv, err := vm.rd(f, a)
+	bv, err := m.rd(f, a)
 	if err != nil {
 		return 0, err
 	}
-	if vm.checkUse {
-		vm.backend.CheckUse(*bv, UseAddress, vm.v)
-	}
+	m.backend.CheckUse(*bv, UseAddress, m.v)
 	if b == opndNone {
 		return bv.Uint(), nil
 	}
-	ov, err := vm.rd(f, b)
+	ov, err := m.rd(f, b)
 	if err != nil {
 		return 0, err
 	}
-	if vm.checkUse {
-		vm.backend.CheckUse(*ov, UseAddress, vm.v)
-	}
+	m.backend.CheckUse(*ov, UseAddress, m.v)
 	return bv.Uint() + ov.Uint(), nil
 }
 
 // pushFrame activates a recycled (or new) frame for funcs[fnIdx].
-func (vm *vmState) pushFrame(fnIdx int32) *frameV {
-	vm.nframes++
-	if vm.nframes > len(vm.frames) {
-		vm.frames = append(vm.frames, &frameV{})
+func (m *Machine) pushFrame(fnIdx int32) *frameV {
+	m.nframes++
+	if m.nframes > len(m.frames) {
+		m.frames = append(m.frames, &frameV{})
 	}
-	nf := vm.frames[vm.nframes-1]
-	nregs := int(vm.c.funcs[fnIdx].nregs)
+	nf := m.frames[m.nframes-1]
+	nregs := int(m.c.funcs[fnIdx].nregs)
 	if cap(nf.regs) < nregs {
 		nf.regs = make([]reg, nregs)
 	} else {
@@ -400,17 +407,17 @@ func (vm *vmState) pushFrame(fnIdx int32) *frameV {
 		}
 	}
 	nf.fn = fnIdx
-	nf.t = vm.v
+	nf.t = m.v
 	return nf
 }
 
 // loadIntoReg bulk-loads into a register's owned buffers, lending the
 // register's parked shadow capacity to the backend and harvesting any
 // growth back.
-func (vm *vmState) loadIntoReg(r *reg, addr, n uint64) error {
+func (m *Machine) loadIntoReg(r *reg, addr, n uint64) error {
 	r.val.Valid = r.validCap
 	r.val.Origin = r.originCap
-	err := vm.bulk.LoadInto(&r.val, addr, n, vm.v)
+	err := m.bulk.LoadInto(&r.val, addr, n, m.v)
 	if r.val.Valid != nil {
 		r.validCap = r.val.Valid
 	}
@@ -428,11 +435,11 @@ func (vm *vmState) loadIntoReg(r *reg, addr, n uint64) error {
 // noteAlloc maintains one site's verdict inline cache: revalidated by
 // table generation and allocation CCID, probed (side-effect-free) only
 // on a miss.
-func (vm *vmState) noteAlloc(rec *allocRec, ccid uint64) {
-	ic := &vm.ics[rec.ic]
-	gen := vm.prober.PatchTableGeneration()
+func (m *Machine) noteAlloc(rec *allocRec, ccid uint64) {
+	ic := &m.ics[rec.ic]
+	gen := m.prober.PatchTableGeneration()
 	if !ic.valid || ic.gen != gen || ic.ccid != ccid {
-		ic.patched = vm.prober.ProbePatched(rec.fn, ccid)
+		ic.patched = m.prober.ProbePatched(rec.fn, ccid)
 		ic.gen = gen
 		ic.ccid = ccid
 		ic.valid = true
@@ -448,28 +455,28 @@ var zeroValue Value
 // setReturned stages the entry function's return value into the
 // Result, reusing the state's staging capacity (rv may point into a
 // register about to be recycled by the next run).
-func (vm *vmState) setReturned(res *Result, rv *Value) {
+func (m *Machine) setReturned(res *Result, rv *Value) {
 	if rv == nil {
 		res.Returned = Value{}
 		return
 	}
-	vm.retBytes = growValueBytes(vm.retBytes, uint64(len(rv.Bytes)))
-	copy(vm.retBytes, rv.Bytes)
-	out := Value{Bytes: vm.retBytes}
+	m.retBytes = growValueBytes(m.retBytes, uint64(len(rv.Bytes)))
+	copy(m.retBytes, rv.Bytes)
+	out := Value{Bytes: m.retBytes}
 	if rv.Valid != nil {
-		vm.retValid = growValueBytes(vm.retValid, uint64(len(rv.Valid)))
-		copy(vm.retValid, rv.Valid)
-		out.Valid = vm.retValid
+		m.retValid = growValueBytes(m.retValid, uint64(len(rv.Valid)))
+		copy(m.retValid, rv.Valid)
+		out.Valid = m.retValid
 	}
 	if rv.Origin != nil {
 		n := len(rv.Origin)
-		if cap(vm.retOrigin) < n {
-			vm.retOrigin = make([]uint32, n)
+		if cap(m.retOrigin) < n {
+			m.retOrigin = make([]uint32, n)
 		} else {
-			vm.retOrigin = vm.retOrigin[:n]
+			m.retOrigin = m.retOrigin[:n]
 		}
-		copy(vm.retOrigin, rv.Origin)
-		out.Origin = vm.retOrigin
+		copy(m.retOrigin, rv.Origin)
+		out.Origin = m.retOrigin
 	}
 	res.Returned = out
 }

@@ -1,12 +1,12 @@
 package prog_test
 
-// Cross-package differential verification of the compiled engine —
-// a never-promoting Machine on the cold bytecode tier and a threshold-2
-// Machine that promotes mid-corpus — against the tree-walking
-// interpreter over the analysis (shadow) and defense backends, driven
-// by the Table II vulnerability corpus. These live in an external test
-// package because shadow, defense, and vuln all import prog. The in-package suite (vm_test.go) covers the native
-// backend, error paths, and the zero-allocation pin.
+// Cross-package differential verification of every row of the
+// conformance table (prog.EngineConfigs) against the tree-walking
+// reference over the analysis (shadow) and defense backends, driven by
+// the Table II vulnerability corpus. These live in an external test
+// package because shadow, defense, and vuln all import prog. The
+// in-package suite (vm_test.go) covers the native backend, error
+// paths, and the zero-allocation pin.
 
 import (
 	"bytes"
@@ -22,19 +22,15 @@ import (
 	"heaptherapy/internal/vuln"
 )
 
-// newMachine prepares p for the compiled engine at the given tier-up
-// threshold and builds one Machine over backend.
-func newMachine(t *testing.T, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend, tierUp uint64) *prog.Machine {
+// newExec builds one executor of p on engine over backend.
+func newExec(t *testing.T, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend, engine prog.Engine) prog.Exec {
 	t.Helper()
-	ex, err := prog.NewExec(p, prog.Config{Backend: backend, Coder: coder, Engine: prog.EngineCompiled, TierUp: tierUp})
+	ex, err := prog.NewExec(p, prog.Config{Backend: backend, Coder: coder, Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ex.(*prog.Machine)
+	return ex
 }
-
-// neverPromote is a tier-up threshold no corpus run reaches.
-const neverPromote = 1 << 40
 
 // sameRun requires two executions to be observationally identical.
 func sameRun(t *testing.T, label string, tr, vr *prog.Result, terr, verr error) {
@@ -121,47 +117,34 @@ func newDefense(t *testing.T, patches *patch.Set) *defense.Backend {
 	return b
 }
 
-// TestVMDifferentialShadow: under the analysis backend the tree-walker
-// and both Machines must record the exact same warning stream (type,
+// TestVMDifferentialShadow: under the analysis backend every engine
+// must record the exact same warning stream as the tree-walker (type,
 // addresses, access and allocation CCIDs, detail text) for every
 // corpus case, on benign and attack inputs alike. The shadow backend
-// observes CheckUse, so this also proves neither tier elides use
-// checks for it. The promoting machine runs with a threshold of 2, so
-// functions promote in the middle of the input sequence and later
-// inputs execute closure code.
+// observes CheckUse, so this also proves no engine elides use checks
+// for it.
 func TestVMDifferentialShadow(t *testing.T) {
 	for _, c := range vuln.Named() {
 		t.Run(c.Name, func(t *testing.T) {
 			coder := corpusCoder(t, c.Program)
 			inputs := append(append([][]byte{}, c.Benign...), c.Attack)
 
-			tb := newShadow(t)
-			it, err := prog.New(c.Program, prog.Config{Backend: tb, Coder: coder})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cb := newShadow(t)
-			cold := newMachine(t, c.Program, coder, cb, neverPromote)
-			mb := newShadow(t)
-			m := newMachine(t, c.Program, coder, mb, 2)
-			for _, in := range inputs {
-				tr, terr := it.Run(in)
-				vr, verr := cold.Run(in)
-				sameRun(t, c.Name, tr, vr, terr, verr)
-				mr, merr := m.Run(in)
-				sameRun(t, c.Name+"/compiled", tr, mr, terr, merr)
-			}
-			if tw, vw := tb.Warnings(), cb.Warnings(); !reflect.DeepEqual(tw, vw) {
-				t.Errorf("warning streams diverge\ntree: %v\ncold: %v", tw, vw)
-			}
-			if tw, mw := tb.Warnings(), mb.Warnings(); !reflect.DeepEqual(tw, mw) {
-				t.Errorf("warning streams diverge\ntree:     %v\ncompiled: %v", tw, mw)
-			}
-			if tc, vc := tb.Cycles(), cb.Cycles(); tc != vc {
-				t.Errorf("shadow cycles: tree %d cold %d", tc, vc)
-			}
-			if tc, mc := tb.Cycles(), mb.Cycles(); tc != mc {
-				t.Errorf("shadow cycles: tree %d compiled %d", tc, mc)
+			for _, ec := range prog.EngineConfigs[1:] {
+				tb := newShadow(t)
+				it := newExec(t, c.Program, coder, tb, prog.EngineConfigs[0].Engine)
+				b := newShadow(t)
+				ex := newExec(t, c.Program, coder, b, ec.Engine)
+				for _, in := range inputs {
+					tr, terr := it.Run(in)
+					vr, verr := ex.Run(in)
+					sameRun(t, c.Name+"/"+ec.Name, tr, vr, terr, verr)
+				}
+				if tw, vw := tb.Warnings(), b.Warnings(); !reflect.DeepEqual(tw, vw) {
+					t.Errorf("warning streams diverge\ntree: %v\n%s: %v", tw, ec.Name, vw)
+				}
+				if tc, vc := tb.Cycles(), b.Cycles(); tc != vc {
+					t.Errorf("shadow cycles: tree %d %s %d", tc, ec.Name, vc)
+				}
 			}
 		})
 	}
@@ -172,8 +155,8 @@ func TestVMDifferentialShadow(t *testing.T) {
 // into patches, then run benign and attack inputs on patched defense
 // backends and require identical results AND identical defense
 // statistics — Lookups, PatchedAllocs, GuardPages, ZeroFills,
-// DeferredFrees, evictions, all of it. Patched sites exercise both
-// tiers' patch-verdict inline caches with hits on every
+// DeferredFrees, evictions, all of it. Patched sites exercise the
+// compiled engine's patch-verdict inline caches with hits on every
 // generation-stable allocation.
 func TestVMDifferentialDefense(t *testing.T) {
 	var sawPatched bool
@@ -183,11 +166,7 @@ func TestVMDifferentialDefense(t *testing.T) {
 
 			// Offline analysis pass on the reference engine.
 			sb := newShadow(t)
-			it, err := prog.New(c.Program, prog.Config{Backend: sb, Coder: coder})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := it.Run(c.Attack); err != nil {
+			if _, err := newExec(t, c.Program, coder, sb, prog.EngineTree).Run(c.Attack); err != nil {
 				t.Fatalf("analysis run: %v", err)
 			}
 			patches := patch.NewSet()
@@ -196,57 +175,40 @@ func TestVMDifferentialDefense(t *testing.T) {
 			}
 
 			inputs := append(append([][]byte{}, c.Benign...), c.Attack)
+			for _, ec := range prog.EngineConfigs[1:] {
+				tb := newDefense(t, patches)
+				tit := newExec(t, c.Program, coder, tb, prog.EngineConfigs[0].Engine)
+				b := newDefense(t, patches)
+				ex := newExec(t, c.Program, coder, b, ec.Engine)
+				for _, in := range inputs {
+					tr, terr := tit.Run(in)
+					vr, verr := ex.Run(in)
+					sameRun(t, c.Name+"/"+ec.Name, tr, vr, terr, verr)
+				}
+				ts, vs := tb.Defender().Stats(), b.Defender().Stats()
+				if ts != vs {
+					t.Errorf("defense stats diverge\ntree: %+v\n%s: %+v", ts, ec.Name, vs)
+				}
+				if tc, vc := tb.Cycles(), b.Cycles(); tc != vc {
+					t.Errorf("defense cycles: tree %d %s %d", tc, ec.Name, vc)
+				}
+				if ts.PatchedAllocs > 0 {
+					sawPatched = true
+				}
 
-			tb := newDefense(t, patches)
-			tit, err := prog.New(c.Program, prog.Config{Backend: tb, Coder: coder})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cb := newDefense(t, patches)
-			cold := newMachine(t, c.Program, coder, cb, neverPromote)
-			mbk := newDefense(t, patches)
-			m := newMachine(t, c.Program, coder, mbk, 2)
-			for _, in := range inputs {
-				tr, terr := tit.Run(in)
-				vr, verr := cold.Run(in)
-				sameRun(t, c.Name, tr, vr, terr, verr)
-				mr, merr := m.Run(in)
-				sameRun(t, c.Name+"/compiled", tr, mr, terr, merr)
-			}
-			ts, vs := tb.Defender().Stats(), cb.Defender().Stats()
-			if ts != vs {
-				t.Errorf("defense stats diverge\ntree: %+v\ncold: %+v", ts, vs)
-			}
-			if ms := mbk.Defender().Stats(); ts != ms {
-				t.Errorf("defense stats diverge\ntree:     %+v\ncompiled: %+v", ts, ms)
-			}
-			if tc, vc := tb.Cycles(), cb.Cycles(); tc != vc {
-				t.Errorf("defense cycles: tree %d cold %d", tc, vc)
-			}
-			if tc, mc := tb.Cycles(), mbk.Cycles(); tc != mc {
-				t.Errorf("defense cycles: tree %d compiled %d", tc, mc)
-			}
-			if ts.PatchedAllocs > 0 {
-				sawPatched = true
-			}
-
-			// The cold tier's verdict inline caches must agree with the
-			// defender's own alloc-time classification — and so must
-			// the closure tier's, which shares the cache storage but
-			// bakes the lookup into closures.
-			var icPatched uint64
-			for _, s := range cold.SiteProfile() {
-				icPatched += s.PatchedAllocs
-			}
-			if icPatched != vs.PatchedAllocs {
-				t.Errorf("inline-cache patched count %d != defender PatchedAllocs %d", icPatched, vs.PatchedAllocs)
-			}
-			var mcPatched uint64
-			for _, s := range m.SiteProfile() {
-				mcPatched += s.PatchedAllocs
-			}
-			if want := mbk.Defender().Stats().PatchedAllocs; mcPatched != want {
-				t.Errorf("compiled inline-cache patched count %d != defender PatchedAllocs %d", mcPatched, want)
+				// The Machine's verdict inline caches must agree with the
+				// defender's own alloc-time classification.
+				m, ok := ex.(*prog.Machine)
+				if !ok {
+					continue
+				}
+				var icPatched uint64
+				for _, s := range m.SiteProfile() {
+					icPatched += s.PatchedAllocs
+				}
+				if icPatched != vs.PatchedAllocs {
+					t.Errorf("%s inline-cache patched count %d != defender PatchedAllocs %d", ec.Name, icPatched, vs.PatchedAllocs)
+				}
 			}
 		})
 	}

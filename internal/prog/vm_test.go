@@ -1,12 +1,10 @@
 package prog
 
-// Differential verification of the compiled engine's Machine against
-// the tree-walking reference interpreter, on both of its tiers (a
-// never-promoting Machine runs only the cold bytecode tier, a
-// threshold-1 Machine crosses to closure code mid-corpus): every
-// observable of Run —
-// output, return value, fault, statistics, and both interpreter- and
-// backend-side cycle accounting — must be bit-identical, across
+// Differential verification of every row of the conformance table
+// (engineConfigs) against the tree-walking reference interpreter:
+// every observable of Run — output, return value, fault, statistics,
+// and both interpreter- and backend-side cycle accounting — must be
+// bit-identical, across
 // backends, encoding schemes and encoders, crash paths, and malformed
 // programs (where the error strings themselves must match). See also
 // fuzz_test.go (randomized programs) and the cross-package suites in
@@ -24,17 +22,11 @@ import (
 	"heaptherapy/internal/mem"
 )
 
-// neverPromote is a tier-up threshold no test run reaches: a Machine
-// configured with it executes every function on the cold bytecode
-// tier.
-const neverPromote = 1 << 40
-
-// newTestMachine prepares p for the compiled engine with the given
-// tier-up threshold and builds one Machine over cfg.Backend.
-func newTestMachine(t testing.TB, p *Program, cfg Config, tierUp uint64) *Machine {
+// newTestMachine prepares p for the compiled engine and builds one
+// Machine over cfg.Backend.
+func newTestMachine(t testing.TB, p *Program, cfg Config) *Machine {
 	t.Helper()
 	cfg.Engine = EngineCompiled
-	cfg.TierUp = tierUp
 	ex, err := NewExec(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -113,46 +105,36 @@ func assertSameRun(t *testing.T, label string, tr, vr *Result, terr, verr error)
 	}
 }
 
-// diffEngines runs the same input sequence through the tree-walker, a
-// never-promoting Machine, and a threshold-1 Machine — each over its
-// own backend from mk, so heap state evolves independently but
-// identically — and requires bit-identical observables, including the
-// backends' total cycle accounts after every request. The threshold-1
-// Machine crosses every function from the cold tier to closure code
-// mid-corpus, so both tiers are differentially covered in one sweep.
+// diffEngines runs the same input sequence through every row of
+// engineConfigs — each over its own backend from mk, so heap state
+// evolves independently but identically — and requires every row to
+// match the tree reference bit for bit, including the backends' total
+// cycle accounts after every request.
 func diffEngines(t *testing.T, p *Program, coder *encoding.Coder, cfg Config, mk func(t *testing.T) HeapBackend, inputs [][]byte) {
 	t.Helper()
 	cfg.Coder = coder
-
-	tcfg := cfg
-	tcfg.Backend = mk(t)
-	it, err := New(p, tcfg)
-	if err != nil {
-		t.Fatal(err)
+	exs := make([]Exec, len(engineConfigs))
+	backends := make([]HeapBackend, len(engineConfigs))
+	for i, ec := range engineConfigs {
+		ecfg := cfg
+		ecfg.Engine, ecfg.Backend = ec.Engine, mk(t)
+		ex, err := NewExec(p, ecfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exs[i], backends[i] = ex, ecfg.Backend
 	}
-	ccfg := cfg
-	ccfg.Backend = mk(t)
-	cold := newTestMachine(t, p, ccfg, neverPromote)
-	hcfg := cfg
-	hcfg.Backend = mk(t)
-	hot := newTestMachine(t, p, hcfg, 1)
 
 	for i, in := range inputs {
-		tr, terr := it.Run(in)
-		cr, cerr := cold.Run(in)
-		hr, herr := hot.Run(in)
+		tr, terr := exs[0].Run(in)
 		label := strings.TrimSpace(p.Name) + "#" + string(rune('0'+i))
-		assertSameRun(t, label+"/cold", tr, cr, terr, cerr)
-		assertSameRun(t, label+"/hot", tr, hr, terr, herr)
-		if tc, cc, hc := tcfg.Backend.Cycles(), ccfg.Backend.Cycles(), hcfg.Backend.Cycles(); tc != cc || tc != hc {
-			t.Errorf("%s#%d: backend cycles diverge: tree %d cold %d hot %d", p.Name, i, tc, cc, hc)
+		for j := 1; j < len(exs); j++ {
+			r, err := exs[j].Run(in)
+			assertSameRun(t, label+"/"+engineConfigs[j].Name, tr, r, terr, err)
+			if tc, c := backends[0].Cycles(), backends[j].Cycles(); tc != c {
+				t.Errorf("%s: backend cycles diverge: tree %d %s %d", label, tc, engineConfigs[j].Name, c)
+			}
 		}
-	}
-	if cold.Promotions() != 0 {
-		t.Errorf("%s: never-promote machine tiered up %d functions", p.Name, cold.Promotions())
-	}
-	if len(inputs) > 1 && hot.Promotions() == 0 {
-		t.Errorf("%s: machine never tiered up over %d inputs (threshold 1)", p.Name, len(inputs))
 	}
 }
 
@@ -348,12 +330,12 @@ func TestVMDifferentialEncoded(t *testing.T) {
 					return rb
 				}
 				diffEngines(t, p, coder, Config{}, mk, [][]byte{{3}, {0}, {7}})
-				if len(recs) != 3 {
-					t.Fatalf("expected 3 backends, got %d", len(recs))
+				if len(recs) != len(engineConfigs) {
+					t.Fatalf("expected %d backends, got %d", len(engineConfigs), len(recs))
 				}
 				tree := recs[0]
 				for ei, eng := range recs[1:] {
-					name := []string{"cold", "hot"}[ei]
+					name := engineConfigs[ei+1].Name
 					if len(tree.ccids) != len(eng.ccids) {
 						t.Fatalf("%s %v/%v: ccid stream lengths differ: tree %d %s %d",
 							p.Name, scheme, kind, len(tree.ccids), name, len(eng.ccids))
@@ -370,7 +352,7 @@ func TestVMDifferentialEncoded(t *testing.T) {
 	}
 }
 
-// TestVMErrorsMatchTree: malformed programs abort both tiers with
+// TestVMErrorsMatchTree: malformed programs abort every engine with
 // the exact same error text, including the evaluation-order-sensitive
 // undefined-variable cases the compiler pins with opCheckVar.
 func TestVMErrorsMatchTree(t *testing.T) {
@@ -422,10 +404,8 @@ func TestVMErrorsMatchTree(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Two identical runs: the never-promote Machine hits each
-			// error on the cold tier both times; the threshold-1 Machine
-			// hits it on the cold tier first and on closure code second,
-			// so both tiers must reproduce the exact text.
+			// Two identical runs: an executor reused after an aborted
+			// run must reproduce the exact text again.
 			diffEngines(t, tc.p, nil, tc.cfg, newNative, [][]byte{nil, nil})
 		})
 	}
@@ -448,37 +428,34 @@ func TestVMDifferentialThreads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(engine Engine, tierUp uint64) ([]*Result, uint64) {
+	run := func(engine Engine) ([]*Result, uint64) {
 		backend := newNative(t)
-		// TierUp 1 makes compiled-engine threads promote functions while
-		// sibling threads are mid-quantum on the cold tier, over one
-		// shared closure cache (see RunThreads).
-		res, err := RunThreads(p, Config{Backend: backend, Coder: coder, Engine: engine, TierUp: tierUp}, inputs, 16)
+		res, err := RunThreads(p, Config{Backend: backend, Coder: coder, Engine: engine}, inputs, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, backend.Cycles()
 	}
-	tres, tcyc := run(EngineTree, 0)
-	cres, ccyc := run(EngineCompiled, neverPromote)
-	hres, hcyc := run(EngineCompiled, 1)
-	for i := range tres {
-		assertSameRun(t, "thread/cold", tres[i], cres[i], nil, nil)
-		assertSameRun(t, "thread/hot", tres[i], hres[i], nil, nil)
-	}
-	if tcyc != ccyc || tcyc != hcyc {
-		t.Errorf("shared backend cycles: tree %d cold %d hot %d", tcyc, ccyc, hcyc)
+	tres, tcyc := run(engineConfigs[0].Engine)
+	for _, ec := range engineConfigs[1:] {
+		res, cyc := run(ec.Engine)
+		for i := range tres {
+			assertSameRun(t, "thread/"+ec.Name, tres[i], res[i], nil, nil)
+		}
+		if tcyc != cyc {
+			t.Errorf("shared backend cycles: tree %d %s %d", tcyc, ec.Name, cyc)
+		}
 	}
 }
 
 // TestCompiledSharedAcrossGoroutines: one Prepared program's bytecode
-// must be safely shareable by concurrently-running cold-tier Machines
+// must be safely shareable by concurrently-running Machines
 // (each with its own backend) — the fleet's layout. Run under -race
 // this is the data-race proof; in all modes it checks cross-Machine
 // result consistency.
 func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 	p := diffProgCalls()
-	pp, err := Prepare(p, Config{Engine: EngineCompiled, TierUp: neverPromote})
+	pp, err := Prepare(p, Config{Engine: EngineCompiled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,16 +570,15 @@ func pinSetup(t *testing.T, backend HeapBackend) []byte {
 	return in
 }
 
-// TestVMSteadyStateZeroAlloc pins the cold tier's steady state: once
-// warm, RunReuse on a never-promoting Machine allocates nothing —
-// registers, frames, output, and the Result all recycle their buffers.
-// TestMachineSteadyStateZeroAlloc pins the closure tier.
+// TestVMSteadyStateZeroAlloc pins the compiled engine's steady state:
+// once warm, RunReuse on a Machine allocates nothing — registers,
+// frames, output, and the Result all recycle their buffers.
 func TestVMSteadyStateZeroAlloc(t *testing.T) {
 	p := pinProgram(64)
 	backend := newNative(t)
 	input := pinSetup(t, backend)
 
-	m := newTestMachine(t, p, Config{Backend: backend}, neverPromote)
+	m := newTestMachine(t, p, Config{Backend: backend})
 	var res Result
 	// Warm the buffer pools.
 	if err := m.RunReuse(&res, input); err != nil {
@@ -639,20 +615,20 @@ func TestVMMatchesTreeOnPin(t *testing.T) {
 		}
 		return b
 	}
-	tb := mk(t)
-	cb := mk(t)
-	hb := mk(t)
-	it, err := New(p, Config{Backend: tb})
-	if err != nil {
-		t.Fatal(err)
+	var ref *Result
+	var referr error
+	for i, ec := range engineConfigs {
+		ex, err := NewExec(p, Config{Backend: mk(t), Engine: ec.Engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ex.Run(inputs[0])
+		if i == 0 {
+			ref, referr = r, err
+			continue
+		}
+		assertSameRun(t, "pin/"+ec.Name, ref, r, referr, err)
 	}
-	cold := newTestMachine(t, p, Config{Backend: cb}, neverPromote)
-	hot := newTestMachine(t, p, Config{Backend: hb}, 1)
-	tr, terr := it.Run(inputs[0])
-	cr, cerr := cold.Run(inputs[0])
-	hr, herr := hot.Run(inputs[0])
-	assertSameRun(t, "pin/cold", tr, cr, terr, cerr)
-	assertSameRun(t, "pin/hot", tr, hr, terr, herr)
 }
 
 func TestParseEngine(t *testing.T) {
@@ -733,7 +709,7 @@ func TestPrepareValidation(t *testing.T) {
 // site; without a PatchProber backend, patched counts stay zero.
 func TestVMSiteProfile(t *testing.T) {
 	p := diffProgCalls()
-	m := newTestMachine(t, p, Config{Backend: newNative(t)}, neverPromote)
+	m := newTestMachine(t, p, Config{Backend: newNative(t)})
 	if _, err := m.Run([]byte{2}); err != nil {
 		t.Fatal(err)
 	}

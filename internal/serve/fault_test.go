@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -249,6 +252,66 @@ func TestServeNoGoroutineLeak(t *testing.T) {
 
 	if got := drainAndCount(t, s, ts, before); got > before {
 		t.Errorf("goroutines %d after drain, want <= %d", got, before)
+	}
+}
+
+// TestServeAbandonedWhileQueued: a request whose client disconnects
+// while it waits for the only worker gives up its place. It is counted
+// as abandoned, it never runs, and the handler does not leak.
+func TestServeAbandonedWhileQueued(t *testing.T) {
+	before := runtime.NumGoroutine()
+
+	s, err := New(Config{Program: slowProgram(), BenignSample: workload.Request(1), Workers: 1, MaxInFlight: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+
+	done := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/request", "application/octet-stream", bytes.NewReader(workload.Request(slowRequestN)))
+		if err != nil {
+			t.Errorf("slow request: %v", err)
+			done <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	waitFor(t, "slow request admission", func() bool { return s.Stats().Admitted >= 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/request", bytes.NewReader(workload.Request(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		queued <- err
+	}()
+	waitFor(t, "queued request admission", func() bool { return s.Stats().Admitted >= 2 })
+	cancel()
+	if err := <-queued; err == nil {
+		t.Error("cancelled request got a response")
+	}
+	waitFor(t, "abandoned count", func() bool { return s.Stats().Abandoned >= 1 })
+
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("slow request: %d", code)
+	}
+	if got := drainAndCount(t, s, ts, before); got > before {
+		t.Errorf("goroutines %d after drain, want <= %d", got, before)
+	}
+	if st := s.Stats(); st.Abandoned != 1 {
+		t.Errorf("Abandoned=%d, want 1", st.Abandoned)
+	}
+	if runs := s.Fleet().Stats().Requests; runs != 1 {
+		t.Errorf("fleet ran %d requests, want 1 (the abandoned one must not run)", runs)
 	}
 }
 

@@ -83,10 +83,6 @@ type Config struct {
 	// Engine selects the execution substrate (compiled, the zero
 	// value, or tree).
 	Engine prog.Engine
-	// TierUp is the compiled engine's promotion threshold
-	// (0 = prog.DefaultTierUp). A worker keeps its executor across
-	// requests, so a handler's heat accumulates request by request.
-	TierUp uint64
 	// MaxSteps bounds each request's execution (0 = engine default).
 	MaxSteps uint64
 	// Space configures each tenant's address space.
@@ -137,6 +133,11 @@ type Stats struct {
 	// re-analysis of the same attack input (same SHA-256) was already
 	// queued or in flight.
 	BundleDuplicates uint64 `json:"bundle_duplicates"`
+	// Abandoned counts admitted requests whose client went away while
+	// the request waited for a worker; they never ran. Omitted from
+	// the JSON while zero, so an undisturbed server's /metrics keeps
+	// its shape.
+	Abandoned uint64 `json:"abandoned,omitempty"`
 	// Draining reports that the server has begun graceful drain.
 	Draining bool `json:"draining"`
 }
@@ -208,6 +209,7 @@ type Server struct {
 	rolloutFails  atomic.Uint64
 	bundleDrops   atomic.Uint64
 	bundleDups    atomic.Uint64
+	abandoned     atomic.Uint64
 }
 
 // rolloutJob is one queued crash bundle and its attack-input hash.
@@ -260,7 +262,6 @@ func New(cfg Config) (*Server, error) {
 		Family:    cfg.Family,
 		Space:     cfg.Space,
 		Engine:    cfg.Engine,
-		TierUp:    cfg.TierUp,
 		Telemetry: cfg.Telemetry,
 	})
 
@@ -295,9 +296,9 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	// Prepare once; every worker shares the immutable artifact (for
-	// the compiled engine, the bytecode and one closure cache — the
-	// fleet's one-reader-many-writers shape again).
-	pp, err := prog.Prepare(cfg.Program, prog.Config{Coder: coder, MaxSteps: cfg.MaxSteps, Engine: cfg.Engine, TierUp: cfg.TierUp})
+	// the compiled engine, the bytecode — the fleet's
+	// one-reader-many-writers shape again).
+	pp, err := prog.Prepare(cfg.Program, prog.Config{Coder: coder, MaxSteps: cfg.MaxSteps, Engine: cfg.Engine})
 	if err != nil {
 		return nil, fmt.Errorf("serve: preparing program: %w", err)
 	}
@@ -471,6 +472,7 @@ func (s *Server) Stats() Stats {
 		RolloutFails:     s.rolloutFails.Load(),
 		BundleDrops:      s.bundleDrops.Load(),
 		BundleDuplicates: s.bundleDups.Load(),
+		Abandoned:        s.abandoned.Load(),
 		Draining:         draining,
 	}
 }
@@ -590,7 +592,15 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 
 	j := &job{input: input, resp: make(chan jobResult, 1)}
 	s.admitted.Add(1)
-	s.jobs <- j
+	// s.jobs is unbuffered: the send waits for a free worker. A client
+	// that disconnects meanwhile gives up its place instead of costing
+	// a run nobody reads.
+	select {
+	case s.jobs <- j:
+	case <-r.Context().Done():
+		s.abandoned.Add(1)
+		return
+	}
 	res := <-j.resp
 
 	w.Header().Set("X-HTP-Epoch", fmt.Sprint(res.epoch))

@@ -29,10 +29,7 @@ func TestHotSwapSoak(t *testing.T) {
 	s, ts, svc := newNginxServer(t, func(c *Config) {
 		c.Workers = 4
 		c.MaxInFlight = 256
-		// A never-promoting compiled machine: every request runs on the
-		// cold bytecode tier.
 		c.Engine = prog.EngineCompiled
-		c.TierUp = 1 << 40
 	})
 
 	// The rolled-out patch set is the real one: re-analysis of the
