@@ -13,7 +13,7 @@ RACE_PKGS := ./internal/defense/ ./internal/prog/ ./internal/fleet/ ./internal/s
 COVER_GATE_PKGS := ./internal/heapsim/ ./internal/campaign/ ./internal/defense/ ./internal/shadow/ ./internal/mem/ ./internal/telemetry/ ./internal/fleet/ ./internal/serve/ ./internal/prog/
 COVER_MIN := 80
 
-.PHONY: all build test race vet fmt-check bench bench-json bench-campaign bench-campaign-json bench-fleet bench-policy bench-policy-json bench-serve bench-serve-json bench-compiled bench-encoding bench-smoke bench-telemetry check cover corpus fuzz-smoke
+.PHONY: all build test race vet fmt-check bench bench-json bench-campaign bench-fleet bench-policy bench-policy-json bench-compiled bench-encoding bench-smoke bench-telemetry check cover corpus fuzz-smoke
 
 all: check
 
@@ -50,16 +50,6 @@ bench-json:
 bench-fleet:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleet' -benchmem ./internal/fleet/
 
-# Serve front-end: end-to-end HTTP req/s at 1/2/4/8 workers while a
-# swapper performs continuous live patch rollouts, plus SwapTable
-# latency percentiles under that load (record with:
-# make bench-serve-json, fold into BENCH_$(shell date +%F).json).
-bench-serve:
-	$(GO) run ./cmd/htp-bench -exp serve
-
-bench-serve-json:
-	$(GO) run ./cmd/htp-bench -exp serve -json
-
 # Compiled engine: the steady-state and encoded-call zero-alloc pins
 # and the pin workload's tree-vs-compiled differential, the
 # tree-vs-compiled engine benchmarks (pin workload plus the one-time
@@ -83,18 +73,13 @@ bench-encoding:
 	$(GO) test -run '^$$' -bench 'BenchmarkEncodingPlan|BenchmarkCoderUpdate|BenchmarkEncodedCall' -benchmem \
 		-benchtime $(BENCHTIME) ./internal/encoding/ ./internal/prog/
 
-# Campaign runtime pins and throughput: the pooled-vs-fresh oracle
-# bit-identity and parallel-vs-sequential report-parity differentials,
-# the recycle allocation pins, then the seeds/sec scaling table at
-# 1/2/4/8 workers against the fresh-construction sequential baseline
-# (record with: make bench-campaign-json >> BENCH_$(shell date +%F).json).
+# Campaign runtime pins: the pooled-vs-fresh oracle bit-identity and
+# parallel-vs-sequential report-parity differentials and the recycle
+# allocation pins. Campaign throughput is the campaign workload of
+# benchmark/ (bash benchmark/run.sh --workload campaign).
 bench-campaign:
 	$(GO) test -run 'WorkbenchBitIdentical|ParallelMatchesSequential|GuidedMatchesUnguided|PooledSetupAllocs|BackendResetDifferential|ResetPatchesMatchesFresh|CollectorReset' -count 1 -v \
 		./internal/campaign/ ./internal/shadow/ ./internal/defense/ ./internal/telemetry/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
-	$(GO) run ./cmd/htp-bench -exp campaign
-
-bench-campaign-json:
-	$(GO) run ./cmd/htp-bench -exp campaign -json
 
 # Defense-policy head-to-head: the cross-family differential suite
 # (containment matrix, honest expected misses, benign bit-identity,

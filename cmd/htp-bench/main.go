@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	htp-bench [-exp all|encoding|table2|table3|table4|fig8|fig9|services|ablation|guard|fleet|serve|campaign|telemetry|policy|tierup] [-quick] [-scale N] [-engine tree|compiled]
+//	htp-bench [-exp all|table2|encoding|table3|table4|fig8|fig9|services|concurrent|ablation|stackoffset|scaling|fleet|telemetry|policy|tierup|guard[,...]] [-quick] [-scale N] [-engine tree|compiled] [-json]
 package main
 
 import (
@@ -27,9 +27,79 @@ func main() {
 	}
 }
 
+// result is what every experiment returns: a table in the paper's shape.
+type result interface{ Render() string }
+
+// detailer is implemented by results with headline numbers for -json.
+type detailer interface{ Detail() map[string]float64 }
+
+// exp adapts a typed experiment to the table's signature. A failed run
+// yields an untyped nil result, never a nil pointer in an interface.
+func exp[R result](f func(experiments.Config) (R, error)) func(experiments.Config) (result, error) {
+	return func(c experiments.Config) (result, error) {
+		r, err := f(c)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+}
+
+// experimentTable lists every experiment in run order.
+var experimentTable = []struct {
+	name string
+	run  func(experiments.Config) (result, error)
+}{
+	{"table2", exp(experiments.TableII)},
+	{"encoding", exp(experiments.EncodingOverhead)},
+	{"table3", exp(experiments.TableIII)},
+	{"table4", exp(experiments.TableIV)},
+	{"fig8", exp(experiments.Figure8)},
+	{"fig9", exp(experiments.Figure9)},
+	{"services", exp(experiments.Services)},
+	{"concurrent", exp(experiments.ConcurrentServices)},
+	{"ablation", exp(experiments.Ablation)},
+	{"stackoffset", exp(experiments.StackOffsetBaseline)},
+	{"scaling", exp(experiments.PatchScaling)},
+	{"fleet", exp(experiments.Fleet)},
+	{"telemetry", exp(experiments.TelemetryOverhead)},
+	{"policy", exp(experiments.PolicyMatrix)},
+	{"tierup", exp(experiments.TierUpComparison)},
+	{"guard", exp(experiments.GlobalGuardBaseline)},
+}
+
+// experimentNames is "all" followed by every table name.
+func experimentNames() string {
+	names := []string{"all"}
+	for _, e := range experimentTable {
+		names = append(names, e.name)
+	}
+	return strings.Join(names, ", ")
+}
+
+// selectExperiments parses -exp: "all", or a comma list in which every
+// name must be in experimentTable.
+func selectExperiments(spec string) (map[string]bool, error) {
+	known := make(map[string]bool, len(experimentTable))
+	for _, e := range experimentTable {
+		known[e.name] = true
+	}
+	want := make(map[string]bool)
+	for _, name := range strings.Split(spec, ",") {
+		if name != "all" && !known[name] {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, experimentNames())
+		}
+		want[name] = true
+	}
+	if want["all"] {
+		return known, nil
+	}
+	return want, nil
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("htp-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment to run: all, encoding, table2, table3, table4, fig8, fig9, services, concurrent, ablation, stackoffset, scaling, guard, fleet, serve, campaign, telemetry, policy, tierup")
+	expList := fs.String("exp", "all", "comma-separated experiments to run: "+experimentNames())
 	quick := fs.Bool("quick", false, "trim sweeps for a fast run")
 	scale := fs.Uint64("scale", 0, "divisor for Table IV allocation counts (default 10000)")
 	jsonOut := fs.Bool("json", false, "emit per-experiment wall time and allocations as JSON instead of rendered tables")
@@ -41,183 +111,41 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	selected, err := selectExperiments(*expList)
+	if err != nil {
+		return err
+	}
 	cfg := experiments.Config{Quick: *quick, Scale: *scale, Engine: engine}
 
-	type runner struct {
-		name string
-		fn   func() (fmt.Stringer, error)
-	}
-	// tierUpResult captures the engine comparison so -json can record
-	// the speedup and zero-alloc pin alongside the wall time.
-	var tierUpResult *experiments.TierUpComparisonResult
-	var campaignResult *experiments.CampaignThroughputResult
-	var serveResult *experiments.ServeThroughputResult
-	var policyResult *experiments.PolicyMatrixResult
-	wrap := func(f func(experiments.Config) (interface{ Render() string }, error)) func() (fmt.Stringer, error) {
-		return func() (fmt.Stringer, error) {
-			r, err := f(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return stringer{r.Render()}, nil
-		}
-	}
-
-	all := []runner{
-		{"table2", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.TableII(c)
-		})},
-		{"encoding", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.EncodingOverhead(c)
-		})},
-		{"table3", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.TableIII(c)
-		})},
-		{"table4", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.TableIV(c)
-		})},
-		{"fig8", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.Figure8(c)
-		})},
-		{"fig9", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.Figure9(c)
-		})},
-		{"services", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.Services(c)
-		})},
-		{"concurrent", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.ConcurrentServices(c)
-		})},
-		{"ablation", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.Ablation(c)
-		})},
-		{"stackoffset", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.StackOffsetBaseline(c)
-		})},
-		{"scaling", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.PatchScaling(c)
-		})},
-		{"fleet", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.Fleet(c)
-		})},
-		{"serve", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			r, err := experiments.ServeThroughput(c)
-			if err == nil {
-				serveResult = r
-			}
-			return r, err
-		})},
-		{"telemetry", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			return experiments.TelemetryOverhead(c)
-		})},
-		{"campaign", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			r, err := experiments.CampaignThroughput(c)
-			if err == nil {
-				campaignResult = r
-			}
-			return r, err
-		})},
-		{"policy", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			r, err := experiments.PolicyMatrix(c)
-			if err == nil {
-				policyResult = r
-			}
-			return r, err
-		})},
-		{"tierup", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			r, err := experiments.TierUpComparison(c)
-			if err == nil {
-				tierUpResult = r
-			}
-			return r, err
-		})},
-		{"guard", func() (fmt.Stringer, error) {
-			global, targeted, err := experiments.GlobalGuardBaseline(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return stringer{fmt.Sprintf(
-				"Guard-page policy baseline (paper motivation: per-buffer guard pages are prohibitively expensive)\n"+
-					"  guard every buffer:      +%.1f%% allocation-path cycles\n"+
-					"  guard patched buffers:   +%.1f%% allocation-path cycles\n"+
-					"  targeted saving:         %.1fx\n",
-				global, targeted, global/targeted)}, nil
-		}},
-	}
-
-	selected := strings.Split(*exp, ",")
 	var results []benchResult
-	ran := 0
-	for _, r := range all {
-		if *exp != "all" && !contains(selected, r.name) {
+	for _, e := range experimentTable {
+		if !selected[e.name] {
 			continue
 		}
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		out, err := r.fn()
+		r, err := e.run(cfg)
 		elapsed := time.Since(start)
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
 		if err != nil {
-			return fmt.Errorf("experiment %s: %w", r.name, err)
+			return fmt.Errorf("experiment %s: %w", e.name, err)
 		}
-		if *jsonOut {
-			br := benchResult{
-				Name:       r.name,
-				NsOp:       elapsed.Nanoseconds(),
-				AllocsOp:   after.Mallocs - before.Mallocs,
-				BytesAlloc: after.TotalAlloc - before.TotalAlloc,
-			}
-			if r.name == "tierup" && tierUpResult != nil {
-				br.Detail = map[string]float64{
-					"geomean_vs_tree":        tierUpResult.GeomeanVsTree,
-					"steady_state_allocs_op": tierUpResult.SteadyStateAllocs,
-				}
-			}
-			if r.name == "serve" && serveResult != nil {
-				best := 0.0
-				for _, row := range serveResult.Rows {
-					if row.ReqPerSec > best {
-						best = row.ReqPerSec
-					}
-				}
-				br.Detail = map[string]float64{
-					"best_req_per_sec": best,
-					"swap_p50_ns":      float64(serveResult.SwapP50.Nanoseconds()),
-					"swap_p99_ns":      float64(serveResult.SwapP99.Nanoseconds()),
-					"swaps":            float64(serveResult.SwapCount),
-				}
-			}
-			if r.name == "policy" && policyResult != nil {
-				br.Detail = map[string]float64{}
-				for _, row := range policyResult.Rows {
-					br.Detail[row.Family+"_contained_rate"] = row.ObservedRate
-					br.Detail[row.Family+"_cycles_overhead_pct"] = row.OverheadPct
-					br.Detail[row.Family+"_mem_overhead_pct"] = row.MemOverheadPct
-				}
-			}
-			if r.name == "campaign" && campaignResult != nil {
-				best := 0.0
-				for _, row := range campaignResult.Rows {
-					if row.SeedsPerSec > best {
-						best = row.SeedsPerSec
-					}
-				}
-				br.Detail = map[string]float64{
-					"sequential_seeds_per_sec": campaignResult.SequentialSeedsPerSec,
-					"best_seeds_per_sec":       best,
-					"speedup":                  best / campaignResult.SequentialSeedsPerSec,
-				}
-			}
-			results = append(results, br)
-		} else {
-			fmt.Println(out.String())
+		if !*jsonOut {
+			fmt.Println(r.Render())
+			continue
 		}
-		ran++
-	}
-	if ran == 0 {
-		return fmt.Errorf("unknown experiment %q", *exp)
+		br := benchResult{
+			Name:       e.name,
+			NsOp:       elapsed.Nanoseconds(),
+			AllocsOp:   after.Mallocs - before.Mallocs,
+			BytesAlloc: after.TotalAlloc - before.TotalAlloc,
+		}
+		if d, ok := r.(detailer); ok {
+			br.Detail = d.Detail()
+		}
+		results = append(results, br)
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -253,21 +181,8 @@ type benchResult struct {
 	NsOp       int64  `json:"ns_op"`
 	AllocsOp   uint64 `json:"allocs_op"`
 	BytesAlloc uint64 `json:"bytes_alloc"`
-	// Detail carries experiment-specific headline numbers (the tierup
-	// experiment's geomean speedup and zero-alloc pin, and the serve,
-	// policy, and campaign throughput summaries).
+	// Detail carries the headline numbers of results that implement
+	// detailer (the tierup geomean and zero-alloc pin, and the policy
+	// matrix's per-family rates).
 	Detail map[string]float64 `json:"detail,omitempty"`
-}
-
-type stringer struct{ s string }
-
-func (s stringer) String() string { return s.s }
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"os"
 	"strings"
@@ -83,7 +84,57 @@ func TestMultipleExperiments(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "table99"}); err == nil {
-		t.Error("unknown experiment accepted")
+	for _, spec := range []string{"table99", "table3,table99"} {
+		err := run([]string{"-exp", spec})
+		if err == nil {
+			t.Errorf("-exp %s: unknown experiment accepted", spec)
+			continue
+		}
+		if !strings.Contains(err.Error(), `"table99"`) || !strings.Contains(err.Error(), "table3") {
+			t.Errorf("-exp %s: error %q does not name the typo and the valid experiments", spec, err)
+		}
+	}
+}
+
+// TestJSONDetail pins the -json report shape: one record per selected
+// experiment, and the Detail keys committed BENCH files cite.
+func TestJSONDetail(t *testing.T) {
+	out, err := capture(t, func() error {
+		return run([]string{"-exp", "tierup,policy", "-quick", "-json"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep benchReport
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("decoding -json report: %v\n%s", err, out)
+	}
+	if len(rep.Experiments) != 2 {
+		t.Fatalf("report has %d experiments, want 2: %+v", len(rep.Experiments), rep.Experiments)
+	}
+	detail := map[string]map[string]float64{}
+	for _, e := range rep.Experiments {
+		detail[e.Name] = e.Detail
+	}
+	tierup, ok := detail["tierup"]
+	if !ok {
+		t.Fatalf("no tierup record: %+v", rep.Experiments)
+	}
+	if _, ok := tierup["geomean_vs_tree"]; !ok {
+		t.Errorf("tierup detail missing geomean_vs_tree: %v", tierup)
+	}
+	if allocs, ok := tierup["steady_state_allocs_op"]; !ok || allocs != 0 {
+		t.Errorf("tierup steady_state_allocs_op = %v (present %v), want 0", allocs, ok)
+	}
+	policy, ok := detail["policy"]
+	if !ok {
+		t.Fatalf("no policy record: %+v", rep.Experiments)
+	}
+	for _, family := range []string{"ht", "mesh", "shadowbound"} {
+		for _, metric := range []string{"contained_rate", "cycles_overhead_pct", "mem_overhead_pct"} {
+			if _, ok := policy[family+"_"+metric]; !ok {
+				t.Errorf("policy detail missing %s_%s: %v", family, metric, policy)
+			}
+		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (Section VIII). Each experiment returns a typed
 // result with a Render method that prints rows in the paper's shape;
-// cmd/htp-bench drives them all and bench_test.go exposes each as a
-// testing.B benchmark.
+// a result with headline numbers also has Detail, which htp-bench's
+// -json report records. cmd/htp-bench drives every experiment from one
+// table. The HTTP front-end's and the fuzzing campaign's throughput are
+// not experiments here: benchmark/ measures them with gated bounds.
 //
 // Overheads are reported on the deterministic virtual-cycle axis (see
 // the cost model in internal/prog): wall-clock timing of a Go

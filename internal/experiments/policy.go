@@ -276,6 +276,18 @@ func policyRun(pc *policyCase, fam defense.Family, patches *patch.Set, attack bo
 	return res.Cycles, space.Size(), contained, nil
 }
 
+// Detail is the experiment's -json headline: each family's observed
+// containment rate and its benign cycle and memory overheads.
+func (r *PolicyMatrixResult) Detail() map[string]float64 {
+	d := make(map[string]float64, 3*len(r.Rows))
+	for _, row := range r.Rows {
+		d[row.Family+"_contained_rate"] = row.ObservedRate
+		d[row.Family+"_cycles_overhead_pct"] = row.OverheadPct
+		d[row.Family+"_mem_overhead_pct"] = row.MemOverheadPct
+	}
+	return d
+}
+
 // Render prints the policy matrix: one row per family with per-kind
 // containment cells, then the throughput and memory head-to-head.
 func (r *PolicyMatrixResult) Render() string {

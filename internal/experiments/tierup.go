@@ -288,6 +288,15 @@ func tierUpSteadyStateAllocs() (float64, error) {
 	return n, runErr
 }
 
+// Detail is the experiment's -json headline: the geomean speedup and
+// the zero-alloc pin, under the keys committed BENCH files record.
+func (r *TierUpComparisonResult) Detail() map[string]float64 {
+	return map[string]float64{
+		"geomean_vs_tree":        r.GeomeanVsTree,
+		"steady_state_allocs_op": r.SteadyStateAllocs,
+	}
+}
+
 // Render prints the comparison.
 func (r *TierUpComparisonResult) Render() string {
 	header := []string{"Benchmark", "tree ns/op", "compiled ns/op", "vs tree", "cycles (equal)"}

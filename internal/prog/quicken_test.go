@@ -294,9 +294,9 @@ func TestQuickenedShapes(t *testing.T) {
 	// invalid from the second iteration on (the latch adds the
 	// shadowed y into i).
 	var p *prog.Program
-	for _, r := range rows {
-		if r.name == "shadowed-operands" {
-			p = r.p
+	for _, row := range rows {
+		if row.name == "shadowed-operands" {
+			p = row.p
 		}
 	}
 	rec := conform(t, p, prog.Config{}, recorder, [][]byte{nil}).(*useRecorder)

@@ -51,6 +51,40 @@ func TestRolloutAnalyzeFailure(t *testing.T) {
 	}
 }
 
+// TestRolloutAnalyzePanic: a re-analysis that panics is a counted
+// rollout failure, not a crash. The old table keeps serving and the
+// attack's hash is released, so the next identical crash queues again.
+func TestRolloutAnalyzePanic(t *testing.T) {
+	var calls atomic.Int32
+	s, ts, svc := newNginxServer(t, func(c *Config) {
+		c.Analyze = func(p *prog.Program, attack []byte) (*patch.Set, error) {
+			calls.Add(1)
+			panic("injected: shadow engine bug")
+		}
+	})
+
+	released := func() bool {
+		s.pendingMu.Lock()
+		defer s.pendingMu.Unlock()
+		return len(s.pending) == 0
+	}
+
+	post(t, ts, "/request", svc.CrashRequest())
+	waitFor(t, "rollout failure and release", func() bool { return s.Stats().RolloutFails >= 1 && released() })
+	if s.fleet.Swaps() != 0 {
+		t.Error("panicking analysis still swapped a table")
+	}
+	resp, _ := post(t, ts, "/request", svc.BenignRequest())
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("post-panic benign request: %d", resp.StatusCode)
+	}
+	resp, _ = post(t, ts, "/request", svc.CrashRequest())
+	if got := resp.Header.Get("X-HTP-Outcome"); got != OutcomeWild {
+		t.Errorf("post-panic attack outcome %q, want wild", got)
+	}
+	waitFor(t, "re-analysis after release", func() bool { return calls.Load() == 2 && s.Stats().RolloutFails == 2 })
+}
+
 // TestRolloutSwapFailure: a failure building/installing the new table
 // (injected through the swap seam) degrades the same way — counted,
 // old table serving.

@@ -435,7 +435,7 @@ func (s *Server) runRollout(b *campaign.Bundle) {
 		s.noteRolloutFail()
 		return
 	}
-	set, err := s.analyze(s.cfg.Program, attack)
+	set, err := s.analyzeSafely(attack)
 	if err != nil || set == nil || set.Len() == 0 {
 		s.noteRolloutFail()
 		return
@@ -450,6 +450,18 @@ func (s *Server) runRollout(b *campaign.Bundle) {
 	}
 	s.rollouts.Add(1)
 	s.tel.Inc(telemetry.CtrRollouts)
+}
+
+// analyzeSafely runs the re-analysis and turns a panic inside it (a
+// Config.Analyze hook, or the shadow engine on attacker input) into an
+// error, so a broken analysis fails one rollout instead of the process.
+func (s *Server) analyzeSafely(attack []byte) (set *patch.Set, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("serve: re-analysis panicked: %v", r)
+		}
+	}()
+	return s.analyze(s.cfg.Program, attack)
 }
 
 func (s *Server) noteRolloutFail() {
