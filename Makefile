@@ -51,17 +51,16 @@ bench-fleet:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleet' -benchmem ./internal/fleet/
 
 # Compiled engine: the steady-state and encoded-call zero-alloc pins
-# and the pin workload's tree-vs-compiled differential, the
-# tree-vs-compiled engine benchmarks (pin workload plus the one-time
-# compile cost), the encoded-call benchmarks on both engines, and the
-# tierup experiment's tree-vs-compiled geomean table. BENCHTIME=1x
-# gives a fast smoke run.
+# and the pin workload's tree-vs-compiled differential, the engine
+# benchmarks (pin workload on each engine plus the one-time compile
+# cost) and the encoded-call benchmarks on both engines. The tree is
+# the plain reference, so its timings are not a speed baseline.
+# BENCHTIME=1x gives a fast smoke run.
 BENCHTIME ?= 1s
 bench-compiled:
 	$(GO) test -run 'SteadyStateZeroAlloc|EncodedCall|VMMatchesTreeOnPin' -count 1 -v ./internal/prog/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
 	$(GO) test -run '^$$' -bench 'BenchmarkEngines|BenchmarkCompile|BenchmarkEncodedCall' -benchmem \
 		-benchtime $(BENCHTIME) ./internal/prog/
-	$(GO) run ./cmd/htp-bench -exp tierup
 
 # Encoding-path benchmarks and allocation pins: planner scratch reuse,
 # the per-call update arithmetic (0 allocs/op), and the end-to-end

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	htp-bench [-exp all|table2|encoding|table3|table4|fig8|fig9|services|concurrent|ablation|stackoffset|scaling|fleet|telemetry|policy|tierup|guard[,...]] [-quick] [-scale N] [-engine tree|compiled] [-json]
+//	htp-bench [-exp all|table2|encoding|table3|table4|fig8|fig9|services|concurrent|ablation|stackoffset|scaling|fleet|telemetry|policy|guard[,...]] [-quick] [-scale N] [-engine tree|compiled] [-json]
 package main
 
 import (
@@ -64,7 +64,6 @@ var experimentTable = []struct {
 	{"fleet", exp(experiments.Fleet)},
 	{"telemetry", exp(experiments.TelemetryOverhead)},
 	{"policy", exp(experiments.PolicyMatrix)},
-	{"tierup", exp(experiments.TierUpComparison)},
 	{"guard", exp(experiments.GlobalGuardBaseline)},
 }
 
@@ -182,7 +181,6 @@ type benchResult struct {
 	AllocsOp   uint64 `json:"allocs_op"`
 	BytesAlloc uint64 `json:"bytes_alloc"`
 	// Detail carries the headline numbers of results that implement
-	// detailer (the tierup geomean and zero-alloc pin, and the policy
-	// matrix's per-family rates).
+	// detailer (the policy matrix's per-family rates).
 	Detail map[string]float64 `json:"detail,omitempty"`
 }

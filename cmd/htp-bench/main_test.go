@@ -84,14 +84,19 @@ func TestMultipleExperiments(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	for _, spec := range []string{"table99", "table3,table99"} {
-		err := run([]string{"-exp", spec})
+	for _, c := range []struct{ spec, unknown string }{
+		{"table99", "table99"},
+		{"table3,table99", "table99"},
+		// The retired tree-vs-compiled speed ratio.
+		{"tierup", "tierup"},
+	} {
+		err := run([]string{"-exp", c.spec})
 		if err == nil {
-			t.Errorf("-exp %s: unknown experiment accepted", spec)
+			t.Errorf("-exp %s: unknown experiment accepted", c.spec)
 			continue
 		}
-		if !strings.Contains(err.Error(), `"table99"`) || !strings.Contains(err.Error(), "table3") {
-			t.Errorf("-exp %s: error %q does not name the typo and the valid experiments", spec, err)
+		if !strings.Contains(err.Error(), `"`+c.unknown+`"`) || !strings.Contains(err.Error(), "table3") {
+			t.Errorf("-exp %s: error %q does not name the typo and the valid experiments", c.spec, err)
 		}
 	}
 }
@@ -100,7 +105,7 @@ func TestUnknownExperiment(t *testing.T) {
 // experiment, and the Detail keys committed BENCH files cite.
 func TestJSONDetail(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run([]string{"-exp", "tierup,policy", "-quick", "-json"})
+		return run([]string{"-exp", "policy", "-quick", "-json"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,22 +114,12 @@ func TestJSONDetail(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("decoding -json report: %v\n%s", err, out)
 	}
-	if len(rep.Experiments) != 2 {
-		t.Fatalf("report has %d experiments, want 2: %+v", len(rep.Experiments), rep.Experiments)
+	if len(rep.Experiments) != 1 {
+		t.Fatalf("report has %d experiments, want 1: %+v", len(rep.Experiments), rep.Experiments)
 	}
 	detail := map[string]map[string]float64{}
 	for _, e := range rep.Experiments {
 		detail[e.Name] = e.Detail
-	}
-	tierup, ok := detail["tierup"]
-	if !ok {
-		t.Fatalf("no tierup record: %+v", rep.Experiments)
-	}
-	if _, ok := tierup["geomean_vs_tree"]; !ok {
-		t.Errorf("tierup detail missing geomean_vs_tree: %v", tierup)
-	}
-	if allocs, ok := tierup["steady_state_allocs_op"]; !ok || allocs != 0 {
-		t.Errorf("tierup steady_state_allocs_op = %v (present %v), want 0", allocs, ok)
 	}
 	policy, ok := detail["policy"]
 	if !ok {

@@ -9,9 +9,8 @@ import (
 // TestExperimentsEngineIndependent locks in the claim the Config.Engine
 // doc makes: every deterministic (cycle-axis) experiment renders a
 // bit-identical report whether the programs execute on the tree
-// interpreter or the compiled machine. Wall-clock experiments (tierup,
-// and the throughput columns of fleet/concurrent) are excluded by
-// design.
+// interpreter or the compiled machine. Wall-clock experiments (the
+// throughput columns of fleet/concurrent) are excluded by design.
 func TestExperimentsEngineIndependent(t *testing.T) {
 	cases := []struct {
 		name string

@@ -275,31 +275,3 @@ func TestPatchScalingIsFlat(t *testing.T) {
 	}
 	t.Logf("patch scaling: %v", r.Rows)
 }
-
-// TestTierUpComparisonShape runs the encoded-call suite in quick mode
-// and pins the structural contracts: both engines agreed on cycles
-// (TierUpComparison errors otherwise), every row is timed, and the warm
-// compiled engine allocates nothing per run.
-func TestTierUpComparisonShape(t *testing.T) {
-	r, err := TierUpComparison(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, row := range r.Rows {
-		if row.Cycles == 0 {
-			t.Errorf("%s: zero cycles recorded", row.Bench)
-		}
-		if row.CompiledNsOp <= 0 || row.TreeNsOp <= 0 {
-			t.Errorf("%s: non-positive timing: %+v", row.Bench, row)
-		}
-	}
-	if r.SteadyStateAllocs != 0 {
-		t.Errorf("steady-state compiled allocs/run = %.1f, want 0", r.SteadyStateAllocs)
-	}
-	if !strings.Contains(r.Render(), "geomean") {
-		t.Error("render missing geomean headline")
-	}
-}

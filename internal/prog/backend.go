@@ -69,10 +69,12 @@ type HeapBackend interface {
 
 // BulkLoader is an optional HeapBackend extension: LoadInto reuses
 // dst's Bytes/Valid/Origin capacity instead of allocating fresh
-// buffers per load. The interpreter uses it with a scratch Value for
-// transient loads (output emission) so the steady-state memory-op path
-// allocates nothing; results that must outlive the call still go
-// through Load.
+// buffers per load, and must fill dst with the same bytes, validity
+// and origins Load would return. The compiled engine uses it for
+// register loads and for a scratch Value on transient loads (output
+// emission), so its steady-state memory-op path allocates nothing.
+// The tree-walker never does: it calls Load, so the differential
+// suites check LoadInto against it.
 type BulkLoader interface {
 	LoadInto(dst *Value, addr, n, ccid uint64) error
 }
@@ -80,10 +82,11 @@ type BulkLoader interface {
 // UseObserver is an optional HeapBackend extension that lets a backend
 // declare whether CheckUse does anything at all. Backends that return
 // false (native, defended) promise CheckUse is a no-op with no cycle
-// or statistics effect, which lets compiled engines elide the calls
-// from hot paths. Backends that do not implement the interface are
-// conservatively treated as observing: wrappers that count or forward
-// use points keep seeing every call.
+// or statistics effect, which lets the compiled engine elide the calls
+// from hot paths. The tree-walker ignores it and issues every call, so
+// the differential suites check the promise. Backends that do not
+// implement the interface are conservatively treated as observing:
+// wrappers that count or forward use points keep seeing every call.
 type UseObserver interface {
 	ObservesUse() bool
 }

@@ -2,8 +2,8 @@ package prog
 
 // Benchmarks and allocation pins for the encoded-call hot path: a
 // program whose inner loop calls through Incremental-instrumented
-// sites, so every iteration exercises the precompiled SiteUpdate
-// table, the V save/restore discipline, and the allocator round trip.
+// sites, so every iteration exercises the per-site V update, the V
+// save/restore discipline, and the allocator round trip.
 
 import (
 	"testing"
@@ -178,35 +178,6 @@ func BenchmarkEncodedCallDense(b *testing.B) {
 		}
 	})
 	b.Run("compiled", func(b *testing.B) { benchMachine(b, p) })
-}
-
-// TestEncodedCallTreeAllocsFlat pins the tree-walker's hot path: once
-// frames, slots, and value buffers are warm, a run's allocations must
-// not grow with the number of encoded calls executed — i.e. the
-// per-call path (site update, frame recycle, alloc/free) is
-// allocation-free, and only the O(1) per-run bookkeeping (Result,
-// returned-value clone) remains.
-func TestEncodedCallTreeAllocsFlat(t *testing.T) {
-	measure := func(iters uint64) float64 {
-		p := encodedCallProgram(iters)
-		it, err := New(p, Config{Backend: encodedCallBackend(t), Coder: encodedCallCoder(t, p)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Warm the slot frames and value buffers.
-		if _, err := it.Run(nil); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(10, func() {
-			if _, err := it.Run(nil); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	small, big := measure(8), measure(4096)
-	if big > small {
-		t.Errorf("tree allocations grow with call count: %.1f allocs at 8 iters, %.1f at 4096", small, big)
-	}
 }
 
 // TestEncodedCallVMZeroAlloc pins the compiled engine's encoded-call

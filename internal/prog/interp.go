@@ -1,7 +1,6 @@
 package prog
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -21,10 +20,11 @@ type Config struct {
 	MaxSteps uint64
 	// MaxDepth bounds call recursion (0 = DefaultMaxDepth).
 	MaxDepth int
-	// Engine selects the execution substrate (the compiled engine, the
-	// zero value, or the tree-walker) for the engine-generic
-	// constructors (Prepare, NewExec, RunThreads). New ignores it
-	// (always the tree-walker).
+	// Engine selects the execution substrate for the engine-generic
+	// constructors (Prepare, NewExec, RunThreads): the compiled engine,
+	// the zero value and the one to serve with, or the tree-walker, the
+	// plain reference the compiled engine is checked against and not a
+	// speed baseline. New ignores it (always the tree-walker).
 	Engine Engine
 }
 
@@ -71,39 +71,25 @@ type Result struct {
 // Crashed reports whether the run ended in a fault.
 func (r *Result) Crashed() bool { return r.Fault != nil }
 
-// ifunc is a function with its precomputed instrumentation flag, so
-// the per-call path resolves callee body and prologue cost in one map
-// probe.
-type ifunc struct {
-	fn    *Func
-	instr bool // function contains >=1 instrumented site
-}
-
 // Interp executes a linked Program against a backend.
 //
-// The hot paths are allocation-free in steady state: per-site encoding
-// updates come from a dense precompiled table (the same SiteUpdate
-// records the bytecode compiler embeds), variable slots are recycled
-// register-style storage keyed by activation generation, and scalar
-// expressions evaluate without materializing Values. The general
-// evaluator is retained for shadowed or non-scalar values and is
-// bit-identical to the fast path by construction (same binScalar, same
-// byte encoding).
+// It is the semantic reference the compiled engine is checked against,
+// so it is the plainest walker that gets the results, errors, error
+// order and cycle accounting right: a fresh variable map per call,
+// one evaluator, only the core HeapBackend methods, and the encoding
+// package's reference V update. Values are never written in place, so
+// variables may share buffers.
 type Interp struct {
 	p        *Program
 	backend  HeapBackend
-	bulk     BulkLoader // non-nil when backend supports LoadInto
 	coder    *encoding.Coder
 	maxSteps uint64
 	maxDepth int
-
-	// Precompiled tables, built once at New.
-	siteUpd  []encoding.SiteUpdate // per-site V update, indexed by SiteID (nil = uninstrumented run)
-	encUpd   uint64                // cycle cost of one encoding update under the bound coder
-	funcs    map[string]*ifunc
-	checkUse bool // backend observes use points (CheckUse not elidable)
+	encUpd   uint64          // cycle cost of one encoding update under the bound coder
+	instr    map[string]bool // functions containing an instrumented site
 
 	// Per-run state.
+	globals    map[string]Value
 	input      []byte
 	inPos      int
 	output     []byte
@@ -117,58 +103,17 @@ type Interp struct {
 	depth      int
 	fault      error
 
-	// Recycled storage: frames are reused by call depth, variable and
-	// global slots by name; a slot is live only when its generation
-	// matches its frame's (or the run's, for globals).
-	fstack   []*frame
-	gen      uint64 // activation generation counter
-	globals  map[string]*vslot
-	runGen   uint64  // current run's generation, validates global slots
-	scratch  Value   // reusable buffer for transient loads (Output)
-	ckBuf    [8]byte // staging for fast-path use-check operands
-	storeBuf [8]byte // staging for fast-path store operands
-
 	// Cooperative scheduling hooks for RunThreads: when yield is set,
 	// the interpreter calls it every yieldEvery statements.
 	yield      func()
 	yieldEvery uint64
 }
 
-// vslot is one variable's recycled storage; the slot is defined in its
-// frame's current activation only when gen matches.
-type vslot struct {
-	reg
-	gen uint64
-}
-
-// frame is one recycled activation record, reused across calls at the
-// same depth; bumping gen invalidates every slot at no per-slot cost.
+// frame is one activation: its variables and the V read at the
+// function prologue.
 type frame struct {
-	vars map[string]*vslot
-	gen  uint64
-	t    uint64 // V read at the function prologue
-	ret  reg    // staging for fast-path return values
-}
-
-// lookup resolves a variable in the frame's current activation.
-func (f *frame) lookup(name string) (*vslot, bool) {
-	sl := f.vars[name]
-	if sl == nil || sl.gen != f.gen {
-		return nil, false
-	}
-	return sl, true
-}
-
-// define returns the slot for name, marking it defined in the current
-// activation (the caller writes the value).
-func (f *frame) define(name string) *vslot {
-	sl := f.vars[name]
-	if sl == nil {
-		sl = &vslot{}
-		f.vars[name] = sl
-	}
-	sl.gen = f.gen
-	return sl
+	vars map[string]Value
+	t    uint64
 }
 
 // tick accounts one statement and enforces the step budget and the
@@ -211,15 +156,6 @@ func New(p *Program, cfg Config) (*Interp, error) {
 		coder:    cfg.Coder,
 		maxSteps: cfg.MaxSteps,
 		maxDepth: cfg.MaxDepth,
-		globals:  make(map[string]*vslot),
-	}
-	it.bulk, _ = cfg.Backend.(BulkLoader)
-	// Backends that declare CheckUse a no-op let the use-point calls be
-	// elided entirely (see UseObserver); wrappers that do not implement
-	// the interface keep seeing every call.
-	it.checkUse = true
-	if obs, ok := cfg.Backend.(UseObserver); ok && !obs.ObservesUse() {
-		it.checkUse = false
 	}
 	if it.maxSteps == 0 {
 		it.maxSteps = DefaultMaxSteps
@@ -232,19 +168,10 @@ func New(p *Program, cfg Config) (*Interp, error) {
 		if cfg.Coder.Kind() == encoding.EncoderPCC {
 			it.encUpd = CycEncUpdatePCC
 		}
-		n := p.graph.NumEdges()
-		it.siteUpd = make([]encoding.SiteUpdate, n)
-		for s := 0; s < n; s++ {
-			it.siteUpd[s] = cfg.Coder.CompileSite(callgraph.SiteID(s))
+		it.instr = make(map[string]bool, len(p.Funcs))
+		for name, fn := range p.Funcs {
+			it.instr[name] = bodyHasInstrumentedSite(fn.Body, cfg.Coder)
 		}
-	}
-	it.funcs = make(map[string]*ifunc, len(p.Funcs))
-	for name, fn := range p.Funcs {
-		fi := &ifunc{fn: fn}
-		if cfg.Coder != nil {
-			fi.instr = bodyHasInstrumentedSite(fn.Body, cfg.Coder)
-		}
-		it.funcs[name] = fi
 	}
 	return it, nil
 }
@@ -277,20 +204,12 @@ func bodyHasInstrumentedSite(body []Stmt, coder *encoding.Coder) bool {
 	return false
 }
 
-// frameAt returns the recycled frame for call depth d, growing the
-// stack on first use.
-func (it *Interp) frameAt(d int) *frame {
-	for len(it.fstack) <= d {
-		it.fstack = append(it.fstack, &frame{vars: make(map[string]*vslot)})
-	}
-	return it.fstack[d]
-}
-
 // Run executes the program on the given input and returns the result.
 // Returned errors indicate malformed programs (undefined variables,
 // step-limit exhaustion); memory faults end the run normally with
 // Result.Fault set, mirroring a crashed process.
 func (it *Interp) Run(input []byte) (*Result, error) {
+	it.globals = make(map[string]Value)
 	it.input = input
 	it.inPos = 0
 	it.output = nil
@@ -303,19 +222,14 @@ func (it *Interp) Run(input []byte) (*Result, error) {
 	it.frees = 0
 	it.depth = 0
 	it.fault = nil
-	it.runGen++
 	startCycles := it.backend.Cycles()
 
-	entry := it.funcs[it.p.Entry]
-	f := it.frameAt(0)
-	it.gen++
-	f.gen = it.gen
-	f.t = it.v
-	_, ret, err := it.execBlock(entry.fn.Body, f)
+	f := &frame{vars: make(map[string]Value), t: it.v}
+	_, ret, err := it.execBlock(it.p.Funcs[it.p.Entry].Body, f)
 	res := &Result{
 		Output: it.output,
-		// The returned value may live in recycled frame storage; copy it
-		// out so Results stay independent across runs.
+		// The returned value may share the input's bytes; copy it out so
+		// Results stay independent of the caller's buffers.
 		Returned:   ret.Clone(),
 		Steps:      it.steps,
 		EncUpdates: it.encUpdates,
@@ -341,13 +255,16 @@ func (it *Interp) crash(err error) error {
 	return errCrashed
 }
 
-// siteUpdate resolves the precompiled V update for a site; out-of-range
-// or unplanned sites read as uninstrumented.
-func (it *Interp) siteUpdate(s callgraph.SiteID) encoding.SiteUpdate {
-	if s >= 0 && int(s) < len(it.siteUpd) {
-		return it.siteUpd[s]
+// encode applies site s's V update to the prologue value t through
+// the encoding package's reference Coder.Update, accounting its cost;
+// ok is false at uninstrumented sites.
+func (it *Interp) encode(s callgraph.SiteID, t uint64) (v uint64, ok bool) {
+	if it.coder == nil || !it.coder.Instrumented(s) {
+		return 0, false
 	}
-	return encoding.SiteUpdate{}
+	it.encUpdates++
+	it.cycles += it.encUpd
+	return it.coder.Update(t, s), true
 }
 
 // execBlock runs a statement list; returned reports whether a Return
@@ -358,248 +275,16 @@ func (it *Interp) execBlock(body []Stmt, f *frame) (returned bool, ret Value, er
 			return false, Value{}, err
 		}
 		switch st := s.(type) {
-		case Nop:
-			// Costs the base step only.
-
-		case Assign:
-			u, ok, err := it.evalU(st.E, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			if ok {
-				f.define(st.Dst).setScalar(u)
-				break
-			}
-			v, err := it.eval(st.E, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			f.define(st.Dst).set(&v)
-
-		case SetGlobal:
-			u, ok, err := it.evalU(st.E, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			sl := it.globals[st.Dst]
-			if sl == nil {
-				sl = &vslot{}
-				it.globals[st.Dst] = sl
-			}
-			sl.gen = it.runGen
-			if ok {
-				sl.setScalar(u)
-				break
-			}
-			v, err := it.eval(st.E, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			sl.set(&v)
-
-		case Alloc:
-			if err := it.execAlloc(st, f); err != nil {
-				return false, Value{}, err
-			}
-
-		case ReallocStmt:
-			if err := it.execRealloc(st, f); err != nil {
-				return false, Value{}, err
-			}
-
-		case FreeStmt:
-			u, v, fast, err := it.evalV(st.Ptr, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			it.use(u, v, fast, UseAddress)
-			it.frees++
-			if err := it.backend.Free(u, it.v); err != nil {
-				return false, Value{}, it.crash(err)
-			}
-
-		case Load:
-			addr, err := it.evalAddr(st.Base, st.Off, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			n, err := it.evalNum(st.N, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			if it.bulk != nil {
-				sl := f.define(st.Dst)
-				if lerr := it.loadIntoSlot(sl, addr, n); lerr != nil {
-					return false, Value{}, it.crash(lerr)
-				}
-				break
-			}
-			v, lerr := it.backend.Load(addr, n, it.v)
-			if lerr != nil {
-				return false, Value{}, it.crash(lerr)
-			}
-			it.adopt(f.define(st.Dst), v)
-
-		case Store:
-			addr, err := it.evalAddr(st.Base, st.Off, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			srcU, srcV, fast, err := it.evalV(st.Src, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			n := uint64(8)
-			if st.N != nil {
-				nv, err := it.evalNum(st.N, f)
-				if err != nil {
-					return false, Value{}, err
-				}
-				n = nv
-				if n > 8 {
-					n = 8
-				}
-			}
-			// The operand view borrows buffers instead of copying them;
-			// the backend only reads it, so no allocation per store.
-			var op Value
-			if fast {
-				binary.LittleEndian.PutUint64(it.storeBuf[:], srcU)
-				op = Value{Bytes: it.storeBuf[:n]}
-			} else {
-				op = srcV.View(0, int(n))
-			}
-			if serr := it.backend.Store(addr, op, it.v); serr != nil {
-				return false, Value{}, it.crash(serr)
-			}
-
-		case StoreVar:
-			addr, err := it.evalAddr(st.Base, st.Off, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			sl, ok := f.lookup(st.Src)
-			if !ok {
-				return false, Value{}, fmt.Errorf("prog %s: undefined variable %q", it.p.Name, st.Src)
-			}
-			if serr := it.backend.Store(addr, sl.val, it.v); serr != nil {
-				return false, Value{}, it.crash(serr)
-			}
-
-		case StoreBytes:
-			addr, err := it.evalAddr(st.Base, st.Off, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			if serr := it.backend.Store(addr, Value{Bytes: st.Data}, it.v); serr != nil {
-				return false, Value{}, it.crash(serr)
-			}
-
-		case Memcpy:
-			dstU, dstV, dstF, err := it.evalV(st.Dst, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			srcU, srcV, srcF, err := it.evalV(st.Src, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			n, err := it.evalNum(st.N, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			it.use(dstU, dstV, dstF, UseAddress)
-			it.use(srcU, srcV, srcF, UseAddress)
-			if merr := it.backend.Memcpy(dstU, srcU, n, it.v); merr != nil {
-				return false, Value{}, it.crash(merr)
-			}
-
-		case Memset:
-			dstU, dstV, dstF, err := it.evalV(st.Dst, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			b, err := it.evalNum(st.B, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			n, err := it.evalNum(st.N, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			it.use(dstU, dstV, dstF, UseAddress)
-			if merr := it.backend.Memset(dstU, byte(b), n, it.v); merr != nil {
-				return false, Value{}, it.crash(merr)
-			}
-
-		case ReadInput:
-			n, err := it.evalNum(st.N, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			// Clamp in uint64 space: a request of 2^63 or more must
-			// saturate at the remaining input, not wrap negative.
-			take := len(it.input) - it.inPos
-			if n < uint64(take) {
-				take = int(n)
-			}
-			src := Value{Bytes: it.input[it.inPos : it.inPos+take]}
-			f.define(st.Dst).set(&src)
-			it.inPos += take
-
-		case Output:
-			addr, err := it.evalAddr(st.Base, st.Off, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			n, err := it.evalNum(st.N, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			// The loaded value only feeds the use check and the output
-			// buffer, so it can live in the reusable scratch Value when
-			// the backend supports buffer reuse.
-			if it.bulk != nil {
-				if lerr := it.bulk.LoadInto(&it.scratch, addr, n, it.v); lerr != nil {
-					return false, Value{}, it.crash(lerr)
-				}
-				if it.checkUse {
-					it.backend.CheckUse(it.scratch, UseOutput, it.v)
-				}
-				it.output = append(it.output, it.scratch.Bytes...)
-				break
-			}
-			v, lerr := it.backend.Load(addr, n, it.v)
-			if lerr != nil {
-				return false, Value{}, it.crash(lerr)
-			}
-			if it.checkUse {
-				it.backend.CheckUse(v, UseOutput, it.v)
-			}
-			it.output = append(it.output, v.Bytes...)
-
-		case OutputVar:
-			sl, ok := f.lookup(st.Src)
-			if !ok {
-				return false, Value{}, fmt.Errorf("prog %s: undefined variable %q", it.p.Name, st.Src)
-			}
-			if it.checkUse {
-				it.backend.CheckUse(sl.val, UseOutput, it.v)
-			}
-			it.output = append(it.output, sl.val.Bytes...)
-
 		case If:
-			u, v, fast, err := it.evalV(st.Cond, f)
+			c, err := it.use(st.Cond, f, UseControlFlow)
 			if err != nil {
 				return false, Value{}, err
 			}
-			it.use(u, v, fast, UseControlFlow)
 			block := st.Then
-			if u == 0 {
+			if c.Uint() == 0 {
 				block = st.Else
 			}
-			r, rv, err := it.execBlock(block, f)
-			if err != nil || r {
+			if r, rv, err := it.execBlock(block, f); err != nil || r {
 				return r, rv, err
 			}
 
@@ -608,43 +293,21 @@ func (it *Interp) execBlock(body []Stmt, f *frame) (returned bool, ret Value, er
 				if err := it.tick(); err != nil {
 					return false, Value{}, err
 				}
-				u, v, fast, err := it.evalV(st.Cond, f)
+				c, err := it.use(st.Cond, f, UseControlFlow)
 				if err != nil {
 					return false, Value{}, err
 				}
-				it.use(u, v, fast, UseControlFlow)
-				if u == 0 {
+				if c.Uint() == 0 {
 					break
 				}
-				r, rv, err := it.execBlock(st.Body, f)
-				if err != nil || r {
+				if r, rv, err := it.execBlock(st.Body, f); err != nil || r {
 					return r, rv, err
 				}
-			}
-
-		case Call:
-			rv, err := it.execCall(st, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			if st.Dst != "" {
-				f.define(st.Dst).set(&rv)
 			}
 
 		case Return:
 			if st.E == nil {
 				return true, Value{}, nil
-			}
-			u, ok, err := it.evalU(st.E, f)
-			if err != nil {
-				return false, Value{}, err
-			}
-			if ok {
-				// Stage the scalar in the frame's return register; the
-				// caller copies it into a slot (or Run clones it) before
-				// the frame can be reused.
-				f.ret.setScalar(u)
-				return true, f.ret.val, nil
 			}
 			v, err := it.eval(st.E, f)
 			if err != nil {
@@ -653,150 +316,277 @@ func (it *Interp) execBlock(body []Stmt, f *frame) (returned bool, ret Value, er
 			return true, v, nil
 
 		default:
-			return false, Value{}, fmt.Errorf("prog %s: unknown statement %T", it.p.Name, s)
+			if err := it.exec(s, f); err != nil {
+				return false, Value{}, err
+			}
 		}
 	}
 	return false, Value{}, nil
 }
 
-// loadIntoSlot bulk-loads into a slot's owned buffers, lending the
-// slot's parked shadow capacity to the backend and harvesting any
-// growth back (the tree-walker twin of the Machine's loadIntoReg).
-func (it *Interp) loadIntoSlot(sl *vslot, addr, n uint64) error {
-	sl.val.Valid = sl.validCap
-	sl.val.Origin = sl.originCap
-	err := it.bulk.LoadInto(&sl.val, addr, n, it.v)
-	if sl.val.Valid != nil {
-		sl.validCap = sl.val.Valid
-	}
-	if sl.val.Origin != nil {
-		sl.originCap = sl.val.Origin
-	}
-	return err
-}
+// exec runs one straight-line statement.
+func (it *Interp) exec(s Stmt, f *frame) error {
+	switch st := s.(type) {
+	case Nop:
+		// Costs the base step only.
 
-// adopt moves an owned Value into a slot without copying (Load results
-// own their buffers).
-func (it *Interp) adopt(sl *vslot, v Value) {
-	sl.val = v
-	if v.Valid != nil {
-		sl.validCap = v.Valid
-	}
-	if v.Origin != nil {
-		sl.originCap = v.Origin
-	}
-}
+	case Assign:
+		v, err := it.eval(st.E, f)
+		if err != nil {
+			return err
+		}
+		f.vars[st.Dst] = v
 
-func (it *Interp) execAlloc(st Alloc, f *frame) error {
-	size, err := it.evalNum(st.Size, f)
-	if err != nil {
-		return err
-	}
-	n := uint64(1)
-	if st.N != nil {
-		n, err = it.evalNum(st.N, f)
+	case SetGlobal:
+		v, err := it.eval(st.E, f)
 		if err != nil {
 			return err
 		}
-	}
-	align := uint64(0)
-	if st.Align != nil {
-		align, err = it.evalNum(st.Align, f)
+		it.globals[st.Dst] = v
+
+	case Alloc:
+		size, err := it.evalNum(st.Size, f)
 		if err != nil {
 			return err
 		}
-	}
-	ccid := it.v
-	if st.CCID != nil {
-		cv, err := it.evalNum(st.CCID, f)
+		n, align := uint64(1), uint64(0)
+		if st.N != nil {
+			if n, err = it.evalNum(st.N, f); err != nil {
+				return err
+			}
+		}
+		if st.Align != nil {
+			if align, err = it.evalNum(st.Align, f); err != nil {
+				return err
+			}
+		}
+		ccid, err := it.allocCCID(st.site, st.CCID, f)
 		if err != nil {
 			return err
 		}
-		ccid = cv
-		it.encUpdates++
-		it.cycles += CycEncUpdatePCC
-	} else if u := it.siteUpdate(st.site); u.Instrumented {
-		ccid = u.Apply(f.t)
-		it.encUpdates++
-		it.cycles += it.encUpd
+		it.allocs++
+		it.allocsByFn[st.Fn]++
+		ptr, err := it.backend.Alloc(st.Fn, ccid, n, size, align)
+		if err != nil {
+			return it.crash(err)
+		}
+		f.vars[st.Dst] = Scalar(ptr)
+
+	case ReallocStmt:
+		ptr, err := it.evalNum(st.Ptr, f)
+		if err != nil {
+			return err
+		}
+		size, err := it.evalNum(st.Size, f)
+		if err != nil {
+			return err
+		}
+		ccid, err := it.allocCCID(st.site, st.CCID, f)
+		if err != nil {
+			return err
+		}
+		it.allocs++
+		it.allocsByFn[heapsim.FnRealloc]++
+		newPtr, err := it.backend.Realloc(ccid, ptr, size)
+		if err != nil {
+			return it.crash(err)
+		}
+		f.vars[st.Dst] = Scalar(newPtr)
+
+	case FreeStmt:
+		p, err := it.use(st.Ptr, f, UseAddress)
+		if err != nil {
+			return err
+		}
+		it.frees++
+		if err := it.backend.Free(p.Uint(), it.v); err != nil {
+			return it.crash(err)
+		}
+
+	case Load:
+		addr, err := it.evalAddr(st.Base, st.Off, f)
+		if err != nil {
+			return err
+		}
+		n, err := it.evalNum(st.N, f)
+		if err != nil {
+			return err
+		}
+		v, err := it.backend.Load(addr, n, it.v)
+		if err != nil {
+			return it.crash(err)
+		}
+		f.vars[st.Dst] = v
+
+	case Store:
+		addr, err := it.evalAddr(st.Base, st.Off, f)
+		if err != nil {
+			return err
+		}
+		src, err := it.eval(st.Src, f)
+		if err != nil {
+			return err
+		}
+		n := uint64(8)
+		if st.N != nil {
+			if n, err = it.evalNum(st.N, f); err != nil {
+				return err
+			}
+			n = min(n, 8)
+		}
+		if err := it.backend.Store(addr, src.View(0, int(n)), it.v); err != nil {
+			return it.crash(err)
+		}
+
+	case StoreVar:
+		addr, err := it.evalAddr(st.Base, st.Off, f)
+		if err != nil {
+			return err
+		}
+		v, err := it.lookup(f, st.Src)
+		if err != nil {
+			return err
+		}
+		if err := it.backend.Store(addr, v, it.v); err != nil {
+			return it.crash(err)
+		}
+
+	case StoreBytes:
+		addr, err := it.evalAddr(st.Base, st.Off, f)
+		if err != nil {
+			return err
+		}
+		if err := it.backend.Store(addr, Value{Bytes: st.Data}, it.v); err != nil {
+			return it.crash(err)
+		}
+
+	case Memcpy:
+		// Every operand evaluates before any use check fires.
+		dst, err := it.eval(st.Dst, f)
+		if err != nil {
+			return err
+		}
+		src, err := it.eval(st.Src, f)
+		if err != nil {
+			return err
+		}
+		n, err := it.evalNum(st.N, f)
+		if err != nil {
+			return err
+		}
+		it.backend.CheckUse(dst, UseAddress, it.v)
+		it.backend.CheckUse(src, UseAddress, it.v)
+		if err := it.backend.Memcpy(dst.Uint(), src.Uint(), n, it.v); err != nil {
+			return it.crash(err)
+		}
+
+	case Memset:
+		dst, err := it.eval(st.Dst, f)
+		if err != nil {
+			return err
+		}
+		b, err := it.evalNum(st.B, f)
+		if err != nil {
+			return err
+		}
+		n, err := it.evalNum(st.N, f)
+		if err != nil {
+			return err
+		}
+		it.backend.CheckUse(dst, UseAddress, it.v)
+		if err := it.backend.Memset(dst.Uint(), byte(b), n, it.v); err != nil {
+			return it.crash(err)
+		}
+
+	case ReadInput:
+		n, err := it.evalNum(st.N, f)
+		if err != nil {
+			return err
+		}
+		// Clamp in uint64 space: a request of 2^63 or more must
+		// saturate at the remaining input, not wrap negative.
+		take := len(it.input) - it.inPos
+		if n < uint64(take) {
+			take = int(n)
+		}
+		f.vars[st.Dst] = Value{Bytes: it.input[it.inPos : it.inPos+take]}
+		it.inPos += take
+
+	case Output:
+		addr, err := it.evalAddr(st.Base, st.Off, f)
+		if err != nil {
+			return err
+		}
+		n, err := it.evalNum(st.N, f)
+		if err != nil {
+			return err
+		}
+		v, err := it.backend.Load(addr, n, it.v)
+		if err != nil {
+			return it.crash(err)
+		}
+		it.backend.CheckUse(v, UseOutput, it.v)
+		it.output = append(it.output, v.Bytes...)
+
+	case OutputVar:
+		v, err := it.lookup(f, st.Src)
+		if err != nil {
+			return err
+		}
+		it.backend.CheckUse(v, UseOutput, it.v)
+		it.output = append(it.output, v.Bytes...)
+
+	case Call:
+		rv, err := it.execCall(st, f)
+		if err != nil {
+			return err
+		}
+		if st.Dst != "" {
+			f.vars[st.Dst] = rv
+		}
+
+	default:
+		return fmt.Errorf("prog %s: unknown statement %T", it.p.Name, s)
 	}
-	it.allocs++
-	it.allocsByFn[st.Fn]++
-	ptr, aerr := it.backend.Alloc(st.Fn, ccid, n, size, align)
-	if aerr != nil {
-		return it.crash(aerr)
-	}
-	f.define(st.Dst).setScalar(ptr)
 	return nil
 }
 
-func (it *Interp) execRealloc(st ReallocStmt, f *frame) error {
-	ptr, err := it.evalNum(st.Ptr, f)
-	if err != nil {
-		return err
-	}
-	size, err := it.evalNum(st.Size, f)
-	if err != nil {
-		return err
-	}
-	ccid := it.v
-	if st.CCID != nil {
-		cv, err := it.evalNum(st.CCID, f)
+// allocCCID returns the CCID an allocation passes to the backend: an
+// explicit CCID operand (costed as a PCC update), else the site's
+// encoded V, else V itself.
+func (it *Interp) allocCCID(site callgraph.SiteID, ccid Expr, f *frame) (uint64, error) {
+	if ccid != nil {
+		cv, err := it.evalNum(ccid, f)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		ccid = cv
 		it.encUpdates++
 		it.cycles += CycEncUpdatePCC
-	} else if u := it.siteUpdate(st.site); u.Instrumented {
-		ccid = u.Apply(f.t)
-		it.encUpdates++
-		it.cycles += it.encUpd
+		return cv, nil
 	}
-	it.allocs++
-	it.allocsByFn[heapsim.FnRealloc]++
-	newPtr, rerr := it.backend.Realloc(ccid, ptr, size)
-	if rerr != nil {
-		return it.crash(rerr)
+	if v, ok := it.encode(site, f.t); ok {
+		return v, nil
 	}
-	f.define(st.Dst).setScalar(newPtr)
-	return nil
+	return it.v, nil
 }
 
 func (it *Interp) execCall(st Call, f *frame) (Value, error) {
-	fi := it.funcs[st.Callee]
-	params := fi.fn.Params
-	// Arguments evaluate in order directly into the callee's recycled
-	// frame; extras beyond the parameter list still evaluate (for error
-	// ordering) before the arity check fires, matching the original
-	// args-then-check sequence.
-	cf := it.frameAt(it.depth + 1)
-	it.gen++
-	cf.gen = it.gen
+	fn := it.p.Funcs[st.Callee]
+	// Arguments evaluate in order; extras beyond the parameter list still
+	// evaluate (for error ordering) before the arity check fires.
+	cf := &frame{vars: make(map[string]Value, len(fn.Params))}
 	for i, a := range st.Args {
-		u, ok, err := it.evalU(a, f)
+		v, err := it.eval(a, f)
 		if err != nil {
 			return Value{}, err
 		}
-		var v Value
-		if !ok {
-			v, err = it.eval(a, f)
-			if err != nil {
-				return Value{}, err
-			}
-		}
-		if i < len(params) {
-			sl := cf.define(params[i])
-			if ok {
-				sl.setScalar(u)
-			} else {
-				sl.set(&v)
-			}
+		if i < len(fn.Params) {
+			cf.vars[fn.Params[i]] = v
 		}
 	}
-	if len(st.Args) != len(params) {
+	if len(st.Args) != len(fn.Params) {
 		return Value{}, fmt.Errorf("prog %s: call to %s with %d args, want %d",
-			it.p.Name, st.Callee, len(st.Args), len(params))
+			it.p.Name, st.Callee, len(st.Args), len(fn.Params))
 	}
 	it.depth++
 	if it.depth > it.maxDepth {
@@ -805,17 +595,15 @@ func (it *Interp) execCall(st Call, f *frame) (Value, error) {
 	}
 	defer func() { it.depth-- }()
 
-	if u := it.siteUpdate(st.site); u.Instrumented {
-		it.v = u.Apply(f.t)
-		it.encUpdates++
-		it.cycles += it.encUpd
+	if v, ok := it.encode(st.site, f.t); ok {
+		it.v = v
 	}
 	it.cycles += CycCall
 	cf.t = it.v
-	if fi.instr {
+	if it.instr[st.Callee] {
 		it.cycles += CycEncPrologue
 	}
-	_, ret, err := it.execBlock(fi.fn.Body, cf)
+	_, ret, err := it.execBlock(fn.Body, cf)
 	// Restore discipline: V returns to the caller's context value. For
 	// uninstrumented sites this is a no-op by the invariant that every
 	// callee restores V before returning.
@@ -826,148 +614,60 @@ func (it *Interp) execCall(st Call, f *frame) (Value, error) {
 	return ret, nil
 }
 
-// evalAddr evaluates base+off, applying address use-point checks.
-func (it *Interp) evalAddr(base, off Expr, f *frame) (uint64, error) {
-	bu, bv, bf, err := it.evalV(base, f)
-	if err != nil {
-		return 0, err
+// lookup reads a variable of the current activation.
+func (it *Interp) lookup(f *frame, name string) (Value, error) {
+	v, ok := f.vars[name]
+	if !ok {
+		return Value{}, fmt.Errorf("prog %s: undefined variable %q", it.p.Name, name)
 	}
-	it.use(bu, bv, bf, UseAddress)
-	if off == nil {
-		return bu, nil
-	}
-	ou, ov, of, err := it.evalV(off, f)
-	if err != nil {
-		return 0, err
-	}
-	it.use(ou, ov, of, UseAddress)
-	return bu + ou, nil
+	return v, nil
 }
 
-// use applies a use-point check on an evaluated operand: fast-path
-// scalars are staged in an 8-byte scratch (bit-identical to the Value
-// the general evaluator would have produced), full Values pass through
-// unchanged. Elided entirely when the backend does not observe uses.
-func (it *Interp) use(u uint64, v Value, fast bool, kind UseKind) {
-	if !it.checkUse {
-		return
-	}
-	if fast {
-		binary.LittleEndian.PutUint64(it.ckBuf[:], u)
-		it.backend.CheckUse(Value{Bytes: it.ckBuf[:]}, kind, it.v)
-		return
+// use evaluates e at a use point and hands the operand to CheckUse.
+func (it *Interp) use(e Expr, f *frame, kind UseKind) (Value, error) {
+	v, err := it.eval(e, f)
+	if err != nil {
+		return Value{}, err
 	}
 	it.backend.CheckUse(v, kind, it.v)
+	return v, nil
 }
 
-// evalV evaluates e for a consumer that needs the scalar and (for use
-// checks) the operand value: fast=true means the expression reduced on
-// the scalar path and v is unset.
-func (it *Interp) evalV(e Expr, f *frame) (u uint64, v Value, fast bool, err error) {
-	u, ok, err := it.evalU(e, f)
+// evalAddr evaluates base+off, applying address use-point checks.
+func (it *Interp) evalAddr(base, off Expr, f *frame) (uint64, error) {
+	b, err := it.use(base, f, UseAddress)
+	if err != nil || off == nil {
+		return b.Uint(), err
+	}
+	o, err := it.use(off, f, UseAddress)
 	if err != nil {
-		return 0, Value{}, false, err
+		return 0, err
 	}
-	if ok {
-		return u, Value{}, true, nil
-	}
-	v, err = it.eval(e, f)
-	if err != nil {
-		return 0, Value{}, false, err
-	}
-	return v.Uint(), v, false, nil
+	return b.Uint() + o.Uint(), nil
 }
 
 // evalNum evaluates e for a pure numeric consumer (sizes, counts).
 func (it *Interp) evalNum(e Expr, f *frame) (uint64, error) {
-	u, ok, err := it.evalU(e, f)
-	if err != nil {
-		return 0, err
-	}
-	if ok {
-		return u, nil
-	}
 	v, err := it.eval(e, f)
-	if err != nil {
-		return 0, err
-	}
-	return v.Uint(), nil
+	return v.Uint(), err
 }
 
-// evalU is the allocation-free scalar fast path: it reduces pure
-// fully-valid 8-byte expressions without materializing Values. ok=false
-// means the expression involves shadowed or non-8-byte values and needs
-// the general evaluator; evaluation is side-effect-free, so callers
-// fall back to eval on the same expression.
-func (it *Interp) evalU(e Expr, f *frame) (u uint64, ok bool, err error) {
-	switch ex := e.(type) {
-	case Const:
-		return ex.V, true, nil
-	case Var:
-		sl, found := f.lookup(ex.Name)
-		if !found {
-			return 0, false, fmt.Errorf("prog %s: undefined variable %q", it.p.Name, ex.Name)
-		}
-		v := &sl.val
-		if v.Valid == nil && v.Origin == nil && len(v.Bytes) == 8 {
-			return binary.LittleEndian.Uint64(v.Bytes), true, nil
-		}
-		return 0, false, nil
-	case Bin:
-		a, ok, err := it.evalU(ex.A, f)
-		if err != nil || !ok {
-			return 0, false, err
-		}
-		b, ok, err := it.evalU(ex.B, f)
-		if err != nil || !ok {
-			return 0, false, err
-		}
-		r, err := binScalar(ex.Op, a, b)
-		if err != nil {
-			return 0, false, err
-		}
-		return r, true, nil
-	case InputLen:
-		return uint64(len(it.input)), true, nil
-	case InputRemaining:
-		return uint64(len(it.input) - it.inPos), true, nil
-	case Global:
-		sl := it.globals[ex.Name]
-		if sl == nil || sl.gen != it.runGen {
-			return 0, true, nil // undefined globals read as zero
-		}
-		v := &sl.val
-		if v.Valid == nil && v.Origin == nil && len(v.Bytes) == 8 {
-			return binary.LittleEndian.Uint64(v.Bytes), true, nil
-		}
-		return 0, false, nil
-	default:
-		return 0, false, nil
-	}
-}
-
-// eval is the general evaluator, retained for shadowed and non-scalar
-// values; Values read from variables alias slot storage and must be
-// consumed (or copied) before the slot is written again.
+// eval is the one evaluator.
 func (it *Interp) eval(e Expr, f *frame) (Value, error) {
 	switch ex := e.(type) {
 	case Const:
 		return Scalar(ex.V), nil
 	case Var:
-		sl, ok := f.lookup(ex.Name)
-		if !ok {
-			return Value{}, fmt.Errorf("prog %s: undefined variable %q", it.p.Name, ex.Name)
-		}
-		return sl.val, nil
+		return it.lookup(f, ex.Name)
 	case InputLen:
 		return Scalar(uint64(len(it.input))), nil
 	case InputRemaining:
 		return Scalar(uint64(len(it.input) - it.inPos)), nil
 	case Global:
-		if sl := it.globals[ex.Name]; sl != nil && sl.gen == it.runGen {
-			return sl.val, nil
+		if v, ok := it.globals[ex.Name]; ok {
+			return v, nil
 		}
-		return Scalar(0), nil
+		return Scalar(0), nil // undefined globals read as zero
 	case Bin:
 		a, err := it.eval(ex.A, f)
 		if err != nil {

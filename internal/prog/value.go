@@ -134,7 +134,7 @@ func (v Value) Slice(off, n int) Value {
 // dropped. Backends treat missing Valid/Origin entries as fully valid
 // with no origin, so truncated shadow slices preserve Slice's padding
 // semantics. Callers must not mutate the result or use it after
-// writing to v; the interpreter uses it to pass store operands to
+// writing to v; both engines use it to pass store operands to
 // backends without a per-store allocation.
 func (v Value) View(off, n int) Value {
 	if off < 0 || off >= len(v.Bytes) {

@@ -312,7 +312,7 @@ func TestVMDifferentialNative(t *testing.T) {
 // wrapper that hides the bulk-loader, also covering the Machine's
 // non-BulkLoader load path).
 func TestVMDifferentialEncoded(t *testing.T) {
-	for _, p := range []*Program{ccidProgram(), diffProgCalls(), diffProgHeap()} {
+	for _, p := range []*Program{ccidProgram(), diffProgCalls(), diffProgHeap(), encodedCallProgram(8), encodedCallDenseProgram(8)} {
 		for _, scheme := range encoding.AllSchemes() {
 			for _, kind := range encoding.AllEncoders() {
 				plan, err := encoding.NewPlan(scheme, p.Graph(), p.Targets())

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"heaptherapy/internal/defense"
+	"heaptherapy/internal/fleet"
 	"heaptherapy/internal/heapsim"
 	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
@@ -83,6 +84,53 @@ func TestRolloutAnalyzePanic(t *testing.T) {
 		t.Errorf("post-panic attack outcome %q, want wild", got)
 	}
 	waitFor(t, "re-analysis after release", func() bool { return calls.Load() == 2 && s.Stats().RolloutFails == 2 })
+}
+
+// panickyExec is an executor with an engine bug: it panics on the
+// input "panic" and echoes any other input.
+type panickyExec struct{}
+
+func (panickyExec) Run(input []byte) (*prog.Result, error) {
+	if string(input) == "panic" {
+		panic("injected: engine bug")
+	}
+	return &prog.Result{Output: input}, nil
+}
+
+// TestWorkerExecutorPanic: an executor that panics mid-request fails
+// that request with a 500, not the process. The worker recycles its
+// context and serves the next job. The server is assembled by hand so
+// that the panicking worker is the only one reading the job queue.
+func TestWorkerExecutorPanic(t *testing.T) {
+	f := fleet.New(fleet.Config{Workers: 1, Defended: true, Patches: patch.NewSet()})
+	ctx, err := f.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Server{
+		cfg:      Config{MaxInFlight: 4, TenantQuota: 4},
+		fleet:    f,
+		jobs:     make(chan *job),
+		inflight: make(chan struct{}, 4),
+		tenants:  make(map[string]*tenantState),
+	}
+	s.workers.Add(1)
+	go s.worker(ctx, panickyExec{})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		close(s.jobs)
+		s.workers.Wait()
+	})
+
+	resp, body := post(t, ts, "/request", []byte("panic"))
+	if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(body, []byte("executor panicked")) {
+		t.Errorf("panicking request: %d %q, want 500 naming the panic", resp.StatusCode, body)
+	}
+	resp, body = post(t, ts, "/request", []byte("next"))
+	if resp.StatusCode != http.StatusOK || string(body) != "next" {
+		t.Errorf("request after the panic: %d %q, want 200 \"next\"", resp.StatusCode, body)
+	}
 }
 
 // TestRolloutSwapFailure: a failure building/installing the new table

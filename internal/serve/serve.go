@@ -335,10 +335,10 @@ func (s *Server) worker(ctx *fleet.Context, it prog.Exec) {
 		ctx.SyncTable(s.fleet)
 		epoch := s.fleet.Swaps()
 
-		res, err := it.Run(j.input)
+		res, err := runSafely(it, j.input)
 		if err != nil {
-			// Engine-level failure, not a guest crash: recycle and
-			// surface the error.
+			// Engine-level failure (an error or a panic), not a guest
+			// crash: recycle and surface the error.
 			if rerr := s.fleet.FinishRequest(ctx, false); rerr != nil {
 				err = fmt.Errorf("%w (recycle: %v)", err, rerr)
 			}
@@ -359,6 +359,18 @@ func (s *Server) worker(ctx *fleet.Context, it prog.Exec) {
 		j.resp <- r
 	}
 	s.fleet.Release(ctx)
+}
+
+// runSafely runs one request and turns a panic inside the executor
+// into an error, so an engine bug fails one request instead of the
+// process.
+func runSafely(it prog.Exec, input []byte) (res *prog.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("serve: executor panicked: %v", r)
+		}
+	}()
+	return it.Run(input)
 }
 
 // classify decides whether a faulted request was contained by the
