@@ -77,7 +77,7 @@ bench-encoding:
 # allocation pins. Campaign throughput is the campaign workload of
 # benchmark/ (bash benchmark/run.sh --workload campaign).
 bench-campaign:
-	$(GO) test -run 'WorkbenchBitIdentical|ParallelMatchesSequential|GuidedMatchesUnguided|PooledSetupAllocs|BackendResetDifferential|ResetPatchesMatchesFresh|CollectorReset' -count 1 -v \
+	$(GO) test -run 'WorkbenchBitIdentical|WorkbenchAllocatorForNeverPooled|ParallelMatchesSequential|GuidedMatchesUnguided|PooledSetupAllocs|BackendResetDifferential|ResetPatchesMatchesFresh|CollectorReset' -count 1 -v \
 		./internal/campaign/ ./internal/shadow/ ./internal/defense/ ./internal/telemetry/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
 
 # Defense-policy head-to-head: the cross-family differential suite
@@ -128,7 +128,7 @@ corpus:
 	$(GO) run ./cmd/htp-fuzz -emit-corpus testdata/campaign -seeds 20
 
 # Short native-fuzzing shake of the campaign generator and reducer,
-# and of the engine differential (tree vs both compiled-engine tiers).
+# and of the engine differential (tree vs the compiled engine).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGenerate -fuzztime 10s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz FuzzReduce -fuzztime 10s ./internal/campaign/

@@ -5,12 +5,9 @@ import (
 	"fmt"
 
 	"heaptherapy/internal/analysis"
-	"heaptherapy/internal/core"
 	"heaptherapy/internal/defense"
-	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/heapsim"
 	"heaptherapy/internal/mem"
-	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
 	"heaptherapy/internal/telemetry"
 )
@@ -186,6 +183,14 @@ func (r *Report) fail(class string, cell, detail string) {
 	r.Failures = append(r.Failures, Failure{Seed: r.Seed, Kind: r.Kind, Class: class, Cell: cell, Detail: detail})
 }
 
+const (
+	// maxSteps bounds each run: generated programs finish in a few
+	// thousand steps, so exhaustion is itself a bug.
+	maxSteps = 1 << 20
+	// invariantEvery is the walker's audit period in interpreter steps.
+	invariantEvery = 128
+)
+
 // Oracle runs a generated case across the execution matrix and checks
 // every cell against the injected ground truth.
 type Oracle struct {
@@ -199,16 +204,12 @@ type Oracle struct {
 	// is asserted against its own Containment matrix: claimed kinds
 	// must be contained, documented misses run record-only.
 	Policies []defense.Family
-	// MaxSteps bounds each run (default 1<<20 — generated programs
-	// finish in a few thousand steps, so exhaustion is itself a bug).
-	MaxSteps uint64
-	// InvariantEvery is the walker's audit period in interpreter
-	// steps (default 128).
-	InvariantEvery uint64
 	// AllocatorFor overrides allocator construction for native and
-	// defended cells (nil = heapsim.New / heapsim.NewPool). The
-	// mutation tests use this seam to slide a deliberately broken
-	// allocator under the matrix and prove the rig catches it.
+	// defended cells (nil = heapsim.New / heapsim.NewPool). It is
+	// called once per cell and its allocators are never recycled. Two
+	// users rely on it: the mutation tests slide a deliberately broken
+	// allocator under the matrix to prove the rig catches it, and
+	// benchmark/'s traced audit slides a call-tracing heap under it.
 	AllocatorFor func(kind AllocKind, space *mem.Space) (heapsim.Allocator, error)
 }
 
@@ -221,12 +222,6 @@ func (o Oracle) withDefaults() Oracle {
 	}
 	if len(o.Policies) == 0 {
 		o.Policies = []defense.Family{defense.FamilyHT}
-	}
-	if o.MaxSteps == 0 {
-		o.MaxSteps = 1 << 20
-	}
-	if o.InvariantEvery == 0 {
-		o.InvariantEvery = 128
 	}
 	return o
 }
@@ -254,76 +249,14 @@ func (o Oracle) withDefaults() Oracle {
 //
 // Within every (mode, alloc, input) coordinate, all engines must be
 // bit-identical across outputs, faults, steps, cycles, and counters.
+//
+// Check builds every cell's substrate anew, sharing only the seed's
+// prepared program per engine: it is the fresh-construction reference
+// a pooled Workbench must match bit for bit.
 func (o Oracle) Check(g *Generated) *Report {
-	o = o.withDefaults()
-	rep := &Report{Seed: g.Seed, Kind: g.Kind.String()}
-
-	sys, err := core.NewSystem(g.Program, core.Options{MaxSteps: o.MaxSteps})
-	if err != nil {
-		rep.fail(FailRunError, "", fmt.Sprintf("building system: %v", err))
-		return rep
-	}
-	coder := sys.Coder()
-
-	// Shadow analysis cells. The first engine's attack report is kept
-	// in typed form for the ground-truth assertions; every engine's
-	// rendering lands in Outcomes for the divergence check.
-	var attackRep *analysis.Report
-	for _, e := range o.Engines {
-		for _, attack := range []bool{false, true} {
-			cell := Cell{Mode: ModeShadow, Engine: e, Attack: attack}
-			az := &analysis.Analyzer{Coder: coder, MaxSteps: o.MaxSteps, Engine: e}
-			out := &Outcome{Cell: cell}
-			r, err := az.Analyze(g.Program, g.input(attack))
-			if err != nil {
-				out.RunErr = err.Error()
-			} else {
-				out.Result = r.Result
-				for _, w := range r.Warnings {
-					out.Warnings = append(out.Warnings, w.String())
-				}
-				var buf bytes.Buffer
-				if err := r.Patches.WriteConfig(&buf); err != nil {
-					out.RunErr = err.Error()
-				}
-				out.PatchText = buf.String()
-				if attack && attackRep == nil {
-					attackRep = r
-				}
-			}
-			rep.Outcomes = append(rep.Outcomes, out)
-		}
-	}
-
-	var patches *patch.Set
-	if attackRep != nil {
-		patches = attackRep.Patches
-	}
-
-	// Native and defended cells; the defended plane fans out across
-	// every requested policy family.
-	for _, alloc := range o.Allocators {
-		for _, e := range o.Engines {
-			for _, attack := range []bool{false, true} {
-				cell := Cell{Mode: ModeNative, Alloc: alloc, Engine: e, Attack: attack}
-				rep.Outcomes = append(rep.Outcomes, o.runCell(g, coder, cell, nil))
-				if patches != nil {
-					cell.Mode = ModeDefended
-					for _, pol := range o.Policies {
-						cell.Policy = pol
-						rep.Outcomes = append(rep.Outcomes, o.runCell(g, coder, cell, patches))
-					}
-				}
-			}
-		}
-	}
-
-	o.assertEngines(rep)
-	o.assertBenign(rep)
-	o.assertShadow(rep, g, attackRep)
-	o.assertNativeAttack(rep, g)
-	o.assertDefendedAttack(rep, g)
-	return rep
+	w := NewWorkbench(o)
+	w.fresh = true
+	return w.Check(g)
 }
 
 // input selects the benign or attack input.
@@ -332,113 +265,6 @@ func (g *Generated) input(attack bool) []byte {
 		return g.Attack
 	}
 	return g.Benign
-}
-
-// runCell executes one native or defended cell over a fresh space,
-// with the invariant walker attached as the quantum hook.
-func (o Oracle) runCell(g *Generated, coder *encoding.Coder, cell Cell, patches *patch.Set) *Outcome {
-	out := &Outcome{Cell: cell}
-	fail := func(err error) *Outcome { out.RunErr = err.Error(); return out }
-
-	space, err := mem.NewSpace(mem.Config{})
-	if err != nil {
-		return fail(err)
-	}
-	// Defended cells run fully telemetered: the snapshot lands in the
-	// Outcome (and hence the engine-divergence signature) and lets the
-	// harness assert that a planted vulnerability's patch actually fired.
-	// The quantum hook stays with the invariant walker, so quantum
-	// timing is deliberately absent here.
-	var tcol *telemetry.Collector
-	var tel *telemetry.Scope
-	if cell.Mode == ModeDefended {
-		tcol = telemetry.New(telemetry.Config{Shards: 1, RingSize: 256})
-		tel = tcol.Scope()
-		space.SetTelemetry(tel)
-	}
-	// Construction order matters on the boundary-tag heap: its arena
-	// must stay the space's only growing segment, so the defender (which
-	// maps its patch table first, like a library constructor running
-	// before any application allocation) must come before heapsim.New.
-	// The pool allocator carves runs lazily and has no such constraint.
-	// AllocatorFor factories must likewise defer any arena
-	// establishment to first use when the defended cells are enabled.
-	var under heapsim.Allocator
-	var backend prog.HeapBackend
-	var dback *defense.Backend
-	if cell.Mode == ModeDefended && cell.Alloc == AllocHeap && o.AllocatorFor == nil {
-		dback, err = defense.NewBackend(space, defense.Config{Patches: patches, Family: cell.Policy, Telemetry: tel})
-		if err != nil {
-			return fail(err)
-		}
-		backend, under = dback, dback.Defender().Heap()
-	} else {
-		switch {
-		case o.AllocatorFor != nil:
-			under, err = o.AllocatorFor(cell.Alloc, space)
-		case cell.Alloc == AllocHeap:
-			under, err = heapsim.New(space)
-		default:
-			under, err = heapsim.NewPool(space)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		if cell.Mode == ModeDefended {
-			switch a := under.(type) {
-			case *heapsim.Heap:
-				a.SetTelemetry(tel)
-			case *heapsim.PoolAllocator:
-				a.SetTelemetry(tel)
-			}
-			dback, err = defense.NewBackendWithAllocator(space, under, defense.Config{Patches: patches, Family: cell.Policy, Telemetry: tel})
-			backend = dback
-		} else {
-			backend, err = prog.NewNativeBackendWithAllocator(space, under)
-		}
-		if err != nil {
-			return fail(err)
-		}
-	}
-	ex, err := prog.NewExec(g.Program, prog.Config{
-		Backend:  backend,
-		Coder:    coder,
-		MaxSteps: o.MaxSteps,
-		Engine:   cell.Engine,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	w := NewWalker(space, under)
-	w.Attach(ex, o.InvariantEvery)
-
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				out.Panic = fmt.Sprint(r)
-			}
-		}()
-		res, err := ex.Run(g.input(cell.Attack))
-		if err != nil {
-			out.RunErr = err.Error()
-			return
-		}
-		out.Result = res
-	}()
-
-	w.Check() // final audit after the run settles
-	if v := w.Violation(); v != nil {
-		out.Invariant = v.Error()
-	}
-	out.Checks = w.Checks()
-	if dback != nil {
-		st := dback.Defender().Stats()
-		out.DefenseStats = &st
-	}
-	if tcol != nil {
-		out.Telemetry = tcol.Snapshot()
-	}
-	return out
 }
 
 // assertEngines checks that every engine produced bit-identical

@@ -16,26 +16,28 @@ import (
 	"heaptherapy/internal/telemetry"
 )
 
-// Workbench is the pooled oracle: it runs the same differential matrix
-// as Oracle.Check, but over recycled substrate. Oracle.Check rebuilds
-// every space, allocator, backend, telemetry collector, and executor
-// for each of the 20 cells of every seed, so almost all of its memory
-// and allocations are construction. The workbench keeps one substrate
-// instance per cell class alive across seeds and recycles it through
-// the proven Reset contracts (mem.Space's dirty-page reset, the shadow
-// backend's plane watermark, the Defender's table re-establishment,
-// the allocators' arena resets) — the fleet runtime's pooled-context
-// idiom applied to the whole oracle matrix. The program is also
-// prepared once per (seed, engine), so every compiled-engine cell
-// shares one immutable bytecode.
+// Workbench runs the oracle's differential matrix; it is the only
+// matrix driver. A pooled workbench keeps one substrate instance per
+// cell class alive across seeds and recycles it through the proven
+// Reset contracts (mem.Space's dirty-page reset, the shadow backend's
+// plane watermark, the Defender's table re-establishment, the
+// allocators' arena resets), where fresh construction (Oracle.Check)
+// spends almost all of its memory and allocations building substrate
+// for each of a seed's 20 cells. In both modes the program is prepared
+// once per (seed, engine), so every compiled-engine cell shares one
+// immutable bytecode.
 //
 // A Workbench is NOT safe for concurrent use; the sharded campaign
 // runtime (shard.go) gives each worker goroutine its own.
-//
-// TestWorkbenchBitIdentical proves Check's reports byte-identical to
-// Oracle.Check's fresh-construction path over a corpus of seeds.
+// TestWorkbenchBitIdentical proves a pooled workbench's reports
+// byte-identical to Oracle.Check's over a corpus of seeds.
 type Workbench struct {
 	oracle Oracle
+	// fresh builds new substrate for every cell and caches none of it.
+	// Oracle.Check sets it, and NewWorkbench sets it whenever the
+	// oracle carries an AllocatorFor override: the workbench cannot
+	// reset an allocator the caller built.
+	fresh bool
 
 	// Shadow substrate, shared by every shadow cell of a seed and reset
 	// between cells.
@@ -46,8 +48,8 @@ type Workbench struct {
 	// one per (allocator kind, policy family) pair — a family's
 	// Defender carries family-private state (the bounds index, the
 	// blanket quarantine), so benches are never shared across policies.
-	native   [2]*nativeBench
-	defended map[defendedKey]*defendedBench
+	native   [2]*bench
+	defended map[defendedKey]*bench
 }
 
 // defendedKey identifies one defended bench class.
@@ -56,69 +58,69 @@ type defendedKey struct {
 	policy defense.Family
 }
 
-// nativeBench is the pooled substrate of one native cell class.
-type nativeBench struct {
+// bench is the substrate of one native or defended cell class: the
+// space, the allocator the walker audits, and the cell's backend.
+// Defended benches also carry the telemetry collector whose snapshot
+// joins the cell's divergence signature and, over a pool allocator,
+// the pool to reset.
+type bench struct {
 	space   *mem.Space
 	under   heapsim.Allocator
-	backend *prog.NativeBackend
+	backend *prog.NativeBackend // native cells
+	back    *defense.Backend    // defended cells
+	tcol    *telemetry.Collector
+	pool    *heapsim.PoolAllocator
 }
 
-// defendedBench is the pooled substrate of one defended cell class:
-// the space, the telemetry collector whose snapshot joins the cell's
-// divergence signature, the defense backend, and (for the pool class)
-// the pool allocator beneath it.
-type defendedBench struct {
-	space *mem.Space
-	tcol  *telemetry.Collector
-	tel   *telemetry.Scope
-	back  *defense.Backend
-	under heapsim.Allocator
-	pool  *heapsim.PoolAllocator
+// prepared is one engine's prepared program for a seed, or the error
+// every cell on that engine then reports as its RunErr.
+type prepared struct {
+	pp  *prog.Prepared
+	err error
 }
 
-// NewWorkbench builds a pooled oracle for o. Substrate is constructed
-// lazily on first use, so a workbench for a trimmed matrix (fewer
-// engines or allocators) only ever materializes what it runs.
+func (p prepared) newExec(backend prog.HeapBackend) (prog.Exec, error) {
+	if p.err != nil {
+		return nil, p.err
+	}
+	return p.pp.NewExec(backend)
+}
+
+// NewWorkbench builds a pooled oracle for o (a fresh one when o carries
+// an AllocatorFor override). Substrate is constructed lazily on first
+// use, so a workbench for a trimmed matrix (fewer engines or
+// allocators) only ever materializes what it runs.
 func NewWorkbench(o Oracle) *Workbench {
-	return &Workbench{oracle: o.withDefaults(), defended: map[defendedKey]*defendedBench{}}
+	return &Workbench{oracle: o.withDefaults(), fresh: o.AllocatorFor != nil, defended: map[defendedKey]*bench{}}
 }
 
-// Check runs the full matrix for one generated case, producing a
-// Report bit-identical to Oracle.Check's but with construction
-// amortized across seeds. When the oracle carries an AllocatorFor
-// override, the workbench cannot recycle the caller's allocators and
-// delegates to Oracle.Check — mutation rigs still work, just unpooled.
+// Check runs the full matrix for one generated case; Oracle.Check
+// documents the matrix and its per-cell expectations.
 func (w *Workbench) Check(g *Generated) *Report {
 	o := w.oracle
-	if o.AllocatorFor != nil {
-		return o.Check(g)
-	}
 	rep := &Report{Seed: g.Seed, Kind: g.Kind.String()}
 
-	sys, err := core.NewSystem(g.Program, core.Options{MaxSteps: o.MaxSteps})
+	sys, err := core.NewSystem(g.Program, core.Options{MaxSteps: maxSteps})
 	if err != nil {
 		rep.fail(FailRunError, "", fmt.Sprintf("building system: %v", err))
 		return rep
 	}
 	coder := sys.Coder()
 
-	// One Prepare per (seed, engine), shared by every cell on that
-	// engine. A program the system accepted but the compiler rejects is
-	// outside the pooled fast path; the fresh oracle reports it cell by
-	// cell.
-	prepared := make(map[prog.Engine]*prog.Prepared, len(o.Engines))
+	// One Prepare per (seed, engine), shared by every cell on that engine.
+	preps := make(map[prog.Engine]prepared, len(o.Engines))
 	for _, e := range o.Engines {
-		pp, err := prog.Prepare(g.Program, prog.Config{Coder: coder, MaxSteps: o.MaxSteps, Engine: e})
-		if err != nil {
-			return o.Check(g)
-		}
-		prepared[e] = pp
+		pp, err := prog.Prepare(g.Program, prog.Config{Coder: coder, MaxSteps: maxSteps, Engine: e})
+		preps[e] = prepared{pp: pp, err: err}
 	}
 
+	// Shadow analysis cells. The first engine's attack report is kept
+	// in typed form for the ground-truth assertions; every engine's
+	// rendering lands in Outcomes for the divergence check.
 	var attackRep *analysis.Report
 	for _, e := range o.Engines {
 		for _, attack := range []bool{false, true} {
-			out, r := w.runShadowCell(g, coder, prepared[e], e, attack)
+			out, r := w.runShadowCell(g, coder, preps[e], e, attack)
 			if attack && attackRep == nil && r != nil {
 				attackRep = r
 			}
@@ -131,16 +133,18 @@ func (w *Workbench) Check(g *Generated) *Report {
 		patches = attackRep.Patches
 	}
 
+	// Native and defended cells; the defended plane fans out across
+	// every requested policy family.
 	for _, alloc := range o.Allocators {
 		for _, e := range o.Engines {
 			for _, attack := range []bool{false, true} {
 				cell := Cell{Mode: ModeNative, Alloc: alloc, Engine: e, Attack: attack}
-				rep.Outcomes = append(rep.Outcomes, w.runPooledCell(g, prepared[e], cell, nil))
+				rep.Outcomes = append(rep.Outcomes, w.runCell(g, preps[e], cell, nil))
 				if patches != nil {
 					cell.Mode = ModeDefended
 					for _, pol := range o.Policies {
 						cell.Policy = pol
-						rep.Outcomes = append(rep.Outcomes, w.runPooledCell(g, prepared[e], cell, patches))
+						rep.Outcomes = append(rep.Outcomes, w.runCell(g, preps[e], cell, patches))
 					}
 				}
 			}
@@ -155,43 +159,25 @@ func (w *Workbench) Check(g *Generated) *Report {
 	return rep
 }
 
-// runShadowCell is the pooled counterpart of the shadow-cell body in
-// Oracle.Check: same analyzer, same report distillation, but over the
-// recycled shadow substrate and the seed's shared Prepared. The error
-// strings mirror analysis.Analyze's wrapping so error outcomes stay
-// signature-identical too.
-func (w *Workbench) runShadowCell(g *Generated, coder *encoding.Coder, pp *prog.Prepared, e prog.Engine, attack bool) (*Outcome, *analysis.Report) {
-	o := w.oracle
+// runShadowCell replays one input under the shadow analysis and
+// distills the report into the cell's outcome. The error strings match
+// analysis.Analyze's wrapping, so error outcomes are signature-identical
+// to the analyzer's own construction path.
+func (w *Workbench) runShadowCell(g *Generated, coder *encoding.Coder, prep prepared, e prog.Engine, attack bool) (*Outcome, *analysis.Report) {
 	out := &Outcome{Cell: Cell{Mode: ModeShadow, Engine: e, Attack: attack}}
-	if w.shadowBack == nil {
-		space, err := mem.NewSpace(mem.Config{})
-		if err != nil {
-			out.RunErr = fmt.Sprintf("analysis: creating space: %v", err)
-			return out, nil
-		}
-		back, err := shadow.New(space, shadow.Config{})
-		if err != nil {
-			out.RunErr = fmt.Sprintf("analysis: creating shadow heap: %v", err)
-			return out, nil
-		}
-		w.shadowSpace, w.shadowBack = space, back
-	} else {
-		w.shadowSpace.Reset()
-		if err := w.shadowBack.Reset(); err != nil {
-			out.RunErr = err.Error()
-			return out, nil
-		}
-	}
-	ex, err := pp.NewExec(w.shadowBack)
+	fail := func(err error) (*Outcome, *analysis.Report) { out.RunErr = err.Error(); return out, nil }
+	back, err := w.shadowFor()
 	if err != nil {
-		out.RunErr = fmt.Sprintf("analysis: building interpreter: %v", err)
-		return out, nil
+		return fail(err)
 	}
-	az := &analysis.Analyzer{Coder: coder, MaxSteps: o.MaxSteps, Engine: e}
-	r, err := az.AnalyzeWith(g.Program, g.input(attack), w.shadowBack, ex)
+	ex, err := prep.newExec(back)
 	if err != nil {
-		out.RunErr = err.Error()
-		return out, nil
+		return fail(fmt.Errorf("analysis: building interpreter: %w", err))
+	}
+	az := &analysis.Analyzer{Coder: coder, MaxSteps: maxSteps, Engine: e}
+	r, err := az.AnalyzeWith(g.Program, g.input(attack), back, ex)
+	if err != nil {
+		return fail(err)
 	}
 	out.Result = r.Result
 	for _, warn := range r.Warnings {
@@ -205,41 +191,32 @@ func (w *Workbench) runShadowCell(g *Generated, coder *encoding.Coder, pp *prog.
 	return out, r
 }
 
-// runPooledCell is the pooled counterpart of Oracle.runCell: identical
-// cell semantics (walker attachment, panic recovery, stats and
-// telemetry capture) over recycled substrate.
-func (w *Workbench) runPooledCell(g *Generated, pp *prog.Prepared, cell Cell, patches *patch.Set) *Outcome {
-	o := w.oracle
+// runCell executes one native or defended cell, with the invariant
+// walker attached as the quantum hook.
+func (w *Workbench) runCell(g *Generated, prep prepared, cell Cell, patches *patch.Set) *Outcome {
 	out := &Outcome{Cell: cell}
 	fail := func(err error) *Outcome { out.RunErr = err.Error(); return out }
 
-	var (
-		space   *mem.Space
-		under   heapsim.Allocator
-		backend prog.HeapBackend
-		dback   *defense.Backend
-		tcol    *telemetry.Collector
-	)
+	var b *bench
+	var err error
 	if cell.Mode == ModeDefended {
-		db, err := w.defendedFor(cell.Alloc, cell.Policy, patches)
-		if err != nil {
-			return fail(err)
-		}
-		space, under, dback, backend, tcol = db.space, db.under, db.back, db.back, db.tcol
+		b, err = w.defendedFor(cell.Alloc, cell.Policy, patches)
 	} else {
-		nb, err := w.nativeFor(cell.Alloc)
-		if err != nil {
-			return fail(err)
-		}
-		space, under, backend = nb.space, nb.under, nb.backend
+		b, err = w.nativeFor(cell.Alloc)
 	}
-
-	ex, err := pp.NewExec(backend)
 	if err != nil {
 		return fail(err)
 	}
-	wk := NewWalker(space, under)
-	wk.Attach(ex, o.InvariantEvery)
+	var backend prog.HeapBackend = b.backend
+	if b.back != nil {
+		backend = b.back
+	}
+	ex, err := prep.newExec(backend)
+	if err != nil {
+		return fail(err)
+	}
+	wk := NewWalker(b.space, b.under)
+	wk.Attach(ex, invariantEvery)
 
 	func() {
 		defer func() {
@@ -260,19 +237,55 @@ func (w *Workbench) runPooledCell(g *Generated, pp *prog.Prepared, cell Cell, pa
 		out.Invariant = v.Error()
 	}
 	out.Checks = wk.Checks()
-	if dback != nil {
-		st := dback.Defender().Stats()
+	if b.back != nil {
+		st := b.back.Defender().Stats()
 		out.DefenseStats = &st
-	}
-	if tcol != nil {
-		out.Telemetry = tcol.Snapshot()
+		out.Telemetry = b.tcol.Snapshot()
 	}
 	return out
 }
 
-// nativeFor returns the native substrate for alloc, recycled (or
-// constructed on first use).
-func (w *Workbench) nativeFor(alloc AllocKind) (*nativeBench, error) {
+// shadowFor returns the shadow backend for the next shadow cell:
+// recycled, or constructed on first use and in fresh mode.
+func (w *Workbench) shadowFor() (*shadow.Backend, error) {
+	if w.shadowBack != nil {
+		w.shadowSpace.Reset()
+		if err := w.shadowBack.Reset(); err != nil {
+			return nil, err
+		}
+		return w.shadowBack, nil
+	}
+	space, err := mem.NewSpace(mem.Config{})
+	if err != nil {
+		return nil, fmt.Errorf("analysis: creating space: %w", err)
+	}
+	back, err := shadow.New(space, shadow.Config{})
+	if err != nil {
+		return nil, fmt.Errorf("analysis: creating shadow heap: %w", err)
+	}
+	if !w.fresh {
+		w.shadowSpace, w.shadowBack = space, back
+	}
+	return back, nil
+}
+
+// allocator builds the allocator of one native or defended cell: the
+// oracle's AllocatorFor override when set, else the kind's heapsim
+// allocator.
+func (w *Workbench) allocator(kind AllocKind, space *mem.Space) (heapsim.Allocator, error) {
+	switch {
+	case w.oracle.AllocatorFor != nil:
+		return w.oracle.AllocatorFor(kind, space)
+	case kind == AllocHeap:
+		return heapsim.New(space)
+	default:
+		return heapsim.NewPool(space)
+	}
+}
+
+// nativeFor returns the native substrate for alloc: recycled, or
+// constructed on first use and in fresh mode.
+func (w *Workbench) nativeFor(alloc AllocKind) (*bench, error) {
 	if nb := w.native[alloc]; nb != nil {
 		nb.space.Reset()
 		if err := nb.backend.Reset(); err != nil {
@@ -284,12 +297,7 @@ func (w *Workbench) nativeFor(alloc AllocKind) (*nativeBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	var under heapsim.Allocator
-	if alloc == AllocHeap {
-		under, err = heapsim.New(space)
-	} else {
-		under, err = heapsim.NewPool(space)
-	}
+	under, err := w.allocator(alloc, space)
 	if err != nil {
 		return nil, err
 	}
@@ -297,21 +305,28 @@ func (w *Workbench) nativeFor(alloc AllocKind) (*nativeBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	nb := &nativeBench{space: space, under: under, backend: backend}
-	w.native[alloc] = nb
+	nb := &bench{space: space, under: under, backend: backend}
+	if !w.fresh {
+		w.native[alloc] = nb
+	}
 	return nb, nil
 }
 
 // defendedFor returns the defended substrate for (alloc, policy) armed
-// with this seed's patches. Construction order matches Oracle.runCell:
-// on the boundary-tag heap the defender maps its patch table before
-// the heap arena, and on the pool the table still maps first because
-// the pool carves runs lazily. ResetPatches replays exactly that order
-// after every space reset — and runs the policy's own reset hook — so
-// pooled addresses and whole-cell signatures stay bit-identical to
-// fresh construction even though each seed loads a different patch
-// set.
-func (w *Workbench) defendedFor(alloc AllocKind, policy defense.Family, patches *patch.Set) (*defendedBench, error) {
+// with this seed's patches: recycled, or constructed on first use and
+// in fresh mode.
+//
+// Construction order matters on the boundary-tag heap: its arena must
+// stay the space's only growing segment, so the defender (which maps
+// its patch table first, like a library constructor running before any
+// application allocation) must come before heapsim.New. The pool
+// carves runs lazily and has no such constraint, and AllocatorFor
+// factories must likewise defer any arena establishment to first use.
+// ResetPatches replays exactly that order after every space reset —
+// and runs the policy's own reset hook — so recycled addresses and
+// whole-cell signatures stay bit-identical to fresh construction even
+// though each seed loads a different patch set.
+func (w *Workbench) defendedFor(alloc AllocKind, policy defense.Family, patches *patch.Set) (*bench, error) {
 	key := defendedKey{alloc: alloc, policy: policy}
 	if db := w.defended[key]; db != nil {
 		db.space.Reset()
@@ -331,25 +346,31 @@ func (w *Workbench) defendedFor(alloc AllocKind, policy defense.Family, patches 
 	tcol := telemetry.New(telemetry.Config{Shards: 1, RingSize: 256})
 	tel := tcol.Scope()
 	space.SetTelemetry(tel)
-	db := &defendedBench{space: space, tcol: tcol, tel: tel}
-	if alloc == AllocHeap {
-		back, err := defense.NewBackend(space, defense.Config{Patches: patches, Family: policy, Telemetry: tel})
+	db := &bench{space: space, tcol: tcol}
+	cfg := defense.Config{Patches: patches, Family: policy, Telemetry: tel}
+	if alloc == AllocHeap && w.oracle.AllocatorFor == nil {
+		db.back, err = defense.NewBackend(space, cfg)
 		if err != nil {
 			return nil, err
 		}
-		db.back, db.under = back, back.Defender().Heap()
+		db.under = db.back.Defender().Heap()
 	} else {
-		pool, err := heapsim.NewPool(space)
-		if err != nil {
+		if db.under, err = w.allocator(alloc, space); err != nil {
 			return nil, err
 		}
-		pool.SetTelemetry(tel)
-		back, err := defense.NewBackendWithAllocator(space, pool, defense.Config{Patches: patches, Family: policy, Telemetry: tel})
-		if err != nil {
+		switch a := db.under.(type) {
+		case *heapsim.Heap:
+			a.SetTelemetry(tel)
+		case *heapsim.PoolAllocator:
+			a.SetTelemetry(tel)
+			db.pool = a
+		}
+		if db.back, err = defense.NewBackendWithAllocator(space, db.under, cfg); err != nil {
 			return nil, err
 		}
-		db.back, db.under, db.pool = back, pool, pool
 	}
-	w.defended[key] = db
+	if !w.fresh {
+		w.defended[key] = db
+	}
 	return db, nil
 }

@@ -59,25 +59,87 @@ func TestWorkbenchPerKind(t *testing.T) {
 	}
 }
 
-// TestWorkbenchDelegatesAllocatorFor pins the escape hatch: an oracle
-// carrying an allocator override cannot be pooled, so the workbench
-// must hand the seed to Oracle.Check untouched.
-func TestWorkbenchDelegatesAllocatorFor(t *testing.T) {
+// TestWorkbenchAllocatorForNeverPooled pins that an allocator override
+// is never recycled: Oracle.Check and a workbench reused across seeds
+// each call AllocatorFor exactly once per native and defended cell,
+// every time over a space no earlier call saw, and the two reports
+// still match cell by cell.
+func TestWorkbenchAllocatorForNeverPooled(t *testing.T) {
+	calls := 0
+	spaces := map[*mem.Space]bool{}
 	o := Oracle{
 		AllocatorFor: func(kind AllocKind, space *mem.Space) (heapsim.Allocator, error) {
+			calls++
+			if spaces[space] {
+				t.Errorf("AllocatorFor called twice over one space")
+			}
+			spaces[space] = true
 			if kind == AllocHeap {
-				return heapsim.New(space)
+				return &lazyHeap{space: space}, nil
 			}
 			return heapsim.NewPool(space)
 		},
 	}
-	g, err := Generate(3, GenConfig{})
-	if err != nil {
-		t.Fatal(err)
+	wb := NewWorkbench(o)
+	for seed := uint64(3); seed < 5; seed++ {
+		g, err := Generate(seed, GenConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = 0
+		fresh := o.Check(g)
+		freshCalls := calls
+		calls = 0
+		pooled := wb.Check(g)
+		cells := 0
+		for _, out := range fresh.Outcomes {
+			if out.Cell.Mode != ModeShadow {
+				cells++
+			}
+		}
+		if cells == 0 || freshCalls != cells || calls != cells {
+			t.Errorf("seed %d: AllocatorFor calls: Oracle.Check %d, Workbench.Check %d, want %d (one per native and defended cell)",
+				seed, freshCalls, calls, cells)
+		}
+		if !fresh.OK() {
+			t.Errorf("seed %d: matrix failed over the override: %+v", seed, fresh.Failures)
+		}
+		diffReports(t, seed, fresh, pooled)
 	}
-	fresh := o.Check(g)
-	pooled := NewWorkbench(o).Check(g)
-	diffReports(t, g.Seed, fresh, pooled)
+}
+
+// lazyHeap is a boundary-tag heap whose arena is established on first
+// use, the construction order an AllocatorFor factory owes the defended
+// cells: their patch table must map before the arena.
+type lazyHeap struct {
+	space *mem.Space
+	heap  *heapsim.Heap
+}
+
+func (l *lazyHeap) h() *heapsim.Heap {
+	if l.heap == nil {
+		h, err := heapsim.New(l.space)
+		if err != nil {
+			panic(err)
+		}
+		l.heap = h
+	}
+	return l.heap
+}
+
+func (l *lazyHeap) Malloc(size uint64) (uint64, error)          { return l.h().Malloc(size) }
+func (l *lazyHeap) Calloc(n, size uint64) (uint64, error)       { return l.h().Calloc(n, size) }
+func (l *lazyHeap) Realloc(ptr, size uint64) (uint64, error)    { return l.h().Realloc(ptr, size) }
+func (l *lazyHeap) Memalign(align, size uint64) (uint64, error) { return l.h().Memalign(align, size) }
+func (l *lazyHeap) Free(ptr uint64) error                       { return l.h().Free(ptr) }
+func (l *lazyHeap) UsableSize(ptr uint64) (uint64, error)       { return l.h().UsableSize(ptr) }
+
+// CheckIntegrity audits the real heap's metadata once it exists.
+func (l *lazyHeap) CheckIntegrity() error {
+	if l.heap == nil {
+		return nil
+	}
+	return l.heap.CheckIntegrity()
 }
 
 func diffReports(t *testing.T, seed uint64, fresh, pooled *Report) {

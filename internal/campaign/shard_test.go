@@ -179,7 +179,7 @@ func TestRunBundles(t *testing.T) {
 	oracle.Allocators = []AllocKind{AllocHeap}
 	gen := GenConfig{Kinds: []VulnKind{OverflowWrite}}
 	// Reduction replays hundreds of delta-debugging candidates, each a
-	// fresh-substrate oracle pass (AllocatorFor forces delegation);
+	// fresh-substrate oracle pass (AllocatorFor forces fresh mode);
 	// under the race detector's ~20x slowdown that alone blows the CI
 	// budget. Skip it there: MinimizeFailure runs entirely inside one
 	// worker's goroutine on worker-local state, so the concurrent

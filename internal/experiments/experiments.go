@@ -23,7 +23,6 @@ import (
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/heapsim"
-	"heaptherapy/internal/mem"
 	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
 	"heaptherapy/internal/workload"
@@ -54,71 +53,11 @@ func (c Config) programConfig() workload.ProgramConfig {
 	return workload.ProgramConfig{Scale: c.Scale}
 }
 
-// backendKind selects the execution substrate for a measured run.
-type backendKind uint8
-
-const (
-	backendNative backendKind = iota + 1
-	backendInterpose
-	backendFull
-)
-
 // measured is one measured execution.
 type measured struct {
 	res   *prog.Result
 	heap  *heapsim.Heap
 	stats defense.Stats
-}
-
-// runOnce executes p on input with the given substrate and optional
-// coder, on a fresh address space.
-func runOnce(ec prog.Config, p *prog.Program, coder *encoding.Coder, kind backendKind, patches *patch.Set, input []byte) (*measured, error) {
-	space, err := mem.NewSpace(mem.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: creating space: %w", err)
-	}
-	var (
-		backend prog.HeapBackend
-		heap    *heapsim.Heap
-		statsFn func() defense.Stats
-	)
-	switch kind {
-	case backendNative:
-		nb, err := prog.NewNativeBackend(space)
-		if err != nil {
-			return nil, err
-		}
-		backend, heap = nb, nb.Heap()
-	case backendInterpose, backendFull:
-		mode := defense.ModeFull
-		if kind == backendInterpose {
-			mode = defense.ModeInterpose
-		}
-		db, err := defense.NewBackend(space, defense.Config{Mode: mode, Patches: patches})
-		if err != nil {
-			return nil, err
-		}
-		backend, heap = db, db.Defender().Heap()
-		statsFn = db.Defender().Stats
-	default:
-		return nil, fmt.Errorf("experiments: unknown backend kind %d", kind)
-	}
-	it, err := execFor(ec, p, coder, backend)
-	if err != nil {
-		return nil, err
-	}
-	res, err := it.Run(input)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: running %s: %w", p.Name, err)
-	}
-	if res.Crashed() {
-		return nil, fmt.Errorf("experiments: %s crashed: %v", p.Name, res.Fault)
-	}
-	m := &measured{res: res, heap: heap}
-	if statsFn != nil {
-		m.stats = statsFn()
-	}
-	return m, nil
 }
 
 // coderFor builds a coder for p under the given scheme with PCC
@@ -218,15 +157,7 @@ func selectMedianPatches(ranked []rankedCCID, n int) *patch.Set {
 // medianCCIDPatches profiles p on a fresh native substrate and selects
 // n median-frequency patches (profileCCIDs + selectMedianPatches).
 func medianCCIDPatches(ec prog.Config, p *prog.Program, coder *encoding.Coder, n int) (*patch.Set, error) {
-	space, err := mem.NewSpace(mem.Config{})
-	if err != nil {
-		return nil, err
-	}
-	nb, err := prog.NewNativeBackend(space)
-	if err != nil {
-		return nil, err
-	}
-	ranked, err := profileCCIDs(ec, p, coder, nb)
+	ranked, err := newWorkbench(ec, p).profile(coder)
 	if err != nil {
 		return nil, err
 	}

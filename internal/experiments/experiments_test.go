@@ -152,6 +152,28 @@ func TestServicesShape(t *testing.T) {
 	}
 }
 
+// TestServicesRenderDeterministic pins the average rows to measurement
+// order; Go randomizes map iteration, so rendering must not range over
+// the Average map.
+func TestServicesRenderDeterministic(t *testing.T) {
+	r := &ServicesResult{
+		Rows: []ServiceRow{
+			{Service: "nginx", Concurrency: 20, OverheadPct: 4},
+			{Service: "mysql", Concurrency: 20, OverheadPct: 1},
+		},
+		Average: map[string]float64{"nginx": 4, "mysql": 1},
+	}
+	want := r.Render()
+	if strings.Index(want, "nginx    AVERAGE") > strings.Index(want, "mysql    AVERAGE") {
+		t.Fatalf("average rows out of measurement order:\n%s", want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := r.Render(); got != want {
+			t.Fatalf("render %d differs:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+}
+
 func TestAblationMonotonic(t *testing.T) {
 	r, err := Ablation(quick)
 	if err != nil {

@@ -188,11 +188,11 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		natAvg, natPeak, err := runSampled(cfg.exec(), p, nil, backendNative)
+		natAvg, natPeak, err := runSampled(cfg.exec(), p, nil, false)
 		if err != nil {
 			return nil, err
 		}
-		defAvg, defPeak, err := runSampled(cfg.exec(), p, coder, backendFull)
+		defAvg, defPeak, err := runSampled(cfg.exec(), p, coder, true)
 		if err != nil {
 			return nil, err
 		}
@@ -207,9 +207,9 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 	return out, nil
 }
 
-// runSampled executes p with footprint sampling and returns the
-// average and peak live-heap bytes.
-func runSampled(ec prog.Config, p *prog.Program, coder *encoding.Coder, kind backendKind) (avg, peak uint64, err error) {
+// runSampled executes p with footprint sampling, natively or over the
+// full defense, and returns the average and peak live-heap bytes.
+func runSampled(ec prog.Config, p *prog.Program, coder *encoding.Coder, defended bool) (avg, peak uint64, err error) {
 	space, err := mem.NewSpace(mem.Config{})
 	if err != nil {
 		return 0, 0, err
@@ -218,18 +218,18 @@ func runSampled(ec prog.Config, p *prog.Program, coder *encoding.Coder, kind bac
 		inner prog.HeapBackend
 		heap  *heapsim.Heap
 	)
-	if kind == backendNative {
-		nb, err := prog.NewNativeBackend(space)
-		if err != nil {
-			return 0, 0, err
-		}
-		inner, heap = nb, nb.Heap()
-	} else {
+	if defended {
 		db, err := defense.NewBackend(space, defense.Config{Mode: defense.ModeFull})
 		if err != nil {
 			return 0, 0, err
 		}
 		inner, heap = db, db.Defender().Heap()
+	} else {
+		nb, err := prog.NewNativeBackend(space)
+		if err != nil {
+			return 0, 0, err
+		}
+		inner, heap = nb, nb.Heap()
 	}
 	sampler := &rssSampler{HeapBackend: inner, heap: heap}
 	it, err := execFor(ec, p, coder, sampler)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"heaptherapy/internal/defense"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/heapsim"
 	"heaptherapy/internal/workload"
@@ -34,7 +35,7 @@ func TableIV(cfg Config) (*TableIVResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := runOnce(cfg.exec(), p, nil, backendNative, nil, nil)
+		m, err := newWorkbench(cfg.exec(), p).runNative(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -107,11 +108,12 @@ func Services(cfg Config) (*ServicesResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			base, err := runOnce(cfg.exec(), p, nil, backendNative, nil, nil)
+			w := newWorkbench(cfg.exec(), p)
+			base, err := w.runNative(nil)
 			if err != nil {
 				return nil, err
 			}
-			m, err := runOnce(cfg.exec(), p, coder, backendFull, nil, nil)
+			m, err := w.runDefended(coder, defense.ModeFull, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -128,11 +130,15 @@ func Services(cfg Config) (*ServicesResult, error) {
 func (r *ServicesResult) Render() string {
 	header := []string{"Service", "Concurrency", "Throughput overhead (%)"}
 	var rows [][]string
+	var services []string // in measurement order, so the render is deterministic
 	for _, row := range r.Rows {
 		rows = append(rows, []string{row.Service, fmt.Sprintf("%d", row.Concurrency), fmt.Sprintf("%.2f", row.OverheadPct)})
+		if n := len(services); n == 0 || services[n-1] != row.Service {
+			services = append(services, row.Service)
+		}
 	}
-	for svc, avg := range r.Average {
-		rows = append(rows, []string{svc, "AVERAGE", fmt.Sprintf("%.2f", avg)})
+	for _, svc := range services {
+		rows = append(rows, []string{svc, "AVERAGE", fmt.Sprintf("%.2f", r.Average[svc])})
 	}
 	return "Service throughput overhead (Section VIII-B2; paper: nginx 4.2% avg, mysql negligible)\n" +
 		table(header, rows)

@@ -112,7 +112,7 @@ func TestWorkerExecutorPanic(t *testing.T) {
 		fleet:    f,
 		jobs:     make(chan *job),
 		inflight: make(chan struct{}, 4),
-		tenants:  make(map[string]*tenantState),
+		tenants:  make(map[string]int),
 	}
 	s.workers.Add(1)
 	go s.worker(ctx, panickyExec{})

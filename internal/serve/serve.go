@@ -156,11 +156,6 @@ type jobResult struct {
 	err     error
 }
 
-// tenantState is one tenant's admission bookkeeping.
-type tenantState struct {
-	inflight atomic.Int64
-}
-
 // Server is the live-traffic front-end. Construct with New, wire
 // Handler into an http.Server (or httptest), and Drain before exit.
 type Server struct {
@@ -180,8 +175,11 @@ type Server struct {
 
 	inflight chan struct{} // admission tokens
 
+	// tenants counts each tenant's in-flight requests. A tenant's entry
+	// goes when its count returns to 0, so the map holds at most
+	// MaxInFlight names however many distinct tenants a client sends.
 	tenantMu sync.Mutex
-	tenants  map[string]*tenantState
+	tenants  map[string]int
 
 	// swapFn installs a merged patch set as the fleet's new sealed
 	// table. It is a seam so fault-injection tests can fail the
@@ -273,7 +271,7 @@ func New(cfg Config) (*Server, error) {
 		bundles:  make(chan rolloutJob, cfg.RolloutQueue),
 		pending:  make(map[[sha256.Size]byte]struct{}, cfg.RolloutQueue+1),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
-		tenants:  make(map[string]*tenantState),
+		tenants:  make(map[string]int),
 		patches:  patches,
 	}
 	if cfg.Telemetry != nil {
@@ -534,17 +532,30 @@ func (s *Server) Drain() {
 	s.fleet.DrainPool()
 }
 
-// tenant returns the per-tenant admission state, creating it on first
-// sight.
-func (s *Server) tenant(name string) *tenantState {
+// admitTenant counts one more in-flight request for name and reports
+// whether it fits the per-tenant quota; an admitted request must be
+// ended with releaseTenant.
+func (s *Server) admitTenant(name string) bool {
 	s.tenantMu.Lock()
 	defer s.tenantMu.Unlock()
-	t := s.tenants[name]
-	if t == nil {
-		t = &tenantState{}
-		s.tenants[name] = t
+	n := s.tenants[name]
+	if n >= s.cfg.TenantQuota {
+		return false
 	}
-	return t
+	s.tenants[name] = n + 1
+	return true
+}
+
+// releaseTenant ends one of name's in-flight requests, dropping the
+// tenant's entry when it has none left.
+func (s *Server) releaseTenant(name string) {
+	s.tenantMu.Lock()
+	defer s.tenantMu.Unlock()
+	if n := s.tenants[name] - 1; n > 0 {
+		s.tenants[name] = n
+	} else {
+		delete(s.tenants, name)
+	}
 }
 
 // Handler returns the HTTP front-end:
@@ -592,16 +603,14 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "default"
 	}
-	t := s.tenant(name)
-	if n := t.inflight.Add(1); int(n) > s.cfg.TenantQuota {
-		t.inflight.Add(-1)
+	if !s.admitTenant(name) {
 		s.quotaRejected.Add(1)
 		s.tel.Inc(telemetry.CtrRejected)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "tenant quota exceeded", http.StatusTooManyRequests)
 		return
 	}
-	defer t.inflight.Add(-1)
+	defer s.releaseTenant(name)
 
 	input, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {

@@ -223,6 +223,29 @@ func TestServeTenantQuota(t *testing.T) {
 	}
 }
 
+// TestServeTenantMapBounded: the per-tenant admission map forgets a
+// tenant once its last request ends, so a client that names a new
+// tenant on every request cannot grow server memory without bound.
+func TestServeTenantMapBounded(t *testing.T) {
+	s, _, svc := newNginxServer(t, nil)
+	h := s.Handler()
+	body := svc.BenignRequest()
+	for i := 0; i < 10_000; i++ {
+		req := httptest.NewRequest(http.MethodPost, fmt.Sprintf("/request?tenant=t%d", i), bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	s.tenantMu.Lock()
+	n := len(s.tenants)
+	s.tenantMu.Unlock()
+	if n != 0 {
+		t.Fatalf("tenant map holds %d entries after every request ended, want 0", n)
+	}
+}
+
 // TestServeMetrics: /metrics is a JSON document carrying front-end,
 // fleet, and telemetry state.
 func TestServeMetrics(t *testing.T) {
