@@ -35,10 +35,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Hot-path kernel benchmarks (mem/shadow/defense). Compare runs with
-# benchstat: make bench > new.txt && benchstat old.txt new.txt
+# Hot-path kernel benchmarks (mem/shadow/defense), including the
+# walker's 1 MiB page audit. Compare runs with benchstat:
+# make bench > new.txt && benchstat old.txt new.txt
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMemKernels|BenchmarkShadow|BenchmarkPatchLookup' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkMemKernels|BenchmarkSpaceAudit|BenchmarkShadow|BenchmarkPatchLookup' -benchmem \
 		./internal/mem/ ./internal/shadow/ ./internal/defense/
 
 # Machine-readable end-to-end experiment timings (see BENCH_*.json).
@@ -73,12 +74,15 @@ bench-encoding:
 		-benchtime $(BENCHTIME) ./internal/encoding/ ./internal/prog/
 
 # Campaign runtime pins: the pooled-vs-fresh oracle bit-identity and
-# parallel-vs-sequential report-parity differentials and the recycle
-# allocation pins. Campaign throughput is the campaign workload of
-# benchmark/ (bash benchmark/run.sh --workload campaign).
+# parallel-vs-sequential report-parity differentials, the recycle and
+# audit-pass allocation pins and the page-audit differential, then the
+# pooled oracle's per-seed cost (BenchmarkWorkbenchCheck). Campaign
+# throughput is the campaign workload of benchmark/
+# (bash benchmark/run.sh --workload campaign).
 bench-campaign:
-	$(GO) test -run 'WorkbenchBitIdentical|WorkbenchAllocatorForNeverPooled|ParallelMatchesSequential|GuidedMatchesUnguided|PooledSetupAllocs|BackendResetDifferential|ResetPatchesMatchesFresh|CollectorReset' -count 1 -v \
-		./internal/campaign/ ./internal/shadow/ ./internal/defense/ ./internal/telemetry/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
+	$(GO) test -run 'WorkbenchBitIdentical|WorkbenchAllocatorForNeverPooled|AllocatorForOrderRejected|ParallelMatchesSequential|GuidedMatchesUnguided|PooledSetupAllocs|WalkerCheckZeroAlloc|DifferentialAudit|BackendResetDifferential|ResetPatchesMatchesFresh|CollectorReset' -count 1 -v \
+		./internal/campaign/ ./internal/mem/ ./internal/shadow/ ./internal/defense/ ./internal/telemetry/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
+	$(GO) test -run '^$$' -bench 'BenchmarkWorkbenchCheck' -benchmem -benchtime $(BENCHTIME) ./internal/campaign/
 
 # Defense-policy head-to-head: the cross-family differential suite
 # (containment matrix, honest expected misses, benign bit-identity,

@@ -94,3 +94,49 @@ func TestWalkerNilAllocator(t *testing.T) {
 		t.Fatalf("fresh space: %v", v)
 	}
 }
+
+// TestWalkerCheckZeroAlloc pins the audit pass at zero allocations on
+// a warmed heap and a warmed pool: the walker runs every 128
+// statements of every native and defended cell, so anything it
+// allocates is paid thousands of times per seed.
+func TestWalkerCheckZeroAlloc(t *testing.T) {
+	for _, kind := range []AllocKind{AllocHeap, AllocPool} {
+		space, err := mem.NewSpace(mem.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a heapsim.Allocator
+		if kind == AllocHeap {
+			a, err = heapsim.New(space)
+		} else {
+			a, err = heapsim.NewPool(space)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Live and freed blocks of several sizes, every other one freed
+		// so no two free blocks merge: more binned chunks (or free-list
+		// entries) than a small map holds without growing.
+		var ptrs []uint64
+		for i := 0; i < 32; i++ {
+			p, err := a.Malloc([]uint64{24, 100, 700, 3000, 70000}[i%5])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ptrs = append(ptrs, p)
+		}
+		for i := 1; i < len(ptrs); i += 2 {
+			if err := a.Free(ptrs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := NewWalker(space, a)
+		w.Check() // warm the checker's scratch
+		if avg := testing.AllocsPerRun(100, w.Check); avg != 0 {
+			t.Errorf("%v: Walker.Check allocates %.1f per pass, want 0", kind, avg)
+		}
+		if v := w.Violation(); v != nil {
+			t.Fatalf("%v: %v", kind, v)
+		}
+	}
+}

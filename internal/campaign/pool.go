@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"heaptherapy/internal/analysis"
@@ -72,6 +73,13 @@ type bench struct {
 	pool    *heapsim.PoolAllocator
 }
 
+// ErrAllocatorOrder reports an Oracle.AllocatorFor factory whose
+// allocator mapped pages while it was being built. A defended cell maps
+// its patch table after the allocator is built and before the program
+// runs, so such an allocator's arena would not be the space's only
+// growing segment; the factory must establish its arena on first use.
+var ErrAllocatorOrder = errors.New("campaign: Oracle.AllocatorFor allocator mapped pages at construction; it must establish its arena on first use")
+
 // prepared is one engine's prepared program for a seed, or the error
 // every cell on that engine then reports as its RunErr.
 type prepared struct {
@@ -139,12 +147,20 @@ func (w *Workbench) Check(g *Generated) *Report {
 		for _, e := range o.Engines {
 			for _, attack := range []bool{false, true} {
 				cell := Cell{Mode: ModeNative, Alloc: alloc, Engine: e, Attack: attack}
-				rep.Outcomes = append(rep.Outcomes, w.runCell(g, preps[e], cell, nil))
+				out, _ := w.runCell(g, preps[e], cell, nil) // a setup error is already out.RunErr
+				rep.Outcomes = append(rep.Outcomes, out)
 				if patches != nil {
 					cell.Mode = ModeDefended
 					for _, pol := range o.Policies {
 						cell.Policy = pol
-						rep.Outcomes = append(rep.Outcomes, w.runCell(g, preps[e], cell, patches))
+						out, err := w.runCell(g, preps[e], cell, patches)
+						if errors.Is(err, ErrAllocatorOrder) {
+							// The oracle's input is at fault, not the
+							// defense: one setup failure, no verdicts.
+							rep.fail(FailRunError, cell.String(), fmt.Sprintf("building substrate: %v", err))
+							return rep
+						}
+						rep.Outcomes = append(rep.Outcomes, out)
 					}
 				}
 			}
@@ -192,10 +208,11 @@ func (w *Workbench) runShadowCell(g *Generated, coder *encoding.Coder, prep prep
 }
 
 // runCell executes one native or defended cell, with the invariant
-// walker attached as the quantum hook.
-func (w *Workbench) runCell(g *Generated, prep prepared, cell Cell, patches *patch.Set) *Outcome {
+// walker attached as the quantum hook. A substrate construction error
+// is also returned, so Check can tell a bad AllocatorFor factory from
+// a cell that failed.
+func (w *Workbench) runCell(g *Generated, prep prepared, cell Cell, patches *patch.Set) (*Outcome, error) {
 	out := &Outcome{Cell: cell}
-	fail := func(err error) *Outcome { out.RunErr = err.Error(); return out }
 
 	var b *bench
 	var err error
@@ -205,7 +222,8 @@ func (w *Workbench) runCell(g *Generated, prep prepared, cell Cell, patches *pat
 		b, err = w.nativeFor(cell.Alloc)
 	}
 	if err != nil {
-		return fail(err)
+		out.RunErr = err.Error()
+		return out, err
 	}
 	var backend prog.HeapBackend = b.backend
 	if b.back != nil {
@@ -213,7 +231,8 @@ func (w *Workbench) runCell(g *Generated, prep prepared, cell Cell, patches *pat
 	}
 	ex, err := prep.newExec(backend)
 	if err != nil {
-		return fail(err)
+		out.RunErr = err.Error()
+		return out, nil
 	}
 	wk := NewWalker(b.space, b.under)
 	wk.Attach(ex, invariantEvery)
@@ -242,7 +261,7 @@ func (w *Workbench) runCell(g *Generated, prep prepared, cell Cell, patches *pat
 		out.DefenseStats = &st
 		out.Telemetry = b.tcol.Snapshot()
 	}
-	return out
+	return out, nil
 }
 
 // shadowFor returns the shadow backend for the next shadow cell:
@@ -321,7 +340,8 @@ func (w *Workbench) nativeFor(alloc AllocKind) (*bench, error) {
 // its patch table first, like a library constructor running before any
 // application allocation) must come before heapsim.New. The pool
 // carves runs lazily and has no such constraint, and AllocatorFor
-// factories must likewise defer any arena establishment to first use.
+// factories must likewise defer any arena establishment to first use:
+// a factory call that moves the space's break is ErrAllocatorOrder.
 // ResetPatches replays exactly that order after every space reset —
 // and runs the policy's own reset hook — so recycled addresses and
 // whole-cell signatures stay bit-identical to fresh construction even
@@ -355,8 +375,12 @@ func (w *Workbench) defendedFor(alloc AllocKind, policy defense.Family, patches 
 		}
 		db.under = db.back.Defender().Heap()
 	} else {
+		brk := space.End()
 		if db.under, err = w.allocator(alloc, space); err != nil {
 			return nil, err
+		}
+		if space.End() != brk {
+			return nil, fmt.Errorf("%w (the %v allocator moved the break from %#x to %#x)", ErrAllocatorOrder, alloc, brk, space.End())
 		}
 		switch a := db.under.(type) {
 		case *heapsim.Heap:

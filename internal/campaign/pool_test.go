@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"heaptherapy/internal/defense"
@@ -105,6 +107,39 @@ func TestWorkbenchAllocatorForNeverPooled(t *testing.T) {
 			t.Errorf("seed %d: matrix failed over the override: %+v", seed, fresh.Failures)
 		}
 		diffReports(t, seed, fresh, pooled)
+	}
+}
+
+// TestAllocatorForOrderRejected: a factory that establishes the
+// boundary-tag arena at construction breaks the defended cells'
+// construction order. The oracle must reject the factory with one
+// setup failure naming it, in fresh and pooled mode alike, instead of
+// charging the defense with the faults the misplaced arena causes.
+func TestAllocatorForOrderRejected(t *testing.T) {
+	o := Oracle{
+		AllocatorFor: func(kind AllocKind, space *mem.Space) (heapsim.Allocator, error) {
+			if kind == AllocHeap {
+				return heapsim.New(space)
+			}
+			return heapsim.NewPool(space)
+		},
+	}
+	w := NewWorkbench(o)
+	if _, err := w.defendedFor(AllocHeap, defense.FamilyHT, patch.NewSet()); !errors.Is(err, ErrAllocatorOrder) {
+		t.Fatalf("defendedFor over an eager heap = %v, want ErrAllocatorOrder", err)
+	}
+	g, err := Generate(4, GenConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rep := range map[string]*Report{"Oracle.Check": o.Check(g), "Workbench.Check": w.Check(g)} {
+		if len(rep.Failures) != 1 {
+			t.Fatalf("%s: %d failures, want 1: %+v", name, len(rep.Failures), rep.Failures)
+		}
+		f := rep.Failures[0]
+		if f.Class != FailRunError || !strings.Contains(f.Detail, ErrAllocatorOrder.Error()) {
+			t.Errorf("%s: failure %+v, want a run-error naming Oracle.AllocatorFor", name, f)
+		}
 	}
 }
 
@@ -218,6 +253,34 @@ func TestPooledSetupAllocs(t *testing.T) {
 		})
 		if got > 16 {
 			t.Errorf("defended/%v substrate recycle allocates: %.1f allocs/reset (want <= 16)", alloc, got)
+		}
+	}
+}
+
+// BenchmarkWorkbenchCheck times the pooled oracle per seed: one warmed
+// workbench checks a fixed set of generated seeds round-robin, so each
+// op is one full matrix (shadow, native and defended cells, with the
+// invariant walker auditing every 128 statements).
+func BenchmarkWorkbenchCheck(b *testing.B) {
+	var gens []*Generated
+	for seed := uint64(0); seed < 32; seed++ {
+		g, err := Generate(seed, GenConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gens = append(gens, g)
+	}
+	wb := NewWorkbench(Oracle{})
+	for _, g := range gens {
+		if rep := wb.Check(g); !rep.OK() {
+			b.Fatalf("seed %d: %+v", g.Seed, rep.Failures)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := wb.Check(gens[i%len(gens)]); !rep.OK() {
+			b.Fatalf("seed %d: %+v", gens[i%len(gens)].Seed, rep.Failures)
 		}
 	}
 }

@@ -72,32 +72,35 @@ func (c *Context) Reset() error {
 // context may have been built before a SwapTable; syncing at checkout
 // is what makes a rollout reach recycled workers — the Defender's
 // generation bump then invalidates every engine verdict cache bound to
-// this context's backend. Native contexts have nothing to sync.
+// this context's backend. Native contexts have nothing to sync. A
+// Defender that cannot take the table (one built without a shared
+// table) is an error; the context keeps its old table.
 //
 // Must be called by the context's owning goroutine (between Acquire
 // and Release), like every other Context method.
-func (c *Context) SyncTable(f *Fleet) bool {
+func (c *Context) SyncTable(f *Fleet) (bool, error) {
 	if c.defender == nil {
-		return false
+		return false, nil
 	}
 	cur := f.Table()
 	if cur == nil || c.defender.SharedTable() == cur {
-		return false
+		return false, nil
 	}
-	// The swap cannot fail: fleet defenders are always built over a
-	// shared table and cur is non-nil.
 	if err := c.defender.SwapSharedTable(cur); err != nil {
-		panic(fmt.Sprintf("fleet: syncing context table: %v", err))
+		return false, fmt.Errorf("fleet: syncing context table: %w", err)
 	}
-	return true
+	return true, nil
 }
 
 // Acquire returns a ready-to-use worker context: a pooled one when
 // available (already Reset, re-pointed at the current sealed table), a
-// freshly built one otherwise.
+// freshly built one otherwise. A pooled context that cannot be
+// re-pointed is dropped and its SyncTable error returned.
 func (f *Fleet) Acquire() (*Context, error) {
 	if c, ok := f.ctxPool.Get().(*Context); ok {
-		c.SyncTable(f)
+		if _, err := c.SyncTable(f); err != nil {
+			return nil, err
+		}
 		return c, nil
 	}
 	return f.newContext()

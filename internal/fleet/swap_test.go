@@ -3,6 +3,7 @@ package fleet
 import (
 	"testing"
 
+	"heaptherapy/internal/defense"
 	"heaptherapy/internal/heapsim"
 	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
@@ -91,6 +92,47 @@ func TestSwapTable(t *testing.T) {
 	if c2 == c && c2.Defender().TableGeneration() != gen {
 		t.Error("Acquire bumped the generation without a table change")
 	}
+}
+
+// TestSyncTableError: a context whose Defender cannot take the fleet's
+// table (one built without a shared table) makes SyncTable return the
+// swap error instead of panicking, and Acquire hands that error back
+// instead of the context.
+func TestSyncTableError(t *testing.T) {
+	f := New(Config{Workers: 1, Defended: true, Patches: overflowPatch(0x1)})
+	broken := func() *Context {
+		c, err := f.newContext()
+		if err != nil {
+			t.Fatal(err)
+		}
+		private, err := defense.NewBackend(c.space, defense.Config{Patches: patch.NewSet()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.defender = private.Defender()
+		return c
+	}
+
+	swapped, err := broken().SyncTable(f)
+	if err == nil || swapped {
+		t.Fatalf("SyncTable on a private-table Defender = %v, %v; want false and an error", swapped, err)
+	}
+	want := err.Error()
+
+	// sync.Pool may drop a Put (the race detector does so at random),
+	// so keep handing a broken context back until Acquire draws one.
+	for i := 0; i < 50; i++ {
+		f.Release(broken())
+		c, err := f.Acquire()
+		if err == nil {
+			continue
+		}
+		if c != nil || err.Error() != want {
+			t.Fatalf("Acquire = %p, %v; want nil and %q", c, err, want)
+		}
+		return
+	}
+	t.Fatal("Acquire never returned the broken context's SyncTable error")
 }
 
 // TestSwapTableContract: only defended fleets can swap, and a swap

@@ -181,6 +181,11 @@ type Heap struct {
 
 	live map[uint64]uint64 // payload addr -> chunk addr, for validation
 
+	// checkFree is CheckIntegrity's set of binned chunks, cleared on
+	// entry, so a warm audit allocates nothing. It is per heap because
+	// the campaign's workers audit their own heaps concurrently.
+	checkFree map[uint64]bool
+
 	stats Stats
 
 	// tel, when non-nil, counts physical chunk registrations and
@@ -202,9 +207,10 @@ func New(space *mem.Space) (*Heap, error) {
 		space:      space,
 		arenaStart: start,
 		// Chunks start at ≡8 (mod 16) so payloads are 16-aligned.
-		top:      start + headerSize,
-		arenaEnd: start + mem.PageSize,
-		live:     make(map[uint64]uint64),
+		top:       start + headerSize,
+		arenaEnd:  start + mem.PageSize,
+		live:      make(map[uint64]uint64),
+		checkFree: make(map[uint64]bool),
 	}
 	h.stats.ArenaBytes = mem.PageSize
 	return h, nil
@@ -824,9 +830,11 @@ func (h *Heap) LiveCount() int { return len(h.live) }
 // CheckIntegrity walks the whole arena validating chunk invariants:
 // sizes aligned, headers/footers consistent, no two adjacent free
 // chunks, and free-list membership matching header flags. It is used by
-// tests and by property-based fuzzing of allocation sequences.
+// tests, by property-based fuzzing of allocation sequences and by the
+// campaign invariant walker; once warm it allocates nothing.
 func (h *Heap) CheckIntegrity() error {
-	free := make(map[uint64]bool)
+	free := h.checkFree
+	clear(free)
 	for i := 0; i < numSmallBins; i++ {
 		if err := h.walkBin(h.smallBins[i], free); err != nil {
 			return err

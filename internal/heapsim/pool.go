@@ -31,6 +31,12 @@ type PoolAllocator struct {
 	// tel mirrors Heap.tel: physical block grants and releases plus the
 	// allocation-size histogram.
 	tel *telemetry.Scope
+
+	// checkBlocks and checkSeen are CheckIntegrity's scratch, cleared on
+	// entry, so a warm audit allocates nothing. They are per allocator
+	// because the campaign's workers audit their own pools concurrently.
+	checkBlocks []poolInterval
+	checkSeen   map[uint64]struct{}
 }
 
 // poolBlock records a live allocation.
@@ -52,6 +58,7 @@ func NewPool(space *mem.Space) (*PoolAllocator, error) {
 		space:     space,
 		freeLists: make([][]uint64, len(poolClassSizes)),
 		live:      make(map[uint64]poolBlock),
+		checkSeen: make(map[uint64]struct{}),
 	}, nil
 }
 

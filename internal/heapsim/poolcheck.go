@@ -1,9 +1,17 @@
 package heapsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
+
+// poolInterval is one free or live block, as CheckIntegrity's overlap
+// scan sees it.
+type poolInterval struct {
+	start, end uint64
+	what       string
+}
 
 // CheckIntegrity walks the pool allocator's metadata and verifies the
 // invariants a healthy slab heap maintains: free-list entries are
@@ -12,29 +20,27 @@ import (
 // out as; no two blocks (free or live) overlap; and the statistics
 // counters agree with the tables they summarize. It is the pool-side
 // counterpart of Heap.CheckIntegrity, used by the campaign invariant
-// walker between interpreter quanta. The walk never mutates the pool.
+// walker between interpreter quanta. The walk never mutates the pool's
+// allocation state, and once its scratch is warm it allocates nothing.
 func (p *PoolAllocator) CheckIntegrity() error {
-	type interval struct {
-		start, end uint64
-		what       string
-	}
-	intervals := make([]interval, 0, len(p.live)+16)
-	seen := make(map[uint64]bool, 16)
+	intervals := p.checkBlocks[:0]
+	seen := p.checkSeen
+	clear(seen)
 	var freeBytes uint64
 	for class, list := range p.freeLists {
 		bs := poolClassSizes[class]
 		for _, addr := range list {
-			if seen[addr] {
+			if _, dup := seen[addr]; dup {
 				return fmt.Errorf("heapsim: pool free block %#x appears on a free list twice", addr)
 			}
-			seen[addr] = true
+			seen[addr] = struct{}{}
 			if _, live := p.live[addr]; live {
 				return fmt.Errorf("heapsim: pool block %#x is both free and live", addr)
 			}
 			if !p.space.Contains(addr, bs) {
 				return fmt.Errorf("heapsim: pool free block [%#x,%#x) outside the mapped space", addr, addr+bs)
 			}
-			intervals = append(intervals, interval{addr, addr + bs, "free"})
+			intervals = append(intervals, poolInterval{addr, addr + bs, "free"})
 			freeBytes += bs
 		}
 	}
@@ -49,10 +55,15 @@ func (p *PoolAllocator) CheckIntegrity() error {
 		if !p.space.Contains(blk.base, blk.size) {
 			return fmt.Errorf("heapsim: pool live block [%#x,%#x) outside the mapped space", blk.base, blk.base+blk.size)
 		}
-		intervals = append(intervals, interval{blk.base, blk.base + blk.size, "live"})
+		intervals = append(intervals, poolInterval{blk.base, blk.base + blk.size, "live"})
 		inUseBytes += blk.size
 	}
-	sort.Slice(intervals, func(i, j int) bool { return intervals[i].start < intervals[j].start })
+	p.checkBlocks = intervals
+	// A total order, so the overlap reported is the same on every run
+	// whatever the live map's iteration order.
+	slices.SortFunc(intervals, func(a, b poolInterval) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.end, b.end), cmp.Compare(a.what, b.what))
+	})
 	for i := 1; i < len(intervals); i++ {
 		a, b := intervals[i-1], intervals[i]
 		if b.start < a.end {

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -98,5 +101,126 @@ func TestAuditCatchesTableSkew(t *testing.T) {
 	s.data = s.data[:len(s.data)-1]
 	if err := s.Audit(); err == nil {
 		t.Fatal("audit passed with unaligned mapped length")
+	}
+}
+
+// refAudit is the reference audit: the same checks in the same page
+// order as Audit, with every clean page scanned one word at a time.
+func refAudit(s *Space) error {
+	if uint64(len(s.data))%PageSize != 0 {
+		return fmt.Errorf("mem: audit: mapped length %d is not page aligned", len(s.data))
+	}
+	npages := uint64(len(s.data)) / PageSize
+	if uint64(len(s.prot)) != npages {
+		return fmt.Errorf("mem: audit: %d prot entries for %d mapped pages", len(s.prot), npages)
+	}
+	if want := (npages + 63) / 64; uint64(len(s.dirty)) < want {
+		return fmt.Errorf("mem: audit: dirty bitmap holds %d words, need %d", len(s.dirty), want)
+	}
+	for p := uint64(0); p < npages; p++ {
+		if s.dirty[p>>6]&(1<<(p&63)) != 0 {
+			continue
+		}
+		if s.prot[p] != ProtRW {
+			return fmt.Errorf("mem: audit: clean page %d has prot %v (protection changes must mark dirty)", p, s.prot[p])
+		}
+		page := s.data[p*PageSize : (p+1)*PageSize]
+		i := 0
+		for ; i+8 <= len(page); i += 8 {
+			if binary.LittleEndian.Uint64(page[i:]) != 0 {
+				break
+			}
+		}
+		for ; i < len(page); i++ {
+			if page[i] != 0 {
+				return fmt.Errorf("mem: audit: clean page %d has nonzero byte at offset %d (stores must mark dirty)", p, i)
+			}
+		}
+	}
+	return nil
+}
+
+// requireAuditMatchesRef fails unless Audit and refAudit agree on s,
+// byte for byte in the error text.
+func requireAuditMatchesRef(t *testing.T, s *Space, what string) {
+	t.Helper()
+	got, want := s.Audit(), refAudit(s)
+	if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+		t.Fatalf("%s: Audit = %v, reference = %v", what, got, want)
+	}
+}
+
+// TestDifferentialAudit: on spaces of several page counts, after Sbrk
+// growth and after Reset, a nonzero byte planted in a clean page (at
+// the word edges and at random offsets) and a protection change that
+// skips the dirty bit must draw the reference scan's error exactly.
+func TestDifferentialAudit(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	offsets := []int{0, 7, 8, 4088, 4095}
+	for i := 0; i < 4; i++ {
+		offsets = append(offsets, rng.Intn(PageSize))
+	}
+	for _, pages := range []uint64{1, 64, 65, 256, 300} {
+		s, err := NewSpace(Config{Reserve: pages * PageSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, phase := range []string{"fresh", "grown", "reset"} {
+			switch phase {
+			case "grown":
+				if _, err := s.Sbrk(70 * PageSize); err != nil {
+					t.Fatal(err)
+				}
+			case "reset":
+				if err := s.Memset(s.Base(), 0x5A, s.Size()/2+1); err != nil {
+					t.Fatal(err)
+				}
+				s.Reset()
+			}
+			n := s.Size() / PageSize
+			// A dirty page with content, which both audits must skip.
+			if n >= 3 {
+				if err := s.Write(s.Base()+n/3*PageSize+3, []byte{0xEE}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			what := fmt.Sprintf("%d pages, %s", pages, phase)
+			requireAuditMatchesRef(t, s, what)
+			targets := []uint64{0, n / 2, n - 1, uint64(rng.Int63n(int64(n)))}
+			for _, p := range targets {
+				if s.dirty[p>>6]&(1<<(p&63)) != 0 {
+					continue
+				}
+				for _, off := range offsets {
+					i := p*PageSize + uint64(off)
+					s.data[i] = byte(1 + rng.Intn(255))
+					requireAuditMatchesRef(t, s, fmt.Sprintf("%s: byte at page %d offset %d", what, p, off))
+					s.data[i] = 0
+				}
+				s.prot[p] = ProtRead
+				requireAuditMatchesRef(t, s, fmt.Sprintf("%s: silent prot on page %d", what, p))
+				s.data[p*PageSize+uint64(offsets[len(offsets)-1])] = 1
+				requireAuditMatchesRef(t, s, fmt.Sprintf("%s: silent prot and byte on page %d", what, p))
+				s.data[p*PageSize+uint64(offsets[len(offsets)-1])] = 0
+				s.prot[p] = ProtRW
+			}
+			requireAuditMatchesRef(t, s, what+" (restored)")
+		}
+	}
+}
+
+// BenchmarkSpaceAudit measures one audit of the default 1 MiB space,
+// every page clean: the walker's per-quantum page check.
+func BenchmarkSpaceAudit(b *testing.B) {
+	s, err := NewSpace(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(s.Size()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Audit(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -330,13 +330,16 @@ func (s *Server) worker(ctx *fleet.Context, it prog.Exec) {
 	for j := range s.jobs {
 		// Pick up any rolled-out table. The generation bump inside
 		// invalidates the executor's patch-verdict inline caches.
-		ctx.SyncTable(s.fleet)
+		_, err := ctx.SyncTable(s.fleet)
 		epoch := s.fleet.Swaps()
 
-		res, err := runSafely(it, j.input)
+		var res *prog.Result
+		if err == nil {
+			res, err = runSafely(it, j.input)
+		}
 		if err != nil {
-			// Engine-level failure (an error or a panic), not a guest
-			// crash: recycle and surface the error.
+			// Engine-level failure (a table sync error, an error or a
+			// panic), not a guest crash: recycle and surface the error.
 			if rerr := s.fleet.FinishRequest(ctx, false); rerr != nil {
 				err = fmt.Errorf("%w (recycle: %v)", err, rerr)
 			}
