@@ -35,12 +35,13 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Hot-path kernel benchmarks (mem/shadow/defense), including the
-# walker's 1 MiB page audit. Compare runs with benchstat:
+# Hot-path kernel benchmarks (mem/shadow/defense/heapsim), including
+# the walker's 1 MiB page audit and the allocator's malloc/free/realloc
+# churn. Compare runs with benchstat:
 # make bench > new.txt && benchstat old.txt new.txt
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMemKernels|BenchmarkSpaceAudit|BenchmarkShadow|BenchmarkPatchLookup' -benchmem \
-		./internal/mem/ ./internal/shadow/ ./internal/defense/
+	$(GO) test -run '^$$' -bench 'BenchmarkMemKernels|BenchmarkSpaceAudit|BenchmarkShadow|BenchmarkPatchLookup|BenchmarkHeapChurn' -benchmem \
+		./internal/mem/ ./internal/shadow/ ./internal/defense/ ./internal/heapsim/
 
 # Machine-readable end-to-end experiment timings (see BENCH_*.json).
 bench-json:

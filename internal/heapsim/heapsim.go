@@ -21,6 +21,8 @@ package heapsim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"heaptherapy/internal/mem"
 	"heaptherapy/internal/telemetry"
@@ -179,7 +181,17 @@ type Heap struct {
 	smallBins [numSmallBins]uint64 // heads of exact-size lists
 	largeBins [numLargeBins]uint64 // heads of ranged, size-sorted lists
 
-	live map[uint64]uint64 // payload addr -> chunk addr, for validation
+	// smallMap and largeMap hold one bit per bin, set exactly when that
+	// bin's head is non-zero (glibc's binmap), so allocChunk finds the
+	// next non-empty bin with one count of trailing zeros.
+	smallMap uint64
+	largeMap uint32
+
+	// live has one bit per 16-byte granule from arenaStart, set when a
+	// live payload starts there. Payloads are 16-aligned and a chunk
+	// sits headerSize below its payload, so the bit is all a pointer
+	// check needs. Stats.InUseChunks is the number of set bits.
+	live []uint64
 
 	// checkFree is CheckIntegrity's set of binned chunks, cleared on
 	// entry, so a warm audit allocates nothing. It is per heap because
@@ -209,10 +221,10 @@ func New(space *mem.Space) (*Heap, error) {
 		// Chunks start at ≡8 (mod 16) so payloads are 16-aligned.
 		top:       start + headerSize,
 		arenaEnd:  start + mem.PageSize,
-		live:      make(map[uint64]uint64),
 		checkFree: make(map[uint64]bool),
 	}
 	h.stats.ArenaBytes = mem.PageSize
+	h.growLive()
 	return h, nil
 }
 
@@ -222,9 +234,9 @@ func (h *Heap) Space() *mem.Space { return h.space }
 // Reset re-initializes the heap over its space after the space itself
 // has been Reset (or is otherwise back at the break where this heap's
 // arena began): the arena page is re-reserved and all allocator state
-// — bins, live table, statistics — is cleared. The live map's buckets
-// are reused, so a steady-state reset allocates nothing. Pointers from
-// before the Reset are invalid.
+// — bins and their bitmaps, the live bitmap, statistics — is cleared.
+// The live bitmap keeps its backing array, so a steady-state reset
+// allocates nothing. Pointers from before the Reset are invalid.
 func (h *Heap) Reset() error {
 	start, err := h.space.Sbrk(mem.PageSize)
 	if err != nil {
@@ -235,7 +247,9 @@ func (h *Heap) Reset() error {
 	h.arenaEnd = start + mem.PageSize
 	h.smallBins = [numSmallBins]uint64{}
 	h.largeBins = [numLargeBins]uint64{}
-	clear(h.live)
+	h.smallMap, h.largeMap = 0, 0
+	h.live = h.live[:0]
+	h.growLive()
 	h.stats = Stats{ArenaBytes: mem.PageSize}
 	return nil
 }
@@ -352,11 +366,23 @@ func (h *Heap) binHead(small bool, idx int) uint64 {
 	return h.largeBins[idx]
 }
 
+// setBinHead is the only writer of bin heads, so it keeps each bin's
+// bitmap bit equal to head != 0.
 func (h *Heap) setBinHead(small bool, idx int, c uint64) {
 	if small {
 		h.smallBins[idx] = c
+		if c != 0 {
+			h.smallMap |= 1 << idx
+		} else {
+			h.smallMap &^= 1 << idx
+		}
+		return
+	}
+	h.largeBins[idx] = c
+	if c != 0 {
+		h.largeMap |= 1 << idx
 	} else {
-		h.largeBins[idx] = c
+		h.largeMap &^= 1 << idx
 	}
 }
 
@@ -442,7 +468,8 @@ func (h *Heap) Malloc(size uint64) (uint64, error) {
 // payload address.
 func (h *Heap) finishAlloc(c uint64) uint64 {
 	p := payload(c)
-	h.live[p] = c
+	w, bit, _ := h.liveBit(p)
+	h.live[w] |= bit
 	userBytes := h.chunkSize(c) - headerSize
 	if h.tel != nil {
 		h.tel.Inc(telemetry.CtrAllocs)
@@ -464,33 +491,28 @@ func (h *Heap) allocChunk(size uint64) (uint64, error) {
 		return 0, err
 	}
 
-	// Exact small bin.
-	if small, idx := binIndex(need); small {
+	small, idx := binIndex(need)
+	if small {
+		// Exact small bin.
 		if c := h.smallBins[idx]; c != 0 && h.chunkSize(c) == need {
 			h.removeFree(c)
 			h.markInUse(c)
 			return c, nil
 		}
-		// Scan the remaining small bins and large bins for a fit.
-		for i := idx + 1; i < numSmallBins; i++ {
-			if c := h.smallBins[i]; c != 0 {
-				h.removeFree(c)
-				return h.splitAndUse(c, need), nil
-			}
+		// The lowest non-empty small bin above idx holds a fit.
+		if m := h.smallMap &^ (uint64(2)<<idx - 1); m != 0 {
+			c := h.smallBins[bits.TrailingZeros64(m)]
+			h.removeFree(c)
+			return h.splitAndUse(c, need), nil
 		}
-		for i := 0; i < numLargeBins; i++ {
-			if c := h.firstFitLarge(i, need); c != 0 {
-				h.removeFree(c)
-				return h.splitAndUse(c, need), nil
-			}
-		}
-	} else {
-		_, idx := binIndex(need)
-		for i := idx; i < numLargeBins; i++ {
-			if c := h.firstFitLarge(i, need); c != 0 {
-				h.removeFree(c)
-				return h.splitAndUse(c, need), nil
-			}
+		idx = 0 // every large chunk fits a small request
+	}
+	// Non-empty large bins from idx up, in order; the first holding a
+	// chunk of at least need bytes wins.
+	for m := h.largeMap >> idx << idx; m != 0; m &= m - 1 {
+		if c := h.firstFitLarge(bits.TrailingZeros32(m), need); c != 0 {
+			h.removeFree(c)
+			return h.splitAndUse(c, need), nil
 		}
 	}
 
@@ -538,25 +560,54 @@ func (h *Heap) splitAndUse(c, need uint64) uint64 {
 	return c
 }
 
-// allocFromTop carves from the wilderness, growing the arena on demand.
-func (h *Heap) allocFromTop(need uint64) (uint64, error) {
-	avail := h.arenaEnd - h.top
-	// Keep one header's room so the top chunk start stays addressable.
-	for avail < need+headerSize {
+// growArena extends the arena until at least need bytes plus one
+// header lie between top and the arena end; the header's room keeps the
+// top chunk start addressable. Past New and Reset, it is the only place
+// the arena and the live bitmap grow.
+func (h *Heap) growArena(need uint64) error {
+	for avail := h.arenaEnd - h.top; avail < need+headerSize; avail = h.arenaEnd - h.top {
 		grow := need + headerSize - avail
 		got, err := h.space.Sbrk(grow)
 		if err != nil {
-			return 0, fmt.Errorf("%w: arena limit reached growing by %d", ErrOutOfMemory, grow)
+			return fmt.Errorf("%w: arena limit reached growing by %d", ErrOutOfMemory, grow)
 		}
 		if got != h.arenaEnd {
 			// Another segment (e.g. a table mapping) claimed the break;
 			// the arena must stay contiguous.
-			return 0, fmt.Errorf("heapsim: arena discontiguous: sbrk returned %#x, want %#x", got, h.arenaEnd)
+			return fmt.Errorf("heapsim: arena discontiguous: sbrk returned %#x, want %#x", got, h.arenaEnd)
 		}
 		grown := mem.RoundUpPage(grow)
 		h.arenaEnd += grown
 		h.stats.ArenaBytes += grown
-		avail = h.arenaEnd - h.top
+		h.growLive()
+	}
+	return nil
+}
+
+// growLive extends the live bitmap with zero words to cover the arena,
+// reusing the backing array's capacity when it suffices.
+func (h *Heap) growLive() {
+	n := len(h.live)
+	words := int((h.arenaEnd - h.arenaStart) / (chunkAlign * 64))
+	h.live = slices.Grow(h.live, words-n)[:words]
+	clear(h.live[n:])
+}
+
+// liveBit locates payload p's bit in the live bitmap. ok is false when
+// p cannot be a payload at all: outside the arena or not 16-aligned.
+func (h *Heap) liveBit(p uint64) (w int, bit uint64, ok bool) {
+	off := p - h.arenaStart
+	if p < h.arenaStart || p >= h.arenaEnd || off%chunkAlign != 0 {
+		return 0, 0, false
+	}
+	g := off / chunkAlign
+	return int(g / 64), 1 << (g % 64), true
+}
+
+// allocFromTop carves from the wilderness, growing the arena on demand.
+func (h *Heap) allocFromTop(need uint64) (uint64, error) {
+	if err := h.growArena(need); err != nil {
+		return 0, err
 	}
 	c := h.top
 	prevInUse := true // invariant: the chunk below top is never free
@@ -671,10 +722,10 @@ func (h *Heap) Realloc(ptr, size uint64) (uint64, error) {
 	if ptr == 0 {
 		return h.Malloc(size)
 	}
-	c, ok := h.live[ptr]
-	if !ok {
+	if !h.IsLive(ptr) {
 		return 0, fmt.Errorf("%w: realloc of %#x", ErrInvalidPointer, ptr)
 	}
+	c := chunkOf(ptr)
 	h.stats.Reallocs++
 	oldUser := h.chunkSize(c) - headerSize
 	need, err := chunkSizeFor(size)
@@ -691,21 +742,8 @@ func (h *Heap) Realloc(ptr, size uint64) (uint64, error) {
 		return ptr, nil
 	case c+cur == h.top:
 		// Expand into the wilderness.
-		extra := need - cur
-		avail := h.arenaEnd - h.top
-		for avail < extra+headerSize {
-			grow := extra + headerSize - avail
-			got, err := h.space.Sbrk(grow)
-			if err != nil {
-				return 0, fmt.Errorf("%w: arena limit reached", ErrOutOfMemory)
-			}
-			if got != h.arenaEnd {
-				return 0, fmt.Errorf("heapsim: arena discontiguous: sbrk returned %#x, want %#x", got, h.arenaEnd)
-			}
-			grown := mem.RoundUpPage(grow)
-			h.arenaEnd += grown
-			h.stats.ArenaBytes += grown
-			avail = h.arenaEnd - h.top
+		if err := h.growArena(need - cur); err != nil {
+			return 0, err
 		}
 		h.setSizeFlags(c, need, true, h.prevInUse(c))
 		h.top = c + need
@@ -743,11 +781,7 @@ func (h *Heap) Realloc(ptr, size uint64) (uint64, error) {
 		if size < copyLen {
 			copyLen = size
 		}
-		data, err := h.space.RawRead(ptr, copyLen)
-		if err != nil {
-			return 0, fmt.Errorf("heapsim: realloc copy: %w", err)
-		}
-		if err := h.space.RawWrite(newP, data); err != nil {
+		if err := h.space.RawMemmove(newP, ptr, copyLen); err != nil {
 			return 0, fmt.Errorf("heapsim: realloc copy: %w", err)
 		}
 		if err := h.Free(ptr); err != nil {
@@ -763,11 +797,12 @@ func (h *Heap) Free(ptr uint64) error {
 	if ptr == 0 {
 		return nil
 	}
-	c, ok := h.live[ptr]
-	if !ok {
+	w, bit, ok := h.liveBit(ptr)
+	if !ok || h.live[w]&bit == 0 {
 		return fmt.Errorf("%w: free of %#x", ErrInvalidPointer, ptr)
 	}
-	delete(h.live, ptr)
+	h.live[w] &^= bit
+	c := chunkOf(ptr)
 	if h.tel != nil {
 		h.tel.Inc(telemetry.CtrFrees)
 	}
@@ -811,36 +846,43 @@ func (h *Heap) Free(ptr uint64) error {
 
 // UsableSize implements Allocator.
 func (h *Heap) UsableSize(ptr uint64) (uint64, error) {
-	c, ok := h.live[ptr]
-	if !ok {
+	if !h.IsLive(ptr) {
 		return 0, fmt.Errorf("%w: usable_size of %#x", ErrInvalidPointer, ptr)
 	}
-	return h.chunkSize(c) - headerSize, nil
+	return h.chunkSize(chunkOf(ptr)) - headerSize, nil
 }
 
 // IsLive reports whether ptr is a live allocation payload.
 func (h *Heap) IsLive(ptr uint64) bool {
-	_, ok := h.live[ptr]
-	return ok
+	w, bit, ok := h.liveBit(ptr)
+	return ok && h.live[w]&bit != 0
 }
 
 // LiveCount returns the number of live allocations.
-func (h *Heap) LiveCount() int { return len(h.live) }
+func (h *Heap) LiveCount() int { return int(h.stats.InUseChunks) }
 
 // CheckIntegrity walks the whole arena validating chunk invariants:
 // sizes aligned, headers/footers consistent, no two adjacent free
-// chunks, and free-list membership matching header flags. It is used by
-// tests, by property-based fuzzing of allocation sequences and by the
-// campaign invariant walker; once warm it allocates nothing.
+// chunks, free-list membership matching header flags, each bin's bitmap
+// bit matching its head, and the live bitmap holding exactly the in-use
+// chunks. It is used by tests, by property-based fuzzing of allocation
+// sequences and by the campaign invariant walker; once warm it
+// allocates nothing.
 func (h *Heap) CheckIntegrity() error {
 	free := h.checkFree
 	clear(free)
 	for i := 0; i < numSmallBins; i++ {
+		if set := h.smallMap>>i&1 != 0; set != (h.smallBins[i] != 0) {
+			return fmt.Errorf("heapsim: small bin %d bitmap bit %v, head %#x", i, set, h.smallBins[i])
+		}
 		if err := h.walkBin(h.smallBins[i], free); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < numLargeBins; i++ {
+		if set := h.largeMap>>i&1 != 0; set != (h.largeBins[i] != 0) {
+			return fmt.Errorf("heapsim: large bin %d bitmap bit %v, head %#x", i, set, h.largeBins[i])
+		}
 		if err := h.walkBin(h.largeBins[i], free); err != nil {
 			return err
 		}
@@ -849,6 +891,7 @@ func (h *Heap) CheckIntegrity() error {
 	c := h.arenaStart + headerSize
 	prevFree := false
 	prevInUse := true
+	inUse := 0
 	for c < h.top {
 		size := h.chunkSize(c)
 		if size < minChunk || size%chunkAlign != 0 {
@@ -858,9 +901,10 @@ func (h *Heap) CheckIntegrity() error {
 			return fmt.Errorf("heapsim: chunk %#x prev-in-use flag %v, want %v", c, h.prevInUse(c), prevInUse)
 		}
 		if h.inUse(c) {
-			if _, ok := h.live[payload(c)]; !ok {
+			if !h.IsLive(payload(c)) {
 				return fmt.Errorf("heapsim: in-use chunk %#x not in live table", c)
 			}
+			inUse++
 			prevFree = false
 		} else {
 			if prevFree {
@@ -883,6 +927,15 @@ func (h *Heap) CheckIntegrity() error {
 	}
 	if prevFree {
 		return errors.New("heapsim: free chunk adjacent to top (should have merged)")
+	}
+	// The walk found every in-use chunk live; the counts close the other
+	// direction, so a stale live bit for a freed or merged chunk shows.
+	set := 0
+	for _, w := range h.live {
+		set += bits.OnesCount64(w)
+	}
+	if live := h.LiveCount(); inUse != live || set != live {
+		return fmt.Errorf("heapsim: %d in-use chunks, %d live bits, live count %d", inUse, set, live)
 	}
 	return nil
 }

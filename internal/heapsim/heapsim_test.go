@@ -10,7 +10,7 @@ import (
 	"heaptherapy/internal/mem"
 )
 
-func newTestHeap(t *testing.T) *Heap {
+func newTestHeap(t testing.TB) *Heap {
 	t.Helper()
 	space, err := mem.NewSpace(mem.Config{})
 	if err != nil {

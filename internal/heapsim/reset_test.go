@@ -103,7 +103,7 @@ func TestPoolResetDeterministic(t *testing.T) {
 }
 
 // TestHeapResetAllocFree: after one warm epoch, the reset-and-churn
-// cycle must not grow the Go heap (map buckets, bins, and space
+// cycle must not grow the Go heap (the live bitmap, bins, and space
 // capacity are all reused).
 func TestHeapResetAllocFree(t *testing.T) {
 	space, err := mem.NewSpace(mem.Config{})
@@ -133,7 +133,7 @@ func TestHeapResetAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cycle() // warm capacity and map buckets
+	cycle() // warm capacity and the live bitmap
 	avg := testing.AllocsPerRun(50, func() {
 		var live [32]uint64
 		for i := 0; i < 32; i++ {

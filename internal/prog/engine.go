@@ -1,9 +1,14 @@
 package prog
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
+
+// ErrStepLimit is wrapped by the error of a run that exceeds its
+// Config.MaxSteps budget, on either engine.
+var ErrStepLimit = errors.New("step limit")
 
 // Engine selects the execution substrate for a linked program: the
 // compiled engine that runs the program as quickened bytecode, or the

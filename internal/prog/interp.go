@@ -122,7 +122,7 @@ func (it *Interp) tick() error {
 	it.steps++
 	it.cycles += CycStmt
 	if it.steps > it.maxSteps {
-		return fmt.Errorf("prog %s: step limit %d exceeded", it.p.Name, it.maxSteps)
+		return fmt.Errorf("prog %s: %w %d exceeded", it.p.Name, ErrStepLimit, it.maxSteps)
 	}
 	if it.yield != nil && it.steps%it.yieldEvery == 0 {
 		it.yield()

@@ -2,6 +2,7 @@ package prog
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -235,6 +236,32 @@ func TestStepLimit(t *testing.T) {
 	}
 	if _, err := it.Run(nil); err == nil || !strings.Contains(err.Error(), "step limit") {
 		t.Errorf("infinite loop err = %v, want step limit", err)
+	}
+}
+
+// TestStepLimitTyped: both engines report an exhausted step budget as an
+// error wrapping ErrStepLimit, with the same text.
+func TestStepLimitTyped(t *testing.T) {
+	p := MustLink(&Program{
+		Name: "spin",
+		Funcs: map[string]*Func{
+			"main": {Body: []Stmt{While{Cond: C(1), Body: []Stmt{Nop{}}}}},
+		},
+	})
+	for _, e := range AllEngines() {
+		t.Run(e.String(), func(t *testing.T) {
+			ex, err := NewExec(p, Config{Backend: newNative(t), Engine: e, MaxSteps: 1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ex.Run(nil)
+			if !errors.Is(err, ErrStepLimit) {
+				t.Fatalf("err = %v, want one wrapping ErrStepLimit", err)
+			}
+			if want := "prog spin: step limit 1000 exceeded"; err.Error() != want {
+				t.Errorf("err = %q, want %q", err, want)
+			}
+		})
 	}
 }
 

@@ -148,7 +148,7 @@ func (m *Machine) mtickSlow() bool {
 
 //go:noinline
 func (m *Machine) stepLimit() error {
-	return fmt.Errorf("prog %s: step limit %d exceeded", m.c.p.Name, m.maxSteps)
+	return fmt.Errorf("prog %s: %w %d exceeded", m.c.p.Name, ErrStepLimit, m.maxSteps)
 }
 
 // callSite executes one call site from frame f — argument fetch
