@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	htp-bench [-exp all|table2|encoding|table3|table4|fig8|fig9|services|concurrent|ablation|stackoffset|scaling|fleet|telemetry|policy|guard[,...]] [-quick] [-scale N] [-engine tree|compiled] [-json]
+//	htp-bench [-exp all|table2|encoding|table3|table4|fig8|fig9|services|concurrent|ablation|stackoffset|scaling|policy|guard[,...]] [-quick] [-scale N] [-engine tree|compiled] [-json]
 package main
 
 import (
@@ -61,8 +61,6 @@ var experimentTable = []struct {
 	{"ablation", exp(experiments.Ablation)},
 	{"stackoffset", exp(experiments.StackOffsetBaseline)},
 	{"scaling", exp(experiments.PatchScaling)},
-	{"fleet", exp(experiments.Fleet)},
-	{"telemetry", exp(experiments.TelemetryOverhead)},
 	{"policy", exp(experiments.PolicyMatrix)},
 	{"guard", exp(experiments.GlobalGuardBaseline)},
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"heaptherapy/internal/experiments"
 )
 
 func capture(t *testing.T, fn func() error) (string, error) {
@@ -89,6 +91,9 @@ func TestUnknownExperiment(t *testing.T) {
 		{"table3,table99", "table99"},
 		// The retired tree-vs-compiled speed ratio.
 		{"tierup", "tierup"},
+		// The retired wall-clock fleet-scaling and telemetry-overhead runs.
+		{"fleet", "fleet"},
+		{"telemetry", "telemetry"},
 	} {
 		err := run([]string{"-exp", c.spec})
 		if err == nil {
@@ -130,6 +135,28 @@ func TestJSONDetail(t *testing.T) {
 			if _, ok := policy[family+"_"+metric]; !ok {
 				t.Errorf("policy detail missing %s_%s: %v", family, metric, policy)
 			}
+		}
+	}
+}
+
+// TestExperimentsDeterministic renders every experiment twice under
+// -quick and requires byte-identical output: every htp-bench
+// experiment reports on the deterministic virtual-cycle axis, so a
+// render that varies run to run (a wall-clock measurement, or an order
+// taken from map iteration) fails here.
+func TestExperimentsDeterministic(t *testing.T) {
+	cfg := experiments.Config{Quick: true}
+	for _, e := range experimentTable {
+		var renders [2]string
+		for i := range renders {
+			r, err := e.run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+			renders[i] = r.Render()
+		}
+		if renders[0] != renders[1] {
+			t.Errorf("%s renders differently run to run:\n--- first\n%s\n--- second\n%s", e.name, renders[0], renders[1])
 		}
 	}
 }

@@ -79,7 +79,8 @@ func (p *Profiler) record(k patch.Key, bytes uint64) {
 }
 
 // Samples returns the profile sorted by descending allocation count;
-// ties break by CCID for determinism.
+// ties break by CCID, then by allocation function, so the order never
+// depends on map iteration.
 func (p *Profiler) Samples() []Sample {
 	out := make([]Sample, 0, len(p.counts))
 	for _, s := range p.counts {
@@ -89,7 +90,10 @@ func (p *Profiler) Samples() []Sample {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
 		}
-		return out[i].Key.CCID < out[j].Key.CCID
+		if out[i].Key.CCID != out[j].Key.CCID {
+			return out[i].Key.CCID < out[j].Key.CCID
+		}
+		return out[i].Key.Fn < out[j].Key.Fn
 	})
 	return out
 }

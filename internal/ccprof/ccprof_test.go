@@ -125,3 +125,45 @@ func TestRender(t *testing.T) {
 		t.Error("Render(1) included the cold context")
 	}
 }
+
+// TestSamplesTieOrder: two sites with the same count and CCID under
+// different allocation functions must always come out in the same
+// order (by Fn), whatever the profile map's iteration order. Without
+// an encoder every context shares CCID 0, so calloc and malloc tie on
+// both count and CCID.
+func TestSamplesTieOrder(t *testing.T) {
+	p := prog.MustLink(&prog.Program{
+		Name: "tie",
+		Funcs: map[string]*prog.Func{
+			"main": {Body: []prog.Stmt{
+				prog.Alloc{Dst: "c", Fn: heapsim.FnCalloc, Size: prog.C(8), N: prog.C(2)},
+				prog.Alloc{Dst: "m", Size: prog.C(16)},
+				prog.FreeStmt{Ptr: prog.V("m")},
+				prog.FreeStmt{Ptr: prog.V("c")},
+			}},
+		},
+	})
+	for i := 0; i < 50; i++ {
+		space, err := mem.NewSpace(mem.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backend, err := prog.NewNativeBackend(space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples, err := Profile(p, backend, nil, nil, prog.EngineCompiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(samples) != 2 {
+			t.Fatalf("samples = %d, want 2 contexts", len(samples))
+		}
+		if samples[0].Key.CCID != samples[1].Key.CCID || samples[0].Count != samples[1].Count {
+			t.Fatalf("samples do not tie (test is vacuous): %+v", samples)
+		}
+		if samples[0].Key.Fn != heapsim.FnMalloc || samples[1].Key.Fn != heapsim.FnCalloc {
+			t.Fatalf("profile %d: tie order %v, %v; want malloc, calloc", i, samples[0].Key.Fn, samples[1].Key.Fn)
+		}
+	}
+}

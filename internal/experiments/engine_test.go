@@ -7,10 +7,9 @@ import (
 )
 
 // TestExperimentsEngineIndependent locks in the claim the Config.Engine
-// doc makes: every deterministic (cycle-axis) experiment renders a
-// bit-identical report whether the programs execute on the tree
-// interpreter or the compiled machine. Wall-clock experiments (the
-// throughput columns of fleet/concurrent) are excluded by design.
+// doc makes: an experiment reports on the deterministic virtual-cycle
+// axis, so it renders a bit-identical report whether the programs
+// execute on the tree interpreter or the compiled machine.
 func TestExperimentsEngineIndependent(t *testing.T) {
 	cases := []struct {
 		name string

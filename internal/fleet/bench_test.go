@@ -91,7 +91,7 @@ func dirty(b *testing.B, ctx *Context) {
 // sync.Pool design banks on, recorded in the benchmark trajectory.
 func BenchmarkFleetSetup(b *testing.B) {
 	_, _, set := benchSetup(b)
-	cfg := Config{Workers: 1, Defended: true, Patches: set}
+	cfg := Config{Defended: true, Patches: set}
 	b.Run("fresh", func(b *testing.B) {
 		f := New(cfg)
 		b.ReportAllocs()
@@ -132,7 +132,7 @@ func TestFleetPooledSetupAdvantage(t *testing.T) {
 		t.Skip("short mode")
 	}
 	_, _, set := benchSetup(t)
-	cfg := Config{Workers: 1, Defended: true, Patches: set}
+	cfg := Config{Defended: true, Patches: set}
 
 	fresh := testing.Benchmark(func(b *testing.B) {
 		f := New(cfg)
@@ -179,7 +179,7 @@ func TestFleetPooledSetupAdvantage(t *testing.T) {
 // through sync.Pool — GC may legitimately drain the pool mid-run.)
 func TestFleetSteadyStateAllocFree(t *testing.T) {
 	_, _, set := benchSetup(t)
-	f := New(Config{Workers: 1, Defended: true, Patches: set})
+	f := New(Config{Defended: true, Patches: set})
 	ctx, err := f.newContext()
 	if err != nil {
 		t.Fatal(err)
@@ -213,38 +213,27 @@ func TestFleetSteadyStateAllocFree(t *testing.T) {
 }
 
 // BenchmarkFleetServe measures defended end-to-end request throughput
-// at several worker counts over the nginx stand-in (the -exp fleet
-// experiment's engine, pinned here for the trajectory file).
+// at several worker counts over the nginx stand-in, each worker running
+// the front-end's per-request sequence (serveAll).
 func BenchmarkFleetServe(b *testing.B) {
 	p, coder, set := benchSetup(b)
 	inputs := make([][]byte, 64)
-	for i := range inputs {
-		inputs[i] = nil
-	}
 	// Worker counts beyond GOMAXPROCS still run (goroutines multiplex)
 	// so the committed trajectory always has the full 1/2/4/8 curve;
 	// interpret it against the recorded GOMAXPROCS.
 	for _, w := range []int{1, 2, 4, 8} {
-		for _, defended := range []bool{false, true} {
-			name := fmt.Sprintf("native/w%d", w)
-			cfg := Config{Workers: w}
-			if defended {
-				name = fmt.Sprintf("defended/w%d", w)
-				cfg = Config{Workers: w, Defended: true, Patches: set}
+		b.Run(fmt.Sprintf("defended/w%d", w), func(b *testing.B) {
+			f := New(Config{Defended: true, Patches: set})
+			if _, err := serveAll(f, p, coder, prog.EngineCompiled, w, inputs); err != nil { // warm pool
+				b.Fatal(err)
 			}
-			b.Run(name, func(b *testing.B) {
-				f := New(cfg)
-				if _, err := f.Serve(p, coder, inputs); err != nil { // warm pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := serveAll(f, p, coder, prog.EngineCompiled, w, inputs); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := f.Serve(p, coder, inputs); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -122,8 +122,8 @@ func (f *Fleet) DrainPool() int {
 }
 
 // Release returns a context to the pool for reuse. The context must
-// be Reset (Serve's request loop leaves it so); a dirty context would
-// leak one request's heap state into another tenant's execution.
+// be Reset (FinishRequest leaves it so); a dirty context would leak
+// one request's heap state into another tenant's execution.
 func (f *Fleet) Release(c *Context) {
 	f.ctxPool.Put(c)
 }

@@ -90,7 +90,7 @@ func TestFleetPooledBitIdentical(t *testing.T) {
 	for _, kind := range allocs {
 		for _, c := range cases {
 			t.Run(kind.String()+"/"+c.name, func(t *testing.T) {
-				cfg := Config{Workers: 1, Defended: true, Patches: c.patches, Alloc: kind}
+				cfg := Config{Defended: true, Patches: c.patches, Alloc: kind}
 
 				// Pooled: ONE context recycled through every request.
 				pooledFleet := New(cfg)
@@ -136,7 +136,7 @@ func TestFleetPooledBitIdenticalAfterCrash(t *testing.T) {
 	coder, patches := overflowSetup(t, p)
 	for _, kind := range []AllocKind{AllocBoundaryTag, AllocPool} {
 		t.Run(kind.String(), func(t *testing.T) {
-			cfg := Config{Workers: 1, Defended: true, Patches: patches, Alloc: kind}
+			cfg := Config{Defended: true, Patches: patches, Alloc: kind}
 			f := New(cfg)
 			ctx, err := f.newContext()
 			if err != nil {

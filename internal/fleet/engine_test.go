@@ -67,7 +67,7 @@ func TestFleetVMBitIdenticalAcrossReset(t *testing.T) {
 	for _, kind := range []AllocKind{AllocBoundaryTag, AllocPool} {
 		for _, c := range cases {
 			t.Run(kind.String()+"/"+c.name, func(t *testing.T) {
-				cfg := Config{Workers: 1, Defended: true, Patches: c.patches, Alloc: kind}
+				cfg := Config{Defended: true, Patches: c.patches, Alloc: kind}
 
 				// Tree over fresh contexts.
 				freshFleet := New(cfg)
@@ -109,7 +109,7 @@ func TestFleetVMBitIdenticalAcrossReset(t *testing.T) {
 func TestFleetVMReusedInstanceAcrossReset(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
-	cfg := Config{Workers: 1, Defended: true, Patches: patches}
+	cfg := Config{Defended: true, Patches: patches}
 
 	inputs := [][]byte{{0x00}, {0xEE}, {0x00}, {0xEE}, {0xEE}}
 	freshFleet := New(cfg)
@@ -145,15 +145,15 @@ func TestFleetVMReusedInstanceAcrossReset(t *testing.T) {
 	}
 }
 
-// TestFleetServeEngines: full parallel Serve must return the same
+// TestFleetServeEngines: full parallel serving must return the same
 // per-request results and merged fleet statistics on every engine.
 func TestFleetServeEngines(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
 	inputs := uafCorpus(24)
 	serve := func(engine prog.Engine) ([]*prog.Result, Stats) {
-		f := New(Config{Workers: 4, Defended: true, Patches: patches, Engine: engine})
-		res, err := f.Serve(p, coder, inputs)
+		f := New(Config{Defended: true, Patches: patches})
+		res, err := serveAll(f, p, coder, engine, 4, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,15 +26,12 @@ package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"heaptherapy/internal/defense"
-	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/mem"
 	"heaptherapy/internal/patch"
-	"heaptherapy/internal/prog"
 	"heaptherapy/internal/telemetry"
 )
 
@@ -62,8 +59,9 @@ func (k AllocKind) String() string {
 
 // Config configures a Fleet.
 type Config struct {
-	// Workers is the number of parallel worker goroutines Serve uses
-	// (0 = runtime.GOMAXPROCS(0)).
+	// Workers is kept so existing configurations still compile.
+	//
+	// Deprecated: no effect. The front-end sizes its own worker pool.
 	Workers int
 	// Defended selects defended execution; false runs the native
 	// (uninstrumented) backend for baseline measurement.
@@ -86,16 +84,10 @@ type Config struct {
 	// QueueQuota bounds each worker's deferred-free FIFO
 	// (0 = defense.DefaultQueueQuota).
 	QueueQuota uint64
-	// Engine selects each worker's execution substrate (the compiled
-	// engine, the zero value, or the tree interpreter). Serve prepares
-	// the program once (prog.Prepare); under EngineCompiled every
-	// worker runs the shared immutable bytecode with its own private
-	// state — the same shape as the sealed patch table: one read-only
-	// artifact, many readers.
-	Engine prog.Engine
 	// Telemetry, when non-nil, collects per-worker counters, histograms
-	// (allocation sizes, patch-lookup cost, per-quantum cycles), and
-	// defense trace events. Each worker context binds its own scope, so
+	// (allocation sizes, patch-lookup cost), and defense trace events.
+	// The fleet attaches no quantum hook, so it records no per-quantum
+	// cycle histogram. Each worker context binds its own scope, so
 	// the collector's per-shard breakdown is the per-tenant aggregation;
 	// Stats surfaces the merged snapshot. Enabling telemetry on a
 	// defended fleet also turns on per-patch hit counting on the shared
@@ -132,8 +124,8 @@ type Stats struct {
 }
 
 // Fleet is the parallel serving runtime. Construct with New; a Fleet
-// is safe for concurrent use (Serve may itself be called from
-// multiple goroutines — workers never share contexts).
+// is safe for concurrent use (any number of goroutines may Acquire,
+// serve on, and Release contexts — workers never share contexts).
 type Fleet struct {
 	cfg Config
 
@@ -168,9 +160,6 @@ type Fleet struct {
 // New builds a fleet, sealing the patch set into the shared table
 // exactly once.
 func New(cfg Config) *Fleet {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	f := &Fleet{cfg: cfg}
 	if cfg.Defended {
 		f.table.Store(f.seal(cfg.Patches))
@@ -189,9 +178,6 @@ func (f *Fleet) seal(patches *patch.Set) *defense.SealedTable {
 	}
 	return t
 }
-
-// Workers returns the configured worker count.
-func (f *Fleet) Workers() int { return f.cfg.Workers }
 
 // Table returns the CURRENT shared sealed patch table (nil for a
 // native fleet).
@@ -225,7 +211,7 @@ func (f *Fleet) SwapTable(patches *patch.Set) (*defense.SealedTable, error) {
 
 // Stats returns a consistent-enough snapshot of fleet statistics:
 // each counter is read atomically; the set is not a single atomic
-// snapshot (call after Serve returns for exact totals).
+// snapshot (call once every context is released for exact totals).
 func (f *Fleet) Stats() Stats {
 	var snap *telemetry.Snapshot
 	var hits map[patch.Key]uint64
@@ -274,109 +260,18 @@ func (f *Fleet) merge(s defense.Stats) {
 	f.dFrees.Add(s.Frees)
 }
 
-// Serve executes one run of p per input across the fleet's workers
-// and returns the i-th result in the i-th slot. Work is distributed
-// dynamically (an atomic next-index), so slow requests don't stall a
-// fixed shard. A request that faults is a normal outcome — its
-// Result.Fault is set, the worker recycles its context, and serving
-// continues (crash isolation: one tenant's SIGSEGV never touches
-// another's heap). Only infrastructure errors (context construction,
-// interpreter setup, a failed recycle) abort the run.
-//
-// coder may be nil to run without calling-context encoding.
-func (f *Fleet) Serve(p *prog.Program, coder *encoding.Coder, inputs [][]byte) ([]*prog.Result, error) {
-	n := len(inputs)
-	if n == 0 {
-		return nil, fmt.Errorf("fleet: Serve with no inputs")
-	}
-	workers := f.cfg.Workers
-	if workers > n {
-		workers = n
-	}
-
-	// The program is prepared once per Serve and shared read-only by
-	// every worker (see Config.Engine).
-	pp, err := prog.Prepare(p, prog.Config{Coder: coder, Engine: f.cfg.Engine})
-	if err != nil {
-		return nil, fmt.Errorf("fleet: preparing program: %w", err)
-	}
-
-	results := make([]*prog.Result, n)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = f.serveWorker(pp, inputs, results, &next)
-		}(w)
-	}
-	wg.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
-}
-
-// serveWorker is one worker goroutine's request loop over its private
-// context.
-func (f *Fleet) serveWorker(pp *prog.Prepared, inputs [][]byte, results []*prog.Result, next *atomic.Int64) error {
-	ctx, err := f.Acquire()
-	if err != nil {
-		return err
-	}
-	it, err := pp.NewExec(ctx.backend)
-	if err != nil {
-		f.Release(ctx)
-		return fmt.Errorf("fleet: interpreter: %w", err)
-	}
-	attachQuantumTelemetry(it, ctx.backend, ctx.tel)
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= len(inputs) {
-			break
-		}
-		res, err := it.Run(inputs[i])
-		if err != nil {
-			return fmt.Errorf("fleet: request %d: %w", i, err)
-		}
-		results[i] = res
-		f.requests.Add(1)
-		ctx.tel.Inc(telemetry.CtrRequests)
-		if res.Crashed() {
-			f.crashes.Add(1)
-			ctx.tel.Inc(telemetry.CtrCrashes)
-		}
-		if ctx.defender != nil {
-			f.merge(ctx.defender.Stats())
-		}
-		// Recycle for the next request (and for Release below): even a
-		// faulted request leaves the context fully reusable.
-		if err := ctx.Reset(); err != nil {
-			return fmt.Errorf("fleet: recycling context: %w", err)
-		}
-		f.resets.Add(1)
-	}
-	f.Release(ctx)
-	return nil
-}
-
 // Swaps returns the number of SwapTable installs so far — the cheap
 // per-request read (Stats builds a full snapshot; this is one atomic
 // load, suitable for stamping responses with the table epoch that
 // served them).
 func (f *Fleet) Swaps() uint64 { return f.swaps.Load() }
 
-// FinishRequest accounts one request served on c outside Serve — the
-// seam for request-driven front-ends that check contexts out per
-// request instead of per batch. It performs exactly what Serve's worker
-// loop does after a run: fleet and tenant counters, the defense-stat
-// delta merge, and the context recycle, leaving c ready for its next
-// checkout. A crashed request is a normal outcome here too.
+// FinishRequest accounts one request served on c: fleet and tenant
+// counters, the defense-stat delta merge, and the context recycle,
+// leaving c ready for its next request or checkout. A request that
+// faults is a normal outcome — its context recycles and serving
+// continues (crash isolation: one tenant's SIGSEGV never touches
+// another's heap).
 func (f *Fleet) FinishRequest(c *Context, crashed bool) error {
 	f.requests.Add(1)
 	c.tel.Inc(telemetry.CtrRequests)
@@ -392,31 +287,4 @@ func (f *Fleet) FinishRequest(c *Context, crashed bool) error {
 	}
 	f.resets.Add(1)
 	return nil
-}
-
-// telemetryQuantum is the statement interval at which a telemetry-
-// enabled worker samples its backend's virtual-cycle accumulator.
-const telemetryQuantum = 256
-
-// attachQuantumTelemetry hooks quantum-boundary timing onto it: every
-// telemetryQuantum statements the worker counts one quantum and
-// histograms the virtual cycles its backend charged since the previous
-// boundary. A nil scope leaves the execution unhooked, so untelemetered
-// fleets keep the hook seam free for other users (e.g. the campaign
-// invariant walker).
-func attachQuantumTelemetry(it prog.Exec, backend prog.HeapBackend, tel *telemetry.Scope) {
-	if tel == nil {
-		return
-	}
-	var last uint64
-	prog.SetQuantumHook(it, telemetryQuantum, func() {
-		now := backend.Cycles()
-		if now < last {
-			last = now // backend was recycled between quanta
-			return
-		}
-		tel.Inc(telemetry.CtrQuanta)
-		tel.Observe(telemetry.HistQuantumCycles, now-last)
-		last = now
-	})
 }

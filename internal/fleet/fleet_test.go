@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +16,66 @@ import (
 	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
 )
+
+// serveAll runs one request per input on workers goroutines that share
+// the fleet (and its sealed table) and pull inputs off one atomic
+// next-index; the i-th result lands in the i-th slot. Each goroutine
+// follows the front-end's per-request sequence: Acquire a context,
+// build an executor over its backend from the once-prepared program,
+// then SyncTable → Run → FinishRequest per request, and Release.
+// coder may be nil to run without calling-context encoding.
+func serveAll(f *Fleet, p *prog.Program, coder *encoding.Coder, engine prog.Engine, workers int, inputs [][]byte) ([]*prog.Result, error) {
+	pp, err := prog.Prepare(p, prog.Config{Coder: coder, Engine: engine})
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*prog.Result, len(inputs))
+	errs := make([]error, min(workers, len(inputs)))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = serveRequests(f, pp, inputs, results, &next)
+		}()
+	}
+	wg.Wait()
+	return results, errors.Join(errs...)
+}
+
+// serveRequests is one serveAll goroutine's request loop over its
+// private context.
+func serveRequests(f *Fleet, pp *prog.Prepared, inputs [][]byte, results []*prog.Result, next *atomic.Int64) error {
+	ctx, err := f.Acquire()
+	if err != nil {
+		return err
+	}
+	it, err := pp.NewExec(ctx.Backend())
+	if err != nil {
+		f.Release(ctx)
+		return err
+	}
+	for {
+		i := int(next.Add(1)) - 1
+		if i >= len(inputs) {
+			break
+		}
+		if _, err := ctx.SyncTable(f); err != nil {
+			return err
+		}
+		res, err := it.Run(inputs[i])
+		if err != nil {
+			return fmt.Errorf("request %d: %w", i, err)
+		}
+		results[i] = res
+		if err := f.FinishRequest(ctx, res.Crashed()); err != nil {
+			return err
+		}
+	}
+	f.Release(ctx)
+	return nil
+}
 
 // uafProgram is a request handler with a use-after-free on its error
 // path (input 0xEE): the freed object is regroomed and dereferenced.
@@ -158,13 +222,13 @@ func TestFleetServeMatchesSingleRuns(t *testing.T) {
 		}
 	}
 
-	f := New(Config{Workers: 4, Defended: true, Patches: patches})
-	results, err := f.Serve(p, coder, inputs)
+	f := New(Config{Defended: true, Patches: patches})
+	results, err := serveAll(f, p, coder, prog.EngineCompiled, 4, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ref := New(Config{Workers: 1, Defended: true, Patches: patches})
+	ref := New(Config{Defended: true, Patches: patches})
 	for i, in := range inputs {
 		ctx, err := ref.newContext()
 		if err != nil {
@@ -239,8 +303,8 @@ func TestFleetCrashIsolation(t *testing.T) {
 		}
 	}
 
-	f := New(Config{Workers: 3, Defended: true, Patches: patches})
-	results, err := f.Serve(p, coder, inputs)
+	f := New(Config{Defended: true, Patches: patches})
+	results, err := serveAll(f, p, coder, prog.EngineCompiled, 3, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,12 +337,12 @@ func TestFleetCrashIsolation(t *testing.T) {
 }
 
 // TestFleetNativeBaseline: an undefended fleet serves correctly with
-// zero defense activity — the baseline side of the scaling experiment.
+// zero defense activity.
 func TestFleetNativeBaseline(t *testing.T) {
 	p := uafProgram()
-	f := New(Config{Workers: 2, Defended: false})
+	f := New(Config{Defended: false})
 	inputs := [][]byte{{0}, {0}, {0}, {0}}
-	results, err := f.Serve(p, nil, inputs)
+	results, err := serveAll(f, p, nil, prog.EngineCompiled, 2, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,15 +365,9 @@ func TestFleetNativeBaseline(t *testing.T) {
 
 // TestFleetValidation covers config and input edges.
 func TestFleetValidation(t *testing.T) {
-	if w := New(Config{}).Workers(); w != runtime.GOMAXPROCS(0) {
-		t.Errorf("default Workers=%d, want GOMAXPROCS=%d", w, runtime.GOMAXPROCS(0))
-	}
-	f := New(Config{Workers: 2, Defended: true})
-	if _, err := f.Serve(uafProgram(), nil, nil); err == nil {
-		t.Error("Serve with no inputs succeeded")
-	}
+	f := New(Config{Defended: true})
 	// More workers than inputs: must not deadlock or drop requests.
-	res, err := f.Serve(uafProgram(), nil, [][]byte{{0}})
+	res, err := serveAll(f, uafProgram(), nil, prog.EngineCompiled, 2, [][]byte{{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,18 +376,18 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
-// TestFleetPoolReuseAcrossServes: a second Serve must be satisfied by
-// pooled contexts, not fresh construction.
+// TestFleetPoolReuseAcrossServes: a second batch of requests must be
+// served on pooled contexts, not fresh construction.
 func TestFleetPoolReuseAcrossServes(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
-	f := New(Config{Workers: 2, Defended: true, Patches: patches})
+	f := New(Config{Defended: true, Patches: patches})
 	inputs := [][]byte{{0}, {0xEE}, {0}, {0}, {0xEE}, {0}}
-	if _, err := f.Serve(p, coder, inputs); err != nil {
+	if _, err := serveAll(f, p, coder, prog.EngineCompiled, 2, inputs); err != nil {
 		t.Fatal(err)
 	}
 	built := f.Stats().ContextsBuilt
-	if _, err := f.Serve(p, coder, inputs); err != nil {
+	if _, err := serveAll(f, p, coder, prog.EngineCompiled, 2, inputs); err != nil {
 		t.Fatal(err)
 	}
 	st := f.Stats()
@@ -339,14 +397,14 @@ func TestFleetPoolReuseAcrossServes(t *testing.T) {
 	// sync.Pool may theoretically drop entries under GC pressure, so
 	// allow slack but catch the build-every-time regression.
 	if st.ContextsBuilt > built+2 {
-		t.Errorf("second Serve built %d new contexts (total %d), want pooled reuse",
+		t.Errorf("second batch built %d new contexts (total %d), want pooled reuse",
 			st.ContextsBuilt-built, st.ContextsBuilt)
 	}
 }
 
 // TestFleetParallelSpeedup: with real cores available, defended
-// serving must scale. Skipped on starved runners — the scaling curve
-// is measured honestly by the fleet experiment instead.
+// serving must scale. Skipped on starved runners, where goroutines
+// cannot run in parallel.
 func TestFleetParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -362,12 +420,12 @@ func TestFleetParallelSpeedup(t *testing.T) {
 		inputs[i] = []byte{0}
 	}
 	measure := func(workers int) time.Duration {
-		f := New(Config{Workers: workers, Defended: true, Patches: patches})
-		if _, err := f.Serve(p, coder, inputs); err != nil { // warm the pool
+		f := New(Config{Defended: true, Patches: patches})
+		if _, err := serveAll(f, p, coder, prog.EngineCompiled, workers, inputs); err != nil { // warm the pool
 			t.Fatal(err)
 		}
 		start := time.Now()
-		if _, err := f.Serve(p, coder, inputs); err != nil {
+		if _, err := serveAll(f, p, coder, prog.EngineCompiled, workers, inputs); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

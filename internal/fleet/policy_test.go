@@ -31,13 +31,13 @@ func TestFleetPolicyServeMatchesSingleRuns(t *testing.T) {
 		fam := fam
 		t.Run(fam.String(), func(t *testing.T) {
 			t.Parallel()
-			f := New(Config{Workers: 4, Defended: true, Patches: patches, Family: fam})
-			results, err := f.Serve(p, coder, inputs)
+			f := New(Config{Defended: true, Patches: patches, Family: fam})
+			results, err := serveAll(f, p, coder, prog.EngineCompiled, 4, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			ref := New(Config{Workers: 1, Defended: true, Patches: patches, Family: fam})
+			ref := New(Config{Defended: true, Patches: patches, Family: fam})
 			for i, in := range inputs {
 				ctx, err := ref.newContext()
 				if err != nil {
@@ -87,8 +87,8 @@ func TestFleetPolicyOutcomes(t *testing.T) {
 
 	safe := func(fam defense.Family, set *patch.Set) uint64 {
 		t.Helper()
-		f := New(Config{Workers: 1, Defended: true, Patches: set, Family: fam})
-		res, err := f.Serve(p, coder, attack)
+		f := New(Config{Defended: true, Patches: set, Family: fam})
+		res, err := serveAll(f, p, coder, prog.EngineCompiled, 1, attack)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,8 +122,8 @@ func TestFleetPolicySwapKeepsServing(t *testing.T) {
 	for _, fam := range defense.AllFamilies() {
 		fam := fam
 		t.Run(fam.String(), func(t *testing.T) {
-			f := New(Config{Workers: 2, Defended: true, Patches: patch.NewSet(), Family: fam})
-			first, err := f.Serve(p, coder, inputs)
+			f := New(Config{Defended: true, Patches: patch.NewSet(), Family: fam})
+			first, err := serveAll(f, p, coder, prog.EngineCompiled, 2, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestFleetPolicySwapKeepsServing(t *testing.T) {
 			if f.Swaps() != 1 {
 				t.Fatalf("Swaps=%d after install, want 1", f.Swaps())
 			}
-			second, err := f.Serve(p, coder, inputs)
+			second, err := serveAll(f, p, coder, prog.EngineCompiled, 2, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,8 +154,8 @@ func TestFleetPolicyStatsMerge(t *testing.T) {
 	coder, patches := analyzeUAF(t, p)
 	inputs := [][]byte{{0x00}, {0x00}, {0x00}, {0x00}}
 
-	mesh := New(Config{Workers: 2, Defended: true, Patches: patches, Family: defense.FamilyMESH})
-	if _, err := mesh.Serve(p, coder, inputs); err != nil {
+	mesh := New(Config{Defended: true, Patches: patches, Family: defense.FamilyMESH})
+	if _, err := serveAll(mesh, p, coder, prog.EngineCompiled, 2, inputs); err != nil {
 		t.Fatal(err)
 	}
 	st := mesh.Stats()
@@ -166,8 +166,8 @@ func TestFleetPolicyStatsMerge(t *testing.T) {
 		t.Errorf("MESH consulted the patch table: PatchedAllocs=%d", st.Defense.PatchedAllocs)
 	}
 
-	sb := New(Config{Workers: 2, Defended: true, Patches: patches, Family: defense.FamilyShadowBound})
-	if _, err := sb.Serve(p, coder, inputs); err != nil {
+	sb := New(Config{Defended: true, Patches: patches, Family: defense.FamilyShadowBound})
+	if _, err := serveAll(sb, p, coder, prog.EngineCompiled, 2, inputs); err != nil {
 		t.Fatal(err)
 	}
 	st = sb.Stats()

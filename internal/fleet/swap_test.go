@@ -23,7 +23,7 @@ func overflowPatch(ccid uint64) *patch.Set {
 // still immutable, still valid — table until they come back through
 // Acquire.
 func TestSwapTable(t *testing.T) {
-	f := New(Config{Workers: 2, Defended: true, Patches: overflowPatch(0x1)})
+	f := New(Config{Defended: true, Patches: overflowPatch(0x1)})
 	oldTable := f.Table()
 	if oldTable == nil {
 		t.Fatal("defended fleet has no table")
@@ -99,7 +99,7 @@ func TestSwapTable(t *testing.T) {
 // swap error instead of panicking, and Acquire hands that error back
 // instead of the context.
 func TestSyncTableError(t *testing.T) {
-	f := New(Config{Workers: 1, Defended: true, Patches: overflowPatch(0x1)})
+	f := New(Config{Defended: true, Patches: overflowPatch(0x1)})
 	broken := func() *Context {
 		c, err := f.newContext()
 		if err != nil {
@@ -139,13 +139,13 @@ func TestSyncTableError(t *testing.T) {
 // with hit counting enabled preserves the telemetry wiring (the new
 // table must be sealed with counters BEFORE it is shared).
 func TestSwapTableContract(t *testing.T) {
-	native := New(Config{Workers: 1})
+	native := New(Config{})
 	if _, err := native.SwapTable(overflowPatch(0x1)); err == nil {
 		t.Error("SwapTable on a native fleet succeeded")
 	}
 
 	col := telemetry.New(telemetry.Config{})
-	f := New(Config{Workers: 1, Defended: true, Patches: overflowPatch(0x1), Telemetry: col})
+	f := New(Config{Defended: true, Patches: overflowPatch(0x1), Telemetry: col})
 	nt, err := f.SwapTable(overflowPatch(0x2))
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestSwapTableContract(t *testing.T) {
 // TestDrainPool: draining discards pooled contexts so the next Acquire
 // builds from scratch.
 func TestDrainPool(t *testing.T) {
-	f := New(Config{Workers: 2, Defended: true, Patches: overflowPatch(0x1)})
+	f := New(Config{Defended: true, Patches: overflowPatch(0x1)})
 	a, err := f.Acquire()
 	if err != nil {
 		t.Fatal(err)
@@ -193,12 +193,12 @@ func TestDrainPool(t *testing.T) {
 	}
 }
 
-// TestFinishRequest: the per-request accounting seam mirrors Serve's
-// worker loop — counters, defense-stat merge, recycle.
+// TestFinishRequest: the per-request accounting seam — counters,
+// defense-stat merge, recycle.
 func TestFinishRequest(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
-	f := New(Config{Workers: 1, Defended: true, Patches: patches})
+	f := New(Config{Defended: true, Patches: patches})
 
 	c, err := f.Acquire()
 	if err != nil {

@@ -18,7 +18,7 @@ func TestFleetTelemetryMerge(t *testing.T) {
 	coder, patches := analyzeUAF(t, p)
 
 	col := telemetry.New(telemetry.Config{})
-	f := New(Config{Workers: 4, Defended: true, Patches: patches, Telemetry: col})
+	f := New(Config{Defended: true, Patches: patches, Telemetry: col})
 	inputs := make([][]byte, 32)
 	for i := range inputs {
 		if i%4 == 0 {
@@ -27,7 +27,7 @@ func TestFleetTelemetryMerge(t *testing.T) {
 			inputs[i] = []byte{0x00}
 		}
 	}
-	if _, err := f.Serve(p, coder, inputs); err != nil {
+	if _, err := serveAll(f, p, coder, prog.EngineCompiled, 4, inputs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -111,9 +111,8 @@ func TestFleetTelemetryEngineParity(t *testing.T) {
 	}
 	serve := func(engine prog.Engine) (*telemetry.Snapshot, Stats) {
 		col := telemetry.New(telemetry.Config{})
-		f := New(Config{Workers: 1, Defended: true, Patches: patches,
-			Engine: engine, Telemetry: col})
-		if _, err := f.Serve(p, coder, inputs); err != nil {
+		f := New(Config{Defended: true, Patches: patches, Telemetry: col})
+		if _, err := serveAll(f, p, coder, engine, 1, inputs); err != nil {
 			t.Fatal(err)
 		}
 		st := f.Stats()
@@ -146,8 +145,8 @@ func TestFleetTelemetryEngineParity(t *testing.T) {
 func TestFleetWithoutCollector(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
-	f := New(Config{Workers: 2, Defended: true, Patches: patches})
-	if _, err := f.Serve(p, coder, make([][]byte, 8)); err != nil {
+	f := New(Config{Defended: true, Patches: patches})
+	if _, err := serveAll(f, p, coder, prog.EngineCompiled, 2, make([][]byte, 8)); err != nil {
 		t.Fatal(err)
 	}
 	stats := f.Stats()

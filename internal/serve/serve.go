@@ -253,13 +253,11 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	f := fleet.New(fleet.Config{
-		Workers:   cfg.Workers,
 		Defended:  true,
 		Patches:   patches,
 		Alloc:     cfg.Alloc,
 		Family:    cfg.Family,
 		Space:     cfg.Space,
-		Engine:    cfg.Engine,
 		Telemetry: cfg.Telemetry,
 	})
 
