@@ -77,13 +77,16 @@ bench-encoding:
 
 # Campaign runtime pins: the pooled-vs-fresh oracle bit-identity and
 # parallel-vs-sequential report-parity differentials, the recycle and
-# audit-pass allocation pins and the page-audit differential, then the
+# audit-pass allocation pins, the page-audit and pool-audit
+# differentials and the shadow planes' arena floor, then the pool
+# audit's cost (BenchmarkPoolCheckIntegrity, 0 allocs/op) and the
 # pooled oracle's per-seed cost (BenchmarkWorkbenchCheck). Campaign
 # throughput is the campaign workload of benchmark/
 # (bash benchmark/run.sh --workload campaign).
 bench-campaign:
-	$(GO) test -run 'WorkbenchBitIdentical|WorkbenchAllocatorForNeverPooled|AllocatorForOrderRejected|ParallelMatchesSequential|GuidedMatchesUnguided|PooledSetupAllocs|WalkerCheckZeroAlloc|DifferentialAudit|BackendResetDifferential|ResetPatchesMatchesFresh|CollectorReset' -count 1 -v \
-		./internal/campaign/ ./internal/mem/ ./internal/shadow/ ./internal/defense/ ./internal/telemetry/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
+	$(GO) test -run 'WorkbenchBitIdentical|WorkbenchAllocatorForNeverPooled|AllocatorForOrderRejected|ParallelMatchesSequential|GuidedMatchesUnguided|PooledSetupAllocs|WalkerCheckZeroAlloc|PoolCheckDifferential|PoolCheckZeroAlloc|DifferentialAudit|BackendResetDifferential|PlanesStartAtArena|ResetPatchesMatchesFresh|CollectorReset' -count 1 -v \
+		./internal/campaign/ ./internal/heapsim/ ./internal/mem/ ./internal/shadow/ ./internal/defense/ ./internal/telemetry/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
+	$(GO) test -run '^$$' -bench 'BenchmarkPoolCheckIntegrity' -benchmem -benchtime $(BENCHTIME) ./internal/heapsim/
 	$(GO) test -run '^$$' -bench 'BenchmarkWorkbenchCheck' -benchmem -benchtime $(BENCHTIME) ./internal/campaign/
 
 # Defense-policy head-to-head: the cross-family differential suite

@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 
 	"heaptherapy/internal/analysis"
 	"heaptherapy/internal/defense"
@@ -91,7 +93,9 @@ func (c Cell) String() string {
 	return s
 }
 
-// Outcome is everything observable about one cell's run.
+// Outcome is everything observable about one cell's run. Two engines'
+// outcomes at one matrix coordinate must agree on every observable
+// signature renders; sameObservables compares them by value.
 type Outcome struct {
 	Cell   Cell
 	Result *prog.Result `json:",omitempty"`
@@ -112,25 +116,22 @@ type Outcome struct {
 	PatchText string   `json:",omitempty"`
 	// Telemetry is the cell's counter/event snapshot, set for defended
 	// cells. The run is single-threaded and virtual-cycle-clocked, so
-	// the snapshot is deterministic and participates in the engine
-	// divergence signature.
+	// the snapshot is deterministic and joins the engine comparison
+	// (sameObservables) like every other field here.
 	Telemetry *telemetry.Snapshot `json:",omitempty"`
 }
 
 // signature folds every cross-engine-comparable observable into one
-// string: two engines run on the same cell coordinates must match it
-// byte for byte.
+// string. It is the failure detail of an engine divergence, rendered
+// only once sameObservables has found one: two engines run on the same
+// cell coordinates must match it byte for byte.
 func (o *Outcome) signature() string {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "err=%q panic=%q inv=%q checks=%d", o.RunErr, o.Panic, o.Invariant, o.Checks)
 	if o.Result != nil {
 		r := o.Result
-		fault := ""
-		if r.Fault != nil {
-			fault = r.Fault.Error()
-		}
 		fmt.Fprintf(&b, " out=%x fault=%q steps=%d cycles=%d interp=%d enc=%d allocs=%d frees=%d byfn=%v",
-			r.Output, fault, r.Steps, r.Cycles, r.InterpCycles, r.EncUpdates, r.Allocs, r.Frees, r.AllocsByFn)
+			r.Output, faultText(r.Fault), r.Steps, r.Cycles, r.InterpCycles, r.EncUpdates, r.Allocs, r.Frees, r.AllocsByFn)
 	}
 	if o.DefenseStats != nil {
 		fmt.Fprintf(&b, " def=%+v", *o.DefenseStats)
@@ -143,6 +144,74 @@ func (o *Outcome) signature() string {
 	}
 	fmt.Fprintf(&b, " warn=%q patches=%q", o.Warnings, o.PatchText)
 	return b.String()
+}
+
+// sameObservables reports whether a and b agree on every observable
+// signature renders, compared by value so the oracle's per-cell
+// engine check formats nothing. It is at least as strict as comparing
+// signatures: each field is compared exactly, and where the rendering
+// tells a nil map from an empty one (telemetry counters), so does the
+// comparison.
+func sameObservables(a, b *Outcome) bool {
+	if a.RunErr != b.RunErr || a.Panic != b.Panic || a.Invariant != b.Invariant || a.Checks != b.Checks ||
+		!sameResult(a.Result, b.Result) ||
+		!slices.Equal(a.Warnings, b.Warnings) || a.PatchText != b.PatchText {
+		return false
+	}
+	if (a.DefenseStats == nil) != (b.DefenseStats == nil) ||
+		a.DefenseStats != nil && *a.DefenseStats != *b.DefenseStats {
+		return false
+	}
+	return sameSnapshot(a.Telemetry, b.Telemetry)
+}
+
+// sameResult compares the Result fields signature renders.
+func sameResult(a, b *prog.Result) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return bytes.Equal(a.Output, b.Output) && faultText(a.Fault) == faultText(b.Fault) &&
+		a.Steps == b.Steps && a.Cycles == b.Cycles && a.InterpCycles == b.InterpCycles &&
+		a.EncUpdates == b.EncUpdates && a.Allocs == b.Allocs && a.Frees == b.Frees &&
+		a.AllocsByFn == b.AllocsByFn
+}
+
+func faultText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// sameSnapshot compares two telemetry snapshots field by field, as
+// their JSON rendering would.
+func sameSnapshot(a, b *telemetry.Snapshot) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Tenants != b.Tenants || a.EventsTotal != b.EventsTotal || !sameCounters(a.Counters, b.Counters) ||
+		len(a.PerShard) != len(b.PerShard) || len(a.Histograms) != len(b.Histograms) ||
+		!slices.Equal(a.Events, b.Events) {
+		return false
+	}
+	for i, s := range a.PerShard {
+		if s.Shard != b.PerShard[i].Shard || !sameCounters(s.Counters, b.PerShard[i].Counters) {
+			return false
+		}
+	}
+	for i, h := range a.Histograms {
+		g := b.Histograms[i]
+		if h.Name != g.Name || h.Count != g.Count || !slices.Equal(h.Buckets, g.Buckets) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameCounters compares counter maps; a nil map renders as null, an
+// empty one as {}.
+func sameCounters(a, b map[string]uint64) bool {
+	return (a == nil) == (b == nil) && maps.Equal(a, b)
 }
 
 // Failure is one oracle assertion that did not hold.
@@ -188,6 +257,9 @@ const (
 	// thousand steps, so exhaustion is itself a bug.
 	maxSteps = 1 << 20
 	// invariantEvery is the walker's audit period in interpreter steps.
+	// The compiled engine leaves its inlined tick only at these
+	// boundaries, so the hook costs one audit per period, not a call
+	// per statement.
 	invariantEvery = 128
 )
 
@@ -281,7 +353,7 @@ func (o Oracle) assertEngines(rep *Report) {
 		k := key{out.Cell.Mode, out.Cell.Alloc, out.Cell.Attack, out.Cell.Policy}
 		if prev, ok := first[k]; !ok {
 			first[k] = out
-		} else if prev.signature() != out.signature() {
+		} else if !sameObservables(prev, out) {
 			rep.fail(FailEngineDivergence, out.Cell.String(),
 				fmt.Sprintf("%v vs %v:\n%s\n%s", prev.Cell.Engine, out.Cell.Engine, prev.signature(), out.signature()))
 		}

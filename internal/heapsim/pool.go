@@ -32,11 +32,15 @@ type PoolAllocator struct {
 	// allocation-size histogram.
 	tel *telemetry.Scope
 
-	// checkBlocks and checkSeen are CheckIntegrity's scratch, cleared on
+	// arenaLo is the start of the pool's first run since construction
+	// or Reset (0 before any): every block lies in [arenaLo, break).
+	arenaLo uint64
+
+	// checkOcc and checkBlocks are CheckIntegrity's scratch, cleared on
 	// entry, so a warm audit allocates nothing. They are per allocator
 	// because the campaign's workers audit their own pools concurrently.
+	checkOcc    granuleMap
 	checkBlocks []poolInterval
-	checkSeen   map[uint64]struct{}
 }
 
 // poolBlock records a live allocation.
@@ -58,7 +62,6 @@ func NewPool(space *mem.Space) (*PoolAllocator, error) {
 		space:     space,
 		freeLists: make([][]uint64, len(poolClassSizes)),
 		live:      make(map[uint64]poolBlock),
-		checkSeen: make(map[uint64]struct{}),
 	}, nil
 }
 
@@ -76,6 +79,7 @@ func (p *PoolAllocator) Reset() {
 	}
 	clear(p.live)
 	p.stats = Stats{}
+	p.arenaLo = 0
 }
 
 // Stats returns a snapshot of allocator statistics.
@@ -94,11 +98,21 @@ func classFor(size uint64) int {
 	return -1
 }
 
+// sbrk maps a run of n bytes for the pool, noting the first run's
+// start as the arena's low end.
+func (p *PoolAllocator) sbrk(n uint64) (uint64, error) {
+	base, err := p.space.Sbrk(n)
+	if err == nil && p.arenaLo == 0 {
+		p.arenaLo = base
+	}
+	return base, err
+}
+
 // carve refills a class's free list with one page run of blocks.
 func (p *PoolAllocator) carve(class int) error {
 	bs := poolClassSizes[class]
 	run := mem.RoundUpPage(bs * 16)
-	base, err := p.space.Sbrk(run)
+	base, err := p.sbrk(run)
 	if err != nil {
 		return fmt.Errorf("%w: pool carve: %v", ErrOutOfMemory, err)
 	}
@@ -121,7 +135,7 @@ func (p *PoolAllocator) alloc(size uint64) (uint64, error) {
 	class := classFor(size)
 	if class < 0 {
 		run := mem.RoundUpPage(size)
-		base, err := p.space.Sbrk(run)
+		base, err := p.sbrk(run)
 		if err != nil {
 			return 0, fmt.Errorf("%w: pool large alloc: %v", ErrOutOfMemory, err)
 		}

@@ -38,16 +38,30 @@ import (
 
 var _ runner = (*Machine)(nil)
 
-// setSchedHook implements the runner contract (see RunThreads). The
-// hook is checked at every statement tick, so quantum boundaries are
-// identical to the tree-walker's.
+// setSchedHook implements the runner contract (see RunThreads). mtick
+// leaves its inlined prefix exactly at the hook's boundaries and the
+// step limit (see armTick), so quantum boundaries are identical to the
+// tree-walker's per-statement check.
 func (m *Machine) setSchedHook(every uint64, fn func()) {
 	m.yieldEvery = every
 	m.yield = fn
-	if fn != nil {
-		m.tickSlowAt = 0
-	} else {
-		m.tickSlowAt = m.maxSteps
+	m.armTick()
+}
+
+// armTick sets tickSlowAt to the last step mtick may count on its
+// inlined prefix: the step before the next hook boundary (the next
+// multiple of yieldEvery above steps) or maxSteps, whichever comes
+// first. It is recomputed at run start, whenever the hook changes, and
+// after every slow tick, so between boundaries a hooked Machine runs
+// at unhooked speed.
+func (m *Machine) armTick() {
+	m.tickSlowAt = m.maxSteps
+	if m.yield == nil || m.steps >= m.maxSteps {
+		return
+	}
+	// Steps to the next boundary, less one; no overflow for any every.
+	if gap := m.yieldEvery - 1 - m.steps%m.yieldEvery; gap < m.maxSteps-m.steps {
+		m.tickSlowAt = m.steps + gap
 	}
 }
 
@@ -87,6 +101,7 @@ func (m *Machine) run(res *Result, input []byte) error {
 		m.globals[i].def = false
 	}
 	m.nframes = 0
+	m.armTick()
 	res.Returned = Value{}
 	startCycles := m.backend.Cycles()
 
@@ -131,9 +146,9 @@ func (m *Machine) mtick() bool {
 }
 
 // mtickSlow keeps the step-limit check and the scheduling hook out of
-// mtick's inlinable hot prefix. With a yield hook installed every tick
-// lands here; that is the threaded configuration, where the hook's own
-// cost dominates anyway.
+// mtick's inlinable hot prefix. It runs only on the step after
+// tickSlowAt: a hook boundary or the step past the limit. The hook may
+// reinstall or clear itself, so the next stop is armed after it runs.
 //
 //go:noinline
 func (m *Machine) mtickSlow() bool {
@@ -143,6 +158,7 @@ func (m *Machine) mtickSlow() bool {
 	if m.yield != nil && m.steps%m.yieldEvery == 0 {
 		m.yield()
 	}
+	m.armTick()
 	return true
 }
 

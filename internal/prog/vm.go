@@ -250,8 +250,8 @@ type Machine struct {
 	yieldEvery uint64
 
 	// tickSlowAt folds the step-limit and scheduling-hook checks into
-	// one compare on mtick's hot path: maxSteps normally, 0 when a
-	// yield hook is installed (every tick must consider the hook).
+	// one compare on mtick's hot path: the step before the next hook
+	// boundary, or maxSteps when that comes first (see armTick).
 	tickSlowAt uint64
 }
 

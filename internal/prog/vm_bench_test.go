@@ -83,6 +83,26 @@ func BenchmarkEnginesCold(b *testing.B) {
 	}
 }
 
+// BenchmarkEnginesColdHooked is BenchmarkEnginesCold with a no-op
+// quantum hook at the campaign walker's period: the hook costs a call
+// per boundary, so it should read within noise of the unhooked row.
+func BenchmarkEnginesColdHooked(b *testing.B) {
+	p, backend, input := benchSetup(b, 256)
+	m := newTestMachine(b, p, Config{Backend: backend})
+	SetQuantumHook(m, 128, func() {})
+	var res Result
+	if err := m.RunReuse(&res, input); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.RunReuse(&res, input); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCompile measures the one-time translation cost amortized by
 // the compiled engine's speedup.
 func BenchmarkCompile(b *testing.B) {

@@ -13,6 +13,7 @@ package prog
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -572,28 +573,41 @@ func pinSetup(t *testing.T, backend HeapBackend) []byte {
 
 // TestVMSteadyStateZeroAlloc pins the compiled engine's steady state:
 // once warm, RunReuse on a Machine allocates nothing — registers,
-// frames, output, and the Result all recycle their buffers.
+// frames, output, and the Result all recycle their buffers — with or
+// without a quantum hook at the campaign walker's period.
 func TestVMSteadyStateZeroAlloc(t *testing.T) {
-	p := pinProgram(64)
-	backend := newNative(t)
-	input := pinSetup(t, backend)
+	for _, every := range []uint64{0, 128} {
+		t.Run(fmt.Sprintf("hook=%d", every), func(t *testing.T) {
+			p := pinProgram(64)
+			backend := newNative(t)
+			input := pinSetup(t, backend)
 
-	m := newTestMachine(t, p, Config{Backend: backend})
-	var res Result
-	// Warm the buffer pools.
-	if err := m.RunReuse(&res, input); err != nil {
-		t.Fatal(err)
-	}
-	if res.Crashed() {
-		t.Fatalf("pin run crashed: %v", res.Fault)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := m.RunReuse(&res, input); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state RunReuse allocates %.1f objects/run, want 0", allocs)
+			m := newTestMachine(t, p, Config{Backend: backend})
+			calls := 0
+			SetQuantumHook(m, every, func() { calls++ })
+			var res Result
+			// Warm the buffer pools.
+			if err := m.RunReuse(&res, input); err != nil {
+				t.Fatal(err)
+			}
+			if res.Crashed() {
+				t.Fatalf("pin run crashed: %v", res.Fault)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := m.RunReuse(&res, input); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state RunReuse allocates %.1f objects/run, want 0", allocs)
+			}
+			// One warm-up run, then AllocsPerRun's warm-up and 20 runs.
+			if every != 0 {
+				if want := 22 * int(res.Steps/every); calls != want {
+					t.Errorf("hook fired %d times over 22 runs of %d steps, want %d", calls, res.Steps, want)
+				}
+			}
+		})
 	}
 }
 

@@ -217,8 +217,9 @@ func (b *Backend) Memcpy(dst, src, n, ccid uint64) error {
 	// charge site so the two halves cannot drift apart.
 	b.cycles += 2 * accessCost(n)
 	if n > 0 && b.space.Contains(src, n) && b.space.Contains(dst, n) {
-		so, sok := b.planeRange(src, n)
+		_, sok := b.planeRange(src, n)
 		do, dok := b.planeRange(dst, n)
+		so := src - b.floor // dst's range may have lowered the floor
 		if sok && dok && allTrue(b.access[so:so+n]) && allTrue(b.access[do:do+n]) {
 			if err := b.space.RawMemmove(dst, src, n); err != nil {
 				return fmt.Errorf("shadow: raw copy: %w", err)

@@ -59,6 +59,9 @@ func (p *diffPair) compare(op string) {
 	if !bytes.Equal(fd, rd) {
 		p.t.Fatalf("%s: space data diverged (first diff at +%#x)", op, firstDiff(fd, rd))
 	}
+	if f.floor != r.floor {
+		p.t.Fatalf("%s: plane floors diverged: fast %#x, ref %#x", op, f.floor, r.floor)
+	}
 	if len(f.access) != len(r.access) {
 		p.t.Fatalf("%s: plane lengths diverged: fast %d, ref %d", op, len(f.access), len(r.access))
 	}

@@ -24,6 +24,7 @@ package shadow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"heaptherapy/internal/heapsim"
@@ -92,10 +93,15 @@ type Backend struct {
 	space *mem.Space
 	cfg   Config
 
-	// Shadow planes, indexed by address-space offset.
+	// Shadow planes, indexed by offset from floor. They start at the
+	// analysis heap's arena, not at the space's base, so the reserve
+	// below it costs nothing until something there is touched; then
+	// the floor moves down to that page. Bytes outside the planes hold
+	// the defaults: accessible, fully valid, no origin.
 	access  []bool   // A-bits (true = accessible)
 	vmask   []byte   // V-bit mask per byte (0xFF = fully valid)
 	originT []uint32 // origin tag per byte
+	floor   uint64   // address of plane offset 0
 
 	origins []origin // origin table; tag N is origins[N-1]
 
@@ -146,6 +152,7 @@ type warnKey struct {
 
 // New creates a shadow backend with a fresh heap in space.
 func New(space *mem.Space, cfg Config) (*Backend, error) {
+	floor := space.End() // where the heap's arena begins
 	h, err := heapsim.New(space)
 	if err != nil {
 		return nil, fmt.Errorf("shadow: creating analysis heap: %w", err)
@@ -164,6 +171,7 @@ func New(space *mem.Space, cfg Config) (*Backend, error) {
 		space:    space,
 		cfg:      cfg,
 		warnSeen: make(map[warnKey]bool),
+		floor:    floor,
 		touchLo:  ^uint64(0),
 	}, nil
 }
@@ -175,7 +183,8 @@ func New(space *mem.Space, cfg Config) (*Backend, error) {
 // clear. The shadow planes restore their defaults (accessible, fully
 // valid, no origin) over the touched watermark only, so reset cost is
 // proportional to what the previous run dirtied — the same contract as
-// mem.Space.Reset. The campaign's pooled-vs-fresh differential test
+// mem.Space.Reset. The planes keep their extent (and a lowered floor)
+// across resets. The campaign's pooled-vs-fresh differential test
 // proves a Reset backend bit-identical to a new one over the full
 // oracle matrix.
 //
@@ -238,31 +247,59 @@ func (b *Backend) Cycles() uint64 { return b.cycles }
 // --- shadow plane bookkeeping ----------------------------------------------
 
 // off converts an address to a shadow-plane index, growing the planes
-// on demand. Returns false for addresses outside the space.
+// on demand: up to the break (with amortized capacity, as the heap
+// grows page by page), or down to addr's page when addr lies below
+// the floor. Returns false for addresses outside the space. A downward
+// growth shifts every offset, so callers must not hold an offset taken
+// before a call that may lower the floor.
 func (b *Backend) off(addr uint64) (uint64, bool) {
 	if addr < b.space.Base() || addr >= b.space.End() {
 		return 0, false
 	}
-	o := addr - b.space.Base()
+	if addr < b.floor {
+		b.lowerFloor(addr &^ (mem.PageSize - 1))
+	}
+	o := addr - b.floor
 	if o >= uint64(len(b.access)) {
-		grow := b.space.Size()
-		newAccess := make([]bool, grow)
-		copy(newAccess, b.access)
-		b.access = newAccess
-		newV := make([]byte, grow)
-		copy(newV, b.vmask)
-		// Memory outside tracked heap buffers (globals, allocator
-		// slack) defaults to accessible and valid.
-		for i := uint64(len(b.originT)); i < grow; i++ {
-			newAccess[i] = true
-			newV[i] = 0xFF
-		}
-		b.vmask = newV
-		newO := make([]uint32, grow)
-		copy(newO, b.originT)
-		b.originT = newO
+		n := int(b.space.End() - b.floor)
+		b.access = growPlane(b.access, n, true)
+		b.vmask = growPlane(b.vmask, n, 0xFF)
+		b.originT = growPlane(b.originT, n, 0)
 	}
 	return o, true
+}
+
+// growPlane extends p to n elements, the new ones set to def (memory
+// outside tracked heap buffers — globals, allocator slack — defaults
+// to accessible and valid).
+func growPlane[T bool | byte | uint32](p []T, n int, def T) []T {
+	old := len(p)
+	p = slices.Grow(p, n-old)[:n]
+	fill(p[old:], def)
+	return p
+}
+
+// lowerFloor moves the planes' floor down to the page-aligned address
+// lo, prepending default-valued entries and shifting the touch
+// watermark with the offsets it records.
+func (b *Backend) lowerFloor(lo uint64) {
+	d := int(b.floor - lo)
+	b.access = prependPlane(b.access, d, true)
+	b.vmask = prependPlane(b.vmask, d, 0xFF)
+	b.originT = prependPlane(b.originT, d, 0)
+	b.floor = lo
+	if b.touchLo < b.touchHi {
+		b.touchLo += uint64(d)
+		b.touchHi += uint64(d)
+	}
+}
+
+// prependPlane returns p with d entries set to def in front of it.
+func prependPlane[T bool | byte | uint32](p []T, d int, def T) []T {
+	q := make([]T, d+len(p))
+	fill(q[:d], def)
+	copy(q[d:], p)
+	return q
 }
 
 // planeRange grows the planes to cover [addr, addr+n) and returns the
