@@ -1,5 +1,9 @@
 GO ?= go
 PKGS := ./...
+# Several targets filter `go test -v` through grep; pipefail makes a
+# failing test fail the target instead of taking grep's exit status.
+SHELL := /bin/bash
+.SHELLFLAGS := -o pipefail -c
 # Packages with concurrent components (interpreter threads, defended
 # allocator under concurrency, the parallel fleet runtime, the HTTP
 # front-end's hot-swap/soak layer) that the race detector must cover,
@@ -103,12 +107,15 @@ bench-policy:
 bench-policy-json:
 	$(GO) run ./cmd/htp-bench -exp policy -json
 
-# Telemetry overhead pins: the disabled hot path and the counters-only
-# enabled path must be 0 allocs/op (AllocsPerRun tests in
-# defense/mem/telemetry). The enabled path's time cost is not measured.
+# Zero-allocation pins (AllocsPerRun tests): the telemetry-disabled
+# hot path and the counters-only enabled path (defense/mem/telemetry),
+# heapsim's malloc/free/realloc churn and pool audit, and the moving
+# realloc copy of the pool allocator and of every defense family must
+# be 0 allocs/op. The enabled telemetry path's time cost is not
+# measured.
 bench-telemetry:
 	$(GO) test -run 'ZeroAlloc|LookupAllocs|MemKernelAllocs' -count 1 -v \
-		./internal/telemetry/ ./internal/defense/ ./internal/mem/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
+		./internal/telemetry/ ./internal/defense/ ./internal/mem/ ./internal/heapsim/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
 
 # One-iteration pass over every benchmark in the repo: catches bitrot
 # in benchmark code without paying for stable timings. CI runs this.

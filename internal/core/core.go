@@ -270,19 +270,6 @@ func (s *System) RunDefendedThreads(inputs [][]byte, patches *patch.Set) ([]*pro
 	return results, backend.Defender().Stats(), nil
 }
 
-// GeneratePatchesPartitioned is the quota-partitioned analysis of
-// Section IX: the attack replays n times, each deferring frees for one
-// CCID subspace, bounding per-run memory to ~1/n of the freed bytes.
-func (s *System) GeneratePatchesPartitioned(attackInput []byte, n int) (*analysis.Report, error) {
-	a := &analysis.Analyzer{
-		Coder:        s.coder,
-		MaxSteps:     s.opts.MaxSteps,
-		Engine:       s.opts.Engine,
-		ShadowConfig: shadow.Config{Telemetry: s.scope()},
-	}
-	return a.AnalyzePartitioned(s.program, attackInput, n)
-}
-
 // attachQuantumTelemetry samples the backend's virtual-cycle
 // accumulator at quantum boundaries (every 256 statements), recording
 // one CtrQuanta tick and a HistQuantumCycles observation per quantum.

@@ -199,10 +199,6 @@ type Defender struct {
 
 	// tel is Config.Telemetry; nil disables instrumentation.
 	tel *telemetry.Scope
-	// patchHits counts allocations per installed patch key, maintained
-	// only when telemetry is attached (patched allocations are rare, so
-	// the map write is off the common path).
-	patchHits map[patch.Key]uint64
 }
 
 // New creates a defense layer over a fresh heap in space. Loading the
@@ -240,9 +236,9 @@ func New(space *mem.Space, cfg Config) (*Defender, error) {
 // own space.
 func (d *Defender) initTable() error {
 	// Any (re)establishment of the table — construction or Reset —
-	// starts a new verdict generation, even when the re-established
-	// table carries the same patches: staleness is decided by epoch, not
-	// by content comparison.
+	// starts a new table generation, even when the re-established
+	// table carries the same patches: the epoch, not a content
+	// comparison, says which table a probe saw.
 	d.gen++
 	if d.cfg.Mode != ModeFull {
 		return nil
@@ -324,13 +320,6 @@ func (d *Defender) Telemetry() *telemetry.Scope { return d.tel }
 
 // Family returns the defense policy family this Defender runs.
 func (d *Defender) Family() Family { return d.cfg.Family }
-
-// PatchHits returns this Defender's per-patch allocation hit counts:
-// how many allocations matched each installed {FUN, CCID} key. It is
-// populated only while telemetry is attached and returns nil otherwise.
-// With a shared sealed table these are still per-Defender counts;
-// fleet-wide totals come from SealedTable hit counting.
-func (d *Defender) PatchHits() map[patch.Key]uint64 { return d.patchHits }
 
 // noteAccessFault classifies a memory-access error from a defended
 // execution: a fault on a ProtNone page is a guard-page hit — the
@@ -448,10 +437,6 @@ func htAllocate(d *Defender, fn heapsim.AllocFn, ccid, size, align uint64, isRea
 			d.tel.Inc(telemetry.CtrPatchHits)
 			site := telemetry.PackSite(uint8(lookupFn), ccid)
 			d.tel.Event(telemetry.EvPatchHit, ccid, site, size)
-			if d.patchHits == nil {
-				d.patchHits = make(map[patch.Key]uint64)
-			}
-			d.patchHits[patch.Key{Fn: lookupFn, CCID: ccid}]++
 		}
 	}
 
@@ -770,11 +755,7 @@ func htRealloc(d *Defender, ccid, user, size uint64) (uint64, error) {
 	if size < n {
 		n = size
 	}
-	data, err := d.space.RawRead(user, n)
-	if err != nil {
-		return 0, fmt.Errorf("defense: realloc copy: %w", err)
-	}
-	if err := d.space.RawWrite(newUser, data); err != nil {
+	if err := d.space.RawMemmove(newUser, user, n); err != nil {
 		return 0, fmt.Errorf("defense: realloc copy: %w", err)
 	}
 	// Re-protect path: decodeMeta unprotected the guard; Free will
@@ -820,12 +801,10 @@ func htUsableSize(d *Defender, user uint64) (uint64, error) {
 func (d *Defender) Cycles() uint64 { return d.cycles }
 
 // TableGeneration returns the patch-table epoch: a counter that changes
-// whenever the table is (re)established — at construction and on every
-// Reset. A cached per-{FUN, CCID} verdict is valid exactly as long as
-// the generation it was probed under; consumers (the compiled
-// engine's per-site inline caches) re-probe when the epoch moves. The count is
-// bumped even when a Reset re-materializes identical patches: epoch
-// comparison is O(1) and never wrong, content comparison is neither.
+// whenever the table is (re)established — at construction, on every
+// Reset and on every SwapSharedTable — even when the new table carries
+// identical patches. Observers (the swap tests, backend wrappers) read
+// it to tell whether a rollout has reached this Defender.
 func (d *Defender) TableGeneration() uint64 { return d.gen }
 
 // SharedTable returns the immutable cross-worker table this Defender
@@ -835,9 +814,8 @@ func (d *Defender) SharedTable() *SealedTable { return d.shared }
 // SwapSharedTable re-points a shared-table Defender at a new sealed
 // table — the code-less patch rollout primitive. The old table is
 // untouched (other workers may still be probing it) and the swap bumps
-// the table generation, so every generation-keyed verdict cache (the
-// compiled engine's per-site inline caches) revalidates
-// against the new table on its next probe.
+// the table generation; the very next allocation looks up the new
+// table.
 //
 // Contract: only the owning goroutine may call this (the swap mutates
 // unsynchronized Defender state, like every other mutation), and only
@@ -899,7 +877,6 @@ func (d *Defender) Reset() error {
 	d.queueBytes = 0
 	d.stats = Stats{}
 	d.cycles = 0
-	clear(d.patchHits)
 	if d.ops.reset != nil {
 		d.ops.reset(d)
 	}

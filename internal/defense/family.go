@@ -227,11 +227,7 @@ func genericRealloc(d *Defender, ccid, user, size uint64) (uint64, error) {
 	if size < n {
 		n = size
 	}
-	data, err := d.space.RawRead(user, n)
-	if err != nil {
-		return 0, fmt.Errorf("defense: realloc copy: %w", err)
-	}
-	if err := d.space.RawWrite(newUser, data); err != nil {
+	if err := d.space.RawMemmove(newUser, user, n); err != nil {
 		return 0, fmt.Errorf("defense: realloc copy: %w", err)
 	}
 	if err := d.FreeCtx(user, ccid); err != nil {

@@ -96,11 +96,9 @@ func (t *SealedTable) Lookup(k patch.Key) (patch.TypeMask, int) {
 }
 
 // Probe is Lookup minus the per-slot hit tally: the side-effect-free
-// variant backing Defender.ProbePatched. Verdict-cache revalidation in
-// the compiled engine probes the table once per generation
-// bump; counting those probes in the fleet-wide per-patch hit tally
-// would make the tally engine-dependent (it must count defended
-// allocations, which only the allocation-path Lookup performs).
+// variant backing Defender.ProbePatched. The fleet-wide per-patch hit
+// tally counts defended allocations, which only the allocation-path
+// Lookup performs, so an observer's probe must not add to it.
 func (t *SealedTable) Probe(k patch.Key) patch.TypeMask {
 	key := packKey(k)
 	for i := mix(key); ; i++ {

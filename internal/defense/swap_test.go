@@ -23,8 +23,8 @@ func newBackend(t *testing.T, cfg Config) *Backend {
 
 // TestSwapSharedTable pins the code-less rollout primitive: re-pointing
 // a shared-table Defender at a new sealed table must take effect on the
-// very next allocation, bump the table generation (the verdict-cache
-// invalidation signal), and survive a later Reset — the swapped table
+// very next allocation, bump the table generation (the epoch observers
+// read), and survive a later Reset — the swapped table
 // is the new configuration, not a transient.
 func TestSwapSharedTable(t *testing.T) {
 	oldSet := patches(patch.Patch{Fn: heapsim.FnMalloc, CCID: 0x42, Types: patch.TypeOverflow})

@@ -29,8 +29,8 @@ func telDefender(t *testing.T, cfg Config) (*Defender, *telemetry.Collector) {
 }
 
 // TestTelemetryPatchHit pins the allocation-path instrumentation: a
-// patched allocation must record the counter, the per-patch tally, and
-// an event whose packed site carries the {FUN, CCID} patch key.
+// patched allocation must record the counter and an event whose packed
+// site carries the {FUN, CCID} patch key.
 func TestTelemetryPatchHit(t *testing.T) {
 	const ccid = 0x42
 	d, col := telDefender(t, Config{Patches: patches(
@@ -62,11 +62,6 @@ func TestTelemetryPatchHit(t *testing.T) {
 		t.Errorf("event = %+v, want site %#x ccid %#x size 64", hits[0], wantSite, ccid)
 	}
 
-	// Per-defender tally mirrors the counter, keyed by patch key.
-	ph := d.PatchHits()
-	if len(ph) != 1 || ph[patch.Key{Fn: heapsim.FnMalloc, CCID: ccid}] != 1 {
-		t.Errorf("PatchHits() = %v", ph)
-	}
 	// Lookup cost lands in the histogram for every allocation.
 	found := false
 	for _, h := range snap.Histograms {
@@ -322,8 +317,8 @@ func TestBackendAPISurface(t *testing.T) {
 	}
 }
 
-// TestDefenderTelemetryAccessors pins the disabled defaults: no scope,
-// no per-patch tally.
+// TestDefenderTelemetryAccessors pins the disabled default: no scope,
+// while patched allocations are still counted in Stats.
 func TestDefenderTelemetryAccessors(t *testing.T) {
 	d := newDefender(t, Config{Patches: patches(
 		patch.Patch{Fn: heapsim.FnMalloc, CCID: 0x1, Types: patch.TypeOverflow},
@@ -334,8 +329,8 @@ func TestDefenderTelemetryAccessors(t *testing.T) {
 	if _, err := d.Malloc(0x1, 16); err != nil {
 		t.Fatal(err)
 	}
-	if d.PatchHits() != nil {
-		t.Error("PatchHits() tallied without telemetry")
+	if got := d.Stats().PatchedAllocs; got != 1 {
+		t.Errorf("PatchedAllocs = %d without telemetry, want 1", got)
 	}
 }
 
@@ -411,5 +406,35 @@ func TestDefendedHotPathZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("defended LoadInto with telemetry disabled: %.1f allocs/op, want 0", avg)
+	}
+}
+
+// TestReallocZeroAlloc pins each family's moving realloc: a warm
+// malloc → realloc (growing past the block, so the payload is copied to
+// a new buffer) → free cycle performs no Go allocation, because the
+// copy runs inside the space instead of through a read buffer.
+func TestReallocZeroAlloc(t *testing.T) {
+	for _, fam := range AllFamilies() {
+		t.Run(fam.String(), func(t *testing.T) {
+			d := newDefender(t, Config{Family: fam})
+			if avg := testing.AllocsPerRun(100, func() {
+				p, err := d.Malloc(0x5, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q, err := d.Realloc(0x5, p, 4096)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if q == p {
+					t.Fatal("realloc did not move the block")
+				}
+				if err := d.Free(q); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Errorf("%s moving realloc cycle: %.1f allocs/run, want 0", fam, avg)
+			}
+		})
 	}
 }

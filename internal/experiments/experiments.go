@@ -16,10 +16,12 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
+	"heaptherapy/internal/ccprof"
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/heapsim"
@@ -78,53 +80,24 @@ func overheadPct(base, got uint64) float64 {
 	return 100 * (float64(got) - float64(base)) / float64(base)
 }
 
-// ccidRecorder wraps a backend and counts allocation CCIDs, used to
-// pick the paper's "median frequency" hypothesized-vulnerable contexts
-// (Section VIII-B2's patch-selection protocol).
-type ccidRecorder struct {
-	prog.HeapBackend
-	counts map[patch.Key]uint64
-}
-
-func (r *ccidRecorder) Alloc(fn heapsim.AllocFn, ccid, n, size, align uint64) (uint64, error) {
-	r.counts[patch.Key{Fn: fn, CCID: ccid}]++
-	return r.HeapBackend.Alloc(fn, ccid, n, size, align)
-}
-
-func (r *ccidRecorder) Realloc(ccid, ptr, size uint64) (uint64, error) {
-	r.counts[patch.Key{Fn: heapsim.FnRealloc, CCID: ccid}]++
-	return r.HeapBackend.Realloc(ccid, ptr, size)
-}
-
-// rankedCCID is one allocation context with its observed frequency.
-type rankedCCID struct {
-	key   patch.Key
-	count uint64
-}
-
 // profileCCIDs runs one profiling execution of p over backend and
-// returns its allocation contexts ranked by (count, CCID) ascending —
-// the ordering the paper's median-frequency patch-selection protocol
-// indexes into. Profiling is deterministic, so one ranking serves
-// every deployment level of an experiment.
-func profileCCIDs(ec prog.Config, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend) ([]rankedCCID, error) {
-	rec := &ccidRecorder{HeapBackend: backend, counts: make(map[patch.Key]uint64)}
-	it, err := execFor(ec, p, coder, rec)
+// returns its allocation contexts ranked by (count, CCID, FUN)
+// ascending — the ordering the paper's median-frequency
+// patch-selection protocol indexes into, fully determined so that ties
+// never fall to map order. Profiling is deterministic, so one ranking
+// serves every deployment level of an experiment.
+func profileCCIDs(ec prog.Config, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend) ([]ccprof.Sample, error) {
+	prof := ccprof.New(backend)
+	it, err := execFor(ec, p, coder, prof)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := it.Run(nil); err != nil {
 		return nil, fmt.Errorf("experiments: profiling %s: %w", p.Name, err)
 	}
-	ranked := make([]rankedCCID, 0, len(rec.counts))
-	for k, c := range rec.counts {
-		ranked = append(ranked, rankedCCID{key: k, count: c})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].count != ranked[j].count {
-			return ranked[i].count < ranked[j].count
-		}
-		return ranked[i].key.CCID < ranked[j].key.CCID
+	ranked := prof.Samples()
+	slices.SortFunc(ranked, func(a, b ccprof.Sample) int {
+		return cmp.Or(cmp.Compare(a.Count, b.Count), cmp.Compare(a.Key.CCID, b.Key.CCID), cmp.Compare(a.Key.Fn, b.Key.Fn))
 	})
 	return ranked, nil
 }
@@ -134,7 +107,7 @@ func profileCCIDs(ec prog.Config, p *prog.Program, coder *encoding.Coder, backen
 // protocol ("we pick the CCIDs with median frequencies as the
 // hypothesized vulnerable ones" — overflow being the most expensive
 // type to treat).
-func selectMedianPatches(ranked []rankedCCID, n int) *patch.Set {
+func selectMedianPatches(ranked []ccprof.Sample, n int) *patch.Set {
 	set := patch.NewSet()
 	if len(ranked) == 0 {
 		return set
@@ -146,8 +119,8 @@ func selectMedianPatches(ranked []rankedCCID, n int) *patch.Set {
 	}
 	for i := lo; i < len(ranked) && set.Len() < n; i++ {
 		set.Add(patch.Patch{
-			Fn:    ranked[i].key.Fn,
-			CCID:  ranked[i].key.CCID,
+			Fn:    ranked[i].Key.Fn,
+			CCID:  ranked[i].Key.CCID,
 			Types: patch.TypeOverflow,
 		})
 	}

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"heaptherapy/internal/encoding"
+	"heaptherapy/internal/workload"
 )
 
 var quick = Config{Quick: true, Scale: 100_000}
@@ -222,6 +224,46 @@ func TestMedianCCIDPatchesCount(t *testing.T) {
 	}
 	if same {
 		t.Error("five patches changed nothing on any benchmark; median-CCID selection broken?")
+	}
+}
+
+// TestProfileRankingOrder: the ranking Figure 8's median window
+// indexes is strictly ascending by (count, CCID, FUN), so contexts that
+// tie on count and CCID are ordered by allocation function rather than
+// by map order, and two profiling runs rank identically.
+func TestProfileRankingOrder(t *testing.T) {
+	cfg := Config{Quick: true}
+	for _, b := range workload.SpecBenchmarks()[:4] {
+		p, err := internedProgram(b, cfg, flavorSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coder, err := internedCoder(p.Graph(), p.Targets(), encoding.SchemeIncremental, encoding.EncoderPCC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := newWorkbench(cfg.exec(), p)
+		ranked, err := w.profile(coder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ranked) == 0 {
+			t.Fatalf("%s: empty profile", b.Name)
+		}
+		for i := 1; i < len(ranked); i++ {
+			a, c := ranked[i-1], ranked[i]
+			if a.Count > c.Count || a.Count == c.Count && (a.Key.CCID > c.Key.CCID ||
+				a.Key.CCID == c.Key.CCID && a.Key.Fn >= c.Key.Fn) {
+				t.Fatalf("%s: rank %d %+v not before rank %d %+v", b.Name, i-1, a, i, c)
+			}
+		}
+		again, err := w.profile(coder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ranked, again) {
+			t.Errorf("%s: re-profiling ranked differently", b.Name)
+		}
 	}
 }
 

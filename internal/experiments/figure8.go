@@ -81,12 +81,14 @@ func Figure8(cfg Config) (*Figure8Result, error) {
 		}
 		out.PerBench[b.Name] = row
 	}
+	// Sum in benchmark order: float addition is not associative, so a
+	// map-order sum could move the last bit from run to run.
 	for _, c := range Figure8Configs {
 		var sum float64
-		for _, row := range out.PerBench {
-			sum += row[c]
+		for _, b := range benches {
+			sum += out.PerBench[b.Name][c]
 		}
-		out.Average[c] = sum / float64(len(out.PerBench))
+		out.Average[c] = sum / float64(len(benches))
 	}
 	return out, nil
 }
@@ -200,10 +202,10 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 		out.PerBenchPeak[b.Name] = overheadPct(natPeak, defPeak)
 	}
 	var sum float64
-	for _, v := range out.PerBench {
-		sum += v
+	for _, b := range benches { // benchmark order, as in Figure8
+		sum += out.PerBench[b.Name]
 	}
-	out.Average = sum / float64(len(out.PerBench))
+	out.Average = sum / float64(len(benches))
 	return out, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"heaptherapy/internal/callgraph"
+	"heaptherapy/internal/ccprof"
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/mem"
@@ -306,7 +307,7 @@ func (w *workbench) runDefended(coder *encoding.Coder, mode defense.Mode, patche
 
 // profile runs one CCID-profiling execution over the recycled native
 // substrate and returns the ranked allocation contexts.
-func (w *workbench) profile(coder *encoding.Coder) ([]rankedCCID, error) {
+func (w *workbench) profile(coder *encoding.Coder) ([]ccprof.Sample, error) {
 	nb, err := w.nativeBackend()
 	if err != nil {
 		return nil, err

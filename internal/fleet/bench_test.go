@@ -91,7 +91,7 @@ func dirty(b *testing.B, ctx *Context) {
 // sync.Pool design banks on, recorded in the benchmark trajectory.
 func BenchmarkFleetSetup(b *testing.B) {
 	_, _, set := benchSetup(b)
-	cfg := Config{Defended: true, Patches: set}
+	cfg := Config{Patches: set}
 	b.Run("fresh", func(b *testing.B) {
 		f := New(cfg)
 		b.ReportAllocs()
@@ -132,7 +132,7 @@ func TestFleetPooledSetupAdvantage(t *testing.T) {
 		t.Skip("short mode")
 	}
 	_, _, set := benchSetup(t)
-	cfg := Config{Defended: true, Patches: set}
+	cfg := Config{Patches: set}
 
 	fresh := testing.Benchmark(func(b *testing.B) {
 		f := New(cfg)
@@ -179,7 +179,7 @@ func TestFleetPooledSetupAdvantage(t *testing.T) {
 // through sync.Pool — GC may legitimately drain the pool mid-run.)
 func TestFleetSteadyStateAllocFree(t *testing.T) {
 	_, _, set := benchSetup(t)
-	f := New(Config{Defended: true, Patches: set})
+	f := New(Config{Patches: set})
 	ctx, err := f.newContext()
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func BenchmarkFleetServe(b *testing.B) {
 	// interpret it against the recorded GOMAXPROCS.
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("defended/w%d", w), func(b *testing.B) {
-			f := New(Config{Defended: true, Patches: set})
+			f := New(Config{Patches: set})
 			if _, err := serveAll(f, p, coder, prog.EngineCompiled, w, inputs); err != nil { // warm pool
 				b.Fatal(err)
 			}

@@ -4,29 +4,19 @@ import (
 	"fmt"
 
 	"heaptherapy/internal/defense"
-	"heaptherapy/internal/heapsim"
 	"heaptherapy/internal/mem"
 	"heaptherapy/internal/prog"
 	"heaptherapy/internal/telemetry"
 )
 
-// resettableBackend is what a worker needs from its execution
-// substrate: the interpreter-facing backend interface plus in-place
-// recycling. Both prog.NativeBackend and defense.Backend satisfy it.
-type resettableBackend interface {
-	prog.HeapBackend
-	Reset() error
-}
-
-// Context is one worker's private execution state: an address space,
-// an allocator, and (when defended) a defense layer over the fleet's
-// shared table. A Context is owned by exactly one goroutine between
-// Acquire and Release; nothing in it is synchronized.
+// Context is one worker's private execution state: an address space
+// and a defended backend (a defense layer over its own heap) probing
+// the fleet's shared table. A Context is owned by exactly one
+// goroutine between Acquire and Release; nothing in it is
+// synchronized.
 type Context struct {
-	space    *mem.Space
-	backend  resettableBackend
-	defender *defense.Defender      // nil for native contexts
-	pool     *heapsim.PoolAllocator // non-nil only for AllocPool
+	space   *mem.Space
+	backend *defense.Backend
 
 	// tel is this worker's telemetry scope (its tenant identity);
 	// pooled reuse keeps the scope, so a context's counters accumulate
@@ -42,9 +32,8 @@ func (c *Context) Space() *mem.Space { return c.space }
 // interpreter.
 func (c *Context) Backend() prog.HeapBackend { return c.backend }
 
-// Defender returns the context's defense layer, nil for a native
-// context.
-func (c *Context) Defender() *defense.Defender { return c.defender }
+// Defender returns the context's defense layer.
+func (c *Context) Defender() *defense.Defender { return c.backend.Defender() }
 
 // Telemetry returns the context's telemetry scope, nil when the fleet
 // runs without a collector.
@@ -53,40 +42,31 @@ func (c *Context) Telemetry() *telemetry.Scope { return c.tel }
 // Reset recycles the context to its post-construction state. The
 // order is load-bearing: the space rewinds first (zeroing only dirty
 // pages and returning the break to the initial reserve), then the
-// backend rebuilds over the clean space, then a custom allocator
-// re-zeroes its own bookkeeping. After one warm cycle this path
-// performs no Go allocations, which is what makes pooled reuse cheap.
+// backend rebuilds over the clean space. After one warm cycle this
+// path performs no Go allocations, which is what makes pooled reuse
+// cheap.
 func (c *Context) Reset() error {
 	c.space.Reset()
-	if err := c.backend.Reset(); err != nil {
-		return err
-	}
-	if c.pool != nil {
-		c.pool.Reset()
-	}
-	return nil
+	return c.backend.Reset()
 }
 
 // SyncTable re-points the context's defense layer at the fleet's
 // CURRENT sealed table, reporting whether a swap occurred. A pooled
 // context may have been built before a SwapTable; syncing at checkout
-// is what makes a rollout reach recycled workers — the Defender's
-// generation bump then invalidates every engine verdict cache bound to
-// this context's backend. Native contexts have nothing to sync. A
-// Defender that cannot take the table (one built without a shared
-// table) is an error; the context keeps its old table.
+// is what makes a rollout reach recycled workers: the context's next
+// allocation looks up the new table. A Defender that cannot take the
+// table (one built without a shared table) is an error; the context
+// keeps its old table.
 //
 // Must be called by the context's owning goroutine (between Acquire
 // and Release), like every other Context method.
 func (c *Context) SyncTable(f *Fleet) (bool, error) {
-	if c.defender == nil {
-		return false, nil
-	}
+	d := c.backend.Defender()
 	cur := f.Table()
-	if cur == nil || c.defender.SharedTable() == cur {
+	if d.SharedTable() == cur {
 		return false, nil
 	}
-	if err := c.defender.SwapSharedTable(cur); err != nil {
+	if err := d.SwapSharedTable(cur); err != nil {
 		return false, fmt.Errorf("fleet: syncing context table: %w", err)
 	}
 	return true, nil
@@ -140,48 +120,15 @@ func (f *Fleet) newContext() (*Context, error) {
 		c.tel = f.cfg.Telemetry.Scope()
 		space.SetTelemetry(c.tel)
 	}
-	if !f.cfg.Defended {
-		nb, err := prog.NewNativeBackend(space)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: native backend: %w", err)
-		}
-		if h := nb.Heap(); h != nil {
-			h.SetTelemetry(c.tel)
-		}
-		c.backend = nb
-		f.contextsBuilt.Add(1)
-		return c, nil
-	}
-
-	dcfg := defense.Config{
-		Mode:        f.cfg.Mode,
+	b, err := defense.NewBackend(space, defense.Config{
 		Family:      f.cfg.Family,
 		SharedTable: f.Table(),
-		QueueQuota:  f.cfg.QueueQuota,
 		Telemetry:   c.tel,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: defended backend: %w", err)
 	}
-	switch f.cfg.Alloc {
-	case AllocPool:
-		pool, err := heapsim.NewPool(space)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: pool allocator: %w", err)
-		}
-		pool.SetTelemetry(c.tel)
-		b, err := defense.NewBackendWithAllocator(space, pool, dcfg)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: defended backend: %w", err)
-		}
-		c.pool = pool
-		c.backend = b
-		c.defender = b.Defender()
-	default:
-		b, err := defense.NewBackend(space, dcfg)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: defended backend: %w", err)
-		}
-		c.backend = b
-		c.defender = b.Defender()
-	}
+	c.backend = b
 	f.contextsBuilt.Add(1)
 	return c, nil
 }

@@ -65,10 +65,10 @@ func runOn(t *testing.T, ctx *Context, p *prog.Program, coder *encoding.Coder, i
 // Reset must be observationally indistinguishable from a freshly
 // constructed one — outputs, step and cycle counts, encoding updates,
 // defense statistics, and (for crashing requests) the exact fault
-// address. Exercised over both allocators and over both a benign/UAF
-// workload and a guard-page-crashing overflow, in a mixed request
-// order so each request sees a context dirtied by a DIFFERENT prior
-// request.
+// address. Exercised over both a benign/UAF workload and a
+// guard-page-crashing overflow, in a mixed request order so each
+// request sees a context dirtied by a DIFFERENT prior request.
+// Subtest names carry the fleet's allocator, the boundary-tag heap.
 func TestFleetPooledBitIdentical(t *testing.T) {
 	uaf := uafProgram()
 	uafCoder, uafPatches := analyzeUAF(t, uaf)
@@ -85,45 +85,41 @@ func TestFleetPooledBitIdentical(t *testing.T) {
 		{"uaf", uaf, uafCoder, uafPatches, [][]byte{{0x00}, {0xEE}, {0x00}, {0xEE}, {0xEE}, {0x00}}},
 		{"guard-crash", ovf, ovfCoder, ovfPatches, [][]byte{{0}, {1}, {0}, {1}, {1}, {0}}},
 	}
-	allocs := []AllocKind{AllocBoundaryTag, AllocPool}
+	for _, c := range cases {
+		t.Run("boundary-tag/"+c.name, func(t *testing.T) {
+			cfg := Config{Patches: c.patches}
 
-	for _, kind := range allocs {
-		for _, c := range cases {
-			t.Run(kind.String()+"/"+c.name, func(t *testing.T) {
-				cfg := Config{Defended: true, Patches: c.patches, Alloc: kind}
+			// Pooled: ONE context recycled through every request.
+			pooledFleet := New(cfg)
+			pooled, err := pooledFleet.newContext()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pooledSnaps []snapshot
+			for _, in := range c.inputs {
+				pooledSnaps = append(pooledSnaps, runOn(t, pooled, c.p, c.coder, in))
+				if err := pooled.Reset(); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-				// Pooled: ONE context recycled through every request.
-				pooledFleet := New(cfg)
-				pooled, err := pooledFleet.newContext()
+			// Fresh: a brand-new context per request.
+			freshFleet := New(cfg)
+			for i, in := range c.inputs {
+				fresh, err := freshFleet.newContext()
 				if err != nil {
 					t.Fatal(err)
 				}
-				var pooledSnaps []snapshot
-				for _, in := range c.inputs {
-					pooledSnaps = append(pooledSnaps, runOn(t, pooled, c.p, c.coder, in))
-					if err := pooled.Reset(); err != nil {
-						t.Fatal(err)
-					}
+				want := runOn(t, fresh, c.p, c.coder, in)
+				if pooledSnaps[i] != want {
+					t.Errorf("request %d (%x): pooled context diverges from fresh\npooled: %+v\nfresh:  %+v",
+						i, in, pooledSnaps[i], want)
 				}
-
-				// Fresh: a brand-new context per request.
-				freshFleet := New(cfg)
-				for i, in := range c.inputs {
-					fresh, err := freshFleet.newContext()
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := runOn(t, fresh, c.p, c.coder, in)
-					if pooledSnaps[i] != want {
-						t.Errorf("request %d (%x): pooled context diverges from fresh\npooled: %+v\nfresh:  %+v",
-							i, in, pooledSnaps[i], want)
-					}
-					if c.name == "guard-crash" && in[0] == 1 && !want.crashed {
-						t.Fatalf("request %d: overflow did not crash (test is vacuous)", i)
-					}
+				if c.name == "guard-crash" && in[0] == 1 && !want.crashed {
+					t.Fatalf("request %d: overflow did not crash (test is vacuous)", i)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -134,31 +130,29 @@ func TestFleetPooledBitIdentical(t *testing.T) {
 func TestFleetPooledBitIdenticalAfterCrash(t *testing.T) {
 	p := overflowProgram()
 	coder, patches := overflowSetup(t, p)
-	for _, kind := range []AllocKind{AllocBoundaryTag, AllocPool} {
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := Config{Defended: true, Patches: patches, Alloc: kind}
-			f := New(cfg)
-			ctx, err := f.newContext()
-			if err != nil {
-				t.Fatal(err)
-			}
-			crash := runOn(t, ctx, p, coder, []byte{1})
-			if !crash.crashed {
-				t.Fatal("overflow did not crash")
-			}
-			if err := ctx.Reset(); err != nil {
-				t.Fatal(err)
-			}
-			afterCrash := runOn(t, ctx, p, coder, []byte{0})
+	t.Run("boundary-tag", func(t *testing.T) {
+		cfg := Config{Patches: patches}
+		f := New(cfg)
+		ctx, err := f.newContext()
+		if err != nil {
+			t.Fatal(err)
+		}
+		crash := runOn(t, ctx, p, coder, []byte{1})
+		if !crash.crashed {
+			t.Fatal("overflow did not crash")
+		}
+		if err := ctx.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		afterCrash := runOn(t, ctx, p, coder, []byte{0})
 
-			fresh, err := New(cfg).newContext()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := runOn(t, fresh, p, coder, []byte{0})
-			if afterCrash != want {
-				t.Errorf("post-crash recycle diverges from fresh\ngot:  %+v\nwant: %+v", afterCrash, want)
-			}
-		})
-	}
+		fresh, err := New(cfg).newContext()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := runOn(t, fresh, p, coder, []byte{0})
+		if afterCrash != want {
+			t.Errorf("post-crash recycle diverges from fresh\ngot:  %+v\nwant: %+v", afterCrash, want)
+		}
+	})
 }

@@ -46,8 +46,8 @@ func newMachine(ctx *Context, p *prog.Program, coder *encoding.Coder) (prog.Exec
 // machine on a RECYCLED context must be bit-identical to the same requests
 // served by the tree interpreter on FRESH contexts — the strongest
 // cross-product of the two equivalence claims (engine identity and
-// recycling identity), over both allocators, including the guard-page
-// crash requests.
+// recycling identity), including the guard-page crash requests.
+// Subtest names carry the fleet's allocator, the boundary-tag heap.
 func TestFleetVMBitIdenticalAcrossReset(t *testing.T) {
 	uaf := uafProgram()
 	uafCoder, uafPatches := analyzeUAF(t, uaf)
@@ -64,52 +64,49 @@ func TestFleetVMBitIdenticalAcrossReset(t *testing.T) {
 		{"uaf", uaf, uafCoder, uafPatches, [][]byte{{0x00}, {0xEE}, {0x00}, {0xEE}}},
 		{"guard-crash", ovf, ovfCoder, ovfPatches, [][]byte{{0}, {1}, {0}, {1}}},
 	}
-	for _, kind := range []AllocKind{AllocBoundaryTag, AllocPool} {
-		for _, c := range cases {
-			t.Run(kind.String()+"/"+c.name, func(t *testing.T) {
-				cfg := Config{Defended: true, Patches: c.patches, Alloc: kind}
+	for _, c := range cases {
+		t.Run("boundary-tag/"+c.name, func(t *testing.T) {
+			cfg := Config{Patches: c.patches}
 
-				// Tree over fresh contexts.
-				freshFleet := New(cfg)
-				var want []snapshot
-				for _, in := range c.inputs {
-					fresh, err := freshFleet.newContext()
-					if err != nil {
-						t.Fatal(err)
-					}
-					want = append(want, runOn(t, fresh, c.p, c.coder, in))
-				}
-
-				// The compiled machine over one recycled context.
-				ctx, err := New(cfg).newContext()
+			// Tree over fresh contexts.
+			freshFleet := New(cfg)
+			var want []snapshot
+			for _, in := range c.inputs {
+				fresh, err := freshFleet.newContext()
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, in := range c.inputs {
-					got := runOnMachine(t, ctx, c.p, c.coder, in)
-					if got != want[i] {
-						t.Errorf("request %d (%x): recycled compiled machine diverges from fresh tree\ncompiled: %+v\ntree: %+v",
-							i, in, got, want[i])
-					}
-					if err := ctx.Reset(); err != nil {
-						t.Fatal(err)
-					}
+				want = append(want, runOn(t, fresh, c.p, c.coder, in))
+			}
+
+			// The compiled machine over one recycled context.
+			ctx, err := New(cfg).newContext()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, in := range c.inputs {
+				got := runOnMachine(t, ctx, c.p, c.coder, in)
+				if got != want[i] {
+					t.Errorf("request %d (%x): recycled compiled machine diverges from fresh tree\ncompiled: %+v\ntree: %+v",
+						i, in, got, want[i])
 				}
-			})
-		}
+				if err := ctx.Reset(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// TestFleetVMReusedInstanceAcrossReset pins the inline-cache
-// invalidation contract: ONE compiled machine kept alive across
-// Context.Reset must observe the rebuilt patch table (the defender
-// bumps its generation on Reset) and still produce bit-identical
-// snapshots to fresh tree-interpreter contexts. A stale verdict cache
-// would surface as diverging PatchedAllocs or defense stats.
+// TestFleetVMReusedInstanceAcrossReset: ONE compiled machine kept
+// alive across Context.Reset must observe the rebuilt patch table and
+// still produce bit-identical snapshots to fresh tree-interpreter
+// contexts. State the Machine carried across a recycle would surface
+// as diverging PatchedAllocs or defense stats.
 func TestFleetVMReusedInstanceAcrossReset(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
-	cfg := Config{Defended: true, Patches: patches}
+	cfg := Config{Patches: patches}
 
 	inputs := [][]byte{{0x00}, {0xEE}, {0x00}, {0xEE}, {0xEE}}
 	freshFleet := New(cfg)
@@ -152,7 +149,7 @@ func TestFleetServeEngines(t *testing.T) {
 	coder, patches := analyzeUAF(t, p)
 	inputs := uafCorpus(24)
 	serve := func(engine prog.Engine) ([]*prog.Result, Stats) {
-		f := New(Config{Defended: true, Patches: patches})
+		f := New(Config{Patches: patches})
 		res, err := serveAll(f, p, coder, engine, 4, inputs)
 		if err != nil {
 			t.Fatal(err)

@@ -35,63 +35,34 @@ import (
 	"heaptherapy/internal/telemetry"
 )
 
-// AllocKind selects the allocator beneath each worker's defense layer.
-type AllocKind uint8
-
-// Allocator kinds.
-const (
-	// AllocBoundaryTag uses the dlmalloc-style boundary-tag heap.
-	AllocBoundaryTag AllocKind = iota
-	// AllocPool uses the slab-style segregated pool allocator.
-	AllocPool
-)
-
-func (k AllocKind) String() string {
-	switch k {
-	case AllocBoundaryTag:
-		return "boundary-tag"
-	case AllocPool:
-		return "pool"
-	default:
-		return fmt.Sprintf("AllocKind(%d)", uint8(k))
-	}
-}
-
-// Config configures a Fleet.
+// Config configures a Fleet. Every worker runs the full defense
+// (defense.ModeFull) over the boundary-tag heap.
 type Config struct {
 	// Workers is kept so existing configurations still compile.
 	//
 	// Deprecated: no effect. The front-end sizes its own worker pool.
 	Workers int
-	// Defended selects defended execution; false runs the native
-	// (uninstrumented) backend for baseline measurement.
+	// Defended is kept so existing configurations still compile.
+	//
+	// Deprecated: no effect. Every fleet worker is defended.
 	Defended bool
-	// Patches is sealed once at New into the table every defended
-	// worker shares. Ignored when Defended is false.
+	// Patches is sealed once at New into the table every worker
+	// shares.
 	Patches *patch.Set
-	// Alloc selects the underlying allocator for defended workers
-	// (native workers always use the boundary-tag heap).
-	Alloc AllocKind
 	// Space configures each worker's private address space.
 	Space mem.Config
-	// Mode is the defense mode (default defense.ModeFull).
-	Mode defense.Mode
-	// Family selects each defended worker's policy family (default
+	// Family selects each worker's policy family (default
 	// defense.FamilyHT). Non-HT families keep the shared-table seams —
 	// rollouts still bump every worker's generation — but never consult
 	// the table's contents.
 	Family defense.Family
-	// QueueQuota bounds each worker's deferred-free FIFO
-	// (0 = defense.DefaultQueueQuota).
-	QueueQuota uint64
 	// Telemetry, when non-nil, collects per-worker counters, histograms
 	// (allocation sizes, patch-lookup cost), and defense trace events.
 	// The fleet attaches no quantum hook, so it records no per-quantum
 	// cycle histogram. Each worker context binds its own scope, so
 	// the collector's per-shard breakdown is the per-tenant aggregation;
-	// Stats surfaces the merged snapshot. Enabling telemetry on a
-	// defended fleet also turns on per-patch hit counting on the shared
-	// sealed table.
+	// Stats surfaces the merged snapshot. Enabling telemetry also
+	// turns on per-patch hit counting on the shared sealed table.
 	Telemetry *telemetry.Collector
 }
 
@@ -118,8 +89,7 @@ type Stats struct {
 	// runs without a collector.
 	Telemetry *telemetry.Snapshot
 	// PatchHits is the fleet-wide per-patch lookup hit tally from the
-	// shared sealed table; nil unless telemetry is enabled on a
-	// defended fleet.
+	// shared sealed table; nil unless telemetry is enabled.
 	PatchHits map[patch.Key]uint64
 }
 
@@ -129,12 +99,12 @@ type Stats struct {
 type Fleet struct {
 	cfg Config
 
-	// table is the CURRENT shared sealed table (nil when !cfg.Defended).
-	// It is an atomic pointer because SwapTable replaces it under live
-	// traffic: readers (Acquire's table sync, Stats) load the pointer,
-	// in-flight workers keep probing whichever table their Defender was
-	// pointed at when they acquired their context — the old table stays
-	// valid forever (immutable), it just stops being handed out.
+	// table is the CURRENT shared sealed table. It is an atomic
+	// pointer because SwapTable replaces it under live traffic: readers
+	// (Acquire's table sync, Stats) load the pointer, in-flight workers
+	// keep probing whichever table their Defender was pointed at when
+	// they acquired their context — the old table stays valid forever
+	// (immutable), it just stops being handed out.
 	table atomic.Pointer[defense.SealedTable]
 
 	ctxPool sync.Pool // *Context
@@ -161,9 +131,7 @@ type Fleet struct {
 // exactly once.
 func New(cfg Config) *Fleet {
 	f := &Fleet{cfg: cfg}
-	if cfg.Defended {
-		f.table.Store(f.seal(cfg.Patches))
-	}
+	f.table.Store(f.seal(cfg.Patches))
 	return f
 }
 
@@ -179,8 +147,7 @@ func (f *Fleet) seal(patches *patch.Set) *defense.SealedTable {
 	return t
 }
 
-// Table returns the CURRENT shared sealed patch table (nil for a
-// native fleet).
+// Table returns the CURRENT shared sealed patch table.
 func (f *Fleet) Table() *defense.SealedTable { return f.table.Load() }
 
 // SwapTable seals a new patch set and installs it as the fleet's
@@ -190,19 +157,16 @@ func (f *Fleet) Table() *defense.SealedTable { return f.table.Load() }
 //   - the new table is built and (if telemetered) hit-enabled BEFORE
 //     it becomes visible, so no worker ever sees a half-built table;
 //   - the install is one atomic pointer store: contexts acquired after
-//     it observe the new table (Acquire re-points pooled Defenders,
-//     bumping their generation so every engine verdict cache
-//     revalidates), while contexts already in flight keep serving on
-//     the old table, which is immutable and therefore valid forever;
+//     it observe the new table (Acquire re-points pooled Defenders, so
+//     their next allocation looks it up), while contexts already in
+//     flight keep serving on the old table, which is immutable and
+//     therefore valid forever;
 //   - nothing is ever mutated in place, so there is no window where a
 //     request can fail because of the swap.
 //
-// The returned table is the installed one. Swapping a native fleet is
-// an error — there is no table to swap.
+// The returned table is the installed one; the error is always nil and
+// is kept for callers that install tables through a fallible seam.
 func (f *Fleet) SwapTable(patches *patch.Set) (*defense.SealedTable, error) {
-	if !f.cfg.Defended {
-		return nil, fmt.Errorf("fleet: SwapTable on a native (undefended) fleet")
-	}
 	t := f.seal(patches)
 	f.table.Store(t)
 	f.swaps.Add(1)
@@ -217,11 +181,9 @@ func (f *Fleet) Stats() Stats {
 	var hits map[patch.Key]uint64
 	if f.cfg.Telemetry != nil {
 		snap = f.cfg.Telemetry.Snapshot()
-		if t := f.table.Load(); t != nil {
-			// Swapped-out tables keep their tallies; the snapshot
-			// reports the CURRENT table's hits (post-rollout traffic).
-			hits = t.HitCounts()
-		}
+		// Swapped-out tables keep their tallies; the snapshot reports
+		// the CURRENT table's hits (post-rollout traffic).
+		hits = f.table.Load().HitCounts()
 	}
 	return Stats{
 		Telemetry:     snap,
@@ -279,9 +241,7 @@ func (f *Fleet) FinishRequest(c *Context, crashed bool) error {
 		f.crashes.Add(1)
 		c.tel.Inc(telemetry.CtrCrashes)
 	}
-	if c.defender != nil {
-		f.merge(c.defender.Stats())
-	}
+	f.merge(c.backend.Defender().Stats())
 	if err := c.Reset(); err != nil {
 		return fmt.Errorf("fleet: recycling context: %w", err)
 	}

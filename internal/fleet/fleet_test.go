@@ -222,13 +222,13 @@ func TestFleetServeMatchesSingleRuns(t *testing.T) {
 		}
 	}
 
-	f := New(Config{Defended: true, Patches: patches})
+	f := New(Config{Patches: patches})
 	results, err := serveAll(f, p, coder, prog.EngineCompiled, 4, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ref := New(Config{Defended: true, Patches: patches})
+	ref := New(Config{Patches: patches})
 	for i, in := range inputs {
 		ctx, err := ref.newContext()
 		if err != nil {
@@ -303,7 +303,7 @@ func TestFleetCrashIsolation(t *testing.T) {
 		}
 	}
 
-	f := New(Config{Defended: true, Patches: patches})
+	f := New(Config{Patches: patches})
 	results, err := serveAll(f, p, coder, prog.EngineCompiled, 3, inputs)
 	if err != nil {
 		t.Fatal(err)
@@ -336,36 +336,9 @@ func TestFleetCrashIsolation(t *testing.T) {
 	}
 }
 
-// TestFleetNativeBaseline: an undefended fleet serves correctly with
-// zero defense activity.
-func TestFleetNativeBaseline(t *testing.T) {
-	p := uafProgram()
-	f := New(Config{Defended: false})
-	inputs := [][]byte{{0}, {0}, {0}, {0}}
-	results, err := serveAll(f, p, nil, prog.EngineCompiled, 2, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Crashed() {
-			t.Fatalf("request %d crashed: %v", i, res.Fault)
-		}
-		if out := (prog.Value{Bytes: res.Output}).Uint(); out != 0x5AFE {
-			t.Errorf("request %d read %#x", i, out)
-		}
-	}
-	st := f.Stats()
-	if st.Defense != (Stats{}).Defense {
-		t.Errorf("native fleet has defense activity: %+v", st.Defense)
-	}
-	if f.Table() != nil {
-		t.Error("native fleet sealed a table")
-	}
-}
-
 // TestFleetValidation covers config and input edges.
 func TestFleetValidation(t *testing.T) {
-	f := New(Config{Defended: true})
+	f := New(Config{})
 	// More workers than inputs: must not deadlock or drop requests.
 	res, err := serveAll(f, uafProgram(), nil, prog.EngineCompiled, 2, [][]byte{{0}})
 	if err != nil {
@@ -381,7 +354,7 @@ func TestFleetValidation(t *testing.T) {
 func TestFleetPoolReuseAcrossServes(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
-	f := New(Config{Defended: true, Patches: patches})
+	f := New(Config{Patches: patches})
 	inputs := [][]byte{{0}, {0xEE}, {0}, {0}, {0xEE}, {0}}
 	if _, err := serveAll(f, p, coder, prog.EngineCompiled, 2, inputs); err != nil {
 		t.Fatal(err)
@@ -420,7 +393,7 @@ func TestFleetParallelSpeedup(t *testing.T) {
 		inputs[i] = []byte{0}
 	}
 	measure := func(workers int) time.Duration {
-		f := New(Config{Defended: true, Patches: patches})
+		f := New(Config{Patches: patches})
 		if _, err := serveAll(f, p, coder, prog.EngineCompiled, workers, inputs); err != nil { // warm the pool
 			t.Fatal(err)
 		}

@@ -31,13 +31,13 @@ func TestFleetPolicyServeMatchesSingleRuns(t *testing.T) {
 		fam := fam
 		t.Run(fam.String(), func(t *testing.T) {
 			t.Parallel()
-			f := New(Config{Defended: true, Patches: patches, Family: fam})
+			f := New(Config{Patches: patches, Family: fam})
 			results, err := serveAll(f, p, coder, prog.EngineCompiled, 4, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			ref := New(Config{Defended: true, Patches: patches, Family: fam})
+			ref := New(Config{Patches: patches, Family: fam})
 			for i, in := range inputs {
 				ctx, err := ref.newContext()
 				if err != nil {
@@ -87,7 +87,7 @@ func TestFleetPolicyOutcomes(t *testing.T) {
 
 	safe := func(fam defense.Family, set *patch.Set) uint64 {
 		t.Helper()
-		f := New(Config{Defended: true, Patches: set, Family: fam})
+		f := New(Config{Patches: set, Family: fam})
 		res, err := serveAll(f, p, coder, prog.EngineCompiled, 1, attack)
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +122,7 @@ func TestFleetPolicySwapKeepsServing(t *testing.T) {
 	for _, fam := range defense.AllFamilies() {
 		fam := fam
 		t.Run(fam.String(), func(t *testing.T) {
-			f := New(Config{Defended: true, Patches: patch.NewSet(), Family: fam})
+			f := New(Config{Patches: patch.NewSet(), Family: fam})
 			first, err := serveAll(f, p, coder, prog.EngineCompiled, 2, inputs)
 			if err != nil {
 				t.Fatal(err)
@@ -154,7 +154,7 @@ func TestFleetPolicyStatsMerge(t *testing.T) {
 	coder, patches := analyzeUAF(t, p)
 	inputs := [][]byte{{0x00}, {0x00}, {0x00}, {0x00}}
 
-	mesh := New(Config{Defended: true, Patches: patches, Family: defense.FamilyMESH})
+	mesh := New(Config{Patches: patches, Family: defense.FamilyMESH})
 	if _, err := serveAll(mesh, p, coder, prog.EngineCompiled, 2, inputs); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFleetPolicyStatsMerge(t *testing.T) {
 		t.Errorf("MESH consulted the patch table: PatchedAllocs=%d", st.Defense.PatchedAllocs)
 	}
 
-	sb := New(Config{Defended: true, Patches: patches, Family: defense.FamilyShadowBound})
+	sb := New(Config{Patches: patches, Family: defense.FamilyShadowBound})
 	if _, err := serveAll(sb, p, coder, prog.EngineCompiled, 2, inputs); err != nil {
 		t.Fatal(err)
 	}

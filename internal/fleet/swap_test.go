@@ -18,15 +18,14 @@ func overflowPatch(ccid uint64) *patch.Set {
 
 // TestSwapTable pins the fleet-level rollout seam: SwapTable installs
 // a new sealed table atomically, pooled contexts are re-pointed at
-// checkout (with the generation bump that invalidates engine verdict
-// caches), and contexts checked out before the swap keep their old —
+// checkout (with a table-generation bump), and contexts checked out before the swap keep their old —
 // still immutable, still valid — table until they come back through
 // Acquire.
 func TestSwapTable(t *testing.T) {
-	f := New(Config{Defended: true, Patches: overflowPatch(0x1)})
+	f := New(Config{Patches: overflowPatch(0x1)})
 	oldTable := f.Table()
 	if oldTable == nil {
-		t.Fatal("defended fleet has no table")
+		t.Fatal("fleet has no table")
 	}
 
 	// One context checked out across the swap, one pooled through it.
@@ -99,7 +98,7 @@ func TestSwapTable(t *testing.T) {
 // swap error instead of panicking, and Acquire hands that error back
 // instead of the context.
 func TestSyncTableError(t *testing.T) {
-	f := New(Config{Defended: true, Patches: overflowPatch(0x1)})
+	f := New(Config{Patches: overflowPatch(0x1)})
 	broken := func() *Context {
 		c, err := f.newContext()
 		if err != nil {
@@ -109,7 +108,7 @@ func TestSyncTableError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.defender = private.Defender()
+		c.backend = private
 		return c
 	}
 
@@ -135,17 +134,21 @@ func TestSyncTableError(t *testing.T) {
 	t.Fatal("Acquire never returned the broken context's SyncTable error")
 }
 
-// TestSwapTableContract: only defended fleets can swap, and a swap
-// with hit counting enabled preserves the telemetry wiring (the new
-// table must be sealed with counters BEFORE it is shared).
+// TestSwapTableContract: every fleet, the zero Config's too, holds a
+// table and can swap it, and a swap with hit counting enabled preserves
+// the telemetry wiring (the new table must be sealed with counters
+// BEFORE it is shared).
 func TestSwapTableContract(t *testing.T) {
-	native := New(Config{})
-	if _, err := native.SwapTable(overflowPatch(0x1)); err == nil {
-		t.Error("SwapTable on a native fleet succeeded")
+	zero := New(Config{})
+	if zero.Table() == nil {
+		t.Fatal("zero-Config fleet has no table")
+	}
+	if nt, err := zero.SwapTable(overflowPatch(0x1)); err != nil || nt != zero.Table() {
+		t.Errorf("SwapTable on a zero-Config fleet = %p, %v; want the installed table", nt, err)
 	}
 
 	col := telemetry.New(telemetry.Config{})
-	f := New(Config{Defended: true, Patches: overflowPatch(0x1), Telemetry: col})
+	f := New(Config{Patches: overflowPatch(0x1), Telemetry: col})
 	nt, err := f.SwapTable(overflowPatch(0x2))
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +164,7 @@ func TestSwapTableContract(t *testing.T) {
 // TestDrainPool: draining discards pooled contexts so the next Acquire
 // builds from scratch.
 func TestDrainPool(t *testing.T) {
-	f := New(Config{Defended: true, Patches: overflowPatch(0x1)})
+	f := New(Config{Patches: overflowPatch(0x1)})
 	a, err := f.Acquire()
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +201,7 @@ func TestDrainPool(t *testing.T) {
 func TestFinishRequest(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
-	f := New(Config{Defended: true, Patches: patches})
+	f := New(Config{Patches: patches})
 
 	c, err := f.Acquire()
 	if err != nil {

@@ -18,7 +18,7 @@ func TestFleetTelemetryMerge(t *testing.T) {
 	coder, patches := analyzeUAF(t, p)
 
 	col := telemetry.New(telemetry.Config{})
-	f := New(Config{Defended: true, Patches: patches, Telemetry: col})
+	f := New(Config{Patches: patches, Telemetry: col})
 	inputs := make([][]byte, 32)
 	for i := range inputs {
 		if i%4 == 0 {
@@ -111,7 +111,7 @@ func TestFleetTelemetryEngineParity(t *testing.T) {
 	}
 	serve := func(engine prog.Engine) (*telemetry.Snapshot, Stats) {
 		col := telemetry.New(telemetry.Config{})
-		f := New(Config{Defended: true, Patches: patches, Telemetry: col})
+		f := New(Config{Patches: patches, Telemetry: col})
 		if _, err := serveAll(f, p, coder, engine, 1, inputs); err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestFleetTelemetryEngineParity(t *testing.T) {
 func TestFleetWithoutCollector(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
-	f := New(Config{Defended: true, Patches: patches})
+	f := New(Config{Patches: patches})
 	if _, err := serveAll(f, p, coder, prog.EngineCompiled, 2, make([][]byte, 8)); err != nil {
 		t.Fatal(err)
 	}

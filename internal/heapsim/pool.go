@@ -233,11 +233,7 @@ func (p *PoolAllocator) Realloc(ptr, size uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	data, err := p.space.RawRead(ptr, avail)
-	if err != nil {
-		return 0, fmt.Errorf("heapsim: pool realloc copy: %w", err)
-	}
-	if err := p.space.RawWrite(newPtr, data); err != nil {
+	if err := p.space.RawMemmove(newPtr, ptr, avail); err != nil {
 		return 0, fmt.Errorf("heapsim: pool realloc copy: %w", err)
 	}
 	if err := p.Free(ptr); err != nil {

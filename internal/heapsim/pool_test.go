@@ -192,3 +192,31 @@ func TestQuickPoolRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPoolReallocZeroAlloc pins the pool's moving realloc: a warm
+// malloc → realloc (to a larger size class, so the payload is copied)
+// → free cycle performs no Go allocation.
+func TestPoolReallocZeroAlloc(t *testing.T) {
+	p := newTestPool(t)
+	if avg := testing.AllocsPerRun(100, func() {
+		a, err := p.Malloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := p.Realloc(a, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == a {
+			t.Fatal("realloc did not move the block")
+		}
+		if err := p.Free(b); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("pool moving realloc cycle: %.1f allocs/run, want 0", avg)
+	}
+	if err := p.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}

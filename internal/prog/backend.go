@@ -92,13 +92,14 @@ type UseObserver interface {
 }
 
 // PatchProber is an optional HeapBackend extension exposing
-// side-effect-free visibility into a defense patch table, for per-site
-// verdict caches: ProbePatched answers "would an allocation through fn
-// at ccid hit a patch?" without touching statistics or cycles, and
-// PatchTableGeneration is the epoch that invalidates cached answers
-// (it changes whenever the table is re-established, e.g. on a fleet
-// worker recycle). The defended backend implements it; allocation-path
-// lookups and their accounting are unaffected.
+// side-effect-free visibility into a defense patch table: ProbePatched
+// answers "would an allocation through fn at ccid hit a patch?" without
+// touching statistics or cycles, and PatchTableGeneration is the table's
+// epoch (it changes whenever the table is re-established, e.g. on a
+// fleet worker recycle or a rollout). The defended backend implements
+// it and backend wrappers forward it, so tests can watch a rollout
+// reach a worker. No engine calls it: the defended allocation path's
+// own lookup is the one probe per allocation.
 type PatchProber interface {
 	PatchTableGeneration() uint64
 	ProbePatched(fn heapsim.AllocFn, ccid uint64) bool

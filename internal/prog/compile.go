@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"math"
 
-	"heaptherapy/internal/callgraph"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/heapsim"
 )
@@ -145,18 +144,14 @@ type callRec struct {
 
 // allocRec is the static metadata of one allocation or realloc site.
 type allocRec struct {
-	fn      heapsim.AllocFn // lookup/alloc API (FnRealloc for reallocs)
-	dst     int32
-	ptr     int32 // realloc only
-	size    int32
-	n       int32 // calloc count operand (constant 1 when absent)
-	align   int32 // alignment operand (constant 0 when absent)
-	ccid    int32 // explicit CCID operand, or opndNone
-	byFn    heapsim.AllocFn
-	upd     encoding.SiteUpdate
-	ic      int32 // verdict inline-cache slot
-	siteID  callgraph.SiteID
-	realloc bool
+	fn    heapsim.AllocFn // alloc API (FnRealloc for reallocs)
+	dst   int32
+	ptr   int32 // realloc only
+	size  int32
+	n     int32 // calloc count operand (constant 1 when absent)
+	align int32 // alignment operand (constant 0 when absent)
+	ccid  int32 // explicit CCID operand, or opndNone
+	upd   encoding.SiteUpdate
 }
 
 // argsOf returns a call site's operands.
@@ -182,7 +177,6 @@ type bytecode struct {
 
 	globalNames []string
 
-	icCount   int32  // one verdict cache per allocation site
 	encCycles uint64 // cost of one coder-driven encoding update
 }
 
@@ -339,12 +333,6 @@ func (c *compiler) temp() int32 {
 func (c *compiler) emit(ins instr) int32 {
 	c.out.code = append(c.out.code, ins)
 	return int32(len(c.out.code) - 1)
-}
-
-func (c *compiler) newIC() int32 {
-	ic := c.out.icCount
-	c.out.icCount++
-	return ic
 }
 
 // compileFunc lowers one function body.
@@ -649,9 +637,8 @@ func (c *compiler) compileStmtInner(s Stmt) error {
 			}
 		}
 		rec := allocRec{
-			fn: st.Fn, byFn: st.Fn, dst: c.reg(st.Dst), ptr: opndNone,
+			fn: st.Fn, dst: c.reg(st.Dst), ptr: opndNone,
 			size: size, n: n, align: align, ccid: ccid,
-			siteID: st.site, ic: c.newIC(),
 		}
 		if c.out.coder != nil {
 			rec.upd = c.out.coder.CompileSite(st.site)
@@ -676,9 +663,8 @@ func (c *compiler) compileStmtInner(s Stmt) error {
 			}
 		}
 		rec := allocRec{
-			fn: heapsim.FnRealloc, byFn: heapsim.FnRealloc, dst: c.reg(st.Dst),
+			fn: heapsim.FnRealloc, dst: c.reg(st.Dst),
 			ptr: ptr, size: size, n: c.konst(1), align: c.konst(0), ccid: ccid,
-			siteID: st.site, ic: c.newIC(), realloc: true,
 		}
 		if c.out.coder != nil {
 			rec.upd = c.out.coder.CompileSite(st.site)

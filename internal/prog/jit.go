@@ -14,9 +14,8 @@ package prog
 //     V-update is plain integer arithmetic (V = 3*t + c or V = t + c),
 //     precompiled by compile, exactly the instruction an
 //     instrumentation pass would embed in a real binary;
-//   - backend shape: CheckUse elision (UseObserver), the bulk-load
-//     path (BulkLoader) and patch-verdict probing (PatchProber) are
-//     decided once per Machine, at construction;
+//   - backend shape: CheckUse elision (UseObserver) and the bulk-load
+//     path (BulkLoader) are decided once per Machine, at construction;
 //   - superinstructions: a compare feeding a conditional branch and a
 //     binary op feeding the loop-latch jump, both marked by compile,
 //     run in one dispatch when their operands are clean scalars.
@@ -400,7 +399,7 @@ func (m *Machine) interpFrame(f *frameV) (*Value, error) {
 				m.cycles += m.c.encCycles
 			}
 			m.allocs++
-			m.allocsByFn[rec.byFn]++
+			m.allocsByFn[rec.fn]++
 			var ptr uint64
 			var aerr error
 			if ins.op == opRealloc {
@@ -412,10 +411,6 @@ func (m *Machine) interpFrame(f *frameV) (*Value, error) {
 				return nil, m.crash(aerr)
 			}
 			f.regs[rec.dst].setU(ptr)
-			m.ics[rec.ic].allocs++
-			if m.prober != nil {
-				m.noteAlloc(rec, ccid)
-			}
 
 		case opFree:
 			var ptr uint64

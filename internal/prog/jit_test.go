@@ -43,8 +43,7 @@ func hotProgram(iters uint64) *Program {
 }
 
 // TestBytecodeExactlySized: compile leaves no append slack in the
-// immutable bytecode, keeps one verdict cache per allocation site (call
-// sites have none), and packs call records into 32 bytes with their
+// immutable bytecode and packs call records into 32 bytes with their
 // operands in the shared pool.
 func TestBytecodeExactlySized(t *testing.T) {
 	for _, p := range []*Program{hotProgram(8), diffProgCalls(), diffProgHeap(), diffProgArith()} {
@@ -70,9 +69,6 @@ func TestBytecodeExactlySized(t *testing.T) {
 			if lc[0] != lc[1] {
 				t.Errorf("%s: %s len %d cap %d", p.Name, name, lc[0], lc[1])
 			}
-		}
-		if int(c.icCount) != len(c.allocs) {
-			t.Errorf("%s: icCount %d, want one per allocation site (%d)", p.Name, c.icCount, len(c.allocs))
 		}
 		var nargs int32
 		for i := range c.calls {

@@ -8,28 +8,17 @@ package prog
 // capacity, frames are recycled by depth, and RunReuse recycles the
 // Result's buffers too.
 //
-// Two per-site caches avoid repeated lookups the tree-walker pays on
-// every execution:
-//
-//   - encoding updates: each call/alloc site's V-update (the delta an
-//     instrumentation pass would embed in the binary) is resolved to a
-//     SiteUpdate constant at compile time, replacing the per-update
-//     plan query; the arithmetic itself is unchanged, so CCIDs are
-//     bit-identical;
-//   - patch verdicts: when the backend exposes PatchProber (the
-//     defended backend does), each allocation site caches its last
-//     (generation, ccid) -> patched answer, revalidated against the
-//     table generation so fleet recycles invalidate it naturally. The
-//     cache feeds SiteProfile only; the allocation path's own lookups
-//     and statistics are untouched, keeping defense stats identical.
+// Encoding updates are resolved once, at compile time: each call/alloc
+// site's V-update (the delta an instrumentation pass would embed in the
+// binary) becomes a SiteUpdate constant, replacing the per-update plan
+// query the tree-walker pays; the arithmetic itself is unchanged, so
+// CCIDs are bit-identical. The patch lookup stays where the paper puts
+// it: one O(1) probe per allocation, inside the defended backend.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"heaptherapy/internal/callgraph"
-	"heaptherapy/internal/heapsim"
 )
 
 // reg is one register: a Value the register owns, a definedness
@@ -186,27 +175,6 @@ type frameV struct {
 	t    uint64 // V at the function prologue (save/restore discipline)
 }
 
-// siteIC is the per-site patch-verdict inline cache plus the site's
-// allocation profile counters.
-type siteIC struct {
-	gen           uint64
-	ccid          uint64
-	valid         bool
-	patched       bool
-	allocs        uint64
-	patchedAllocs uint64
-}
-
-// SiteStats is one allocation site's profile, built from the verdict
-// inline caches: how many allocations it executed and how many hit a
-// defense patch. Counters accumulate across runs of one Machine.
-type SiteStats struct {
-	Site          callgraph.SiteID
-	Fn            heapsim.AllocFn
-	Allocs        uint64
-	PatchedAllocs uint64
-}
-
 // Machine is the compiled engine: one executor of a shared, immutable
 // bytecode, holding all of the mutable execution state. It is
 // single-goroutine; many Machines share one bytecode through their
@@ -214,9 +182,8 @@ type SiteStats struct {
 type Machine struct {
 	c        *bytecode
 	backend  HeapBackend
-	bulk     BulkLoader  // non-nil when backend supports LoadInto
-	prober   PatchProber // non-nil when backend exposes patch verdicts
-	checkUse bool        // false only when the backend disclaims use points
+	bulk     BulkLoader // non-nil when backend supports LoadInto
+	checkUse bool       // false only when the backend disclaims use points
 	maxSteps uint64
 	maxDepth int
 
@@ -236,7 +203,6 @@ type Machine struct {
 	frames  []*frameV // frame free list; frames[:nframes] are live
 	nframes int
 	globals []reg
-	ics     []siteIC
 	scratch Value // transient loads (Output)
 	args    []*Value
 
@@ -268,7 +234,6 @@ func newMachine(c *bytecode, cfg Config) (*Machine, error) {
 		maxDepth: cfg.MaxDepth,
 		checkUse: true,
 		globals:  make([]reg, len(c.globalNames)),
-		ics:      make([]siteIC, c.icCount),
 	}
 	if m.maxSteps == 0 {
 		m.maxSteps = DefaultMaxSteps
@@ -281,26 +246,8 @@ func newMachine(c *bytecode, cfg Config) (*Machine, error) {
 		// The backend guarantees CheckUse is a no-op: elide the calls.
 		m.checkUse = false
 	}
-	m.prober, _ = cfg.Backend.(PatchProber)
 	m.tickSlowAt = m.maxSteps
 	return m, nil
-}
-
-// SiteProfile reports the per-allocation-site profile accumulated by
-// the verdict inline caches, in compile order.
-func (m *Machine) SiteProfile() []SiteStats {
-	out := make([]SiteStats, 0, len(m.c.allocs))
-	for i := range m.c.allocs {
-		rec := &m.c.allocs[i]
-		ic := &m.ics[rec.ic]
-		out = append(out, SiteStats{
-			Site:          rec.siteID,
-			Fn:            rec.byFn,
-			Allocs:        ic.allocs,
-			PatchedAllocs: ic.patchedAllocs,
-		})
-	}
-	return out
 }
 
 // crash records a fault and returns the crash sentinel (shared with
@@ -430,23 +377,6 @@ func (m *Machine) loadIntoReg(r *reg, addr, n uint64) error {
 	r.uok = false
 	r.def = true
 	return nil
-}
-
-// noteAlloc maintains one site's verdict inline cache: revalidated by
-// table generation and allocation CCID, probed (side-effect-free) only
-// on a miss.
-func (m *Machine) noteAlloc(rec *allocRec, ccid uint64) {
-	ic := &m.ics[rec.ic]
-	gen := m.prober.PatchTableGeneration()
-	if !ic.valid || ic.gen != gen || ic.ccid != ccid {
-		ic.patched = m.prober.ProbePatched(rec.fn, ccid)
-		ic.gen = gen
-		ic.ccid = ccid
-		ic.valid = true
-	}
-	if ic.patched {
-		ic.patchedAllocs++
-	}
 }
 
 // zeroValue backs void results (a call with a Dst binds Value{}).

@@ -718,28 +718,3 @@ func TestPrepareValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestVMSiteProfile: the verdict inline caches count allocations per
-// site; without a PatchProber backend, patched counts stay zero.
-func TestVMSiteProfile(t *testing.T) {
-	p := diffProgCalls()
-	m := newTestMachine(t, p, Config{Backend: newNative(t)})
-	if _, err := m.Run([]byte{2}); err != nil {
-		t.Fatal(err)
-	}
-	prof := m.SiteProfile()
-	if len(prof) == 0 {
-		t.Fatal("no alloc sites profiled")
-	}
-	var total uint64
-	for _, s := range prof {
-		total += s.Allocs
-		if s.PatchedAllocs != 0 {
-			t.Errorf("site %d: patched %d without a prober", s.Site, s.PatchedAllocs)
-		}
-	}
-	// hot() allocates once per invocation: 3 loop calls + 1 branch call.
-	if total != 4 {
-		t.Errorf("profiled allocs = %d, want 4", total)
-	}
-}

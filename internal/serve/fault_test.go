@@ -102,7 +102,7 @@ func (panickyExec) Run(input []byte) (*prog.Result, error) {
 // context and serves the next job. The server is assembled by hand so
 // that the panicking worker is the only one reading the job queue.
 func TestWorkerExecutorPanic(t *testing.T) {
-	f := fleet.New(fleet.Config{Workers: 1, Defended: true, Patches: patch.NewSet()})
+	f := fleet.New(fleet.Config{Patches: patch.NewSet()})
 	ctx, err := f.Acquire()
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,10 @@
 // the request path, and the patches that emerge are sealed into a new
 // table and swapped in atomically. In-flight requests finish on the
 // table they started with (sealed tables are immutable, so the old one
-// stays valid forever); the next checkout of every pooled context
-// re-points it and bumps its Defender's table generation, invalidating
-// every engine verdict cache. No restart, no dropped requests — the
-// paper's "patching without restarting" claim (Section I), made
-// operational.
+// stays valid forever); each worker re-points its context before its
+// next request, so that request's allocations look up the new table.
+// No restart, no dropped requests — the paper's "patching without
+// restarting" claim (Section I), made operational.
 //
 // The front-end also carries the unglamorous production machinery:
 // admission control (a bounded in-flight semaphore), backpressure
@@ -87,8 +86,6 @@ type Config struct {
 	MaxSteps uint64
 	// Space configures each tenant's address space.
 	Space mem.Config
-	// Alloc selects the allocator under each tenant's defense layer.
-	Alloc fleet.AllocKind
 	// Family selects the defense policy family every tenant runs
 	// (default defense.FamilyHT). Live patch rollout still swaps the
 	// shared table under non-HT families (the seam is policy-agnostic),
@@ -217,9 +214,8 @@ type rolloutJob struct {
 }
 
 // New builds the front-end: a defended fleet, one worker goroutine per
-// tenant context (each holding a persistent executor, so engine
-// verdict caches live long enough for generation invalidation to
-// matter), and the off-path rollout worker.
+// tenant context (each holding a persistent executor, built once), and
+// the off-path rollout worker.
 func New(cfg Config) (*Server, error) {
 	if cfg.Program == nil {
 		return nil, fmt.Errorf("serve: Config.Program is required")
@@ -253,9 +249,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	f := fleet.New(fleet.Config{
-		Defended:  true,
 		Patches:   patches,
-		Alloc:     cfg.Alloc,
 		Family:    cfg.Family,
 		Space:     cfg.Space,
 		Telemetry: cfg.Telemetry,
@@ -326,8 +320,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) worker(ctx *fleet.Context, it prog.Exec) {
 	defer s.workers.Done()
 	for j := range s.jobs {
-		// Pick up any rolled-out table. The generation bump inside
-		// invalidates the executor's patch-verdict inline caches.
+		// Pick up any rolled-out table.
 		_, err := ctx.SyncTable(s.fleet)
 		epoch := s.fleet.Swaps()
 
