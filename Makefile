@@ -88,7 +88,7 @@ bench-encoding:
 # throughput is the campaign workload of benchmark/
 # (bash benchmark/run.sh --workload campaign).
 bench-campaign:
-	$(GO) test -run 'WorkbenchBitIdentical|WorkbenchAllocatorForNeverPooled|AllocatorForOrderRejected|ParallelMatchesSequential|GuidedMatchesUnguided|PooledSetupAllocs|WalkerCheckZeroAlloc|PoolCheckDifferential|PoolCheckZeroAlloc|DifferentialAudit|BackendResetDifferential|PlanesStartAtArena|ResetPatchesMatchesFresh|CollectorReset' -count 1 -v \
+	$(GO) test -run 'WorkbenchBitIdentical|WorkbenchAllocatorForNeverPooled|AllocatorForOrderRejected|ParallelMatchesSequential|PooledSetupAllocs|WalkerCheckZeroAlloc|PoolCheckDifferential|PoolCheckZeroAlloc|DifferentialAudit|BackendResetDifferential|PlanesStartAtArena|ResetPatchesMatchesFresh|CollectorReset' -count 1 -v \
 		./internal/campaign/ ./internal/heapsim/ ./internal/mem/ ./internal/shadow/ ./internal/defense/ ./internal/telemetry/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolCheckIntegrity' -benchmem -benchtime $(BENCHTIME) ./internal/heapsim/
 	$(GO) test -run '^$$' -bench 'BenchmarkWorkbenchCheck' -benchmem -benchtime $(BENCHTIME) ./internal/campaign/

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -139,11 +141,15 @@ func TestJSONDetail(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite golden files under testdata/")
+
 // TestExperimentsDeterministic renders every experiment twice under
-// -quick and requires byte-identical output: every htp-bench
-// experiment reports on the deterministic virtual-cycle axis, so a
-// render that varies run to run (a wall-clock measurement, or an order
-// taken from map iteration) fails here.
+// -quick and requires byte-identical output, equal to
+// testdata/<exp>.golden: every htp-bench experiment reports on the
+// deterministic virtual-cycle axis, so a render that varies run to run
+// (a wall-clock measurement, or an order taken from map iteration)
+// fails here, and so does any change to a reproduced number.
+// Regenerate with: go test ./cmd/htp-bench -run Deterministic -update
 func TestExperimentsDeterministic(t *testing.T) {
 	cfg := experiments.Config{Quick: true}
 	for _, e := range experimentTable {
@@ -157,6 +163,23 @@ func TestExperimentsDeterministic(t *testing.T) {
 		}
 		if renders[0] != renders[1] {
 			t.Errorf("%s renders differently run to run:\n--- first\n%s\n--- second\n%s", e.name, renders[0], renders[1])
+		}
+		path := filepath.Join("testdata", e.name+".golden")
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(renders[0]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden (run with -update to create): %v", err)
+		}
+		if renders[0] != string(want) {
+			t.Errorf("%s render differs from %s (rerun with -update after verifying):\n--- got\n%s\n--- want\n%s", e.name, path, renders[0], want)
 		}
 	}
 }

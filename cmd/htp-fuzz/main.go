@@ -6,13 +6,12 @@
 // checked against the injected ground truth.
 //
 // Seeds run on the sharded parallel runtime: N workers, each owning a
-// pooled oracle workbench, steal contiguous seed shards and merge
+// pooled oracle workbench, claim contiguous seed shards and merge
 // their verdicts deterministically — the report is identical at any
 // worker count (modulo timing fields).
 //
 //	htp-fuzz -seeds 1000                    # campaign over seeds 0..999
 //	htp-fuzz -seeds 100000 -workers 8       # sharded across 8 workbenches
-//	htp-fuzz -guided                        # bias scheduling toward failing kinds
 //	htp-fuzz -start 5000 -seeds 100 -json   # JSON report on stdout
 //	htp-fuzz -kinds uaf-read,double-free    # restrict vulnerability kinds
 //	htp-fuzz -policy all                    # defended cells under every policy family
@@ -49,7 +48,6 @@ type report struct {
 	Seeds     uint64   `json:"seeds"`
 	Workers   int      `json:"workers"`
 	ShardSize int      `json:"shard_size"`
-	Guided    bool     `json:"guided"`
 	Kinds     []string `json:"kinds"`
 	Engines   []string `json:"engines"`
 	Allocs    []string `json:"allocators"`
@@ -89,8 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		allocs     = fs.String("allocators", "", "comma-separated allocators: heap,pool (default: all)")
 		policies   = fs.String("policy", "", `comma-separated defense policy families: ht,shadowbound,mesh, or "all" (default: ht)`)
 		workers    = fs.Int("workers", 0, "parallel oracle workbenches (0 = GOMAXPROCS)")
-		shardSize  = fs.Int("shard-size", 0, "seeds per work-stealing shard (0 = auto)")
-		guided     = fs.Bool("guided", false, "bias shard scheduling toward vulnerability kinds that produced failures")
 		jsonOut    = fs.Bool("json", false, "emit a JSON report on stdout")
 		reduce     = fs.Bool("reduce", false, "minimize each failing program and include it in the report")
 		forensics  = fs.String("forensics", "", "write a replayable bundle-<seed>.json per failing seed into this directory")
@@ -168,9 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Gen:             cfg,
 		Oracle:          oracle,
 		Workers:         *workers,
-		ShardSize:       *shardSize,
 		MaxFailingSeeds: *maxFail,
-		Guided:          *guided,
 		Reduce:          *reduce,
 	}
 	if *verbose {
@@ -209,7 +203,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seeds:       res.Seeds,
 		Workers:     res.Workers,
 		ShardSize:   res.ShardSize,
-		Guided:      res.Guided,
 		Cases:       res.Cases,
 		ByKind:      res.ByKind,
 		Failed:      res.FailingSeeds,
@@ -271,12 +264,8 @@ func oraclePolicies(o campaign.Oracle) []defense.Family {
 }
 
 func summarize(w io.Writer, rep *report) {
-	fmt.Fprintf(w, "htp-fuzz: %d cases (seeds %d..%d) in %dms — %.1f seeds/sec, %d workers (shard %d",
+	fmt.Fprintf(w, "htp-fuzz: %d cases (seeds %d..%d) in %dms — %.1f seeds/sec, %d workers (shard %d)\n",
 		rep.Cases, rep.Start, rep.Start+rep.Seeds-1, rep.Ms, rep.SeedsPerSec, rep.Workers, rep.ShardSize)
-	if rep.Guided {
-		fmt.Fprint(w, ", guided")
-	}
-	fmt.Fprintln(w, ")")
 	if len(rep.Policies) > 1 || (len(rep.Policies) == 1 && rep.Policies[0] != "ht") {
 		fmt.Fprintf(w, "  policies: %s\n", strings.Join(rep.Policies, ","))
 	}

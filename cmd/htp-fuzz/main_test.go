@@ -51,9 +51,8 @@ func TestRunJSONReport(t *testing.T) {
 }
 
 // TestRunParallelParity pins the CLI-level determinism contract: the
-// same campaign at different worker counts (and with guidance on)
-// produces identical JSON reports once timing and per-worker fields
-// are zeroed.
+// same campaign at different worker counts produces identical JSON
+// reports once timing and per-worker fields are zeroed.
 func TestRunParallelParity(t *testing.T) {
 	parse := func(args ...string) report {
 		code, stdout, stderr := runCLI(t, args...)
@@ -67,20 +66,16 @@ func TestRunParallelParity(t *testing.T) {
 		// Timing and scheduling fields are the documented exceptions.
 		rep.Workers = 0
 		rep.ShardSize = 0
-		rep.Guided = false
 		rep.Ms = 0
 		rep.SeedsPerSec = 0
 		rep.PerWorker = nil
 		return rep
 	}
-	seq := parse("-seeds", "8", "-json", "-workers", "1", "-shard-size", "2")
-	par := parse("-seeds", "8", "-json", "-workers", "4", "-shard-size", "2")
-	gui := parse("-seeds", "8", "-json", "-workers", "4", "-shard-size", "2", "-guided")
+	// 40 seeds make three auto-sized shards (16, 16, 8).
+	seq := parse("-seeds", "40", "-json", "-workers", "1")
+	par := parse("-seeds", "40", "-json", "-workers", "4")
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("parallel report diverges:\n seq: %+v\n par: %+v", seq, par)
-	}
-	if !reflect.DeepEqual(seq, gui) {
-		t.Errorf("guided report diverges:\n seq: %+v\n gui: %+v", seq, gui)
 	}
 }
 

@@ -134,15 +134,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	s, err := serve.New(serve.Config{
-		Program:      program,
-		BenignSample: svc.BenignRequest(),
-		Workers:      *workers,
-		MaxInFlight:  *maxInFlight,
-		TenantQuota:  *quota,
-		Patches:      patches,
-		Engine:       engine,
-		Family:       family,
-		Telemetry:    tcol,
+		Program:     program,
+		Workers:     *workers,
+		MaxInFlight: *maxInFlight,
+		TenantQuota: *quota,
+		Patches:     patches,
+		Engine:      engine,
+		Family:      family,
+		Telemetry:   tcol,
 	})
 	if err != nil {
 		return err
@@ -234,7 +233,7 @@ func runDemo(s *serve.Server, svc *workload.Service, family defense.Family, stdo
 
 	rr := do("POST", "/request?tenant=attacker", svc.CrashRequest())
 	outcome := rr.Result().Header.Get("X-HTP-Outcome")
-	fmt.Fprintf(stdout, "[2] attack: %s (HTTP %d) — heap fault trapped, forensic bundle captured\n", outcome, rr.Code)
+	fmt.Fprintf(stdout, "[2] attack: %s (HTTP %d) — heap fault trapped, queued for re-analysis\n", outcome, rr.Code)
 
 	if outcome == serve.OutcomeWild {
 		deadline := time.Now().Add(30 * time.Second)

@@ -39,7 +39,7 @@ func (c GenConfig) withDefaults() GenConfig {
 // PlannedKind reports which vulnerability kind Generate will inject
 // for seed under cfg, without building the program. The kind is the
 // generator's first RNG draw, so the answer is exact (not heuristic);
-// the guided scheduler uses this to profile a shard's kind mix at
+// the policy experiment uses this to pick seeds of one kind at
 // negligible cost before paying for generation.
 func PlannedKind(seed uint64, cfg GenConfig) VulnKind {
 	cfg = cfg.withDefaults()

@@ -24,24 +24,21 @@ type RunConfig struct {
 	// Workers is the number of worker goroutines, each owning one
 	// pooled Workbench (0 = GOMAXPROCS).
 	Workers int
-	// ShardSize is the seeds-per-shard work unit (0 = auto: enough
-	// shards for ~8 steals per worker, clamped to [16, 4096]).
-	ShardSize int
 	// MaxFailingSeeds stops the campaign promptly once this many seeds
 	// have failed the oracle (0 = never stop). A seed with several
 	// assertion failures counts once.
 	MaxFailingSeeds int
-	// Guided biases shard scheduling toward vulnerability-kind regions
-	// that have already produced failures (divergence guidance). It
-	// changes execution order only: a run to completion produces the
-	// same merged report either way.
-	Guided bool
 	// Reduce minimizes each failing program to a class-preserving
 	// witness (using the worker's pooled oracle for the predicate).
 	Reduce bool
 	// OnSeed, when set, observes every checked seed. It is called
 	// concurrently from worker goroutines and must be safe for that.
 	OnSeed func(seed uint64, kind VulnKind, rep *Report)
+
+	// shardSize overrides the seeds-per-shard work unit (0 = auto:
+	// enough shards for ~8 claims per worker, clamped to [16, 4096]);
+	// tests set it to force many tiny shards.
+	shardSize int
 }
 
 // WorkerStat is one worker's share of a run.
@@ -90,15 +87,13 @@ type Bundle struct {
 // RunReport is the merged verdict of a sharded campaign run. Merging
 // is deterministic: shards are contiguous ascending seed ranges and
 // per-shard accumulators are concatenated in shard order, so a run to
-// completion yields the same report at any worker count and in either
-// scheduling mode — only the timing fields (Elapsed, SeedsPerSec,
-// WorkerStats) vary.
+// completion yields the same report at any worker count — only the
+// timing fields (Elapsed, SeedsPerSec, WorkerStats) vary.
 type RunReport struct {
 	Start     uint64 `json:"start"`
 	Seeds     uint64 `json:"seeds"`
 	Workers   int    `json:"workers"`
 	ShardSize int    `json:"shard_size"`
-	Guided    bool   `json:"guided"`
 
 	Cases        int            `json:"cases"`
 	ByKind       map[string]int `json:"by_kind"`
@@ -116,105 +111,8 @@ type RunReport struct {
 	SeedsPerSec float64       `json:"seeds_per_sec"`
 }
 
-// shardSpan is one work unit: the seed range [lo, hi) plus the lazily
-// profiled vulnerability-kind histogram guided scheduling scores.
-type shardSpan struct {
-	lo, hi uint64
-	hist   []uint32 // computed under scheduler.mu, nil until needed
-}
-
-// scheduler hands out shards. Unguided it is a single atomic cursor
-// over the shard list (natural order, work-stealing by exhaustion);
-// guided it claims the unclaimed shard whose kind mix best matches the
-// kinds that have produced failures so far, falling back to natural
-// order while no failure has been seen.
-type scheduler struct {
-	shards []shardSpan
-	gen    GenConfig
-
-	cursor atomic.Uint64 // unguided claim cursor
-
-	guided    bool
-	mu        sync.Mutex
-	claimed   []bool
-	kindScore [numKinds]atomic.Uint64
-}
-
-func newScheduler(shards []shardSpan, gen GenConfig, guided bool) *scheduler {
-	s := &scheduler{shards: shards, gen: gen, guided: guided}
-	if guided {
-		s.claimed = make([]bool, len(shards))
-	}
-	return s
-}
-
-// noteFailure biases future guided claims toward the failing kind.
-func (s *scheduler) noteFailure(kind VulnKind) {
-	if s.guided {
-		s.kindScore[kind].Add(1)
-	}
-}
-
-// next claims the next shard, or returns -1 when none remain.
-func (s *scheduler) next() int {
-	if !s.guided {
-		i := int(s.cursor.Add(1) - 1)
-		if i >= len(s.shards) {
-			return -1
-		}
-		return i
-	}
-
-	var score [numKinds]uint64
-	hot := false
-	for k := range score {
-		if score[k] = s.kindScore[k].Load(); score[k] > 0 {
-			hot = true
-		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	best, bestScore := -1, uint64(0)
-	for i := range s.shards {
-		if s.claimed[i] {
-			continue
-		}
-		if !hot {
-			// No divergence observed yet: natural order, and no money
-			// spent profiling shards.
-			best = i
-			break
-		}
-		sc := s.score(i, &score)
-		if best == -1 || sc > bestScore {
-			best, bestScore = i, sc
-		}
-	}
-	if best >= 0 {
-		s.claimed[best] = true
-	}
-	return best
-}
-
-// score weighs shard i's kind histogram by the failure scores,
-// profiling the shard on first demand. PlannedKind replays only the
-// generator's first RNG draw, so profiling a shard costs microseconds,
-// and each shard is profiled at most once per run.
-func (s *scheduler) score(i int, kindScore *[numKinds]uint64) uint64 {
-	sh := &s.shards[i]
-	if sh.hist == nil {
-		sh.hist = make([]uint32, numKinds)
-		for seed := sh.lo; seed < sh.hi; seed++ {
-			sh.hist[PlannedKind(seed, s.gen)]++
-		}
-	}
-	var total uint64
-	for k, n := range sh.hist {
-		total += uint64(n) * kindScore[k]
-	}
-	return total
-}
+// shardSpan is one work unit: the seed range [lo, hi).
+type shardSpan struct{ lo, hi uint64 }
 
 // shardResult is one shard's accumulator, merged in shard order.
 type shardResult struct {
@@ -240,7 +138,7 @@ func Run(cfg RunConfig) (*RunReport, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shardSize := uint64(cfg.ShardSize)
+	shardSize := uint64(cfg.shardSize)
 	if shardSize == 0 {
 		shardSize = cfg.Seeds / (8 * uint64(workers))
 		if shardSize < 16 {
@@ -258,11 +156,11 @@ func Run(cfg RunConfig) (*RunReport, error) {
 		}
 		shards = append(shards, shardSpan{lo: lo, hi: hi})
 	}
-	sched := newScheduler(shards, cfg.Gen, cfg.Guided)
 
 	var (
-		stop    atomic.Bool  // prompt cross-worker cancellation
-		failing atomic.Int64 // failing seeds, one per seed
+		next    atomic.Uint64 // claim cursor over shards, in seed order
+		stop    atomic.Bool   // prompt cross-worker cancellation
+		failing atomic.Int64  // failing seeds, one per seed
 		genMu   sync.Mutex
 		genErr  error
 	)
@@ -279,11 +177,11 @@ func Run(cfg RunConfig) (*RunReport, error) {
 			st := &stats[worker]
 			st.Worker = worker
 			for !stop.Load() {
-				idx := sched.next()
-				if idx < 0 {
+				idx := int(next.Add(1) - 1)
+				if idx >= len(shards) {
 					return
 				}
-				sh := &sched.shards[idx]
+				sh := shards[idx]
 				st.Shards++
 				shardBegan := time.Now()
 				acc := &shardResult{byKind: map[string]int{}}
@@ -311,7 +209,6 @@ func Run(cfg RunConfig) (*RunReport, error) {
 					}
 					acc.failing++
 					acc.fails = append(acc.fails, rep.Failures...)
-					sched.noteFailure(g.Kind)
 					var reduced *ReducedCase
 					if cfg.Reduce {
 						rc := MinimizeFailure(g, rep, wb.Check)
@@ -339,7 +236,6 @@ func Run(cfg RunConfig) (*RunReport, error) {
 		Seeds:     cfg.Seeds,
 		Workers:   workers,
 		ShardSize: int(shardSize),
-		Guided:    cfg.Guided,
 		ByKind:    map[string]int{},
 		Stopped:   stop.Load(),
 	}

@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/hex"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -10,13 +13,11 @@ import (
 )
 
 // normalize strips the timing fields the determinism contract excludes
-// (RunReport documents that only these may vary across worker counts
-// and scheduling modes).
+// (RunReport documents that only these may vary across worker counts).
 func normalize(r *RunReport) *RunReport {
 	c := *r
 	c.Workers = 0
 	c.ShardSize = 0
-	c.Guided = false
 	c.WorkerStats = nil
 	c.Elapsed = 0
 	c.ElapsedMs = 0
@@ -36,7 +37,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if raceEnabled {
 		seeds = 6
 	}
-	base := RunConfig{Seeds: seeds, ShardSize: 3}
+	base := RunConfig{Seeds: seeds, shardSize: 3}
 	seq := base
 	seq.Workers = 1
 	par := base
@@ -70,7 +71,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // brokenOracle returns an oracle whose boundary-tag heap silently
 // under-allocates (the mutation rig's shortHeap), so most seeds fail
-// the matrix — the harness for early-stop and guidance tests.
+// the matrix — the harness for early-stop and forensic-bundle tests.
 func brokenOracle() Oracle {
 	return Oracle{
 		AllocatorFor: func(kind AllocKind, space *mem.Space) (heapsim.Allocator, error) {
@@ -79,44 +80,6 @@ func brokenOracle() Oracle {
 			}
 			return heapsim.NewPool(space)
 		},
-	}
-}
-
-// TestGuidedMatchesUnguided pins that divergence guidance reorders
-// execution only: the merged run-to-completion report is identical
-// with and without it, including over a corpus that actually fails
-// (so the kind-score path really engages).
-func TestGuidedMatchesUnguided(t *testing.T) {
-	if testing.Short() {
-		t.Skip("broken-allocator corpus in -short")
-	}
-	seeds := uint64(8)
-	if raceEnabled {
-		seeds = 4
-	}
-	base := RunConfig{
-		Seeds:     seeds,
-		ShardSize: 2,
-		Workers:   2,
-		Oracle:    brokenOracle(),
-		Gen:       GenConfig{Kinds: []VulnKind{OverflowWrite, UAFWrite}},
-	}
-	guided := base
-	guided.Guided = true
-
-	plain, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := Run(guided)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.FailingSeeds == 0 {
-		t.Fatal("broken allocator produced no failing seeds; guidance untested")
-	}
-	if !reflect.DeepEqual(normalize(plain), normalize(g)) {
-		t.Errorf("guided report diverges from unguided:\n plain:  %+v\n guided: %+v", normalize(plain), normalize(g))
 	}
 }
 
@@ -131,7 +94,7 @@ func TestMaxFailingSeedsStopsPromptly(t *testing.T) {
 	seeds := uint64(400)
 	rep, err := Run(RunConfig{
 		Seeds:           seeds,
-		ShardSize:       8,
+		shardSize:       8,
 		Workers:         4,
 		MaxFailingSeeds: 3,
 		Oracle:          brokenOracle(),
@@ -222,6 +185,39 @@ func TestRunBundles(t *testing.T) {
 	}
 }
 
+// TestCampaignBundleIngest: a bundle produced by the campaign's own
+// encoder (buildBundle) decodes back to the generator's exact inputs —
+// the JSON htp-fuzz -forensics writes is self-contained.
+func TestCampaignBundleIngest(t *testing.T) {
+	g, err := Generate(7, GenConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &Report{Seed: g.Seed, Kind: g.Kind.String()}
+	rep.fail(FailDefenseCrash, "defended/heap/tree/attack", "synthetic")
+	data, err := json.Marshal(buildBundle(g, rep, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Bundle
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Seed != g.Seed || got.Kind != g.Kind.String() {
+		t.Errorf("seed/kind = %d/%q, want %d/%q", got.Seed, got.Kind, g.Seed, g.Kind)
+	}
+	in, err := hex.DecodeString(got.Attack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(in, g.Attack) {
+		t.Errorf("bundle attack %x, regenerated %x", in, g.Attack)
+	}
+	if len(got.Failures) != 1 || got.Failures[0].Class != FailDefenseCrash {
+		t.Errorf("failures = %+v", got.Failures)
+	}
+}
+
 // TestRunMatrixSelection pins that the sharded runtime honors the
 // oracle's engine/allocator trims and the generator's kind trim, the
 // same knobs the CLI exposes.
@@ -249,8 +245,8 @@ func TestRunMatrixSelection(t *testing.T) {
 	}
 }
 
-// TestPlannedKind pins the guided scheduler's profiling primitive:
-// PlannedKind must agree with Generate for every seed and config trim.
+// TestPlannedKind pins the policy experiment's seed filter: PlannedKind
+// must agree with Generate for every seed and config trim.
 func TestPlannedKind(t *testing.T) {
 	cfgs := []GenConfig{
 		{},

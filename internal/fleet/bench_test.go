@@ -61,8 +61,8 @@ func benchSetup(tb testing.TB) (*prog.Program, *encoding.Coder, *patch.Set) {
 }
 
 // dirty runs a small representative request-worth of heap traffic on
-// a context, so pooled-setup measurements recycle a USED context, not
-// a pristine one.
+// a context, so recycled-setup measurements recycle a USED context,
+// not a pristine one.
 func dirty(b *testing.B, ctx *Context) {
 	b.Helper()
 	be := ctx.Backend()
@@ -85,10 +85,11 @@ func dirty(b *testing.B, ctx *Context) {
 }
 
 // BenchmarkFleetSetup compares per-request worker setup: building a
-// full fresh context versus recycling a pooled one (including the
+// full fresh context versus recycling a worker's own (including the
 // request's worth of dirtying traffic the recycle has to undo). The
-// pooled path must be >= 10x cheaper — the number the fleet's
-// sync.Pool design banks on, recorded in the benchmark trajectory.
+// recycled path must be >= 10x cheaper — the number the fleet's
+// context-per-worker design banks on, recorded in the benchmark
+// trajectory.
 func BenchmarkFleetSetup(b *testing.B) {
 	_, _, set := benchSetup(b)
 	cfg := Config{Patches: set}
@@ -96,7 +97,7 @@ func BenchmarkFleetSetup(b *testing.B) {
 		f := New(cfg)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ctx, err := f.newContext()
+			ctx, err := f.Acquire()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -105,7 +106,7 @@ func BenchmarkFleetSetup(b *testing.B) {
 	})
 	b.Run("pooled", func(b *testing.B) {
 		f := New(cfg)
-		ctx, err := f.newContext()
+		ctx, err := f.Acquire()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestFleetPooledSetupAdvantage(t *testing.T) {
 	fresh := testing.Benchmark(func(b *testing.B) {
 		f := New(cfg)
 		for i := 0; i < b.N; i++ {
-			ctx, err := f.newContext()
+			ctx, err := f.Acquire()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -146,7 +147,7 @@ func TestFleetPooledSetupAdvantage(t *testing.T) {
 	})
 	pooled := testing.Benchmark(func(b *testing.B) {
 		f := New(cfg)
-		ctx, err := f.newContext()
+		ctx, err := f.Acquire()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,12 +176,11 @@ func TestFleetPooledSetupAdvantage(t *testing.T) {
 
 // TestFleetSteadyStateAllocFree pins the zero-allocation property of
 // the defended worker hot path: request traffic plus the recycle must
-// not grow the Go heap once warm. (Pinned on an explicit context, not
-// through sync.Pool — GC may legitimately drain the pool mid-run.)
+// not grow the Go heap once warm.
 func TestFleetSteadyStateAllocFree(t *testing.T) {
 	_, _, set := benchSetup(t)
 	f := New(Config{Patches: set})
-	ctx, err := f.newContext()
+	ctx, err := f.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func BenchmarkFleetServe(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("defended/w%d", w), func(b *testing.B) {
 			f := New(Config{Patches: set})
-			if _, err := serveAll(f, p, coder, prog.EngineCompiled, w, inputs); err != nil { // warm pool
+			if _, err := serveAll(f, p, coder, prog.EngineCompiled, w, inputs); err != nil { // warm up
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

@@ -91,7 +91,7 @@ func TestFleetPooledBitIdentical(t *testing.T) {
 
 			// Pooled: ONE context recycled through every request.
 			pooledFleet := New(cfg)
-			pooled, err := pooledFleet.newContext()
+			pooled, err := pooledFleet.Acquire()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestFleetPooledBitIdentical(t *testing.T) {
 			// Fresh: a brand-new context per request.
 			freshFleet := New(cfg)
 			for i, in := range c.inputs {
-				fresh, err := freshFleet.newContext()
+				fresh, err := freshFleet.Acquire()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,7 +133,7 @@ func TestFleetPooledBitIdenticalAfterCrash(t *testing.T) {
 	t.Run("boundary-tag", func(t *testing.T) {
 		cfg := Config{Patches: patches}
 		f := New(cfg)
-		ctx, err := f.newContext()
+		ctx, err := f.Acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestFleetPooledBitIdenticalAfterCrash(t *testing.T) {
 		}
 		afterCrash := runOn(t, ctx, p, coder, []byte{0})
 
-		fresh, err := New(cfg).newContext()
+		fresh, err := New(cfg).Acquire()
 		if err != nil {
 			t.Fatal(err)
 		}

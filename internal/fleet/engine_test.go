@@ -72,7 +72,7 @@ func TestFleetVMBitIdenticalAcrossReset(t *testing.T) {
 			freshFleet := New(cfg)
 			var want []snapshot
 			for _, in := range c.inputs {
-				fresh, err := freshFleet.newContext()
+				fresh, err := freshFleet.Acquire()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,7 +80,7 @@ func TestFleetVMBitIdenticalAcrossReset(t *testing.T) {
 			}
 
 			// The compiled machine over one recycled context.
-			ctx, err := New(cfg).newContext()
+			ctx, err := New(cfg).Acquire()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,14 +112,14 @@ func TestFleetVMReusedInstanceAcrossReset(t *testing.T) {
 	freshFleet := New(cfg)
 	var want []snapshot
 	for _, in := range inputs {
-		fresh, err := freshFleet.newContext()
+		fresh, err := freshFleet.Acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, runOn(t, fresh, p, coder, in))
 	}
 
-	ctx, err := New(cfg).newContext()
+	ctx, err := New(cfg).Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +168,8 @@ func TestFleetServeEngines(t *testing.T) {
 				t.Errorf("request %d diverges across engines\ntree: %+v\n%v:   %+v", i, tres[i], e, vres[i])
 			}
 		}
-		// ContextsBuilt depends on pool behavior, not the engine
-		// contract; everything else must match exactly.
-		ts, vs := tstats, vstats
-		ts.ContextsBuilt, vs.ContextsBuilt = 0, 0
-		if !reflect.DeepEqual(ts, vs) {
-			t.Errorf("fleet stats diverge\ntree: %+v\n%v:   %+v", ts, e, vs)
+		if !reflect.DeepEqual(tstats, vstats) {
+			t.Errorf("fleet stats diverge\ntree: %+v\n%v:   %+v", tstats, e, vstats)
 		}
 	}
 }

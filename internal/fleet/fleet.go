@@ -11,10 +11,10 @@
 //
 // Worker contexts are expensive to build (a space reservation, an
 // allocator, a defense layer) and cheap to recycle (Reset costs are
-// proportional to pages touched, not address-space size), so the fleet
-// pools them through sync.Pool: steady-state request handling builds
-// nothing and the per-request setup cost is a Reset, not a
-// construction.
+// proportional to pages touched, not address-space size), so each
+// worker Acquires one context for its lifetime and recycles it after
+// every request: steady-state request handling builds nothing and the
+// per-request setup cost is a Reset, not a construction.
 //
 // Concurrency model — the invariant everything here rests on:
 //
@@ -26,7 +26,6 @@ package fleet
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"heaptherapy/internal/defense"
@@ -76,8 +75,8 @@ type Stats struct {
 	Requests uint64
 	// Crashes is the number of requests that ended in a fault.
 	Crashes uint64
-	// ContextsBuilt counts full worker-context constructions (pool
-	// misses); the pooling win is Requests >> ContextsBuilt.
+	// ContextsBuilt counts worker-context constructions, one per
+	// Acquire; the recycling win is Requests >> ContextsBuilt.
 	ContextsBuilt uint64
 	// Resets counts context recycles.
 	Resets uint64
@@ -94,8 +93,8 @@ type Stats struct {
 }
 
 // Fleet is the parallel serving runtime. Construct with New; a Fleet
-// is safe for concurrent use (any number of goroutines may Acquire,
-// serve on, and Release contexts — workers never share contexts).
+// is safe for concurrent use (any number of goroutines may Acquire and
+// serve on contexts — workers never share contexts).
 type Fleet struct {
 	cfg Config
 
@@ -106,8 +105,6 @@ type Fleet struct {
 	// they acquired their context — the old table stays valid forever
 	// (immutable), it just stops being handed out.
 	table atomic.Pointer[defense.SealedTable]
-
-	ctxPool sync.Pool // *Context
 
 	requests      atomic.Uint64
 	crashes       atomic.Uint64
@@ -157,10 +154,10 @@ func (f *Fleet) Table() *defense.SealedTable { return f.table.Load() }
 //   - the new table is built and (if telemetered) hit-enabled BEFORE
 //     it becomes visible, so no worker ever sees a half-built table;
 //   - the install is one atomic pointer store: contexts acquired after
-//     it observe the new table (Acquire re-points pooled Defenders, so
-//     their next allocation looks it up), while contexts already in
-//     flight keep serving on the old table, which is immutable and
-//     therefore valid forever;
+//     it are built on the new table, and a live context picks it up at
+//     its next Context.SyncTable (its next allocation looks it up),
+//     while requests already in flight keep serving on the old table,
+//     which is immutable and therefore valid forever;
 //   - nothing is ever mutated in place, so there is no window where a
 //     request can fail because of the swap.
 //
@@ -230,7 +227,7 @@ func (f *Fleet) Swaps() uint64 { return f.swaps.Load() }
 
 // FinishRequest accounts one request served on c: fleet and tenant
 // counters, the defense-stat delta merge, and the context recycle,
-// leaving c ready for its next request or checkout. A request that
+// leaving c ready for its next request. A request that
 // faults is a normal outcome — its context recycles and serving
 // continues (crash isolation: one tenant's SIGSEGV never touches
 // another's heap).

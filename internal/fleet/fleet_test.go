@@ -22,7 +22,7 @@ import (
 // next-index; the i-th result lands in the i-th slot. Each goroutine
 // follows the front-end's per-request sequence: Acquire a context,
 // build an executor over its backend from the once-prepared program,
-// then SyncTable → Run → FinishRequest per request, and Release.
+// then SyncTable → Run → FinishRequest per request.
 // coder may be nil to run without calling-context encoding.
 func serveAll(f *Fleet, p *prog.Program, coder *encoding.Coder, engine prog.Engine, workers int, inputs [][]byte) ([]*prog.Result, error) {
 	pp, err := prog.Prepare(p, prog.Config{Coder: coder, Engine: engine})
@@ -53,7 +53,6 @@ func serveRequests(f *Fleet, pp *prog.Prepared, inputs [][]byte, results []*prog
 	}
 	it, err := pp.NewExec(ctx.Backend())
 	if err != nil {
-		f.Release(ctx)
 		return err
 	}
 	for {
@@ -73,7 +72,6 @@ func serveRequests(f *Fleet, pp *prog.Prepared, inputs [][]byte, results []*prog
 			return err
 		}
 	}
-	f.Release(ctx)
 	return nil
 }
 
@@ -207,7 +205,7 @@ func overflowSetup(t *testing.T, p *prog.Program) (*encoding.Coder, *patch.Set) 
 
 // TestFleetServeMatchesSingleRuns: the parallel fleet must produce,
 // for every input, exactly the result a standalone defended run of
-// that input produces — parallelism and context pooling are invisible
+// that input produces — parallelism and context recycling are invisible
 // to each tenant.
 func TestFleetServeMatchesSingleRuns(t *testing.T) {
 	p := uafProgram()
@@ -230,7 +228,7 @@ func TestFleetServeMatchesSingleRuns(t *testing.T) {
 
 	ref := New(Config{Patches: patches})
 	for i, in := range inputs {
-		ctx, err := ref.newContext()
+		ctx, err := ref.Acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +269,7 @@ func TestFleetServeMatchesSingleRuns(t *testing.T) {
 		t.Errorf("Resets=%d, want 16 (one per request)", st.Resets)
 	}
 	if st.ContextsBuilt > 4 {
-		t.Errorf("ContextsBuilt=%d, want <= 4 workers (pooling)", st.ContextsBuilt)
+		t.Errorf("ContextsBuilt=%d, want <= 4 workers (one context per worker)", st.ContextsBuilt)
 	}
 	// Stats merge: the patched obj allocation fires once per request.
 	if st.Defense.PatchedAllocs != 16 {
@@ -349,9 +347,10 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
-// TestFleetPoolReuseAcrossServes: a second batch of requests must be
-// served on pooled contexts, not fresh construction.
-func TestFleetPoolReuseAcrossServes(t *testing.T) {
+// TestFleetContextsPerWorker: each worker builds exactly one context,
+// on its Acquire, and recycles it through every request it serves; a
+// second batch's workers build their own.
+func TestFleetContextsPerWorker(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
 	f := New(Config{Patches: patches})
@@ -359,7 +358,9 @@ func TestFleetPoolReuseAcrossServes(t *testing.T) {
 	if _, err := serveAll(f, p, coder, prog.EngineCompiled, 2, inputs); err != nil {
 		t.Fatal(err)
 	}
-	built := f.Stats().ContextsBuilt
+	if built := f.Stats().ContextsBuilt; built != 2 {
+		t.Errorf("first batch built %d contexts, want 2 (one per worker)", built)
+	}
 	if _, err := serveAll(f, p, coder, prog.EngineCompiled, 2, inputs); err != nil {
 		t.Fatal(err)
 	}
@@ -367,11 +368,9 @@ func TestFleetPoolReuseAcrossServes(t *testing.T) {
 	if st.Requests != 12 {
 		t.Errorf("Requests=%d, want 12", st.Requests)
 	}
-	// sync.Pool may theoretically drop entries under GC pressure, so
-	// allow slack but catch the build-every-time regression.
-	if st.ContextsBuilt > built+2 {
-		t.Errorf("second batch built %d new contexts (total %d), want pooled reuse",
-			st.ContextsBuilt-built, st.ContextsBuilt)
+	if st.ContextsBuilt != 4 || st.Resets != 12 {
+		t.Errorf("ContextsBuilt=%d Resets=%d, want 4 and 12 (built per worker, recycled per request)",
+			st.ContextsBuilt, st.Resets)
 	}
 }
 
@@ -394,7 +393,7 @@ func TestFleetParallelSpeedup(t *testing.T) {
 	}
 	measure := func(workers int) time.Duration {
 		f := New(Config{Patches: patches})
-		if _, err := serveAll(f, p, coder, prog.EngineCompiled, workers, inputs); err != nil { // warm the pool
+		if _, err := serveAll(f, p, coder, prog.EngineCompiled, workers, inputs); err != nil { // warm up
 			t.Fatal(err)
 		}
 		start := time.Now()

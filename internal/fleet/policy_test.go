@@ -9,7 +9,7 @@ import (
 )
 
 // TestFleetPolicyServeMatchesSingleRuns: the policy axis must be
-// invisible to the pooling/parallelism machinery — for every family, a
+// invisible to the recycling/parallelism machinery — for every family, a
 // 4-worker fleet produces exactly the results a standalone defended
 // context produces, request for request. Under `go test -race` this
 // also pins the policies' concurrency contract: per-worker state
@@ -39,7 +39,7 @@ func TestFleetPolicyServeMatchesSingleRuns(t *testing.T) {
 
 			ref := New(Config{Patches: patches, Family: fam})
 			for i, in := range inputs {
-				ctx, err := ref.newContext()
+				ctx, err := ref.Acquire()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +68,7 @@ func TestFleetPolicyServeMatchesSingleRuns(t *testing.T) {
 				t.Errorf("Requests=%d, want %d", st.Requests, len(inputs))
 			}
 			if st.ContextsBuilt > 4 {
-				t.Errorf("ContextsBuilt=%d, want <= 4 (pooling intact under %v)", st.ContextsBuilt, fam)
+				t.Errorf("ContextsBuilt=%d, want <= 4 (one per worker under %v)", st.ContextsBuilt, fam)
 			}
 		})
 	}

@@ -17,10 +17,10 @@ func overflowPatch(ccid uint64) *patch.Set {
 }
 
 // TestSwapTable pins the fleet-level rollout seam: SwapTable installs
-// a new sealed table atomically, pooled contexts are re-pointed at
-// checkout (with a table-generation bump), and contexts checked out before the swap keep their old —
-// still immutable, still valid — table until they come back through
-// Acquire.
+// a new sealed table atomically, a live context is re-pointed by its
+// next SyncTable (with a table-generation bump), contexts built after
+// the swap start on the new table, and a context mid-request keeps its
+// old — still immutable, still valid — table until it syncs.
 func TestSwapTable(t *testing.T) {
 	f := New(Config{Patches: overflowPatch(0x1)})
 	oldTable := f.Table()
@@ -28,17 +28,11 @@ func TestSwapTable(t *testing.T) {
 		t.Fatal("fleet has no table")
 	}
 
-	// One context checked out across the swap, one pooled through it.
 	held, err := f.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := f.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	genPooled := pooled.Defender().TableGeneration()
-	f.Release(pooled)
+	genHeld := held.Defender().TableGeneration()
 
 	newTable, err := f.SwapTable(overflowPatch(0x2))
 	if err != nil {
@@ -51,87 +45,70 @@ func TestSwapTable(t *testing.T) {
 		t.Errorf("TableSwaps=%d, want 1", st.TableSwaps)
 	}
 
-	// The held context is untouched: swapping under a checked-out
-	// worker would violate the Defender ownership contract.
+	// The held context is untouched: swapping under a live worker
+	// would violate the Defender ownership contract.
 	if held.Defender().SharedTable() != oldTable {
-		t.Error("checked-out context re-pointed mid-flight")
+		t.Error("live context re-pointed mid-flight")
 	}
 	if !held.Defender().ProbePatched(heapsim.FnMalloc, 0x1) {
 		t.Error("old table no longer serves its in-flight context")
 	}
 
-	// The pooled context picks up the new table at its next checkout.
-	// (Under -race sync.Pool may drop the Put; a fresh build points at
-	// the new table too, so the table assertion holds either way — the
-	// generation-bump check needs the recycled identity.)
-	c, err := f.Acquire()
+	// A context built after the swap starts on the new table.
+	fresh, err := f.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Defender().SharedTable() != newTable {
-		t.Error("Acquire did not re-point the pooled context")
+	if fresh.Defender().SharedTable() != newTable {
+		t.Error("Acquire after the swap built a context on the old table")
 	}
-	if c == pooled && c.Defender().TableGeneration() <= genPooled {
+
+	// The held context picks up the new table at its next sync.
+	if swapped, err := held.SyncTable(f); err != nil || !swapped {
+		t.Fatalf("SyncTable after a swap = %v, %v; want true", swapped, err)
+	}
+	if held.Defender().SharedTable() != newTable {
+		t.Error("SyncTable did not re-point the context")
+	}
+	if held.Defender().TableGeneration() <= genHeld {
 		t.Error("re-pointing did not advance the table generation")
 	}
-	if !c.Defender().ProbePatched(heapsim.FnMalloc, 0x2) {
+	if !held.Defender().ProbePatched(heapsim.FnMalloc, 0x2) {
 		t.Error("new patch not probed after re-pointing")
 	}
-	if c.Defender().ProbePatched(heapsim.FnMalloc, 0x1) {
+	if held.Defender().ProbePatched(heapsim.FnMalloc, 0x1) {
 		t.Error("old patch still probed after re-pointing")
 	}
 
-	// Re-acquiring with no intervening swap is a no-op.
-	f.Release(c)
-	gen := c.Defender().TableGeneration()
-	c2, err := f.Acquire()
-	if err != nil {
-		t.Fatal(err)
+	// Re-syncing with no intervening swap is a no-op.
+	gen := held.Defender().TableGeneration()
+	if swapped, err := held.SyncTable(f); err != nil || swapped {
+		t.Errorf("SyncTable with no swap = %v, %v; want false", swapped, err)
 	}
-	if c2 == c && c2.Defender().TableGeneration() != gen {
-		t.Error("Acquire bumped the generation without a table change")
+	if held.Defender().TableGeneration() != gen {
+		t.Error("SyncTable bumped the generation without a table change")
 	}
 }
 
 // TestSyncTableError: a context whose Defender cannot take the fleet's
 // table (one built without a shared table) makes SyncTable return the
-// swap error instead of panicking, and Acquire hands that error back
-// instead of the context.
+// swap error instead of panicking.
 func TestSyncTableError(t *testing.T) {
 	f := New(Config{Patches: overflowPatch(0x1)})
-	broken := func() *Context {
-		c, err := f.newContext()
-		if err != nil {
-			t.Fatal(err)
-		}
-		private, err := defense.NewBackend(c.space, defense.Config{Patches: patch.NewSet()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.backend = private
-		return c
+	c, err := f.Acquire()
+	if err != nil {
+		t.Fatal(err)
 	}
+	private, err := defense.NewBackend(c.space, defense.Config{Patches: patch.NewSet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.backend = private
 
-	swapped, err := broken().SyncTable(f)
+	swapped, err := c.SyncTable(f)
 	if err == nil || swapped {
 		t.Fatalf("SyncTable on a private-table Defender = %v, %v; want false and an error", swapped, err)
 	}
-	want := err.Error()
-
-	// sync.Pool may drop a Put (the race detector does so at random),
-	// so keep handing a broken context back until Acquire draws one.
-	for i := 0; i < 50; i++ {
-		f.Release(broken())
-		c, err := f.Acquire()
-		if err == nil {
-			continue
-		}
-		if c != nil || err.Error() != want {
-			t.Fatalf("Acquire = %p, %v; want nil and %q", c, err, want)
-		}
-		return
-	}
-	t.Fatal("Acquire never returned the broken context's SyncTable error")
 }
 
 // TestSwapTableContract: every fleet, the zero Config's too, holds a
@@ -161,41 +138,6 @@ func TestSwapTableContract(t *testing.T) {
 	}
 }
 
-// TestDrainPool: draining discards pooled contexts so the next Acquire
-// builds from scratch.
-func TestDrainPool(t *testing.T) {
-	f := New(Config{Patches: overflowPatch(0x1)})
-	a, err := f.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := f.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Release(a)
-	f.Release(b)
-
-	if n := f.DrainPool(); n > 2 {
-		t.Fatalf("DrainPool dropped %d contexts, want <= 2", n)
-	} // (< 2 is possible under -race: sync.Pool drops Puts there)
-	if n := f.DrainPool(); n != 0 {
-		t.Fatalf("second DrainPool dropped %d contexts, want 0", n)
-	}
-
-	built := f.Stats().ContextsBuilt
-	c, err := f.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a || c == b {
-		t.Error("Acquire returned a drained context")
-	}
-	if got := f.Stats().ContextsBuilt; got != built+1 {
-		t.Errorf("ContextsBuilt=%d after drain+Acquire, want %d", got, built+1)
-	}
-}
-
 // TestFinishRequest: the per-request accounting seam — counters,
 // defense-stat merge, recycle.
 func TestFinishRequest(t *testing.T) {
@@ -218,7 +160,6 @@ func TestFinishRequest(t *testing.T) {
 	if err := f.FinishRequest(c, res.Crashed()); err != nil {
 		t.Fatal(err)
 	}
-	f.Release(c)
 
 	st := f.Stats()
 	if st.Requests != 1 {

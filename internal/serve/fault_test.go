@@ -98,8 +98,8 @@ func (panickyExec) Run(input []byte) (*prog.Result, error) {
 }
 
 // TestWorkerExecutorPanic: an executor that panics mid-request fails
-// that request with a 500, not the process. The worker recycles its
-// context and serves the next job. The server is assembled by hand so
+// that request with a 500, counted as an engine error, not the process.
+// The worker recycles its context and serves the next job. The server is assembled by hand so
 // that the panicking worker is the only one reading the job queue.
 func TestWorkerExecutorPanic(t *testing.T) {
 	f := fleet.New(fleet.Config{Patches: patch.NewSet()})
@@ -130,6 +130,35 @@ func TestWorkerExecutorPanic(t *testing.T) {
 	resp, body = post(t, ts, "/request", []byte("next"))
 	if resp.StatusCode != http.StatusOK || string(body) != "next" {
 		t.Errorf("request after the panic: %d %q, want 200 \"next\"", resp.StatusCode, body)
+	}
+	if st := s.Stats(); st.EngineErrors != 1 || st.StepLimits != 0 {
+		t.Errorf("engine_errors=%d step_limits=%d, want 1/0", st.EngineErrors, st.StepLimits)
+	}
+}
+
+// TestRolloutAnalyzesCrashingInput: the re-analysis hook receives
+// exactly the body of each distinct wild request, in arrival order.
+func TestRolloutAnalyzesCrashingInput(t *testing.T) {
+	got := make(chan []byte, 2)
+	_, ts, svc := newNginxServer(t, func(c *Config) {
+		c.Analyze = func(p *prog.Program, attack []byte) (*patch.Set, error) {
+			got <- bytes.Clone(attack)
+			return nil, errors.New("injected: analysis declined")
+		}
+	})
+	for _, body := range [][]byte{svc.CrashRequest(), append(svc.CrashRequest(), 0xAB)} {
+		resp, _ := post(t, ts, "/request", body)
+		if outcome := resp.Header.Get("X-HTP-Outcome"); outcome != OutcomeWild {
+			t.Fatalf("crash %x outcome %q, want wild", body, outcome)
+		}
+		select {
+		case attack := <-got:
+			if !bytes.Equal(attack, body) {
+				t.Errorf("analyzed input %x, want the crashing body %x", attack, body)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("crashing input never reached re-analysis")
+		}
 	}
 }
 
@@ -314,7 +343,7 @@ func TestServeNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Program: p, BenignSample: svc.BenignRequest(), Workers: 3})
+	s, err := New(Config{Program: p, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +372,7 @@ func TestServeNoGoroutineLeak(t *testing.T) {
 func TestServeAbandonedWhileQueued(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	s, err := New(Config{Program: slowProgram(), BenignSample: workload.Request(1), Workers: 1, MaxInFlight: 4})
+	s, err := New(Config{Program: slowProgram(), Workers: 1, MaxInFlight: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

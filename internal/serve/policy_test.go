@@ -74,7 +74,7 @@ func TestServePolicyNoGoroutineLeak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := New(Config{Program: p, BenignSample: svc.BenignRequest(), Workers: 3, Family: fam})
+			s, err := New(Config{Program: p, Workers: 3, Family: fam})
 			if err != nil {
 				t.Fatal(err)
 			}

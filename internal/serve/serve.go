@@ -1,17 +1,17 @@
 // Package serve is the live-traffic front-end over the fleet runtime:
-// an HTTP server that maps each request onto a pooled defended tenant
-// context, executes the service program, and — the point of the
-// exercise — rolls out code-less heap patches under load with zero
-// downtime. When a defended tenant traps a wild heap fault, the
-// offending request is packaged as a forensic bundle (the campaign
-// interchange format), re-executed on a shadow-analyzed workbench off
-// the request path, and the patches that emerge are sealed into a new
-// table and swapped in atomically. In-flight requests finish on the
-// table they started with (sealed tables are immutable, so the old one
-// stays valid forever); each worker re-points its context before its
-// next request, so that request's allocations look up the new table.
-// No restart, no dropped requests — the paper's "patching without
-// restarting" claim (Section I), made operational.
+// an HTTP server that hands each request to a worker owning one
+// defended tenant context, executes the service program, and — the
+// point of the exercise — rolls out code-less heap patches under load
+// with zero downtime. When a defended tenant traps a wild heap fault,
+// the offending request body is queued for re-analysis, re-executed
+// under shadow memory off the request path, and the patches that
+// emerge are sealed into a new table and swapped in atomically.
+// In-flight requests finish on the table they started with (sealed
+// tables are immutable, so the old one stays valid forever); each
+// worker re-points its context before its next request, so that
+// request's allocations look up the new table. No restart, no dropped
+// requests — the paper's "patching without restarting" claim
+// (Section I), made operational.
 //
 // The front-end also carries the unglamorous production machinery:
 // admission control (a bounded in-flight semaphore), backpressure
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"heaptherapy/internal/analysis"
-	"heaptherapy/internal/campaign"
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/fleet"
@@ -50,6 +49,9 @@ const (
 	// OutcomeWild is a request that faulted off any guard page — an
 	// unpatched vulnerability. It triggers a live patch rollout.
 	OutcomeWild = "wild"
+	// OutcomeStepLimit is a request whose run exceeded its step budget
+	// (Config.MaxSteps); it is refused with 422.
+	OutcomeStepLimit = "step-limit"
 )
 
 // maxRequestBytes bounds a request body; a longer body is refused
@@ -64,8 +66,9 @@ type Config struct {
 	// Coder is the calling-context coder; built from the program's
 	// graph (incremental scheme, PCC encoder) when nil.
 	Coder *encoding.Coder
-	// BenignSample is a known-good request recorded into forensic
-	// bundles for differential replay. Optional.
+	// BenignSample is kept so existing configurations still compile.
+	//
+	// Deprecated: no effect. Re-analysis needs only the crashing input.
 	BenignSample []byte
 	// Workers is the number of worker goroutines, each owning one
 	// defended tenant context for its lifetime (0 = 4).
@@ -99,10 +102,10 @@ type Config struct {
 	// offline analyzer (shadow memory + red zones) in-process. Tests
 	// inject failures here.
 	Analyze func(p *prog.Program, attack []byte) (*patch.Set, error)
-	// RolloutQueue bounds crash bundles waiting for re-analysis;
-	// further crashes drop their bundles (counted, not fatal) until
-	// the queue drains (0 = 16). A crash whose attack input matches
-	// one already queued or under analysis is not queued again.
+	// RolloutQueue bounds crashing inputs waiting for re-analysis;
+	// further crashes are dropped (counted, not fatal) until the queue
+	// drains (0 = 16). A crash whose attack input matches one already
+	// queued or under analysis is not queued again.
 	RolloutQueue int
 }
 
@@ -123,7 +126,7 @@ type Stats struct {
 	// RolloutFails counts rollout attempts that failed and left the
 	// previous table serving.
 	RolloutFails uint64 `json:"rollout_fails"`
-	// BundleDrops counts crash bundles dropped on a full rollout
+	// BundleDrops counts crashing inputs dropped on a full rollout
 	// queue.
 	BundleDrops uint64 `json:"bundle_drops"`
 	// BundleDuplicates counts wild crashes not queued because a
@@ -135,6 +138,13 @@ type Stats struct {
 	// the JSON while zero, so an undisturbed server's /metrics keeps
 	// its shape.
 	Abandoned uint64 `json:"abandoned,omitempty"`
+	// StepLimits counts requests refused because their run exceeded
+	// Config.MaxSteps. Omitted from the JSON while zero.
+	StepLimits uint64 `json:"step_limits,omitempty"`
+	// EngineErrors counts requests failed by the engine rather than the
+	// guest (a table sync, engine error or panic, or a failed context
+	// recycle). Omitted from the JSON while zero.
+	EngineErrors uint64 `json:"engine_errors,omitempty"`
 	// Draining reports that the server has begun graceful drain.
 	Draining bool `json:"draining"`
 }
@@ -161,8 +171,8 @@ type Server struct {
 	coder *encoding.Coder
 	tel   *telemetry.Scope // front-end's own scope (rollout counters)
 
-	jobs    chan *job
-	bundles chan rolloutJob
+	jobs  chan *job
+	queue chan rolloutJob // wild crashes awaiting re-analysis
 
 	// pending holds the attack-input hashes of queued and in-flight
 	// re-analyses, at most RolloutQueue+1 of them; an entry is released
@@ -205,12 +215,14 @@ type Server struct {
 	bundleDrops   atomic.Uint64
 	bundleDups    atomic.Uint64
 	abandoned     atomic.Uint64
+	stepLimits    atomic.Uint64
+	engineErrors  atomic.Uint64
 }
 
-// rolloutJob is one queued crash bundle and its attack-input hash.
+// rolloutJob is one queued crashing request body and its SHA-256.
 type rolloutJob struct {
-	bundle *campaign.Bundle
-	key    [sha256.Size]byte
+	input []byte
+	key   [sha256.Size]byte
 }
 
 // New builds the front-end: a defended fleet, one worker goroutine per
@@ -260,7 +272,7 @@ func New(cfg Config) (*Server, error) {
 		fleet:    f,
 		coder:    coder,
 		jobs:     make(chan *job),
-		bundles:  make(chan rolloutJob, cfg.RolloutQueue),
+		queue:    make(chan rolloutJob, cfg.RolloutQueue),
 		pending:  make(map[[sha256.Size]byte]struct{}, cfg.RolloutQueue+1),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 		tenants:  make(map[string]int),
@@ -320,37 +332,51 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) worker(ctx *fleet.Context, it prog.Exec) {
 	defer s.workers.Done()
 	for j := range s.jobs {
-		// Pick up any rolled-out table.
-		_, err := ctx.SyncTable(s.fleet)
-		epoch := s.fleet.Swaps()
+		j.resp <- s.serveOne(ctx, it, j.input)
+	}
+}
 
-		var res *prog.Result
-		if err == nil {
-			res, err = runSafely(it, j.input)
-		}
-		if err != nil {
-			// Engine-level failure (a table sync error, an error or a
-			// panic), not a guest crash: recycle and surface the error.
-			if rerr := s.fleet.FinishRequest(ctx, false); rerr != nil {
-				err = fmt.Errorf("%w (recycle: %v)", err, rerr)
-			}
-			j.resp <- jobResult{err: err, epoch: epoch}
-			continue
-		}
-
-		r := jobResult{output: res.Output, outcome: OutcomeOK, epoch: epoch}
-		if res.Crashed() {
+// serveOne runs one request on the worker's context and recycles it.
+// A run past its step budget is the request's own typed outcome; any
+// other engine-level failure (a table sync error, an engine error or
+// panic, a failed recycle) is an error, not a guest crash.
+func (s *Server) serveOne(ctx *fleet.Context, it prog.Exec, input []byte) jobResult {
+	// Pick up any rolled-out table.
+	_, err := ctx.SyncTable(s.fleet)
+	r := jobResult{epoch: s.fleet.Swaps()}
+	var res *prog.Result
+	if err == nil {
+		res, err = runSafely(it, input)
+	}
+	crashed := false
+	switch {
+	case errors.Is(err, prog.ErrStepLimit):
+		r.outcome = OutcomeStepLimit
+	case err != nil:
+		r.err = err
+	default:
+		r.output, r.outcome = res.Output, OutcomeOK
+		if crashed = res.Crashed(); crashed {
 			r.outcome = s.classify(ctx, res.Fault)
 			if r.outcome == OutcomeWild {
-				s.captureBundle(j.input, res.Fault)
+				s.queueRollout(input)
 			}
 		}
-		if err := s.fleet.FinishRequest(ctx, res.Crashed()); err != nil {
-			r.err = err
-		}
-		j.resp <- r
 	}
-	s.fleet.Release(ctx)
+	if rerr := s.fleet.FinishRequest(ctx, crashed); rerr != nil {
+		if r.err != nil {
+			r.err = fmt.Errorf("%w (recycle: %v)", r.err, rerr)
+		} else {
+			r.err = rerr
+		}
+	}
+	switch {
+	case r.err != nil:
+		s.engineErrors.Add(1)
+	case r.outcome == OutcomeStepLimit:
+		s.stepLimits.Add(1)
+	}
+	return r
 }
 
 // runSafely runs one request and turns a panic inside the executor
@@ -384,12 +410,13 @@ func (s *Server) classify(ctx *fleet.Context, fault error) string {
 	return OutcomeWild
 }
 
-// captureBundle packages a wild crash for off-path re-analysis. The
-// enqueue never blocks the request path: a crash whose attack input is
-// already queued or under analysis is counted as a duplicate, and a
-// full rollout queue drops the bundle (the next identical crash will
-// re-capture it).
-func (s *Server) captureBundle(input []byte, fault error) {
+// queueRollout queues a wild crash's request body for off-path
+// re-analysis. The handler never touches the body again after the run,
+// so it is queued without a copy. The enqueue never blocks the request
+// path: a crash whose attack input is already queued or under analysis
+// is counted as a duplicate, and a full rollout queue drops it (the
+// next identical crash will queue it again).
+func (s *Server) queueRollout(input []byte) {
 	key := sha256.Sum256(input)
 	s.pendingMu.Lock()
 	if _, dup := s.pending[key]; dup {
@@ -405,9 +432,8 @@ func (s *Server) captureBundle(input []byte, fault error) {
 	s.pending[key] = struct{}{}
 	s.pendingMu.Unlock()
 
-	b := campaign.LiveBundle(s.cfg.Program.Name, s.cfg.BenignSample, input, fault.Error(), nil)
 	select {
-	case s.bundles <- rolloutJob{bundle: b, key: key}:
+	case s.queue <- rolloutJob{input: input, key: key}:
 	default:
 		s.release(key)
 		s.bundleDrops.Add(1)
@@ -421,24 +447,20 @@ func (s *Server) release(key [sha256.Size]byte) {
 	s.pendingMu.Unlock()
 }
 
-// rolloutWorker drains crash bundles: each one is re-analyzed under
-// shadow memory and, when patches emerge, merged into the cumulative
-// set and sealed into a new table that SwapTable publishes atomically.
-// Every failure path leaves the previous table serving.
+// rolloutWorker drains the rollout queue: each crashing input is
+// re-analyzed under shadow memory and, when patches emerge, merged into
+// the cumulative set and sealed into a new table that SwapTable
+// publishes atomically. Every failure path leaves the previous table
+// serving.
 func (s *Server) rolloutWorker() {
 	defer s.rollout.Done()
-	for j := range s.bundles {
-		s.runRollout(j.bundle)
+	for j := range s.queue {
+		s.runRollout(j.input)
 		s.release(j.key)
 	}
 }
 
-func (s *Server) runRollout(b *campaign.Bundle) {
-	attack, err := b.AttackInput()
-	if err != nil {
-		s.noteRolloutFail()
-		return
-	}
+func (s *Server) runRollout(attack []byte) {
 	set, err := s.analyzeSafely(attack)
 	if err != nil || set == nil || set.Len() == 0 {
 		s.noteRolloutFail()
@@ -489,6 +511,8 @@ func (s *Server) Stats() Stats {
 		BundleDrops:      s.bundleDrops.Load(),
 		BundleDuplicates: s.bundleDups.Load(),
 		Abandoned:        s.abandoned.Load(),
+		StepLimits:       s.stepLimits.Load(),
+		EngineErrors:     s.engineErrors.Load(),
 		Draining:         draining,
 	}
 }
@@ -499,9 +523,9 @@ func (s *Server) Fleet() *fleet.Fleet { return s.fleet }
 
 // Drain performs graceful shutdown: new requests get 503, in-flight
 // requests run to completion on whichever table they started with,
-// workers and the rollout worker exit, and the context pool is
-// released. Drain returns when everything has stopped; it is safe to
-// call once. The HTTP listener itself is the caller's to close
+// and workers and the rollout worker exit, dropping their contexts.
+// Drain returns when everything has stopped; it is safe to call once.
+// The HTTP listener itself is the caller's to close
 // (http.Server.Shutdown), in either order.
 func (s *Server) Drain() {
 	s.drainMu.Lock()
@@ -514,16 +538,15 @@ func (s *Server) Drain() {
 
 	// In-flight handlers finish (their jobs complete on old tables)...
 	s.handlers.Wait()
-	// ...then workers exit and release their contexts...
+	// ...then workers exit...
 	close(s.jobs)
 	s.workers.Wait()
 	// ...then the rollout queue drains: a swap racing drain is allowed
 	// to complete — the table install is atomic and tableless workers
 	// are already gone, so it merely becomes the table a restarted
 	// fleet would inherit.
-	close(s.bundles)
+	close(s.queue)
 	s.rollout.Wait()
-	s.fleet.DrainPool()
 }
 
 // admitTenant counts one more in-flight request for name and reports
@@ -644,6 +667,8 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 		// The tenant crashed cleanly; the request is lost, the server
 		// is not.
 		http.Error(w, "request contained by defense", http.StatusBadGateway)
+	case OutcomeStepLimit:
+		http.Error(w, "request exceeded its step budget", http.StatusUnprocessableEntity)
 	default:
 		http.Error(w, "request crashed", http.StatusInternalServerError)
 	}

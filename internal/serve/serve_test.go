@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"heaptherapy/internal/fleet"
 	"heaptherapy/internal/prog"
 	"heaptherapy/internal/telemetry"
 	"heaptherapy/internal/workload"
@@ -26,11 +27,10 @@ func newNginxServer(t *testing.T, mut func(*Config)) (*Server, *httptest.Server,
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Program:      p,
-		BenignSample: svc.BenignRequest(),
-		Workers:      2,
-		MaxInFlight:  32,
-		Telemetry:    telemetry.New(telemetry.Config{}),
+		Program:     p,
+		Workers:     2,
+		MaxInFlight: 32,
+		Telemetry:   telemetry.New(telemetry.Config{}),
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -162,7 +162,6 @@ func TestServeHealthz(t *testing.T) {
 func TestServeBackpressure(t *testing.T) {
 	s, ts, _ := newNginxServer(t, func(c *Config) {
 		c.Program = slowProgram()
-		c.BenignSample = workload.Request(1)
 		c.Workers = 1
 		c.MaxInFlight = 1
 	})
@@ -194,7 +193,6 @@ func TestServeBackpressure(t *testing.T) {
 func TestServeTenantQuota(t *testing.T) {
 	s, ts, _ := newNginxServer(t, func(c *Config) {
 		c.Program = slowProgram()
-		c.BenignSample = workload.Request(1)
 		c.Workers = 2
 		c.MaxInFlight = 8
 		c.TenantQuota = 1
@@ -275,6 +273,55 @@ func TestServeMetrics(t *testing.T) {
 	}
 }
 
+// TestServeStepLimit: a request whose run exceeds Config.MaxSteps is
+// refused with 422 and its own outcome, counted in StepLimits (not as
+// an engine error), and the worker keeps serving. /metrics names the
+// counter once it is nonzero and omits it (and engine_errors) before.
+func TestServeStepLimit(t *testing.T) {
+	svc := workload.Nginx()
+	p, err := svc.VulnerableProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := fleet.New(fleet.Config{}).Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := prog.New(p, prog.Config{Backend: ctx.Backend()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := it.Run(svc.BenignRequest())
+	if err != nil || res.Steps < 2 {
+		t.Fatalf("standalone benign run: steps=%v err=%v", res, err)
+	}
+	s, ts, _ := newNginxServer(t, func(c *Config) { c.MaxSteps = res.Steps / 2 })
+
+	_, body := post0(t, ts, "/metrics")
+	if bytes.Contains(body, []byte("step_limits")) || bytes.Contains(body, []byte("engine_errors")) {
+		t.Errorf("/metrics names zero budget counters:\n%s", body)
+	}
+	for i := 1; i <= 2; i++ {
+		resp, body := post(t, ts, "/request", svc.BenignRequest())
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("request %d over budget: %d %q, want 422", i, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-HTP-Outcome"); got != OutcomeStepLimit {
+			t.Errorf("request %d outcome %q, want %q", i, got, OutcomeStepLimit)
+		}
+		if st := s.Stats(); st.StepLimits != uint64(i) || st.EngineErrors != 0 {
+			t.Errorf("after %d requests: step_limits=%d engine_errors=%d, want %d/0", i, st.StepLimits, st.EngineErrors, i)
+		}
+	}
+	if m := s.Metrics(); m.Requests != 2 {
+		t.Errorf("fleet served %d requests, want 2 (each recycled)", m.Requests)
+	}
+	_, body = post0(t, ts, "/metrics")
+	if !bytes.Contains(body, []byte(`"step_limits": 2`)) {
+		t.Errorf("/metrics lacks step_limits:\n%s", body)
+	}
+}
+
 // post0 GETs a path.
 func post0(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte) {
 	t.Helper()
@@ -313,7 +360,6 @@ func TestServeDrain(t *testing.T) {
 func TestServeDrainCompletesInFlight(t *testing.T) {
 	s, ts, _ := newNginxServer(t, func(c *Config) {
 		c.Program = slowProgram()
-		c.BenignSample = workload.Request(1)
 		c.Workers = 1
 	})
 	done := make(chan int, 1)
