@@ -17,7 +17,7 @@ RACE_PKGS := ./internal/defense/ ./internal/prog/ ./internal/fleet/ ./internal/s
 COVER_GATE_PKGS := ./internal/heapsim/ ./internal/campaign/ ./internal/defense/ ./internal/shadow/ ./internal/mem/ ./internal/telemetry/ ./internal/fleet/ ./internal/serve/ ./internal/prog/
 COVER_MIN := 80
 
-.PHONY: all build test race vet fmt-check bench bench-json bench-campaign bench-fleet bench-policy bench-policy-json bench-compiled bench-encoding bench-smoke bench-telemetry check cover corpus fuzz-smoke
+.PHONY: all build test race vet fmt-check bench bench-json bench-campaign bench-fleet bench-policy bench-policy-json bench-compiled bench-encoding bench-smoke bench-telemetry check cover corpus fuzz-smoke inline-check
 
 all: check
 
@@ -40,8 +40,9 @@ fmt-check:
 	fi
 
 # Hot-path kernel benchmarks (mem/shadow/defense/heapsim), including
-# the walker's 1 MiB page audit and the allocator's malloc/free/realloc
-# churn. Compare runs with benchstat:
+# the walker's page audit of a default space (fresh: reserve unbacked;
+# backed: all 256 reserve pages compared) and the allocator's
+# malloc/free/realloc churn. Compare runs with benchstat:
 # make bench > new.txt && benchstat old.txt new.txt
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMemKernels|BenchmarkSpaceAudit|BenchmarkShadow|BenchmarkPatchLookup|BenchmarkHeapChurn' -benchmem \
@@ -82,13 +83,14 @@ bench-encoding:
 # Campaign runtime pins: the pooled-vs-fresh oracle bit-identity and
 # parallel-vs-sequential report-parity differentials, the recycle and
 # audit-pass allocation pins, the page-audit and pool-audit
-# differentials and the shadow planes' arena floor, then the pool
+# differentials, the lazy-reserve differential and fresh-space cost
+# and the shadow planes' arena floor, then the pool
 # audit's cost (BenchmarkPoolCheckIntegrity, 0 allocs/op) and the
 # pooled oracle's per-seed cost (BenchmarkWorkbenchCheck). Campaign
 # throughput is the campaign workload of benchmark/
 # (bash benchmark/run.sh --workload campaign).
 bench-campaign:
-	$(GO) test -run 'WorkbenchBitIdentical|WorkbenchAllocatorForNeverPooled|AllocatorForOrderRejected|ParallelMatchesSequential|PooledSetupAllocs|WalkerCheckZeroAlloc|PoolCheckDifferential|PoolCheckZeroAlloc|DifferentialAudit|BackendResetDifferential|PlanesStartAtArena|ResetPatchesMatchesFresh|CollectorReset' -count 1 -v \
+	$(GO) test -run 'WorkbenchBitIdentical|WorkbenchAllocatorForNeverPooled|AllocatorForOrderRejected|ParallelMatchesSequential|PooledSetupAllocs|WalkerCheckZeroAlloc|PoolCheckDifferential|PoolCheckZeroAlloc|DifferentialAudit|LazyReserveMatchesBacked|NewSpaceUnbacked|BackendResetDifferential|PlanesStartAtArena|ResetPatchesMatchesFresh|CollectorReset' -count 1 -v \
 		./internal/campaign/ ./internal/heapsim/ ./internal/mem/ ./internal/shadow/ ./internal/defense/ ./internal/telemetry/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolCheckIntegrity' -benchmem -benchtime $(BENCHTIME) ./internal/heapsim/
 	$(GO) test -run '^$$' -bench 'BenchmarkWorkbenchCheck' -benchmem -benchtime $(BENCHTIME) ./internal/campaign/
@@ -116,6 +118,22 @@ bench-policy-json:
 bench-telemetry:
 	$(GO) test -run 'ZeroAlloc|LookupAllocs|MemKernelAllocs' -count 1 -v \
 		./internal/telemetry/ ./internal/defense/ ./internal/mem/ ./internal/heapsim/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
+
+# Inliner gate for the mem accessors on the allocation path: each one
+# named here must stay inlinable (a call on an accessor's miss branch
+# costs ~57 of the inliner's budget of 80, and losing the inline
+# showed up as ~10% on BenchmarkHeapChurn).
+INLINE_MEM := markDirty load64 store64 Contains backed BackedLoad64 CheckRead CheckWrite End Size fillBytes
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/mem 2>&1) || { echo "$$out"; exit 1; }; \
+	fail=0; \
+	for fn in $(INLINE_MEM); do \
+		if grep -Eq "can inline (\(\*Space\)\.)?$$fn\$$" <<<"$$out"; then \
+			echo "mem: $$fn inlinable"; \
+		else \
+			echo "mem: $$fn is no longer inlinable"; fail=1; \
+		fi; \
+	done; exit $$fail
 
 # One-iteration pass over every benchmark in the repo: catches bitrot
 # in benchmark code without paying for stable timings. CI runs this.

@@ -262,7 +262,12 @@ func (h *Heap) SetTelemetry(tel *telemetry.Scope) { h.tel = tel }
 
 // --- chunk header helpers -------------------------------------------------
 
+// Metadata loads try BackedLoad64 first: it inlines, and RawLoad64,
+// whose miss path may back the space's reserve, does not.
 func (h *Heap) header(c uint64) uint64 {
+	if v, ok := h.space.BackedLoad64(c); ok {
+		return v
+	}
 	v, err := h.space.RawLoad64(c)
 	if err != nil {
 		// The allocator only dereferences chunk addresses it created;
@@ -304,6 +309,9 @@ func (h *Heap) setFooter(c uint64) {
 }
 
 func (h *Heap) prevChunk(c uint64) uint64 {
+	if prevSize, ok := h.space.BackedLoad64(c - 8); ok {
+		return c - prevSize
+	}
 	prevSize, err := h.space.RawLoad64(c - 8)
 	if err != nil {
 		panic(fmt.Sprintf("heapsim: prev footer load at %#x: %v", c-8, err))
@@ -331,6 +339,9 @@ func (h *Heap) setFd(c, v uint64) { h.mustStore(c+8, v) }
 func (h *Heap) setBk(c, v uint64) { h.mustStore(c+16, v) }
 
 func (h *Heap) mustLoad(addr uint64) uint64 {
+	if v, ok := h.space.BackedLoad64(addr); ok {
+		return v
+	}
 	v, err := h.space.RawLoad64(addr)
 	if err != nil {
 		panic(fmt.Sprintf("heapsim: free-list load at %#x: %v", addr, err))

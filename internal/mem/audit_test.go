@@ -78,10 +78,13 @@ func TestAuditCatchesSilentProtect(t *testing.T) {
 }
 
 // TestAuditCatchesTableSkew: structural divergence between the mapped
-// length and the bookkeeping tables is reported.
+// length, the backing floor and the bookkeeping tables is reported.
 func TestAuditCatchesTableSkew(t *testing.T) {
 	s, err := NewSpace(Config{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Sbrk(PageSize); err != nil {
 		t.Fatal(err)
 	}
 	save := s.prot
@@ -102,15 +105,25 @@ func TestAuditCatchesTableSkew(t *testing.T) {
 	if err := s.Audit(); err == nil {
 		t.Fatal("audit passed with unaligned mapped length")
 	}
+	s.data = s.data[:len(s.data)+1]
+
+	s.lo -= 8
+	if err := s.Audit(); err == nil {
+		t.Fatal("audit passed with an unaligned backing floor")
+	}
 }
 
 // refAudit is the reference audit: the same checks in the same page
-// order as Audit, with every clean page scanned one word at a time.
+// order as Audit, with every backed clean page scanned one word at a
+// time.
 func refAudit(s *Space) error {
-	if uint64(len(s.data))%PageSize != 0 {
-		return fmt.Errorf("mem: audit: mapped length %d is not page aligned", len(s.data))
+	if s.lo < s.base || (s.lo-s.base)%PageSize != 0 {
+		return fmt.Errorf("mem: audit: backing floor %#x is not a page boundary at or above base %#x", s.lo, s.base)
 	}
-	npages := uint64(len(s.data)) / PageSize
+	if uint64(len(s.data))%PageSize != 0 {
+		return fmt.Errorf("mem: audit: mapped length %d is not page aligned", s.Size())
+	}
+	npages := s.Size() / PageSize
 	if uint64(len(s.prot)) != npages {
 		return fmt.Errorf("mem: audit: %d prot entries for %d mapped pages", len(s.prot), npages)
 	}
@@ -118,13 +131,16 @@ func refAudit(s *Space) error {
 		return fmt.Errorf("mem: audit: dirty bitmap holds %d words, need %d", len(s.dirty), want)
 	}
 	for p := uint64(0); p < npages; p++ {
+		page := pageBytes(s, p)
 		if s.dirty[p>>6]&(1<<(p&63)) != 0 {
+			if page == nil {
+				return fmt.Errorf("mem: audit: unbacked page %d is dirty (stores and protection changes must back it)", p)
+			}
 			continue
 		}
 		if s.prot[p] != ProtRW {
 			return fmt.Errorf("mem: audit: clean page %d has prot %v (protection changes must mark dirty)", p, s.prot[p])
 		}
-		page := s.data[p*PageSize : (p+1)*PageSize]
 		i := 0
 		for ; i+8 <= len(page); i += 8 {
 			if binary.LittleEndian.Uint64(page[i:]) != 0 {
@@ -140,6 +156,17 @@ func refAudit(s *Space) error {
 	return nil
 }
 
+// pageBytes returns the backing of page p (numbered from base), or nil
+// while p is an unbacked reserve page.
+func pageBytes(s *Space, p uint64) []byte {
+	addr := s.base + p*PageSize
+	if addr < s.lo {
+		return nil
+	}
+	off := addr - s.lo
+	return s.data[off : off+PageSize]
+}
+
 // requireAuditMatchesRef fails unless Audit and refAudit agree on s,
 // byte for byte in the error text.
 func requireAuditMatchesRef(t *testing.T, s *Space, what string) {
@@ -151,9 +178,11 @@ func requireAuditMatchesRef(t *testing.T, s *Space, what string) {
 }
 
 // TestDifferentialAudit: on spaces of several page counts, after Sbrk
-// growth and after Reset, a nonzero byte planted in a clean page (at
-// the word edges and at random offsets) and a protection change that
-// skips the dirty bit must draw the reference scan's error exactly.
+// growth and after Reset, a nonzero byte planted in a backed clean page
+// (at the word edges and at random offsets) and a protection change
+// that skips the dirty bit must draw the reference scan's error
+// exactly. An unbacked reserve page has no bytes to plant in; it takes
+// the silent protection change and a silent dirty bit instead.
 func TestDifferentialAudit(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	offsets := []int{0, 7, 8, 4088, 4095}
@@ -191,17 +220,27 @@ func TestDifferentialAudit(t *testing.T) {
 				if s.dirty[p>>6]&(1<<(p&63)) != 0 {
 					continue
 				}
+				page := pageBytes(s, p)
+				if page == nil {
+					s.dirty[p>>6] |= 1 << (p & 63)
+					requireAuditMatchesRef(t, s, fmt.Sprintf("%s: dirty unbacked page %d", what, p))
+					s.dirty[p>>6] &^= 1 << (p & 63)
+				}
 				for _, off := range offsets {
-					i := p*PageSize + uint64(off)
-					s.data[i] = byte(1 + rng.Intn(255))
+					if page == nil {
+						break
+					}
+					page[off] = byte(1 + rng.Intn(255))
 					requireAuditMatchesRef(t, s, fmt.Sprintf("%s: byte at page %d offset %d", what, p, off))
-					s.data[i] = 0
+					page[off] = 0
 				}
 				s.prot[p] = ProtRead
 				requireAuditMatchesRef(t, s, fmt.Sprintf("%s: silent prot on page %d", what, p))
-				s.data[p*PageSize+uint64(offsets[len(offsets)-1])] = 1
-				requireAuditMatchesRef(t, s, fmt.Sprintf("%s: silent prot and byte on page %d", what, p))
-				s.data[p*PageSize+uint64(offsets[len(offsets)-1])] = 0
+				if page != nil {
+					page[offsets[len(offsets)-1]] = 1
+					requireAuditMatchesRef(t, s, fmt.Sprintf("%s: silent prot and byte on page %d", what, p))
+					page[offsets[len(offsets)-1]] = 0
+				}
 				s.prot[p] = ProtRW
 			}
 			requireAuditMatchesRef(t, s, what+" (restored)")
@@ -210,17 +249,31 @@ func TestDifferentialAudit(t *testing.T) {
 }
 
 // BenchmarkSpaceAudit measures one audit of the default 1 MiB space,
-// every page clean: the walker's per-quantum page check.
+// every page clean: the walker's per-quantum page check. "fresh" is the
+// space as constructed, its reserve unbacked; "backed" has the reserve
+// backed (every page compared with zeroPage), the number this benchmark
+// read before the reserve was backed lazily.
 func BenchmarkSpaceAudit(b *testing.B) {
-	s, err := NewSpace(Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(s.Size()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Audit(); err != nil {
-			b.Fatal(err)
+	for _, backed := range []bool{false, true} {
+		name := "fresh"
+		if backed {
+			name = "backed"
 		}
+		b.Run(name, func(b *testing.B) {
+			s, err := NewSpace(Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if backed {
+				s.back()
+			}
+			b.SetBytes(int64(s.Size()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Audit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

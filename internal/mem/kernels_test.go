@@ -13,6 +13,7 @@ import (
 // addresses and values, in both directions.
 func TestDifferentialLoadStore64(t *testing.T) {
 	s := newTestSpace(t)
+	s.back() // the word kernels index data directly: back the reserve they run in
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		addr := s.Base() + uint64(rng.Intn(int(s.Size()-8)))

@@ -106,14 +106,26 @@ func (e *FaultError) Error() string {
 // A Space grows upward via Sbrk, mimicking the classic Unix program
 // break; the heap allocator in package heapsim builds its arena on top.
 //
+// Like an untouched page of a real mapping, the initial reserve costs
+// nothing until something reaches it: it is mapped, ProtRW and zero,
+// but has no bytes behind it. The first access or Mprotect below the
+// arena backs the whole reserve with zeros, and Reset drops that
+// backing again.
+//
 // Space is not safe for concurrent use; the interpreter in package prog
 // is single-threaded per space, matching the paper's per-process view.
 type Space struct {
 	base    uint64
-	data    []byte
+	lo      uint64 // lowest backed address: base, or base+reserve while the reserve is unbacked
+	data    []byte // the bytes of [lo, End); data[0] is at lo
 	prot    []Prot // one entry per page, indexed from base
 	limit   uint64 // maximum mapped size in bytes
 	reserve uint64 // initial mapped size; Reset returns the break here
+
+	// spare is the reserve's backing that Reset dropped: spare[:reserve]
+	// is zero and spare[reserve:] shares data's array, so backing the
+	// reserve again allocates nothing. Nil when data's array moved.
+	spare []byte
 
 	// dirty has one bit per mapped page, set on every store and
 	// protection change. Reset zeroes exactly the dirty pages, so the
@@ -178,7 +190,7 @@ func NewSpace(cfg Config) (*Space, error) {
 	}
 	s := &Space{
 		base:    cfg.Base,
-		data:    make([]byte, reserve),
+		lo:      cfg.Base + reserve,
 		prot:    make([]Prot, reserve/PageSize),
 		limit:   cfg.limit(),
 		reserve: reserve,
@@ -194,10 +206,10 @@ func NewSpace(cfg Config) (*Space, error) {
 func (s *Space) Base() uint64 { return s.base }
 
 // End returns one past the highest mapped address (the current break).
-func (s *Space) End() uint64 { return s.base + uint64(len(s.data)) }
+func (s *Space) End() uint64 { return s.lo + uint64(len(s.data)) }
 
 // Size returns the mapped size in bytes.
-func (s *Space) Size() uint64 { return uint64(len(s.data)) }
+func (s *Space) Size() uint64 { return s.End() - s.base }
 
 // Faults returns the number of faults this space has reported.
 func (s *Space) Faults() uint64 { return s.faults }
@@ -223,21 +235,20 @@ func (s *Space) fault(addr, n uint64, kind AccessKind) {
 // Sbrk grows the mapped region by n bytes (rounded up to a page) and
 // returns the previous break address, which is the start of the newly
 // mapped region. New pages are ProtRW and zero filled. After a Reset,
-// regrowth reuses the retained backing capacity (re-zeroing it in
-// place) so the steady-state recycle path allocates nothing.
+// regrowth reuses the retained backing capacity, which Reset left zero,
+// so the steady-state recycle path allocates and clears nothing.
 func (s *Space) Sbrk(n uint64) (uint64, error) {
 	grow := roundUpPage(n)
 	old := s.End()
-	newLen := uint64(len(s.data)) + grow
-	if newLen > s.limitBytes() {
+	if s.Size()+grow > s.limitBytes() {
 		return 0, fmt.Errorf("mem: sbrk(%d) exceeds segment limit %d", n, s.limitBytes())
 	}
+	newLen := uint64(len(s.data)) + grow
 	if uint64(cap(s.data)) >= newLen {
-		prev := len(s.data)
 		s.data = s.data[:newLen]
-		clear(s.data[prev:]) // stale bytes from before a Reset
 	} else {
 		s.data = append(s.data, make([]byte, grow)...)
+		s.spare = nil // data's array moved
 	}
 	for i := uint64(0); i < grow/PageSize; i++ {
 		s.prot = append(s.prot, ProtRW)
@@ -250,6 +261,41 @@ func (s *Space) Sbrk(n uint64) (uint64, error) {
 
 // limitBytes returns the maximum mapped size, from Config.Limit.
 func (s *Space) limitBytes() uint64 { return s.limit }
+
+// backed reports whether [addr, addr+n) lies in the backed range
+// [lo, End), so data[addr-lo:] holds it. It is the raw accessors'
+// range gate; a miss goes to reach.
+func (s *Space) backed(addr, n uint64) bool {
+	off := addr - s.lo
+	return off <= uint64(len(s.data)) && n <= uint64(len(s.data))-off
+}
+
+// reach is the raw accessors' slow path: a range that is mapped but
+// reaches below lo backs the reserve; anything else is unmapped.
+func (s *Space) reach(addr, n uint64, kind AccessKind) error {
+	if !s.Contains(addr, n) {
+		return &FaultError{Addr: addr, Kind: kind, Len: n, Reason: "unmapped address"}
+	}
+	s.back()
+	return nil
+}
+
+// back gives the unbacked reserve its zero bytes and moves lo to base.
+// data's array moves, so borrowed views are invalidated as by Sbrk.
+// Callers call it only while lo is above base.
+func (s *Space) back() {
+	gap := s.lo - s.base
+	n := gap + uint64(len(s.data))
+	if s.spare != nil {
+		s.data = s.spare[:n]
+	} else {
+		d := make([]byte, n, gap+uint64(cap(s.data)))
+		copy(d[gap:], s.data)
+		s.data = d
+	}
+	s.spare = nil
+	s.lo = s.base
+}
 
 // markDirty records that the pages overlapping [addr, addr+n) were
 // mutated. Callers must have validated the range (it is invoked only
@@ -279,18 +325,19 @@ func (s *Space) DirtyPages() int {
 }
 
 // Reset returns the space to its post-construction state: the break
-// back at the initial reserve, every retained page zero filled and
+// back at the initial reserve, the reserve unbacked and every page
 // ProtRW, and the fault count cleared. Only pages marked dirty are
-// touched, so the cost is proportional to what the previous execution
-// mutated — a worker context serving small requests recycles in
-// microseconds regardless of the space's configured size. Memory
-// mapped beyond the initial reserve is logically unmapped; its backing
-// capacity is retained and re-zeroed in place by the next Sbrk, which
-// keeps the recycle-then-regrow path allocation-free. Borrowed views
-// (View/WritableView/RawView) taken before a Reset must not be used
-// afterwards.
+// zeroed and re-protected, so the cost is proportional to what the
+// previous execution mutated — a worker context serving small requests
+// recycles in microseconds regardless of the space's configured size.
+// Memory mapped beyond the initial reserve is logically unmapped; its
+// backing capacity, and the reserve's if it was backed, is retained
+// zero, which keeps the recycle-then-regrow path allocation-free.
+// Borrowed views (View/WritableView/RawView) taken before a Reset must
+// not be used afterwards.
 func (s *Space) Reset() {
 	resPages := s.reserve / PageSize
+	unbacked := (s.lo - s.base) / PageSize
 	for w, word := range s.dirty {
 		if word == 0 {
 			continue
@@ -300,16 +347,20 @@ func (s *Space) Reset() {
 		for word != 0 {
 			p := pageBase + uint64(bits.TrailingZeros64(word))
 			word &= word - 1
+			off := (p - unbacked) * PageSize // unbacked pages are never dirty
+			clear(s.data[off : off+PageSize])
 			if p < resPages {
-				off := p * PageSize
-				clear(s.data[off : off+PageSize])
 				s.prot[p] = ProtRW
 			}
-			// Pages beyond the reserve are dropped below; Sbrk re-zeroes
-			// their capacity if the region is ever remapped.
 		}
 	}
-	s.data = s.data[:s.reserve]
+	if s.lo == s.base {
+		s.spare = s.data[:0]
+		s.data = s.data[s.reserve:s.reserve]
+		s.lo = s.base + s.reserve
+	} else {
+		s.data = s.data[:0]
+	}
 	s.prot = s.prot[:resPages]
 	if words := int((resPages + 63) / 64); len(s.dirty) > words {
 		s.dirty = s.dirty[:words]
@@ -339,6 +390,9 @@ func (s *Space) Mprotect(addr, n uint64, p Prot) error {
 	if !s.Contains(addr, n) {
 		return fmt.Errorf("mem: mprotect range [%#x,%#x) is not mapped", addr, addr+n)
 	}
+	if addr < s.lo {
+		s.back() // an unbacked page may not be dirty
+	}
 	first := (addr - s.base) / PageSize
 	for i := uint64(0); i < n/PageSize; i++ {
 		s.prot[first+i] = p
@@ -359,15 +413,19 @@ func (s *Space) ProtAt(addr uint64) (Prot, error) {
 
 // check validates an access of n bytes at addr for the given kind and
 // returns a *FaultError pinpointing the first offending address. The
-// common case — an in-bounds access confined to one permitted page —
-// is decided with two comparisons; everything else falls through to
-// refCheck, whose per-page walk is also the reference implementation
-// the differential tests compare against.
+// common case — an in-bounds access above lo confined to one permitted
+// page — is decided with two comparisons; everything else falls
+// through to refCheck, whose per-page walk is also the reference
+// implementation the differential tests compare against. A permitted
+// access that reaches below lo backs the reserve before it returns.
 func (s *Space) check(addr, n uint64, kind AccessKind) error {
 	if n == 0 {
+		if addr >= s.base && addr < s.lo {
+			s.back()
+		}
 		return nil
 	}
-	if addr >= s.base {
+	if addr >= s.lo {
 		end := addr + n
 		if end > addr && end <= s.End() {
 			page := (addr - s.base) >> PageShift
@@ -382,7 +440,13 @@ func (s *Space) check(addr, n uint64, kind AccessKind) error {
 			}
 		}
 	}
-	return s.refCheck(addr, n, kind)
+	if err := s.refCheck(addr, n, kind); err != nil {
+		return err
+	}
+	if addr < s.lo {
+		s.back()
+	}
+	return nil
 }
 
 // refCheck is the naive predecessor of check: the full multi-page
@@ -444,7 +508,7 @@ func (s *Space) Read(addr, n uint64) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, n)
-	copy(out, s.data[addr-s.base:])
+	copy(out, s.data[addr-s.lo:])
 	return out, nil
 }
 
@@ -454,7 +518,7 @@ func (s *Space) ReadInto(addr uint64, dst []byte) error {
 	if err := s.check(addr, n, AccessRead); err != nil {
 		return err
 	}
-	copy(dst, s.data[addr-s.base:])
+	copy(dst, s.data[addr-s.lo:])
 	return nil
 }
 
@@ -465,7 +529,7 @@ func (s *Space) Write(addr uint64, src []byte) error {
 		return err
 	}
 	s.markDirty(addr, n)
-	copy(s.data[addr-s.base:], src)
+	copy(s.data[addr-s.lo:], src)
 	return nil
 }
 
@@ -475,7 +539,7 @@ func (s *Space) Memset(addr uint64, b byte, n uint64) error {
 		return err
 	}
 	s.markDirty(addr, n)
-	fillBytes(s.data[addr-s.base:addr-s.base+n], b)
+	fillBytes(s.data[addr-s.lo:addr-s.lo+n], b)
 	return nil
 }
 
@@ -512,7 +576,7 @@ func (s *Space) Memmove(dst, src, n uint64) error {
 		return err
 	}
 	s.markDirty(dst, n)
-	copy(s.data[dst-s.base:dst-s.base+n], s.data[src-s.base:src-s.base+n])
+	copy(s.data[dst-s.lo:dst-s.lo+n], s.data[src-s.lo:src-s.lo+n])
 	return nil
 }
 
@@ -527,13 +591,13 @@ func (s *Space) Load64(addr uint64) (uint64, error) {
 // load64 reads a word without checking protection; callers must have
 // validated the access.
 func (s *Space) load64(addr uint64) uint64 {
-	off := addr - s.base
+	off := addr - s.lo
 	return binary.LittleEndian.Uint64(s.data[off : off+8])
 }
 
 // refLoad64 is the naive predecessor of load64 (differential tests).
 func (s *Space) refLoad64(addr uint64) uint64 {
-	off := addr - s.base
+	off := addr - s.lo
 	var v uint64
 	for i := uint64(0); i < 8; i++ {
 		v |= uint64(s.data[off+i]) << (8 * i)
@@ -552,14 +616,14 @@ func (s *Space) Store64(addr, v uint64) error {
 
 func (s *Space) store64(addr, v uint64) {
 	s.markDirty(addr, 8)
-	off := addr - s.base
+	off := addr - s.lo
 	binary.LittleEndian.PutUint64(s.data[off:off+8], v)
 }
 
 // refStore64 is the naive predecessor of store64 (differential tests).
 func (s *Space) refStore64(addr, v uint64) {
 	s.markDirty(addr, 8)
-	off := addr - s.base
+	off := addr - s.lo
 	for i := uint64(0); i < 8; i++ {
 		s.data[off+i] = byte(v >> (8 * i))
 	}
@@ -569,16 +633,32 @@ func (s *Space) refStore64(addr, v uint64) {
 // the allocator and the defense library for their own metadata, which a
 // real implementation would access through unprotected mappings.
 func (s *Space) RawLoad64(addr uint64) (uint64, error) {
-	if !s.Contains(addr, 8) {
-		return 0, &FaultError{Addr: addr, Kind: AccessRead, Len: 8, Reason: "unmapped address"}
+	if !s.backed(addr, 8) {
+		if err := s.reach(addr, 8, AccessRead); err != nil {
+			return 0, err
+		}
 	}
 	return s.load64(addr), nil
 }
 
+// BackedLoad64 is RawLoad64's fast half, small enough to inline into
+// hot metadata readers such as the allocator's chunk-header loads: it
+// returns the word at addr and true when [addr, addr+8) is backed, and
+// false otherwise, leaving the caller to take RawLoad64, which backs
+// the reserve or faults.
+func (s *Space) BackedLoad64(addr uint64) (uint64, bool) {
+	if !s.backed(addr, 8) {
+		return 0, false
+	}
+	return s.load64(addr), true
+}
+
 // RawStore64 writes a 64-bit word ignoring page protection.
 func (s *Space) RawStore64(addr, v uint64) error {
-	if !s.Contains(addr, 8) {
-		return &FaultError{Addr: addr, Kind: AccessWrite, Len: 8, Reason: "unmapped address"}
+	if !s.backed(addr, 8) {
+		if err := s.reach(addr, 8, AccessWrite); err != nil {
+			return err
+		}
 	}
 	s.store64(addr, v)
 	return nil
@@ -586,32 +666,38 @@ func (s *Space) RawStore64(addr, v uint64) error {
 
 // RawRead copies n bytes ignoring page protection.
 func (s *Space) RawRead(addr, n uint64) ([]byte, error) {
-	if !s.Contains(addr, n) {
-		return nil, &FaultError{Addr: addr, Kind: AccessRead, Len: n, Reason: "unmapped address"}
+	if !s.backed(addr, n) {
+		if err := s.reach(addr, n, AccessRead); err != nil {
+			return nil, err
+		}
 	}
 	out := make([]byte, n)
-	copy(out, s.data[addr-s.base:])
+	copy(out, s.data[addr-s.lo:])
 	return out, nil
 }
 
 // RawWrite copies src ignoring page protection.
 func (s *Space) RawWrite(addr uint64, src []byte) error {
 	n := uint64(len(src))
-	if !s.Contains(addr, n) {
-		return &FaultError{Addr: addr, Kind: AccessWrite, Len: n, Reason: "unmapped address"}
+	if !s.backed(addr, n) {
+		if err := s.reach(addr, n, AccessWrite); err != nil {
+			return err
+		}
 	}
 	s.markDirty(addr, n)
-	copy(s.data[addr-s.base:], src)
+	copy(s.data[addr-s.lo:], src)
 	return nil
 }
 
 // RawMemset fills memory ignoring page protection.
 func (s *Space) RawMemset(addr uint64, b byte, n uint64) error {
-	if !s.Contains(addr, n) {
-		return &FaultError{Addr: addr, Kind: AccessWrite, Len: n, Reason: "unmapped address"}
+	if !s.backed(addr, n) {
+		if err := s.reach(addr, n, AccessWrite); err != nil {
+			return err
+		}
 	}
 	s.markDirty(addr, n)
-	fillBytes(s.data[addr-s.base:addr-s.base+n], b)
+	fillBytes(s.data[addr-s.lo:addr-s.lo+n], b)
 	return nil
 }
 
@@ -619,61 +705,69 @@ func (s *Space) RawMemset(addr uint64, b byte, n uint64) error {
 // slow paths in package shadow land individual bytes in red zones and
 // freed blocks, and must not pay a slice header per byte to do so.
 func (s *Space) RawWriteByte(addr uint64, v byte) error {
-	if !s.Contains(addr, 1) {
-		return &FaultError{Addr: addr, Kind: AccessWrite, Len: 1, Reason: "unmapped address"}
+	if !s.backed(addr, 1) {
+		if err := s.reach(addr, 1, AccessWrite); err != nil {
+			return err
+		}
 	}
 	s.dirty[(addr-s.base)>>(PageShift+6)] |= 1 << (((addr - s.base) >> PageShift) & 63)
-	s.data[addr-s.base] = v
+	s.data[addr-s.lo] = v
 	return nil
 }
 
 // RawMemmove copies n bytes from src to dst with memmove overlap
 // semantics, ignoring page protection.
 func (s *Space) RawMemmove(dst, src, n uint64) error {
-	if !s.Contains(src, n) {
-		return &FaultError{Addr: src, Kind: AccessRead, Len: n, Reason: "unmapped address"}
+	if !s.backed(src, n) {
+		if err := s.reach(src, n, AccessRead); err != nil {
+			return err
+		}
 	}
-	if !s.Contains(dst, n) {
-		return &FaultError{Addr: dst, Kind: AccessWrite, Len: n, Reason: "unmapped address"}
+	if !s.backed(dst, n) {
+		if err := s.reach(dst, n, AccessWrite); err != nil {
+			return err
+		}
 	}
 	s.markDirty(dst, n)
-	copy(s.data[dst-s.base:dst-s.base+n], s.data[src-s.base:src-s.base+n])
+	copy(s.data[dst-s.lo:dst-s.lo+n], s.data[src-s.lo:src-s.lo+n])
 	return nil
 }
 
 // View returns a borrowed slice aliasing [addr, addr+n) after a read
 // check. The slice shares the space's backing store: it lets callers
 // consume memory without the per-call allocation Read pays, but it must
-// not be written through, and it is invalidated by the next Sbrk (which
-// may move the backing array).
+// not be written through, and it is invalidated by the next Sbrk and by
+// the first access below the arena (either may move the backing array).
 func (s *Space) View(addr, n uint64) ([]byte, error) {
 	if err := s.check(addr, n, AccessRead); err != nil {
 		return nil, err
 	}
-	off := addr - s.base
+	off := addr - s.lo
 	return s.data[off : off+n : off+n], nil
 }
 
 // WritableView is View with a write check; the caller may write
-// through the returned slice. The same Sbrk invalidation applies.
+// through the returned slice. The same invalidation applies.
 func (s *Space) WritableView(addr, n uint64) ([]byte, error) {
 	if err := s.check(addr, n, AccessWrite); err != nil {
 		return nil, err
 	}
 	s.markDirty(addr, n) // the caller may write anywhere in the view
-	off := addr - s.base
+	off := addr - s.lo
 	return s.data[off : off+n : off+n], nil
 }
 
 // RawView returns a borrowed slice ignoring page protection, for
 // subsystems (allocator metadata, shadow planes, the sealed patch
-// table) that implement their own access control. The same Sbrk
+// table) that implement their own access control. The same
 // invalidation applies.
 func (s *Space) RawView(addr, n uint64) ([]byte, error) {
-	if !s.Contains(addr, n) {
-		return nil, &FaultError{Addr: addr, Kind: AccessRead, Len: n, Reason: "unmapped address"}
+	if !s.backed(addr, n) {
+		if err := s.reach(addr, n, AccessRead); err != nil {
+			return nil, err
+		}
 	}
-	off := addr - s.base
+	off := addr - s.lo
 	return s.data[off : off+n : off+n], nil
 }
 
