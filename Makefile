@@ -161,10 +161,12 @@ corpus:
 	$(GO) run ./cmd/htp-fuzz -emit-corpus testdata/campaign -seeds 20
 
 # Short native-fuzzing shake of the campaign generator and reducer,
-# and of the engine differential (tree vs the compiled engine).
+# of the engine differential (tree vs the compiled engine), and of
+# mem's checked accessors against refCheck's verdict.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGenerate -fuzztime 10s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz FuzzReduce -fuzztime 10s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz FuzzVMvsTree -fuzztime 10s ./internal/prog/
+	$(GO) test -run '^$$' -fuzz FuzzSpaceAccess -fuzztime 10s ./internal/mem/
 
 check: build vet fmt-check test race cover

@@ -85,7 +85,7 @@ func FuzzPolicyEquivalence(f *testing.F) {
 			if out.Cell.Mode != ModeDefended || !out.Cell.Attack || out.Result == nil {
 				continue
 			}
-			if !familyContains(out.Cell.Policy, g.Kind) {
+			if !FamilyContains(out.Cell.Policy, g.Kind) {
 				continue
 			}
 			if g.Kind.Leaky() && bytes.Contains(out.Result.Output, g.Secret) {

@@ -472,9 +472,9 @@ func (o Oracle) assertNativeAttack(rep *Report, g *Generated) {
 	}
 }
 
-// familyContains maps a campaign kind onto the family's documented
-// Containment matrix.
-func familyContains(f defense.Family, k VulnKind) bool {
+// FamilyContains maps a campaign kind onto the family's documented
+// Containment matrix: whether f claims to contain attacks of kind k.
+func FamilyContains(f defense.Family, k VulnKind) bool {
 	c := f.Containment()
 	switch k {
 	case OverflowRead:
@@ -509,7 +509,7 @@ func (o Oracle) assertDefendedAttack(rep *Report, g *Generated) {
 			continue
 		}
 		cell := out.Cell.String()
-		if out.Cell.Attack && !familyContains(out.Cell.Policy, g.Kind) {
+		if out.Cell.Attack && !FamilyContains(out.Cell.Policy, g.Kind) {
 			// Documented expected miss (Family.Containment, DESIGN.md
 			// §16): the cell runs record-only. Its outcome still joins
 			// the report and the engine-divergence signature, but no

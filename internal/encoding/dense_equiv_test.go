@@ -12,9 +12,8 @@ import (
 // contexts, and same Decode paths/errors — for every scheme × encoder.
 func checkDenseEquivalence(t testing.TB, g *callgraph.Graph, targets []callgraph.NodeID) {
 	ctxs := g.EnumerateContexts(targets, 200)
-	pl := NewPlanner() // shared across schemes to exercise scratch reuse
 	for _, scheme := range AllSchemes() {
-		dp, err := pl.Plan(scheme, g, targets)
+		dp, err := NewPlan(scheme, g, targets)
 		if err != nil {
 			t.Fatalf("Plan(%v): %v", scheme, err)
 		}

@@ -139,30 +139,9 @@ func (p *Plan) SiteLabels(g *callgraph.Graph) []string {
 	return labels
 }
 
-// Planner runs instrumentation planning with reusable scratch buffers,
-// so repeated planning over same-sized graphs (experiment sweeps, the
-// fuzzers) does not re-allocate reachability state per call. A Planner
-// is not safe for concurrent use; the produced Plans are immutable and
-// freely shareable.
-type Planner struct {
-	reaches []bool             // reachability scratch (per node)
-	queue   []callgraph.NodeID // BFS worklist scratch
-	count   []int32            // per-node target-reaching out-edge counts
-	one     [1]callgraph.NodeID
-}
-
-// NewPlanner returns a Planner with empty scratch; buffers grow to the
-// largest graph planned and are reused afterwards.
-func NewPlanner() *Planner { return &Planner{} }
-
-// NewPlan runs the given planner scheme over the graph.
+// NewPlan runs the given planner scheme over the graph. The produced
+// Plan is immutable and freely shareable.
 func NewPlan(scheme Scheme, g *callgraph.Graph, targets []callgraph.NodeID) (*Plan, error) {
-	return NewPlanner().Plan(scheme, g, targets)
-}
-
-// Plan runs the given planner scheme over the graph, reusing the
-// Planner's scratch buffers.
-func (pl *Planner) Plan(scheme Scheme, g *callgraph.Graph, targets []callgraph.NodeID) (*Plan, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("encoding: no target functions given")
 	}
@@ -177,11 +156,11 @@ func (pl *Planner) Plan(scheme Scheme, g *callgraph.Graph, targets []callgraph.N
 			p.sites[s] = true
 		}
 	case SchemeTCS:
-		pl.planTCS(p, g, targets)
+		planTCS(p, g, targets)
 	case SchemeSlim:
-		pl.planSlim(p, g, targets)
+		planSlim(p, g, targets)
 	case SchemeIncremental:
-		pl.planIncremental(p, g, targets)
+		planIncremental(p, g, targets)
 	default:
 		return nil, fmt.Errorf("encoding: unknown scheme %v", scheme)
 	}
@@ -202,25 +181,19 @@ func (pl *Planner) Plan(scheme Scheme, g *callgraph.Graph, targets []callgraph.N
 	return p, nil
 }
 
-// grow sizes the scratch buffers for graph g.
-func (pl *Planner) grow(g *callgraph.Graph) {
-	n := g.NumNodes()
-	if cap(pl.queue) < n {
-		pl.queue = make([]callgraph.NodeID, 0, n)
-	}
-	if cap(pl.count) < n {
-		pl.count = make([]int32, n)
+// planTCS instruments every target-reaching call site (SchemeFCS
+// instruments all sites; TCS is the first targeted refinement).
+func planTCS(p *Plan, g *callgraph.Graph, targets []callgraph.NodeID) {
+	reaches := g.ReachesTargetsInto(nil, bfsQueue(g), targets)
+	for s := 0; s < g.NumEdges(); s++ {
+		p.sites[s] = reaches[g.Edge(callgraph.SiteID(s)).To]
 	}
 }
 
-// planTCS instruments every target-reaching call site (SchemeFCS
-// instruments all sites; TCS is the first targeted refinement).
-func (pl *Planner) planTCS(p *Plan, g *callgraph.Graph, targets []callgraph.NodeID) {
-	pl.grow(g)
-	pl.reaches = g.ReachesTargetsInto(pl.reaches, pl.queue, targets)
-	for s := 0; s < g.NumEdges(); s++ {
-		p.sites[s] = pl.reaches[g.Edge(callgraph.SiteID(s)).To]
-	}
+// bfsQueue returns a worklist for ReachesTargetsInto that holds every
+// node of g, so a search never grows it.
+func bfsQueue(g *callgraph.Graph) []callgraph.NodeID {
+	return make([]callgraph.NodeID, 0, g.NumNodes())
 }
 
 // planSlim keeps only target-reaching sites whose containing function
@@ -228,22 +201,18 @@ func (pl *Planner) planTCS(p *Plan, g *callgraph.Graph, targets []callgraph.Node
 // (Section IV-B). Sites in non-branching nodes cannot affect the
 // distinguishability of encodings, because between two instrumented
 // sites the path through non-branching nodes is unique.
-func (pl *Planner) planSlim(p *Plan, g *callgraph.Graph, targets []callgraph.NodeID) {
-	pl.grow(g)
-	pl.reaches = g.ReachesTargetsInto(pl.reaches, pl.queue, targets)
-	count := pl.count[:g.NumNodes()]
-	for i := range count {
-		count[i] = 0
-	}
+func planSlim(p *Plan, g *callgraph.Graph, targets []callgraph.NodeID) {
+	reaches := g.ReachesTargetsInto(nil, bfsQueue(g), targets)
+	count := make([]int32, g.NumNodes())
 	for s := 0; s < g.NumEdges(); s++ {
 		e := g.Edge(callgraph.SiteID(s))
-		if pl.reaches[e.To] {
+		if reaches[e.To] {
 			count[e.From]++
 		}
 	}
 	for s := 0; s < g.NumEdges(); s++ {
 		e := g.Edge(callgraph.SiteID(s))
-		p.sites[s] = pl.reaches[e.To] && count[e.From] >= 2
+		p.sites[s] = reaches[e.To] && count[e.From] >= 2
 	}
 }
 
@@ -253,28 +222,31 @@ func (pl *Planner) planSlim(p *Plan, g *callgraph.Graph, targets []callgraph.Nod
 // node needs instrumentation only if it is a *true* branching node for
 // some single target t: two or more of its out-edges reach that same t.
 // False branching nodes — whose target-reaching edges each lead to a
-// different target — are pruned.
-func (pl *Planner) planIncremental(p *Plan, g *callgraph.Graph, targets []callgraph.NodeID) {
-	pl.grow(g)
-	count := pl.count[:g.NumNodes()]
+// different target — are pruned. The per-target passes share one set
+// of scratch buffers.
+func planIncremental(p *Plan, g *callgraph.Graph, targets []callgraph.NodeID) {
+	var (
+		reaches []bool
+		queue   = bfsQueue(g)
+		count   = make([]int32, g.NumNodes())
+		one     [1]callgraph.NodeID
+	)
 	for _, t := range targets {
 		// Backward BFS from t (Lines 4-10 of Algorithm 1); the visited
 		// check handles back edges.
-		pl.one[0] = t
-		pl.reaches = g.ReachesTargetsInto(pl.reaches, pl.queue, pl.one[:])
+		one[0] = t
+		reaches = g.ReachesTargetsInto(reaches, queue, one[:])
 		// For each node, count its out-edges that reach t
 		// (Lines 11-17); instrument them if there are two or more.
-		for i := range count {
-			count[i] = 0
-		}
+		clear(count)
 		for s := 0; s < g.NumEdges(); s++ {
-			if pl.reaches[g.Edge(callgraph.SiteID(s)).To] {
+			if reaches[g.Edge(callgraph.SiteID(s)).To] {
 				count[g.Edge(callgraph.SiteID(s)).From]++
 			}
 		}
 		for s := 0; s < g.NumEdges(); s++ {
 			e := g.Edge(callgraph.SiteID(s))
-			if pl.reaches[e.To] && count[e.From] >= 2 {
+			if reaches[e.To] && count[e.From] >= 2 {
 				p.sites[s] = true
 			}
 		}

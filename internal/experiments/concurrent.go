@@ -5,7 +5,6 @@ import (
 
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/encoding"
-	"heaptherapy/internal/mem"
 	"heaptherapy/internal/prog"
 	"heaptherapy/internal/workload"
 )
@@ -51,11 +50,11 @@ func ConcurrentServices(cfg Config) (*ConcurrentServicesResult, error) {
 				inputs[i] = []byte{byte(i)}
 			}
 
-			nat, err := runThreadsTotal(cfg.exec(), p, nil, false, inputs)
+			nat, err := runThreadsTotal(cfg.exec(), p, nil, nil, inputs)
 			if err != nil {
 				return nil, err
 			}
-			def, err := runThreadsTotal(cfg.exec(), p, coder, true, inputs)
+			def, err := runThreadsTotal(cfg.exec(), p, coder, &defense.Config{}, inputs)
 			if err != nil {
 				return nil, err
 			}
@@ -70,26 +69,13 @@ func ConcurrentServices(cfg Config) (*ConcurrentServicesResult, error) {
 }
 
 // runThreadsTotal executes the program on n threads over one shared
-// backend and returns the aggregate cycle cost (per-thread interpreter
-// cycles plus the shared backend's total).
-func runThreadsTotal(ec prog.Config, p *prog.Program, coder *encoding.Coder, defended bool, inputs [][]byte) (uint64, error) {
-	space, err := mem.NewSpace(mem.Config{})
+// fresh backend (native when dcfg is nil) and returns the aggregate
+// cycle cost (per-thread interpreter cycles plus the shared backend's
+// total).
+func runThreadsTotal(ec prog.Config, p *prog.Program, coder *encoding.Coder, dcfg *defense.Config, inputs [][]byte) (uint64, error) {
+	backend, _, err := newBackend(dcfg)
 	if err != nil {
 		return 0, err
-	}
-	var backend prog.HeapBackend
-	if defended {
-		db, err := defense.NewBackend(space, defense.Config{})
-		if err != nil {
-			return 0, err
-		}
-		backend = db
-	} else {
-		nb, err := prog.NewNativeBackend(space)
-		if err != nil {
-			return 0, err
-		}
-		backend = nb
 	}
 	results, err := prog.RunThreads(p, prog.Config{Backend: backend, Coder: coder, Engine: ec.Engine}, inputs, prog.DefaultQuantum)
 	if err != nil {

@@ -41,48 +41,51 @@ func EncodingOverhead(cfg Config) (*EncodingOverheadResult, error) {
 	}
 	encoderSums := make(map[encoding.EncoderKind]float64, 3)
 	for _, b := range benches {
-		p, err := internedProgram(b, cfg, flavorSpec)
+		p, _, err := b.Program(cfg.programConfig())
 		if err != nil {
 			return nil, err
 		}
-		w := newWorkbench(cfg.exec(), p)
-		base, err := w.runNative(nil)
+		base, err := measure(cfg.exec(), p, nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		row := make(map[encoding.Scheme]float64, 4)
+		var incremental *encoding.Coder
 		for _, scheme := range encoding.AllSchemes() {
-			coder, err := internedCoder(p.Graph(), p.Targets(), scheme, encoding.EncoderPCC)
+			coder, err := coderFor(p, scheme)
 			if err != nil {
 				return nil, err
 			}
-			m, err := w.runNative(coder)
+			if scheme == encoding.SchemeIncremental {
+				incremental = coder
+			}
+			m, err := measure(cfg.exec(), p, coder, nil)
 			if err != nil {
 				return nil, err
 			}
-			row[scheme] = overheadPct(base.res.Cycles, m.res.Cycles)
-			out.Updates[scheme] += m.res.EncUpdates
+			row[scheme] = overheadPct(base.Cycles, m.Cycles)
+			out.Updates[scheme] += m.EncUpdates
 		}
 		out.PerBench[b.Name] = row
 
 		// Encoder axis: same (Incremental) plan, different arithmetic.
-		// The PCC entry is the interned Incremental-scheme coder already
-		// measured above; execution is deterministic, so its overhead is
-		// reused rather than re-run.
+		// The PCC entry is the Incremental-scheme run already measured
+		// above; execution is deterministic, so its overhead is reused
+		// rather than re-run.
 		for _, kind := range encoding.AllEncoders() {
 			if kind == encoding.EncoderPCC {
 				encoderSums[kind] += row[encoding.SchemeIncremental]
 				continue
 			}
-			coder, err := internedCoder(p.Graph(), p.Targets(), encoding.SchemeIncremental, kind)
+			coder, err := encoding.NewCoder(kind, p.Graph(), incremental.Plan())
 			if err != nil {
 				return nil, err
 			}
-			m, err := w.runNative(coder)
+			m, err := measure(cfg.exec(), p, coder, nil)
 			if err != nil {
 				return nil, err
 			}
-			encoderSums[kind] += overheadPct(base.res.Cycles, m.res.Cycles)
+			encoderSums[kind] += overheadPct(base.Cycles, m.Cycles)
 		}
 	}
 	for _, scheme := range encoding.AllSchemes() {
@@ -150,14 +153,14 @@ func TableIII(cfg Config) (*TableIIIResult, error) {
 		Sites: make(map[string]map[encoding.Scheme]int),
 	}
 	for _, b := range workload.SpecBenchmarks() {
-		g, targets, err := internedGraph(b)
+		g, targets, err := b.Graph()
 		if err != nil {
 			return nil, err
 		}
 		row := make(map[encoding.Scheme]float64, 4)
 		sites := make(map[encoding.Scheme]int, 4)
 		for _, scheme := range encoding.AllSchemes() {
-			plan, err := internedPlan(g, targets, scheme)
+			plan, err := encoding.NewPlan(scheme, g, targets)
 			if err != nil {
 				return nil, err
 			}

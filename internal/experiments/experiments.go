@@ -13,6 +13,10 @@
 // measures. The cycle model assigns calibrated relative costs to
 // compute, calls, allocator work, encoding updates, and defense
 // mechanisms, so overhead ratios are meaningful and reproducible.
+//
+// Every measured run builds its own executor, backend and address
+// space, over a program and coder its experiment built: runs share no
+// mutable state, and a fresh space costs only the pages a run touches.
 package experiments
 
 import (
@@ -25,6 +29,7 @@ import (
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/heapsim"
+	"heaptherapy/internal/mem"
 	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
 	"heaptherapy/internal/workload"
@@ -40,8 +45,10 @@ type Config struct {
 	Quick bool
 	// Engine selects the execution substrate (tree interpreter or
 	// compiled machine). Both produce bit-identical measurements —
-	// locked in by TestExperimentsEngineIndependent — so the choice
-	// only affects wall-clock time of the experiment harness itself.
+	// cmd/htp-bench's TestExperimentsDeterministic compares every
+	// experiment's render on each engine with one golden — so the
+	// choice only affects wall-clock time of the experiment harness
+	// itself.
 	Engine prog.Engine
 }
 
@@ -55,13 +62,6 @@ func (c Config) programConfig() workload.ProgramConfig {
 	return workload.ProgramConfig{Scale: c.Scale}
 }
 
-// measured is one measured execution.
-type measured struct {
-	res   *prog.Result
-	heap  *heapsim.Heap
-	stats defense.Stats
-}
-
 // coderFor builds a coder for p under the given scheme with PCC
 // arithmetic (the paper's deployed encoder).
 func coderFor(p *prog.Program, scheme encoding.Scheme) (*encoding.Coder, error) {
@@ -72,6 +72,56 @@ func coderFor(p *prog.Program, scheme encoding.Scheme) (*encoding.Coder, error) 
 	return encoding.NewCoder(encoding.EncoderPCC, p.Graph(), plan)
 }
 
+// newBackend builds a heap backend over a fresh address space:
+// native when dcfg is nil, else defended under *dcfg. It also returns
+// the backend's allocator.
+func newBackend(dcfg *defense.Config) (prog.HeapBackend, *heapsim.Heap, error) {
+	space, err := mem.NewSpace(mem.Config{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: creating space: %w", err)
+	}
+	if dcfg == nil {
+		nb, err := prog.NewNativeBackend(space)
+		if err != nil {
+			return nil, nil, err
+		}
+		return nb, nb.Heap(), nil
+	}
+	db, err := defense.NewBackend(space, *dcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return db, db.Defender().Heap(), nil
+}
+
+// execute builds an executor for p over backend, instrumented by coder
+// (nil: uninstrumented), and runs it once; a crash is an error.
+func execute(ec prog.Config, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend) (*prog.Result, error) {
+	ec.Backend, ec.Coder = backend, coder
+	it, err := prog.NewExec(p, ec)
+	if err != nil {
+		return nil, err
+	}
+	res, err := it.Run(nil)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: running %s: %w", p.Name, err)
+	}
+	if res.Crashed() {
+		return nil, fmt.Errorf("experiments: %s crashed: %v", p.Name, res.Fault)
+	}
+	return res, nil
+}
+
+// measure runs p once over a fresh backend: native when dcfg is nil,
+// else defended under *dcfg.
+func measure(ec prog.Config, p *prog.Program, coder *encoding.Coder, dcfg *defense.Config) (*prog.Result, error) {
+	backend, _, err := newBackend(dcfg)
+	if err != nil {
+		return nil, err
+	}
+	return execute(ec, p, coder, backend)
+}
+
 // overheadPct converts a baseline/measured cycle pair to percent.
 func overheadPct(base, got uint64) float64 {
 	if base == 0 {
@@ -80,20 +130,20 @@ func overheadPct(base, got uint64) float64 {
 	return 100 * (float64(got) - float64(base)) / float64(base)
 }
 
-// profileCCIDs runs one profiling execution of p over backend and
-// returns its allocation contexts ranked by (count, CCID, FUN)
-// ascending — the ordering the paper's median-frequency
+// profileCCIDs runs one profiling execution of p over a fresh native
+// backend and returns its allocation contexts ranked by (count, CCID,
+// FUN) ascending — the ordering the paper's median-frequency
 // patch-selection protocol indexes into, fully determined so that ties
 // never fall to map order. Profiling is deterministic, so one ranking
 // serves every deployment level of an experiment.
-func profileCCIDs(ec prog.Config, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend) ([]ccprof.Sample, error) {
-	prof := ccprof.New(backend)
-	it, err := execFor(ec, p, coder, prof)
+func profileCCIDs(ec prog.Config, p *prog.Program, coder *encoding.Coder) ([]ccprof.Sample, error) {
+	backend, _, err := newBackend(nil)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := it.Run(nil); err != nil {
-		return nil, fmt.Errorf("experiments: profiling %s: %w", p.Name, err)
+	prof := ccprof.New(backend)
+	if _, err := execute(ec, p, coder, prof); err != nil {
+		return nil, err
 	}
 	ranked := prof.Samples()
 	slices.SortFunc(ranked, func(a, b ccprof.Sample) int {
@@ -125,16 +175,6 @@ func selectMedianPatches(ranked []ccprof.Sample, n int) *patch.Set {
 		})
 	}
 	return set
-}
-
-// medianCCIDPatches profiles p on a fresh native substrate and selects
-// n median-frequency patches (profileCCIDs + selectMedianPatches).
-func medianCCIDPatches(ec prog.Config, p *prog.Program, coder *encoding.Coder, n int) (*patch.Set, error) {
-	ranked, err := newWorkbench(ec, p).profile(coder)
-	if err != nil {
-		return nil, err
-	}
-	return selectMedianPatches(ranked, n), nil
 }
 
 // table renders rows with aligned columns.

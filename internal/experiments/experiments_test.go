@@ -234,16 +234,15 @@ func TestMedianCCIDPatchesCount(t *testing.T) {
 func TestProfileRankingOrder(t *testing.T) {
 	cfg := Config{Quick: true}
 	for _, b := range workload.SpecBenchmarks()[:4] {
-		p, err := internedProgram(b, cfg, flavorSpec)
+		p, _, err := b.Program(cfg.programConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		coder, err := internedCoder(p.Graph(), p.Targets(), encoding.SchemeIncremental, encoding.EncoderPCC)
+		coder, err := coderFor(p, encoding.SchemeIncremental)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := newWorkbench(cfg.exec(), p)
-		ranked, err := w.profile(coder)
+		ranked, err := profileCCIDs(cfg.exec(), p, coder)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +256,7 @@ func TestProfileRankingOrder(t *testing.T) {
 				t.Fatalf("%s: rank %d %+v not before rank %d %+v", b.Name, i-1, a, i, c)
 			}
 		}
-		again, err := w.profile(coder)
+		again, err := profileCCIDs(cfg.exec(), p, coder)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/heapsim"
-	"heaptherapy/internal/mem"
 	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
 	"heaptherapy/internal/workload"
@@ -41,43 +40,42 @@ func Figure8(cfg Config) (*Figure8Result, error) {
 		Average:  make(map[string]float64, len(Figure8Configs)),
 	}
 	for _, b := range benches {
-		p, err := internedProgram(b, cfg, flavorSpec)
+		p, _, err := b.Program(cfg.programConfig())
 		if err != nil {
 			return nil, err
 		}
-		coder, err := internedCoder(p.Graph(), p.Targets(), encoding.SchemeIncremental, encoding.EncoderPCC)
+		coder, err := coderFor(p, encoding.SchemeIncremental)
 		if err != nil {
 			return nil, err
 		}
-		w := newWorkbench(cfg.exec(), p)
-		base, err := w.runNative(nil)
+		base, err := measure(cfg.exec(), p, nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		row := make(map[string]float64, len(Figure8Configs))
 
 		// Interposition only.
-		m, err := w.runDefended(coder, defense.ModeInterpose, nil)
+		m, err := measure(cfg.exec(), p, coder, &defense.Config{Mode: defense.ModeInterpose})
 		if err != nil {
 			return nil, err
 		}
-		row["interpose"] = overheadPct(base.res.Cycles, m.res.Cycles)
+		row["interpose"] = overheadPct(base.Cycles, m.Cycles)
 
 		// One profiling run ranks the allocation contexts; every
 		// deployment level derives its median-centered patch window from
 		// that same ranking (profiling is deterministic, so re-profiling
 		// per level would reproduce it bit-for-bit).
-		ranked, err := w.profile(coder)
+		ranked, err := profileCCIDs(cfg.exec(), p, coder)
 		if err != nil {
 			return nil, err
 		}
 		for _, n := range []int{0, 1, 5} {
 			patches := selectMedianPatches(ranked, n)
-			m, err := w.runDefended(coder, defense.ModeFull, patches)
+			m, err := measure(cfg.exec(), p, coder, &defense.Config{Mode: defense.ModeFull, Patches: patches})
 			if err != nil {
 				return nil, err
 			}
-			row[fmt.Sprintf("patch%d", n)] = overheadPct(base.res.Cycles, m.res.Cycles)
+			row[fmt.Sprintf("patch%d", n)] = overheadPct(base.Cycles, m.Cycles)
 		}
 		out.PerBench[b.Name] = row
 	}
@@ -182,19 +180,19 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 		PerBenchPeak: make(map[string]float64, len(benches)),
 	}
 	for _, b := range benches {
-		p, err := internedProgram(b, cfg, flavorLiveHeap)
+		p, err := b.LiveHeapProgram(cfg.programConfig())
 		if err != nil {
 			return nil, err
 		}
-		coder, err := internedCoder(p.Graph(), p.Targets(), encoding.SchemeIncremental, encoding.EncoderPCC)
+		coder, err := coderFor(p, encoding.SchemeIncremental)
 		if err != nil {
 			return nil, err
 		}
-		natAvg, natPeak, err := runSampled(cfg.exec(), p, nil, false)
+		natAvg, natPeak, err := runSampled(cfg.exec(), p, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		defAvg, defPeak, err := runSampled(cfg.exec(), p, coder, true)
+		defAvg, defPeak, err := runSampled(cfg.exec(), p, coder, &defense.Config{Mode: defense.ModeFull})
 		if err != nil {
 			return nil, err
 		}
@@ -209,41 +207,17 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 	return out, nil
 }
 
-// runSampled executes p with footprint sampling, natively or over the
-// full defense, and returns the average and peak live-heap bytes.
-func runSampled(ec prog.Config, p *prog.Program, coder *encoding.Coder, defended bool) (avg, peak uint64, err error) {
-	space, err := mem.NewSpace(mem.Config{})
+// runSampled executes p with footprint sampling over a fresh backend
+// (native when dcfg is nil) and returns the average and peak live-heap
+// bytes.
+func runSampled(ec prog.Config, p *prog.Program, coder *encoding.Coder, dcfg *defense.Config) (avg, peak uint64, err error) {
+	inner, heap, err := newBackend(dcfg)
 	if err != nil {
 		return 0, 0, err
-	}
-	var (
-		inner prog.HeapBackend
-		heap  *heapsim.Heap
-	)
-	if defended {
-		db, err := defense.NewBackend(space, defense.Config{Mode: defense.ModeFull})
-		if err != nil {
-			return 0, 0, err
-		}
-		inner, heap = db, db.Defender().Heap()
-	} else {
-		nb, err := prog.NewNativeBackend(space)
-		if err != nil {
-			return 0, 0, err
-		}
-		inner, heap = nb, nb.Heap()
 	}
 	sampler := &rssSampler{HeapBackend: inner, heap: heap}
-	it, err := execFor(ec, p, coder, sampler)
-	if err != nil {
+	if _, err := execute(ec, p, coder, sampler); err != nil {
 		return 0, 0, err
-	}
-	res, err := it.Run(nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	if res.Crashed() {
-		return 0, 0, fmt.Errorf("experiments: %s crashed: %v", p.Name, res.Fault)
 	}
 	return sampler.average(), heap.Stats().PeakInUseBytes, nil
 }
@@ -269,5 +243,9 @@ func (r *Figure9Result) Render() string {
 // Figure8PatchSelection exposes the median-CCID patch-selection
 // protocol for external harnesses (bench_test.go).
 func Figure8PatchSelection(p *prog.Program, coder *encoding.Coder, n int) (*patch.Set, error) {
-	return medianCCIDPatches(prog.Config{}, p, coder, n)
+	ranked, err := profileCCIDs(prog.Config{}, p, coder)
+	if err != nil {
+		return nil, err
+	}
+	return selectMedianPatches(ranked, n), nil
 }

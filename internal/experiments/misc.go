@@ -35,14 +35,14 @@ func TableIV(cfg Config) (*TableIVResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := newWorkbench(cfg.exec(), p).runNative(nil)
+		m, err := measure(cfg.exec(), p, nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		out.Executed[b.Name] = [3]uint64{
-			m.res.AllocsByFn[heapsim.FnMalloc],
-			m.res.AllocsByFn[heapsim.FnCalloc],
-			m.res.AllocsByFn[heapsim.FnRealloc],
+			m.AllocsByFn[heapsim.FnMalloc],
+			m.AllocsByFn[heapsim.FnCalloc],
+			m.AllocsByFn[heapsim.FnRealloc],
 		}
 	}
 	return out, nil
@@ -108,16 +108,15 @@ func Services(cfg Config) (*ServicesResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			w := newWorkbench(cfg.exec(), p)
-			base, err := w.runNative(nil)
+			base, err := measure(cfg.exec(), p, nil, nil)
 			if err != nil {
 				return nil, err
 			}
-			m, err := w.runDefended(coder, defense.ModeFull, nil)
+			m, err := measure(cfg.exec(), p, coder, &defense.Config{Mode: defense.ModeFull})
 			if err != nil {
 				return nil, err
 			}
-			oh := overheadPct(base.res.Cycles, m.res.Cycles)
+			oh := overheadPct(base.Cycles, m.Cycles)
 			out.Rows = append(out.Rows, ServiceRow{Service: svc.Name, Concurrency: conc, OverheadPct: oh})
 			sum += oh
 		}

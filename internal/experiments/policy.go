@@ -144,7 +144,7 @@ func PolicyMatrix(cfg Config) (*PolicyMatrixResult, error) {
 			kind := pc.g.Kind.String()
 			cell, ok := byKind[kind]
 			if !ok {
-				cell = &PolicyKindCell{Kind: kind, Claimed: policyClaims(fam, pc.g.Kind), Contained: true}
+				cell = &PolicyKindCell{Kind: kind, Claimed: campaign.FamilyContains(fam, pc.g.Kind), Contained: true}
 				byKind[kind] = cell
 			}
 			if !contained {
@@ -177,30 +177,6 @@ func PolicyMatrix(cfg Config) (*PolicyMatrixResult, error) {
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
-}
-
-// policyClaims maps a campaign kind onto the family's Containment
-// matrix (the campaign package keeps the same mapping for its oracle).
-func policyClaims(f defense.Family, k campaign.VulnKind) bool {
-	c := f.Containment()
-	switch k {
-	case campaign.OverflowRead:
-		return c.OverflowRead
-	case campaign.OverflowWrite:
-		return c.OverflowWrite
-	case campaign.UnderflowRead:
-		return c.UnderflowRead
-	case campaign.UAFRead:
-		return c.UAFRead
-	case campaign.UAFWrite:
-		return c.UAFWrite
-	case campaign.DoubleFree:
-		return c.DoubleFree
-	case campaign.UninitRead:
-		return c.UninitRead
-	default:
-		return false
-	}
 }
 
 // policyRun executes one case input over a fresh space: natively when
