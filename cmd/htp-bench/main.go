@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	htp-bench [-exp all|table2|encoding|table3|table4|fig8|fig9|services|concurrent|ablation|stackoffset|scaling|policy|guard[,...]] [-quick] [-scale N] [-engine tree|compiled] [-json]
+//	htp-bench [-exp all|table2|encoding|table3|table4|fig8|fig9|services|concurrent|ablation|stackoffset|scaling|policy|guard[,...]] [-quick] [-scale N] [-json]
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"heaptherapy/internal/experiments"
-	"heaptherapy/internal/prog"
 )
 
 func main() {
@@ -100,19 +99,14 @@ func run(args []string) error {
 	quick := fs.Bool("quick", false, "trim sweeps for a fast run")
 	scale := fs.Uint64("scale", 0, "divisor for Table IV allocation counts (default 10000)")
 	jsonOut := fs.Bool("json", false, "emit per-experiment wall time and allocations as JSON instead of rendered tables")
-	engineName := fs.String("engine", "compiled", "execution engine for measured runs: tree or compiled (results are bit-identical; compiled is faster)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	engine, err := prog.ParseEngine(*engineName)
-	if err != nil {
 		return err
 	}
 	selected, err := selectExperiments(*expList)
 	if err != nil {
 		return err
 	}
-	cfg := experiments.Config{Quick: *quick, Scale: *scale, Engine: engine}
+	cfg := experiments.Config{Quick: *quick, Scale: *scale}
 
 	var results []benchResult
 	for _, e := range experimentTable {
@@ -152,7 +146,6 @@ func run(args []string) error {
 			GOOS:        runtime.GOOS,
 			GOARCH:      runtime.GOARCH,
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Engine:      engine.String(),
 			Quick:       *quick,
 			Experiments: results,
 		})
@@ -168,7 +161,6 @@ type benchReport struct {
 	GOOS        string        `json:"goos"`
 	GOARCH      string        `json:"goarch"`
 	GOMAXPROCS  int           `json:"gomaxprocs"`
-	Engine      string        `json:"engine"`
 	Quick       bool          `json:"quick"`
 	Experiments []benchResult `json:"experiments"`
 }

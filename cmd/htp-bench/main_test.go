@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"heaptherapy/internal/experiments"
-	"heaptherapy/internal/prog"
 )
 
 func capture(t *testing.T, fn func() error) (string, error) {
@@ -150,12 +149,11 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // deterministic virtual-cycle axis, so a render that varies run to run
 // (a wall-clock measurement, or an order taken from map iteration)
 // fails here, and so does any change to a reproduced number. The
-// engines are bit-identical, so a third render on the tree engine must
-// equal the same golden.
+// experiments run the compiled engine only; prog's workload
+// differential runs every program they run on the tree reference too.
 // Regenerate with: go test ./cmd/htp-bench -run Deterministic -update
 func TestExperimentsDeterministic(t *testing.T) {
 	cfg := experiments.Config{Quick: true}
-	treeCfg := experiments.Config{Quick: true, Engine: prog.EngineTree}
 	for _, e := range experimentTable {
 		var renders [2]string
 		for i := range renders {
@@ -184,13 +182,6 @@ func TestExperimentsDeterministic(t *testing.T) {
 		}
 		if renders[0] != string(want) {
 			t.Errorf("%s render differs from %s (rerun with -update after verifying):\n--- got\n%s\n--- want\n%s", e.name, path, renders[0], want)
-		}
-		r, err := e.run(treeCfg)
-		if err != nil {
-			t.Fatalf("%s on the tree engine: %v", e.name, err)
-		}
-		if tree := r.Render(); tree != string(want) {
-			t.Errorf("%s tree-engine render differs from %s:\n--- got\n%s\n--- want\n%s", e.name, path, tree, want)
 		}
 	}
 }

@@ -216,13 +216,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, k := range cfg.Kinds {
 		rep.Kinds = append(rep.Kinds, k.String())
 	}
-	for _, e := range oracleEngines(oracle) {
+	matrix := oracle.WithDefaults()
+	for _, e := range matrix.Engines {
 		rep.Engines = append(rep.Engines, e.String())
 	}
-	for _, a := range oracleAllocs(oracle) {
+	for _, a := range matrix.Allocators {
 		rep.Allocs = append(rep.Allocs, a.String())
 	}
-	for _, p := range oraclePolicies(oracle) {
+	for _, p := range matrix.Policies {
 		rep.Policies = append(rep.Policies, p.String())
 	}
 
@@ -240,27 +241,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-func oracleEngines(o campaign.Oracle) []prog.Engine {
-	if len(o.Engines) > 0 {
-		return o.Engines
-	}
-	return prog.AllEngines()
-}
-
-func oracleAllocs(o campaign.Oracle) []campaign.AllocKind {
-	if len(o.Allocators) > 0 {
-		return o.Allocators
-	}
-	return campaign.AllAllocators()
-}
-
-func oraclePolicies(o campaign.Oracle) []defense.Family {
-	if len(o.Policies) > 0 {
-		return o.Policies
-	}
-	return []defense.Family{defense.FamilyHT}
 }
 
 func summarize(w io.Writer, rep *report) {

@@ -178,6 +178,5 @@ func profileProgram(p *prog.Program) ([]ccprof.Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	var engine prog.Engine // the zero value: the default engine
-	return ccprof.Profile(p, backend, coder, nil, engine)
+	return ccprof.Profile(p, backend, coder, nil, prog.EngineCompiled)
 }

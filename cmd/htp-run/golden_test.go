@@ -15,11 +15,6 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // deterministic virtual-machine run (virtual cycles, not wall clock),
 // so the full output — including the telemetry report — is stable
 // across hosts. Regenerate with: go test ./cmd/htp-run -run Golden -update
-//
-// The output does not depend on the engine, so the cases split between
-// the tree reference (-engine tree) and the default compiled engine:
-// native-heartbleed and native-heartbleed-compiled hold identical
-// goldens, one per engine.
 func TestGolden(t *testing.T) {
 	hbPatches := writePatches(t, "heartbleed")
 	opPatches := writePatches(t, "optipng")
@@ -27,13 +22,12 @@ func TestGolden(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"native-heartbleed", []string{"-case", "heartbleed", "-engine", "tree"}},
-		{"native-heartbleed-compiled", []string{"-case", "heartbleed", "-engine", "compiled"}},
+		{"native-heartbleed", []string{"-case", "heartbleed"}},
 		{"native-wavpack-benign", []string{"-case", "wavpack", "-benign", "0"}},
 		{"defended-heartbleed", []string{"-case", "heartbleed", "-patches", hbPatches}},
-		{"defended-heartbleed-telemetry-table", []string{"-case", "heartbleed", "-patches", hbPatches, "-telemetry", "table", "-engine", "tree"}},
+		{"defended-heartbleed-telemetry-table", []string{"-case", "heartbleed", "-patches", hbPatches, "-telemetry", "table"}},
 		{"defended-heartbleed-telemetry-json", []string{"-case", "heartbleed", "-patches", hbPatches, "-telemetry", "json"}},
-		{"defended-optipng-threads", []string{"-case", "optipng", "-patches", opPatches, "-threads", "3", "-telemetry", "table", "-engine", "tree"}},
+		{"defended-optipng-threads", []string{"-case", "optipng", "-patches", opPatches, "-threads", "3", "-telemetry", "table"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

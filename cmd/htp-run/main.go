@@ -56,7 +56,6 @@ func run(args []string, stdout io.Writer) error {
 	benign := fs.Int("benign", -1, "use the N-th built-in benign input instead of the attack")
 	threads := fs.Int("threads", 1, "run N copies concurrently over one shared heap")
 	encoderName := fs.String("encoder", "PCC", "calling-context encoder; must match the one htp-patchgen used")
-	engineName := fs.String("engine", "compiled", "execution engine: compiled (quickened bytecode) or tree (reference interpreter)")
 	policyName := fs.String("policy", "ht", "defense policy family for defended runs: ht, shadowbound, or mesh")
 	telemetryFmt := fs.String("telemetry", "", `append a telemetry report after the run: "table" or "json"`)
 	if err := fs.Parse(args); err != nil {
@@ -119,15 +118,11 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	engine, err := prog.ParseEngine(*engineName)
-	if err != nil {
-		return err
-	}
 	family, err := defense.ParseFamily(*policyName)
 	if err != nil {
 		return err
 	}
-	sys, err := core.NewSystem(program, core.Options{Encoder: encKind, Engine: engine, Family: family, Telemetry: tcol})
+	sys, err := core.NewSystem(program, core.Options{Encoder: encKind, Family: family, Telemetry: tcol})
 	if err != nil {
 		return err
 	}

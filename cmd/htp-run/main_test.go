@@ -110,6 +110,10 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-case", "bc", "-telemetry", "xml"}, io.Discard); err == nil {
 		t.Error("bogus telemetry format accepted")
 	}
+	// The engine is not a user choice, so -engine is an unknown flag.
+	if err := run([]string{"-case", "bc", "-engine", "tree"}, io.Discard); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Errorf("-engine tree: err = %v, want an unknown-flag error", err)
+	}
 }
 
 func TestDefendedThreads(t *testing.T) {

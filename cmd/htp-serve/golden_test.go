@@ -24,9 +24,9 @@ func TestGolden(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"demo-nginx-tree", []string{"-demo", "-service", "nginx", "-workers", "1", "-telemetry", "-engine", "tree"}},
-		{"demo-nginx-compiled", []string{"-demo", "-service", "nginx", "-workers", "2", "-engine", "compiled"}},
-		{"demo-mysql-compiled", []string{"-demo", "-service", "mysql", "-workers", "1", "-engine", "compiled"}},
+		{"demo-nginx-telemetry", []string{"-demo", "-service", "nginx", "-workers", "1", "-telemetry"}},
+		{"demo-nginx-compiled", []string{"-demo", "-service", "nginx", "-workers", "2"}},
+		{"demo-mysql-compiled", []string{"-demo", "-service", "mysql", "-workers", "1"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

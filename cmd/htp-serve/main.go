@@ -9,7 +9,7 @@
 //
 //	htp-serve -service nginx -addr 127.0.0.1:8470    # live server (SIGTERM drains)
 //	htp-serve -service nginx -demo                   # scripted rollout demonstration
-//	htp-serve -service mysql -engine tree -workers 8 -telemetry
+//	htp-serve -service mysql -workers 8 -telemetry
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/patch"
-	"heaptherapy/internal/prog"
 	"heaptherapy/internal/serve"
 	"heaptherapy/internal/telemetry"
 	"heaptherapy/internal/workload"
@@ -68,7 +67,6 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("htp-serve", flag.ContinueOnError)
 	serviceName := fs.String("service", "nginx", "vulnerable service stand-in: nginx or mysql")
-	engineName := fs.String("engine", "compiled", "execution engine: compiled (quickened bytecode) or tree (reference interpreter)")
 	policyName := fs.String("policy", "ht", "defense policy family for every tenant: ht, shadowbound, or mesh")
 	workers := fs.Int("workers", 4, "worker goroutines, one defended tenant context each")
 	maxInFlight := fs.Int("max-in-flight", 0, "admission bound before 429s (0 = 4*workers)")
@@ -91,10 +89,6 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown service %q (nginx or mysql)", *serviceName)
 	}
 	program, err := svc.VulnerableProgram()
-	if err != nil {
-		return err
-	}
-	engine, err := prog.ParseEngine(*engineName)
 	if err != nil {
 		return err
 	}
@@ -133,22 +127,22 @@ func run(args []string, stdout io.Writer) error {
 		*quota = *maxInFlight
 	}
 
-	s, err := serve.New(serve.Config{
+	cfg := serve.Config{
 		Program:     program,
 		Workers:     *workers,
 		MaxInFlight: *maxInFlight,
 		TenantQuota: *quota,
 		Patches:     patches,
-		Engine:      engine,
 		Family:      family,
 		Telemetry:   tcol,
-	})
+	}
+	s, err := serve.New(cfg)
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintf(stdout, "htp-serve: %s | engine %s | policy %s | workers %d | max in-flight %d | tenant quota %d | initial patches %d\n",
-		program.Name, engine, family, *workers, *maxInFlight, *quota, patches.Len())
+		program.Name, cfg.Engine, family, *workers, *maxInFlight, *quota, patches.Len())
 
 	if *demo {
 		return runDemo(s, svc, family, stdout)

@@ -60,9 +60,6 @@ type Analyzer struct {
 	ShadowConfig shadow.Config
 	// MaxSteps bounds the replay (0 = interpreter default).
 	MaxSteps uint64
-	// Engine selects the replay substrate (tree interpreter or
-	// compiled machine); both record identical warning streams.
-	Engine prog.Engine
 }
 
 // Analyze replays the program on the attack input and generates
@@ -80,7 +77,6 @@ func (a *Analyzer) Analyze(p *prog.Program, attackInput []byte) (*Report, error)
 		Backend:  backend,
 		Coder:    a.Coder,
 		MaxSteps: a.MaxSteps,
-		Engine:   a.Engine,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("analysis: building interpreter: %w", err)

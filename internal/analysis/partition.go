@@ -44,7 +44,6 @@ func (a *Analyzer) AnalyzePartitioned(p *prog.Program, attackInput []byte, n int
 			Backend:  backend,
 			Coder:    a.Coder,
 			MaxSteps: a.MaxSteps,
-			Engine:   a.Engine,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("analysis: building interpreter: %w", err)

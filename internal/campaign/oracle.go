@@ -285,7 +285,9 @@ type Oracle struct {
 	AllocatorFor func(kind AllocKind, space *mem.Space) (heapsim.Allocator, error)
 }
 
-func (o Oracle) withDefaults() Oracle {
+// WithDefaults returns o with each empty matrix axis set to its
+// default: every engine, every allocator, and FamilyHT.
+func (o Oracle) WithDefaults() Oracle {
 	if len(o.Engines) == 0 {
 		o.Engines = prog.AllEngines()
 	}

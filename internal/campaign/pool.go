@@ -99,7 +99,7 @@ func (p prepared) newExec(backend prog.HeapBackend) (prog.Exec, error) {
 // use, so a workbench for a trimmed matrix (fewer engines or
 // allocators) only ever materializes what it runs.
 func NewWorkbench(o Oracle) *Workbench {
-	return &Workbench{oracle: o.withDefaults(), fresh: o.AllocatorFor != nil, defended: map[defendedKey]*bench{}}
+	return &Workbench{oracle: o.WithDefaults(), fresh: o.AllocatorFor != nil, defended: map[defendedKey]*bench{}}
 }
 
 // Check runs the full matrix for one generated case; Oracle.Check
@@ -190,7 +190,7 @@ func (w *Workbench) runShadowCell(g *Generated, coder *encoding.Coder, prep prep
 	if err != nil {
 		return fail(fmt.Errorf("analysis: building interpreter: %w", err))
 	}
-	az := &analysis.Analyzer{Coder: coder, MaxSteps: maxSteps, Engine: e}
+	az := &analysis.Analyzer{Coder: coder, MaxSteps: maxSteps}
 	r, err := az.AnalyzeWith(g.Program, g.input(attack), back, ex)
 	if err != nil {
 		return fail(err)

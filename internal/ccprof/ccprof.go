@@ -128,11 +128,11 @@ func Symbolize(samples []Sample, p *prog.Program, coder *encoding.Coder) {
 
 // Profile runs the program once with profiling over a native backend
 // factory-provided by the caller and returns the sorted, symbolized
-// profile. The engine choice does not change the profile: allocation
-// order and CCIDs are bit-identical across engines.
-func Profile(p *prog.Program, backend prog.HeapBackend, coder *encoding.Coder, input []byte, engine prog.Engine) ([]Sample, error) {
+// profile. The run uses the compiled engine. The last parameter is
+// kept so existing callers still compile and has no effect.
+func Profile(p *prog.Program, backend prog.HeapBackend, coder *encoding.Coder, input []byte, _ prog.Engine) ([]Sample, error) {
 	prof := New(backend)
-	it, err := prog.NewExec(p, prog.Config{Backend: prof, Coder: coder, Engine: engine})
+	it, err := prog.NewExec(p, prog.Config{Backend: prof, Coder: coder})
 	if err != nil {
 		return nil, err
 	}

@@ -60,7 +60,7 @@ func TestProfileCountsAndOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := Profile(p, backend, coder, nil, prog.EngineTree)
+	samples, err := Profile(p, backend, coder, nil, prog.EngineCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestProfileUnderPCCStaysOpaque(t *testing.T) {
 	coder := coderFor(t, p, encoding.EncoderPCC)
 	space, _ := mem.NewSpace(mem.Config{})
 	backend, _ := prog.NewNativeBackend(space)
-	samples, err := Profile(p, backend, coder, nil, prog.EngineTree)
+	samples, err := Profile(p, backend, coder, nil, prog.EngineCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRender(t *testing.T) {
 	coder := coderFor(t, p, encoding.EncoderPCCE)
 	space, _ := mem.NewSpace(mem.Config{})
 	backend, _ := prog.NewNativeBackend(space)
-	samples, err := Profile(p, backend, coder, nil, prog.EngineTree)
+	samples, err := Profile(p, backend, coder, nil, prog.EngineCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,11 +35,11 @@ type Options struct {
 	Family defense.Family
 	// MaxSteps bounds each execution (0 = interpreter default).
 	MaxSteps uint64
-	// Engine selects the execution substrate for every pipeline stage
-	// (offline analysis, native baseline, defended runs); the zero
-	// value is the compiled engine. The engines are differentially
-	// verified bit-identical, so patches generated under one apply
-	// under the other.
+	// Engine is kept so existing configurations still compile.
+	//
+	// Deprecated: no effect. Every pipeline stage runs the compiled
+	// engine; the tree reference is reached only through
+	// prog.Config.Engine.
 	Engine prog.Engine
 	// Telemetry, when non-nil, instruments every pipeline stage run
 	// through this System: each run binds one scope for its space,
@@ -106,7 +106,6 @@ func (s *System) GeneratePatches(attackInput []byte) (*analysis.Report, error) {
 	a := &analysis.Analyzer{
 		Coder:        s.coder,
 		MaxSteps:     s.opts.MaxSteps,
-		Engine:       s.opts.Engine,
 		ShadowConfig: shadow.Config{Telemetry: s.scope()},
 	}
 	return a.Analyze(s.program, attackInput)
@@ -167,15 +166,10 @@ type DefendedRun struct {
 }
 
 // execConfig is the executor configuration of every run: the
-// System's engine options over backend, encoded by coder (nil for the
+// System's step bound over backend, encoded by coder (nil for the
 // uninstrumented native baseline).
 func (s *System) execConfig(backend prog.HeapBackend, coder *encoding.Coder) prog.Config {
-	return prog.Config{
-		Backend:  backend,
-		Coder:    coder,
-		MaxSteps: s.opts.MaxSteps,
-		Engine:   s.opts.Engine,
-	}
+	return prog.Config{Backend: backend, Coder: coder, MaxSteps: s.opts.MaxSteps}
 }
 
 // defendedBackend builds a fresh defended heap with the System's

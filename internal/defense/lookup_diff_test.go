@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,31 @@ import (
 	"heaptherapy/internal/mem"
 	"heaptherapy/internal/patch"
 )
+
+// refLookup is the naive predecessor of lookup: two independently
+// checked word loads per probe. Kept for differential testing.
+func (t *patchTable) refLookup(k patch.Key) (patch.TypeMask, int, error) {
+	key := packKey(k)
+	probes := 0
+	for i := mix(key); ; i++ {
+		probes++
+		addr := t.slotAddr(i)
+		cur, err := t.space.Load64(addr)
+		if err != nil {
+			return 0, probes, fmt.Errorf("defense: patch table unreadable: %w", err)
+		}
+		if cur == 0 {
+			return 0, probes, nil
+		}
+		if cur == key {
+			v, err := t.space.Load64(addr + 8)
+			if err != nil {
+				return 0, probes, fmt.Errorf("defense: patch table unreadable: %w", err)
+			}
+			return patch.TypeMask(v), probes, nil
+		}
+	}
+}
 
 // randomPatchSet builds a patch set with rng-chosen keys and type masks,
 // returning the set plus its key list for positive probes.

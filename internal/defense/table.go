@@ -136,31 +136,6 @@ func (t *patchTable) view() ([]byte, error) {
 	return t.space.RawView(t.base, t.pages)
 }
 
-// refLookup is the naive predecessor of lookup: two independently
-// checked word loads per probe. Kept for differential testing.
-func (t *patchTable) refLookup(k patch.Key) (patch.TypeMask, int, error) {
-	key := packKey(k)
-	probes := 0
-	for i := mix(key); ; i++ {
-		probes++
-		addr := t.slotAddr(i)
-		cur, err := t.space.Load64(addr)
-		if err != nil {
-			return 0, probes, fmt.Errorf("defense: patch table unreadable: %w", err)
-		}
-		if cur == 0 {
-			return 0, probes, nil
-		}
-		if cur == key {
-			v, err := t.space.Load64(addr + 8)
-			if err != nil {
-				return 0, probes, fmt.Errorf("defense: patch table unreadable: %w", err)
-			}
-			return patch.TypeMask(v), probes, nil
-		}
-	}
-}
-
 // mix is a Fibonacci-style initial probe index.
 func mix(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> 6 }
 
@@ -169,15 +144,4 @@ func mix(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> 6 }
 func (t *patchTable) writable() bool {
 	p, err := t.space.ProtAt(t.base)
 	return err == nil && p&mem.ProtWrite != 0
-}
-
-// entryCountForTest walks the table counting populated slots.
-func (t *patchTable) entryCountForTest() int {
-	n := 0
-	for i := uint64(0); i < t.slots; i++ {
-		if v, err := t.space.RawLoad64(t.base + i*slotBytes); err == nil && v != 0 {
-			n++
-		}
-	}
-	return n
 }

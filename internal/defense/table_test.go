@@ -9,6 +9,17 @@ import (
 	"heaptherapy/internal/patch"
 )
 
+// entryCountForTest walks the table counting populated slots.
+func (t *patchTable) entryCountForTest() int {
+	n := 0
+	for i := uint64(0); i < t.slots; i++ {
+		if v, err := t.space.RawLoad64(t.base + i*slotBytes); err == nil && v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func newTestTable(t *testing.T, set *patch.Set) (*patchTable, *mem.Space) {
 	t.Helper()
 	space, err := mem.NewSpace(mem.Config{})

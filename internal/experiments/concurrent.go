@@ -50,11 +50,11 @@ func ConcurrentServices(cfg Config) (*ConcurrentServicesResult, error) {
 				inputs[i] = []byte{byte(i)}
 			}
 
-			nat, err := runThreadsTotal(cfg.exec(), p, nil, nil, inputs)
+			nat, err := runThreadsTotal(p, nil, nil, inputs)
 			if err != nil {
 				return nil, err
 			}
-			def, err := runThreadsTotal(cfg.exec(), p, coder, &defense.Config{}, inputs)
+			def, err := runThreadsTotal(p, coder, &defense.Config{}, inputs)
 			if err != nil {
 				return nil, err
 			}
@@ -72,12 +72,12 @@ func ConcurrentServices(cfg Config) (*ConcurrentServicesResult, error) {
 // fresh backend (native when dcfg is nil) and returns the aggregate
 // cycle cost (per-thread interpreter cycles plus the shared backend's
 // total).
-func runThreadsTotal(ec prog.Config, p *prog.Program, coder *encoding.Coder, dcfg *defense.Config, inputs [][]byte) (uint64, error) {
+func runThreadsTotal(p *prog.Program, coder *encoding.Coder, dcfg *defense.Config, inputs [][]byte) (uint64, error) {
 	backend, _, err := newBackend(dcfg)
 	if err != nil {
 		return 0, err
 	}
-	results, err := prog.RunThreads(p, prog.Config{Backend: backend, Coder: coder, Engine: ec.Engine}, inputs, prog.DefaultQuantum)
+	results, err := prog.RunThreads(p, prog.Config{Backend: backend, Coder: coder}, inputs, prog.DefaultQuantum)
 	if err != nil {
 		return 0, err
 	}

@@ -45,7 +45,7 @@ func EncodingOverhead(cfg Config) (*EncodingOverheadResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := measure(cfg.exec(), p, nil, nil)
+		base, err := measure(p, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +59,7 @@ func EncodingOverhead(cfg Config) (*EncodingOverheadResult, error) {
 			if scheme == encoding.SchemeIncremental {
 				incremental = coder
 			}
-			m, err := measure(cfg.exec(), p, coder, nil)
+			m, err := measure(p, coder, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +81,7 @@ func EncodingOverhead(cfg Config) (*EncodingOverheadResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			m, err := measure(cfg.exec(), p, coder, nil)
+			m, err := measure(p, coder, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -43,19 +43,6 @@ type Config struct {
 	Scale uint64
 	// Quick trims parameter sweeps for fast runs.
 	Quick bool
-	// Engine selects the execution substrate (tree interpreter or
-	// compiled machine). Both produce bit-identical measurements —
-	// cmd/htp-bench's TestExperimentsDeterministic compares every
-	// experiment's render on each engine with one golden — so the
-	// choice only affects wall-clock time of the experiment harness
-	// itself.
-	Engine prog.Engine
-}
-
-// exec is the executor configuration measured runs are built from: the
-// engine.
-func (c Config) exec() prog.Config {
-	return prog.Config{Engine: c.Engine}
 }
 
 func (c Config) programConfig() workload.ProgramConfig {
@@ -96,9 +83,8 @@ func newBackend(dcfg *defense.Config) (prog.HeapBackend, *heapsim.Heap, error) {
 
 // execute builds an executor for p over backend, instrumented by coder
 // (nil: uninstrumented), and runs it once; a crash is an error.
-func execute(ec prog.Config, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend) (*prog.Result, error) {
-	ec.Backend, ec.Coder = backend, coder
-	it, err := prog.NewExec(p, ec)
+func execute(p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend) (*prog.Result, error) {
+	it, err := prog.NewExec(p, prog.Config{Backend: backend, Coder: coder})
 	if err != nil {
 		return nil, err
 	}
@@ -114,12 +100,12 @@ func execute(ec prog.Config, p *prog.Program, coder *encoding.Coder, backend pro
 
 // measure runs p once over a fresh backend: native when dcfg is nil,
 // else defended under *dcfg.
-func measure(ec prog.Config, p *prog.Program, coder *encoding.Coder, dcfg *defense.Config) (*prog.Result, error) {
+func measure(p *prog.Program, coder *encoding.Coder, dcfg *defense.Config) (*prog.Result, error) {
 	backend, _, err := newBackend(dcfg)
 	if err != nil {
 		return nil, err
 	}
-	return execute(ec, p, coder, backend)
+	return execute(p, coder, backend)
 }
 
 // overheadPct converts a baseline/measured cycle pair to percent.
@@ -136,13 +122,13 @@ func overheadPct(base, got uint64) float64 {
 // patch-selection protocol indexes into, fully determined so that ties
 // never fall to map order. Profiling is deterministic, so one ranking
 // serves every deployment level of an experiment.
-func profileCCIDs(ec prog.Config, p *prog.Program, coder *encoding.Coder) ([]ccprof.Sample, error) {
+func profileCCIDs(p *prog.Program, coder *encoding.Coder) ([]ccprof.Sample, error) {
 	backend, _, err := newBackend(nil)
 	if err != nil {
 		return nil, err
 	}
 	prof := ccprof.New(backend)
-	if _, err := execute(ec, p, coder, prof); err != nil {
+	if _, err := execute(p, coder, prof); err != nil {
 		return nil, err
 	}
 	ranked := prof.Samples()

@@ -242,7 +242,7 @@ func TestProfileRankingOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranked, err := profileCCIDs(cfg.exec(), p, coder)
+		ranked, err := profileCCIDs(p, coder)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestProfileRankingOrder(t *testing.T) {
 				t.Fatalf("%s: rank %d %+v not before rank %d %+v", b.Name, i-1, a, i, c)
 			}
 		}
-		again, err := profileCCIDs(cfg.exec(), p, coder)
+		again, err := profileCCIDs(p, coder)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,14 +48,14 @@ func Figure8(cfg Config) (*Figure8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := measure(cfg.exec(), p, nil, nil)
+		base, err := measure(p, nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		row := make(map[string]float64, len(Figure8Configs))
 
 		// Interposition only.
-		m, err := measure(cfg.exec(), p, coder, &defense.Config{Mode: defense.ModeInterpose})
+		m, err := measure(p, coder, &defense.Config{Mode: defense.ModeInterpose})
 		if err != nil {
 			return nil, err
 		}
@@ -65,13 +65,13 @@ func Figure8(cfg Config) (*Figure8Result, error) {
 		// deployment level derives its median-centered patch window from
 		// that same ranking (profiling is deterministic, so re-profiling
 		// per level would reproduce it bit-for-bit).
-		ranked, err := profileCCIDs(cfg.exec(), p, coder)
+		ranked, err := profileCCIDs(p, coder)
 		if err != nil {
 			return nil, err
 		}
 		for _, n := range []int{0, 1, 5} {
 			patches := selectMedianPatches(ranked, n)
-			m, err := measure(cfg.exec(), p, coder, &defense.Config{Mode: defense.ModeFull, Patches: patches})
+			m, err := measure(p, coder, &defense.Config{Mode: defense.ModeFull, Patches: patches})
 			if err != nil {
 				return nil, err
 			}
@@ -188,11 +188,11 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		natAvg, natPeak, err := runSampled(cfg.exec(), p, nil, nil)
+		natAvg, natPeak, err := runSampled(p, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		defAvg, defPeak, err := runSampled(cfg.exec(), p, coder, &defense.Config{Mode: defense.ModeFull})
+		defAvg, defPeak, err := runSampled(p, coder, &defense.Config{Mode: defense.ModeFull})
 		if err != nil {
 			return nil, err
 		}
@@ -210,13 +210,13 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 // runSampled executes p with footprint sampling over a fresh backend
 // (native when dcfg is nil) and returns the average and peak live-heap
 // bytes.
-func runSampled(ec prog.Config, p *prog.Program, coder *encoding.Coder, dcfg *defense.Config) (avg, peak uint64, err error) {
+func runSampled(p *prog.Program, coder *encoding.Coder, dcfg *defense.Config) (avg, peak uint64, err error) {
 	inner, heap, err := newBackend(dcfg)
 	if err != nil {
 		return 0, 0, err
 	}
 	sampler := &rssSampler{HeapBackend: inner, heap: heap}
-	if _, err := execute(ec, p, coder, sampler); err != nil {
+	if _, err := execute(p, coder, sampler); err != nil {
 		return 0, 0, err
 	}
 	return sampler.average(), heap.Stats().PeakInUseBytes, nil
@@ -243,7 +243,7 @@ func (r *Figure9Result) Render() string {
 // Figure8PatchSelection exposes the median-CCID patch-selection
 // protocol for external harnesses (bench_test.go).
 func Figure8PatchSelection(p *prog.Program, coder *encoding.Coder, n int) (*patch.Set, error) {
-	ranked, err := profileCCIDs(prog.Config{}, p, coder)
+	ranked, err := profileCCIDs(p, coder)
 	if err != nil {
 		return nil, err
 	}

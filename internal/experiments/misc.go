@@ -35,7 +35,7 @@ func TableIV(cfg Config) (*TableIVResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := measure(cfg.exec(), p, nil, nil)
+		m, err := measure(p, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -108,11 +108,11 @@ func Services(cfg Config) (*ServicesResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			base, err := measure(cfg.exec(), p, nil, nil)
+			base, err := measure(p, nil, nil)
 			if err != nil {
 				return nil, err
 			}
-			m, err := measure(cfg.exec(), p, coder, &defense.Config{Mode: defense.ModeFull})
+			m, err := measure(p, coder, &defense.Config{Mode: defense.ModeFull})
 			if err != nil {
 				return nil, err
 			}

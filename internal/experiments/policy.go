@@ -8,7 +8,6 @@ import (
 	"heaptherapy/internal/campaign"
 	"heaptherapy/internal/core"
 	"heaptherapy/internal/defense"
-	"heaptherapy/internal/mem"
 	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
 )
@@ -91,7 +90,7 @@ func PolicyMatrix(cfg Config) (*PolicyMatrixResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: policy seed %d: %w", seed, err)
 			}
-			sys, err := core.NewSystem(g.Program, core.Options{Engine: cfg.Engine})
+			sys, err := core.NewSystem(g.Program, core.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: policy seed %d: %w", seed, err)
 			}
@@ -112,7 +111,7 @@ func PolicyMatrix(cfg Config) (*PolicyMatrixResult, error) {
 	// the whole corpus.
 	var natCycles, natMem, n uint64
 	for _, pc := range cases {
-		cycles, size, _, err := policyRun(pc, defense.FamilyHT, nil, false, cfg)
+		cycles, size, _, err := policyRun(pc, defense.FamilyHT, nil, false)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: native baseline: %w", err)
 		}
@@ -129,7 +128,7 @@ func PolicyMatrix(cfg Config) (*PolicyMatrixResult, error) {
 		var cycles, memBytes uint64
 		for _, pc := range cases {
 			// Throughput and footprint: the benign defended run.
-			c, size, _, err := policyRun(pc, fam, pc.patches, false, cfg)
+			c, size, _, err := policyRun(pc, fam, pc.patches, false)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %v benign: %w", fam, err)
 			}
@@ -137,7 +136,7 @@ func PolicyMatrix(cfg Config) (*PolicyMatrixResult, error) {
 			memBytes += size
 
 			// Containment: the attack run.
-			_, _, contained, err := policyRun(pc, fam, pc.patches, true, cfg)
+			_, _, contained, err := policyRun(pc, fam, pc.patches, true)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %v attack: %w", fam, err)
 			}
@@ -183,31 +182,17 @@ func PolicyMatrix(cfg Config) (*PolicyMatrixResult, error) {
 // patches is nil, else defended under fam. It returns the run's
 // virtual cycles, the space's final footprint, and — for attack runs —
 // whether the attack was observably contained.
-func policyRun(pc *policyCase, fam defense.Family, patches *patch.Set, attack bool, cfg Config) (cycles, size uint64, contained bool, err error) {
-	space, err := mem.NewSpace(mem.Config{})
+func policyRun(pc *policyCase, fam defense.Family, patches *patch.Set, attack bool) (cycles, size uint64, contained bool, err error) {
+	var dcfg *defense.Config
+	if patches != nil {
+		dcfg = &defense.Config{Patches: patches, Family: fam}
+	}
+	backend, heap, err := newBackend(dcfg)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	var backend prog.HeapBackend
-	if patches == nil {
-		nb, nerr := prog.NewNativeBackend(space)
-		if nerr != nil {
-			return 0, 0, false, nerr
-		}
-		backend = nb
-	} else {
-		db, derr := defense.NewBackend(space, defense.Config{Patches: patches, Family: fam})
-		if derr != nil {
-			return 0, 0, false, derr
-		}
-		backend = db
-	}
-	ex, err := prog.NewExec(pc.g.Program, prog.Config{
-		Backend:  backend,
-		Coder:    pc.sys.Coder(),
-		MaxSteps: 1 << 20,
-		Engine:   cfg.Engine,
-	})
+	space := heap.Space()
+	ex, err := prog.NewExec(pc.g.Program, prog.Config{Backend: backend, Coder: pc.sys.Coder(), MaxSteps: 1 << 20})
 	if err != nil {
 		return 0, 0, false, err
 	}

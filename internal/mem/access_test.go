@@ -2,20 +2,24 @@ package mem
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
-// TestZeroLengthAccessOutsideArena: a zero-length checked access is a
-// no-op wherever it points — below Base, in the unbacked reserve, past
-// the break, or at the top of the address range — as refCheck rules:
-// no error, no fault counted, no page dirtied, and the reserve stays
-// unbacked. Memmove is tried with each address as destination and as
-// source.
+// TestZeroLengthAccessOutsideArena: a zero-length access, checked or
+// raw, is a no-op wherever it points — below Base, in the unbacked
+// reserve, past the break, or at the top of the address range — as
+// refCheck rules: no error, no fault counted, no page dirtied, and the
+// reserve stays unbacked. Memmove and RawMemmove are tried with each
+// address as destination and as source.
 func TestZeroLengthAccessOutsideArena(t *testing.T) {
-	// The accessors that validate through check and then index data at
-	// addr-lo: each runs one access of n bytes at addr (Memmove reads
-	// from src) and returns its error.
-	checkedAccessors := []struct {
+	// The accessors that index data at addr-lo, checked (through check)
+	// and raw: each runs one access of n bytes at addr (Memmove and
+	// RawMemmove read from src) and returns its error. A raw accessor
+	// backs the reserve for any access below lo, so the "unbacked
+	// reserve" rows (RawRead at Base+4096 among them) pin that a
+	// zero-length one backs none of it.
+	accessors := []struct {
 		name string
 		run  func(s *Space, addr, src, n uint64) error
 	}{
@@ -26,6 +30,11 @@ func TestZeroLengthAccessOutsideArena(t *testing.T) {
 		{"Memmove", func(s *Space, addr, src, n uint64) error { return s.Memmove(addr, src, n) }},
 		{"View", func(s *Space, addr, _, n uint64) error { _, err := s.View(addr, n); return err }},
 		{"WritableView", func(s *Space, addr, _, n uint64) error { _, err := s.WritableView(addr, n); return err }},
+		{"RawRead", func(s *Space, addr, _, n uint64) error { _, err := s.RawRead(addr, n); return err }},
+		{"RawWrite", func(s *Space, addr, _, n uint64) error { return s.RawWrite(addr, make([]byte, n)) }},
+		{"RawMemset", func(s *Space, addr, _, n uint64) error { return s.RawMemset(addr, 0xAB, n) }},
+		{"RawMemmove", func(s *Space, addr, src, n uint64) error { return s.RawMemmove(addr, src, n) }},
+		{"RawView", func(s *Space, addr, _, n uint64) error { _, err := s.RawView(addr, n); return err }},
 	}
 	probe, err := NewSpace(Config{})
 	if err != nil {
@@ -44,10 +53,10 @@ func TestZeroLengthAccessOutsideArena(t *testing.T) {
 		{"past end", probe.End() + PageSize},
 		{"near 2^64", ^uint64(0) - 3},
 	}
-	for _, acc := range checkedAccessors {
+	for _, acc := range accessors {
 		for _, a := range addrs {
 			for _, asSrc := range []bool{false, true} {
-				if asSrc && acc.name != "Memmove" {
+				if asSrc && !strings.HasSuffix(acc.name, "Memmove") {
 					continue
 				}
 				t.Run(fmt.Sprintf("%s/%s/src=%v", acc.name, a.name, asSrc), func(t *testing.T) {

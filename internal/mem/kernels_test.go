@@ -8,6 +8,32 @@ import (
 
 // --- differential: word kernels vs their naive predecessors -----------------
 
+// refLoad64 is the naive predecessor of load64 (differential tests).
+func (s *Space) refLoad64(addr uint64) uint64 {
+	off := addr - s.lo
+	var v uint64
+	for i := uint64(0); i < 8; i++ {
+		v |= uint64(s.data[off+i]) << (8 * i)
+	}
+	return v
+}
+
+// refStore64 is the naive predecessor of store64 (differential tests).
+func (s *Space) refStore64(addr, v uint64) {
+	s.markDirty(addr, 8)
+	off := addr - s.lo
+	for i := uint64(0); i < 8; i++ {
+		s.data[off+i] = byte(v >> (8 * i))
+	}
+}
+
+// refFill is the naive predecessor of fillBytes (differential tests).
+func refFill(dst []byte, b byte) {
+	for i := range dst {
+		dst[i] = b
+	}
+}
+
 // TestDifferentialLoadStore64 proves the binary.LittleEndian word
 // kernels agree bit-for-bit with the byte-loop reference on random
 // addresses and values, in both directions.

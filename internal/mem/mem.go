@@ -419,8 +419,8 @@ func (s *Space) ProtAt(addr uint64) (Prot, error) {
 // implementation the differential tests compare against. A permitted
 // access that reaches below lo backs the reserve before it returns.
 // A zero-length access touches no byte, so it passes anywhere, as in
-// refCheck, and backs nothing; the accessors return before indexing
-// data for it, since addr may lie outside [lo, End].
+// refCheck, and backs nothing; the accessors, checked and raw, return
+// before indexing data for it, since addr may lie outside [lo, End].
 func (s *Space) check(addr, n uint64, kind AccessKind) error {
 	if n == 0 {
 		return nil
@@ -572,13 +572,6 @@ func fillBytes(dst []byte, b byte) {
 	}
 }
 
-// refFill is the naive predecessor of fillBytes (differential tests).
-func refFill(dst []byte, b byte) {
-	for i := range dst {
-		dst[i] = b
-	}
-}
-
 // Memmove copies n bytes from src to dst with memmove overlap semantics.
 func (s *Space) Memmove(dst, src, n uint64) error {
 	if n == 0 {
@@ -610,16 +603,6 @@ func (s *Space) load64(addr uint64) uint64 {
 	return binary.LittleEndian.Uint64(s.data[off : off+8])
 }
 
-// refLoad64 is the naive predecessor of load64 (differential tests).
-func (s *Space) refLoad64(addr uint64) uint64 {
-	off := addr - s.lo
-	var v uint64
-	for i := uint64(0); i < 8; i++ {
-		v |= uint64(s.data[off+i]) << (8 * i)
-	}
-	return v
-}
-
 // Store64 writes a little-endian 64-bit word at addr.
 func (s *Space) Store64(addr, v uint64) error {
 	if err := s.check(addr, 8, AccessWrite); err != nil {
@@ -633,15 +616,6 @@ func (s *Space) store64(addr, v uint64) {
 	s.markDirty(addr, 8)
 	off := addr - s.lo
 	binary.LittleEndian.PutUint64(s.data[off:off+8], v)
-}
-
-// refStore64 is the naive predecessor of store64 (differential tests).
-func (s *Space) refStore64(addr, v uint64) {
-	s.markDirty(addr, 8)
-	off := addr - s.lo
-	for i := uint64(0); i < 8; i++ {
-		s.data[off+i] = byte(v >> (8 * i))
-	}
 }
 
 // RawLoad64 reads a 64-bit word ignoring page protection. It is used by
@@ -681,6 +655,9 @@ func (s *Space) RawStore64(addr, v uint64) error {
 
 // RawRead copies n bytes ignoring page protection.
 func (s *Space) RawRead(addr, n uint64) ([]byte, error) {
+	if n == 0 {
+		return []byte{}, nil
+	}
 	if !s.backed(addr, n) {
 		if err := s.reach(addr, n, AccessRead); err != nil {
 			return nil, err
@@ -694,6 +671,9 @@ func (s *Space) RawRead(addr, n uint64) ([]byte, error) {
 // RawWrite copies src ignoring page protection.
 func (s *Space) RawWrite(addr uint64, src []byte) error {
 	n := uint64(len(src))
+	if n == 0 {
+		return nil
+	}
 	if !s.backed(addr, n) {
 		if err := s.reach(addr, n, AccessWrite); err != nil {
 			return err
@@ -706,6 +686,9 @@ func (s *Space) RawWrite(addr uint64, src []byte) error {
 
 // RawMemset fills memory ignoring page protection.
 func (s *Space) RawMemset(addr uint64, b byte, n uint64) error {
+	if n == 0 {
+		return nil
+	}
 	if !s.backed(addr, n) {
 		if err := s.reach(addr, n, AccessWrite); err != nil {
 			return err
@@ -733,6 +716,9 @@ func (s *Space) RawWriteByte(addr uint64, v byte) error {
 // RawMemmove copies n bytes from src to dst with memmove overlap
 // semantics, ignoring page protection.
 func (s *Space) RawMemmove(dst, src, n uint64) error {
+	if n == 0 {
+		return nil
+	}
 	if !s.backed(src, n) {
 		if err := s.reach(src, n, AccessRead); err != nil {
 			return err
@@ -783,6 +769,9 @@ func (s *Space) WritableView(addr, n uint64) ([]byte, error) {
 // table) that implement their own access control. The same
 // invalidation applies.
 func (s *Space) RawView(addr, n uint64) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
+	}
 	if !s.backed(addr, n) {
 		if err := s.reach(addr, n, AccessRead); err != nil {
 			return nil, err

@@ -104,13 +104,13 @@ func newShadow(t *testing.T) *shadow.Backend {
 	return b
 }
 
-func newDefense(t *testing.T, patches *patch.Set) *defense.Backend {
+func newDefense(t *testing.T, cfg defense.Config) *defense.Backend {
 	t.Helper()
 	space, err := mem.NewSpace(mem.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := defense.NewBackend(space, defense.Config{Patches: patches})
+	b, err := defense.NewBackend(space, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +174,9 @@ func TestVMDifferentialDefense(t *testing.T) {
 
 			inputs := append(append([][]byte{}, c.Benign...), c.Attack)
 			for _, ec := range prog.EngineConfigs[1:] {
-				tb := newDefense(t, patches)
+				tb := newDefense(t, defense.Config{Patches: patches})
 				tit := newExec(t, c.Program, coder, tb, prog.EngineConfigs[0].Engine)
-				b := newDefense(t, patches)
+				b := newDefense(t, defense.Config{Patches: patches})
 				ex := newExec(t, c.Program, coder, b, ec.Engine)
 				for _, in := range inputs {
 					tr, terr := tit.Run(in)
@@ -223,7 +223,7 @@ func TestOneLookupPerAllocation(t *testing.T) {
 			inputs := append(append([][]byte{}, c.Benign...), c.Attack)
 			for _, e := range prog.AllEngines() {
 				for i, in := range inputs {
-					b := newDefense(t, patches)
+					b := newDefense(t, defense.Config{Patches: patches})
 					res, err := newExec(t, c.Program, coder, b, e).Run(in)
 					if err != nil {
 						t.Fatalf("%v input %d: %v", e, i, err)

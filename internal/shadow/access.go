@@ -48,14 +48,12 @@ func (b *Backend) loadInto(dst *prog.Value, addr, n, ccid uint64) error {
 	dst.Bytes = growBytes(dst.Bytes, n)
 	dst.Valid = growBytes(dst.Valid, n)
 	dst.Origin = growU32(dst.Origin, n)
-	// The raw view doubles as the bounds check even for n == 0, matching
-	// the historical RawRead-based behaviour.
+	if n == 0 {
+		return nil
+	}
 	view, err := b.space.RawView(addr, n)
 	if err != nil {
 		return fmt.Errorf("shadow: raw read: %w", err)
-	}
-	if n == 0 {
-		return nil
 	}
 	if o, ok := b.planeRange(addr, n); ok && allTrue(b.access[o:o+n]) {
 		copy(dst.Bytes, view)
@@ -74,12 +72,12 @@ func (b *Backend) refLoadInto(dst *prog.Value, addr, n, ccid uint64) error {
 	dst.Bytes = growBytes(dst.Bytes, n)
 	dst.Valid = growBytes(dst.Valid, n)
 	dst.Origin = growU32(dst.Origin, n)
+	if n == 0 {
+		return nil
+	}
 	view, err := b.space.RawView(addr, n)
 	if err != nil {
 		return fmt.Errorf("shadow: raw read: %w", err)
-	}
-	if n == 0 {
-		return nil
 	}
 	copy(dst.Bytes, view)
 	violated := false
