@@ -123,7 +123,7 @@ bench-telemetry:
 # named here must stay inlinable (a call on an accessor's miss branch
 # costs ~57 of the inliner's budget of 80, and losing the inline
 # showed up as ~10% on BenchmarkHeapChurn).
-INLINE_MEM := markDirty load64 store64 Contains backed BackedLoad64 CheckRead CheckWrite End Size fillBytes
+INLINE_MEM := markDirty load64 store64 Contains backed BackedLoad64 CheckRead End Size fillBytes
 inline-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/mem 2>&1) || { echo "$$out"; exit 1; }; \
 	fail=0; \

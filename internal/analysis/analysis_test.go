@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -276,12 +277,7 @@ func TestPartitionedMatchesPlainOnSmallHeaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.Patches.Len() != plain.Patches.Len() {
-		t.Errorf("partitioned found %d patches, plain %d", part.Patches.Len(), plain.Patches.Len())
-	}
-	for _, pp := range plain.Patches.Patches() {
-		if part.Patches.Lookup(pp.Key()) != pp.Types {
-			t.Errorf("partitioned missing %v", pp)
-		}
+	if got, want := part.Patches.Patches(), plain.Patches.Patches(); !slices.Equal(got, want) {
+		t.Errorf("partitioned found %v, plain %v", got, want)
 	}
 }

@@ -7,7 +7,6 @@ package callgraph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -126,16 +125,6 @@ func (g *Graph) SiteLabel(s SiteID) string {
 	return fmt.Sprintf("%s->%s#%d", g.names[e.From], g.names[e.To], k)
 }
 
-// SiteByLabel resolves a label produced by SiteLabel.
-func (g *Graph) SiteByLabel(label string) (SiteID, error) {
-	for s := range g.edges {
-		if g.SiteLabel(SiteID(s)) == label {
-			return SiteID(s), nil
-		}
-	}
-	return 0, fmt.Errorf("callgraph: no site labeled %q", label)
-}
-
 // ReachesTargets computes, for every node, whether some call path from
 // it reaches any node in targets. Targets trivially reach themselves.
 // The analysis is a backward breadth-first search over incoming edges
@@ -182,19 +171,6 @@ func (g *Graph) ReachesTargetsInto(reaches []bool, queue []NodeID, targets []Nod
 		}
 	}
 	return reaches
-}
-
-// TargetReachingSites returns the set of call sites (m, n) where n can
-// reach a target (or is one): the TCS instrumentation set.
-func (g *Graph) TargetReachingSites(targets []NodeID) map[SiteID]bool {
-	reaches := g.ReachesTargets(targets)
-	set := make(map[SiteID]bool)
-	for _, e := range g.edges {
-		if reaches[e.To] {
-			set[e.ID] = true
-		}
-	}
-	return set
 }
 
 // Roots returns nodes with no incoming edges, in ID order.
@@ -282,17 +258,6 @@ func (g *Graph) DOT(targets []NodeID, instrumented map[SiteID]bool) string {
 	}
 	sb.WriteString("}\n")
 	return sb.String()
-}
-
-// SortedSites returns the site IDs of set in ascending order; a helper
-// for deterministic output.
-func SortedSites(set map[SiteID]bool) []SiteID {
-	out := make([]SiteID, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Figure2 builds the example graph from Figure 2 of the paper: targets

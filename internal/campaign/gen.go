@@ -14,24 +14,21 @@ import (
 type GenConfig struct {
 	// Kinds restricts generation to the listed kinds (nil = all).
 	Kinds []VulnKind
-	// MaxFillerOps bounds the random statements emitted around the
-	// vulnerable gadget on each side (0 = default 8).
-	MaxFillerOps int
-	// MaxCallDepth bounds the call-chain depth above the vulnerable
-	// function (0 = default 3), so injected sites get nontrivial
-	// calling contexts for the encoding to distinguish.
-	MaxCallDepth int
 }
+
+const (
+	// maxFillerOps bounds the random statements emitted around the
+	// vulnerable gadget on each side.
+	maxFillerOps = 8
+	// maxCallDepth bounds the call-chain depth above the vulnerable
+	// function, so injected sites get nontrivial calling contexts for
+	// the encoding to distinguish.
+	maxCallDepth = 3
+)
 
 func (c GenConfig) withDefaults() GenConfig {
 	if len(c.Kinds) == 0 {
 		c.Kinds = AllKinds()
-	}
-	if c.MaxFillerOps <= 0 {
-		c.MaxFillerOps = 8
-	}
-	if c.MaxCallDepth <= 0 {
-		c.MaxCallDepth = 3
 	}
 	return c
 }
@@ -78,7 +75,7 @@ func Generate(seed uint64, cfg GenConfig) (*Generated, error) {
 	sentinel := []byte(fmt.Sprintf("S%07X", seed&0xFFFFFFF))
 
 	b.funcs["vuln"] = &prog.Func{Name: "vuln", Params: []string{"n"}, Body: b.gadgetBody(kind, secret, sentinel)}
-	depth := b.rng.Intn(cfg.MaxCallDepth + 1)
+	depth := b.rng.Intn(maxCallDepth + 1)
 	callee := "vuln"
 	for i := depth; i >= 1; i-- {
 		name := fmt.Sprintf("stage%d", i)
@@ -100,14 +97,14 @@ func Generate(seed uint64, cfg GenConfig) (*Generated, error) {
 	// underflow read of a few bytes must hit mapped memory, not the
 	// edge of the mapping).
 	main = append(main, b.emitAlloc(false)...)
-	for i, k := 0, 1+b.rng.Intn(cfg.MaxFillerOps); i < k; i++ {
+	for i, k := 0, 1+b.rng.Intn(maxFillerOps); i < k; i++ {
 		main = append(main, b.emitFiller(false)...)
 	}
 	if b.rng.Intn(2) == 0 {
 		main = append(main, prog.ReadInput{Dst: "tail", N: prog.InputRemaining{}}, prog.OutputVar{Src: "tail"})
 	}
 	main = append(main, prog.Call{Callee: callee, Args: []prog.Expr{prog.V("n")}})
-	for i, k := 0, 1+b.rng.Intn(cfg.MaxFillerOps); i < k; i++ {
+	for i, k := 0, 1+b.rng.Intn(maxFillerOps); i < k; i++ {
 		main = append(main, b.emitFiller(true)...)
 	}
 	// Epilogue: release every remaining filler buffer in random order

@@ -34,11 +34,6 @@ type RunConfig struct {
 	// OnSeed, when set, observes every checked seed. It is called
 	// concurrently from worker goroutines and must be safe for that.
 	OnSeed func(seed uint64, kind VulnKind, rep *Report)
-
-	// shardSize overrides the seeds-per-shard work unit (0 = auto:
-	// enough shards for ~8 claims per worker, clamped to [16, 4096]);
-	// tests set it to force many tiny shards.
-	shardSize int
 }
 
 // WorkerStat is one worker's share of a run.
@@ -138,14 +133,13 @@ func Run(cfg RunConfig) (*RunReport, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shardSize := uint64(cfg.shardSize)
-	if shardSize == 0 {
-		shardSize = cfg.Seeds / (8 * uint64(workers))
-		if shardSize < 16 {
-			shardSize = 16
-		} else if shardSize > 4096 {
-			shardSize = 4096
-		}
+	// The seeds-per-shard work unit: enough shards for ~8 claims per
+	// worker, clamped to [16, 4096].
+	shardSize := cfg.Seeds / (8 * uint64(workers))
+	if shardSize < 16 {
+		shardSize = 16
+	} else if shardSize > 4096 {
+		shardSize = 4096
 	}
 
 	var shards []shardSpan

@@ -33,11 +33,13 @@ func normalize(r *RunReport) *RunReport {
 // (CI runners here have GOMAXPROCS=1) hammering the scheduler, the
 // stop flag, and the per-worker workbenches.
 func TestParallelMatchesSequential(t *testing.T) {
-	seeds := uint64(16)
+	// Shards hold at least 16 seeds, so 40 seeds make three of them
+	// (33 under the race detector: two full shards and one seed).
+	seeds := uint64(40)
 	if raceEnabled {
-		seeds = 6
+		seeds = 33
 	}
-	base := RunConfig{Seeds: seeds, shardSize: 3}
+	base := RunConfig{Seeds: seeds}
 	seq := base
 	seq.Workers = 1
 	par := base
@@ -61,11 +63,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Errorf("clean corpus: cases=%d failing=%d", sr.Cases, sr.FailingSeeds)
 	}
 	var statSeeds uint64
+	var shards int
 	for _, st := range pr.WorkerStats {
 		statSeeds += st.Seeds
+		shards += st.Shards
 	}
 	if statSeeds != uint64(pr.Cases) {
 		t.Errorf("worker stats cover %d seeds, report has %d cases", statSeeds, pr.Cases)
+	}
+	if shards != 3 {
+		t.Errorf("worker stats claim %d shards, want 3", shards)
 	}
 }
 
@@ -94,7 +101,6 @@ func TestMaxFailingSeedsStopsPromptly(t *testing.T) {
 	seeds := uint64(400)
 	rep, err := Run(RunConfig{
 		Seeds:           seeds,
-		shardSize:       8,
 		Workers:         4,
 		MaxFailingSeeds: 3,
 		Oracle:          brokenOracle(),

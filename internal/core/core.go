@@ -120,9 +120,6 @@ func (s *System) scope() *telemetry.Scope {
 	return s.opts.Telemetry.Scope()
 }
 
-// Telemetry returns the System's collector (nil when disabled).
-func (s *System) Telemetry() *telemetry.Collector { return s.opts.Telemetry }
-
 // RunNative executes the program with no defense (and no encoding):
 // the baseline.
 func (s *System) RunNative(input []byte) (*prog.Result, error) {

@@ -294,19 +294,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// PatchTableWritable reports whether the loaded patch table's pages
-// are writable; after construction this must be false (the paper's
-// read-only remapping).
-func (d *Defender) PatchTableWritable() bool {
-	return d.table != nil && d.table.writable()
-}
-
 // Heap exposes the default underlying allocator for statistics; nil
 // when the Defender was built over a custom allocator.
 func (d *Defender) Heap() *heapsim.Heap { return d.heap }
-
-// Underlying exposes the allocator beneath the defense.
-func (d *Defender) Underlying() heapsim.Allocator { return d.under }
 
 // Stats returns a snapshot of defense statistics.
 func (d *Defender) Stats() Stats {
@@ -314,12 +304,6 @@ func (d *Defender) Stats() Stats {
 	s.QueueBytes = d.queueBytes
 	return s
 }
-
-// Telemetry returns the attached telemetry scope (nil when disabled).
-func (d *Defender) Telemetry() *telemetry.Scope { return d.tel }
-
-// Family returns the defense policy family this Defender runs.
-func (d *Defender) Family() Family { return d.cfg.Family }
 
 // noteAccessFault classifies a memory-access error from a defended
 // execution: a fault on a ProtNone page is a guard-page hit — the
@@ -770,14 +754,6 @@ func htRealloc(d *Defender, ccid, user, size uint64) (uint64, error) {
 	}
 	d.stats.Frees-- // internal bookkeeping, not a user free
 	return newUser, nil
-}
-
-// UsableSize reports the user size of a defended buffer.
-func (d *Defender) UsableSize(user uint64) (uint64, error) {
-	if d.cfg.Mode == ModeInterpose {
-		return d.under.UsableSize(user)
-	}
-	return d.ops.usable(d, user)
 }
 
 // htUsableSize decodes the metadata word (re-protecting any guard the

@@ -30,7 +30,7 @@ func TestUnpatchedAllocationWorks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Malloc: %v", err)
 	}
-	size, err := d.UsableSize(p)
+	size, err := d.ops.usable(d, p)
 	if err != nil {
 		t.Fatalf("UsableSize: %v", err)
 	}
@@ -69,11 +69,11 @@ func TestGuardPageStopsOverflow(t *testing.T) {
 	}
 	// A contiguous overflow reaches the guard page and faults.
 	guard := mem.PageAlignUp(p + 64)
-	if err := space.Write(p, make([]byte, guard-p+1)); !mem.IsFault(err) {
+	if err := space.Write(p, make([]byte, guard-p+1)); !errors.As(err, new(*mem.FaultError)) {
 		t.Errorf("overflow into guard err = %v, want fault", err)
 	}
 	// Overread faults too.
-	if _, err := space.Read(p, guard-p+1); !mem.IsFault(err) {
+	if _, err := space.Read(p, guard-p+1); !errors.As(err, new(*mem.FaultError)) {
 		t.Errorf("overread into guard err = %v, want fault", err)
 	}
 
@@ -283,7 +283,7 @@ func TestTableIStructures(t *testing.T) {
 			}
 			// Size must round-trip through the metadata regardless of
 			// structure.
-			size, err := d.UsableSize(p)
+			size, err := d.ops.usable(d, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,7 +312,7 @@ func TestAlignedGuardedOverflowFaults(t *testing.T) {
 	}
 	space := d.Heap().Space()
 	guard := mem.PageAlignUp(p + 300)
-	if err := space.Write(p, make([]byte, guard-p+8)); !mem.IsFault(err) {
+	if err := space.Write(p, make([]byte, guard-p+8)); !errors.As(err, new(*mem.FaultError)) {
 		t.Errorf("aligned overflow err = %v, want fault", err)
 	}
 	if err := d.Free(p); err != nil {
@@ -401,9 +401,9 @@ func TestInterposeModeForwards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No metadata in interpose mode: usable size comes from the
-	// allocator and reflects rounding, not the exact request.
-	size, err := d.UsableSize(p)
+	// No metadata in interpose mode: the buffer is the allocator's, and
+	// its usable size reflects rounding, not the exact request.
+	size, err := d.under.UsableSize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestCombinedOverflowAndUninit(t *testing.T) {
 	}
 	// ...and guarded.
 	guard := mem.PageAlignUp(p + 1000)
-	if _, err := space.Read(p, guard-p+1); !mem.IsFault(err) {
+	if _, err := space.Read(p, guard-p+1); !errors.As(err, new(*mem.FaultError)) {
 		t.Error("overread did not fault despite combined patch")
 	}
 	if err := d.Free(p); err != nil {

@@ -1,6 +1,8 @@
 package defense
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,27 +12,24 @@ import (
 	"heaptherapy/internal/patch"
 )
 
-// refLookup is the naive predecessor of lookup: two independently
-// checked word loads per probe. Kept for differential testing.
+// refLookup is the naive predecessor of lookup: one checked read of
+// the slot per probe. Kept for differential testing.
 func (t *patchTable) refLookup(k patch.Key) (patch.TypeMask, int, error) {
 	key := packKey(k)
 	probes := 0
 	for i := mix(key); ; i++ {
 		probes++
 		addr := t.slotAddr(i)
-		cur, err := t.space.Load64(addr)
+		b, err := t.space.Read(addr, 16)
 		if err != nil {
 			return 0, probes, fmt.Errorf("defense: patch table unreadable: %w", err)
 		}
+		cur := binary.LittleEndian.Uint64(b)
 		if cur == 0 {
 			return 0, probes, nil
 		}
 		if cur == key {
-			v, err := t.space.Load64(addr + 8)
-			if err != nil {
-				return 0, probes, fmt.Errorf("defense: patch table unreadable: %w", err)
-			}
-			return patch.TypeMask(v), probes, nil
+			return patch.TypeMask(binary.LittleEndian.Uint64(b[8:])), probes, nil
 		}
 	}
 }
@@ -99,10 +98,10 @@ func TestDifferentialLookupRevokedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := patch.Key{Fn: heapsim.FnMalloc, CCID: 0x42}
-	if _, _, err := table.lookup(k); !mem.IsFault(err) {
+	if _, _, err := table.lookup(k); !errors.As(err, new(*mem.FaultError)) {
 		t.Errorf("lookup on revoked table err = %v, want fault", err)
 	}
-	if _, _, err := table.refLookup(k); !mem.IsFault(err) {
+	if _, _, err := table.refLookup(k); !errors.As(err, new(*mem.FaultError)) {
 		t.Errorf("refLookup on revoked table err = %v, want fault", err)
 	}
 }

@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -55,7 +56,7 @@ func TestQuickMetadataRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		got, err := d.UsableSize(p)
+		got, err := d.ops.usable(d, p)
 		if err != nil || got != size {
 			return false
 		}
@@ -137,7 +138,7 @@ func TestMetadataWordBitLayout(t *testing.T) {
 		t.Errorf("guard-page size word = %d, want 777", sz)
 	}
 	// The guard page itself must be inaccessible.
-	if _, rerr := space.Read(guard, 1); !mem.IsFault(rerr) {
+	if _, rerr := space.Read(guard, 1); !errors.As(rerr, new(*mem.FaultError)) {
 		t.Error("guard page is readable")
 	}
 }

@@ -277,16 +277,16 @@ func TestShadowBoundUsableSizeUnknownPointer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := d.UsableSize(p); err != nil || got != 40 {
+	if got, err := d.ops.usable(d, p); err != nil || got != 40 {
 		t.Fatalf("UsableSize(live) = %d, %v; want 40", got, err)
 	}
-	if _, err := d.UsableSize(p + 4); err == nil {
+	if _, err := d.ops.usable(d, p+4); err == nil {
 		t.Error("UsableSize of an interior pointer succeeded")
 	}
 	if err := d.Free(p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.UsableSize(p); err == nil {
+	if _, err := d.ops.usable(d, p); err == nil {
 		t.Error("UsableSize of a freed pointer succeeded")
 	}
 }
@@ -364,7 +364,7 @@ func TestMeshUsableSizeReportsRequested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := d.UsableSize(p); err != nil || got != 100 {
+	if got, err := d.ops.usable(d, p); err != nil || got != 100 {
 		t.Errorf("UsableSize = %d, %v; want the requested 100, not the 128 class", got, err)
 	}
 }
@@ -512,7 +512,7 @@ func TestPolicyReallocPreservesData(t *testing.T) {
 			if !bytes.Equal(got, pattern) {
 				t.Error("grown realloc lost contents")
 			}
-			if size, err := d.UsableSize(q); err != nil || size != 200 {
+			if size, err := d.ops.usable(d, q); err != nil || size != 200 {
 				t.Errorf("UsableSize after grow = %d, %v; want 200", size, err)
 			}
 

@@ -113,9 +113,6 @@ func (t *SealedTable) Probe(k patch.Key) patch.TypeMask {
 	}
 }
 
-// Entries reports the number of patches sealed into the table.
-func (t *SealedTable) Entries() int { return t.entries }
-
 // EnableHitCounts allocates the per-slot hit counters. It must be
 // called before the table is shared across goroutines (typically right
 // after SealTable); calling it again is a no-op.

@@ -138,10 +138,3 @@ func (t *patchTable) view() ([]byte, error) {
 
 // mix is a Fibonacci-style initial probe index.
 func mix(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> 6 }
-
-// writable reports whether the table pages can be written (test hook:
-// must be false after construction).
-func (t *patchTable) writable() bool {
-	p, err := t.space.ProtAt(t.base)
-	return err == nil && p&mem.ProtWrite != 0
-}

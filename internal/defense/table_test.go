@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -70,12 +71,12 @@ func TestPatchTableLookup(t *testing.T) {
 func TestPatchTableReadOnly(t *testing.T) {
 	set := patch.NewSet(patch.Patch{Fn: heapsim.FnMalloc, CCID: 1, Types: patch.TypeOverflow})
 	table, space := newTestTable(t, set)
-	if table.writable() {
+	if p, _ := space.ProtAt(table.base); p&mem.ProtWrite != 0 {
 		t.Fatal("patch table pages are writable after construction")
 	}
 	// An in-space write to the table — as a heap attack might attempt —
 	// faults.
-	if err := space.Write(table.base, []byte{0}); !mem.IsFault(err) {
+	if err := space.Write(table.base, []byte{0}); !errors.As(err, new(*mem.FaultError)) {
 		t.Errorf("write to patch table err = %v, want fault", err)
 	}
 	// Reads still work.
@@ -155,14 +156,16 @@ func TestQuickPatchTableAgainstMap(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		want := map[patch.Key]patch.TypeMask{}
 		for _, p := range set.Patches() {
-			if got, _, err := table.lookup(p.Key()); err != nil || got != set.Lookup(p.Key()) {
+			want[p.Key()] = p.Types
+			if got, _, err := table.lookup(p.Key()); err != nil || got != p.Types {
 				return false
 			}
 		}
 		probeKey := patch.Key{Fn: heapsim.FnMalloc, CCID: probe}
 		got, _, err := table.lookup(probeKey)
-		return err == nil && got == set.Lookup(probeKey)
+		return err == nil && got == want[probeKey]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -173,7 +176,7 @@ func TestDefenderExposesTableProtection(t *testing.T) {
 	d := newDefender(t, Config{Patches: patches(
 		patch.Patch{Fn: heapsim.FnMalloc, CCID: 9, Types: patch.TypeOverflow},
 	)})
-	if d.PatchTableWritable() {
+	if p, _ := d.space.ProtAt(d.table.base); p&mem.ProtWrite != 0 {
 		t.Error("defender's patch table is writable")
 	}
 }

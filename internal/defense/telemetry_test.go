@@ -177,20 +177,20 @@ func TestBackendGuardFaultTelemetry(t *testing.T) {
 	guard := mem.PageAlignUp(p + 64)
 	span := guard - p + 1
 
-	if _, err := b.Load(p, span, 0xA1); !mem.IsFault(err) {
+	if _, err := b.Load(p, span, 0xA1); !errors.As(err, new(*mem.FaultError)) {
 		t.Fatalf("guarded overread err = %v", err)
 	}
 	var v prog.Value
-	if err := b.LoadInto(&v, p, span, 0xA2); !mem.IsFault(err) {
+	if err := b.LoadInto(&v, p, span, 0xA2); !errors.As(err, new(*mem.FaultError)) {
 		t.Fatalf("guarded LoadInto err = %v", err)
 	}
-	if err := b.Store(p, prog.Value{Bytes: make([]byte, span)}, 0xA3); !mem.IsFault(err) {
+	if err := b.Store(p, prog.Value{Bytes: make([]byte, span)}, 0xA3); !errors.As(err, new(*mem.FaultError)) {
 		t.Fatalf("guarded overwrite err = %v", err)
 	}
-	if err := b.Memset(p, 0xFF, span, 0xA4); !mem.IsFault(err) {
+	if err := b.Memset(p, 0xFF, span, 0xA4); !errors.As(err, new(*mem.FaultError)) {
 		t.Fatalf("guarded memset err = %v", err)
 	}
-	if err := b.Memcpy(guard, p, 8, 0xA5); !mem.IsFault(err) {
+	if err := b.Memcpy(guard, p, 8, 0xA5); !errors.As(err, new(*mem.FaultError)) {
 		t.Fatalf("guarded memcpy err = %v", err)
 	}
 	// In-bounds traffic is clean and uncounted.
@@ -201,7 +201,7 @@ func TestBackendGuardFaultTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A wild fault far outside any mapping is not a guard fault.
-	if _, err := b.Load(1<<40, 8, 0xA6); !mem.IsFault(err) {
+	if _, err := b.Load(1<<40, 8, 0xA6); !errors.As(err, new(*mem.FaultError)) {
 		t.Fatal("wild load did not fault")
 	}
 
@@ -242,8 +242,8 @@ func TestBackendAPISurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Defender().Underlying(); got != under {
-		t.Error("Underlying() does not expose the supplied allocator")
+	if got := b.Defender().under; got != under {
+		t.Error("the Defender does not run over the supplied allocator")
 	}
 	if b.Defender().Heap() != nil {
 		t.Error("Heap() non-nil for a custom allocator")
@@ -323,8 +323,8 @@ func TestDefenderTelemetryAccessors(t *testing.T) {
 	d := newDefender(t, Config{Patches: patches(
 		patch.Patch{Fn: heapsim.FnMalloc, CCID: 0x1, Types: patch.TypeOverflow},
 	)})
-	if d.Telemetry() != nil {
-		t.Error("Telemetry() non-nil by default")
+	if d.tel != nil {
+		t.Error("telemetry scope non-nil by default")
 	}
 	if _, err := d.Malloc(0x1, 16); err != nil {
 		t.Fatal(err)
@@ -341,8 +341,8 @@ func TestSealedTableHitCounts(t *testing.T) {
 		patch.Patch{Fn: heapsim.FnCalloc, CCID: 0x22, Types: patch.TypeUseAfterFree},
 	)
 	st := SealTable(set)
-	if st.Entries() != 2 {
-		t.Fatalf("Entries = %d, want 2", st.Entries())
+	if st.entries != 2 {
+		t.Fatalf("entries = %d, want 2", st.entries)
 	}
 	// Lookups before enabling leave no tally.
 	if types, _ := st.Lookup(patch.Key{Fn: heapsim.FnMalloc, CCID: 0x11}); types == 0 {

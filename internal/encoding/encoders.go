@@ -382,22 +382,6 @@ func (c *Coder) findBackEdges() []bool {
 	return back
 }
 
-// TargetOf recovers the target function from a DeltaPath CCID's
-// per-target base range — the feature that lets DeltaPath dispatch on
-// the CCID alone. It reports false for other encoders, for CCIDs whose
-// final edge into the target was pruned (the base never added), and
-// for out-of-range values.
-func (c *Coder) TargetOf(ccid uint64) (callgraph.NodeID, bool) {
-	if c.kind != EncoderDeltaPath {
-		return 0, false
-	}
-	idx := int(ccid >> deltaTargetShift)
-	if idx >= len(c.plan.Targets) {
-		return 0, false
-	}
-	return c.plan.Targets[idx], true
-}
-
 // Decode reconstructs the call path (site IDs) for a CCID observed at
 // target, starting from root. Only additive encoders support decoding;
 // PCC returns ErrNoDecode, matching the paper's characterization.

@@ -35,7 +35,7 @@ func newRefPlan(scheme Scheme, g *callgraph.Graph, targets []callgraph.NodeID) (
 	case SchemeFCS:
 		p.sites = refPlanFCS(g)
 	case SchemeTCS:
-		p.sites = g.TargetReachingSites(targets)
+		p.sites = refPlanTCS(g, targets)
 	case SchemeSlim:
 		p.sites = refPlanSlim(g, targets)
 	case SchemeIncremental:
@@ -54,8 +54,21 @@ func refPlanFCS(g *callgraph.Graph) map[callgraph.SiteID]bool {
 	return set
 }
 
+// refPlanTCS returns the call sites (m, n) where n can reach a target
+// (or is one).
+func refPlanTCS(g *callgraph.Graph, targets []callgraph.NodeID) map[callgraph.SiteID]bool {
+	reaches := g.ReachesTargets(targets)
+	set := make(map[callgraph.SiteID]bool)
+	for s := 0; s < g.NumEdges(); s++ {
+		if reaches[g.Edge(callgraph.SiteID(s)).To] {
+			set[callgraph.SiteID(s)] = true
+		}
+	}
+	return set
+}
+
 func refPlanSlim(g *callgraph.Graph, targets []callgraph.NodeID) map[callgraph.SiteID]bool {
-	tcs := g.TargetReachingSites(targets)
+	tcs := refPlanTCS(g, targets)
 	reachingOut := make([]int, g.NumNodes())
 	for s := range tcs {
 		reachingOut[g.Edge(s).From]++

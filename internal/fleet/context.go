@@ -31,13 +31,6 @@ func (c *Context) Space() *mem.Space { return c.space }
 // interpreter.
 func (c *Context) Backend() prog.HeapBackend { return c.backend }
 
-// Defender returns the context's defense layer.
-func (c *Context) Defender() *defense.Defender { return c.backend.Defender() }
-
-// Telemetry returns the context's telemetry scope, nil when the fleet
-// runs without a collector.
-func (c *Context) Telemetry() *telemetry.Scope { return c.tel }
-
 // Reset recycles the context to its post-construction state. The
 // order is load-bearing: the space rewinds first (zeroing only dirty
 // pages and returning the break to the initial reserve), then the

@@ -58,7 +58,7 @@ func runOn(t *testing.T, ctx *Context, p *prog.Program, coder *encoding.Coder, i
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap(t, res, ctx.Defender())
+	return snap(t, res, ctx.backend.Defender())
 }
 
 // TestFleetPooledBitIdentical: a worker context recycled through

@@ -35,7 +35,7 @@ func runOnMachine(t *testing.T, ctx *Context, p *prog.Program, coder *encoding.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap(t, res, ctx.Defender())
+	return snap(t, res, ctx.backend.Defender())
 }
 
 func newMachine(ctx *Context, p *prog.Program, coder *encoding.Coder) (prog.Exec, error) {
@@ -132,7 +132,7 @@ func TestFleetVMReusedInstanceAcrossReset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := snap(t, res, ctx.Defender()); got != want[i] {
+		if got := snap(t, res, ctx.backend.Defender()); got != want[i] {
 			t.Errorf("request %d: reused compiled machine across Reset diverges from fresh tree\ncompiled: %+v\ntree: %+v",
 				i, got, want[i])
 		}

@@ -310,7 +310,7 @@ func TestFleetCrashIsolation(t *testing.T) {
 		if inputs[i][0] == 1 {
 			if !res.Crashed() {
 				t.Errorf("overflow request %d did not crash", i)
-			} else if !mem.IsFault(res.Fault) {
+			} else if !errors.As(res.Fault, new(*mem.FaultError)) {
 				t.Errorf("overflow request %d fault = %v, want guard-page fault", i, res.Fault)
 			}
 			continue

@@ -32,7 +32,7 @@ func TestSwapTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	genHeld := held.Defender().TableGeneration()
+	genHeld := held.backend.Defender().TableGeneration()
 
 	newTable, err := f.SwapTable(overflowPatch(0x2))
 	if err != nil {
@@ -47,10 +47,10 @@ func TestSwapTable(t *testing.T) {
 
 	// The held context is untouched: swapping under a live worker
 	// would violate the Defender ownership contract.
-	if held.Defender().SharedTable() != oldTable {
+	if held.backend.Defender().SharedTable() != oldTable {
 		t.Error("live context re-pointed mid-flight")
 	}
-	if !held.Defender().ProbePatched(heapsim.FnMalloc, 0x1) {
+	if !held.backend.Defender().ProbePatched(heapsim.FnMalloc, 0x1) {
 		t.Error("old table no longer serves its in-flight context")
 	}
 
@@ -59,7 +59,7 @@ func TestSwapTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Defender().SharedTable() != newTable {
+	if fresh.backend.Defender().SharedTable() != newTable {
 		t.Error("Acquire after the swap built a context on the old table")
 	}
 
@@ -67,25 +67,25 @@ func TestSwapTable(t *testing.T) {
 	if swapped, err := held.SyncTable(f); err != nil || !swapped {
 		t.Fatalf("SyncTable after a swap = %v, %v; want true", swapped, err)
 	}
-	if held.Defender().SharedTable() != newTable {
+	if held.backend.Defender().SharedTable() != newTable {
 		t.Error("SyncTable did not re-point the context")
 	}
-	if held.Defender().TableGeneration() <= genHeld {
+	if held.backend.Defender().TableGeneration() <= genHeld {
 		t.Error("re-pointing did not advance the table generation")
 	}
-	if !held.Defender().ProbePatched(heapsim.FnMalloc, 0x2) {
+	if !held.backend.Defender().ProbePatched(heapsim.FnMalloc, 0x2) {
 		t.Error("new patch not probed after re-pointing")
 	}
-	if held.Defender().ProbePatched(heapsim.FnMalloc, 0x1) {
+	if held.backend.Defender().ProbePatched(heapsim.FnMalloc, 0x1) {
 		t.Error("old patch still probed after re-pointing")
 	}
 
 	// Re-syncing with no intervening swap is a no-op.
-	gen := held.Defender().TableGeneration()
+	gen := held.backend.Defender().TableGeneration()
 	if swapped, err := held.SyncTable(f); err != nil || swapped {
 		t.Errorf("SyncTable with no swap = %v, %v; want false", swapped, err)
 	}
-	if held.Defender().TableGeneration() != gen {
+	if held.backend.Defender().TableGeneration() != gen {
 		t.Error("SyncTable bumped the generation without a table change")
 	}
 }

@@ -286,7 +286,6 @@ func (h *Heap) setHeader(c, v uint64) {
 func (h *Heap) chunkSize(c uint64) uint64  { return h.header(c) &^ uint64(flagMask) }
 func (h *Heap) inUse(c uint64) bool        { return h.header(c)&flagInUse != 0 }
 func (h *Heap) prevInUse(c uint64) bool    { return h.header(c)&flagPrevInUse != 0 }
-func (h *Heap) nextChunk(c uint64) uint64  { return c + h.chunkSize(c) }
 func payload(c uint64) uint64              { return c + headerSize }
 func chunkOf(p uint64) uint64              { return p - headerSize }
 func (h *Heap) footerAddr(c uint64) uint64 { return c + h.chunkSize(c) - 8 }

@@ -278,6 +278,3 @@ func (p *PoolAllocator) UsableSize(ptr uint64) (uint64, error) {
 	}
 	return blk.size - (ptr - blk.base), nil
 }
-
-// LiveCount returns the number of live allocations.
-func (p *PoolAllocator) LiveCount() int { return len(p.live) }

@@ -37,8 +37,8 @@ func TestPoolMallocFree(t *testing.T) {
 	if err := p.Free(a); err != nil {
 		t.Fatal(err)
 	}
-	if p.LiveCount() != 0 {
-		t.Errorf("LiveCount = %d", p.LiveCount())
+	if len(p.live) != 0 {
+		t.Errorf("live count = %d", len(p.live))
 	}
 }
 
@@ -186,7 +186,7 @@ func TestQuickPoolRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return p.LiveCount() == 0
+		return len(p.live) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

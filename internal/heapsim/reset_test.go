@@ -97,8 +97,8 @@ func TestPoolResetDeterministic(t *testing.T) {
 			t.Fatalf("pool address %d differs after Reset: %#x vs %#x", i, first[i], second[i])
 		}
 	}
-	if p.LiveCount() != 0 {
-		t.Errorf("pool live count %d after teardown", p.LiveCount())
+	if len(p.live) != 0 {
+		t.Errorf("pool live count %d after teardown", len(p.live))
 	}
 }
 

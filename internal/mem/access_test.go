@@ -14,10 +14,11 @@ import (
 // address as destination and as source.
 func TestZeroLengthAccessOutsideArena(t *testing.T) {
 	// The accessors that index data at addr-lo, checked (through check)
-	// and raw: each runs one access of n bytes at addr (Memmove and
+	// and raw, plus the checked view callers build from CheckRead and
+	// RawView: each runs one access of n bytes at addr (Memmove and
 	// RawMemmove read from src) and returns its error. A raw accessor
 	// backs the reserve for any access below lo, so the "unbacked
-	// reserve" rows (RawRead at Base+4096 among them) pin that a
+	// reserve" rows (RawView at Base+4096 among them) pin that a
 	// zero-length one backs none of it.
 	accessors := []struct {
 		name string
@@ -28,9 +29,7 @@ func TestZeroLengthAccessOutsideArena(t *testing.T) {
 		{"Write", func(s *Space, addr, _, n uint64) error { return s.Write(addr, make([]byte, n)) }},
 		{"Memset", func(s *Space, addr, _, n uint64) error { return s.Memset(addr, 0xAB, n) }},
 		{"Memmove", func(s *Space, addr, src, n uint64) error { return s.Memmove(addr, src, n) }},
-		{"View", func(s *Space, addr, _, n uint64) error { _, err := s.View(addr, n); return err }},
-		{"WritableView", func(s *Space, addr, _, n uint64) error { _, err := s.WritableView(addr, n); return err }},
-		{"RawRead", func(s *Space, addr, _, n uint64) error { _, err := s.RawRead(addr, n); return err }},
+		{"View", func(s *Space, addr, _, n uint64) error { _, err := checkedView(s, addr, n); return err }},
 		{"RawWrite", func(s *Space, addr, _, n uint64) error { return s.RawWrite(addr, make([]byte, n)) }},
 		{"RawMemset", func(s *Space, addr, _, n uint64) error { return s.RawMemset(addr, 0xAB, n) }},
 		{"RawMemmove", func(s *Space, addr, src, n uint64) error { return s.RawMemmove(addr, src, n) }},
@@ -67,6 +66,7 @@ func TestZeroLengthAccessOutsideArena(t *testing.T) {
 					if _, err := s.Sbrk(PageSize); err != nil {
 						t.Fatal(err)
 					}
+					faults := countFaults(s)
 					dst, src := a.addr, inArena
 					if asSrc {
 						dst, src = inArena, a.addr
@@ -74,8 +74,8 @@ func TestZeroLengthAccessOutsideArena(t *testing.T) {
 					if err := acc.run(s, dst, src, 0); err != nil {
 						t.Errorf("zero-length access = %v, want nil", err)
 					}
-					if s.Faults() != 0 || s.DirtyPages() != 0 || s.lo != s.base+s.reserve {
-						t.Errorf("faults %d, dirty pages %d, floor %#x; want a no-op", s.Faults(), s.DirtyPages(), s.lo)
+					if faults() != 0 || dirtyPages(s) != 0 || s.lo != s.base+DefaultReserve {
+						t.Errorf("faults %d, dirty pages %d, floor %#x; want a no-op", faults(), dirtyPages(s), s.lo)
 					}
 					if err := s.Audit(); err != nil {
 						t.Error(err)
@@ -86,13 +86,13 @@ func TestZeroLengthAccessOutsideArena(t *testing.T) {
 	}
 }
 
-// fuzzSpaces builds two identical small lazy spaces: an arena of three
-// pages above an unbacked four-page reserve, with one arena page
-// read-only and one inaccessible, so refCheck's verdicts include
-// protection faults. touch backs the reserve of both first.
+// fuzzSpaces builds two identical lazy spaces: an arena of three pages
+// above the unbacked reserve, with one arena page read-only and one
+// inaccessible, so refCheck's verdicts include protection faults.
+// touch backs the reserve of both first.
 func fuzzSpaces(t *testing.T, touch bool) (s, ref *Space) {
 	build := func() *Space {
-		sp, err := NewSpace(Config{Reserve: 4 * PageSize, Limit: 16 * PageSize})
+		sp, err := NewSpace(Config{Limit: DefaultReserve + 12*PageSize})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func fuzzSpaces(t *testing.T, touch bool) (s, ref *Space) {
 			t.Fatal(err)
 		}
 		if touch {
-			if err := sp.Store64(sp.Base()+PageSize, 1); err != nil {
+			if err := sp.Write(sp.Base()+PageSize, []byte{1}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -132,18 +132,19 @@ func FuzzSpaceAccess(f *testing.F) {
 	}{
 		{3, 0, 0, 0, 0, 0, false},                          // memset of nothing at address 0
 		{0, 1, 0, -8, 0, 0, false},                         // zero-length read below base
-		{5, 3, 0, PageSize, 0, 0, false},                   // zero-length view past the break
+		{5, 3, 0, PageSize, 0, 0, false},                   // zero-length check past the break
 		{4, 4, 2, -3, 8, 0, true},                          // zero-length memmove near 2^64
 		{0, 4, 0, -3, 0, 8, false},                         // a read that wraps
 		{4, 2, 1, 0, 16, 64, false},                        // memmove from the unbacked reserve
-		{7, 2, 0, -4, 0, 8, false},                         // a store straddling the floor
-		{9, 3, 0, -PageSize - 8, 0, 16, true},              // a read across the read-only page
+		{1, 2, 0, -4, 0, 8, false},                         // a write straddling the floor
+		{5, 3, 0, -PageSize - 8, 0, 16, true},              // a read across the read-only page
 		{2, 3, 0, -2 * PageSize, 0, ^uint64(0) - 2, false}, // a huge wrapping memset
 	} {
 		f.Add(seed.op, seed.anchor, seed.srcAnchor, seed.off, seed.srcOff, seed.n, seed.touch)
 	}
 	f.Fuzz(func(t *testing.T, op, anchor, srcAnchor uint8, off, srcOff int64, n uint64, touch bool) {
 		s, ref := fuzzSpaces(t, touch)
+		faults, refFaults := countFaults(s), countFaults(ref)
 		at := func(a uint8, off int64) uint64 {
 			points := []uint64{0, s.Base(), s.lo, s.End(), ^uint64(0)}
 			return points[int(a)%len(points)] + uint64(off)
@@ -153,7 +154,7 @@ func FuzzSpaceAccess(f *testing.F) {
 		// cannot ask for gigabytes; the others see n as given.
 		small := n % (8 * PageSize)
 		var got, want error
-		switch op % 11 {
+		switch op % 6 {
 		case 0:
 			_, got = s.Read(addr, n)
 			want = ref.refCheck(addr, n, AccessRead)
@@ -171,30 +172,15 @@ func FuzzSpaceAccess(f *testing.F) {
 			if want = ref.refCheck(src, n, AccessRead); want == nil {
 				want = ref.refCheck(addr, n, AccessWrite)
 			}
-		case 5:
-			_, got = s.View(addr, n)
-			want = ref.refCheck(addr, n, AccessRead)
-		case 6:
-			_, got = s.WritableView(addr, n)
-			want = ref.refCheck(addr, n, AccessWrite)
-		case 7:
-			got = s.Store64(addr, 0xFEED)
-			want = ref.refCheck(addr, 8, AccessWrite)
-		case 8:
-			_, got = s.Load64(addr)
-			want = ref.refCheck(addr, 8, AccessRead)
-		case 9:
+		default:
 			got = s.CheckRead(addr, n)
 			want = ref.refCheck(addr, n, AccessRead)
-		default:
-			got = s.CheckWrite(addr, n)
-			want = ref.refCheck(addr, n, AccessWrite)
 		}
 		if errText(got) != errText(want) {
-			t.Fatalf("op %d addr %#x src %#x n %d: got %v, refCheck %v", op%11, addr, src, n, got, want)
+			t.Fatalf("op %d addr %#x src %#x n %d: got %v, refCheck %v", op%6, addr, src, n, got, want)
 		}
-		if s.Faults() != ref.Faults() {
-			t.Fatalf("op %d addr %#x n %d: %d faults, refCheck counted %d", op%11, addr, n, s.Faults(), ref.Faults())
+		if got, want := faults(), refFaults(); got != want {
+			t.Fatalf("op %d addr %#x n %d: %d faults, refCheck counted %d", op%6, addr, n, got, want)
 		}
 		if err := s.Audit(); err != nil {
 			t.Fatal(err)

@@ -189,9 +189,12 @@ func TestDifferentialAudit(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		offsets = append(offsets, rng.Intn(PageSize))
 	}
-	for _, pages := range []uint64{1, 64, 65, 256, 300} {
-		s, err := NewSpace(Config{Reserve: pages * PageSize})
+	for _, pages := range []uint64{256, 257, 300, 320, 321} {
+		s, err := NewSpace(Config{})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Sbrk(pages*PageSize - DefaultReserve); err != nil {
 			t.Fatal(err)
 		}
 		for _, phase := range []string{"fresh", "grown", "reset"} {

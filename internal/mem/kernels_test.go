@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -63,6 +64,7 @@ func TestDifferentialLoadStore64(t *testing.T) {
 func TestDifferentialCheck(t *testing.T) {
 	fast := newTestSpace(t)
 	ref := newTestSpace(t)
+	fastFaults, refFaults := countFaults(fast), countFaults(ref)
 	rng := rand.New(rand.NewSource(2))
 	prots := []Prot{ProtNone, ProtRead, ProtWrite, ProtRW}
 	for p := uint64(0); p < fast.Size()/PageSize; p++ {
@@ -103,9 +105,9 @@ func TestDifferentialCheck(t *testing.T) {
 				t.Fatalf("check(%#x, %d, %v) fault %+v, refCheck fault %+v", addr, n, kind, ff, rf)
 			}
 		}
-		if fast.Faults() != ref.Faults() {
+		if f, r := fastFaults(), refFaults(); f != r {
 			t.Fatalf("fault counters diverged after check(%#x, %d, %v): fast %d, ref %d",
-				addr, n, kind, fast.Faults(), ref.Faults())
+				addr, n, kind, f, r)
 		}
 	}
 }
@@ -129,7 +131,7 @@ func TestDifferentialFill(t *testing.T) {
 }
 
 // TestDifferentialMemset compares Memset on twin spaces: one uses the
-// native fill, the other the reference fill over a writable view.
+// native fill, the other the reference fill over a raw view.
 func TestDifferentialMemset(t *testing.T) {
 	fast := newTestSpace(t)
 	ref := newTestSpace(t)
@@ -144,7 +146,7 @@ func TestDifferentialMemset(t *testing.T) {
 		if err := fast.Memset(addr, b, n); err != nil {
 			t.Fatal(err)
 		}
-		region, err := ref.WritableView(addr, n)
+		region, err := ref.RawView(addr, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,12 +161,14 @@ func TestDifferentialMemset(t *testing.T) {
 
 // --- views -------------------------------------------------------------------
 
+// TestViewMatchesRead: a raw view aliases what Read copies, and keeps
+// reading a page whose protection forbids Read.
 func TestViewMatchesRead(t *testing.T) {
 	s := newTestSpace(t)
 	if err := s.Write(s.Base()+100, []byte("hello, view")); err != nil {
 		t.Fatal(err)
 	}
-	view, err := s.View(s.Base()+100, 11)
+	view, err := s.RawView(s.Base()+100, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,48 +177,25 @@ func TestViewMatchesRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(view, read) {
-		t.Fatalf("View = %q, Read = %q", view, read)
+		t.Fatalf("RawView = %q, Read = %q", view, read)
 	}
-	// A view respects protection like Read does.
 	if err := s.Mprotect(s.Base(), PageSize, ProtNone); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.View(s.Base()+100, 11); !IsFault(err) {
-		t.Errorf("View of PROT_NONE page err = %v, want fault", err)
+	if _, err := s.Read(s.Base()+100, 11); !errors.As(err, new(*FaultError)) {
+		t.Errorf("Read of PROT_NONE page err = %v, want fault", err)
 	}
 	if _, err := s.RawView(s.Base()+100, 11); err != nil {
 		t.Errorf("RawView of PROT_NONE page err = %v, want nil", err)
 	}
 }
 
-func TestWritableViewWritesThrough(t *testing.T) {
-	s := newTestSpace(t)
-	view, err := s.WritableView(s.Base()+64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(view, "abcd")
-	got, err := s.Read(s.Base()+64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "abcd" {
-		t.Fatalf("after WritableView write, Read = %q", got)
-	}
-	if err := s.Mprotect(s.Base(), PageSize, ProtRead); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WritableView(s.Base()+64, 4); !IsFault(err) {
-		t.Errorf("WritableView of read-only page err = %v, want fault", err)
-	}
-}
-
 func TestRawViewBounds(t *testing.T) {
 	s := newTestSpace(t)
-	if _, err := s.RawView(s.Base()-8, 16); !IsFault(err) {
+	if _, err := s.RawView(s.Base()-8, 16); !errors.As(err, new(*FaultError)) {
 		t.Errorf("RawView below base err = %v, want fault", err)
 	}
-	if _, err := s.RawView(s.End()-8, 16); !IsFault(err) {
+	if _, err := s.RawView(s.End()-8, 16); !errors.As(err, new(*FaultError)) {
 		t.Errorf("RawView past end err = %v, want fault", err)
 	}
 }
@@ -227,14 +208,14 @@ func TestRawWriteByte(t *testing.T) {
 	if err := s.RawWriteByte(s.Base()+5, 0x7F); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.RawRead(s.Base()+5, 1)
+	got, err := s.RawView(s.Base()+5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0x7F {
 		t.Fatalf("RawWriteByte stored %#x", got[0])
 	}
-	if err := s.RawWriteByte(s.Base()-1, 0); !IsFault(err) {
+	if err := s.RawWriteByte(s.Base()-1, 0); !errors.As(err, new(*FaultError)) {
 		t.Errorf("RawWriteByte below base err = %v, want fault", err)
 	}
 }
@@ -252,7 +233,7 @@ func TestRawMemmove(t *testing.T) {
 	if string(got) != "0101234567" {
 		t.Fatalf("overlapping RawMemmove = %q", got)
 	}
-	if err := s.RawMemmove(s.Base(), s.Base()-16, 8); !IsFault(err) {
+	if err := s.RawMemmove(s.Base(), s.Base()-16, 8); !errors.As(err, new(*FaultError)) {
 		t.Errorf("RawMemmove from unmapped src err = %v, want fault", err)
 	}
 }
@@ -270,12 +251,12 @@ func TestMemKernelAllocs(t *testing.T) {
 		fn   func()
 	}{
 		{"Load64", func() {
-			if _, err := s.Load64(addr); err != nil {
+			if _, err := s.RawLoad64(addr); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"Store64", func() {
-			if err := s.Store64(addr, 0xDEADBEEF); err != nil {
+			if err := s.RawStore64(addr, 0xDEADBEEF); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -300,7 +281,7 @@ func TestMemKernelAllocs(t *testing.T) {
 			}
 		}},
 		{"View", func() {
-			if _, err := s.View(addr, 256); err != nil {
+			if _, err := checkedView(s, addr, 256); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -329,16 +310,16 @@ func BenchmarkMemKernels(b *testing.B) {
 		b.Fatal(err)
 	}
 	addr := s.Base() + 128
-	b.Run("Load64", func(b *testing.B) {
+	b.Run("RawLoad64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Load64(addr); err != nil {
+			if _, err := s.RawLoad64(addr); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("Store64", func(b *testing.B) {
+	b.Run("RawStore64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := s.Store64(addr, uint64(i)); err != nil {
+			if err := s.RawStore64(addr, uint64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -359,9 +340,9 @@ func BenchmarkMemKernels(b *testing.B) {
 			}
 		}
 	})
-	b.Run("View", func(b *testing.B) {
+	b.Run("RawView", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := s.View(addr, 64); err != nil {
+			if _, err := s.RawView(addr, 64); err != nil {
 				b.Fatal(err)
 			}
 		}

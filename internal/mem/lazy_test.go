@@ -28,11 +28,18 @@ func resetBacked(s *Space) {
 	s.back()
 }
 
-// mappedBytes returns every mapped byte of s without backing anything:
-// an unbacked reserve reads as the zeros it stands for.
-func mappedBytes(s *Space) []byte {
-	out := make([]byte, s.lo-s.base, s.Size())
-	return append(out, s.data...)
+// dirtyBytes returns the bytes of s's dirty pages in address order.
+// With equal dirty bitmaps and clean audits, two spaces whose dirty
+// bytes match map the same bytes: Audit holds every clean page zero.
+func dirtyBytes(s *Space) []byte {
+	var out []byte
+	for p := uint64(0); p < s.Size()/PageSize; p++ {
+		if s.dirty[p>>6]&(1<<(p&63)) != 0 {
+			off := s.base + p*PageSize - s.lo // a dirty page is backed
+			out = append(out, s.data[off:off+PageSize]...)
+		}
+	}
+	return out
 }
 
 // errText renders an error for comparison; nil is "<nil>".
@@ -91,7 +98,7 @@ func lazyLen(rng *rand.Rand) uint64 {
 // every other 50 steps stay in the arena so Resets also find it
 // unbacked with dirty arena pages.
 func TestLazyReserveMatchesBacked(t *testing.T) {
-	cfg := Config{Reserve: 8 * PageSize, Limit: 64 * PageSize}
+	cfg := Config{Limit: DefaultReserve + 56*PageSize}
 	prots := []Prot{ProtNone, ProtRead, ProtWrite, ProtRW}
 	for seed := int64(1); seed <= 24; seed++ {
 		lazy, err := NewSpace(cfg)
@@ -99,6 +106,7 @@ func TestLazyReserveMatchesBacked(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := newBackedSpace(t, cfg)
+		lazyFaults, refFaults := countFaults(lazy), countFaults(ref)
 		floor := lazy.lo
 		rng := rand.New(rand.NewSource(seed))
 		for step := 0; step < 400; step++ {
@@ -111,62 +119,47 @@ func TestLazyReserveMatchesBacked(t *testing.T) {
 			b := byte(rng.Intn(256))
 			v64 := rng.Uint64()
 			pages := uint64(rng.Intn(3))
-			op := rng.Intn(22)
+			op := rng.Intn(17)
 			apply := func(s *Space) string {
 				switch op {
 				case 0:
-					v, err := s.Load64(addr)
-					return fmt.Sprint(v, err)
-				case 1:
-					return errText(s.Store64(addr, v64))
-				case 2:
 					v, err := s.RawLoad64(addr)
 					return fmt.Sprint(v, err)
-				case 3:
+				case 1:
 					return errText(s.RawStore64(addr, v64^n))
-				case 4:
+				case 2:
 					v, err := s.Read(addr, n)
 					return fmt.Sprint(v, err)
-				case 5:
+				case 3:
 					return errText(s.Write(addr, buf))
-				case 6:
+				case 4:
 					return errText(s.Memset(addr, b, n))
-				case 7:
+				case 5:
 					return errText(s.RawMemset(addr, b, n))
-				case 8:
+				case 6:
 					return errText(s.Memmove(addr, src, n))
-				case 9:
+				case 7:
 					return errText(s.RawMemmove(addr, src, n))
-				case 10:
-					v, err := s.View(addr, n)
-					return fmt.Sprint(v, err)
-				case 11:
+				case 8:
 					v, err := s.RawView(addr, n)
 					return fmt.Sprint(v, err)
-				case 12:
-					v, err := s.WritableView(addr, n)
-					copy(v, buf)
-					return errText(err)
-				case 13:
-					v, err := s.RawRead(addr, n)
-					return fmt.Sprint(v, err)
-				case 14:
+				case 9:
 					dst := make([]byte, n)
 					err := s.ReadInto(addr, dst)
 					return fmt.Sprint(dst, err)
-				case 15:
+				case 10:
 					return errText(s.RawWrite(addr, buf))
-				case 16:
+				case 11:
 					return errText(s.RawWriteByte(addr, b))
-				case 17:
-					pa := PageAlignDown(addr)
+				case 12:
+					pa := addr &^ (PageSize - 1)
 					return errText(s.Mprotect(pa, pages*PageSize, prots[b%4]))
-				case 18:
+				case 13:
 					p, err := s.ProtAt(addr)
 					return fmt.Sprint(p, err)
-				case 19:
-					return fmt.Sprint(s.CheckRead(addr, n), s.CheckWrite(addr, n))
-				case 20:
+				case 14:
+					return errText(s.CheckRead(addr, n))
+				case 15:
 					if b < 64 {
 						if s == ref {
 							resetBacked(s)
@@ -194,6 +187,9 @@ func TestLazyReserveMatchesBacked(t *testing.T) {
 				t.Fatalf("%s: lazy = %.200s, backed = %.200s", where, got, want)
 			}
 			requireSameSpace(t, lazy, ref, where)
+			if lf, rf := lazyFaults(), refFaults(); lf != rf {
+				t.Fatalf("%s: lazy counted %d faults, backed %d", where, lf, rf)
+			}
 		}
 	}
 }
@@ -201,12 +197,12 @@ func TestLazyReserveMatchesBacked(t *testing.T) {
 // requireSameSpace compares everything observable about two spaces.
 func requireSameSpace(t *testing.T, lazy, ref *Space, where string) {
 	t.Helper()
-	if lazy.lo != lazy.base && lazy.lo != lazy.base+lazy.reserve {
+	if lazy.lo != lazy.base && lazy.lo != lazy.base+DefaultReserve {
 		t.Fatalf("%s: lazy floor %#x is neither base nor the reserve's end", where, lazy.lo)
 	}
-	if lazy.End() != ref.End() || lazy.Faults() != ref.Faults() || lazy.DirtyPages() != ref.DirtyPages() {
-		t.Fatalf("%s: lazy end/faults/dirty %#x/%d/%d, backed %#x/%d/%d", where,
-			lazy.End(), lazy.Faults(), lazy.DirtyPages(), ref.End(), ref.Faults(), ref.DirtyPages())
+	if lazy.End() != ref.End() || !slices.Equal(lazy.dirty, ref.dirty) {
+		t.Fatalf("%s: lazy end/dirty pages %#x/%d, backed %#x/%d", where,
+			lazy.End(), dirtyPages(lazy), ref.End(), dirtyPages(ref))
 	}
 	if got, want := errText(lazy.Audit()), errText(ref.Audit()); got != want {
 		t.Fatalf("%s: lazy audit %s, backed audit %s", where, got, want)
@@ -214,7 +210,7 @@ func requireSameSpace(t *testing.T, lazy, ref *Space, where string) {
 	if !slices.Equal(lazy.prot, ref.prot) {
 		t.Fatalf("%s: protection tables differ", where)
 	}
-	if !bytes.Equal(mappedBytes(lazy), mappedBytes(ref)) {
+	if !bytes.Equal(dirtyBytes(lazy), dirtyBytes(ref)) {
 		t.Fatalf("%s: mapped bytes differ", where)
 	}
 }
@@ -244,7 +240,7 @@ func TestNewSpaceUnbacked(t *testing.T) {
 	s := keep[0]
 	unbacked := func(what string) {
 		t.Helper()
-		if s.lo != s.base+s.reserve || len(s.data) != 0 {
+		if s.lo != s.base+DefaultReserve || len(s.data) != 0 {
 			t.Fatalf("%s: floor %#x, %d backed bytes; want the reserve unbacked", what, s.lo, len(s.data))
 		}
 		if err := s.Audit(); err != nil {
@@ -261,20 +257,20 @@ func TestNewSpaceUnbacked(t *testing.T) {
 	s.dirty[0] = 0
 
 	touch := func() {
-		if err := s.Store64(s.Base()+p*PageSize+8, 0xC0FFEE); err != nil {
+		if err := s.Write(s.Base()+p*PageSize+8, []byte{0xEE, 0xFF, 0xC0}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	touch()
-	if s.lo != s.base || uint64(len(s.data)) != s.reserve || s.DirtyPages() != 1 {
-		t.Fatalf("after a reserve store: floor %#x, %d bytes, %d dirty pages", s.lo, len(s.data), s.DirtyPages())
+	if s.lo != s.base || uint64(len(s.data)) != DefaultReserve || dirtyPages(s) != 1 {
+		t.Fatalf("after a reserve store: floor %#x, %d bytes, %d dirty pages", s.lo, len(s.data), dirtyPages(s))
 	}
 	if err := s.Audit(); err != nil {
 		t.Fatal(err)
 	}
 	s.Reset()
 	unbacked("reset after a reserve touch")
-	if len(s.spare) != 0 || cap(s.spare) < int(s.reserve) || !bytes.Equal(s.spare[:s.reserve], make([]byte, s.reserve)) {
+	if len(s.spare) != 0 || cap(s.spare) < int(DefaultReserve) || !bytes.Equal(s.spare[:DefaultReserve], make([]byte, DefaultReserve)) {
 		t.Fatal("Reset did not keep a zeroed reserve backing")
 	}
 	if avg := testing.AllocsPerRun(20, func() { touch(); s.Reset() }); avg != 0 {

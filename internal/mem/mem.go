@@ -115,12 +115,11 @@ func (e *FaultError) Error() string {
 // Space is not safe for concurrent use; the interpreter in package prog
 // is single-threaded per space, matching the paper's per-process view.
 type Space struct {
-	base    uint64
-	lo      uint64 // lowest backed address: base, or base+reserve while the reserve is unbacked
-	data    []byte // the bytes of [lo, End); data[0] is at lo
-	prot    []Prot // one entry per page, indexed from base
-	limit   uint64 // maximum mapped size in bytes
-	reserve uint64 // initial mapped size; Reset returns the break here
+	base  uint64
+	lo    uint64 // lowest backed address: base, or base+DefaultReserve while the reserve is unbacked
+	data  []byte // the bytes of [lo, End); data[0] is at lo
+	prot  []Prot // one entry per page, indexed from base
+	limit uint64 // maximum mapped size in bytes
 
 	// spare is the reserve's backing that Reset dropped: spare[:reserve]
 	// is zero and spare[reserve:] shares data's array, so backing the
@@ -134,8 +133,6 @@ type Space struct {
 	// dirty a page.
 	dirty []uint64
 
-	faults uint64 // count of faults reported, for diagnostics
-
 	// tel, when non-nil, receives a counter increment and a trace event
 	// per fault. It is consulted only on the refCheck slow path, so the
 	// two-comparison fast path in check is unaffected.
@@ -144,22 +141,16 @@ type Space struct {
 
 // Config controls Space construction.
 type Config struct {
-	// Base is the lowest mapped address. It must be page aligned and
-	// nonzero. Defaults to DefaultBase.
-	Base uint64
-	// Reserve is the initial mapped size in bytes, rounded up to a page
-	// boundary. Defaults to DefaultReserve.
-	Reserve uint64
 	// Limit caps the total mapped size in bytes (0 means DefaultLimit).
 	Limit uint64
 }
 
-// Defaults for Config.
+// The fixed layout of every space, and the default Config.Limit.
 const (
-	// DefaultBase places the heap segment at 1 MiB, so small addresses
-	// (including nil) always fault.
+	// DefaultBase is the lowest mapped address: the heap segment starts
+	// at 1 MiB, so small addresses (including nil) always fault.
 	DefaultBase = 1 << 20
-	// DefaultReserve is the initial mapping: 1 MiB.
+	// DefaultReserve is the initial mapping: 1 MiB, page aligned.
 	DefaultReserve = 1 << 20
 	// DefaultLimit caps the simulated segment at 1 GiB.
 	DefaultLimit = 1 << 30
@@ -175,26 +166,15 @@ func (c Config) limit() uint64 {
 
 // NewSpace creates a simulated address space.
 func NewSpace(cfg Config) (*Space, error) {
-	if cfg.Base == 0 {
-		cfg.Base = DefaultBase
-	}
-	if cfg.Reserve == 0 {
-		cfg.Reserve = DefaultReserve
-	}
-	if cfg.Base%PageSize != 0 {
-		return nil, fmt.Errorf("mem: base %#x is not page aligned", cfg.Base)
-	}
-	reserve := roundUpPage(cfg.Reserve)
-	if reserve > cfg.limit() {
-		return nil, fmt.Errorf("mem: reserve %d exceeds limit %d", reserve, cfg.limit())
+	if DefaultReserve > cfg.limit() {
+		return nil, fmt.Errorf("mem: reserve %d exceeds limit %d", DefaultReserve, cfg.limit())
 	}
 	s := &Space{
-		base:    cfg.Base,
-		lo:      cfg.Base + reserve,
-		prot:    make([]Prot, reserve/PageSize),
-		limit:   cfg.limit(),
-		reserve: reserve,
-		dirty:   make([]uint64, (reserve/PageSize+63)/64),
+		base:  DefaultBase,
+		lo:    DefaultBase + DefaultReserve,
+		prot:  make([]Prot, DefaultReserve/PageSize),
+		limit: cfg.limit(),
+		dirty: make([]uint64, (DefaultReserve/PageSize+63)/64),
 	}
 	for i := range s.prot {
 		s.prot[i] = ProtRW
@@ -211,21 +191,17 @@ func (s *Space) End() uint64 { return s.lo + uint64(len(s.data)) }
 // Size returns the mapped size in bytes.
 func (s *Space) Size() uint64 { return s.End() - s.base }
 
-// Faults returns the number of faults this space has reported.
-func (s *Space) Faults() uint64 { return s.faults }
-
 // SetTelemetry attaches a telemetry scope; every fault the space
 // reports is then counted and traced. A nil scope detaches.
 func (s *Space) SetTelemetry(tel *telemetry.Scope) { s.tel = tel }
 
-// fault records one fault in the space's own counter and, when a
-// telemetry scope is attached, as a CtrFaults increment plus an EvFault
-// trace event. The space has no calling-context knowledge, so the event
-// carries the access kind in the CCID field, the faulting address as
-// the site, and the access length as the argument; layers above (the
-// defense backend) attribute faults to contexts.
+// fault records one fault, when a telemetry scope is attached, as a
+// CtrFaults increment plus an EvFault trace event. The space has no
+// calling-context knowledge, so the event carries the access kind in
+// the CCID field, the faulting address as the site, and the access
+// length as the argument; layers above (the defense backend) attribute
+// faults to contexts.
 func (s *Space) fault(addr, n uint64, kind AccessKind) {
-	s.faults++
 	if s.tel != nil {
 		s.tel.Inc(telemetry.CtrFaults)
 		s.tel.Event(telemetry.EvFault, uint64(kind), addr, n)
@@ -313,30 +289,18 @@ func (s *Space) markDirty(addr, n uint64) {
 	}
 }
 
-// DirtyPages counts pages currently marked dirty (mutated since
-// construction or the last Reset). Exposed for tests and for the fleet
-// runtime's recycling diagnostics.
-func (s *Space) DirtyPages() int {
-	n := 0
-	for _, w := range s.dirty {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // Reset returns the space to its post-construction state: the break
 // back at the initial reserve, the reserve unbacked and every page
-// ProtRW, and the fault count cleared. Only pages marked dirty are
-// zeroed and re-protected, so the cost is proportional to what the
-// previous execution mutated — a worker context serving small requests
+// ProtRW. Only pages marked dirty are zeroed and re-protected, so the
+// cost is proportional to what the previous execution mutated — a worker context serving small requests
 // recycles in microseconds regardless of the space's configured size.
 // Memory mapped beyond the initial reserve is logically unmapped; its
 // backing capacity, and the reserve's if it was backed, is retained
 // zero, which keeps the recycle-then-regrow path allocation-free.
-// Borrowed views (View/WritableView/RawView) taken before a Reset must
-// not be used afterwards.
+// Borrowed views (RawView) taken before a Reset must not be used
+// afterwards.
 func (s *Space) Reset() {
-	resPages := s.reserve / PageSize
+	const resPages = DefaultReserve / PageSize
 	unbacked := (s.lo - s.base) / PageSize
 	for w, word := range s.dirty {
 		if word == 0 {
@@ -356,8 +320,8 @@ func (s *Space) Reset() {
 	}
 	if s.lo == s.base {
 		s.spare = s.data[:0]
-		s.data = s.data[s.reserve:s.reserve]
-		s.lo = s.base + s.reserve
+		s.data = s.data[DefaultReserve:DefaultReserve]
+		s.lo = s.base + DefaultReserve
 	} else {
 		s.data = s.data[:0]
 	}
@@ -365,7 +329,6 @@ func (s *Space) Reset() {
 	if words := int((resPages + 63) / 64); len(s.dirty) > words {
 		s.dirty = s.dirty[:words]
 	}
-	s.faults = 0
 }
 
 // Contains reports whether the address range [addr, addr+n) is mapped.
@@ -499,9 +462,6 @@ func (s *Space) refCheck(addr, n uint64, kind AccessKind) error {
 // CheckRead validates that [addr, addr+n) is readable.
 func (s *Space) CheckRead(addr, n uint64) error { return s.check(addr, n, AccessRead) }
 
-// CheckWrite validates that [addr, addr+n) is writable.
-func (s *Space) CheckWrite(addr, n uint64) error { return s.check(addr, n, AccessWrite) }
-
 // Read copies n bytes starting at addr into a fresh slice.
 func (s *Space) Read(addr, n uint64) ([]byte, error) {
 	if n == 0 {
@@ -588,28 +548,11 @@ func (s *Space) Memmove(dst, src, n uint64) error {
 	return nil
 }
 
-// Load64 reads a little-endian 64-bit word at addr.
-func (s *Space) Load64(addr uint64) (uint64, error) {
-	if err := s.check(addr, 8, AccessRead); err != nil {
-		return 0, err
-	}
-	return s.load64(addr), nil
-}
-
 // load64 reads a word without checking protection; callers must have
 // validated the access.
 func (s *Space) load64(addr uint64) uint64 {
 	off := addr - s.lo
 	return binary.LittleEndian.Uint64(s.data[off : off+8])
-}
-
-// Store64 writes a little-endian 64-bit word at addr.
-func (s *Space) Store64(addr, v uint64) error {
-	if err := s.check(addr, 8, AccessWrite); err != nil {
-		return err
-	}
-	s.store64(addr, v)
-	return nil
 }
 
 func (s *Space) store64(addr, v uint64) {
@@ -651,21 +594,6 @@ func (s *Space) RawStore64(addr, v uint64) error {
 	}
 	s.store64(addr, v)
 	return nil
-}
-
-// RawRead copies n bytes ignoring page protection.
-func (s *Space) RawRead(addr, n uint64) ([]byte, error) {
-	if n == 0 {
-		return []byte{}, nil
-	}
-	if !s.backed(addr, n) {
-		if err := s.reach(addr, n, AccessRead); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]byte, n)
-	copy(out, s.data[addr-s.lo:])
-	return out, nil
 }
 
 // RawWrite copies src ignoring page protection.
@@ -734,40 +662,12 @@ func (s *Space) RawMemmove(dst, src, n uint64) error {
 	return nil
 }
 
-// View returns a borrowed slice aliasing [addr, addr+n) after a read
-// check. The slice shares the space's backing store: it lets callers
-// consume memory without the per-call allocation Read pays, but it must
-// not be written through, and it is invalidated by the next Sbrk and by
-// the first access below the arena (either may move the backing array).
-func (s *Space) View(addr, n uint64) ([]byte, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	if err := s.check(addr, n, AccessRead); err != nil {
-		return nil, err
-	}
-	off := addr - s.lo
-	return s.data[off : off+n : off+n], nil
-}
-
-// WritableView is View with a write check; the caller may write
-// through the returned slice. The same invalidation applies.
-func (s *Space) WritableView(addr, n uint64) ([]byte, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	if err := s.check(addr, n, AccessWrite); err != nil {
-		return nil, err
-	}
-	s.markDirty(addr, n) // the caller may write anywhere in the view
-	off := addr - s.lo
-	return s.data[off : off+n : off+n], nil
-}
-
-// RawView returns a borrowed slice ignoring page protection, for
-// subsystems (allocator metadata, shadow planes, the sealed patch
-// table) that implement their own access control. The same
-// invalidation applies.
+// RawView returns a borrowed slice aliasing [addr, addr+n), ignoring
+// page protection, for subsystems (allocator metadata, shadow planes,
+// the sealed patch table) that implement their own access control. The
+// slice shares the space's backing store and is invalidated by the next
+// Sbrk and by the first access below the arena (either may move the
+// backing array).
 func (s *Space) RawView(addr, n uint64) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
@@ -779,12 +679,6 @@ func (s *Space) RawView(addr, n uint64) ([]byte, error) {
 	}
 	off := addr - s.lo
 	return s.data[off : off+n : off+n], nil
-}
-
-// IsFault reports whether err is (or wraps) a *FaultError.
-func IsFault(err error) bool {
-	_, ok := AsFault(err)
-	return ok
 }
 
 // AsFault extracts a *FaultError from err if present.
@@ -809,9 +703,6 @@ func roundUpPage(n uint64) uint64 {
 
 // RoundUpPage rounds n up to the next multiple of PageSize.
 func RoundUpPage(n uint64) uint64 { return roundUpPage(n) }
-
-// PageAlignDown rounds addr down to its page boundary.
-func PageAlignDown(addr uint64) uint64 { return addr &^ uint64(PageSize-1) }
 
 // PageAlignUp rounds addr up to the next page boundary.
 func PageAlignUp(addr uint64) uint64 { return roundUpPage(addr) }

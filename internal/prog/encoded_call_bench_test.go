@@ -137,20 +137,19 @@ func BenchmarkEncodedCall(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) { benchMachine(b, encodedCallProgram(iters)) })
 }
 
-// benchMachine times steady-state RunReuse of p on a Machine. One
+// benchMachine times steady-state Run of p on a Machine. One
 // untimed run first warms the buffers, so the loop measures the steady
 // state rather than compilation.
 func benchMachine(b *testing.B, p *Program) {
 	coder := encodedCallCoder(b, p)
 	m := newTestMachine(b, p, Config{Backend: encodedCallBackend(b), Coder: coder})
-	var res Result
-	if err := m.RunReuse(&res, nil); err != nil {
+	if _, err := m.Run(nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.RunReuse(&res, nil); err != nil {
+		if _, err := m.Run(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,27 +180,29 @@ func BenchmarkEncodedCallDense(b *testing.B) {
 }
 
 // TestEncodedCallVMZeroAlloc pins the compiled engine's encoded-call
-// path at zero: steady-state RunReuse of the instrumented program on a
+// path at zero: steady-state Run of the instrumented program on a
 // Machine — SiteUpdate arithmetic, frame recycle, alloc/free — must
-// not allocate at all.
+// allocate nothing but the Result it returns (the program writes no
+// output).
 func TestEncodedCallVMZeroAlloc(t *testing.T) {
 	p := encodedCallProgram(512)
 	coder := encodedCallCoder(t, p)
 	vm := newTestMachine(t, p, Config{Backend: encodedCallBackend(t), Coder: coder})
-	var res Result
-	if err := vm.RunReuse(&res, nil); err != nil {
+	var res *Result
+	var err error
+	if res, err = vm.Run(nil); err != nil {
 		t.Fatal(err)
 	}
 	if res.Crashed() {
 		t.Fatalf("warmup crashed: %v", res.Fault)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := vm.RunReuse(&res, nil); err != nil {
+		if res, err = vm.Run(nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("steady-state encoded RunReuse allocates %.1f objects/run, want 0", allocs)
+	if allocs != 1 {
+		t.Errorf("steady-state encoded Run allocates %.1f objects/run, want 1 (the Result)", allocs)
 	}
 }
 
@@ -209,7 +210,8 @@ func TestEncodedCallVMZeroAlloc(t *testing.T) {
 // dispatch-bound dense variant, on a Machine handed out by a Prepared
 // that carries the coder (the fleet's shape) after another Machine
 // from it already ran: baked SiteUpdate arithmetic on every call,
-// frame recycle and the cold allocation branch must not allocate.
+// frame recycle and the cold allocation branch must allocate nothing
+// but the Result Run returns.
 func TestEncodedCallMachineZeroAlloc(t *testing.T) {
 	p := encodedCallDenseProgram(512)
 	coder := encodedCallCoder(t, p)
@@ -217,7 +219,7 @@ func TestEncodedCallMachineZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res Result
+	var res *Result
 	var ms [2]*Machine
 	for i := range ms {
 		ex, err := pp.NewExec(encodedCallBackend(t))
@@ -225,7 +227,7 @@ func TestEncodedCallMachineZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		ms[i] = ex.(*Machine)
-		if err := ms[i].RunReuse(&res, nil); err != nil {
+		if res, err = ms[i].Run(nil); err != nil {
 			t.Fatal(err)
 		}
 		if res.Crashed() {
@@ -235,12 +237,12 @@ func TestEncodedCallMachineZeroAlloc(t *testing.T) {
 	want := res.Returned.Uint()
 	m := ms[1]
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := m.RunReuse(&res, nil); err != nil {
+		if res, err = m.Run(nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("steady-state dense encoded RunReuse allocates %.1f objects/run, want 0", allocs)
+	if allocs != 1 {
+		t.Errorf("steady-state dense encoded Run allocates %.1f objects/run, want 1 (the Result)", allocs)
 	}
 	if got := res.Returned.Uint(); got != want {
 		t.Errorf("steady-state run returned %d, want %d", got, want)

@@ -65,23 +65,14 @@ func (m *Machine) armTick() {
 }
 
 // Run executes the program on the given input; semantics are
-// identical to Interp.Run.
+// identical to Interp.Run. The Result is fresh, but its Returned
+// buffers are owned by the Machine and are invalidated by the next run.
 func (m *Machine) Run(input []byte) (*Result, error) {
 	res := &Result{}
 	if err := m.run(res, input); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// RunReuse is Run recycling res's buffers (Output and Returned
-// capacity), so steady-state re-execution allocates nothing. On a
-// non-nil error (malformed program), res contents are unspecified,
-// mirroring Run's nil result. Data in res from a previous run is
-// overwritten; Returned's buffers are owned by the Machine and are
-// invalidated by the next run.
-func (m *Machine) RunReuse(res *Result, input []byte) error {
-	return m.run(res, input)
 }
 
 func (m *Machine) run(res *Result, input []byte) error {

@@ -56,9 +56,6 @@ func (v Value) Uint() uint64 {
 	return out
 }
 
-// Len returns the byte length.
-func (v Value) Len() int { return len(v.Bytes) }
-
 // FullyValid reports whether every bit of the value is initialized.
 func (v Value) FullyValid() bool {
 	if v.Valid == nil {
@@ -95,47 +92,13 @@ func (v Value) InvalidOrigin() uint32 {
 	return v.Origin[i]
 }
 
-// Slice returns a copy of the value restricted to [off, off+n),
-// preserving shadow state. Out-of-range portions are dropped.
-func (v Value) Slice(off, n int) Value {
-	if off < 0 || off >= len(v.Bytes) {
-		return Value{}
-	}
-	end := off + n
-	if end > len(v.Bytes) {
-		end = len(v.Bytes)
-	}
-	out := Value{Bytes: append([]byte(nil), v.Bytes[off:end]...)}
-	if v.Valid != nil && off < len(v.Valid) {
-		ve := end
-		if ve > len(v.Valid) {
-			ve = len(v.Valid)
-		}
-		out.Valid = append([]byte(nil), v.Valid[off:ve]...)
-		for len(out.Valid) < len(out.Bytes) {
-			out.Valid = append(out.Valid, 0xFF)
-		}
-	}
-	if v.Origin != nil && off < len(v.Origin) {
-		oe := end
-		if oe > len(v.Origin) {
-			oe = len(v.Origin)
-		}
-		out.Origin = append([]uint32(nil), v.Origin[off:oe]...)
-		for len(out.Origin) < len(out.Bytes) {
-			out.Origin = append(out.Origin, 0)
-		}
-	}
-	return out
-}
-
 // View returns the value restricted to [off, off+n) without copying:
 // the result borrows v's backing arrays. Out-of-range portions are
 // dropped. Backends treat missing Valid/Origin entries as fully valid
-// with no origin, so truncated shadow slices preserve Slice's padding
-// semantics. Callers must not mutate the result or use it after
-// writing to v; both engines use it to pass store operands to
-// backends without a per-store allocation.
+// with no origin, so a view whose shadow is shorter than its bytes
+// reads as valid past the shadow's end. Callers must not mutate the
+// result or use it after writing to v; both engines use it to pass
+// store operands to backends without a per-store allocation.
 func (v Value) View(off, n int) Value {
 	if off < 0 || off >= len(v.Bytes) {
 		return Value{}

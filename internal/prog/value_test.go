@@ -17,7 +17,7 @@ func TestUintShortValue(t *testing.T) {
 	if got := v.Uint(); got != 0x3412 {
 		t.Errorf("Uint = %#x, want 0x3412", got)
 	}
-	if Scalar(5).Len() != 8 {
+	if len(Scalar(5).Bytes) != 8 {
 		t.Error("Scalar length != 8")
 	}
 	var empty Value
@@ -84,33 +84,35 @@ func TestCombineScalarPropagation(t *testing.T) {
 	}
 }
 
+// TestSlice: View restricts a value to a byte range, shadow included,
+// borrowing the original's arrays and dropping out-of-range portions.
 func TestSlice(t *testing.T) {
 	v := Value{
 		Bytes:  []byte{1, 2, 3, 4},
 		Valid:  []byte{0xFF, 0x00, 0xFF, 0xFF},
 		Origin: []uint32{0, 9, 0, 0},
 	}
-	s := v.Slice(1, 2)
+	s := v.View(1, 2)
 	if len(s.Bytes) != 2 || s.Bytes[0] != 2 || s.Bytes[1] != 3 {
-		t.Errorf("Slice bytes = %v, want [2 3]", s.Bytes)
+		t.Errorf("View bytes = %v, want [2 3]", s.Bytes)
 	}
 	if s.FullyValid() {
-		t.Error("slice lost invalid shadow")
+		t.Error("view lost invalid shadow")
 	}
 	if s.InvalidOrigin() != 9 {
-		t.Errorf("slice origin = %d, want 9", s.InvalidOrigin())
+		t.Errorf("view origin = %d, want 9", s.InvalidOrigin())
 	}
-	// Mutating the slice must not affect the original.
+	// A view borrows the original's bytes.
 	s.Bytes[0] = 99
-	if v.Bytes[1] == 99 {
-		t.Error("Slice aliases the original")
+	if v.Bytes[1] != 99 {
+		t.Error("View copied the original")
 	}
 
-	if got := v.Slice(10, 2); got.Len() != 0 {
-		t.Error("out-of-range slice is non-empty")
+	if got := v.View(10, 2); len(got.Bytes) != 0 {
+		t.Error("out-of-range view is non-empty")
 	}
-	if got := v.Slice(2, 100); got.Len() != 2 {
-		t.Errorf("over-long slice Len = %d, want 2", got.Len())
+	if got := v.View(2, 100); len(got.Bytes) != 2 {
+		t.Errorf("over-long view length = %d, want 2", len(got.Bytes))
 	}
 }
 

@@ -4,9 +4,9 @@ package prog
 // executes the flat instruction stream produced by compile
 // (compile.go; the execution loop is in jit.go) with a register file
 // per frame and a frame free list, so steady-state execution allocates
-// nothing: registers own their Value buffers and every write reuses
-// capacity, frames are recycled by depth, and RunReuse recycles the
-// Result's buffers too.
+// only the Result and its output: registers own their Value buffers and
+// every write reuses capacity, frames are recycled by depth, and the
+// returned value is staged in Machine-owned buffers.
 //
 // Encoding updates are resolved once, at compile time: each call/alloc
 // site's V-update (the delta an instrumentation pass would embed in the
@@ -206,7 +206,7 @@ type Machine struct {
 	scratch Value // transient loads (Output)
 	args    []*Value
 
-	// Result.Returned staging capacity (RunReuse's zero-alloc path).
+	// Result.Returned staging capacity, reused across runs.
 	retBytes  []byte
 	retValid  []byte
 	retOrigin []uint32

@@ -69,15 +69,14 @@ func BenchmarkEnginesTree(b *testing.B) {
 func BenchmarkEnginesCold(b *testing.B) {
 	p, backend, input := benchSetup(b, 256)
 	m := newTestMachine(b, p, Config{Backend: backend})
-	var res Result
 	// Warm the register, frame and output buffers.
-	if err := m.RunReuse(&res, input); err != nil {
+	if _, err := m.Run(input); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.RunReuse(&res, input); err != nil {
+		if _, err := m.Run(input); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,14 +89,13 @@ func BenchmarkEnginesColdHooked(b *testing.B) {
 	p, backend, input := benchSetup(b, 256)
 	m := newTestMachine(b, p, Config{Backend: backend})
 	SetQuantumHook(m, 128, func() {})
-	var res Result
-	if err := m.RunReuse(&res, input); err != nil {
+	if _, err := m.Run(input); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.RunReuse(&res, input); err != nil {
+		if _, err := m.Run(input); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -255,16 +255,15 @@ func TestRolloutDedupesIdenticalCrashes(t *testing.T) {
 	}
 }
 
-// TestRolloutPendingBound: the pending set holds at most RolloutQueue+1
+// TestRolloutPendingBound: the pending set holds at most rolloutQueue+1
 // hashes (the queue plus the analysis in flight); distinct crashes
 // beyond that are dropped and counted.
 func TestRolloutPendingBound(t *testing.T) {
-	const queue = 2
+	const queue = rolloutQueue
 	var calls atomic.Int32
 	gate := make(chan struct{})
 	var open sync.Once
 	s, ts, svc := newNginxServer(t, func(c *Config) {
-		c.RolloutQueue = queue
 		c.Analyze = func(p *prog.Program, attack []byte) (*patch.Set, error) {
 			calls.Add(1)
 			<-gate
@@ -273,7 +272,7 @@ func TestRolloutPendingBound(t *testing.T) {
 	})
 	t.Cleanup(func() { open.Do(func() { close(gate) }) })
 
-	// The first crash goes in flight; the next two fill the queue.
+	// The first crash goes in flight; the next rolloutQueue fill the queue.
 	const distinct = queue + 3
 	for i := 0; i < distinct; i++ {
 		post(t, ts, "/request", append(svc.CrashRequest(), make([]byte, i)...))
@@ -421,7 +420,7 @@ func TestServeAbandonedWhileQueued(t *testing.T) {
 	if st := s.Stats(); st.Abandoned != 1 {
 		t.Errorf("Abandoned=%d, want 1", st.Abandoned)
 	}
-	if runs := s.Fleet().Stats().Requests; runs != 1 {
+	if runs := s.fleet.Stats().Requests; runs != 1 {
 		t.Errorf("fleet ran %d requests, want 1 (the abandoned one must not run)", runs)
 	}
 }

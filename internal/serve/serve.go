@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"heaptherapy/internal/analysis"
 	"heaptherapy/internal/defense"
@@ -102,12 +101,13 @@ type Config struct {
 	// offline analyzer (shadow memory + red zones) in-process. Tests
 	// inject failures here.
 	Analyze func(p *prog.Program, attack []byte) (*patch.Set, error)
-	// RolloutQueue bounds crashing inputs waiting for re-analysis;
-	// further crashes are dropped (counted, not fatal) until the queue
-	// drains (0 = 16). A crash whose attack input matches one already
-	// queued or under analysis is not queued again.
-	RolloutQueue int
 }
+
+// rolloutQueue bounds crashing inputs waiting for re-analysis; further
+// crashes are dropped (counted, not fatal) until the queue drains. A
+// crash whose attack input matches one already queued or under analysis
+// is not queued again.
+const rolloutQueue = 16
 
 // Stats is a point-in-time snapshot of front-end activity.
 type Stats struct {
@@ -175,7 +175,7 @@ type Server struct {
 	queue chan rolloutJob // wild crashes awaiting re-analysis
 
 	// pending holds the attack-input hashes of queued and in-flight
-	// re-analyses, at most RolloutQueue+1 of them; an entry is released
+	// re-analyses, at most rolloutQueue+1 of them; an entry is released
 	// when its rollout ends, whether it succeeded or failed.
 	pendingMu sync.Mutex
 	pending   map[[sha256.Size]byte]struct{}
@@ -241,9 +241,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TenantQuota <= 0 || cfg.TenantQuota > cfg.MaxInFlight {
 		cfg.TenantQuota = cfg.MaxInFlight
 	}
-	if cfg.RolloutQueue <= 0 {
-		cfg.RolloutQueue = 16
-	}
 	coder := cfg.Coder
 	if coder == nil {
 		p := cfg.Program
@@ -272,8 +269,8 @@ func New(cfg Config) (*Server, error) {
 		fleet:    f,
 		coder:    coder,
 		jobs:     make(chan *job),
-		queue:    make(chan rolloutJob, cfg.RolloutQueue),
-		pending:  make(map[[sha256.Size]byte]struct{}, cfg.RolloutQueue+1),
+		queue:    make(chan rolloutJob, rolloutQueue),
+		pending:  make(map[[sha256.Size]byte]struct{}, rolloutQueue+1),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 		tenants:  make(map[string]int),
 		patches:  patches,
@@ -424,7 +421,7 @@ func (s *Server) queueRollout(input []byte) {
 		s.bundleDups.Add(1)
 		return
 	}
-	if len(s.pending) > s.cfg.RolloutQueue {
+	if len(s.pending) > rolloutQueue {
 		s.pendingMu.Unlock()
 		s.bundleDrops.Add(1)
 		return
@@ -516,10 +513,6 @@ func (s *Server) Stats() Stats {
 		Draining:         draining,
 	}
 }
-
-// Fleet exposes the underlying fleet (tests and the CLI read its
-// stats; production code should not reach around the front-end).
-func (s *Server) Fleet() *fleet.Fleet { return s.fleet }
 
 // Drain performs graceful shutdown: new requests get 503, in-flight
 // requests run to completion on whichever table they started with,
@@ -673,7 +666,3 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "request crashed", http.StatusInternalServerError)
 	}
 }
-
-// RetryAfter is how long a shed client should back off. Exported so
-// load generators agree with the server.
-const RetryAfter = time.Second

@@ -144,7 +144,7 @@ func runDifferentialShadowOps(t *testing.T, seed int64) {
 			return base + uint64(rng.Intn(int(p.fast.space.Size())))
 		}
 		b := bufs[rng.Intn(len(bufs))]
-		off := int64(rng.Intn(int(b.size)+2*DefaultRedZone)) - DefaultRedZone
+		off := int64(rng.Intn(int(b.size+2*redZone))) - int64(redZone)
 		return uint64(int64(b.ptr) + off)
 	}
 	// pickWriteRange constrains writes to chunk footprints (payload and
@@ -166,8 +166,8 @@ func runDifferentialShadowOps(t *testing.T, seed int64) {
 			}
 		}
 		b := bufs[rng.Intn(len(bufs))]
-		lo := b.ptr - DefaultRedZone
-		hi := b.ptr + b.size + DefaultRedZone
+		lo := b.ptr - redZone
+		hi := b.ptr + b.size + redZone
 		addr := lo + uint64(rng.Intn(int(hi-lo)))
 		n := pickLen()
 		if addr+n > hi {

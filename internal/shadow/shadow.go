@@ -34,10 +34,11 @@ import (
 	"heaptherapy/internal/telemetry"
 )
 
+// redZone is the red-zone size on each side of a buffer.
+const redZone uint64 = 16
+
 // Defaults for Config.
 const (
-	// DefaultRedZone is the red-zone size on each side of a buffer.
-	DefaultRedZone = 16
 	// DefaultQueueQuota bounds the freed-block FIFO queue. The paper
 	// uses 2 GiB on real workloads; analysis programs in this
 	// simulation are far smaller, so the default is scaled down while
@@ -47,8 +48,6 @@ const (
 
 // Config parameterizes the analysis backend.
 type Config struct {
-	// RedZone is the per-side red-zone size (0 = DefaultRedZone).
-	RedZone uint64
 	// QueueQuota bounds the total bytes parked in the freed-block
 	// queue (0 = DefaultQueueQuota).
 	QueueQuota uint64
@@ -157,9 +156,6 @@ func New(space *mem.Space, cfg Config) (*Backend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shadow: creating analysis heap: %w", err)
 	}
-	if cfg.RedZone == 0 {
-		cfg.RedZone = DefaultRedZone
-	}
 	if cfg.QueueQuota == 0 {
 		cfg.QueueQuota = DefaultQueueQuota
 	}
@@ -232,9 +228,6 @@ func (b *Backend) notePlanes(o, n uint64) {
 		b.touchHi = o + n
 	}
 }
-
-// Heap exposes the underlying allocator for statistics.
-func (b *Backend) Heap() *heapsim.Heap { return b.heap }
 
 // Warnings returns all recorded warnings in detection order.
 func (b *Backend) Warnings() []Warning { return b.warnings }
@@ -414,10 +407,10 @@ func (b *Backend) originInfo(tag uint32) (origin, bool) {
 // chunks that overlap its full footprint.
 func (b *Backend) insertChunk(c *chunk) {
 	lo := c.base
-	hi := c.end() + b.cfg.RedZone
+	hi := c.end() + redZone
 	kept := b.chunks[:0]
 	for _, old := range b.chunks {
-		if old.released && old.base < hi && lo < old.end()+b.cfg.RedZone {
+		if old.released && old.base < hi && lo < old.end()+redZone {
 			continue // region recycled by the allocator
 		}
 		kept = append(kept, old)
@@ -448,7 +441,7 @@ func (b *Backend) findContaining(addr uint64) *chunk {
 		if c.released {
 			continue
 		}
-		if addr >= c.base && addr < c.end()+b.cfg.RedZone {
+		if addr >= c.base && addr < c.end()+redZone {
 			return c
 		}
 	}
@@ -460,7 +453,7 @@ func (b *Backend) findContaining(addr uint64) *chunk {
 // Alloc implements prog.HeapBackend.
 func (b *Backend) Alloc(fn heapsim.AllocFn, ccid, n, size, align uint64) (uint64, error) {
 	b.cycles += prog.CycAlloc * shadowCostFactor
-	rz := b.cfg.RedZone
+	rz := redZone
 	userSize := size
 	if fn == heapsim.FnCalloc {
 		userSize = n * size
@@ -527,7 +520,7 @@ func (b *Backend) Realloc(ccid, ptr, size uint64) (uint64, error) {
 		// Keep the analysis running: treat as a fresh allocation.
 		return b.Alloc(heapsim.FnRealloc, ccid, 1, size, 0)
 	}
-	rz := b.cfg.RedZone
+	rz := redZone
 
 	// Preserve the old shadow for the surviving prefix.
 	keep := c.size
@@ -603,7 +596,7 @@ func (b *Backend) Free(ptr, ccid uint64) error {
 	c.freed = true
 	c.freeCCID = ccid
 	// The whole footprint (red zones included) goes inaccessible.
-	b.markRange(c.base, c.end()+b.cfg.RedZone-c.base, false, 0, c.originID)
+	b.markRange(c.base, c.end()+redZone-c.base, false, 0, c.originID)
 
 	if b.cfg.DeferFilter != nil && !b.cfg.DeferFilter(c.ccid) {
 		// Outside this run's CCID subspace: release immediately, with
@@ -616,7 +609,7 @@ func (b *Backend) Free(ptr, ccid uint64) error {
 			tel.Inc(telemetry.CtrQuarantineRefusals)
 			tel.Event(telemetry.EvQuarantineRefusal, c.ccid, c.user, c.size)
 		}
-		b.markRange(c.base, c.end()+b.cfg.RedZone-c.base, true, 0xFF, 0)
+		b.markRange(c.base, c.end()+redZone-c.base, true, 0xFF, 0)
 		if err := b.heap.Free(c.base); err != nil {
 			return fmt.Errorf("shadow: releasing filtered block: %w", err)
 		}

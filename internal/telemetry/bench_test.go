@@ -9,7 +9,6 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	var s *Scope
 	if n := testing.AllocsPerRun(1000, func() {
 		s.Inc(CtrAllocs)
-		s.Add(CtrFrees, 3)
 		s.Observe(HistAllocSize, 64)
 		s.Event(EvPatchHit, 1, 2, 3)
 	}); n != 0 {

@@ -11,7 +11,7 @@ import "testing"
 func TestCollectorReset(t *testing.T) {
 	c := New(Config{Shards: 2, RingSize: 8})
 	s0, s1 := c.Scope(), c.Scope()
-	s0.Add(CtrAllocs, 5)
+	s0.Inc(CtrAllocs)
 	s1.Inc(CtrFrees)
 	s0.Observe(HistAllocSize, 128)
 	s0.Event(EvPatchHit, 0x1, PackSite(1, 0x1), 9)
@@ -49,8 +49,8 @@ func TestCollectorReset(t *testing.T) {
 	if len(snap.Events) != 1 || snap.Events[0].Seq != 0 {
 		t.Fatalf("post-reset events = %+v, want one event at seq 0", snap.Events)
 	}
-	if snap.Events[0].Tenant != s1.Tenant() {
-		t.Errorf("post-reset event tenant = %d, want %d", snap.Events[0].Tenant, s1.Tenant())
+	if snap.Events[0].Tenant != s1.tenant {
+		t.Errorf("post-reset event tenant = %d, want %d", snap.Events[0].Tenant, s1.tenant)
 	}
 }
 

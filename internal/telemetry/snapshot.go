@@ -10,7 +10,7 @@ import (
 // Snapshot is a point-in-time export of a collector: merged counter
 // totals, per-shard (per-tenant-group) counters, histogram buckets,
 // and the retained event trace. Snapshots are plain data — safe to
-// serialize, diff, and merge across fleets.
+// serialize and diff.
 type Snapshot struct {
 	// Tenants is how many scopes the collector issued.
 	Tenants uint32 `json:"tenants"`
@@ -100,78 +100,6 @@ func (c *Collector) Snapshot() *Snapshot {
 		}
 	}
 	return s
-}
-
-// Merge folds other into s: counters and histogram buckets add,
-// events concatenate (other's after s's, re-sequenced to stay
-// monotonic), tenant counts add. Use it to aggregate snapshots from
-// several collectors — e.g. per-fleet snapshots at a higher level.
-func (s *Snapshot) Merge(other *Snapshot) {
-	if other == nil {
-		return
-	}
-	s.Tenants += other.Tenants
-	for name, v := range other.Counters {
-		if s.Counters == nil {
-			s.Counters = map[string]uint64{}
-		}
-		s.Counters[name] += v
-	}
-	for _, ps := range other.PerShard {
-		merged := false
-		for i := range s.PerShard {
-			if s.PerShard[i].Shard == ps.Shard {
-				for name, v := range ps.Counters {
-					s.PerShard[i].Counters[name] += v
-				}
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			cp := ShardCounters{Shard: ps.Shard, Counters: map[string]uint64{}}
-			for name, v := range ps.Counters {
-				cp.Counters[name] = v
-			}
-			s.PerShard = append(s.PerShard, cp)
-		}
-	}
-	for _, oh := range other.Histograms {
-		target := -1
-		for i := range s.Histograms {
-			if s.Histograms[i].Name == oh.Name {
-				target = i
-				break
-			}
-		}
-		if target < 0 {
-			cp := HistogramSnapshot{Name: oh.Name, Count: oh.Count}
-			cp.Buckets = append(cp.Buckets, oh.Buckets...)
-			s.Histograms = append(s.Histograms, cp)
-			continue
-		}
-		th := &s.Histograms[target]
-		th.Count += oh.Count
-		for _, ob := range oh.Buckets {
-			found := false
-			for i := range th.Buckets {
-				if th.Buckets[i].Lo == ob.Lo {
-					th.Buckets[i].Count += ob.Count
-					found = true
-					break
-				}
-			}
-			if !found {
-				th.Buckets = append(th.Buckets, ob)
-			}
-		}
-	}
-	base := s.EventsTotal
-	s.EventsTotal += other.EventsTotal
-	for _, e := range other.Events {
-		e.Seq += base
-		s.Events = append(s.Events, e)
-	}
 }
 
 // Counter returns one merged counter total by ID.

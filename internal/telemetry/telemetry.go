@@ -341,13 +341,10 @@ func (c *Collector) ScopeFor(tenant uint32) *Scope {
 	return &Scope{col: c, sh: &c.shards[tenant&c.smask], tenant: tenant}
 }
 
-// Tenants reports how many scopes Scope has issued.
-func (c *Collector) Tenants() uint32 { return c.scopes.Load() }
-
 // Reset clears the collector in place: every counter and histogram
 // bucket returns to zero and the event ring empties. Scopes already
 // issued remain valid and keep reporting into the same shards, and the
-// issued-scope count (Tenants) is preserved — so a pooled pipeline
+// issued-scope count (Snapshot.Tenants) is preserved — so a pooled pipeline
 // that built its scopes once can recycle the collector per run and
 // take snapshots bit-identical to a fresh collector with the same
 // scopes. Reset is not one atomic cut across writers; quiesce them
@@ -378,36 +375,12 @@ type Scope struct {
 	tenant uint32
 }
 
-// Tenant reports the scope's tenant ID (0 on a nil scope).
-func (s *Scope) Tenant() uint32 {
-	if s == nil {
-		return 0
-	}
-	return s.tenant
-}
-
-// Collector returns the backing collector (nil on a nil scope).
-func (s *Scope) Collector() *Collector {
-	if s == nil {
-		return nil
-	}
-	return s.col
-}
-
 // Inc adds 1 to a counter.
 func (s *Scope) Inc(id CounterID) {
 	if s == nil {
 		return
 	}
 	s.sh.counters[id].Add(1)
-}
-
-// Add adds n to a counter.
-func (s *Scope) Add(id CounterID, n uint64) {
-	if s == nil {
-		return
-	}
-	s.sh.counters[id].Add(n)
 }
 
 // Observe records a value into a histogram.

@@ -83,30 +83,25 @@ func TestNilScopeIsNoOp(t *testing.T) {
 	var s *Scope
 	// None of these may panic or do anything.
 	s.Inc(CtrAllocs)
-	s.Add(CtrFrees, 5)
 	s.Observe(HistAllocSize, 64)
 	s.Event(EvPatchHit, 1, 2, 3)
-	if s.Tenant() != 0 {
-		t.Error("nil scope tenant != 0")
-	}
-	if s.Collector() != nil {
-		t.Error("nil scope collector != nil")
-	}
 }
 
 func TestCountersAndSnapshot(t *testing.T) {
 	c := New(Config{Shards: 4, RingSize: 64})
 	s0, s1 := c.Scope(), c.Scope()
-	if s0.Tenant() == s1.Tenant() {
+	if s0.tenant == s1.tenant {
 		t.Fatal("scopes share a tenant id")
 	}
-	if s0.Collector() != c {
+	if s0.col != c {
 		t.Fatal("scope collector mismatch")
 	}
 	for i := 0; i < 10; i++ {
 		s0.Inc(CtrAllocs)
 	}
-	s1.Add(CtrAllocs, 7)
+	for i := 0; i < 7; i++ {
+		s1.Inc(CtrAllocs)
+	}
 	s1.Inc(CtrFrees)
 	s0.Observe(HistAllocSize, 24)
 	s0.Observe(HistAllocSize, 24)
@@ -142,8 +137,8 @@ func TestCountersAndSnapshot(t *testing.T) {
 	if e.Kind != EvPatchHit || e.CCID != 0xCC1D || SiteCCID(e.Site) != 0xCC1D || e.Arg != 24 {
 		t.Errorf("event = %+v", e)
 	}
-	if e.Tenant != s0.Tenant() {
-		t.Errorf("event tenant = %d, want %d", e.Tenant, s0.Tenant())
+	if e.Tenant != s0.tenant {
+		t.Errorf("event tenant = %d, want %d", e.Tenant, s0.tenant)
 	}
 	if hits := snap.EventsOfKind(EvPatchHit); len(hits) != 1 {
 		t.Errorf("EventsOfKind(patch-hit) = %d events", len(hits))
@@ -216,47 +211,6 @@ func TestSnapshotRender(t *testing.T) {
 	empty := New(Config{}).Snapshot().Render()
 	if !strings.Contains(empty, "(none)") {
 		t.Errorf("empty Render() = %q", empty)
-	}
-}
-
-func TestSnapshotMerge(t *testing.T) {
-	mk := func(allocs uint64, ev int) *Snapshot {
-		c := New(Config{Shards: 2, RingSize: 32})
-		s := c.Scope()
-		s.Add(CtrAllocs, allocs)
-		s.Observe(HistAllocSize, 64)
-		for i := 0; i < ev; i++ {
-			s.Event(EvPatchHit, uint64(i), 0, 0)
-		}
-		return c.Snapshot()
-	}
-	a, b := mk(5, 2), mk(7, 3)
-	a.Merge(b)
-	if got := a.Counter(CtrAllocs); got != 12 {
-		t.Errorf("merged allocs = %d, want 12", got)
-	}
-	if a.EventsTotal != 5 || len(a.Events) != 5 {
-		t.Errorf("merged events: total=%d retained=%d, want 5/5", a.EventsTotal, len(a.Events))
-	}
-	for i := 1; i < len(a.Events); i++ {
-		if a.Events[i].Seq <= a.Events[i-1].Seq {
-			t.Errorf("merged event seqs not monotonic: %d then %d", a.Events[i-1].Seq, a.Events[i].Seq)
-		}
-	}
-	var hist *HistogramSnapshot
-	for i := range a.Histograms {
-		if a.Histograms[i].Name == HistAllocSize.String() {
-			hist = &a.Histograms[i]
-		}
-	}
-	if hist == nil || hist.Count != 2 {
-		t.Fatalf("merged histogram: %+v", hist)
-	}
-	// Merging nil is a no-op.
-	before := a.Counter(CtrAllocs)
-	a.Merge(nil)
-	if a.Counter(CtrAllocs) != before {
-		t.Error("Merge(nil) changed the snapshot")
 	}
 }
 

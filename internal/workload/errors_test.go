@@ -3,6 +3,8 @@ package workload
 import (
 	"strings"
 	"testing"
+
+	"heaptherapy/internal/prog"
 )
 
 // TestServiceProgramRejectsBadShape: non-positive request/concurrency
@@ -46,15 +48,27 @@ func TestTargetsFallback(t *testing.T) {
 }
 
 // TestLiveHeapProgramClampsAllocSize: benchmarks with multi-megabyte
-// average allocations must respect the configured ceiling so the
-// simulated space stays bounded.
+// average allocations must respect the size ceiling so the simulated
+// space stays bounded.
 func TestLiveHeapProgramClampsAllocSize(t *testing.T) {
 	b := &Benchmark{Name: "huge-allocs", AvgAllocSize: 1 << 30, LiveBuffers: 3}
-	p, err := b.LiveHeapProgram(ProgramConfig{MaxAllocSize: 64})
+	p, err := b.LiveHeapProgram(ProgramConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p == nil || p.Funcs["main"] == nil {
 		t.Fatal("no program")
+	}
+	allocs := 0
+	for _, st := range p.Funcs["main"].Body {
+		if a, ok := st.(prog.Alloc); ok {
+			allocs++
+			if size := a.Size.(prog.Const).V; size > 16+maxAllocSize {
+				t.Errorf("live buffer %s of %d bytes exceeds the %d-byte ceiling", a.Dst, size, maxAllocSize)
+			}
+		}
+	}
+	if allocs != b.LiveBuffers {
+		t.Errorf("%d live allocations, want %d", allocs, b.LiveBuffers)
 	}
 }

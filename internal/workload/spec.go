@@ -210,16 +210,14 @@ type ProgramConfig struct {
 	// Counts below 1000 are kept as-is: tiny allocators like bzip2
 	// really do allocate a handful of buffers.
 	Scale uint64
-	// MaxAllocSize caps object sizes so scaled runs stay in the arena.
-	MaxAllocSize uint64
 }
+
+// maxAllocSize caps object sizes so scaled runs stay in the arena.
+const maxAllocSize = 64 * 1024
 
 func (c ProgramConfig) withDefaults() ProgramConfig {
 	if c.Scale == 0 {
 		c.Scale = 10_000
-	}
-	if c.MaxAllocSize == 0 {
-		c.MaxAllocSize = 64 * 1024
 	}
 	return c
 }
@@ -315,8 +313,8 @@ func (b *Benchmark) Program(cfg ProgramConfig) (*prog.Program, *RunPlan, error) 
 	}
 
 	size := b.AvgAllocSize
-	if size > cfg.MaxAllocSize {
-		size = cfg.MaxAllocSize
+	if size > maxAllocSize {
+		size = maxAllocSize
 	}
 
 	funcs := make(map[string]*prog.Func, g.NumNodes()+1)
@@ -414,8 +412,8 @@ func (b *Benchmark) LiveHeapProgram(cfg ProgramConfig) (*prog.Program, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seedFor(b.Name) ^ 0x11FE))
 	size := b.AvgAllocSize
-	if size > cfg.MaxAllocSize {
-		size = cfg.MaxAllocSize
+	if size > maxAllocSize {
+		size = maxAllocSize
 	}
 
 	var body []prog.Stmt
