@@ -31,8 +31,9 @@ var implicitMethods = map[string]bool{
 	"Len": true, "Less": true, "Swap": true,
 }
 
-// TestNoTestOnlyAPI fails when an exported func, method or const in
-// internal/ is named by no non-test Go file other than its declaration.
+// TestNoTestOnlyAPI fails when an exported func, method, type, const or
+// var in internal/ is named by no non-test Go file other than its
+// declaration.
 // Production packages carry only what the pipeline, the CLIs, the
 // examples, the library facade or benchmark/ call; an export only tests
 // reach belongs in a _test.go file. The scan matches by name, so a
@@ -79,13 +80,17 @@ func TestNoTestOnlyAPI(t *testing.T) {
 						declare(pkg, recvName(d.Recv.List[0].Type), d.Name)
 					}
 				case *ast.GenDecl:
-					if d.Tok != token.CONST {
-						continue
-					}
 					for _, s := range d.Specs {
-						for _, n := range s.(*ast.ValueSpec).Names {
-							if n.IsExported() {
-								declare(pkg, "", n)
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							if s.Name.IsExported() {
+								declare(pkg, "", s.Name)
+							}
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								if n.IsExported() {
+									declare(pkg, "", n)
+								}
 							}
 						}
 					}

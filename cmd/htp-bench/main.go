@@ -26,42 +26,24 @@ func main() {
 	}
 }
 
-// result is what every experiment returns: a table in the paper's shape.
-type result interface{ Render() string }
-
-// detailer is implemented by results with headline numbers for -json.
-type detailer interface{ Detail() map[string]float64 }
-
-// exp adapts a typed experiment to the table's signature. A failed run
-// yields an untyped nil result, never a nil pointer in an interface.
-func exp[R result](f func(experiments.Config) (R, error)) func(experiments.Config) (result, error) {
-	return func(c experiments.Config) (result, error) {
-		r, err := f(c)
-		if err != nil {
-			return nil, err
-		}
-		return r, nil
-	}
-}
-
 // experimentTable lists every experiment in run order.
 var experimentTable = []struct {
 	name string
-	run  func(experiments.Config) (result, error)
+	run  func(experiments.Config) (*experiments.Result, error)
 }{
-	{"table2", exp(experiments.TableII)},
-	{"encoding", exp(experiments.EncodingOverhead)},
-	{"table3", exp(experiments.TableIII)},
-	{"table4", exp(experiments.TableIV)},
-	{"fig8", exp(experiments.Figure8)},
-	{"fig9", exp(experiments.Figure9)},
-	{"services", exp(experiments.Services)},
-	{"concurrent", exp(experiments.ConcurrentServices)},
-	{"ablation", exp(experiments.Ablation)},
-	{"stackoffset", exp(experiments.StackOffsetBaseline)},
-	{"scaling", exp(experiments.PatchScaling)},
-	{"policy", exp(experiments.PolicyMatrix)},
-	{"guard", exp(experiments.GlobalGuardBaseline)},
+	{"table2", experiments.TableII},
+	{"encoding", experiments.EncodingOverhead},
+	{"table3", experiments.TableIII},
+	{"table4", experiments.TableIV},
+	{"fig8", experiments.Figure8},
+	{"fig9", experiments.Figure9},
+	{"services", experiments.Services},
+	{"concurrent", experiments.ConcurrentServices},
+	{"ablation", experiments.Ablation},
+	{"stackoffset", experiments.StackOffsetBaseline},
+	{"scaling", experiments.PatchScaling},
+	{"policy", experiments.PolicyMatrix},
+	{"guard", experiments.GlobalGuardBaseline},
 }
 
 // experimentNames is "all" followed by every table name.
@@ -98,7 +80,7 @@ func run(args []string) error {
 	expList := fs.String("exp", "all", "comma-separated experiments to run: "+experimentNames())
 	quick := fs.Bool("quick", false, "trim sweeps for a fast run")
 	scale := fs.Uint64("scale", 0, "divisor for Table IV allocation counts (default 10000)")
-	jsonOut := fs.Bool("json", false, "emit per-experiment wall time and allocations as JSON instead of rendered tables")
+	jsonOut := fs.Bool("json", false, "emit per-experiment wall time, allocations and metrics as JSON instead of rendered tables")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -124,19 +106,16 @@ func run(args []string) error {
 			return fmt.Errorf("experiment %s: %w", e.name, err)
 		}
 		if !*jsonOut {
-			fmt.Println(r.Render())
+			fmt.Println(r.Text)
 			continue
 		}
-		br := benchResult{
+		results = append(results, benchResult{
 			Name:       e.name,
 			NsOp:       elapsed.Nanoseconds(),
 			AllocsOp:   after.Mallocs - before.Mallocs,
 			BytesAlloc: after.TotalAlloc - before.TotalAlloc,
-		}
-		if d, ok := r.(detailer); ok {
-			br.Detail = d.Detail()
-		}
-		results = append(results, br)
+			Detail:     r.Metrics,
+		})
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -153,9 +132,9 @@ func run(args []string) error {
 	return nil
 }
 
-// benchReport is the machine-readable output of -json: one timing
-// record per experiment, suitable for committed BENCH_*.json baselines
-// and cross-run comparison.
+// benchReport is the machine-readable output of -json: one record per
+// experiment, its timing and its named metrics, suitable for committed
+// BENCH_*.json baselines and cross-run comparison.
 type benchReport struct {
 	GoVersion   string        `json:"go_version"`
 	GOOS        string        `json:"goos"`
@@ -165,12 +144,13 @@ type benchReport struct {
 	Experiments []benchResult `json:"experiments"`
 }
 
+// benchResult is one experiment's record: the wall time and heap
+// allocations of the whole experiment, and its Result.Metrics.
 type benchResult struct {
 	Name       string `json:"name"`
 	NsOp       int64  `json:"ns_op"`
 	AllocsOp   uint64 `json:"allocs_op"`
 	BytesAlloc uint64 `json:"bytes_alloc"`
-	// Detail carries the headline numbers of results that implement
-	// detailer (the policy matrix's per-family rates).
+	// Detail is the experiment's Result.Metrics, keyed by metric name.
 	Detail map[string]float64 `json:"detail,omitempty"`
 }

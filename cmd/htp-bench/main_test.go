@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -108,11 +109,12 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestJSONDetail pins the -json report shape: one record per selected
-// experiment, and the Detail keys committed BENCH files cite.
+// TestJSONDetail pins the -json report shape: one record per
+// experiment, each carrying its metrics in detail, and the policy keys
+// committed BENCH files cite.
 func TestJSONDetail(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run([]string{"-exp", "policy", "-quick", "-json"})
+		return run([]string{"-quick", "-json"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,11 +123,14 @@ func TestJSONDetail(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("decoding -json report: %v\n%s", err, out)
 	}
-	if len(rep.Experiments) != 1 {
-		t.Fatalf("report has %d experiments, want 1: %+v", len(rep.Experiments), rep.Experiments)
+	if len(rep.Experiments) != len(experimentTable) {
+		t.Fatalf("report has %d experiments, want %d: %+v", len(rep.Experiments), len(experimentTable), rep.Experiments)
 	}
 	detail := map[string]map[string]float64{}
 	for _, e := range rep.Experiments {
+		if len(e.Detail) == 0 {
+			t.Errorf("%s: empty detail", e.Name)
+		}
 		detail[e.Name] = e.Detail
 	}
 	policy, ok := detail["policy"]
@@ -143,35 +148,44 @@ func TestJSONDetail(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
-// TestExperimentsDeterministic renders every experiment twice under
-// -quick and requires byte-identical output, equal to
-// testdata/<exp>.golden: every htp-bench experiment reports on the
-// deterministic virtual-cycle axis, so a render that varies run to run
-// (a wall-clock measurement, or an order taken from map iteration)
-// fails here, and so does any change to a reproduced number. The
-// experiments run the compiled engine only; prog's workload
-// differential runs every program they run on the tree reference too.
+// TestExperimentsDeterministic runs every experiment twice under
+// -quick and requires byte-identical text, equal to
+// testdata/<exp>.golden, and bit-identical metrics: every htp-bench
+// experiment reports on the deterministic virtual-cycle axis, so a
+// result that varies run to run (a wall-clock measurement, or an order
+// taken from map iteration, down to the order of a float sum) fails
+// here, and so does any change to a reproduced number. The experiments
+// run the compiled engine only; prog's workload differential runs
+// every program they run on the tree reference too.
 // Regenerate with: go test ./cmd/htp-bench -run Deterministic -update
 func TestExperimentsDeterministic(t *testing.T) {
 	cfg := experiments.Config{Quick: true}
 	for _, e := range experimentTable {
-		var renders [2]string
-		for i := range renders {
+		var runs [2]*experiments.Result
+		for i := range runs {
 			r, err := e.run(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", e.name, err)
 			}
-			renders[i] = r.Render()
+			runs[i] = r
 		}
-		if renders[0] != renders[1] {
-			t.Errorf("%s renders differently run to run:\n--- first\n%s\n--- second\n%s", e.name, renders[0], renders[1])
+		if runs[0].Text != runs[1].Text {
+			t.Errorf("%s renders differently run to run:\n--- first\n%s\n--- second\n%s", e.name, runs[0].Text, runs[1].Text)
+		}
+		if len(runs[0].Metrics) == 0 || len(runs[0].Metrics) != len(runs[1].Metrics) {
+			t.Errorf("%s: %d metrics, then %d", e.name, len(runs[0].Metrics), len(runs[1].Metrics))
+		}
+		for key, v := range runs[0].Metrics {
+			if w, ok := runs[1].Metrics[key]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+				t.Errorf("%s: metric %s = %v, then %v", e.name, key, v, w)
+			}
 		}
 		path := filepath.Join("testdata", e.name+".golden")
 		if *update {
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, []byte(renders[0]), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(runs[0].Text), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -180,8 +194,8 @@ func TestExperimentsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("missing golden (run with -update to create): %v", err)
 		}
-		if renders[0] != string(want) {
-			t.Errorf("%s render differs from %s (rerun with -update after verifying):\n--- got\n%s\n--- want\n%s", e.name, path, renders[0], want)
+		if runs[0].Text != string(want) {
+			t.Errorf("%s render differs from %s (rerun with -update after verifying):\n--- got\n%s\n--- want\n%s", e.name, path, runs[0].Text, want)
 		}
 	}
 }

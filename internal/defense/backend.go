@@ -33,10 +33,7 @@ type Backend struct {
 	check func(d *Defender, addr, n, ccid uint64) error
 }
 
-var (
-	_ prog.HeapBackend = (*Backend)(nil)
-	_ prog.BulkLoader  = (*Backend)(nil)
-)
+var _ prog.HeapBackend = (*Backend)(nil)
 
 // NewBackend builds a defended execution backend in space.
 func NewBackend(space *mem.Space, cfg Config) (*Backend, error) {
@@ -93,7 +90,7 @@ func (b *Backend) Load(addr, n, ccid uint64) (prog.Value, error) {
 	return prog.Value{Bytes: data}, nil
 }
 
-// LoadInto implements prog.BulkLoader, reusing dst's byte capacity;
+// LoadInto implements prog.HeapBackend, reusing dst's byte capacity;
 // guard pages fault here exactly as in Load.
 func (b *Backend) LoadInto(dst *prog.Value, addr, n, ccid uint64) error {
 	b.cycles += prog.CycMemOp + n/prog.CycBytesPerCycle
@@ -160,7 +157,7 @@ func (b *Backend) Memset(addr uint64, c byte, n, ccid uint64) error {
 // V-bit checking (that is offline analysis work).
 func (b *Backend) CheckUse(prog.Value, prog.UseKind, uint64) {}
 
-// ObservesUse implements prog.UseObserver: defended execution ignores
+// ObservesUse implements prog.HeapBackend: defended execution ignores
 // use points, so engines may elide CheckUse calls entirely.
 func (b *Backend) ObservesUse() bool { return false }
 

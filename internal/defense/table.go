@@ -56,7 +56,7 @@ func newPatchTable(space *mem.Space, set *patch.Set) (*patchTable, error) {
 	if n < 64 {
 		n = 64
 	}
-	bytes := mem.RoundUpPage(n * slotBytes)
+	bytes := mem.PageAlignUp(n * slotBytes)
 	base, err := space.Sbrk(bytes)
 	if err != nil {
 		return nil, fmt.Errorf("defense: mapping patch table: %w", err)

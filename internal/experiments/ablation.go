@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/heapsim"
@@ -10,10 +10,11 @@ import (
 )
 
 // Ablation sweeps the deferred-free queue quota on a UAF-heavy churn
-// and reports eviction pressure: the memory-vs-reuse-distance tradeoff
-// the paper's Section IX discusses (replaying with 1/N CCID subspaces
-// when the quota drains).
-func Ablation(cfg Config) (*AblationResult, error) {
+// and reports eviction pressure, <quota>/evictions and
+// <quota>/final_queue_bytes: the memory-vs-reuse-distance tradeoff the
+// paper's Section IX discusses (replaying with 1/N CCID subspaces when
+// the quota drains).
+func Ablation(cfg Config) (*Result, error) {
 	quotas := []uint64{4 << 10, 64 << 10, 1 << 20, 8 << 20}
 	if cfg.Quick {
 		quotas = []uint64{4 << 10, 1 << 20}
@@ -23,7 +24,8 @@ func Ablation(cfg Config) (*AblationResult, error) {
 		blocks  = 2000
 		blockSz = 512
 	)
-	out := &AblationResult{}
+	m := metrics{}
+	var rows [][]string
 	for _, quota := range quotas {
 		space, err := mem.NewSpace(mem.Config{})
 		if err != nil {
@@ -48,28 +50,25 @@ func Ablation(cfg Config) (*AblationResult, error) {
 			}
 		}
 		st := d.Stats()
-		out.Rows = append(out.Rows, AblationRow{
-			Quota:      quota,
-			Evictions:  st.QueueEvictions,
-			QueueBytes: st.QueueBytes,
+		row := strconv.FormatUint(quota, 10)
+		rows = append(rows, []string{
+			row,
+			m.count(row+"/evictions", st.QueueEvictions),
+			m.count(row+"/final_queue_bytes", st.QueueBytes),
 		})
 	}
-	return out, nil
-}
-
-// GuardBaselineResult is the guard-page policy comparison.
-type GuardBaselineResult struct {
-	// Global and Targeted are the allocation-path cycle overheads (%)
-	// against native of guarding every buffer and of guarding only
-	// patched buffers.
-	Global, Targeted float64
+	text := "Ablation: deferred-free queue quota (Section IX discussion)\n" +
+		table([]string{"Queue quota (B)", "Evictions", "Final queue bytes"}, rows)
+	return &Result{Text: text, Metrics: m}, nil
 }
 
 // GlobalGuardBaseline compares the paper's motivation claim: guard
 // pages on EVERY buffer (Electric Fence style) versus guard pages only
 // on patched buffers, each measured as cycle overhead against native
-// on an allocation-heavy churn.
-func GlobalGuardBaseline(cfg Config) (*GuardBaselineResult, error) {
+// on an allocation-heavy churn (global_overhead_pct,
+// targeted_overhead_pct), and the targeted policy's saving, their
+// ratio (targeted_saving).
+func GlobalGuardBaseline(cfg Config) (*Result, error) {
 	const (
 		vulnCCID = 0x77
 		rounds   = 3000
@@ -126,15 +125,11 @@ func GlobalGuardBaseline(cfg Config) (*GuardBaselineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GuardBaselineResult{Global: overheadPct(base, glob), Targeted: overheadPct(base, tgt)}, nil
-}
-
-// Render prints both overheads and the targeted policy's saving.
-func (r *GuardBaselineResult) Render() string {
-	return fmt.Sprintf(
-		"Guard-page policy baseline (paper motivation: per-buffer guard pages are prohibitively expensive)\n"+
-			"  guard every buffer:      +%.1f%% allocation-path cycles\n"+
-			"  guard patched buffers:   +%.1f%% allocation-path cycles\n"+
-			"  targeted saving:         %.1fx\n",
-		r.Global, r.Targeted, r.Global/r.Targeted)
+	global, targeted := overheadPct(base, glob), overheadPct(base, tgt)
+	m := metrics{}
+	text := "Guard-page policy baseline (paper motivation: per-buffer guard pages are prohibitively expensive)\n" +
+		"  guard every buffer:      +" + m.cell("global_overhead_pct", "%.1f", global) + "% allocation-path cycles\n" +
+		"  guard patched buffers:   +" + m.cell("targeted_overhead_pct", "%.1f", targeted) + "% allocation-path cycles\n" +
+		"  targeted saving:         " + m.cell("targeted_saving", "%.1f", global/targeted) + "x\n"
+	return &Result{Text: text, Metrics: m}, nil
 }

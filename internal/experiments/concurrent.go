@@ -9,30 +9,20 @@ import (
 	"heaptherapy/internal/workload"
 )
 
-// ConcurrentRow is one multithreaded service measurement.
-type ConcurrentRow struct {
-	Service     string
-	Threads     int
-	OverheadPct float64
-}
-
-// ConcurrentServicesResult measures the defended system under true
+// ConcurrentServices measures the defended system under true
 // multithreaded execution: N request-handler threads share one heap
 // (native or defended), with per-thread thread-local V, matching how
 // the paper's shared library serves a real multithreaded Nginx/MySQL.
-type ConcurrentServicesResult struct {
-	Rows []ConcurrentRow
-}
-
-// ConcurrentServices runs the service workloads across thread counts.
-func ConcurrentServices(cfg Config) (*ConcurrentServicesResult, error) {
+// It reports <service>/<threads>/overhead_pct.
+func ConcurrentServices(cfg Config) (*Result, error) {
 	threadCounts := []int{2, 4, 8}
 	requests := 300
 	if cfg.Quick {
 		threadCounts = []int{4}
 		requests = 100
 	}
-	out := &ConcurrentServicesResult{}
+	m := metrics{}
+	var rows [][]string
 	for _, svc := range []*workload.Service{workload.Nginx(), workload.MySQL()} {
 		// One thread handles `requests` requests; every thread runs the
 		// same program with its own input.
@@ -58,14 +48,13 @@ func ConcurrentServices(cfg Config) (*ConcurrentServicesResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			out.Rows = append(out.Rows, ConcurrentRow{
-				Service:     svc.Name,
-				Threads:     n,
-				OverheadPct: overheadPct(nat, def),
-			})
+			row := fmt.Sprintf("%s/%d", svc.Name, n)
+			rows = append(rows, []string{svc.Name, fmt.Sprint(n), m.cell(row+"/overhead_pct", "%.2f", overheadPct(nat, def))})
 		}
 	}
-	return out, nil
+	text := "Concurrent services: defended vs native, shared heap, thread-local V\n" +
+		table([]string{"Service", "Threads", "Throughput overhead (%)"}, rows)
+	return &Result{Text: text, Metrics: m}, nil
 }
 
 // runThreadsTotal executes the program on n threads over one shared
@@ -89,14 +78,4 @@ func runThreadsTotal(p *prog.Program, coder *encoding.Coder, dcfg *defense.Confi
 		total += r.InterpCycles
 	}
 	return total + backend.Cycles(), nil
-}
-
-// Render prints the measurements.
-func (r *ConcurrentServicesResult) Render() string {
-	header := []string{"Service", "Threads", "Throughput overhead (%)"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{row.Service, fmt.Sprintf("%d", row.Threads), fmt.Sprintf("%.2f", row.OverheadPct)})
-	}
-	return "Concurrent services: defended vs native, shared heap, thread-local V\n" + table(header, rows)
 }

@@ -1,45 +1,44 @@
 package experiments
 
 import (
-	"fmt"
+	"strings"
 
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/workload"
 )
 
-// EncodingOverheadResult reproduces the Section VIII-B1 comparison:
-// runtime overhead of each calling-context-encoding scheme on the
-// SPEC-like workloads (paper: FCS 2.4%, TCS 0.6%, Slim 0.5%,
-// Incremental 0.4%).
-type EncodingOverheadResult struct {
-	// PerBench maps benchmark -> scheme -> overhead percent over the
-	// uninstrumented run.
-	PerBench map[string]map[encoding.Scheme]float64
-	// Average is the cross-benchmark mean per scheme.
-	Average map[encoding.Scheme]float64
-	// Updates is the per-scheme total of executed encoding updates,
-	// explaining the overhead mechanically.
-	Updates map[encoding.Scheme]uint64
-	// PerEncoder is the encoder-axis comparison: mean overhead of each
-	// update arithmetic under the Incremental plan.
-	PerEncoder map[encoding.EncoderKind]float64
+// schemeColumn is a scheme's metric column: fcs_pct, tcs_pct, ...
+func schemeColumn(s encoding.Scheme) string {
+	return strings.ToLower(s.String()) + "_pct"
 }
 
-// EncodingOverhead measures each scheme's runtime cost, plus an
-// encoder-axis comparison (PCC vs PCCE vs DeltaPath arithmetic) under
-// the Incremental plan.
-func EncodingOverhead(cfg Config) (*EncodingOverheadResult, error) {
+// schemeHeader is the table header over every encoding scheme.
+func schemeHeader() []string {
+	header := []string{"Benchmark"}
+	for _, s := range encoding.AllSchemes() {
+		header = append(header, s.String()+"(%)")
+	}
+	return header
+}
+
+// EncodingOverhead reproduces the Section VIII-B1 comparison: runtime
+// overhead of each calling-context-encoding scheme on the SPEC-like
+// workloads (paper: FCS 2.4%, TCS 0.6%, Slim 0.5%, Incremental 0.4%),
+// plus an encoder-axis comparison (PCC vs PCCE vs DeltaPath
+// arithmetic) under the Incremental plan, <encoder>/overhead_pct.
+// total/<scheme>_updates counts the encoding updates each scheme
+// executed, which explains its overhead mechanically.
+func EncodingOverhead(cfg Config) (*Result, error) {
 	benches := workload.SpecBenchmarks()
 	if cfg.Quick {
 		benches = benches[:4]
 	}
-	out := &EncodingOverheadResult{
-		PerBench:   make(map[string]map[encoding.Scheme]float64, len(benches)),
-		Average:    make(map[encoding.Scheme]float64, 4),
-		Updates:    make(map[encoding.Scheme]uint64, 4),
-		PerEncoder: make(map[encoding.EncoderKind]float64, 3),
-	}
-	encoderSums := make(map[encoding.EncoderKind]float64, 3)
+	schemes, encoders := encoding.AllSchemes(), encoding.AllEncoders()
+	m := metrics{}
+	var rows [][]string
+	sums := make([]float64, len(schemes))
+	updates := make([]uint64, len(schemes))
+	encoderSums := make([]float64, len(encoders))
 	for _, b := range benches {
 		p, _, err := b.Program(cfg.programConfig())
 		if err != nil {
@@ -49,148 +48,87 @@ func EncodingOverhead(cfg Config) (*EncodingOverheadResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := make(map[encoding.Scheme]float64, 4)
+		cells := []string{b.Name}
 		var incremental *encoding.Coder
-		for _, scheme := range encoding.AllSchemes() {
+		var incrementalPct float64
+		for i, scheme := range schemes {
 			coder, err := coderFor(p, scheme)
 			if err != nil {
 				return nil, err
 			}
-			if scheme == encoding.SchemeIncremental {
-				incremental = coder
-			}
-			m, err := measure(p, coder, nil)
+			r, err := measure(p, coder, nil)
 			if err != nil {
 				return nil, err
 			}
-			row[scheme] = overheadPct(base.Cycles, m.Cycles)
-			out.Updates[scheme] += m.EncUpdates
+			pct := overheadPct(base.Cycles, r.Cycles)
+			sums[i] += pct
+			updates[i] += r.EncUpdates
+			cells = append(cells, m.cell(b.Name+"/"+schemeColumn(scheme), "%.3f", pct))
+			if scheme == encoding.SchemeIncremental {
+				incremental, incrementalPct = coder, pct
+			}
 		}
-		out.PerBench[b.Name] = row
+		rows = append(rows, cells)
 
 		// Encoder axis: same (Incremental) plan, different arithmetic.
 		// The PCC entry is the Incremental-scheme run already measured
 		// above; execution is deterministic, so its overhead is reused
 		// rather than re-run.
-		for _, kind := range encoding.AllEncoders() {
+		for i, kind := range encoders {
 			if kind == encoding.EncoderPCC {
-				encoderSums[kind] += row[encoding.SchemeIncremental]
+				encoderSums[i] += incrementalPct
 				continue
 			}
 			coder, err := encoding.NewCoder(kind, p.Graph(), incremental.Plan())
 			if err != nil {
 				return nil, err
 			}
-			m, err := measure(p, coder, nil)
+			r, err := measure(p, coder, nil)
 			if err != nil {
 				return nil, err
 			}
-			encoderSums[kind] += overheadPct(base.Cycles, m.Cycles)
+			encoderSums[i] += overheadPct(base.Cycles, r.Cycles)
 		}
 	}
-	for _, scheme := range encoding.AllSchemes() {
-		var sum float64
-		for _, row := range out.PerBench {
-			sum += row[scheme]
-		}
-		out.Average[scheme] = sum / float64(len(out.PerBench))
-	}
-	for _, kind := range encoding.AllEncoders() {
-		out.PerEncoder[kind] = encoderSums[kind] / float64(len(out.PerBench))
-	}
-	return out, nil
-}
-
-// Render prints the comparison in the paper's shape.
-func (r *EncodingOverheadResult) Render() string {
-	header := []string{"Benchmark"}
-	for _, s := range encoding.AllSchemes() {
-		header = append(header, s.String()+"(%)")
-	}
-	var rows [][]string
-	for _, b := range workload.SpecBenchmarks() {
-		row, ok := r.PerBench[b.Name]
-		if !ok {
-			continue
-		}
-		cells := []string{b.Name}
-		for _, s := range encoding.AllSchemes() {
-			cells = append(cells, fmt.Sprintf("%.3f", row[s]))
-		}
-		rows = append(rows, cells)
-	}
+	// Sums run in benchmark order: float addition is not associative,
+	// so any other order could move the last bit of an average.
 	avg := []string{"AVERAGE"}
-	for _, s := range encoding.AllSchemes() {
-		avg = append(avg, fmt.Sprintf("%.3f", r.Average[s]))
+	for i, s := range schemes {
+		avg = append(avg, m.cell("average/"+schemeColumn(s), "%.3f", sums[i]/float64(len(benches))))
+		m["total/"+strings.ToLower(s.String())+"_updates"] = float64(updates[i])
 	}
 	rows = append(rows, avg)
-	out := "Encoding runtime overhead vs uninstrumented (Section VIII-B1; paper: FCS 2.4%, TCS 0.6%, Slim 0.5%, Incremental 0.4%)\n" +
-		table(header, rows)
-	if len(r.PerEncoder) > 0 {
-		var encRows [][]string
-		for _, k := range encoding.AllEncoders() {
-			encRows = append(encRows, []string{k.String(), fmt.Sprintf("%.3f", r.PerEncoder[k])})
-		}
-		out += "\nEncoder arithmetic under the Incremental plan (the optimizations apply to all of PCC/PCCE/DeltaPath)\n" +
-			table([]string{"Encoder", "overhead (%)"}, encRows)
+	var encRows [][]string
+	for i, k := range encoders {
+		encRows = append(encRows, []string{k.String(), m.cell(k.String()+"/overhead_pct", "%.3f", encoderSums[i]/float64(len(benches)))})
 	}
-	return out
+	text := "Encoding runtime overhead vs uninstrumented (Section VIII-B1; paper: FCS 2.4%, TCS 0.6%, Slim 0.5%, Incremental 0.4%)\n" +
+		table(schemeHeader(), rows) +
+		"\nEncoder arithmetic under the Incremental plan (the optimizations apply to all of PCC/PCCE/DeltaPath)\n" +
+		table([]string{"Encoder", "overhead (%)"}, encRows)
+	return &Result{Text: text, Metrics: m}, nil
 }
 
-// TableIIIResult reproduces Table III: binary size increase per
-// encoding scheme per benchmark.
-type TableIIIResult struct {
-	// Rows maps benchmark -> scheme -> size increase percent.
-	Rows map[string]map[encoding.Scheme]float64
-	// Sites maps benchmark -> scheme -> instrumented site count.
-	Sites map[string]map[encoding.Scheme]int
-}
-
-// TableIII computes the static size-increase comparison.
-func TableIII(cfg Config) (*TableIIIResult, error) {
-	out := &TableIIIResult{
-		Rows:  make(map[string]map[encoding.Scheme]float64),
-		Sites: make(map[string]map[encoding.Scheme]int),
-	}
+// TableIII reproduces Table III: the static binary size increase of
+// each encoding scheme on each benchmark, <bench>/<scheme>_pct.
+func TableIII(cfg Config) (*Result, error) {
+	m := metrics{}
+	var rows [][]string
 	for _, b := range workload.SpecBenchmarks() {
 		g, targets, err := b.Graph()
 		if err != nil {
 			return nil, err
 		}
-		row := make(map[encoding.Scheme]float64, 4)
-		sites := make(map[encoding.Scheme]int, 4)
+		cells := []string{b.Name}
 		for _, scheme := range encoding.AllSchemes() {
 			plan, err := encoding.NewPlan(scheme, g, targets)
 			if err != nil {
 				return nil, err
 			}
 			rep := encoding.Cost(g, plan, encoding.EncoderPCC, b.FuncSize())
-			row[scheme] = rep.SizeIncreasePercent()
-			sites[scheme] = rep.InstrumentedSites
-		}
-		out.Rows[b.Name] = row
-		out.Sites[b.Name] = sites
-	}
-	return out, nil
-}
-
-// Render prints Table III.
-func (r *TableIIIResult) Render() string {
-	header := []string{"Benchmark"}
-	for _, s := range encoding.AllSchemes() {
-		header = append(header, s.String()+"(%)")
-	}
-	var rows [][]string
-	for _, b := range workload.SpecBenchmarks() {
-		row, ok := r.Rows[b.Name]
-		if !ok {
-			continue
-		}
-		cells := []string{b.Name}
-		for _, s := range encoding.AllSchemes() {
-			cells = append(cells, fmt.Sprintf("%.2f", row[s]))
+			cells = append(cells, m.cell(b.Name+"/"+schemeColumn(scheme), "%.2f", rep.SizeIncreasePercent()))
 		}
 		rows = append(rows, cells)
 	}
-	return "Table III: binary size increase per encoding scheme (%)\n" + table(header, rows)
+	return &Result{Text: "Table III: binary size increase per encoding scheme (%)\n" + table(schemeHeader(), rows), Metrics: m}, nil
 }

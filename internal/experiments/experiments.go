@@ -1,10 +1,16 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (Section VIII). Each experiment returns a typed
-// result with a Render method that prints rows in the paper's shape;
-// a result with headline numbers also has Detail, which htp-bench's
-// -json report records. cmd/htp-bench drives every experiment from one
-// table. The HTTP front-end's and the fuzzing campaign's throughput are
-// not experiments here: benchmark/ measures them with gated bounds.
+// paper's evaluation (Section VIII). Every experiment returns a Result:
+// Text is the table in the paper's shape, and Metrics names each number
+// the table headlines, which htp-bench's -json report records.
+// cmd/htp-bench drives every experiment from one table. The HTTP
+// front-end's and the fuzzing campaign's throughput are not
+// experiments here: benchmark/ measures them with gated bounds.
+//
+// A metric is named after its table cell, <row>/<column>: the row's
+// label cells joined by "/" (an AVERAGE row reads "average") and the
+// column in snake case, ending in _pct when it is a percentage, for
+// example 401.bzip2/patch5_pct or average/fcs_pct. A number outside
+// any table has a plain name (defeated, scale).
 //
 // Overheads are reported on the deterministic virtual-cycle axis (see
 // the cost model in internal/prog): wall-clock timing of a Go
@@ -23,9 +29,11 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"heaptherapy/internal/ccprof"
+	"heaptherapy/internal/core"
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/heapsim"
@@ -49,14 +57,49 @@ func (c Config) programConfig() workload.ProgramConfig {
 	return workload.ProgramConfig{Scale: c.Scale}
 }
 
-// coderFor builds a coder for p under the given scheme with PCC
-// arithmetic (the paper's deployed encoder).
+// Result is what every experiment returns.
+type Result struct {
+	// Text is the rendered table in the paper's shape.
+	Text string
+	// Metrics maps each metric name (see the package comment) to its
+	// full-precision value.
+	Metrics map[string]float64
+}
+
+// metrics collects a Result's numbers while its table is built, so a
+// cell and its metric come from one call.
+type metrics map[string]float64
+
+// cell records v under key and returns it printed with format.
+func (m metrics) cell(key, format string, v float64) string {
+	m[key] = v
+	return fmt.Sprintf(format, v)
+}
+
+// count records a count under key and returns it printed in decimal.
+func (m metrics) count(key string, v uint64) string {
+	m[key] = float64(v)
+	return strconv.FormatUint(v, 10)
+}
+
+// verdict records b as 1 or 0 under key and returns yes or no.
+func (m metrics) verdict(key string, b bool, yes, no string) string {
+	if b {
+		m[key] = 1
+		return yes
+	}
+	m[key] = 0
+	return no
+}
+
+// coderFor builds p's coder under the given scheme with the pipeline's
+// default (PCC) arithmetic, the paper's deployed encoder.
 func coderFor(p *prog.Program, scheme encoding.Scheme) (*encoding.Coder, error) {
-	plan, err := encoding.NewPlan(scheme, p.Graph(), p.Targets())
+	sys, err := core.NewSystem(p, core.Options{Scheme: scheme})
 	if err != nil {
 		return nil, err
 	}
-	return encoding.NewCoder(encoding.EncoderPCC, p.Graph(), plan)
+	return sys.Coder(), nil
 }
 
 // newBackend builds a heap backend over a fresh address space:

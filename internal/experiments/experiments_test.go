@@ -1,15 +1,49 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"heaptherapy/internal/encoding"
+	"heaptherapy/internal/patch"
 	"heaptherapy/internal/workload"
 )
 
 var quick = Config{Quick: true, Scale: 100_000}
+
+// metric reads a named metric, failing the test when it is missing.
+func metric(t *testing.T, r *Result, key string) float64 {
+	t.Helper()
+	v, ok := r.Metrics[key]
+	if !ok {
+		t.Fatalf("no metric %q", key)
+	}
+	return v
+}
+
+// rowsWith returns, in increasing numeric order, the numeric row labels
+// of every metric named <row>/<column>.
+func rowsWith(t *testing.T, r *Result, column string) []uint64 {
+	t.Helper()
+	var rows []uint64
+	for key := range r.Metrics {
+		label, ok := strings.CutSuffix(key, "/"+column)
+		if !ok {
+			continue
+		}
+		n, err := strconv.ParseUint(label, 10, 64)
+		if err != nil {
+			t.Fatalf("metric %q: row label is not a number", key)
+		}
+		rows = append(rows, n)
+	}
+	slices.Sort(rows)
+	return rows
+}
 
 func TestEncodingOverheadShape(t *testing.T) {
 	r, err := EncodingOverhead(quick)
@@ -18,10 +52,10 @@ func TestEncodingOverheadShape(t *testing.T) {
 	}
 	// The paper's ordering: FCS costs the most, each optimization
 	// reduces it, and all overheads are small positive percentages.
-	fcs := r.Average[encoding.SchemeFCS]
-	tcs := r.Average[encoding.SchemeTCS]
-	slim := r.Average[encoding.SchemeSlim]
-	incr := r.Average[encoding.SchemeIncremental]
+	fcs := metric(t, r, "average/fcs_pct")
+	tcs := metric(t, r, "average/tcs_pct")
+	slim := metric(t, r, "average/slim_pct")
+	incr := metric(t, r, "average/incremental_pct")
 	t.Logf("encoding overhead: FCS=%.3f%% TCS=%.3f%% Slim=%.3f%% Incr=%.3f%%", fcs, tcs, slim, incr)
 	if !(fcs >= tcs && tcs >= slim && slim >= incr) {
 		t.Errorf("ordering violated: FCS=%.3f TCS=%.3f Slim=%.3f Incr=%.3f", fcs, tcs, slim, incr)
@@ -32,10 +66,10 @@ func TestEncodingOverheadShape(t *testing.T) {
 	if incr < 0 {
 		t.Errorf("Incremental overhead %.3f%%, want >= 0", incr)
 	}
-	if r.Updates[encoding.SchemeFCS] < r.Updates[encoding.SchemeIncremental] {
+	if metric(t, r, "total/fcs_updates") < metric(t, r, "total/incremental_updates") {
 		t.Error("FCS executed fewer updates than Incremental")
 	}
-	if !strings.Contains(r.Render(), "AVERAGE") {
+	if !strings.Contains(r.Text, "AVERAGE") {
 		t.Error("render missing average row")
 	}
 }
@@ -45,18 +79,19 @@ func TestTableIIIShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 12 {
-		t.Fatalf("rows = %d, want 12", len(r.Rows))
+	if len(r.Metrics) != 12*len(encoding.AllSchemes()) {
+		t.Fatalf("metrics = %d, want 12 rows of %d schemes", len(r.Metrics), len(encoding.AllSchemes()))
 	}
-	for name, row := range r.Rows {
-		if row[encoding.SchemeFCS] < row[encoding.SchemeTCS] ||
-			row[encoding.SchemeTCS] < row[encoding.SchemeSlim] ||
-			row[encoding.SchemeSlim] < row[encoding.SchemeIncremental] {
-			t.Errorf("%s: ordering violated: %v", name, row)
+	for _, b := range workload.SpecBenchmarks() {
+		fcs := metric(t, r, b.Name+"/fcs_pct")
+		tcs := metric(t, r, b.Name+"/tcs_pct")
+		slim := metric(t, r, b.Name+"/slim_pct")
+		incr := metric(t, r, b.Name+"/incremental_pct")
+		if fcs < tcs || tcs < slim || slim < incr {
+			t.Errorf("%s: ordering violated: FCS=%.2f TCS=%.2f Slim=%.2f Incr=%.2f", b.Name, fcs, tcs, slim, incr)
 		}
 	}
-	out := r.Render()
-	if !strings.Contains(out, "400.perlbench") {
+	if !strings.Contains(r.Text, "400.perlbench") {
 		t.Error("render missing benchmark row")
 	}
 }
@@ -66,10 +101,10 @@ func TestFigure8Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip := r.Average["interpose"]
-	p0 := r.Average["patch0"]
-	p1 := r.Average["patch1"]
-	p5 := r.Average["patch5"]
+	ip := metric(t, r, "average/interpose_pct")
+	p0 := metric(t, r, "average/patch0_pct")
+	p1 := metric(t, r, "average/patch1_pct")
+	p5 := metric(t, r, "average/patch5_pct")
 	t.Logf("figure 8: interpose=%.2f%% patch0=%.2f%% patch1=%.2f%% patch5=%.2f%%", ip, p0, p1, p5)
 	if !(ip <= p0 && p0 <= p1 && p1 <= p5) {
 		t.Errorf("deployment overheads out of order: %.2f %.2f %.2f %.2f", ip, p0, p1, p5)
@@ -87,12 +122,13 @@ func TestFigure9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("figure 9: average memory overhead %.2f%%", r.Average)
-	if r.Average <= 0 {
-		t.Errorf("memory overhead %.2f%%, want > 0 (metadata costs something)", r.Average)
+	avg := metric(t, r, "average/sampled_avg_pct")
+	t.Logf("figure 9: average memory overhead %.2f%%", avg)
+	if avg <= 0 {
+		t.Errorf("memory overhead %.2f%%, want > 0 (metadata costs something)", avg)
 	}
-	if r.Average > 40 {
-		t.Errorf("memory overhead %.2f%%, want modest (paper: 4.3%%)", r.Average)
+	if avg > 40 {
+		t.Errorf("memory overhead %.2f%%, want modest (paper: 4.3%%)", avg)
 	}
 }
 
@@ -101,19 +137,38 @@ func TestTableIIAllDefeated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 30 {
-		t.Fatalf("rows = %d, want 30", len(r.Rows))
+	if got := metric(t, r, "programs"); got != 30 {
+		t.Fatalf("programs = %v, want 30", got)
 	}
-	for _, row := range r.Rows {
-		if !row.Defeated() {
-			t.Errorf("%s: not fully handled: %+v", row.Name, row)
-		}
-		if !row.Detected.Has(row.Expected) {
-			t.Errorf("%s: detected %v, want >= %v", row.Name, row.Detected, row.Expected)
+	var names []string
+	for key := range r.Metrics {
+		if name, ok := strings.CutSuffix(key, "/patches"); ok {
+			names = append(names, name)
 		}
 	}
-	if !strings.Contains(r.Render(), "30/30") {
-		t.Errorf("render does not report 30/30:\n%s", r.Render())
+	if len(names) != 30 {
+		t.Fatalf("rows = %d, want 30", len(names))
+	}
+	for _, name := range names {
+		native := metric(t, r, name+"/attack_native")
+		defended := metric(t, r, name+"/attack_defended")
+		patches := metric(t, r, name+"/patches")
+		benign := metric(t, r, name+"/benign_ok")
+		if native != 1 || defended != 0 || patches <= 0 || benign != 1 {
+			t.Errorf("%s: not fully handled: attack native %v, defended %v, %v patches, benign ok %v",
+				name, native, defended, patches, benign)
+		}
+		found := patch.TypeMask(metric(t, r, name+"/types_found"))
+		expected := patch.TypeMask(metric(t, r, name+"/types_expected"))
+		if !found.Has(expected) {
+			t.Errorf("%s: detected %v, want >= %v", name, found, expected)
+		}
+	}
+	if got := metric(t, r, "defeated"); got != 30 {
+		t.Errorf("defeated = %v, want 30", got)
+	}
+	if !strings.Contains(r.Text, "30/30") {
+		t.Errorf("render does not report 30/30:\n%s", r.Text)
 	}
 }
 
@@ -123,15 +178,14 @@ func TestTableIVCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// bzip2's tiny counts are preserved unscaled.
-	if got := r.Executed["401.bzip2"]; got[1] != 0 || got[2] != 0 {
-		t.Errorf("bzip2 executed calloc/realloc = %d/%d, want 0/0", got[1], got[2])
+	if c, re := metric(t, r, "401.bzip2/calloc_run"), metric(t, r, "401.bzip2/realloc_run"); c != 0 || re != 0 {
+		t.Errorf("bzip2 executed calloc/realloc = %v/%v, want 0/0", c, re)
 	}
-	perl := r.Executed["400.perlbench"]
-	if perl[0] == 0 || perl[2] == 0 {
-		t.Errorf("perlbench executed malloc/realloc = %v, want both nonzero", perl)
+	if m, re := metric(t, r, "400.perlbench/malloc_run"), metric(t, r, "400.perlbench/realloc_run"); m == 0 || re == 0 {
+		t.Errorf("perlbench executed malloc/realloc = %v/%v, want both nonzero", m, re)
 	}
-	if perl[1] != 0 {
-		t.Errorf("perlbench executed calloc = %d, want 0 per Table IV", perl[1])
+	if c := metric(t, r, "400.perlbench/calloc_run"); c != 0 {
+		t.Errorf("perlbench executed calloc = %v, want 0 per Table IV", c)
 	}
 }
 
@@ -140,8 +194,8 @@ func TestServicesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nginx := r.Average["nginx"]
-	mysql := r.Average["mysql"]
+	nginx := metric(t, r, "nginx/average/overhead_pct")
+	mysql := metric(t, r, "mysql/average/overhead_pct")
 	t.Logf("services: nginx=%.2f%% mysql=%.2f%%", nginx, mysql)
 	if nginx <= 0 {
 		t.Errorf("nginx overhead %.2f%%, want > 0", nginx)
@@ -155,23 +209,30 @@ func TestServicesShape(t *testing.T) {
 }
 
 // TestServicesRenderDeterministic pins the average rows to measurement
-// order; Go randomizes map iteration, so rendering must not range over
-// the Average map.
+// order (nginx, then mysql) and requires two runs to agree on every
+// byte of the render and every bit of the metrics.
 func TestServicesRenderDeterministic(t *testing.T) {
-	r := &ServicesResult{
-		Rows: []ServiceRow{
-			{Service: "nginx", Concurrency: 20, OverheadPct: 4},
-			{Service: "mysql", Concurrency: 20, OverheadPct: 1},
-		},
-		Average: map[string]float64{"nginx": 4, "mysql": 1},
+	var runs [2]*Result
+	for i := range runs {
+		r, err := Services(quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = r
 	}
-	want := r.Render()
+	want := runs[0].Text
 	if strings.Index(want, "nginx    AVERAGE") > strings.Index(want, "mysql    AVERAGE") {
 		t.Fatalf("average rows out of measurement order:\n%s", want)
 	}
-	for i := 0; i < 50; i++ {
-		if got := r.Render(); got != want {
-			t.Fatalf("render %d differs:\n%s\nwant:\n%s", i, got, want)
+	if runs[1].Text != want {
+		t.Fatalf("render differs:\n%s\nwant:\n%s", runs[1].Text, want)
+	}
+	if len(runs[1].Metrics) != len(runs[0].Metrics) {
+		t.Fatalf("metric count %d, then %d", len(runs[0].Metrics), len(runs[1].Metrics))
+	}
+	for key, v := range runs[0].Metrics {
+		if math.Float64bits(runs[1].Metrics[key]) != math.Float64bits(v) {
+			t.Errorf("%s = %v, then %v", key, v, runs[1].Metrics[key])
 		}
 	}
 }
@@ -181,12 +242,16 @@ func TestAblationMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) < 2 {
+	quotas := rowsWith(t, r, "evictions")
+	if len(quotas) < 2 {
 		t.Fatal("too few quota rows")
 	}
-	for i := 1; i < len(r.Rows); i++ {
-		if r.Rows[i].Evictions > r.Rows[i-1].Evictions {
-			t.Errorf("larger quota evicted more: %+v then %+v", r.Rows[i-1], r.Rows[i])
+	for i := 1; i < len(quotas); i++ {
+		prev := metric(t, r, strconv.FormatUint(quotas[i-1], 10)+"/evictions")
+		cur := metric(t, r, strconv.FormatUint(quotas[i], 10)+"/evictions")
+		if cur > prev {
+			t.Errorf("larger quota evicted more: quota %d evicted %v, quota %d evicted %v",
+				quotas[i-1], prev, quotas[i], cur)
 		}
 	}
 }
@@ -196,7 +261,7 @@ func TestGlobalGuardBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	global, targeted := r.Global, r.Targeted
+	global, targeted := metric(t, r, "global_overhead_pct"), metric(t, r, "targeted_overhead_pct")
 	t.Logf("guard-page policy: global=%.1f%% targeted=%.1f%%", global, targeted)
 	if targeted >= global {
 		t.Errorf("targeted guarding (%.1f%%) not cheaper than global (%.1f%%)", targeted, global)
@@ -208,8 +273,6 @@ func TestGlobalGuardBaseline(t *testing.T) {
 }
 
 func TestMedianCCIDPatchesCount(t *testing.T) {
-	b := quick
-	_ = b
 	r, err := Figure8(Config{Quick: true, Scale: 1_000_000})
 	if err != nil {
 		t.Fatal(err)
@@ -217,8 +280,8 @@ func TestMedianCCIDPatchesCount(t *testing.T) {
 	// patch5 must differ from patch0 on at least one benchmark (the
 	// patches actually match allocations).
 	same := true
-	for name := range r.PerBench {
-		if r.PerBench[name]["patch5"] != r.PerBench[name]["patch0"] {
+	for _, b := range workload.SpecBenchmarks()[:4] {
+		if metric(t, r, b.Name+"/patch5_pct") != metric(t, r, b.Name+"/patch0_pct") {
 			same = false
 		}
 	}
@@ -271,21 +334,15 @@ func TestConcurrentServicesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (quick: one thread count per service)", len(r.Rows))
+	if len(r.Metrics) != 2 {
+		t.Fatalf("rows = %d, want 2 (quick: one thread count per service): %v", len(r.Metrics), r.Metrics)
 	}
-	var nginx, mysql float64
-	for _, row := range r.Rows {
-		if row.OverheadPct < 0 {
-			t.Errorf("%s x%d overhead %.2f%%, want >= 0", row.Service, row.Threads, row.OverheadPct)
-		}
-		switch row.Service {
-		case "nginx":
-			nginx = row.OverheadPct
-		case "mysql":
-			mysql = row.OverheadPct
+	for key, oh := range r.Metrics {
+		if oh < 0 {
+			t.Errorf("%s = %.2f%%, want >= 0", key, oh)
 		}
 	}
+	nginx, mysql := metric(t, r, "nginx/4/overhead_pct"), metric(t, r, "mysql/4/overhead_pct")
 	t.Logf("concurrent services: nginx=%.2f%% mysql=%.2f%%", nginx, mysql)
 	if mysql >= nginx {
 		t.Errorf("mysql overhead %.2f%% >= nginx %.2f%% under threads", mysql, nginx)
@@ -301,19 +358,20 @@ func TestStackOffsetBaselineFails(t *testing.T) {
 	// substantial failure rate somewhere (the paper cites 27%), while
 	// the encodings in this package are verified collision-free.
 	var worst float64
-	for _, row := range r.Rows {
-		if row.FailurePct > worst {
-			worst = row.FailurePct
+	for _, b := range workload.SpecBenchmarks()[:4] {
+		failure := metric(t, r, b.Name+"/decode_failures_pct")
+		if failure > worst {
+			worst = failure
 		}
-		if row.FailurePct < 0 || row.FailurePct > 100 {
-			t.Errorf("%s: failure %.1f%% out of range", row.Benchmark, row.FailurePct)
+		if failure < 0 || failure > 100 {
+			t.Errorf("%s: failure %.1f%% out of range", b.Name, failure)
 		}
 	}
 	t.Logf("stack-offset worst-case decode failure: %.1f%%", worst)
 	if worst < 10 {
 		t.Errorf("worst failure rate %.1f%%, expected double digits on dense graphs", worst)
 	}
-	if !strings.Contains(r.Render(), "AVERAGE") {
+	if !strings.Contains(r.Text, "AVERAGE") {
 		t.Error("render missing average")
 	}
 }
@@ -323,18 +381,19 @@ func TestPatchScalingIsFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) < 2 {
+	counts := rowsWith(t, r, "cycles_per_pair")
+	if len(counts) < 2 {
 		t.Fatal("too few rows")
 	}
-	base := r.Rows[0].CyclesPerPair
-	for _, row := range r.Rows {
+	base := metric(t, r, "0/cycles_per_pair")
+	for _, n := range counts {
 		// Open addressing at load factor <= 0.5 occasionally probes a
 		// second slot, so allow 15%; O(n) behaviour would blow far past
 		// that across four orders of magnitude.
-		if row.CyclesPerPair > base*1.15 || row.CyclesPerPair < base*0.85 {
-			t.Errorf("cost at %d patches = %.1f cycles, base %.1f: lookup is not O(1)",
-				row.Patches, row.CyclesPerPair, base)
+		cycles := metric(t, r, strconv.FormatUint(n, 10)+"/cycles_per_pair")
+		if cycles > base*1.15 || cycles < base*0.85 {
+			t.Errorf("cost at %d patches = %.1f cycles, base %.1f: lookup is not O(1)", n, cycles, base)
 		}
 	}
-	t.Logf("patch scaling: %v", r.Rows)
+	t.Logf("patch scaling: %v", r.Metrics)
 }

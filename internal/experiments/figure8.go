@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"sort"
-
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/heapsim"
@@ -12,33 +9,22 @@ import (
 	"heaptherapy/internal/workload"
 )
 
-// Figure8Configs are the measured configurations of Figure 8, in
-// paper order.
-var Figure8Configs = []string{"interpose", "patch0", "patch1", "patch5"}
-
-// Figure8Result reproduces Figure 8: normalized execution-time
-// overhead of the full system on SPEC-like workloads under increasing
-// deployment levels (paper averages: interposition only 1.9%, zero
-// patches 4.3%, one patch 4.7%, five patches 5.2%).
-type Figure8Result struct {
-	// PerBench maps benchmark -> config -> overhead percent vs native.
-	PerBench map[string]map[string]float64
-	// Average is the cross-benchmark mean per config.
-	Average map[string]float64
-}
-
-// Figure8 measures deployment overhead. Following the paper's
-// protocol, patches are planted on median-frequency allocation-time
-// CCIDs with the overflow type (the most expensive defense).
-func Figure8(cfg Config) (*Figure8Result, error) {
+// Figure8 reproduces Figure 8: the execution-time overhead of the
+// full system on the SPEC-like workloads at increasing deployment
+// levels (paper averages: interposition only 1.9%, zero patches 4.3%,
+// one patch 4.7%, five patches 5.2%), <bench>/<config>_pct. Following
+// the paper's protocol, patches are planted on median-frequency
+// allocation-time CCIDs with the overflow type (the most expensive
+// defense).
+func Figure8(cfg Config) (*Result, error) {
 	benches := workload.SpecBenchmarks()
 	if cfg.Quick {
 		benches = benches[:4]
 	}
-	out := &Figure8Result{
-		PerBench: make(map[string]map[string]float64, len(benches)),
-		Average:  make(map[string]float64, len(Figure8Configs)),
-	}
+	header := []string{"Benchmark", "interpose", "patch0", "patch1", "patch5"}
+	m := metrics{}
+	var rows [][]string
+	sums := make([]float64, len(header)-1)
 	for _, b := range benches {
 		p, _, err := b.Program(cfg.programConfig())
 		if err != nil {
@@ -52,14 +38,11 @@ func Figure8(cfg Config) (*Figure8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := make(map[string]float64, len(Figure8Configs))
-
-		// Interposition only.
-		m, err := measure(p, coder, &defense.Config{Mode: defense.ModeInterpose})
+		r, err := measure(p, coder, &defense.Config{Mode: defense.ModeInterpose})
 		if err != nil {
 			return nil, err
 		}
-		row["interpose"] = overheadPct(base.Cycles, m.Cycles)
+		pcts := []float64{overheadPct(base.Cycles, r.Cycles)}
 
 		// One profiling run ranks the allocation contexts; every
 		// deployment level derives its median-centered patch window from
@@ -71,66 +54,29 @@ func Figure8(cfg Config) (*Figure8Result, error) {
 		}
 		for _, n := range []int{0, 1, 5} {
 			patches := selectMedianPatches(ranked, n)
-			m, err := measure(p, coder, &defense.Config{Mode: defense.ModeFull, Patches: patches})
+			r, err := measure(p, coder, &defense.Config{Mode: defense.ModeFull, Patches: patches})
 			if err != nil {
 				return nil, err
 			}
-			row[fmt.Sprintf("patch%d", n)] = overheadPct(base.Cycles, m.Cycles)
+			pcts = append(pcts, overheadPct(base.Cycles, r.Cycles))
 		}
-		out.PerBench[b.Name] = row
-	}
-	// Sum in benchmark order: float addition is not associative, so a
-	// map-order sum could move the last bit from run to run.
-	for _, c := range Figure8Configs {
-		var sum float64
-		for _, b := range benches {
-			sum += out.PerBench[b.Name][c]
-		}
-		out.Average[c] = sum / float64(len(benches))
-	}
-	return out, nil
-}
-
-// Render prints Figure 8 as a table.
-func (r *Figure8Result) Render() string {
-	header := append([]string{"Benchmark"}, Figure8Configs...)
-	var rows [][]string
-	names := make([]string, 0, len(r.PerBench))
-	for _, b := range workload.SpecBenchmarks() {
-		if _, ok := r.PerBench[b.Name]; ok {
-			names = append(names, b.Name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		cells := []string{name}
-		for _, c := range Figure8Configs {
-			cells = append(cells, fmt.Sprintf("%.2f", r.PerBench[name][c]))
+		cells := []string{b.Name}
+		for i, pct := range pcts {
+			sums[i] += pct
+			cells = append(cells, m.cell(b.Name+"/"+header[i+1]+"_pct", "%.2f", pct))
 		}
 		rows = append(rows, cells)
 	}
+	// Sums run in benchmark order: float addition is not associative,
+	// so any other order could move the last bit of an average.
 	avg := []string{"AVERAGE"}
-	for _, c := range Figure8Configs {
-		avg = append(avg, fmt.Sprintf("%.2f", r.Average[c]))
+	for i, sum := range sums {
+		avg = append(avg, m.cell("average/"+header[i+1]+"_pct", "%.2f", sum/float64(len(benches))))
 	}
 	rows = append(rows, avg)
-	return "Figure 8: execution-time overhead vs native (%; paper averages: interpose 1.9, 0 patches 4.3, 1 patch 4.7, 5 patches 5.2)\n" +
+	text := "Figure 8: execution-time overhead vs native (%; paper averages: interpose 1.9, 0 patches 4.3, 1 patch 4.7, 5 patches 5.2)\n" +
 		table(header, rows)
-}
-
-// Figure9Result reproduces Figure 9: memory (RSS-proxy) overhead of
-// the running system (paper average: 4.3%, proportional to live
-// buffers, guard pages excluded as they are virtual pages). The paper
-// samples VmRSS 30 times per second and averages the readings; this
-// reproduction samples the live heap footprint at every allocation
-// event and averages, and reports the peak-based ratio alongside.
-type Figure9Result struct {
-	// PerBench maps benchmark -> sampled-average overhead percent.
-	PerBench map[string]float64
-	// PerBenchPeak maps benchmark -> peak-footprint overhead percent.
-	PerBenchPeak map[string]float64
-	// Average is the cross-benchmark mean of the sampled overheads.
-	Average float64
+	return &Result{Text: text, Metrics: m}, nil
 }
 
 // rssSampler wraps a backend and samples the heap footprint at every
@@ -167,18 +113,23 @@ func (r *rssSampler) average() uint64 {
 	return r.sum / r.samples
 }
 
-// Figure9 measures the footprint of the live-heap workloads under the
-// full defense (zero patches: the paper's memory overhead is the
-// per-buffer metadata, and guard pages do not consume RSS).
-func Figure9(cfg Config) (*Figure9Result, error) {
+// Figure9 reproduces Figure 9: the memory (RSS-proxy) overhead of the
+// running system (paper average: 4.3%, proportional to live buffers,
+// guard pages excluded as they are virtual pages), on the live-heap
+// workloads under the full defense with zero patches (the paper's
+// memory overhead is the per-buffer metadata). The paper samples VmRSS
+// 30 times per second and averages the readings; this reproduction
+// samples the live heap footprint at every allocation event and
+// averages, <bench>/sampled_avg_pct, and reports the peak-based ratio
+// alongside, <bench>/peak_pct.
+func Figure9(cfg Config) (*Result, error) {
 	benches := workload.SpecBenchmarks()
 	if cfg.Quick {
 		benches = benches[:4]
 	}
-	out := &Figure9Result{
-		PerBench:     make(map[string]float64, len(benches)),
-		PerBenchPeak: make(map[string]float64, len(benches)),
-	}
+	m := metrics{}
+	var rows [][]string
+	var sum float64
 	for _, b := range benches {
 		p, err := b.LiveHeapProgram(cfg.programConfig())
 		if err != nil {
@@ -196,15 +147,18 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.PerBench[b.Name] = overheadPct(natAvg, defAvg)
-		out.PerBenchPeak[b.Name] = overheadPct(natPeak, defPeak)
+		sampled := overheadPct(natAvg, defAvg)
+		sum += sampled // benchmark order, as in Figure8
+		rows = append(rows, []string{
+			b.Name,
+			m.cell(b.Name+"/sampled_avg_pct", "%.2f", sampled),
+			m.cell(b.Name+"/peak_pct", "%.2f", overheadPct(natPeak, defPeak)),
+		})
 	}
-	var sum float64
-	for _, b := range benches { // benchmark order, as in Figure8
-		sum += out.PerBench[b.Name]
-	}
-	out.Average = sum / float64(len(benches))
-	return out, nil
+	rows = append(rows, []string{"AVERAGE", m.cell("average/sampled_avg_pct", "%.2f", sum/float64(len(benches))), ""})
+	text := "Figure 9: memory overhead vs native (%; sampled like the paper's 30 Hz RSS poller; paper average 4.3)\n" +
+		table([]string{"Benchmark", "sampled avg (%)", "peak (%)"}, rows)
+	return &Result{Text: text, Metrics: m}, nil
 }
 
 // runSampled executes p with footprint sampling over a fresh backend
@@ -220,24 +174,6 @@ func runSampled(p *prog.Program, coder *encoding.Coder, dcfg *defense.Config) (a
 		return 0, 0, err
 	}
 	return sampler.average(), heap.Stats().PeakInUseBytes, nil
-}
-
-// Render prints Figure 9 as a table.
-func (r *Figure9Result) Render() string {
-	header := []string{"Benchmark", "sampled avg (%)", "peak (%)"}
-	var rows [][]string
-	for _, b := range workload.SpecBenchmarks() {
-		v, ok := r.PerBench[b.Name]
-		if !ok {
-			continue
-		}
-		rows = append(rows, []string{
-			b.Name, fmt.Sprintf("%.2f", v), fmt.Sprintf("%.2f", r.PerBenchPeak[b.Name]),
-		})
-	}
-	rows = append(rows, []string{"AVERAGE", fmt.Sprintf("%.2f", r.Average), ""})
-	return "Figure 9: memory overhead vs native (%; sampled like the paper's 30 Hz RSS poller; paper average 4.3)\n" +
-		table(header, rows)
 }
 
 // Figure8PatchSelection exposes the median-CCID patch-selection

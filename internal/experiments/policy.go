@@ -3,7 +3,8 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"heaptherapy/internal/campaign"
 	"heaptherapy/internal/core"
@@ -11,48 +12,6 @@ import (
 	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
 )
-
-// PolicyKindCell is one (family, kind) cell of the policy matrix: the
-// family's documented claim next to the observed attack outcome.
-type PolicyKindCell struct {
-	Kind string
-	// Claimed is the family's Containment matrix entry.
-	Claimed bool
-	// Contained is the observed outcome over the cell's seeds: no
-	// secret exfiltration, no sentinel clobber surviving to output,
-	// double frees rejected, and no allocator panic — a deliberate
-	// fault (bounds check, double-free abort, guard page) counts as
-	// containment by termination.
-	Contained bool
-}
-
-// PolicyRow aggregates one family across every vulnerability kind.
-type PolicyRow struct {
-	Family string
-	Kinds  []PolicyKindCell
-	// ClaimedRate and ObservedRate are the fractions of the seven
-	// kinds the family claims, respectively demonstrably contains.
-	ClaimedRate  float64
-	ObservedRate float64
-	// BenignCycles is the mean virtual-cycle cost of a benign defended
-	// run; OverheadPct relates it to the native baseline — the
-	// throughput axis of the head-to-head.
-	BenignCycles uint64
-	OverheadPct  float64
-	// MemBytes is the mean address-space footprint after a benign
-	// defended run; MemOverheadPct relates it to the native baseline.
-	MemBytes       uint64
-	MemOverheadPct float64
-}
-
-// PolicyMatrixResult is the cross-family head-to-head: HeapTherapy+
-// against the alternative policy backends over identical workloads.
-type PolicyMatrixResult struct {
-	NativeCycles uint64
-	NativeMem    uint64
-	SeedsPerKind int
-	Rows         []PolicyRow
-}
 
 // policyCase is one generated program plus its analysis artifacts,
 // shared by every family's measurement so the comparison is paired.
@@ -62,15 +21,25 @@ type policyCase struct {
 	patches *patch.Set
 }
 
-// PolicyMatrix runs the defense-policy head-to-head: for every
-// vulnerability kind, a few generated campaign programs run benign and
-// attack inputs under each policy family (and natively for the
+// PolicyMatrix runs the defense-policy head-to-head, HeapTherapy+
+// against the alternative policy families over identical workloads:
+// for every vulnerability kind, a few generated campaign programs run
+// benign and attack inputs under each family (and natively for the
 // baseline), measuring virtual-cycle throughput, address-space
 // footprint, and observed containment. Patches come from the same
 // shadow analysis HT deploys, so HT cells are armed exactly as in the
 // paper's pipeline; the other families ignore the patch table by
 // design and defend every allocation instead.
-func PolicyMatrix(cfg Config) (*PolicyMatrixResult, error) {
+//
+// Per family it reports <family>_contained_rate, the fraction of kinds
+// demonstrably contained, and the benign cycle and memory overheads
+// over the native baseline, <family>_cycles_overhead_pct and
+// <family>_mem_overhead_pct. A kind is contained when every one of its
+// seeds is: no secret exfiltration, no sentinel clobber surviving to
+// output, double frees rejected, and no allocator panic — a deliberate
+// fault (bounds check, double-free abort, guard page) counts as
+// containment by termination.
+func PolicyMatrix(cfg Config) (*Result, error) {
 	seedsPerKind := 3
 	if cfg.Quick {
 		seedsPerKind = 1
@@ -104,12 +73,13 @@ func PolicyMatrix(cfg Config) (*PolicyMatrixResult, error) {
 			return nil, fmt.Errorf("experiments: found only %d/%d seeds for %v", found, seedsPerKind, kind)
 		}
 	}
-
-	out := &PolicyMatrixResult{SeedsPerKind: seedsPerKind}
+	// Columns run in kind-name order.
+	kinds := campaign.AllKinds()
+	slices.SortFunc(kinds, func(a, b campaign.VulnKind) int { return strings.Compare(a.String(), b.String()) })
 
 	// Native baseline: benign cycles and footprint, averaged across
 	// the whole corpus.
-	var natCycles, natMem, n uint64
+	var natCycles, natMem uint64
 	for _, pc := range cases {
 		cycles, size, _, err := policyRun(pc, defense.FamilyHT, nil, false)
 		if err != nil {
@@ -117,14 +87,15 @@ func PolicyMatrix(cfg Config) (*PolicyMatrixResult, error) {
 		}
 		natCycles += cycles
 		natMem += size
-		n++
 	}
-	out.NativeCycles = natCycles / n
-	out.NativeMem = natMem / n
+	n := uint64(len(cases))
+	natCycles /= n
+	natMem /= n
+	m := metrics{"seeds_per_kind": float64(seedsPerKind), "native_cycles": float64(natCycles), "native_mem_bytes": float64(natMem)}
 
+	var rows [][]string
 	for _, fam := range defense.AllFamilies() {
-		row := PolicyRow{Family: fam.String()}
-		byKind := map[string]*PolicyKindCell{}
+		missed := map[campaign.VulnKind]bool{}
 		var cycles, memBytes uint64
 		for _, pc := range cases {
 			// Throughput and footprint: the benign defended run.
@@ -140,42 +111,49 @@ func PolicyMatrix(cfg Config) (*PolicyMatrixResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %v attack: %w", fam, err)
 			}
-			kind := pc.g.Kind.String()
-			cell, ok := byKind[kind]
-			if !ok {
-				cell = &PolicyKindCell{Kind: kind, Claimed: campaign.FamilyContains(fam, pc.g.Kind), Contained: true}
-				byKind[kind] = cell
-			}
 			if !contained {
-				cell.Contained = false
+				missed[pc.g.Kind] = true
 			}
 		}
-		row.BenignCycles = cycles / n
-		row.MemBytes = memBytes / n
-		row.OverheadPct = overheadPct(out.NativeCycles, row.BenignCycles)
-		row.MemOverheadPct = overheadPct(out.NativeMem, row.MemBytes)
+		cycles /= n
+		memBytes /= n
 
-		kinds := make([]string, 0, len(byKind))
-		for k := range byKind {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		claimed, observed := 0, 0
+		name := fam.String()
+		cols := []string{name}
 		for _, k := range kinds {
-			cell := byKind[k]
-			row.Kinds = append(row.Kinds, *cell)
-			if cell.Claimed {
-				claimed++
-			}
-			if cell.Contained {
-				observed++
+			switch claimed := campaign.FamilyContains(fam, k); {
+			case claimed && !missed[k]:
+				cols = append(cols, "yes")
+			case claimed:
+				cols = append(cols, "CLAIMED-MISS(!)")
+			case !missed[k]:
+				cols = append(cols, "(yes)")
+			default:
+				cols = append(cols, "miss*")
 			}
 		}
-		row.ClaimedRate = float64(claimed) / float64(len(kinds))
-		row.ObservedRate = float64(observed) / float64(len(kinds))
-		out.Rows = append(out.Rows, row)
+		rate := float64(len(kinds)-len(missed)) / float64(len(kinds))
+		m[name+"_contained_rate"] = rate
+		cols = append(cols,
+			fmt.Sprintf("%.0f%%", rate*100),
+			fmt.Sprintf("%d", cycles),
+			"+"+m.cell(name+"_cycles_overhead_pct", "%.1f", overheadPct(natCycles, cycles))+"%",
+			fmt.Sprintf("%d KiB", memBytes/1024),
+			"+"+m.cell(name+"_mem_overhead_pct", "%.1f", overheadPct(natMem, memBytes))+"%",
+		)
+		rows = append(rows, cols)
 	}
-	return out, nil
+
+	header := []string{"Policy"}
+	for _, k := range kinds {
+		header = append(header, k.String())
+	}
+	header = append(header, "contained", "cycles (benign)", "overhead", "mem", "mem ovh")
+	text := fmt.Sprintf("Policy matrix: defense families head-to-head (%d seeds/kind; native baseline %d cycles, %d KiB)\n",
+		seedsPerKind, natCycles, natMem/1024) +
+		table(header, rows) +
+		"  miss* = documented expected miss (Family.Containment); (yes) = contained beyond the family's claims\n"
+	return &Result{Text: text, Metrics: m}, nil
 }
 
 // policyRun executes one case input over a fresh space: natively when
@@ -235,56 +213,4 @@ func policyRun(pc *policyCase, fam defense.Family, patches *patch.Set, attack bo
 		contained = false
 	}
 	return res.Cycles, space.Size(), contained, nil
-}
-
-// Detail is the experiment's -json headline: each family's observed
-// containment rate and its benign cycle and memory overheads.
-func (r *PolicyMatrixResult) Detail() map[string]float64 {
-	d := make(map[string]float64, 3*len(r.Rows))
-	for _, row := range r.Rows {
-		d[row.Family+"_contained_rate"] = row.ObservedRate
-		d[row.Family+"_cycles_overhead_pct"] = row.OverheadPct
-		d[row.Family+"_mem_overhead_pct"] = row.MemOverheadPct
-	}
-	return d
-}
-
-// Render prints the policy matrix: one row per family with per-kind
-// containment cells, then the throughput and memory head-to-head.
-func (r *PolicyMatrixResult) Render() string {
-	header := []string{"Policy"}
-	if len(r.Rows) > 0 {
-		for _, cell := range r.Rows[0].Kinds {
-			header = append(header, cell.Kind)
-		}
-	}
-	header = append(header, "contained", "cycles (benign)", "overhead", "mem", "mem ovh")
-	var rows [][]string
-	for _, row := range r.Rows {
-		cols := []string{row.Family}
-		for _, cell := range row.Kinds {
-			switch {
-			case cell.Claimed && cell.Contained:
-				cols = append(cols, "yes")
-			case cell.Claimed && !cell.Contained:
-				cols = append(cols, "CLAIMED-MISS(!)")
-			case !cell.Claimed && cell.Contained:
-				cols = append(cols, "(yes)")
-			default:
-				cols = append(cols, "miss*")
-			}
-		}
-		cols = append(cols,
-			fmt.Sprintf("%.0f%%", row.ObservedRate*100),
-			fmt.Sprintf("%d", row.BenignCycles),
-			fmt.Sprintf("+%.1f%%", row.OverheadPct),
-			fmt.Sprintf("%d KiB", row.MemBytes/1024),
-			fmt.Sprintf("+%.1f%%", row.MemOverheadPct),
-		)
-		rows = append(rows, cols)
-	}
-	return fmt.Sprintf("Policy matrix: defense families head-to-head (%d seeds/kind; native baseline %d cycles, %d KiB)\n",
-		r.SeedsPerKind, r.NativeCycles, r.NativeMem/1024) +
-		table(header, rows) +
-		"  miss* = documented expected miss (Family.Containment); (yes) = contained beyond the family's claims\n"
 }

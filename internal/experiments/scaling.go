@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/heapsim"
@@ -9,25 +9,13 @@ import (
 	"heaptherapy/internal/patch"
 )
 
-// ScalingRow is one patch-count measurement.
-type ScalingRow struct {
-	// Patches is the number of loaded (non-matching) patches.
-	Patches int
-	// CyclesPerPair is the defense cost of one malloc/free pair.
-	CyclesPerPair float64
-}
-
-// PatchScalingResult verifies the paper's O(1) claim: "it takes only
-// O(1) time to determine whether a new buffer is vulnerable". The
-// allocation-path cost must stay flat as the loaded patch count grows
-// by orders of magnitude (none of the loaded patches match the
+// PatchScaling verifies the paper's O(1) claim: "it takes only O(1)
+// time to determine whether a new buffer is vulnerable". The
+// allocation-path cost of one malloc/free pair,
+// <patches>/cycles_per_pair, must stay flat as the loaded patch count
+// grows by orders of magnitude (none of the loaded patches match the
 // workload's contexts, so the measurement isolates pure lookup).
-type PatchScalingResult struct {
-	Rows []ScalingRow
-}
-
-// PatchScaling measures defended allocation cost against table size.
-func PatchScaling(cfg Config) (*PatchScalingResult, error) {
+func PatchScaling(cfg Config) (*Result, error) {
 	counts := []int{0, 10, 100, 1000, 10000}
 	if cfg.Quick {
 		counts = []int{0, 100, 10000}
@@ -36,7 +24,8 @@ func PatchScaling(cfg Config) (*PatchScalingResult, error) {
 		rounds   = 2000
 		workCCID = 0x50
 	)
-	out := &PatchScalingResult{}
+	m := metrics{}
+	var rows [][]string
 	for _, n := range counts {
 		set := patch.NewSet()
 		for i := 0; i < n; i++ {
@@ -64,23 +53,10 @@ func PatchScaling(cfg Config) (*PatchScalingResult, error) {
 				return nil, err
 			}
 		}
-		out.Rows = append(out.Rows, ScalingRow{
-			Patches:       n,
-			CyclesPerPair: float64(d.Cycles()-start) / rounds,
-		})
+		row := strconv.Itoa(n)
+		rows = append(rows, []string{row, m.cell(row+"/cycles_per_pair", "%.1f", float64(d.Cycles()-start)/rounds)})
 	}
-	return out, nil
-}
-
-// Render prints the scaling table.
-func (r *PatchScalingResult) Render() string {
-	header := []string{"Loaded patches", "cycles per malloc/free pair"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.Patches),
-			fmt.Sprintf("%.1f", row.CyclesPerPair),
-		})
-	}
-	return "Patch-table scaling (Section VI: O(1) lookup per allocation)\n" + table(header, rows)
+	text := "Patch-table scaling (Section VI: O(1) lookup per allocation)\n" +
+		table([]string{"Loaded patches", "cycles per malloc/free pair"}, rows)
+	return &Result{Text: text, Metrics: m}, nil
 }

@@ -7,69 +7,42 @@ import (
 	"heaptherapy/internal/workload"
 )
 
-// StackOffsetRow is one benchmark's comparison of the stack-offset
-// technique against calling-context encoding.
-type StackOffsetRow struct {
-	Benchmark string
-	Contexts  int
-	// AmbiguousPct and FailurePct are the stack-offset technique's
-	// weaknesses; encoding-based CCIDs have zero of both (PCCE exactly,
-	// PCC up to 64-bit hash collisions).
-	AmbiguousPct float64
-	FailurePct   float64
-}
-
-// StackOffsetResult reproduces the paper's related-work comparison:
+// StackOffsetBaseline reproduces the paper's related-work comparison:
 // the profiling/stack-offset approach of [51] "fails if the calling
 // context of interest does not appear in the profiling runs; its
-// reported decoding failure rate is as high as 27%".
-type StackOffsetResult struct {
-	Rows []StackOffsetRow
-	// Coverage is the profiling coverage modeled.
-	Coverage float64
-}
-
-// StackOffsetBaseline evaluates the technique on every benchmark graph
-// at 80% profiling coverage (generous: real profiling sees far less of
-// rare contexts).
-func StackOffsetBaseline(cfg Config) (*StackOffsetResult, error) {
+// reported decoding failure rate is as high as 27%". It evaluates the
+// technique on every benchmark graph at 80% profiling coverage
+// (coverage_pct; generous: real profiling sees far less of rare
+// contexts) and reports <bench>/contexts, <bench>/ambiguous_pct and
+// <bench>/decode_failures_pct, the technique's weaknesses;
+// encoding-based CCIDs have zero of both (PCCE exactly, PCC up to
+// 64-bit hash collisions).
+func StackOffsetBaseline(cfg Config) (*Result, error) {
 	const coverage = 0.8
 	benches := workload.SpecBenchmarks()
 	if cfg.Quick {
 		benches = benches[:4]
 	}
-	out := &StackOffsetResult{Coverage: coverage}
+	m := metrics{"coverage_pct": 100 * coverage}
+	var rows [][]string
+	var sum float64
 	for _, b := range benches {
 		g, targets, err := b.Graph()
 		if err != nil {
 			return nil, err
 		}
 		st := encoding.StackOffsetBaseline(g, targets, 20000, coverage, 1)
-		out.Rows = append(out.Rows, StackOffsetRow{
-			Benchmark:    b.Name,
-			Contexts:     st.Contexts,
-			AmbiguousPct: 100 * st.AmbiguityRate(),
-			FailurePct:   100 * st.FailureRate(),
-		})
-	}
-	return out, nil
-}
-
-// Render prints the comparison.
-func (r *StackOffsetResult) Render() string {
-	header := []string{"Benchmark", "contexts", "ambiguous(%)", "decode failures(%)"}
-	var rows [][]string
-	var sum float64
-	for _, row := range r.Rows {
+		failure := 100 * st.FailureRate()
+		sum += failure
 		rows = append(rows, []string{
-			row.Benchmark,
-			fmt.Sprintf("%d", row.Contexts),
-			fmt.Sprintf("%.1f", row.AmbiguousPct),
-			fmt.Sprintf("%.1f", row.FailurePct),
+			b.Name,
+			m.count(b.Name+"/contexts", uint64(st.Contexts)),
+			m.cell(b.Name+"/ambiguous_pct", "%.1f", 100*st.AmbiguityRate()),
+			m.cell(b.Name+"/decode_failures_pct", "%.1f", failure),
 		})
-		sum += row.FailurePct
 	}
-	rows = append(rows, []string{"AVERAGE", "", "", fmt.Sprintf("%.1f", sum/float64(len(r.Rows)))})
-	return fmt.Sprintf("Stack-offset baseline at %.0f%% profiling coverage (paper cites up to 27%% decode failure; CC encoding: 0%%)\n",
-		100*r.Coverage) + table(header, rows)
+	rows = append(rows, []string{"AVERAGE", "", "", m.cell("average/decode_failures_pct", "%.1f", sum/float64(len(benches)))})
+	text := fmt.Sprintf("Stack-offset baseline at %.0f%% profiling coverage (paper cites up to 27%% decode failure; CC encoding: 0%%)\n",
+		100*coverage) + table([]string{"Benchmark", "contexts", "ambiguous(%)", "decode failures(%)"}, rows)
+	return &Result{Text: text, Metrics: m}, nil
 }

@@ -586,7 +586,7 @@ func (h *Heap) growArena(need uint64) error {
 			// the arena must stay contiguous.
 			return fmt.Errorf("heapsim: arena discontiguous: sbrk returned %#x, want %#x", got, h.arenaEnd)
 		}
-		grown := mem.RoundUpPage(grow)
+		grown := mem.PageAlignUp(grow)
 		h.arenaEnd += grown
 		h.stats.ArenaBytes += grown
 		h.growLive()

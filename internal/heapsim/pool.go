@@ -111,7 +111,7 @@ func (p *PoolAllocator) sbrk(n uint64) (uint64, error) {
 // carve refills a class's free list with one page run of blocks.
 func (p *PoolAllocator) carve(class int) error {
 	bs := poolClassSizes[class]
-	run := mem.RoundUpPage(bs * 16)
+	run := mem.PageAlignUp(bs * 16)
 	base, err := p.sbrk(run)
 	if err != nil {
 		return fmt.Errorf("%w: pool carve: %v", ErrOutOfMemory, err)
@@ -134,7 +134,7 @@ func (p *PoolAllocator) alloc(size uint64) (uint64, error) {
 	}
 	class := classFor(size)
 	if class < 0 {
-		run := mem.RoundUpPage(size)
+		run := mem.PageAlignUp(size)
 		base, err := p.sbrk(run)
 		if err != nil {
 			return 0, fmt.Errorf("%w: pool large alloc: %v", ErrOutOfMemory, err)

@@ -701,8 +701,5 @@ func roundUpPage(n uint64) uint64 {
 	return (n + PageSize - 1) &^ uint64(PageSize-1)
 }
 
-// RoundUpPage rounds n up to the next multiple of PageSize.
-func RoundUpPage(n uint64) uint64 { return roundUpPage(n) }
-
-// PageAlignUp rounds addr up to the next page boundary.
-func PageAlignUp(addr uint64) uint64 { return roundUpPage(addr) }
+// PageAlignUp rounds n up to the next multiple of PageSize.
+func PageAlignUp(n uint64) uint64 { return roundUpPage(n) }

@@ -339,8 +339,8 @@ func TestPageRounding(t *testing.T) {
 		{PageSize + 1, 2 * PageSize},
 	}
 	for _, c := range cases {
-		if got := RoundUpPage(c.in); got != c.up {
-			t.Errorf("RoundUpPage(%d) = %d, want %d", c.in, got, c.up)
+		if got := PageAlignUp(c.in); got != c.up {
+			t.Errorf("PageAlignUp(%d) = %d, want %d", c.in, got, c.up)
 		}
 	}
 	if got := PageAlignUp(PageSize + 5); got != 2*PageSize {

@@ -42,6 +42,10 @@ func (k UseKind) String() string {
 // the online defended backend (package defense). The ccid argument is
 // the calling-context ID current at the operation; allocation-type
 // calls receive the allocation-time CCID the paper's patches key on.
+//
+// A wrapper that embeds a HeapBackend and overrides CheckUse must also
+// return true from ObservesUse; otherwise the compiled engine may skip
+// its CheckUse calls.
 type HeapBackend interface {
 	// Alloc services malloc/calloc/memalign/aligned_alloc. n is the
 	// calloc element count (1 otherwise); align is 0 except for aligned
@@ -54,6 +58,7 @@ type HeapBackend interface {
 	Free(ptr, ccid uint64) error
 	// Load reads n bytes at addr.
 	Load(addr, n, ccid uint64) (Value, error)
+	BulkLoader
 	// Store writes v.Bytes at addr.
 	Store(addr uint64, v Value, ccid uint64) error
 	// Memcpy copies n bytes from src to dst.
@@ -62,31 +67,30 @@ type HeapBackend interface {
 	Memset(addr uint64, b byte, n, ccid uint64) error
 	// CheckUse inspects a value at a use point (analysis mode only).
 	CheckUse(v Value, use UseKind, ccid uint64)
+	UseObserver
 	// Cycles returns the backend's accumulated virtual-cycle cost (see
 	// the cost model in cost.go).
 	Cycles() uint64
 }
 
-// BulkLoader is an optional HeapBackend extension: LoadInto reuses
-// dst's Bytes/Valid/Origin capacity instead of allocating fresh
-// buffers per load, and must fill dst with the same bytes, validity
-// and origins Load would return. The compiled engine uses it for
-// register loads and for a scratch Value on transient loads (output
-// emission), so its steady-state memory-op path allocates nothing.
-// The tree-walker never does: it calls Load, so the differential
-// suites check LoadInto against it.
+// BulkLoader is the HeapBackend method behind every load of the
+// compiled engine: LoadInto reuses dst's Bytes/Valid/Origin capacity
+// instead of allocating fresh buffers per load, and must fill dst with
+// the same bytes, validity and origins Load would return. The compiled
+// engine uses it for register loads and for a scratch Value on
+// transient loads (output emission), so its steady-state memory-op
+// path allocates nothing. The tree-walker never does: it calls Load,
+// so the differential suites check LoadInto against it.
 type BulkLoader interface {
 	LoadInto(dst *Value, addr, n, ccid uint64) error
 }
 
-// UseObserver is an optional HeapBackend extension that lets a backend
-// declare whether CheckUse does anything at all. Backends that return
-// false (native, defended) promise CheckUse is a no-op with no cycle
-// or statistics effect, which lets the compiled engine elide the calls
-// from hot paths. The tree-walker ignores it and issues every call, so
-// the differential suites check the promise. Backends that do not
-// implement the interface are conservatively treated as observing:
-// wrappers that count or forward use points keep seeing every call.
+// UseObserver is the HeapBackend method that declares whether CheckUse
+// does anything at all. Backends that return false (native, defended)
+// promise CheckUse is a no-op with no cycle or statistics effect, which
+// lets the compiled engine elide the calls from hot paths. The
+// tree-walker ignores it and issues every call, so the differential
+// suites check the promise.
 type UseObserver interface {
 	ObservesUse() bool
 }
@@ -114,10 +118,7 @@ type NativeBackend struct {
 	cycles uint64
 }
 
-var (
-	_ HeapBackend = (*NativeBackend)(nil)
-	_ BulkLoader  = (*NativeBackend)(nil)
-)
+var _ HeapBackend = (*NativeBackend)(nil)
 
 // NewNativeBackend creates a native backend over a fresh boundary-tag
 // heap.
@@ -188,7 +189,7 @@ func (nb *NativeBackend) Load(addr, n, _ uint64) (Value, error) {
 	return Value{Bytes: b}, nil
 }
 
-// LoadInto implements BulkLoader, reusing dst's byte capacity.
+// LoadInto implements HeapBackend, reusing dst's byte capacity.
 func (nb *NativeBackend) LoadInto(dst *Value, addr, n, _ uint64) error {
 	nb.cycles += CycMemOp + n/CycBytesPerCycle
 	dst.Bytes = growValueBytes(dst.Bytes, n)
@@ -227,7 +228,7 @@ func (nb *NativeBackend) Memset(addr uint64, b byte, n, _ uint64) error {
 // CheckUse implements HeapBackend: native execution checks nothing.
 func (nb *NativeBackend) CheckUse(Value, UseKind, uint64) {}
 
-// ObservesUse implements UseObserver: native execution ignores use
+// ObservesUse implements HeapBackend: native execution ignores use
 // points, so engines may elide CheckUse calls entirely.
 func (nb *NativeBackend) ObservesUse() bool { return false }
 

@@ -14,8 +14,9 @@ package prog
 //     V-update is plain integer arithmetic (V = 3*t + c or V = t + c),
 //     precompiled by compile, exactly the instruction an
 //     instrumentation pass would embed in a real binary;
-//   - backend shape: CheckUse elision (UseObserver) and the bulk-load
-//     path (BulkLoader) are decided once per Machine, at construction;
+//   - backend shape: CheckUse elision (HeapBackend.ObservesUse) is
+//     decided once per Machine, at construction, and every load reuses
+//     its destination's buffers (HeapBackend.LoadInto);
 //   - superinstructions: a compare feeding a conditional branch and a
 //     binary op feeding the loop-latch jump, both marked by compile,
 //     run in one dispatch when their operands are clean scalars.
@@ -433,19 +434,8 @@ func (m *Machine) interpFrame(f *frameV) (*Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			r := &f.regs[ins.dst]
-			if m.bulk != nil {
-				if lerr := m.loadIntoReg(r, addr, n); lerr != nil {
-					return nil, m.crash(lerr)
-				}
-			} else {
-				v, lerr := m.backend.Load(addr, n, m.v)
-				if lerr != nil {
-					return nil, m.crash(lerr)
-				}
-				r.val = v
-				r.uok = false
-				r.def = true
+			if lerr := m.loadIntoReg(&f.regs[ins.dst], addr, n); lerr != nil {
+				return nil, m.crash(lerr)
 			}
 
 		case opStore:
@@ -565,24 +555,13 @@ func (m *Machine) interpFrame(f *frameV) (*Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			if m.bulk != nil {
-				if lerr := m.bulk.LoadInto(&m.scratch, addr, nv.Uint(), m.v); lerr != nil {
-					return nil, m.crash(lerr)
-				}
-				if m.checkUse {
-					m.backend.CheckUse(m.scratch, UseOutput, m.v)
-				}
-				m.output = append(m.output, m.scratch.Bytes...)
-				break
-			}
-			v, lerr := m.backend.Load(addr, nv.Uint(), m.v)
-			if lerr != nil {
+			if lerr := m.backend.LoadInto(&m.scratch, addr, nv.Uint(), m.v); lerr != nil {
 				return nil, m.crash(lerr)
 			}
 			if m.checkUse {
-				m.backend.CheckUse(v, UseOutput, m.v)
+				m.backend.CheckUse(m.scratch, UseOutput, m.v)
 			}
-			m.output = append(m.output, v.Bytes...)
+			m.output = append(m.output, m.scratch.Bytes...)
 
 		case opOutputVar:
 			src, err := m.rd(f, ins.c)

@@ -182,8 +182,7 @@ type frameV struct {
 type Machine struct {
 	c        *bytecode
 	backend  HeapBackend
-	bulk     BulkLoader // non-nil when backend supports LoadInto
-	checkUse bool       // false only when the backend disclaims use points
+	checkUse bool // false only when the backend disclaims use points
 	maxSteps uint64
 	maxDepth int
 
@@ -232,7 +231,7 @@ func newMachine(c *bytecode, cfg Config) (*Machine, error) {
 		backend:  cfg.Backend,
 		maxSteps: cfg.MaxSteps,
 		maxDepth: cfg.MaxDepth,
-		checkUse: true,
+		checkUse: cfg.Backend.ObservesUse(),
 		globals:  make([]reg, len(c.globalNames)),
 	}
 	if m.maxSteps == 0 {
@@ -240,11 +239,6 @@ func newMachine(c *bytecode, cfg Config) (*Machine, error) {
 	}
 	if m.maxDepth == 0 {
 		m.maxDepth = DefaultMaxDepth
-	}
-	m.bulk, _ = cfg.Backend.(BulkLoader)
-	if obs, ok := cfg.Backend.(UseObserver); ok && !obs.ObservesUse() {
-		// The backend guarantees CheckUse is a no-op: elide the calls.
-		m.checkUse = false
 	}
 	m.tickSlowAt = m.maxSteps
 	return m, nil
@@ -364,7 +358,7 @@ func (m *Machine) pushFrame(fnIdx int32) *frameV {
 func (m *Machine) loadIntoReg(r *reg, addr, n uint64) error {
 	r.val.Valid = r.validCap
 	r.val.Origin = r.originCap
-	err := m.bulk.LoadInto(&r.val, addr, n, m.v)
+	err := m.backend.LoadInto(&r.val, addr, n, m.v)
 	if r.val.Valid != nil {
 		r.validCap = r.val.Valid
 	}

@@ -310,8 +310,7 @@ func TestVMDifferentialNative(t *testing.T) {
 // TestVMDifferentialEncoded runs the context-sensitive corpus programs
 // under every scheme x encoder combination and additionally requires
 // the allocation-time CCID streams to be identical (via a recording
-// wrapper that hides the bulk-loader, also covering the Machine's
-// non-BulkLoader load path).
+// wrapper around the native backend).
 func TestVMDifferentialEncoded(t *testing.T) {
 	for _, p := range []*Program{ccidProgram(), diffProgCalls(), diffProgHeap(), encodedCallProgram(8), encodedCallDenseProgram(8)} {
 		for _, scheme := range encoding.AllSchemes() {

@@ -28,7 +28,7 @@ func (b *Backend) Load(addr, n, ccid uint64) (prog.Value, error) {
 
 // LoadInto is the allocation-free variant of Load: it reuses dst's
 // Bytes/Valid/Origin capacity instead of allocating fresh planes per
-// call. It implements prog.BulkLoader.
+// call. It implements prog.HeapBackend.
 func (b *Backend) LoadInto(dst *prog.Value, addr, n, ccid uint64) error {
 	b.cycles += accessCost(n)
 	return b.loadInto(dst, addr, n, ccid)
@@ -302,7 +302,7 @@ func (b *Backend) CheckUse(v prog.Value, use prog.UseKind, ccid uint64) {
 	b.recordUninit(tag, use, ccid, fmt.Sprintf("uninitialized value used as %s", use))
 }
 
-// ObservesUse implements prog.UseObserver: shadow analysis both charges
+// ObservesUse implements prog.HeapBackend: shadow analysis both charges
 // cycles and records warnings at use points, so CheckUse calls must
 // never be elided.
 func (b *Backend) ObservesUse() bool { return true }

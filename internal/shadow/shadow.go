@@ -133,10 +133,7 @@ type Backend struct {
 	forceRef bool
 }
 
-var (
-	_ prog.HeapBackend = (*Backend)(nil)
-	_ prog.BulkLoader  = (*Backend)(nil)
-)
+var _ prog.HeapBackend = (*Backend)(nil)
 
 // warnKey dedupes chained warnings: once a buffer has warned for a
 // vulnerability type at a use kind, repeats are suppressed, mirroring
