@@ -122,17 +122,23 @@ bench-telemetry:
 # Inliner gate for the mem accessors on the allocation path: each one
 # named here must stay inlinable (a call on an accessor's miss branch
 # costs ~57 of the inliner's budget of 80, and losing the inline
-# showed up as ~10% on BenchmarkHeapChurn).
+# showed up as ~10% on BenchmarkHeapChurn). prog's memop cost function
+# is charged on every load, store, memcpy and memset of the native,
+# defended and shadow backends, so it is held to the same gate.
 INLINE_MEM := markDirty load64 store64 Contains backed BackedLoad64 CheckRead End Size fillBytes
+INLINE_PROG := MemOpCycles
 inline-check:
-	@out=$$($(GO) build -gcflags=-m ./internal/mem 2>&1) || { echo "$$out"; exit 1; }; \
-	fail=0; \
-	for fn in $(INLINE_MEM); do \
-		if grep -Eq "can inline (\(\*Space\)\.)?$$fn\$$" <<<"$$out"; then \
-			echo "mem: $$fn inlinable"; \
-		else \
-			echo "mem: $$fn is no longer inlinable"; fail=1; \
-		fi; \
+	@fail=0; \
+	for spec in "mem:$(INLINE_MEM)" "prog:$(INLINE_PROG)"; do \
+		pkg=$${spec%%:*}; \
+		out=$$($(GO) build -gcflags=-m ./internal/$$pkg 2>&1) || { echo "$$out"; exit 1; }; \
+		for fn in $${spec#*:}; do \
+			if grep -Eq "can inline (\(\*Space\)\.)?$$fn\$$" <<<"$$out"; then \
+				echo "$$pkg: $$fn inlinable"; \
+			else \
+				echo "$$pkg: $$fn is no longer inlinable"; fail=1; \
+			fi; \
+		done; \
 	done; exit $$fail
 
 # One-iteration pass over every benchmark in the repo: catches bitrot

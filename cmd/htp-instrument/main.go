@@ -18,6 +18,7 @@ import (
 
 	"heaptherapy/internal/callgraph"
 	"heaptherapy/internal/ccprof"
+	"heaptherapy/internal/core"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/instrument"
 	"heaptherapy/internal/mem"
@@ -139,15 +140,11 @@ func run(args []string, stdout io.Writer) error {
 		if program == nil {
 			return fmt.Errorf("-rewrite needs a program (-program, or -bench with -profile)")
 		}
-		progPlan, err := encoding.NewPlan(scheme, program.Graph(), program.Targets())
+		sys, err := core.NewSystem(program, core.Options{Scheme: scheme})
 		if err != nil {
 			return err
 		}
-		coder, err := encoding.NewCoder(encoding.EncoderPCC, program.Graph(), progPlan)
-		if err != nil {
-			return err
-		}
-		rewritten, err := instrument.Rewrite(program, coder)
+		rewritten, err := instrument.Rewrite(program, sys.Coder())
 		if err != nil {
 			return err
 		}
@@ -162,11 +159,7 @@ func run(args []string, stdout io.Writer) error {
 // profileProgram runs one profiling execution with PCCE instrumentation
 // so contexts can be symbolized.
 func profileProgram(p *prog.Program) ([]ccprof.Sample, error) {
-	plan, err := encoding.NewPlan(encoding.SchemeTCS, p.Graph(), p.Targets())
-	if err != nil {
-		return nil, err
-	}
-	coder, err := encoding.NewCoder(encoding.EncoderPCCE, p.Graph(), plan)
+	sys, err := core.NewSystem(p, core.Options{Scheme: encoding.SchemeTCS, Encoder: encoding.EncoderPCCE})
 	if err != nil {
 		return nil, err
 	}
@@ -178,5 +171,5 @@ func profileProgram(p *prog.Program) ([]ccprof.Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ccprof.Profile(p, backend, coder, nil, prog.EngineCompiled)
+	return ccprof.Profile(p, backend, sys.Coder(), nil, prog.EngineCompiled)
 }

@@ -15,7 +15,7 @@ import (
 	"io"
 	"strings"
 
-	"heaptherapy/internal/callgraph"
+	"heaptherapy/internal/ccprof"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/mem"
 	"heaptherapy/internal/patch"
@@ -117,28 +117,16 @@ func (a *Analyzer) AnalyzeWith(p *prog.Program, attackInput []byte, backend *sha
 }
 
 // decodeContexts symbolizes patch CCIDs into call paths where the
-// bound encoder supports decoding.
+// bound encoder supports decoding (nil when it cannot).
 func (a *Analyzer) decodeContexts(p *prog.Program, set *patch.Set) map[patch.Key]string {
 	if a.Coder == nil || !a.Coder.Precise() {
 		return nil
 	}
-	g := p.Graph()
-	root := g.NodeByName(p.Entry)
 	out := make(map[patch.Key]string)
 	for _, pp := range set.Patches() {
-		target := g.NodeByName(pp.Fn.String())
-		if root == callgraph.InvalidNode || target == callgraph.InvalidNode {
-			continue
+		if ctx := ccprof.DecodeContext(p, a.Coder, pp.Key()); ctx != "" {
+			out[pp.Key()] = ctx
 		}
-		path, err := a.Coder.Decode(root, target, pp.CCID)
-		if err != nil {
-			continue // recursion or cross-root context: leave opaque
-		}
-		parts := []string{p.Entry}
-		for _, s := range path {
-			parts = append(parts, g.Name(g.Edge(s).To))
-		}
-		out[pp.Key()] = strings.Join(parts, " -> ")
 	}
 	return out
 }

@@ -3,10 +3,8 @@ package analysis
 import (
 	"fmt"
 
-	"heaptherapy/internal/mem"
 	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
-	"heaptherapy/internal/shadow"
 )
 
 // AnalyzePartitioned implements Section IX's answer to quota
@@ -14,7 +12,11 @@ import (
 // queue quota, the attack is replayed N times; run i defers
 // deallocation only for buffers whose allocation-time CCID falls in
 // subspace i (CCID mod N == i), so each run parks roughly 1/N of the
-// freed bytes. Warnings and patches from all runs are merged.
+// freed bytes. Each run is one Analyze under that deferral filter;
+// warnings and patches from all runs are merged, and the merged
+// patches are symbolized as Analyze symbolizes its own. The execution
+// summary and the leak check are the last run's: which blocks leak
+// does not depend on which frees were deferred.
 func (a *Analyzer) AnalyzePartitioned(p *prog.Program, attackInput []byte, n int) (*Report, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("analysis: partition count %d, need >= 1", n)
@@ -30,30 +32,14 @@ func (a *Analyzer) AnalyzePartitioned(p *prog.Program, attackInput []byte, n int
 	seen := make(map[string]bool)
 	for i := 0; i < n; i++ {
 		i := uint64(i)
-		space, err := mem.NewSpace(mem.Config{})
+		part := *a
+		part.ShadowConfig.DeferFilter = func(ccid uint64) bool { return ccid%uint64(n) == i }
+		rep, err := part.Analyze(p, attackInput)
 		if err != nil {
-			return nil, fmt.Errorf("analysis: creating space: %w", err)
+			return nil, fmt.Errorf("analysis: partition %d: %w", i, err)
 		}
-		cfg := a.ShadowConfig
-		cfg.DeferFilter = func(ccid uint64) bool { return ccid%uint64(n) == i }
-		backend, err := shadow.New(space, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: creating shadow heap: %w", err)
-		}
-		it, err := prog.NewExec(p, prog.Config{
-			Backend:  backend,
-			Coder:    a.Coder,
-			MaxSteps: a.MaxSteps,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("analysis: building interpreter: %w", err)
-		}
-		res, err := it.Run(attackInput)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: partition %d replay: %w", i, err)
-		}
-		merged.Result = res // keep the last run's execution summary
-		for _, w := range backend.Warnings() {
+		merged.Result, merged.Leaks = rep.Result, rep.Leaks
+		for _, w := range rep.Warnings {
 			key := w.String()
 			if seen[key] {
 				continue
@@ -67,5 +53,6 @@ func (a *Analyzer) AnalyzePartitioned(p *prog.Program, attackInput []byte, n int
 			merged.Patches.Add(w.Patch())
 		}
 	}
+	merged.Contexts = a.decodeContexts(p, merged.Patches)
 	return merged, nil
 }

@@ -17,6 +17,7 @@
 package campaign
 
 import (
+	"bytes"
 	"fmt"
 
 	"heaptherapy/internal/patch"
@@ -147,4 +148,20 @@ type Generated struct {
 	// Sentinel must survive in output unless the attack clobbers it
 	// natively (clobbering kinds only).
 	Sentinel []byte
+}
+
+// Breach reports how an attack run's result breached the defense, or
+// "" when the run contained it: the secret leaked into the output, the
+// sentinel is gone from it without a fault, or a double free ran
+// without a fault. The text is the oracle's failure detail.
+func (g *Generated) Breach(res *prog.Result) string {
+	switch {
+	case g.Kind.Leaky() && bytes.Contains(res.Output, g.Secret):
+		return "secret leaked through defended output"
+	case g.Kind.Clobbering() && res.Fault == nil && !bytes.Contains(res.Output, g.Sentinel):
+		return "sentinel clobbered under defense"
+	case g.Kind == DoubleFree && res.Fault == nil:
+		return "double free not contained (no fault)"
+	}
+	return ""
 }

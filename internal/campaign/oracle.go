@@ -534,18 +534,8 @@ func (o Oracle) assertDefendedAttack(rep *Report, g *Generated) {
 			continue
 		}
 		res := out.Result
-		if g.Kind.Leaky() && bytes.Contains(res.Output, g.Secret) {
-			rep.fail(FailDefenseBreach, cell, "secret leaked through defended output")
-		}
-		switch g.Kind {
-		case OverflowWrite, UAFWrite:
-			if res.Fault == nil && !bytes.Contains(res.Output, g.Sentinel) {
-				rep.fail(FailDefenseBreach, cell, "sentinel clobbered under defense")
-			}
-		case DoubleFree:
-			if res.Fault == nil {
-				rep.fail(FailDefenseBreach, cell, "double free not contained (no fault)")
-			}
+		if breach := g.Breach(res); breach != "" {
+			rep.fail(FailDefenseBreach, cell, breach)
 		}
 		switch out.Cell.Policy {
 		case defense.FamilyShadowBound:

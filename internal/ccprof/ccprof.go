@@ -98,32 +98,38 @@ func (p *Profiler) Samples() []Sample {
 	return out
 }
 
-// Symbolize fills each sample's Context using the coder's decoder and
-// the program's call graph. Samples that cannot decode keep "".
+// Symbolize fills each sample's Context with its decoded call path
+// (see DecodeContext). Samples that cannot decode keep "".
 func Symbolize(samples []Sample, p *prog.Program, coder *encoding.Coder) {
+	for i := range samples {
+		samples[i].Context = DecodeContext(p, coder, samples[i].Key)
+	}
+}
+
+// DecodeContext renders the call path that an allocation key's CCID
+// encodes, from the program's entry to the allocation function
+// ("main -> f -> malloc"). It returns "" when the coder cannot decode
+// (PCC) or the context does not decode from the entry (recursion, a
+// cross-root context). Offline analysis symbolizes its patches with it
+// too, so both name a context the same way.
+func DecodeContext(p *prog.Program, coder *encoding.Coder, k patch.Key) string {
 	if coder == nil || !coder.Precise() {
-		return
+		return ""
 	}
 	g := p.Graph()
-	root := g.NodeByName(p.Entry)
-	if root == callgraph.InvalidNode {
-		return
+	root, target := g.NodeByName(p.Entry), g.NodeByName(k.Fn.String())
+	if root == callgraph.InvalidNode || target == callgraph.InvalidNode {
+		return ""
 	}
-	for i := range samples {
-		target := g.NodeByName(samples[i].Key.Fn.String())
-		if target == callgraph.InvalidNode {
-			continue
-		}
-		path, err := coder.Decode(root, target, samples[i].Key.CCID)
-		if err != nil {
-			continue
-		}
-		parts := []string{p.Entry}
-		for _, s := range path {
-			parts = append(parts, g.Name(g.Edge(s).To))
-		}
-		samples[i].Context = strings.Join(parts, " -> ")
+	path, err := coder.Decode(root, target, k.CCID)
+	if err != nil {
+		return ""
 	}
+	parts := []string{p.Entry}
+	for _, s := range path {
+		parts = append(parts, g.Name(g.Edge(s).To))
+	}
+	return strings.Join(parts, " -> ")
 }
 
 // Profile runs the program once with profiling over a native backend

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"heaptherapy/internal/analysis"
+	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/patch"
 	"heaptherapy/internal/prog"
 	"heaptherapy/internal/shadow"
@@ -198,5 +200,43 @@ func TestPartitionedAnalysisValidation(t *testing.T) {
 	if r1.Patches.Len() != r2.Patches.Len() {
 		t.Errorf("n=1 partitioned (%d patches) differs from plain analysis (%d)",
 			r1.Patches.Len(), r2.Patches.Len())
+	}
+}
+
+// TestPartitionedMatchesAnalyzeUnderPCCE: with no quota pressure,
+// splitting the replay into subspaces changes which frees each run
+// defers, not what the analysis reports. Under a decoding (PCCE) coder
+// the merged report must carry the same patches, symbolized contexts
+// and leak check as a single Analyze.
+func TestPartitionedMatchesAnalyzeUnderPCCE(t *testing.T) {
+	p := multiContextProgram()
+	sys, err := NewSystem(p, Options{Encoder: encoding.EncoderPCCE})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &analysis.Analyzer{Coder: sys.Coder()}
+	input := []byte{1, 64}
+	want, err := a.Analyze(p, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Patches.Len() == 0 || len(want.Contexts) == 0 || len(want.Leaks) == 0 {
+		t.Fatalf("Analyze found %d patches, %d contexts, %d leaks; the comparison needs each",
+			want.Patches.Len(), len(want.Contexts), len(want.Leaks))
+	}
+	for _, n := range []int{2, 3} {
+		got, err := a.AnalyzePartitioned(p, input, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Patches.Patches(), want.Patches.Patches()) {
+			t.Errorf("n=%d: patches %v, Analyze %v", n, got.Patches.Patches(), want.Patches.Patches())
+		}
+		if !reflect.DeepEqual(got.Contexts, want.Contexts) {
+			t.Errorf("n=%d: contexts %v, Analyze %v", n, got.Contexts, want.Contexts)
+		}
+		if !reflect.DeepEqual(got.Leaks, want.Leaks) {
+			t.Errorf("n=%d: leaks %v, Analyze %v", n, got.Leaks, want.Leaks)
+		}
 	}
 }

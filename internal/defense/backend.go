@@ -76,7 +76,7 @@ func (b *Backend) Free(ptr, ccid uint64) error {
 // policy's access hook (when the family has one) rejects out-of-bounds
 // ranges before the space is touched.
 func (b *Backend) Load(addr, n, ccid uint64) (prog.Value, error) {
-	b.cycles += prog.CycMemOp + n/prog.CycBytesPerCycle
+	b.cycles += prog.MemOpCycles(n)
 	if b.check != nil {
 		if err := b.check(b.def, addr, n, ccid); err != nil {
 			return prog.Value{}, err
@@ -93,7 +93,7 @@ func (b *Backend) Load(addr, n, ccid uint64) (prog.Value, error) {
 // LoadInto implements prog.HeapBackend, reusing dst's byte capacity;
 // guard pages fault here exactly as in Load.
 func (b *Backend) LoadInto(dst *prog.Value, addr, n, ccid uint64) error {
-	b.cycles += prog.CycMemOp + n/prog.CycBytesPerCycle
+	b.cycles += prog.MemOpCycles(n)
 	if b.check != nil {
 		if err := b.check(b.def, addr, n, ccid); err != nil {
 			return err
@@ -113,7 +113,7 @@ func (b *Backend) LoadInto(dst *prog.Value, addr, n, ccid uint64) error {
 
 // Store implements prog.HeapBackend; guard pages fault here.
 func (b *Backend) Store(addr uint64, v prog.Value, ccid uint64) error {
-	b.cycles += prog.CycMemOp + uint64(len(v.Bytes))/prog.CycBytesPerCycle
+	b.cycles += prog.MemOpCycles(uint64(len(v.Bytes)))
 	if b.check != nil {
 		if err := b.check(b.def, addr, uint64(len(v.Bytes)), ccid); err != nil {
 			return err
@@ -126,7 +126,7 @@ func (b *Backend) Store(addr uint64, v prog.Value, ccid uint64) error {
 
 // Memcpy implements prog.HeapBackend.
 func (b *Backend) Memcpy(dst, src, n, ccid uint64) error {
-	b.cycles += prog.CycMemOp + n/prog.CycBytesPerCycle
+	b.cycles += prog.MemOpCycles(n)
 	if b.check != nil {
 		if err := b.check(b.def, src, n, ccid); err != nil {
 			return err
@@ -142,7 +142,7 @@ func (b *Backend) Memcpy(dst, src, n, ccid uint64) error {
 
 // Memset implements prog.HeapBackend.
 func (b *Backend) Memset(addr uint64, c byte, n, ccid uint64) error {
-	b.cycles += prog.CycMemOp + n/prog.CycBytesPerCycle
+	b.cycles += prog.MemOpCycles(n)
 	if b.check != nil {
 		if err := b.check(b.def, addr, n, ccid); err != nil {
 			return err

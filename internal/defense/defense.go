@@ -35,6 +35,7 @@ import (
 	"heaptherapy/internal/heapsim"
 	"heaptherapy/internal/mem"
 	"heaptherapy/internal/patch"
+	"heaptherapy/internal/prog"
 	"heaptherapy/internal/telemetry"
 )
 
@@ -148,6 +149,20 @@ type Stats struct {
 	Frees uint64
 }
 
+// Add folds o's counters into s. QueueBytes is a gauge, not a
+// counter, so it is left as it is.
+func (s *Stats) Add(o Stats) {
+	s.Allocs += o.Allocs
+	s.Lookups += o.Lookups
+	s.LookupFaults += o.LookupFaults
+	s.PatchedAllocs += o.PatchedAllocs
+	s.GuardPages += o.GuardPages
+	s.ZeroFills += o.ZeroFills
+	s.DeferredFrees += o.DeferredFrees
+	s.QueueEvictions += o.QueueEvictions
+	s.Frees += o.Frees
+}
+
 // Errors.
 var (
 	// ErrDoubleFree reports a free of a block already in the deferred
@@ -182,6 +197,7 @@ type Defender struct {
 	cfg    Config
 	ops    *policyOps   // the selected family's hook table
 	table  *patchTable  // private in-space table (nil when shared is set)
+	sealed *SealedTable // the private table's source, sealed from cfg.Patches
 	shared *SealedTable // immutable cross-worker table (fleet runtime)
 
 	queue      []queued
@@ -231,9 +247,10 @@ func New(space *mem.Space, cfg Config) (*Defender, error) {
 }
 
 // initTable installs the patch table per the configuration: the shared
-// immutable table when provided (no space mapping at all), otherwise a
-// private table materialized and sealed read-only in the Defender's
-// own space.
+// immutable table when provided (no space mapping at all), otherwise
+// the image of the Defender's own sealed table written into its space
+// and made read-only. The patches are sealed once, on first use;
+// Reset rewrites the image from the same sealed table.
 func (d *Defender) initTable() error {
 	// Any (re)establishment of the table — construction or Reset —
 	// starts a new table generation, even when the re-established
@@ -247,11 +264,10 @@ func (d *Defender) initTable() error {
 		d.shared = d.cfg.SharedTable
 		return nil
 	}
-	set := d.cfg.Patches
-	if set == nil {
-		set = patch.NewSet()
+	if d.sealed == nil {
+		d.sealed = SealTable(d.cfg.Patches)
 	}
-	table, err := newPatchTable(d.space, set)
+	table, err := newPatchTable(d.space, d.sealed)
 	if err != nil {
 		return err
 	}
@@ -363,7 +379,7 @@ func (d *Defender) Memalign(ccid, align, size uint64) (uint64, error) {
 func (d *Defender) allocate(fn heapsim.AllocFn, ccid, size, align uint64, isRealloc bool) (uint64, error) {
 	d.stats.Allocs++
 	// The underlying allocator's own work plus the interposition hop.
-	d.cycles += cycUnderlyingAlloc + cycInterpose
+	d.cycles += prog.CycAlloc + cycInterpose
 
 	if d.cfg.Mode == ModeInterpose {
 		// Forward-only: measure pure interposition cost (HT-only; the
@@ -430,13 +446,13 @@ func htAllocate(d *Defender, fn heapsim.AllocFn, ccid, size, align uint64, isRea
 	var err error
 	switch {
 	case !aligned && !types.Has(patch.TypeOverflow):
-		p, err = d.allocS1(fn, size)
+		p, err = d.allocS1(size)
 	case !aligned && types.Has(patch.TypeOverflow):
-		p, err = d.allocS2(fn, size)
+		p, err = d.allocS2(size)
 	case aligned && !types.Has(patch.TypeOverflow):
-		p, err = d.allocS3(fn, size, align)
+		p, err = d.allocS3(size, align)
 	default:
-		p, err = d.allocS4(fn, size, align)
+		p, err = d.allocS4(size, align)
 	}
 	if err != nil {
 		return 0, err
@@ -450,7 +466,7 @@ func htAllocate(d *Defender, fn heapsim.AllocFn, ccid, size, align uint64, isRea
 	if types.Has(patch.TypeUninitRead) {
 		d.stats.ZeroFills++
 		d.tel.Inc(telemetry.CtrZeroFills)
-		d.cycles += size / prog0CycBytesPerCycle
+		d.cycles += size / prog.CycBytesPerCycle
 		if err := d.space.RawMemset(p, 0, size); err != nil {
 			return 0, fmt.Errorf("defense: zero fill: %w", err)
 		}
@@ -486,8 +502,8 @@ func (d *Defender) orTypeBits(user uint64, bits uint64) error {
 }
 
 // allocS1 builds Structure 1: [meta][user], size in the metadata word.
-func (d *Defender) allocS1(fn heapsim.AllocFn, size uint64) (uint64, error) {
-	base, err := d.underlying(fn, metaSize+size, 0)
+func (d *Defender) allocS1(size uint64) (uint64, error) {
+	base, err := d.underlying(metaSize+size, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -502,9 +518,9 @@ func (d *Defender) allocS1(fn heapsim.AllocFn, size uint64) (uint64, error) {
 // allocS2 builds Structure 2: [meta][user][pad][guard]; the guard-page
 // frame lives in the metadata word and the user size in the guard
 // page's first word.
-func (d *Defender) allocS2(fn heapsim.AllocFn, size uint64) (uint64, error) {
+func (d *Defender) allocS2(size uint64) (uint64, error) {
 	need := metaSize + size + (mem.PageSize - 1) + mem.PageSize
-	base, err := d.underlying(fn, need, 0)
+	base, err := d.underlying(need, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -518,8 +534,8 @@ func (d *Defender) allocS2(fn heapsim.AllocFn, size uint64) (uint64, error) {
 
 // allocS3 builds Structure 3: [pad][meta][user aligned]; lg(align) and
 // the size live in the metadata word.
-func (d *Defender) allocS3(fn heapsim.AllocFn, size, align uint64) (uint64, error) {
-	base, err := d.underlying(fn, align+size, align)
+func (d *Defender) allocS3(size, align uint64) (uint64, error) {
+	base, err := d.underlying(align+size, align)
 	if err != nil {
 		return 0, err
 	}
@@ -532,9 +548,9 @@ func (d *Defender) allocS3(fn heapsim.AllocFn, size, align uint64) (uint64, erro
 }
 
 // allocS4 builds Structure 4: [pad][meta][user aligned][pad][guard].
-func (d *Defender) allocS4(fn heapsim.AllocFn, size, align uint64) (uint64, error) {
+func (d *Defender) allocS4(size, align uint64) (uint64, error) {
 	need := align + size + (mem.PageSize - 1) + mem.PageSize
-	base, err := d.underlying(fn, need, align)
+	base, err := d.underlying(need, align)
 	if err != nil {
 		return 0, err
 	}
@@ -568,20 +584,14 @@ func (d *Defender) installGuard(user, guard, size uint64) error {
 	return nil
 }
 
-// underlying forwards the enlarged request to the real allocator.
-func (d *Defender) underlying(fn heapsim.AllocFn, size, align uint64) (uint64, error) {
+// underlying forwards the enlarged request to the real allocator. A
+// calloc is forwarded as a malloc too: the defense zeroes the user
+// region itself, so raw memory avoids zeroing the metadata slack twice.
+func (d *Defender) underlying(size, align uint64) (uint64, error) {
 	if align > 0 {
 		return d.under.Memalign(align, size)
 	}
-	switch fn {
-	case heapsim.FnCalloc:
-		// The defense zeroes the user region itself when required;
-		// requesting raw memory here avoids double zeroing of the
-		// metadata slack.
-		return d.under.Malloc(size)
-	default:
-		return d.under.Malloc(size)
-	}
+	return d.under.Malloc(size)
 }
 
 // meta describes a decoded metadata word.
@@ -649,7 +659,7 @@ func (d *Defender) FreeCtx(user, ccid uint64) error {
 		return nil
 	}
 	d.stats.Frees++
-	d.cycles += cycUnderlyingFree + cycInterpose
+	d.cycles += prog.CycFree + cycInterpose
 	if d.cfg.Mode == ModeInterpose {
 		return d.under.Free(user)
 	}
@@ -717,43 +727,10 @@ func (d *Defender) Realloc(ccid, user, size uint64) (uint64, error) {
 	}
 	if d.cfg.Mode == ModeInterpose {
 		d.stats.Allocs++
-		d.cycles += cycUnderlyingAlloc + cycInterpose
+		d.cycles += prog.CycAlloc + cycInterpose
 		return d.under.Realloc(user, size)
 	}
 	return d.ops.realloc(d, ccid, user, size)
-}
-
-// htRealloc is the HeapTherapy+ realloc hook: metadata bookkeeping
-// forces the allocate-copy-free path, restoring guard protection
-// before the old buffer is freed.
-func htRealloc(d *Defender, ccid, user, size uint64) (uint64, error) {
-	mi, err := d.decodeMeta(user)
-	if err != nil {
-		return 0, err
-	}
-	newUser, err := d.allocate(heapsim.FnMalloc, ccid, size, 0, true)
-	if err != nil {
-		return 0, err
-	}
-	n := mi.size
-	if size < n {
-		n = size
-	}
-	if err := d.space.RawMemmove(newUser, user, n); err != nil {
-		return 0, fmt.Errorf("defense: realloc copy: %w", err)
-	}
-	// Re-protect path: decodeMeta unprotected the guard; Free will
-	// decode again, so restore the sentinel-free word first.
-	if mi.guard != 0 {
-		if err := d.space.Mprotect(mi.guard, mem.PageSize, mem.ProtNone); err != nil {
-			return 0, fmt.Errorf("defense: realloc reprotect: %w", err)
-		}
-	}
-	if err := d.Free(user); err != nil {
-		return 0, fmt.Errorf("defense: realloc free: %w", err)
-	}
-	d.stats.Frees-- // internal bookkeeping, not a user free
-	return newUser, nil
 }
 
 // htUsableSize decodes the metadata word (re-protecting any guard the
@@ -870,17 +847,18 @@ func (d *Defender) Reset() error {
 // ResetPatches is Reset with a patch-set swap: the Defender re-arms
 // over a different configuration, as the campaign's pooled workbench
 // does per seed (each generated case carries its own analysis-derived
-// patches). Because Reset re-materializes the private table from
-// d.cfg.Patches in the same construction order a fresh Defender uses
-// (table pages below the arena), a recycled Defender with swapped
-// patches is bit-identical to one built fresh with them. Only valid on
-// a private table: a shared sealed table is immutable by contract and
-// owned by the fleet that sealed it.
+// patches). It seals the new set and Reset writes its image in the same
+// construction order a fresh Defender uses (table pages below the
+// arena), so a recycled Defender with swapped patches is bit-identical
+// to one built fresh with them. Only valid on a private table: a shared
+// sealed table is immutable by contract and owned by the fleet that
+// sealed it.
 func (d *Defender) ResetPatches(set *patch.Set) error {
 	if d.cfg.SharedTable != nil {
 		return fmt.Errorf("defense: ResetPatches on a shared sealed table")
 	}
 	d.cfg.Patches = set
+	d.sealed = nil
 	return d.Reset()
 }
 
@@ -894,18 +872,17 @@ func lg(x uint64) uint64 {
 	return n
 }
 
-// Virtual-cycle costs of defense mechanisms. cycUnderlyingAlloc and
-// cycUnderlyingFree mirror prog.CycAlloc/CycFree: the real allocator's
-// work happens beneath the interposition layer either way, so defended
-// and native executions charge the same base and differ only by the
-// defense's additions — exactly how the paper decomposes Figure 8.
+// Virtual-cycle costs of defense mechanisms, added to the cost model
+// of prog/cost.go. The underlying allocator's work is charged as
+// prog.CycAlloc/CycFree, the native backend's own charges: it happens
+// beneath the interposition layer either way, so defended and native
+// executions pay the same base and differ only by the defense's
+// additions — exactly how the paper decomposes Figure 8. Zero fills
+// run at prog.CycBytesPerCycle.
 const (
-	cycUnderlyingAlloc    = 60
-	cycUnderlyingFree     = 40
-	cycInterpose          = 2
-	cycLookup             = 3
-	cycMetadata           = 3
-	cycMprotect           = 300
-	cycQueue              = 8
-	prog0CycBytesPerCycle = 16 // zero-fill bandwidth, matches prog.CycBytesPerCycle
+	cycInterpose = 2
+	cycLookup    = 3
+	cycMetadata  = 3
+	cycMprotect  = 300
+	cycQueue     = 8
 )

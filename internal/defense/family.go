@@ -192,7 +192,7 @@ var policies = [numFamilies]policyOps{
 	FamilyHT: {
 		allocate: htAllocate,
 		free:     htFree,
-		realloc:  htRealloc,
+		realloc:  genericRealloc,
 		usable:   htUsableSize,
 	},
 	FamilyShadowBound: {
@@ -211,9 +211,11 @@ var policies = [numFamilies]policyOps{
 	},
 }
 
-// genericRealloc is the allocate-copy-free path shared by the policies
-// whose metadata does not support in-place growth (all of them; HT has
-// its own variant that additionally re-protects guard pages).
+// genericRealloc is the allocate-copy-free path every policy shares:
+// no family's metadata supports in-place growth. The usable hook reads
+// the old size (HT's re-protects any guard page it opened to read it),
+// and the old buffer goes back through the family's own free, under
+// the realloc's calling context.
 func genericRealloc(d *Defender, ccid, user, size uint64) (uint64, error) {
 	old, err := d.ops.usable(d, user)
 	if err != nil {

@@ -19,8 +19,7 @@ func (t *patchTable) refLookup(k patch.Key) (patch.TypeMask, int, error) {
 	probes := 0
 	for i := mix(key); ; i++ {
 		probes++
-		addr := t.slotAddr(i)
-		b, err := t.space.Read(addr, 16)
+		b, err := t.space.Read(t.base+(i%t.slots)*slotBytes, slotBytes)
 		if err != nil {
 			return 0, probes, fmt.Errorf("defense: patch table unreadable: %w", err)
 		}
@@ -84,6 +83,59 @@ func TestDifferentialPatchLookup(t *testing.T) {
 				t.Fatalf("lookup(%v@%#x) = (%v, %d), refLookup = (%v, %d)",
 					k.Fn, k.CCID, ft, fp, rt, rp)
 			}
+		}
+	}
+}
+
+// TestPrivateTableIsSealedImage pins the private table to SealTable's
+// layout: over random patch sets that include keys packing to the same
+// word (CCIDs differing only above bit 55, whose types the table ORs)
+// and the zero key (stored as the sentinel), the in-space pages hold
+// the sealed slots word for word, and the private lookup agrees with
+// SealedTable.Lookup on the type mask and the probe count.
+func TestPrivateTableIsSealedImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < 30; round++ {
+		set, keys := randomPatchSet(rng, rng.Intn(300))
+		for i := rng.Intn(4); i > 0 && len(keys) > 0; i-- {
+			k := keys[rng.Intn(len(keys))]
+			k.CCID ^= uint64(1+rng.Intn(255)) << 56
+			set.Add(patch.Patch{Fn: k.Fn, CCID: k.CCID, Types: patch.TypeUninitRead})
+			keys = append(keys, k)
+		}
+		if rng.Intn(2) == 0 {
+			set.Add(patch.Patch{Fn: 0, CCID: 0, Types: patch.TypeUseAfterFree})
+			keys = append(keys, patch.Key{})
+		}
+		sealed := SealTable(set)
+		table, space := newTestTableFrom(t, sealed)
+		if table.slots*2 != uint64(len(sealed.slots)) {
+			t.Fatalf("round %d: image has %d slots, sealed table %d", round, table.slots, len(sealed.slots)/2)
+		}
+		for i, want := range sealed.slots {
+			got, err := space.RawLoad64(table.base + uint64(i)*8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("round %d: image word %d = %#x, sealed slot word %#x", round, i, got, want)
+			}
+		}
+		probe := func(k patch.Key) {
+			gt, gp, err := table.lookup(k)
+			if err != nil {
+				t.Fatalf("private lookup(%v@%#x): %v", k.Fn, k.CCID, err)
+			}
+			if st, sp := sealed.Lookup(k); gt != st || gp != sp {
+				t.Fatalf("round %d key %v@%#x: private (%v, %d probes), sealed (%v, %d probes)",
+					round, k.Fn, k.CCID, gt, gp, st, sp)
+			}
+		}
+		for _, k := range keys {
+			probe(k)
+		}
+		for q := 0; q < 200; q++ {
+			probe(patch.Key{Fn: heapsim.AllocFn(rng.Intn(8)), CCID: rng.Uint64() >> uint(rng.Intn(64))})
 		}
 	}
 }
@@ -161,7 +213,7 @@ func BenchmarkPatchLookup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	table, err := newPatchTable(space, set)
+	table, err := newPatchTable(space, SealTable(set))
 	if err != nil {
 		b.Fatal(err)
 	}

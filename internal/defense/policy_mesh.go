@@ -24,6 +24,7 @@ import (
 
 	"heaptherapy/internal/heapsim"
 	"heaptherapy/internal/mem"
+	"heaptherapy/internal/prog"
 	"heaptherapy/internal/telemetry"
 )
 
@@ -71,7 +72,7 @@ func meshAllocate(d *Defender, fn heapsim.AllocFn, ccid, size, align uint64, isR
 	// Safe layout: every buffer starts zeroed, whatever its history.
 	d.stats.ZeroFills++
 	d.tel.Inc(telemetry.CtrZeroFills)
-	d.cycles += rounded / prog0CycBytesPerCycle
+	d.cycles += rounded / prog.CycBytesPerCycle
 	if err := d.space.RawMemset(user, 0, rounded); err != nil {
 		return 0, fmt.Errorf("defense: zero fill: %w", err)
 	}

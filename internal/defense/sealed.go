@@ -7,16 +7,28 @@ import (
 	"heaptherapy/internal/patch"
 )
 
-// SealedTable is the patch hash table in its cross-worker shared form:
-// the same open-addressing layout as the in-space patchTable, built
-// once from a patch.Set and immutable thereafter. Where the in-space
-// table gets its integrity from read-only page protection (a write
-// faults), the sealed table gets it from Go immutability: no slot is
-// ever written after SealTable returns, so any number of goroutines
-// may probe it concurrently with plain loads and no synchronization —
-// the lock-free shared read plane of the fleet runtime. This mirrors
-// the paper's deployment, where every thread of the defended process
-// reads one read-only table mapped at startup.
+// SealedTable is the patch hash table, and the one place its layout is
+// decided: SealTable sizes it, packs its keys and fills its slots, and
+// every other form of the table is a copy of these slots. Built once
+// from a patch.Set and immutable thereafter, it serves two readers:
+//
+//   - shared across workers (Config.SharedTable), it gets its integrity
+//     from Go immutability: no slot is ever written after SealTable
+//     returns, so any number of goroutines may probe it concurrently
+//     with plain loads and no synchronization — the lock-free shared
+//     read plane of the fleet runtime. This mirrors the paper's
+//     deployment, where every thread of the defended process reads one
+//     read-only table mapped at startup;
+//   - as a Defender's private table, its slots are written word for
+//     word into pages of the Defender's own space, which are then made
+//     read-only (see patchTable).
+//
+// Layout: open addressing with linear probing over a power-of-two slot
+// count of at least 64 and at least twice the patch count plus one.
+// Each slot is two 64-bit words, [key, value]: the key packs {FUN,
+// CCID} (packKey), the value holds the type mask, and duplicate keys
+// OR their masks into one slot. An all-zero slot is empty; a genuinely
+// zero key is stored as tableKeySentinel.
 //
 // A SealedTable lives outside any mem.Space, so recycling a worker's
 // space (mem.Space.Reset) never touches it and a Defender using one
@@ -35,25 +47,35 @@ type SealedTable struct {
 	hits []atomic.Uint64
 }
 
-// SealTable builds the immutable shared table from a patch set, using
-// the identical sizing, key packing, and probe sequence as the
-// in-space table so the two are behaviorally interchangeable.
-func SealTable(set *patch.Set) *SealedTable {
-	if set == nil {
-		set = patch.NewSet()
+// tableKeySentinel stands in for a genuinely zero key so that the
+// all-zero slot can mean "empty".
+const tableKeySentinel = ^uint64(0)
+
+// packKey folds {FUN, CCID} into one word: FUN in the top byte, the
+// CCID's low 56 bits below. CCIDs are hash-like (PCC) or small
+// (additive), so truncation to 56 bits keeps the same collision
+// characteristics the paper accepts for PCC.
+func packKey(k patch.Key) uint64 {
+	key := uint64(k.Fn)<<56 | k.CCID&(1<<56-1)
+	if key == 0 {
+		key = tableKeySentinel
 	}
-	n := uint64(1)
+	return key
+}
+
+// mix is a Fibonacci-style initial probe index.
+func mix(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> 6 }
+
+// SealTable builds the table from a patch set (nil = no patches).
+func SealTable(set *patch.Set) *SealedTable {
+	n := uint64(64)
 	for n < uint64(set.Len())*2+1 {
 		n <<= 1
 	}
-	if n < 64 {
-		n = 64
-	}
-	t := &SealedTable{slots: make([]uint64, 2*n), mask: n - 1}
+	t := &SealedTable{slots: make([]uint64, 2*n), mask: n - 1, entries: set.Len()}
 	for _, p := range set.Patches() {
 		t.insert(packKey(p.Key()), uint64(p.Types))
 	}
-	t.entries = set.Len()
 	return t
 }
 
@@ -73,9 +95,9 @@ func (t *SealedTable) insert(key, value uint64) {
 }
 
 // Lookup probes for {FUN, CCID} and reports the probe count (for the
-// same per-probe cycle accounting the in-space table uses). It cannot
-// fault: the table is not addressable from any simulated space, so
-// unlike patchTable.lookup there is no corrupted-table error path.
+// same per-probe cycle accounting the private image's lookup uses). It
+// cannot fault: the table is not addressable from any simulated space,
+// so unlike patchTable.lookup there is no corrupted-table error path.
 func (t *SealedTable) Lookup(k patch.Key) (patch.TypeMask, int) {
 	key := packKey(k)
 	probes := 0

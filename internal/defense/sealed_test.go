@@ -34,7 +34,7 @@ func TestSealedTableMatchesInSpaceTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inSpace, err := newPatchTable(space, set)
+		inSpace, err := newPatchTable(space, SealTable(set))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,11 +23,17 @@ func (t *patchTable) entryCountForTest() int {
 
 func newTestTable(t *testing.T, set *patch.Set) (*patchTable, *mem.Space) {
 	t.Helper()
+	return newTestTableFrom(t, SealTable(set))
+}
+
+// newTestTableFrom writes sealed's image into a fresh space.
+func newTestTableFrom(t *testing.T, sealed *SealedTable) (*patchTable, *mem.Space) {
+	t.Helper()
 	space, err := mem.NewSpace(mem.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := newPatchTable(space, set)
+	table, err := newPatchTable(space, sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +158,7 @@ func TestQuickPatchTableAgainstMap(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		table, err := newPatchTable(space, set)
+		table, err := newPatchTable(space, SealTable(set))
 		if err != nil {
 			return false
 		}

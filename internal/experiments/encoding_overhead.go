@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 
+	"heaptherapy/internal/core"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/workload"
 )
@@ -49,7 +50,6 @@ func EncodingOverhead(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		cells := []string{b.Name}
-		var incremental *encoding.Coder
 		var incrementalPct float64
 		for i, scheme := range schemes {
 			coder, err := coderFor(p, scheme)
@@ -65,7 +65,7 @@ func EncodingOverhead(cfg Config) (*Result, error) {
 			updates[i] += r.EncUpdates
 			cells = append(cells, m.cell(b.Name+"/"+schemeColumn(scheme), "%.3f", pct))
 			if scheme == encoding.SchemeIncremental {
-				incremental, incrementalPct = coder, pct
+				incrementalPct = pct
 			}
 		}
 		rows = append(rows, cells)
@@ -79,11 +79,11 @@ func EncodingOverhead(cfg Config) (*Result, error) {
 				encoderSums[i] += incrementalPct
 				continue
 			}
-			coder, err := encoding.NewCoder(kind, p.Graph(), incremental.Plan())
+			sys, err := core.NewSystem(p, core.Options{Encoder: kind})
 			if err != nil {
 				return nil, err
 			}
-			r, err := measure(p, coder, nil)
+			r, err := measure(p, sys.Coder(), nil)
 			if err != nil {
 				return nil, err
 			}

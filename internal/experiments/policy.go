@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -201,16 +200,5 @@ func policyRun(pc *policyCase, fam defense.Family, patches *patch.Set, attack bo
 		}
 		return 0, 0, false, err
 	}
-	contained = true
-	g := pc.g
-	if g.Kind.Leaky() && bytes.Contains(res.Output, g.Secret) {
-		contained = false
-	}
-	if g.Kind.Clobbering() && res.Fault == nil && !bytes.Contains(res.Output, g.Sentinel) {
-		contained = false
-	}
-	if g.Kind == campaign.DoubleFree && res.Fault == nil {
-		contained = false
-	}
-	return res.Cycles, space.Size(), contained, nil
+	return res.Cycles, space.Size(), pc.g.Breach(res) == "", nil
 }

@@ -21,11 +21,13 @@
 //   - shared and immutable: the SealedTable, the Program, the Coder.
 //   - worker-private and mutable: everything else, owned by exactly
 //     one goroutine (the Backend contract in package defense).
-//   - fleet-level statistics: merged with atomics only.
+//   - fleet-level statistics: counters are atomics; the merged defense
+//     counters are one defense.Stats under a mutex.
 package fleet
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"heaptherapy/internal/defense"
@@ -66,8 +68,8 @@ type Config struct {
 }
 
 // Stats is a snapshot of fleet-wide activity: request accounting plus
-// the sum of every worker's defense counters, merged atomically as
-// each request completes. Defense.QueueBytes is a gauge, not a
+// the sum of every worker's defense counters, merged under the fleet's
+// lock as each request completes. Defense.QueueBytes is a gauge, not a
 // counter, and worker recycling empties the queue — so it is omitted
 // from the merged Defense stats (always zero there).
 type Stats struct {
@@ -112,16 +114,10 @@ type Fleet struct {
 	resets        atomic.Uint64
 	swaps         atomic.Uint64
 
-	// Merged defense counters (see Stats.Defense).
-	dAllocs        atomic.Uint64
-	dLookups       atomic.Uint64
-	dLookupFaults  atomic.Uint64
-	dPatchedAllocs atomic.Uint64
-	dGuardPages    atomic.Uint64
-	dZeroFills     atomic.Uint64
-	dDeferredFrees atomic.Uint64
-	dEvictions     atomic.Uint64
-	dFrees         atomic.Uint64
+	// merged is the sum of the workers' defense counters (see
+	// Stats.Defense), guarded by mu.
+	mu     sync.Mutex
+	merged defense.Stats
 }
 
 // New builds a fleet, sealing the patch set into the shared table
@@ -182,6 +178,9 @@ func (f *Fleet) Stats() Stats {
 		// the CURRENT table's hits (post-rollout traffic).
 		hits = f.table.Load().HitCounts()
 	}
+	f.mu.Lock()
+	d := f.merged
+	f.mu.Unlock()
 	return Stats{
 		Telemetry:     snap,
 		PatchHits:     hits,
@@ -190,17 +189,7 @@ func (f *Fleet) Stats() Stats {
 		ContextsBuilt: f.contextsBuilt.Load(),
 		Resets:        f.resets.Load(),
 		TableSwaps:    f.swaps.Load(),
-		Defense: defense.Stats{
-			Allocs:         f.dAllocs.Load(),
-			Lookups:        f.dLookups.Load(),
-			LookupFaults:   f.dLookupFaults.Load(),
-			PatchedAllocs:  f.dPatchedAllocs.Load(),
-			GuardPages:     f.dGuardPages.Load(),
-			ZeroFills:      f.dZeroFills.Load(),
-			DeferredFrees:  f.dDeferredFrees.Load(),
-			QueueEvictions: f.dEvictions.Load(),
-			Frees:          f.dFrees.Load(),
-		},
+		Defense:       d,
 	}
 }
 
@@ -208,15 +197,9 @@ func (f *Fleet) Stats() Stats {
 // totals. The delta is simply the worker's stats since its last Reset
 // (Reset zeroes them), so no subtraction bookkeeping is needed.
 func (f *Fleet) merge(s defense.Stats) {
-	f.dAllocs.Add(s.Allocs)
-	f.dLookups.Add(s.Lookups)
-	f.dLookupFaults.Add(s.LookupFaults)
-	f.dPatchedAllocs.Add(s.PatchedAllocs)
-	f.dGuardPages.Add(s.GuardPages)
-	f.dZeroFills.Add(s.ZeroFills)
-	f.dDeferredFrees.Add(s.DeferredFrees)
-	f.dEvictions.Add(s.QueueEvictions)
-	f.dFrees.Add(s.Frees)
+	f.mu.Lock()
+	f.merged.Add(s)
+	f.mu.Unlock()
 }
 
 // Swaps returns the number of SwapTable installs so far — the cheap

@@ -181,7 +181,7 @@ func (nb *NativeBackend) Free(ptr, _ uint64) error {
 
 // Load implements HeapBackend.
 func (nb *NativeBackend) Load(addr, n, _ uint64) (Value, error) {
-	nb.cycles += CycMemOp + n/CycBytesPerCycle
+	nb.cycles += MemOpCycles(n)
 	b, err := nb.space.Read(addr, n)
 	if err != nil {
 		return Value{}, err
@@ -191,7 +191,7 @@ func (nb *NativeBackend) Load(addr, n, _ uint64) (Value, error) {
 
 // LoadInto implements HeapBackend, reusing dst's byte capacity.
 func (nb *NativeBackend) LoadInto(dst *Value, addr, n, _ uint64) error {
-	nb.cycles += CycMemOp + n/CycBytesPerCycle
+	nb.cycles += MemOpCycles(n)
 	dst.Bytes = growValueBytes(dst.Bytes, n)
 	dst.Valid = nil // native loads are always fully valid
 	dst.Origin = nil
@@ -209,19 +209,19 @@ func growValueBytes(b []byte, n uint64) []byte {
 
 // Store implements HeapBackend.
 func (nb *NativeBackend) Store(addr uint64, v Value, _ uint64) error {
-	nb.cycles += CycMemOp + uint64(len(v.Bytes))/CycBytesPerCycle
+	nb.cycles += MemOpCycles(uint64(len(v.Bytes)))
 	return nb.space.Write(addr, v.Bytes)
 }
 
 // Memcpy implements HeapBackend.
 func (nb *NativeBackend) Memcpy(dst, src, n, _ uint64) error {
-	nb.cycles += CycMemOp + n/CycBytesPerCycle
+	nb.cycles += MemOpCycles(n)
 	return nb.space.Memmove(dst, src, n)
 }
 
 // Memset implements HeapBackend.
 func (nb *NativeBackend) Memset(addr uint64, b byte, n, _ uint64) error {
-	nb.cycles += CycMemOp + n/CycBytesPerCycle
+	nb.cycles += MemOpCycles(n)
 	return nb.space.Memset(addr, b, n)
 }
 

@@ -32,3 +32,10 @@ const (
 	// CycEncPrologue is reading V into t at function entry.
 	CycEncPrologue = 1
 )
+
+// MemOpCycles is the charge for one n-byte load, store, copy or fill:
+// the fixed CycMemOp plus n bytes at CycBytesPerCycle. Every backend
+// (native, defended, shadow) charges its memory operations through it,
+// so the formula has one owner; it must stay inlinable, as it sits on
+// every load and store (make inline-check).
+func MemOpCycles(n uint64) uint64 { return CycMemOp + n/CycBytesPerCycle }

@@ -50,7 +50,7 @@ func FuzzVMvsTree(f *testing.F) {
 			return // not a program; parser fuzzing lives in progtext
 		}
 		// Bound runaway programs identically on both engines.
-		base := prog.Config{MaxSteps: 200000, MaxDepth: 64}
+		base := prog.Config{MaxSteps: 200000}
 
 		newExec := func(engine prog.Engine) prog.Exec {
 			cfg := base

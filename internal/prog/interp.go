@@ -18,8 +18,6 @@ type Config struct {
 	Coder *encoding.Coder
 	// MaxSteps bounds execution (0 = DefaultMaxSteps).
 	MaxSteps uint64
-	// MaxDepth bounds call recursion (0 = DefaultMaxDepth).
-	MaxDepth int
 	// Engine selects the execution substrate for the engine-generic
 	// constructors (Prepare, NewExec, RunThreads): the compiled engine,
 	// the zero value and the one to serve with, or the tree-walker, the
@@ -32,8 +30,8 @@ type Config struct {
 const (
 	// DefaultMaxSteps is the default statement budget per run.
 	DefaultMaxSteps = 200_000_000
-	// DefaultMaxDepth is the default call-stack depth limit.
-	DefaultMaxDepth = 4096
+	// maxDepth is the call-stack depth limit of both engines.
+	maxDepth = 4096
 )
 
 // Result reports one program execution.
@@ -84,7 +82,6 @@ type Interp struct {
 	backend  HeapBackend
 	coder    *encoding.Coder
 	maxSteps uint64
-	maxDepth int
 	encUpd   uint64          // cycle cost of one encoding update under the bound coder
 	instr    map[string]bool // functions containing an instrumented site
 
@@ -155,13 +152,9 @@ func New(p *Program, cfg Config) (*Interp, error) {
 		backend:  cfg.Backend,
 		coder:    cfg.Coder,
 		maxSteps: cfg.MaxSteps,
-		maxDepth: cfg.MaxDepth,
 	}
 	if it.maxSteps == 0 {
 		it.maxSteps = DefaultMaxSteps
-	}
-	if it.maxDepth == 0 {
-		it.maxDepth = DefaultMaxDepth
 	}
 	if cfg.Coder != nil {
 		it.encUpd = CycEncUpdateAdditive
@@ -589,9 +582,9 @@ func (it *Interp) execCall(st Call, f *frame) (Value, error) {
 			it.p.Name, st.Callee, len(st.Args), len(fn.Params))
 	}
 	it.depth++
-	if it.depth > it.maxDepth {
+	if it.depth > maxDepth {
 		it.depth--
-		return Value{}, fmt.Errorf("prog %s: call depth limit %d exceeded", it.p.Name, it.maxDepth)
+		return Value{}, fmt.Errorf("prog %s: call depth limit %d exceeded", it.p.Name, maxDepth)
 	}
 	defer func() { it.depth-- }()
 

@@ -181,8 +181,8 @@ func (m *Machine) callSite(rec *callRec, f *frameV) error {
 		return fmt.Errorf("prog %s: call to %s with %d args, want %d",
 			m.c.p.Name, callee.name, len(args), int(callee.nparams))
 	}
-	if m.nframes > m.maxDepth {
-		return fmt.Errorf("prog %s: call depth limit %d exceeded", m.c.p.Name, m.maxDepth)
+	if m.nframes > maxDepth {
+		return fmt.Errorf("prog %s: call depth limit %d exceeded", m.c.p.Name, maxDepth)
 	}
 	if rec.upd.Instrumented {
 		m.v = rec.upd.Apply(f.t)

@@ -184,7 +184,6 @@ type Machine struct {
 	backend  HeapBackend
 	checkUse bool // false only when the backend disclaims use points
 	maxSteps uint64
-	maxDepth int
 
 	// Per-run state.
 	input      []byte
@@ -230,15 +229,11 @@ func newMachine(c *bytecode, cfg Config) (*Machine, error) {
 		c:        c,
 		backend:  cfg.Backend,
 		maxSteps: cfg.MaxSteps,
-		maxDepth: cfg.MaxDepth,
 		checkUse: cfg.Backend.ObservesUse(),
 		globals:  make([]reg, len(c.globalNames)),
 	}
 	if m.maxSteps == 0 {
 		m.maxSteps = DefaultMaxSteps
-	}
-	if m.maxDepth == 0 {
-		m.maxDepth = DefaultMaxDepth
 	}
 	m.tickSlowAt = m.maxSteps
 	return m, nil

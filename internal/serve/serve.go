@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"heaptherapy/internal/analysis"
+	"heaptherapy/internal/core"
 	"heaptherapy/internal/defense"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/fleet"
@@ -243,14 +244,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	coder := cfg.Coder
 	if coder == nil {
-		p := cfg.Program
-		plan, err := encoding.NewPlan(encoding.SchemeIncremental, p.Graph(), p.Targets())
+		sys, err := core.NewSystem(cfg.Program, core.Options{})
 		if err != nil {
-			return nil, fmt.Errorf("serve: encoding plan: %w", err)
+			return nil, fmt.Errorf("serve: %w", err)
 		}
-		if coder, err = encoding.NewCoder(encoding.EncoderPCC, p.Graph(), plan); err != nil {
-			return nil, fmt.Errorf("serve: coder: %w", err)
-		}
+		coder = sys.Coder()
 	}
 	patches := patch.NewSet()
 	if cfg.Patches != nil {

@@ -11,7 +11,7 @@ import (
 // points; the kernels below are uncounted, so fast and slow paths —
 // and the refXxx predecessors — charge identically.
 func accessCost(n uint64) uint64 {
-	return (prog.CycMemOp + n/prog.CycBytesPerCycle) * shadowCostFactor
+	return prog.MemOpCycles(n) * shadowCostFactor
 }
 
 // Load implements prog.HeapBackend: it returns the data together with
