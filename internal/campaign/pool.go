@@ -70,6 +70,7 @@ type bench struct {
 	backend *prog.NativeBackend // native cells
 	back    *defense.Backend    // defended cells
 	tcol    *telemetry.Collector
+	tel     *telemetry.Scope // defended cells: tcol's one scope
 	pool    *heapsim.PoolAllocator
 }
 
@@ -259,6 +260,7 @@ func (w *Workbench) runCell(g *Generated, prep prepared, cell Cell, patches *pat
 	if b.back != nil {
 		st := b.back.Defender().Stats()
 		out.DefenseStats = &st
+		st.AddTo(b.tel)
 		out.Telemetry = b.tcol.Snapshot()
 	}
 	return out, nil
@@ -366,7 +368,7 @@ func (w *Workbench) defendedFor(alloc AllocKind, policy defense.Family, patches 
 	tcol := telemetry.New(telemetry.Config{Shards: 1, RingSize: 256})
 	tel := tcol.Scope()
 	space.SetTelemetry(tel)
-	db := &bench{space: space, tcol: tcol}
+	db := &bench{space: space, tcol: tcol, tel: tel}
 	cfg := defense.Config{Patches: patches, Family: policy, Telemetry: tel}
 	if alloc == AllocHeap && w.oracle.AllocatorFor == nil {
 		db.back, err = defense.NewBackend(space, cfg)

@@ -198,6 +198,7 @@ func (s *System) RunDefended(input []byte, patches *patch.Set) (*DefendedRun, er
 	if err != nil {
 		return nil, err
 	}
+	defer func() { backend.Defender().Stats().AddTo(tel) }()
 	it, err := prog.NewExec(s.program, s.execConfig(backend, s.coder))
 	if err != nil {
 		return nil, fmt.Errorf("core: building interpreter: %w", err)
@@ -250,10 +251,11 @@ func (s *System) HandleAttacks(attackInputs [][]byte) (*patch.Set, []*analysis.R
 // sharing a single defended heap, interleaved deterministically. V is
 // thread-local, exactly as in the paper's multithreaded deployments.
 func (s *System) RunDefendedThreads(inputs [][]byte, patches *patch.Set) ([]*prog.Result, defense.Stats, error) {
-	backend, _, err := s.defendedBackend(patches)
+	backend, tel, err := s.defendedBackend(patches)
 	if err != nil {
 		return nil, defense.Stats{}, err
 	}
+	defer func() { backend.Defender().Stats().AddTo(tel) }()
 	results, err := prog.RunThreads(s.program, s.execConfig(backend, s.coder), inputs, prog.DefaultQuantum)
 	if err != nil {
 		return nil, defense.Stats{}, fmt.Errorf("core: defended threads: %w", err)

@@ -37,11 +37,7 @@ var _ prog.HeapBackend = (*Backend)(nil)
 
 // NewBackend builds a defended execution backend in space.
 func NewBackend(space *mem.Space, cfg Config) (*Backend, error) {
-	d, err := New(space, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Backend{def: d, space: space, check: d.ops.access}, nil
+	return NewBackendWithAllocator(space, nil, cfg)
 }
 
 // Defender exposes the defense layer (for statistics).
@@ -196,7 +192,8 @@ func (b *Backend) SwapSharedTable(t *SealedTable) error {
 }
 
 // NewBackendWithAllocator builds a defended execution backend over a
-// caller-supplied underlying allocator (see NewWithAllocator).
+// caller-supplied underlying allocator (nil: a fresh heap; see
+// NewWithAllocator).
 func NewBackendWithAllocator(space *mem.Space, under heapsim.Allocator, cfg Config) (*Backend, error) {
 	d, err := NewWithAllocator(space, under, cfg)
 	if err != nil {

@@ -112,11 +112,12 @@ type Config struct {
 	// QueueQuota bounds the deferred-free FIFO in bytes
 	// (0 = DefaultQueueQuota).
 	QueueQuota uint64
-	// Telemetry, when non-nil, receives defense counters (patch hits,
-	// guard pages, zero fills, deferred frees, quota evictions, double
-	// frees), a patch-lookup cost histogram, and trace events for
-	// defense-relevant incidents. Nil (the default) disables telemetry
-	// at the cost of one predictable branch per instrumentation point.
+	// Telemetry, when non-nil, receives the counters with no Stats
+	// field (double frees, guard and bounds faults), a patch-lookup
+	// cost histogram, and trace events for defense-relevant incidents;
+	// Stats.AddTo folds in the rest. Nil (the default) disables
+	// telemetry at the cost of one predictable branch per
+	// instrumentation point.
 	Telemetry *telemetry.Scope
 }
 
@@ -163,6 +164,16 @@ func (s *Stats) Add(o Stats) {
 	s.Frees += o.Frees
 }
 
+// AddTo folds s into a telemetry scope under the counter names. Stats
+// is the only store of these counts; whoever ends a run adds its Stats.
+func (s Stats) AddTo(tel *telemetry.Scope) {
+	tel.Add(telemetry.CtrPatchHits, s.PatchedAllocs)
+	tel.Add(telemetry.CtrGuardPages, s.GuardPages)
+	tel.Add(telemetry.CtrZeroFills, s.ZeroFills)
+	tel.Add(telemetry.CtrDeferredFrees, s.DeferredFrees)
+	tel.Add(telemetry.CtrQuarantineRefusals, s.QueueEvictions)
+}
+
 // Errors.
 var (
 	// ErrDoubleFree reports a free of a block already in the deferred
@@ -200,8 +211,7 @@ type Defender struct {
 	sealed *SealedTable // the private table's source, sealed from cfg.Patches
 	shared *SealedTable // immutable cross-worker table (fleet runtime)
 
-	queue      []queued
-	queueBytes uint64
+	queue []queued
 
 	// bounds is the ShadowBound policy's live-object index, sorted by
 	// user address; empty for every other family.
@@ -225,25 +235,7 @@ type Defender struct {
 // space's only growing segment (as a real constructor runs before any
 // application allocation).
 func New(space *mem.Space, cfg Config) (*Defender, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	d := &Defender{space: space, cfg: cfg, ops: &policies[cfg.Family], tel: cfg.Telemetry}
-	if err := d.initTable(); err != nil {
-		return nil, err
-	}
-	h, err := heapsim.New(space)
-	if err != nil {
-		return nil, fmt.Errorf("defense: creating heap: %w", err)
-	}
-	// The owned heap reports into the same scope, giving allocator-level
-	// counts alongside the defense-level ones. Callers of
-	// NewWithAllocator attach telemetry to their allocator themselves.
-	h.SetTelemetry(cfg.Telemetry)
-	d.heap = h
-	d.under = h
-	return d, nil
+	return NewWithAllocator(space, nil, cfg)
 }
 
 // initTable installs the patch table per the configuration: the shared
@@ -279,7 +271,9 @@ func (d *Defender) initTable() error {
 // underlying allocator — property (5) of the paper: the defense is
 // transparent to the allocator beneath it and never touches its
 // internals. The allocator must be backed by the same space (for guard
-// pages and the patch table).
+// pages and the patch table), and its caller attaches its telemetry. A
+// nil allocator is New's fresh heap, built after the table and
+// reporting into cfg.Telemetry.
 func NewWithAllocator(space *mem.Space, under heapsim.Allocator, cfg Config) (*Defender, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -288,6 +282,14 @@ func NewWithAllocator(space *mem.Space, under heapsim.Allocator, cfg Config) (*D
 	d := &Defender{space: space, cfg: cfg, ops: &policies[cfg.Family], under: under, tel: cfg.Telemetry}
 	if err := d.initTable(); err != nil {
 		return nil, err
+	}
+	if under == nil {
+		h, err := heapsim.New(space)
+		if err != nil {
+			return nil, fmt.Errorf("defense: creating heap: %w", err)
+		}
+		h.SetTelemetry(cfg.Telemetry)
+		d.heap, d.under = h, h
 	}
 	return d, nil
 }
@@ -316,9 +318,7 @@ func (d *Defender) Heap() *heapsim.Heap { return d.heap }
 
 // Stats returns a snapshot of defense statistics.
 func (d *Defender) Stats() Stats {
-	s := d.stats
-	s.QueueBytes = d.queueBytes
-	return s
+	return d.stats
 }
 
 // noteAccessFault classifies a memory-access error from a defended
@@ -434,7 +434,6 @@ func htAllocate(d *Defender, fn heapsim.AllocFn, ccid, size, align uint64, isRea
 	if types != 0 {
 		d.stats.PatchedAllocs++
 		if d.tel != nil {
-			d.tel.Inc(telemetry.CtrPatchHits)
 			site := telemetry.PackSite(uint8(lookupFn), ccid)
 			d.tel.Event(telemetry.EvPatchHit, ccid, site, size)
 		}
@@ -465,7 +464,6 @@ func htAllocate(d *Defender, fn heapsim.AllocFn, ccid, size, align uint64, isRea
 
 	if types.Has(patch.TypeUninitRead) {
 		d.stats.ZeroFills++
-		d.tel.Inc(telemetry.CtrZeroFills)
 		d.cycles += size / prog.CycBytesPerCycle
 		if err := d.space.RawMemset(p, 0, size); err != nil {
 			return 0, fmt.Errorf("defense: zero fill: %w", err)
@@ -579,7 +577,6 @@ func (d *Defender) installGuard(user, guard, size uint64) error {
 		return fmt.Errorf("defense: protecting guard page: %w", err)
 	}
 	d.stats.GuardPages++
-	d.tel.Inc(telemetry.CtrGuardPages)
 	d.cycles += cycMprotect
 	return nil
 }
@@ -659,6 +656,11 @@ func (d *Defender) FreeCtx(user, ccid uint64) error {
 		return nil
 	}
 	d.stats.Frees++
+	return d.release(user, ccid)
+}
+
+// release is FreeCtx minus the Frees count, for realloc's old buffer.
+func (d *Defender) release(user, ccid uint64) error {
 	d.cycles += prog.CycFree + cycInterpose
 	if d.cfg.Mode == ModeInterpose {
 		return d.under.Free(user)
@@ -695,21 +697,17 @@ func (d *Defender) deferFree(mi metaInfo, user, ccid uint64) error {
 		return fmt.Errorf("defense: marking deferred block: %w", err)
 	}
 	d.queue = append(d.queue, queued{base: mi.base, user: user, size: mi.size})
-	d.queueBytes += mi.size
+	d.stats.QueueBytes += mi.size
 	d.stats.DeferredFrees++
-	d.tel.Inc(telemetry.CtrDeferredFrees)
 	d.cycles += cycQueue
-	for d.queueBytes > d.cfg.QueueQuota && len(d.queue) > 0 {
+	for d.stats.QueueBytes > d.cfg.QueueQuota && len(d.queue) > 0 {
 		old := d.queue[0]
 		d.queue = d.queue[1:]
-		d.queueBytes -= old.size
+		d.stats.QueueBytes -= old.size
 		d.stats.QueueEvictions++
-		if d.tel != nil {
-			// The quota forced this block back into circulation: the
-			// quarantine refused to keep holding it.
-			d.tel.Inc(telemetry.CtrQuarantineRefusals)
-			d.tel.Event(telemetry.EvQuarantineRefusal, ccid, old.user, old.size)
-		}
+		// The quota forced this block back into circulation: the
+		// quarantine refused to keep holding it.
+		d.tel.Event(telemetry.EvQuarantineRefusal, ccid, old.user, old.size)
 		if err := d.under.Free(old.base); err != nil {
 			return fmt.Errorf("defense: releasing deferred block: %w", err)
 		}
@@ -827,7 +825,6 @@ func (d *Defender) ProbePatched(fn heapsim.AllocFn, ccid uint64) bool {
 // allocator's memory, and Reset preserves it).
 func (d *Defender) Reset() error {
 	d.queue = d.queue[:0]
-	d.queueBytes = 0
 	d.stats = Stats{}
 	d.cycles = 0
 	if d.ops.reset != nil {

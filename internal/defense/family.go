@@ -232,10 +232,9 @@ func genericRealloc(d *Defender, ccid, user, size uint64) (uint64, error) {
 	if err := d.space.RawMemmove(newUser, user, n); err != nil {
 		return 0, fmt.Errorf("defense: realloc copy: %w", err)
 	}
-	if err := d.FreeCtx(user, ccid); err != nil {
+	if err := d.release(user, ccid); err != nil {
 		return 0, fmt.Errorf("defense: realloc free: %w", err)
 	}
-	d.stats.Frees-- // internal bookkeeping, not a user free
 	return newUser, nil
 }
 

@@ -71,7 +71,6 @@ func meshAllocate(d *Defender, fn heapsim.AllocFn, ccid, size, align uint64, isR
 	}
 	// Safe layout: every buffer starts zeroed, whatever its history.
 	d.stats.ZeroFills++
-	d.tel.Inc(telemetry.CtrZeroFills)
 	d.cycles += rounded / prog.CycBytesPerCycle
 	if err := d.space.RawMemset(user, 0, rounded); err != nil {
 		return 0, fmt.Errorf("defense: zero fill: %w", err)

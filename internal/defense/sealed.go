@@ -37,6 +37,7 @@ type SealedTable struct {
 	slots   []uint64 // interleaved [key, value] pairs; len = 2 * nslots
 	mask    uint64   // nslots - 1 (nslots is a power of two)
 	entries int
+	epoch   uint64 // see Epoch
 
 	// hits, when enabled, counts key matches per slot across every
 	// worker probing this table — the fleet-wide per-patch hit tally.
@@ -134,6 +135,13 @@ func (t *SealedTable) Probe(k patch.Key) patch.TypeMask {
 		}
 	}
 }
+
+// Epoch is the table's place in its fleet's rollout sequence: 0 when
+// sealed, one more than its predecessor's once stamped by Succeed.
+func (t *SealedTable) Epoch() uint64 { return t.epoch }
+
+// Succeed stamps t as prev's successor; call it before t is shared.
+func (t *SealedTable) Succeed(prev *SealedTable) { t.epoch = prev.epoch + 1 }
 
 // EnableHitCounts allocates the per-slot hit counters. It must be
 // called before the table is shared across goroutines (typically right

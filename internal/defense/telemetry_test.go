@@ -43,6 +43,7 @@ func TestTelemetryPatchHit(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	d.Stats().AddTo(d.tel)
 	snap := col.Snapshot()
 	if got := snap.Counter(telemetry.CtrPatchHits); got != 1 {
 		t.Errorf("patch_hits = %d, want 1", got)
@@ -98,6 +99,7 @@ func TestTelemetryZeroFillAndDeferredFree(t *testing.T) {
 		t.Fatalf("double free err = %v", err)
 	}
 
+	d.Stats().AddTo(d.tel)
 	snap := col.Snapshot()
 	if got := snap.Counter(telemetry.CtrZeroFills); got != 1 {
 		t.Errorf("zero_fills = %d, want 1", got)
@@ -137,6 +139,7 @@ func TestTelemetryQuarantineRefusal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	d.Stats().AddTo(d.tel)
 	snap := col.Snapshot()
 	if got := snap.Counter(telemetry.CtrQuarantineRefusals); got == 0 {
 		t.Fatal("no quarantine refusals despite quota pressure")

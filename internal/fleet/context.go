@@ -43,25 +43,25 @@ func (c *Context) Reset() error {
 }
 
 // SyncTable re-points the context's defense layer at the fleet's
-// CURRENT sealed table, reporting whether a swap occurred. A live
-// context may have been built before a SwapTable; syncing before each
-// request is what makes a rollout reach running workers: the context's
-// next allocation looks up the new table. A Defender that cannot take
-// the table (one built without a shared table) is an error; the
-// context keeps its old table.
+// CURRENT sealed table and returns the table the context now runs on.
+// A live context may have been built before a SwapTable; syncing before
+// each request is what makes a rollout reach running workers: the
+// context's next allocation looks up the new table. A Defender that
+// cannot take the table (one built without a shared table) is an
+// error; the context keeps, and SyncTable returns, its old table.
 //
 // Must be called by the context's owning goroutine, like every other
 // Context method.
-func (c *Context) SyncTable(f *Fleet) (bool, error) {
+func (c *Context) SyncTable(f *Fleet) (*defense.SealedTable, error) {
 	d := c.backend.Defender()
 	cur := f.Table()
 	if d.SharedTable() == cur {
-		return false, nil
+		return cur, nil
 	}
 	if err := d.SwapSharedTable(cur); err != nil {
-		return false, fmt.Errorf("fleet: syncing context table: %w", err)
+		return d.SharedTable(), fmt.Errorf("fleet: syncing context table: %w", err)
 	}
-	return true, nil
+	return cur, nil
 }
 
 // Acquire builds a worker context on the fleet's current sealed

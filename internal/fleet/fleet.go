@@ -21,8 +21,8 @@
 //   - shared and immutable: the SealedTable, the Program, the Coder.
 //   - worker-private and mutable: everything else, owned by exactly
 //     one goroutine (the Backend contract in package defense).
-//   - fleet-level statistics: counters are atomics; the merged defense
-//     counters are one defense.Stats under a mutex.
+//   - fleet-level statistics: request records are summed under a
+//     mutex; the table epoch lives in the table.
 package fleet
 
 import (
@@ -57,21 +57,16 @@ type Config struct {
 	// rollouts still bump every worker's generation — but never consult
 	// the table's contents.
 	Family defense.Family
-	// Telemetry, when non-nil, collects per-worker counters, histograms
-	// (allocation sizes, patch-lookup cost), and defense trace events.
-	// The fleet attaches no quantum hook, so it records no per-quantum
-	// cycle histogram. Each worker context binds its own scope, so
-	// the collector's per-shard breakdown is the per-tenant aggregation;
-	// Stats surfaces the merged snapshot. Enabling telemetry also
-	// turns on per-patch hit counting on the shared sealed table.
+	// Telemetry, when non-nil, gives each worker context its own scope
+	// (so the per-shard breakdown is per tenant), which Stats snapshots,
+	// and turns on per-patch hit counting on the shared sealed table.
+	// The fleet attaches no quantum hook.
 	Telemetry *telemetry.Collector
 }
 
-// Stats is a snapshot of fleet-wide activity: request accounting plus
-// the sum of every worker's defense counters, merged under the fleet's
-// lock as each request completes. Defense.QueueBytes is a gauge, not a
-// counter, and worker recycling empties the queue — so it is omitted
-// from the merged Defense stats (always zero there).
+// Stats is a snapshot of fleet-wide activity. Defense sums every
+// request's defense counters; its QueueBytes gauge is always zero, as
+// recycling empties each queue.
 type Stats struct {
 	// Requests is the number of requests served.
 	Requests uint64
@@ -82,7 +77,8 @@ type Stats struct {
 	ContextsBuilt uint64
 	// Resets counts context recycles.
 	Resets uint64
-	// TableSwaps counts SwapTable installs (code-less patch rollouts).
+	// TableSwaps counts SwapTable installs (code-less patch rollouts):
+	// the current table's epoch.
 	TableSwaps uint64
 	// Defense is the sum of all workers' defense counters.
 	Defense defense.Stats
@@ -100,24 +96,18 @@ type Stats struct {
 type Fleet struct {
 	cfg Config
 
-	// table is the CURRENT shared sealed table. It is an atomic
-	// pointer because SwapTable replaces it under live traffic: readers
-	// (Acquire's table sync, Stats) load the pointer, in-flight workers
-	// keep probing whichever table their Defender was pointed at when
-	// they acquired their context — the old table stays valid forever
-	// (immutable), it just stops being handed out.
+	// table is the CURRENT shared sealed table, replaced under live
+	// traffic by SwapTable; in-flight workers keep probing the table
+	// they synced, which stays valid forever (immutable).
 	table atomic.Pointer[defense.SealedTable]
 
-	requests      atomic.Uint64
-	crashes       atomic.Uint64
 	contextsBuilt atomic.Uint64
 	resets        atomic.Uint64
-	swaps         atomic.Uint64
 
-	// merged is the sum of the workers' defense counters (see
-	// Stats.Defense), guarded by mu.
+	// merged sums the Requests, Crashes and Defense of every finished
+	// request's record, guarded by mu.
 	mu     sync.Mutex
-	merged defense.Stats
+	merged Stats
 }
 
 // New builds a fleet, sealing the patch set into the shared table
@@ -149,11 +139,12 @@ func (f *Fleet) Table() *defense.SealedTable { return f.table.Load() }
 //
 //   - the new table is built and (if telemetered) hit-enabled BEFORE
 //     it becomes visible, so no worker ever sees a half-built table;
-//   - the install is one atomic pointer store: contexts acquired after
-//     it are built on the new table, and a live context picks it up at
-//     its next Context.SyncTable (its next allocation looks it up),
-//     while requests already in flight keep serving on the old table,
-//     which is immutable and therefore valid forever;
+//   - the install is one compare-and-swap after stamping the table as
+//     its predecessor's successor, so epochs never go backwards:
+//     contexts acquired after it are built on the new table, and a
+//     live context picks it up at its next Context.SyncTable, while
+//     requests already in flight keep serving on the old table, which
+//     is immutable and therefore valid forever;
 //   - nothing is ever mutated in place, so there is no window where a
 //     request can fail because of the swap.
 //
@@ -161,67 +152,54 @@ func (f *Fleet) Table() *defense.SealedTable { return f.table.Load() }
 // is kept for callers that install tables through a fallible seam.
 func (f *Fleet) SwapTable(patches *patch.Set) (*defense.SealedTable, error) {
 	t := f.seal(patches)
-	f.table.Store(t)
-	f.swaps.Add(1)
-	return t, nil
+	for {
+		old := f.table.Load()
+		t.Succeed(old)
+		if f.table.CompareAndSwap(old, t) {
+			return t, nil
+		}
+	}
 }
 
-// Stats returns a consistent-enough snapshot of fleet statistics:
-// each counter is read atomically; the set is not a single atomic
-// snapshot (call once every context is released for exact totals).
+// Stats returns a snapshot of fleet statistics; it is not one atomic
+// cut (call once every context is released for exact totals).
 func (f *Fleet) Stats() Stats {
 	var snap *telemetry.Snapshot
 	var hits map[patch.Key]uint64
+	table := f.table.Load()
 	if f.cfg.Telemetry != nil {
 		snap = f.cfg.Telemetry.Snapshot()
 		// Swapped-out tables keep their tallies; the snapshot reports
 		// the CURRENT table's hits (post-rollout traffic).
-		hits = f.table.Load().HitCounts()
+		hits = table.HitCounts()
 	}
 	f.mu.Lock()
-	d := f.merged
+	st := f.merged
 	f.mu.Unlock()
-	return Stats{
-		Telemetry:     snap,
-		PatchHits:     hits,
-		Requests:      f.requests.Load(),
-		Crashes:       f.crashes.Load(),
-		ContextsBuilt: f.contextsBuilt.Load(),
-		Resets:        f.resets.Load(),
-		TableSwaps:    f.swaps.Load(),
-		Defense:       d,
-	}
+	st.Telemetry, st.PatchHits = snap, hits
+	st.ContextsBuilt, st.Resets = f.contextsBuilt.Load(), f.resets.Load()
+	st.TableSwaps = table.Epoch()
+	return st
 }
 
-// merge folds one request's defense-counter delta into the fleet
-// totals. The delta is simply the worker's stats since its last Reset
-// (Reset zeroes them), so no subtraction bookkeeping is needed.
-func (f *Fleet) merge(s defense.Stats) {
-	f.mu.Lock()
-	f.merged.Add(s)
-	f.mu.Unlock()
-}
-
-// Swaps returns the number of SwapTable installs so far — the cheap
-// per-request read (Stats builds a full snapshot; this is one atomic
-// load, suitable for stamping responses with the table epoch that
-// served them).
-func (f *Fleet) Swaps() uint64 { return f.swaps.Load() }
-
-// FinishRequest accounts one request served on c: fleet and tenant
-// counters, the defense-stat delta merge, and the context recycle,
-// leaving c ready for its next request. A request that
-// faults is a normal outcome — its context recycles and serving
-// continues (crash isolation: one tenant's SIGSEGV never touches
-// another's heap).
+// FinishRequest accounts one request served on c — one record, summed
+// into the fleet totals and folded into c's scope; its defense counts
+// are c's since the last Reset — and recycles c. A request that faults
+// is a normal outcome: its context recycles and serving continues
+// (crash isolation: one tenant's SIGSEGV never touches another's heap).
 func (f *Fleet) FinishRequest(c *Context, crashed bool) error {
-	f.requests.Add(1)
-	c.tel.Inc(telemetry.CtrRequests)
+	r := Stats{Requests: 1, Defense: c.backend.Defender().Stats()}
 	if crashed {
-		f.crashes.Add(1)
-		c.tel.Inc(telemetry.CtrCrashes)
+		r.Crashes = 1
 	}
-	f.merge(c.backend.Defender().Stats())
+	f.mu.Lock()
+	f.merged.Requests += r.Requests
+	f.merged.Crashes += r.Crashes
+	f.merged.Defense.Add(r.Defense)
+	f.mu.Unlock()
+	c.tel.Add(telemetry.CtrRequests, r.Requests)
+	c.tel.Add(telemetry.CtrCrashes, r.Crashes)
+	r.Defense.AddTo(c.tel)
 	if err := c.Reset(); err != nil {
 		return fmt.Errorf("fleet: recycling context: %w", err)
 	}

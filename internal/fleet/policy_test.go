@@ -130,8 +130,8 @@ func TestFleetPolicySwapKeepsServing(t *testing.T) {
 			if _, err := f.SwapTable(patches); err != nil {
 				t.Fatalf("SwapTable under %v: %v", fam, err)
 			}
-			if f.Swaps() != 1 {
-				t.Fatalf("Swaps=%d after install, want 1", f.Swaps())
+			if f.Table().Epoch() != 1 {
+				t.Fatalf("table epoch=%d after install, want 1", f.Table().Epoch())
 			}
 			second, err := serveAll(f, p, coder, prog.EngineCompiled, 2, inputs)
 			if err != nil {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"sync"
 	"testing"
 
 	"heaptherapy/internal/defense"
@@ -41,8 +42,8 @@ func TestSwapTable(t *testing.T) {
 	if f.Table() != newTable || newTable == oldTable {
 		t.Fatal("SwapTable did not install a fresh table")
 	}
-	if st := f.Stats(); st.TableSwaps != 1 {
-		t.Errorf("TableSwaps=%d, want 1", st.TableSwaps)
+	if st := f.Stats(); st.TableSwaps != 1 || newTable.Epoch() != 1 || oldTable.Epoch() != 0 {
+		t.Errorf("TableSwaps=%d, epochs old %d new %d; want 1, 0, 1", st.TableSwaps, oldTable.Epoch(), newTable.Epoch())
 	}
 
 	// The held context is untouched: swapping under a live worker
@@ -64,8 +65,8 @@ func TestSwapTable(t *testing.T) {
 	}
 
 	// The held context picks up the new table at its next sync.
-	if swapped, err := held.SyncTable(f); err != nil || !swapped {
-		t.Fatalf("SyncTable after a swap = %v, %v; want true", swapped, err)
+	if cur, err := held.SyncTable(f); err != nil || cur != newTable {
+		t.Fatalf("SyncTable after a swap = %p, %v; want the new table %p", cur, err, newTable)
 	}
 	if held.backend.Defender().SharedTable() != newTable {
 		t.Error("SyncTable did not re-point the context")
@@ -82,8 +83,8 @@ func TestSwapTable(t *testing.T) {
 
 	// Re-syncing with no intervening swap is a no-op.
 	gen := held.backend.Defender().TableGeneration()
-	if swapped, err := held.SyncTable(f); err != nil || swapped {
-		t.Errorf("SyncTable with no swap = %v, %v; want false", swapped, err)
+	if cur, err := held.SyncTable(f); err != nil || cur != newTable {
+		t.Errorf("SyncTable with no swap = %p, %v; want the same table %p", cur, err, newTable)
 	}
 	if held.backend.Defender().TableGeneration() != gen {
 		t.Error("SyncTable bumped the generation without a table change")
@@ -105,9 +106,9 @@ func TestSyncTableError(t *testing.T) {
 	}
 	c.backend = private
 
-	swapped, err := c.SyncTable(f)
-	if err == nil || swapped {
-		t.Fatalf("SyncTable on a private-table Defender = %v, %v; want false and an error", swapped, err)
+	cur, err := c.SyncTable(f)
+	if err == nil || cur != nil {
+		t.Fatalf("SyncTable on a private-table Defender = %p, %v; want its own (nil) shared table and an error", cur, err)
 	}
 }
 
@@ -181,4 +182,35 @@ func boolToU64(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// TestSwapTableEpochsUnique: concurrent swaps each publish a distinct
+// epoch, and the current table's epoch is the number of swaps — the
+// compare-and-swap re-stamps a table whose predecessor changed under
+// it, so no two tables share an epoch and none goes backwards.
+func TestSwapTableEpochsUnique(t *testing.T) {
+	const swappers, each = 4, 2000
+	f := New(Config{})
+	var mu sync.Mutex
+	seen := map[uint64]bool{}
+	var wg sync.WaitGroup
+	for g := 0; g < swappers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				nt, _ := f.SwapTable(overflowPatch(uint64(i)))
+				mu.Lock()
+				if seen[nt.Epoch()] {
+					t.Errorf("epoch %d published twice", nt.Epoch())
+				}
+				seen[nt.Epoch()] = true
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := f.Stats().TableSwaps; got != swappers*each {
+		t.Errorf("TableSwaps=%d after %d swaps", got, swappers*each)
+	}
 }

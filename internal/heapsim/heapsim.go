@@ -104,7 +104,7 @@ type Allocator interface {
 // Allocation errors.
 var (
 	// ErrOutOfMemory is returned when the arena cannot grow further.
-	ErrOutOfMemory = errors.New("heapsim: out of memory")
+	ErrOutOfMemory = fmt.Errorf("heapsim: out of memory: %w", mem.ErrLimit)
 	// ErrInvalidPointer is returned for frees of addresses that are not
 	// live allocations (including double frees).
 	ErrInvalidPointer = errors.New("heapsim: invalid pointer")
@@ -143,8 +143,7 @@ const (
 
 // Stats reports allocator activity and footprint.
 type Stats struct {
-	// Mallocs counts Malloc calls (including the allocating half of
-	// Realloc and the Calloc fast path).
+	// Mallocs counts Malloc calls.
 	Mallocs uint64
 	// Callocs counts Calloc calls.
 	Callocs uint64
@@ -200,10 +199,8 @@ type Heap struct {
 
 	stats Stats
 
-	// tel, when non-nil, counts physical chunk registrations and
-	// releases (so a moving realloc counts as one alloc and one free,
-	// unlike Stats which nets those out) plus an allocation-size
-	// histogram.
+	// tel, when non-nil, counts chunk grants and releases
+	// (telemetry.CtrAllocs/CtrFrees) and observes allocation sizes.
 	tel *telemetry.Scope
 }
 
@@ -782,11 +779,11 @@ func (h *Heap) Realloc(ptr, size uint64) (uint64, error) {
 			return ptr, nil
 		}
 		// Move: allocate, copy, free.
-		newP, err := h.Malloc(size)
+		nc, err := h.allocChunk(size)
 		if err != nil {
 			return 0, err
 		}
-		h.stats.Mallocs-- // counted as a realloc, not a malloc
+		newP := h.finishAlloc(nc)
 		copyLen := oldUser
 		if size < copyLen {
 			copyLen = size
@@ -794,19 +791,27 @@ func (h *Heap) Realloc(ptr, size uint64) (uint64, error) {
 		if err := h.space.RawMemmove(newP, ptr, copyLen); err != nil {
 			return 0, fmt.Errorf("heapsim: realloc copy: %w", err)
 		}
-		if err := h.Free(ptr); err != nil {
+		if err := h.release(ptr); err != nil {
 			return 0, fmt.Errorf("heapsim: realloc free: %w", err)
 		}
-		h.stats.Frees-- // internal free, not a user-visible one
 		return newP, nil
 	}
 }
 
-// Free implements Allocator.
+// Free implements Allocator: a counted release.
 func (h *Heap) Free(ptr uint64) error {
 	if ptr == 0 {
 		return nil
 	}
+	if err := h.release(ptr); err != nil {
+		return err
+	}
+	h.stats.Frees++
+	return nil
+}
+
+// release is Free uncounted, for a moving Realloc's old chunk.
+func (h *Heap) release(ptr uint64) error {
 	w, bit, ok := h.liveBit(ptr)
 	if !ok || h.live[w]&bit == 0 {
 		return fmt.Errorf("%w: free of %#x", ErrInvalidPointer, ptr)
@@ -816,7 +821,6 @@ func (h *Heap) Free(ptr uint64) error {
 	if h.tel != nil {
 		h.tel.Inc(telemetry.CtrFrees)
 	}
-	h.stats.Frees++
 	h.stats.InUseBytes -= h.chunkSize(c) - headerSize
 	h.stats.InUseChunks--
 

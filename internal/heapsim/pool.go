@@ -236,18 +236,26 @@ func (p *PoolAllocator) Realloc(ptr, size uint64) (uint64, error) {
 	if err := p.space.RawMemmove(newPtr, ptr, avail); err != nil {
 		return 0, fmt.Errorf("heapsim: pool realloc copy: %w", err)
 	}
-	if err := p.Free(ptr); err != nil {
+	if err := p.release(ptr); err != nil {
 		return 0, err
 	}
-	p.stats.Frees--
 	return newPtr, nil
 }
 
-// Free implements Allocator.
+// Free implements Allocator: a counted release.
 func (p *PoolAllocator) Free(ptr uint64) error {
 	if ptr == 0 {
 		return nil
 	}
+	if err := p.release(ptr); err != nil {
+		return err
+	}
+	p.stats.Frees++
+	return nil
+}
+
+// release is Free uncounted, for a moving Realloc's old block.
+func (p *PoolAllocator) release(ptr uint64) error {
 	blk, ok := p.live[ptr]
 	if !ok {
 		return fmt.Errorf("%w: pool free of %#x", ErrInvalidPointer, ptr)
@@ -256,7 +264,6 @@ func (p *PoolAllocator) Free(ptr uint64) error {
 	if p.tel != nil {
 		p.tel.Inc(telemetry.CtrFrees)
 	}
-	p.stats.Frees++
 	p.stats.InUseBytes -= blk.size
 	p.stats.InUseChunks--
 	if blk.class >= 0 {

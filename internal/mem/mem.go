@@ -13,6 +13,7 @@ package mem
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -80,6 +81,9 @@ func (k AccessKind) String() string {
 		return fmt.Sprintf("AccessKind(%d)", uint8(k))
 	}
 }
+
+// ErrLimit reports a full space; Sbrk and out-of-memory errors wrap it.
+var ErrLimit = errors.New("mem: segment limit reached")
 
 // FaultError reports an access violation: the simulation's equivalent of
 // SIGSEGV. The online defense relies on these faults to stop overflow
@@ -217,7 +221,7 @@ func (s *Space) Sbrk(n uint64) (uint64, error) {
 	grow := roundUpPage(n)
 	old := s.End()
 	if s.Size()+grow > s.limitBytes() {
-		return 0, fmt.Errorf("mem: sbrk(%d) exceeds segment limit %d", n, s.limitBytes())
+		return 0, fmt.Errorf("%w: sbrk(%d) exceeds %d", ErrLimit, n, s.limitBytes())
 	}
 	newLen := uint64(len(s.data)) + grow
 	if uint64(cap(s.data)) >= newLen {

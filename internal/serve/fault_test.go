@@ -38,7 +38,7 @@ func TestRolloutAnalyzeFailure(t *testing.T) {
 	}
 	waitFor(t, "rollout failure", func() bool { return s.Stats().RolloutFails >= 1 })
 
-	if s.fleet.Swaps() != 0 {
+	if s.fleet.Table().Epoch() != 0 {
 		t.Error("failed analysis still swapped a table")
 	}
 	// Old table keeps serving: the attack stays wild, benign stays OK.
@@ -72,7 +72,7 @@ func TestRolloutAnalyzePanic(t *testing.T) {
 
 	post(t, ts, "/request", svc.CrashRequest())
 	waitFor(t, "rollout failure and release", func() bool { return s.Stats().RolloutFails >= 1 && released() })
-	if s.fleet.Swaps() != 0 {
+	if s.fleet.Table().Epoch() != 0 {
 		t.Error("panicking analysis still swapped a table")
 	}
 	resp, _ := post(t, ts, "/request", svc.BenignRequest())
@@ -173,7 +173,7 @@ func TestRolloutSwapFailure(t *testing.T) {
 
 	post(t, ts, "/request", svc.CrashRequest())
 	waitFor(t, "rollout failure", func() bool { return s.Stats().RolloutFails >= 1 })
-	if s.Stats().Rollouts != 0 || s.fleet.Swaps() != 0 {
+	if s.Stats().Rollouts != 0 || s.fleet.Table().Epoch() != 0 {
 		t.Error("failed swap recorded as a rollout")
 	}
 	resp, _ := post(t, ts, "/request", svc.BenignRequest())
@@ -192,7 +192,7 @@ func TestRolloutEmptyAnalysis(t *testing.T) {
 	})
 	post(t, ts, "/request", svc.CrashRequest())
 	waitFor(t, "rollout failure", func() bool { return s.Stats().RolloutFails >= 1 })
-	if s.fleet.Swaps() != 0 {
+	if s.fleet.Table().Epoch() != 0 {
 		t.Error("empty analysis swapped a table")
 	}
 }
@@ -325,9 +325,9 @@ func TestSwapRacingDrain(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Drain deadlocked against the in-flight rollout")
 	}
-	if s.Stats().Rollouts != 1 || s.fleet.Swaps() != 1 {
+	if s.Stats().Rollouts != 1 || s.fleet.Table().Epoch() != 1 {
 		t.Errorf("rollout racing drain: rollouts=%d swaps=%d, want 1/1",
-			s.Stats().Rollouts, s.fleet.Swaps())
+			s.Stats().Rollouts, s.fleet.Table().Epoch())
 	}
 	_ = ts
 }

@@ -6,8 +6,10 @@ package serve
 // soak and the deterministic slow request shrink to keep `make race`
 // fast while still crossing every swap/drain interleaving.
 const (
-	slowRequestN = 1500
-	soakClients  = 4
-	soakRequests = 15
-	soakSwaps    = 8
+	slowRequestN  = 1500
+	soakClients   = 4
+	soakRequests  = 15
+	soakSwaps     = 8
+	epochClients  = 4
+	epochRequests = 100
 )

@@ -93,7 +93,7 @@ func testLiveRollout(t *testing.T, engine prog.Engine, cold bool) {
 
 	// The server patches itself from the trapped crash.
 	waitFor(t, "live rollout", func() bool { return s.Stats().Rollouts >= 1 })
-	if s.fleet.Swaps() == 0 {
+	if s.fleet.Table().Epoch() == 0 {
 		t.Fatal("rollout reported but no table swap")
 	}
 

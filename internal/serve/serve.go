@@ -52,6 +52,9 @@ const (
 	// OutcomeStepLimit is a request whose run exceeded its step budget
 	// (Config.MaxSteps); it is refused with 422.
 	OutcomeStepLimit = "step-limit"
+	// OutcomeHeapLimit is a request whose allocation found the space at
+	// its Config.Space limit: refused with 422, not a rollout trigger.
+	OutcomeHeapLimit = "heap-limit"
 )
 
 // maxRequestBytes bounds a request body; a longer body is refused
@@ -122,7 +125,8 @@ type Stats struct {
 	Contained uint64 `json:"contained"`
 	// Wild counts requests ended by a wild fault.
 	Wild uint64 `json:"wild"`
-	// Rollouts counts successful live patch rollouts (table swaps).
+	// Rollouts counts successful live patch rollouts: the epoch of the
+	// fleet's current table.
 	Rollouts uint64 `json:"rollouts"`
 	// RolloutFails counts rollout attempts that failed and left the
 	// previous table serving.
@@ -142,6 +146,9 @@ type Stats struct {
 	// StepLimits counts requests refused because their run exceeded
 	// Config.MaxSteps. Omitted from the JSON while zero.
 	StepLimits uint64 `json:"step_limits,omitempty"`
+	// HeapLimits counts OutcomeHeapLimit requests. Omitted from the
+	// JSON while zero.
+	HeapLimits uint64 `json:"heap_limits,omitempty"`
 	// EngineErrors counts requests failed by the engine rather than the
 	// guest (a table sync, engine error or panic, or a failed context
 	// recycle). Omitted from the JSON while zero.
@@ -160,7 +167,7 @@ type job struct {
 type jobResult struct {
 	output  []byte
 	outcome string
-	epoch   uint64 // fleet table-swap count when the request ran
+	epoch   uint64 // epoch of the sealed table the request ran on
 	err     error
 }
 
@@ -170,7 +177,6 @@ type Server struct {
 	cfg   Config
 	fleet *fleet.Fleet
 	coder *encoding.Coder
-	tel   *telemetry.Scope // front-end's own scope (rollout counters)
 
 	jobs  chan *job
 	queue chan rolloutJob // wild crashes awaiting re-analysis
@@ -211,12 +217,12 @@ type Server struct {
 	quotaRejected atomic.Uint64
 	contained     atomic.Uint64
 	wild          atomic.Uint64
-	rollouts      atomic.Uint64
 	rolloutFails  atomic.Uint64
 	bundleDrops   atomic.Uint64
 	bundleDups    atomic.Uint64
 	abandoned     atomic.Uint64
 	stepLimits    atomic.Uint64
+	heapLimits    atomic.Uint64
 	engineErrors  atomic.Uint64
 }
 
@@ -272,9 +278,6 @@ func New(cfg Config) (*Server, error) {
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 		tenants:  make(map[string]int),
 		patches:  patches,
-	}
-	if cfg.Telemetry != nil {
-		s.tel = cfg.Telemetry.Scope()
 	}
 	s.swapFn = f.SwapTable
 	s.analyze = cfg.Analyze
@@ -336,11 +339,12 @@ func (s *Server) worker(ctx *fleet.Context, it prog.Exec) {
 // other engine-level failure (a table sync error, an engine error or
 // panic, a failed recycle) is an error, not a guest crash.
 func (s *Server) serveOne(ctx *fleet.Context, it prog.Exec, input []byte) jobResult {
-	// Pick up any rolled-out table.
-	_, err := ctx.SyncTable(s.fleet)
-	r := jobResult{epoch: s.fleet.Swaps()}
+	// Pick up any rolled-out table; the request runs on this one.
+	table, err := ctx.SyncTable(s.fleet)
+	var r jobResult
 	var res *prog.Result
 	if err == nil {
+		r.epoch = table.Epoch()
 		res, err = runSafely(it, input)
 	}
 	crashed := false
@@ -386,11 +390,15 @@ func runSafely(it prog.Exec, input []byte) (res *prog.Result, err error) {
 	return it.Run(input)
 }
 
-// classify decides whether a faulted request was contained by the
-// defense — a deliberate policy rejection (bounds check, double-free
-// abort) or a guard-page hit (the fault landed on ProtNone) — or
-// escaped wild (off the mapping, or an unprotected page).
+// classify decides whether a faulted request hit the heap limit, was
+// contained by the defense — a deliberate policy rejection (bounds
+// check, double-free abort) or a guard-page hit (the fault landed on
+// ProtNone) — or escaped wild (off the mapping, or an unprotected page).
 func (s *Server) classify(ctx *fleet.Context, fault error) string {
+	if errors.Is(fault, mem.ErrLimit) {
+		s.heapLimits.Add(1)
+		return OutcomeHeapLimit
+	}
 	if defense.IsContainmentFault(fault) {
 		s.contained.Add(1)
 		return OutcomeContained
@@ -458,7 +466,7 @@ func (s *Server) rolloutWorker() {
 func (s *Server) runRollout(attack []byte) {
 	set, err := s.analyzeSafely(attack)
 	if err != nil || set == nil || set.Len() == 0 {
-		s.noteRolloutFail()
+		s.rolloutFails.Add(1)
 		return
 	}
 	s.patchMu.Lock()
@@ -466,11 +474,8 @@ func (s *Server) runRollout(attack []byte) {
 	_, err = s.swapFn(s.patches)
 	s.patchMu.Unlock()
 	if err != nil {
-		s.noteRolloutFail()
-		return
+		s.rolloutFails.Add(1)
 	}
-	s.rollouts.Add(1)
-	s.tel.Inc(telemetry.CtrRollouts)
 }
 
 // analyzeSafely runs the re-analysis and turns a panic inside it (a
@@ -485,11 +490,6 @@ func (s *Server) analyzeSafely(attack []byte) (set *patch.Set, err error) {
 	return s.analyze(s.cfg.Program, attack)
 }
 
-func (s *Server) noteRolloutFail() {
-	s.rolloutFails.Add(1)
-	s.tel.Inc(telemetry.CtrRolloutFails)
-}
-
 // Stats snapshots front-end counters.
 func (s *Server) Stats() Stats {
 	s.drainMu.Lock()
@@ -501,12 +501,13 @@ func (s *Server) Stats() Stats {
 		QuotaRejected:    s.quotaRejected.Load(),
 		Contained:        s.contained.Load(),
 		Wild:             s.wild.Load(),
-		Rollouts:         s.rollouts.Load(),
+		Rollouts:         s.fleet.Table().Epoch(),
 		RolloutFails:     s.rolloutFails.Load(),
 		BundleDrops:      s.bundleDrops.Load(),
 		BundleDuplicates: s.bundleDups.Load(),
 		Abandoned:        s.abandoned.Load(),
 		StepLimits:       s.stepLimits.Load(),
+		HeapLimits:       s.heapLimits.Load(),
 		EngineErrors:     s.engineErrors.Load(),
 		Draining:         draining,
 	}
@@ -599,7 +600,6 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 	case s.inflight <- struct{}{}:
 	default:
 		s.rejected.Add(1)
-		s.tel.Inc(telemetry.CtrRejected)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "saturated", http.StatusTooManyRequests)
 		return
@@ -613,7 +613,6 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 	}
 	if !s.admitTenant(name) {
 		s.quotaRejected.Add(1)
-		s.tel.Inc(telemetry.CtrRejected)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "tenant quota exceeded", http.StatusTooManyRequests)
 		return
@@ -660,6 +659,8 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "request contained by defense", http.StatusBadGateway)
 	case OutcomeStepLimit:
 		http.Error(w, "request exceeded its step budget", http.StatusUnprocessableEntity)
+	case OutcomeHeapLimit:
+		http.Error(w, "request exceeded its heap budget", http.StatusUnprocessableEntity)
 	default:
 		http.Error(w, "request crashed", http.StatusInternalServerError)
 	}

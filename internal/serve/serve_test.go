@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -319,6 +320,59 @@ func TestServeStepLimit(t *testing.T) {
 	_, body = post0(t, ts, "/metrics")
 	if !bytes.Contains(body, []byte(`"step_limits": 2`)) {
 		t.Errorf("/metrics lacks step_limits:\n%s", body)
+	}
+}
+
+// TestServeHeapLimit: a request whose allocation finds the tenant's
+// space at its Config.Space limit is refused with 422 and its own
+// outcome. It is not an attack: it is not counted wild and queues no
+// re-analysis, and /metrics names heap_limits only once it is nonzero.
+func TestServeHeapLimit(t *testing.T) {
+	oneMalloc := prog.MustLink(&prog.Program{
+		Name: "one-malloc",
+		Funcs: map[string]*prog.Func{
+			"main": {Body: []prog.Stmt{
+				prog.ReadInput{Dst: "n", N: prog.C(4)},
+				prog.Alloc{Dst: "buf", Size: prog.V("n")},
+				prog.Store{Base: prog.V("buf"), Src: prog.C(1), N: prog.C(8)},
+				prog.FreeStmt{Ptr: prog.V("buf")},
+			}},
+		},
+	})
+	s, ts, _ := newNginxServer(t, func(c *Config) {
+		c.Program = oneMalloc
+		c.Space.Limit = 8 << 20
+	})
+	size := func(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
+
+	if resp, body := post(t, ts, "/request", size(1<<20)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("1 MiB request: %d %q, want 200", resp.StatusCode, body)
+	}
+	_, body := post0(t, ts, "/metrics")
+	if bytes.Contains(body, []byte("heap_limits")) {
+		t.Errorf("/metrics names a zero heap_limits:\n%s", body)
+	}
+	resp, body := post(t, ts, "/request", size(64<<20))
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("64 MiB request: %d %q, want 422", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-HTP-Outcome"); got != OutcomeHeapLimit {
+		t.Errorf("64 MiB request outcome %q, want %q", got, OutcomeHeapLimit)
+	}
+	s.Drain() // the rollout worker has finished anything queued
+	if st := s.Stats(); st.HeapLimits != 1 || st.Wild != 0 || st.RolloutFails != 0 || st.Rollouts != 0 || st.EngineErrors != 0 {
+		t.Errorf("stats %+v, want heap_limits 1 and no wild, rollout or engine error", st)
+	}
+	m := s.Metrics()
+	if m.Requests != 2 {
+		t.Errorf("fleet served %d requests, want 2", m.Requests)
+	}
+	body, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"heap_limits":1`)) {
+		t.Errorf("/metrics lacks heap_limits:\n%s", body)
 	}
 }
 

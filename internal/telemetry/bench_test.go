@@ -9,6 +9,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	var s *Scope
 	if n := testing.AllocsPerRun(1000, func() {
 		s.Inc(CtrAllocs)
+		s.Add(CtrFrees, 3)
 		s.Observe(HistAllocSize, 64)
 		s.Event(EvPatchHit, 1, 2, 3)
 	}); n != 0 {
@@ -23,6 +24,7 @@ func TestEnabledCounterPathZeroAlloc(t *testing.T) {
 	s := New(Config{Shards: 2, RingSize: 64}).Scope()
 	if n := testing.AllocsPerRun(1000, func() {
 		s.Inc(CtrAllocs)
+		s.Add(CtrFrees, 3)
 		s.Observe(HistAllocSize, 64)
 		s.Event(EvPatchHit, 1, 2, 3)
 	}); n != 0 {

@@ -42,10 +42,12 @@ type CounterID uint8
 
 // Counters.
 const (
-	// CtrAllocs counts allocator-level allocations (malloc, calloc,
-	// memalign, and the allocating half of realloc).
+	// CtrAllocs counts the allocator's chunk grants, a moving
+	// realloc's included. It is bumped per event, not folded from
+	// heapsim.Stats, whose Mallocs counts calls: a different event.
 	CtrAllocs CounterID = iota
-	// CtrFrees counts allocator-level frees of live pointers.
+	// CtrFrees counts the allocator's chunk releases, a moving
+	// realloc's included; heapsim.Stats.Frees counts free calls.
 	CtrFrees
 	// CtrPatchHits counts allocations the defense recognized as
 	// vulnerable (a patch-table hit with a nonzero type mask).
@@ -59,7 +61,9 @@ const (
 	// quarantine (defense FIFO or shadow freed-block queue).
 	CtrDeferredFrees
 	// CtrQuarantineRefusals counts blocks a quarantine declined to
-	// hold: quota-forced evictions and filter-rejected deferrals.
+	// hold: quota-forced evictions and filter-rejected deferrals. The
+	// defense folds in its Stats.QueueEvictions; shadow's refusals have
+	// no Stats twin and are bumped per event.
 	CtrQuarantineRefusals
 	// CtrDoubleFrees counts double frees rejected by the defense.
 	CtrDoubleFrees
@@ -79,15 +83,6 @@ const (
 	CtrRequests
 	// CtrCrashes counts served requests that ended in a fault.
 	CtrCrashes
-	// CtrRejected counts requests turned away by admission control
-	// (saturation or quota) before reaching a worker.
-	CtrRejected
-	// CtrRollouts counts live patch rollouts: sealed-table swaps
-	// triggered by trapped crashes.
-	CtrRollouts
-	// CtrRolloutFails counts rollout attempts that failed (shadow
-	// re-analysis or table build/swap) and left the old table serving.
-	CtrRolloutFails
 	// CtrBoundsFaults counts accesses rejected by a per-object bounds
 	// check (the ShadowBound policy's containment firing).
 	CtrBoundsFaults
@@ -111,9 +106,6 @@ var counterNames = [NumCounters]string{
 	CtrQuanta:             "quanta",
 	CtrRequests:           "requests",
 	CtrCrashes:            "crashes",
-	CtrRejected:           "rejected",
-	CtrRollouts:           "rollouts",
-	CtrRolloutFails:       "rollout_fails",
 	CtrBoundsFaults:       "bounds_faults",
 }
 
@@ -381,6 +373,14 @@ func (s *Scope) Inc(id CounterID) {
 		return
 	}
 	s.sh.counters[id].Add(1)
+}
+
+// Add folds n into a counter (a count kept in a Stats); 0 is a no-op.
+func (s *Scope) Add(id CounterID, n uint64) {
+	if s == nil || n == 0 {
+		return
+	}
+	s.sh.counters[id].Add(n)
 }
 
 // Observe records a value into a histogram.

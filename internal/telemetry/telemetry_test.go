@@ -83,8 +83,26 @@ func TestNilScopeIsNoOp(t *testing.T) {
 	var s *Scope
 	// None of these may panic or do anything.
 	s.Inc(CtrAllocs)
+	s.Add(CtrAllocs, 5)
 	s.Observe(HistAllocSize, 64)
 	s.Event(EvPatchHit, 1, 2, 3)
+}
+
+// TestAddFoldsCounts: Add sums into the scope's shard exactly as that
+// many Incs would, and adding 0 leaves a counter out of the snapshot.
+func TestAddFoldsCounts(t *testing.T) {
+	c := New(Config{Shards: 2})
+	s := c.Scope()
+	s.Inc(CtrPatchHits)
+	s.Add(CtrPatchHits, 4)
+	s.Add(CtrZeroFills, 0)
+	snap := c.Snapshot()
+	if got := snap.Counter(CtrPatchHits); got != 5 {
+		t.Errorf("patch_hits = %d, want 5", got)
+	}
+	if _, ok := snap.Counters[CtrZeroFills.String()]; ok {
+		t.Errorf("adding 0 put zero_fills in the snapshot: %v", snap.Counters)
+	}
 }
 
 func TestCountersAndSnapshot(t *testing.T) {
